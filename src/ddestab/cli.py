@@ -15,8 +15,7 @@ import json
 import math
 import os
 import sys
-import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -34,7 +33,6 @@ __all__ = [
     "serialize_config",
     "target_to_config",
     "target_from_config",
-    "RunConfig",
     "resolve_target",
     "SCENARIOS",
     "main",
@@ -351,29 +349,8 @@ def serialize_config(target, options: Optional[dict] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Run configuration and target resolution
+# Overrides and target resolution
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    command: str
-    target: Optional[str] = None
-    overrides: dict = field(default_factory=dict)
-    out: str = "."
-    step: Optional[float] = None
-    horizon: Optional[float] = None
-    tol: Optional[float] = None
-    grid: Optional[int] = None
-    T: Optional[float] = None
-    history: Optional[float] = None
-    x0: Optional[float] = None
-    param: Optional[str] = None
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    points: int = 9
-    predicate: str = "certificate"
-    scenario: Optional[str] = None
 
 
 def parse_overrides(pairs) -> dict:
@@ -435,61 +412,16 @@ def _write_json(path: str, payload: dict) -> None:
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _certify(target, T=None, *, grid=None, horizon=None):
-    """(best verdict, certificate tuple) for an equation or model."""
-    kwargs = {"grid": grid if grid is not None else tf.DEFAULT_GRID, "horizon": horizon}
-    if isinstance(target, cr.LinearDelayEquation):
-        certs = cr.evaluate_all(target, T, **kwargs)
-        return cr.best_verdict(certs), certs
-    if isinstance(target, md.MackeyGlassRemoval):
-        cert = md.check_les_removal(target, T, **kwargs)
-        return cert.verdict, (cert,)
-    if isinstance(target, md.MackeyGlassProduction):
-        cert = md.check_les_production(target, T, **kwargs)
-        return cert.verdict, (cert,)
-    raise ConfigError("target must be a linear equation or a Mackey-Glass model")
-
-
-def _perturbed_run(target, *, history=None, x0=None, horizon=None, step=None):
-    """Standard perturbed simulation: trajectory, behavior report, and setup."""
-    x_eq, max_lag, t0 = dg.target_structure(target)
-    base = x_eq if x_eq > 0.0 else 1.0
-    phi = history if history is not None else 0.8 * base
-    start = x0 if x0 is not None else 1.2 * base
-    hor = horizon if horizon is not None else 60.0 * max(max_lag, 1.0)
-    h = step if step is not None else 0.01
-    traj = sv.integrate(
-        target,
-        sv.ConstantHistory(phi),
-        t0 + hor,
-        step=h,
-        initial_value=start,
-        on_divergence="truncate",
-    )
-    report = dg.classify(traj, equilibrium=x_eq, max_lag=max_lag)
-    setup = {
-        "equilibrium": x_eq,
-        "history": phi,
-        "initial_value": start,
-        "horizon": hor,
-        "step": h,
-        "t0": t0,
-    }
-    return traj, report, setup
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def run_check(cfg: RunConfig) -> int:
-    target, opts = resolve_target(cfg.target, cfg.overrides)
-    grid = cfg.grid if cfg.grid is not None else opts.get("grid")
-    T = cfg.T if cfg.T is not None else opts.get("T")
-    verdict, certs = _certify(
-        target, T, grid=None if grid is None else int(grid), horizon=cfg.horizon
-    )
+def run_check(args: argparse.Namespace) -> int:
+    target, opts = resolve_target(args.target, parse_overrides(args.sets))
+    grid = args.grid if args.grid is not None else opts.get("grid", tf.DEFAULT_GRID)
+    T = args.T if args.T is not None else opts.get("T")
+    verdict, certs = dg.certify(target, T, grid=int(grid), horizon=args.horizon)
     payload = {
         "schema": SCHEMA_VERSION,
         "generated_at": _utc_now(),
@@ -497,7 +429,7 @@ def run_check(cfg: RunConfig) -> int:
         "verdict": verdict,
         "certificates": [c.to_dict() for c in certs],
     }
-    path = os.path.join(cfg.out, "certificates.json")
+    path = os.path.join(args.out, "certificates.json")
     _write_json(path, payload)
     for cert in certs:
         print("%s: %s" % (cert.name, cert.verdict))
@@ -505,12 +437,12 @@ def run_check(cfg: RunConfig) -> int:
     return 0
 
 
-def run_simulate(cfg: RunConfig) -> int:
-    target, opts = resolve_target(cfg.target, cfg.overrides)
-    step = cfg.step if cfg.step is not None else opts.get("step")
-    horizon = cfg.horizon if cfg.horizon is not None else opts.get("horizon")
-    traj, report, setup = _perturbed_run(
-        target, history=cfg.history, x0=cfg.x0, horizon=horizon, step=step
+def run_simulate(args: argparse.Namespace) -> int:
+    target, opts = resolve_target(args.target, parse_overrides(args.sets))
+    step = args.step if args.step is not None else opts.get("step")
+    horizon = args.horizon if args.horizon is not None else opts.get("horizon")
+    traj, report, setup = dg.perturbed_run(
+        target, history=args.history, x0=args.x0, horizon=horizon, step=step
     )
     behavior = {
         "schema": SCHEMA_VERSION,
@@ -536,12 +468,12 @@ def run_simulate(cfg: RunConfig) -> int:
             }
         except tf.ConfigurationError:
             pass
-    csv_path = os.path.join(cfg.out, "trajectory.csv")
-    os.makedirs(cfg.out, exist_ok=True)
+    csv_path = os.path.join(args.out, "trajectory.csv")
+    os.makedirs(args.out, exist_ok=True)
     tmp = "%s.tmp%d" % (csv_path, os.getpid())
     traj.to_csv(tmp)
     os.replace(tmp, csv_path)
-    _write_json(os.path.join(cfg.out, "behavior.json"), behavior)
+    _write_json(os.path.join(args.out, "behavior.json"), behavior)
     print(
         "classification: %s (tail %.6g over initial %.6g) -> %s"
         % (report.classification, report.tail_amplitude, report.initial_amplitude, csv_path)
@@ -576,15 +508,12 @@ def _builtin_builder(name: str, param: str, overrides: dict):
     return build
 
 
-def run_sweep(cfg: RunConfig) -> int:
-    if cfg.param is None or cfg.lo is None or cfg.hi is None:
-        raise ConfigError("sweep requires --param, --lo, and --hi")
-    if not (cfg.hi > cfg.lo):
+def run_sweep(args: argparse.Namespace) -> int:
+    if not (args.hi > args.lo):
         raise ConfigError("sweep requires --hi greater than --lo")
-    if cfg.points < 2:
+    if args.points < 2:
         raise ConfigError("sweep requires at least two points")
-    raw_build = _builtin_builder(cfg.target, cfg.param, cfg.overrides)
-    tol = cfg.tol if cfg.tol is not None else 1e-4
+    raw_build = _builtin_builder(args.target, args.param, parse_overrides(args.sets))
 
     def build(value: float):
         # Name the offending parameter value when a point is invalid.
@@ -593,38 +522,36 @@ def run_sweep(cfg: RunConfig) -> int:
         except ConfigError:
             raise
         except ValueError as exc:
-            raise ConfigError("%s=%g: %s" % (cfg.param, value, exc)) from exc
+            raise ConfigError("%s=%g: %s" % (args.param, value, exc)) from exc
 
     lines = ["param,verdict,classification"]
-    for i in range(cfg.points):
-        value = cfg.lo + (cfg.hi - cfg.lo) * i / (cfg.points - 1)
+    for i in range(args.points):
+        value = args.lo + (args.hi - args.lo) * i / (args.points - 1)
         target = build(value)
-        verdict, _ = _certify(target, cfg.T, grid=cfg.grid)
-        _, report, _ = _perturbed_run(target, horizon=cfg.horizon, step=cfg.step)
+        verdict, _ = dg.certify(target, args.T, grid=args.grid)
+        _, report, _ = dg.perturbed_run(target, horizon=args.horizon, step=args.step)
         lines.append("%.17g,%s,%s" % (value, verdict, report.classification))
-    csv_path = os.path.join(cfg.out, "sweep.csv")
+    csv_path = os.path.join(args.out, "sweep.csv")
     _write_atomic(csv_path, "\n".join(lines) + "\n")
 
-    if cfg.predicate == "certificate":
-        predicate = dg.certificate_predicate(build)
+    if args.predicate == "certificate":
+        predicate = dg.certificate_predicate(build, args.T, grid=args.grid)
     else:
-        predicate = dg.empirical_predicate(
-            build, horizon=cfg.horizon, step=cfg.step if cfg.step is not None else 0.01
-        )
-    threshold = dg.find_threshold(predicate, cfg.lo, cfg.hi, tol=tol)
+        predicate = dg.empirical_predicate(build, horizon=args.horizon, step=args.step)
+    threshold = dg.find_threshold(predicate, args.lo, args.hi, tol=args.tol)
     payload = {
         "schema": SCHEMA_VERSION,
         "generated_at": _utc_now(),
-        "target": cfg.target,
-        "parameter": cfg.param,
-        "lo": cfg.lo,
-        "hi": cfg.hi,
-        "tol": tol,
-        "predicate": cfg.predicate,
+        "target": args.target,
+        "parameter": args.param,
+        "lo": args.lo,
+        "hi": args.hi,
+        "tol": args.tol,
+        "predicate": args.predicate,
         "threshold": threshold,
     }
-    _write_json(os.path.join(cfg.out, "threshold.json"), payload)
-    print("threshold %s = %.10g (%s predicate) -> %s" % (cfg.param, threshold, cfg.predicate, csv_path))
+    _write_json(os.path.join(args.out, "threshold.json"), payload)
+    print("threshold %s = %.10g (%s predicate) -> %s" % (args.param, threshold, args.predicate, csv_path))
     return 0
 
 
@@ -877,9 +804,9 @@ def _pulse_removal_threshold(sigma: float, lo: float, hi: float) -> float:
 
 def _repro_fig1():
     model4 = md.make_builtin("ex51", sigma=1.1, r=4.0)
-    traj4, rep4, _ = _perturbed_run(model4, history=0.4, x0=0.6, horizon=100.0, step=0.01)
+    traj4, rep4, _ = dg.perturbed_run(model4, history=0.4, x0=0.6, horizon=100.0, step=0.01)
     model85 = md.make_builtin("ex51", sigma=1.1, r=8.5)
-    _, rep85, _ = _perturbed_run(model85, history=0.4, x0=0.6, horizon=100.0, step=0.01)
+    _, rep85, _ = dg.perturbed_run(model85, history=0.4, x0=0.6, horizon=100.0, step=0.01)
     threshold = _pulse_removal_threshold(1.1, 1.0, 6.0)
     gap = 0.05 + math.sin(0.1 * math.pi) / (2.0 * math.pi)
     exact_thr = (1.0 + _INV_E) / (0.2 + 1.2 * gap)
@@ -917,7 +844,7 @@ def _repro_fig1a():
     runs = {}
     for r in (3.0, 3.2, 5.0, 6.0):
         model = md.make_builtin("ex51", sigma=1.5, r=r)
-        _, rep, _ = _perturbed_run(model, history=0.4, x0=0.6, horizon=100.0, step=0.01)
+        _, rep, _ = dg.perturbed_run(model, history=0.4, x0=0.6, horizon=100.0, step=0.01)
         runs[r] = rep.classification
     threshold = _pulse_removal_threshold(1.5, 0.5, 3.0)
     gap = 0.25 + 1.0 / (2.0 * math.pi)
@@ -977,9 +904,9 @@ def _repro_fig1a():
 
 def _repro_fig2():
     model11 = md.make_builtin("ex5", n=11.0)
-    traj11, rep11, _ = _perturbed_run(model11, history=0.4, x0=0.6, horizon=600.0, step=0.05)
+    traj11, rep11, _ = dg.perturbed_run(model11, history=0.4, x0=0.6, horizon=600.0, step=0.05)
     model13 = md.make_builtin("ex5", n=13.0)
-    _, rep13, _ = _perturbed_run(model13, history=0.98, x0=0.98, horizon=600.0, step=0.05)
+    _, rep13, _ = dg.perturbed_run(model13, history=0.98, x0=0.98, horizon=600.0, step=0.05)
     return [
         _row("pulsed production model, n=11: classification", rep11.classification, dg.DECAYING),
         _row("pulsed production model, n=11: x(600)", traj11.final_value, 1.0, tol=0.01),
@@ -1006,19 +933,19 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def run_reproduce(cfg: RunConfig) -> int:
-    rows = SCENARIOS[cfg.scenario]()
+def run_reproduce(args: argparse.Namespace) -> int:
+    rows = SCENARIOS[args.scenario]()
     mismatches = sum(1 for row in rows if row["status"] == "mismatch")
     payload = {
         "schema": SCHEMA_VERSION,
         "generated_at": _utc_now(),
-        "scenario": cfg.scenario,
+        "scenario": args.scenario,
         "rows": rows,
         "mismatches": mismatches,
         "status": "mismatch" if mismatches else "ok",
     }
-    _write_json(os.path.join(cfg.out, "reproduction.json"), payload)
-    print("scenario %s" % cfg.scenario)
+    _write_json(os.path.join(args.out, "reproduction.json"), payload)
+    print("scenario %s" % args.scenario)
     for row in rows:
         line = "[%-8s] %s: computed=%s recorded=%s" % (
             row["status"],
@@ -1086,43 +1013,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="certificate",
         help="which stability predicate drives the bisection",
     )
-    p_sweep.add_argument("--tol", type=float, default=None, help="bisection tolerance")
+    p_sweep.add_argument("--tol", type=float, default=1e-4, help="bisection tolerance (positive)")
     p_sweep.add_argument("--step", type=float, default=None, help="integration step for empirical runs")
     p_sweep.add_argument("--horizon", type=float, default=None, help="integration span for empirical runs")
     p_sweep.add_argument("--T", type=float, default=None, help="persistence window length")
-    p_sweep.add_argument("--grid", type=int, default=None, help="sup-search grid size")
+    p_sweep.add_argument("--grid", type=int, default=tf.DEFAULT_GRID, help="sup-search grid size")
 
     p_repro = sub.add_parser("reproduce", help="run a scripted reproduction scenario")
     p_repro.add_argument("scenario", choices=sorted(SCENARIOS))
     p_repro.add_argument("--out", default=".", help="output directory")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "target",
-        "out",
-        "step",
-        "horizon",
-        "tol",
-        "grid",
-        "T",
-        "history",
-        "x0",
-        "param",
-        "lo",
-        "hi",
-        "points",
-        "predicate",
-        "scenario",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "sets"):
-        cfg.overrides = parse_overrides(args.sets)
-    return cfg
 
 
 _COMMANDS = {
@@ -1137,23 +1038,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
-    except dg.BracketError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except (ConfigError, tf.ConfigurationError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except sv.DivergenceError as exc:
+        return _COMMANDS[args.command](args)
+    except (dg.BracketError, sv.DivergenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except Exception:
-        traceback.print_exc()
-        return 3
 
 
 if __name__ == "__main__":

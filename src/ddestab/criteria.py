@@ -188,8 +188,8 @@ class ReducedPair:
     """Aggregated two-term view of a multi-term equation.
 
     a/b are the summed positive/negative coefficients; h/H (g/G) bracket the
-    positive (negative) delayed arguments; r/R bracket everything; u/U
-    bracket the two most-delayed arguments of each side.
+    positive (negative) delayed arguments; r/R bracket everything; r/U
+    bracket h and g, the most-delayed arguments of the two sides.
     """
 
     a: Coefficient
@@ -200,7 +200,6 @@ class ReducedPair:
     G: Delay
     r: Delay
     R: Delay
-    u: Delay
     U: Delay
 
 
@@ -222,9 +221,8 @@ def reduce(eq: LinearDelayEquation) -> ReducedPair:
     G = tf.delay_max(*neg_delays) if neg_delays else IdentityDelay()
     r = tf.delay_min(h, g)
     R = tf.delay_max(H, G)
-    u = tf.delay_min(h, g)
     U = tf.delay_max(h, g)
-    return ReducedPair(a=a, b=b, h=h, H=H, g=g, G=G, r=r, R=R, u=u, U=U)
+    return ReducedPair(a=a, b=b, h=h, H=H, g=g, G=G, r=r, R=R, U=U)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +408,55 @@ def _persistence_checks(c: Coefficient, label: str, t0: float):
     return checks, notes, mean
 
 
+def _persistence_upgrade(
+    name: str,
+    c: Coefficient,
+    integrand: str,
+    subject: str,
+    quantities: list,
+    checks: list,
+    notes: list,
+    T: Optional[float],
+    t0: float,
+    grid: int,
+    horizon: Optional[float],
+) -> Certificate:
+    """Conclude a certificate whose other checks all hold.
+
+    The verdict is uniform exponential when the forward integral of ``c``
+    over windows of length T stays positive, and asymptotic otherwise.
+    """
+    T_used = T if T is not None else _default_T(c)
+    lim_info = tf.liminf_forward_integral_info(c, T_used, t0, grid=grid, horizon=horizon)
+    quantities.append(
+        Quantity(
+            "liminf_T",
+            lim_info.value,
+            "essential infimum of the forward integral of %s over windows of length T=%g"
+            % (integrand, T_used),
+        )
+    )
+    upgrade = make_check(
+        "%s persistently positive over windows of length T=%g" % (subject, T_used),
+        lim_info.value,
+        0.0,
+        strict=True,
+        direction=">",
+    )
+    if upgrade.satisfied and not lim_info.horizon_limited:
+        checks.append(upgrade)
+        return _conclude(name, UNIFORM_EXPONENTIAL, quantities, checks, notes)
+    notes.append(
+        "persistent-positivity upgrade unavailable over windows of length "
+        "T=%g; verdict limited to asymptotic stability" % T_used
+    )
+    return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
+
+
 def _gap_pair(eq: LinearDelayEquation, red: ReducedPair):
     """The delay pair whose gap integral enters the certificate, with a label."""
     if eq.distributed_terms:
-        return red.u, red.U, "between the window-start arguments of the two sides"
+        return red.r, red.U, "between the window-start arguments of the two sides"
     if len(eq.positive_terms) <= 1 and len(eq.negative_terms) <= 1:
         return red.h, red.g, "between the delayed arguments of the two sides"
     return red.r, red.R, "across the full spread of delayed arguments"
@@ -526,31 +569,9 @@ def check_diff_form(
     if not all(c_.satisfied for c_ in checks):
         return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
 
-    T_used = T if T is not None else _default_T(c)
-    lim_info = tf.liminf_forward_integral_info(c, T_used, t0, grid=grid, horizon=horizon)
-    quantities.append(
-        Quantity(
-            "liminf_T",
-            lim_info.value,
-            "essential infimum of the forward integral of a-b over windows of length T=%g"
-            % T_used,
-        )
+    return _persistence_upgrade(
+        name, c, "a-b", "difference", quantities, checks, notes, T, t0, grid, horizon
     )
-    upgrade = make_check(
-        "difference persistently positive over windows of length T=%g" % T_used,
-        lim_info.value,
-        0.0,
-        strict=True,
-        direction=">",
-    )
-    if upgrade.satisfied and not lim_info.horizon_limited:
-        checks.append(upgrade)
-        return _conclude(name, UNIFORM_EXPONENTIAL, quantities, checks, notes)
-    notes.append(
-        "persistent-positivity upgrade unavailable over windows of length "
-        "T=%g; verdict limited to asymptotic stability" % T_used
-    )
-    return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -690,31 +711,9 @@ def check_ratio_form(
     if not all(c_.satisfied for c_ in checks):
         return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
 
-    T_used = T if T is not None else _default_T(red.a)
-    lim_info = tf.liminf_forward_integral_info(red.a, T_used, t0, grid=grid, horizon=horizon)
-    quantities.append(
-        Quantity(
-            "liminf_T",
-            lim_info.value,
-            "essential infimum of the forward integral of a over windows of length T=%g"
-            % T_used,
-        )
+    return _persistence_upgrade(
+        name, red.a, "a", "positive side", quantities, checks, notes, T, t0, grid, horizon
     )
-    upgrade = make_check(
-        "positive side persistently positive over windows of length T=%g" % T_used,
-        lim_info.value,
-        0.0,
-        strict=True,
-        direction=">",
-    )
-    if upgrade.satisfied and not lim_info.horizon_limited:
-        checks.append(upgrade)
-        return _conclude(name, UNIFORM_EXPONENTIAL, quantities, checks, notes)
-    notes.append(
-        "persistent-positivity upgrade unavailable over windows of length "
-        "T=%g; verdict limited to asymptotic stability" % T_used
-    )
-    return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -802,31 +801,9 @@ def check_nondelay_dominant(
         c = tf.difference(a, b)
     except ValueError:
         return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
-    T_used = T if T is not None else _default_T(c)
-    lim_info = tf.liminf_forward_integral_info(c, T_used, t0, grid=grid, horizon=horizon)
-    quantities.append(
-        Quantity(
-            "liminf_T",
-            lim_info.value,
-            "essential infimum of the forward integral of a-b over windows of length T=%g"
-            % T_used,
-        )
+    return _persistence_upgrade(
+        name, c, "a-b", "difference", quantities, checks, notes, T, t0, grid, horizon
     )
-    upgrade = make_check(
-        "difference persistently positive over windows of length T=%g" % T_used,
-        lim_info.value,
-        0.0,
-        strict=True,
-        direction=">",
-    )
-    if upgrade.satisfied and not lim_info.horizon_limited:
-        checks.append(upgrade)
-        return _conclude(name, UNIFORM_EXPONENTIAL, quantities, checks, notes)
-    notes.append(
-        "persistent-positivity upgrade unavailable over windows of length "
-        "T=%g; verdict limited to asymptotic stability" % T_used
-    )
-    return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 from . import criteria as cr
 from . import models as md
 from . import solver as sv
+from . import timefn as tf
 from .timefn import ConfigurationError
 
 __all__ = [
@@ -32,6 +33,8 @@ __all__ = [
     "BracketError",
     "find_threshold",
     "target_structure",
+    "certify",
+    "perturbed_run",
     "certificate_predicate",
     "empirical_predicate",
 ]
@@ -65,10 +68,12 @@ def classify(
     """Compare first- and last-quarter amplitudes around the equilibrium.
 
     With ``max_lag`` given, the run must span at least twenty lags so the
-    tail window sits clear of the transient.
+    tail window sits clear of the transient; a run truncated by divergence
+    is Growing however short it is.
     """
     span = trajectory.t1 - trajectory.t0
-    if max_lag is not None and max_lag > 0.0 and span < 20.0 * max_lag:
+    too_short = max_lag is not None and max_lag > 0.0 and span < 20.0 * max_lag
+    if too_short and not trajectory.diverged:
         raise ConfigurationError(
             "span %g too short to classify; need at least 20 lags (%g)"
             % (span, 20.0 * max_lag)
@@ -170,6 +175,8 @@ def find_threshold(
     """Bisect for the parameter where a boolean predicate flips."""
     if not (hi > lo):
         raise ConfigurationError("need hi > lo")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigurationError("tol must be positive and finite, got %g" % tol)
     p_lo = bool(predicate(lo))
     p_hi = bool(predicate(hi))
     if p_lo == p_hi:
@@ -186,7 +193,7 @@ def find_threshold(
 
 
 # ---------------------------------------------------------------------------
-# Predicate factories
+# Certificate and simulation bridges
 # ---------------------------------------------------------------------------
 
 
@@ -205,19 +212,73 @@ def target_structure(target):
     )
 
 
-def certificate_predicate(builder: Callable[[float], object]) -> Callable[[float], bool]:
+def certify(
+    target,
+    T: Optional[float] = None,
+    *,
+    grid: int = tf.DEFAULT_GRID,
+    horizon: Optional[float] = None,
+):
+    """(best verdict, certificate tuple) for an equation or model."""
+    if isinstance(target, cr.LinearDelayEquation):
+        certs = cr.evaluate_all(target, T, grid=grid, horizon=horizon)
+        return cr.best_verdict(certs), certs
+    if isinstance(target, md.MackeyGlassRemoval):
+        cert = md.check_les_removal(target, T, grid=grid, horizon=horizon)
+    elif isinstance(target, md.MackeyGlassProduction):
+        cert = md.check_les_production(target, T, grid=grid, horizon=horizon)
+    else:
+        raise ConfigurationError(
+            "target must be a LinearDelayEquation or a Mackey-Glass model"
+        )
+    return cert.verdict, (cert,)
+
+
+def perturbed_run(target, *, history=None, x0=None, horizon=None, step=None):
+    """Standard perturbed simulation: (trajectory, behavior report, setup).
+
+    The run starts from a constant history at 0.8 of the reference state
+    with an initial value at 1.2 of it (reference 1.0 when the equilibrium
+    is zero), over sixty lags at step 0.01 unless overridden. ``setup``
+    records the values used.
+    """
+    x_eq, max_lag, t0 = target_structure(target)
+    base = x_eq if x_eq > 0.0 else 1.0
+    phi = history if history is not None else 0.8 * base
+    start = x0 if x0 is not None else 1.2 * base
+    hor = horizon if horizon is not None else 60.0 * max(max_lag, 1.0)
+    h = step if step is not None else 0.01
+    traj = sv.integrate(
+        target,
+        sv.ConstantHistory(phi),
+        t0 + hor,
+        step=h,
+        initial_value=start,
+        on_divergence="truncate",
+    )
+    report = classify(traj, equilibrium=x_eq, max_lag=max_lag)
+    setup = {
+        "equilibrium": x_eq,
+        "history": phi,
+        "initial_value": start,
+        "horizon": hor,
+        "step": h,
+        "t0": t0,
+    }
+    return traj, report, setup
+
+
+def certificate_predicate(
+    builder: Callable[[float], object],
+    T: Optional[float] = None,
+    *,
+    grid: int = tf.DEFAULT_GRID,
+    horizon: Optional[float] = None,
+) -> Callable[[float], bool]:
     """param -> True iff the analytic certificates fully certify stability."""
 
     def pred(param: float) -> bool:
-        target = builder(param)
-        if isinstance(target, cr.LinearDelayEquation):
-            verdict = cr.best_verdict(cr.evaluate_all(target))
-        elif isinstance(target, md.MackeyGlassRemoval):
-            verdict = md.check_les_removal(target).verdict
-        elif isinstance(target, md.MackeyGlassProduction):
-            verdict = md.check_les_production(target).verdict
-        else:
-            raise ConfigurationError("builder must produce an equation or model")
+        verdict, _ = certify(builder(param), T, grid=grid, horizon=horizon)
         return verdict == cr.UNIFORM_EXPONENTIAL
 
     return pred
@@ -227,32 +288,12 @@ def empirical_predicate(
     builder: Callable[[float], object],
     *,
     horizon: Optional[float] = None,
-    step: float = 0.01,
-    decay_ratio: float = DEFAULT_DECAY_RATIO,
+    step: Optional[float] = None,
 ) -> Callable[[float], bool]:
-    """param -> True iff a standard perturbed run decays back.
-
-    The run starts from a constant history at 0.8 of the reference state
-    with an initial value at 1.2 of it (reference 1.0 when the equilibrium
-    is zero), over sixty lags unless a horizon is given.
-    """
+    """param -> True iff the standard perturbed run (``perturbed_run``) decays."""
 
     def pred(param: float) -> bool:
-        target = builder(param)
-        x_eq, max_lag, t0 = target_structure(target)
-        base = x_eq if x_eq > 0.0 else 1.0
-        hor = horizon if horizon is not None else 60.0 * max(max_lag, 1.0)
-        traj = sv.integrate(
-            target,
-            sv.ConstantHistory(0.8 * base),
-            t0 + hor,
-            step=step,
-            initial_value=1.2 * base,
-            on_divergence="truncate",
-        )
-        report = classify(
-            traj, equilibrium=x_eq, max_lag=max_lag, decay_ratio=decay_ratio
-        )
+        _, report, _ = perturbed_run(builder(param), horizon=horizon, step=step)
         return report.classification == DECAYING
 
     return pred

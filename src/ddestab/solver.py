@@ -276,8 +276,9 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-class _RHS:
-    """Derivative evaluator f(t, y, read) plus the delay structure.
+@dataclass(frozen=True)
+class _Rhs:
+    """Derivative evaluator ``fn(t, y, read)`` plus the delay structure.
 
     ``read_lags``/``general_reads`` describe concentrated delayed reads (they
     constrain the step); ``mesh_lags`` seed the breaking-point mesh;
@@ -285,16 +286,11 @@ class _RHS:
     whose leading sliver needs the within-step predictor.
     """
 
-    def __init__(self, fn, read_lags, general_reads, mesh_lags, max_lag, window_to_now):
-        self.fn = fn
-        self.read_lags = read_lags
-        self.general_reads = general_reads
-        self.mesh_lags = mesh_lags
-        self.max_lag = max_lag
-        self.window_to_now = window_to_now
-
-    def __call__(self, t, y, read):
-        return self.fn(t, y, read)
+    fn: Callable
+    read_lags: list
+    general_reads: list
+    mesh_lags: list
+    window_to_now: bool
 
 
 def _window_reaches_now(term: cr.DistributedTerm) -> bool:
@@ -305,7 +301,21 @@ def _window_reaches_now(term: cr.DistributedTerm) -> bool:
     return True  # variable window start: assume the worst
 
 
-def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing, quad_step_ref):
+def _window_average(term: cr.DistributedTerm, t: float, read, qstep: float) -> float:
+    """Trapezoid average of ``read`` over the term's window at time t."""
+    lo = term.window_start(t)
+    hi = t
+    if term.kernel.width is not None:
+        hi = min(lo + term.kernel.width, t)
+    length = hi - lo
+    if length < 1e-14:
+        return read(lo)
+    npts = max(2, int(math.ceil(length / qstep)) + 1)
+    grid = np.linspace(lo, hi, npts)
+    return float(_trapezoid([read(tau) for tau in grid], grid)) / length
+
+
+def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing, quad_step: float):
     concentrated = []
     for term in eq.positive_terms:
         concentrated.append((term.coeff, term.delay, -1.0))
@@ -319,19 +329,7 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing, quad_step_ref):
             xv = y if isinstance(delay, IdentityDelay) else read(delay(t))
             total += sgn * coeff.value(t) * xv
         for term in distributed:
-            lo = term.window_start(t)
-            hi = t
-            if term.kernel.width is not None:
-                hi = min(lo + term.kernel.width, t)
-            length = hi - lo
-            if length < 1e-14:
-                avg = read(lo)
-            else:
-                qstep = quad_step_ref[0]
-                npts = max(2, int(math.ceil(length / qstep)) + 1)
-                grid = np.linspace(lo, hi, npts)
-                vals = [read(tau) for tau in grid]
-                avg = float(_trapezoid(vals, grid)) / length
+            avg = _window_average(term, t, read, quad_step)
             total -= term.sign * term.total_weight.value(t) * avg
         return total
 
@@ -344,11 +342,7 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing, quad_step_ref):
             mesh_lags.append(term.window_start.lag)
             if term.kernel.width is not None and term.window_start.lag > term.kernel.width:
                 mesh_lags.append(term.window_start.lag - term.kernel.width)
-    max_lag = max((d.lag_bound for _, d, _ in concentrated), default=0.0)
-    max_lag = max(
-        max_lag, max((d.window_start.lag_bound for d in distributed), default=0.0)
-    )
-    return _RHS(fn, read_lags, general_reads, mesh_lags, max_lag, window_to_now)
+    return _Rhs(fn, read_lags, general_reads, mesh_lags, window_to_now)
 
 
 def _make_removal_rhs(model: md.MackeyGlassRemoval, forcing):
@@ -377,8 +371,7 @@ def _make_production_rhs(model: md.MackeyGlassProduction, forcing):
 
 def _model_rhs(fn, delays):
     read_lags, general_reads = _delay_split(delays)
-    max_lag = max(d.lag_bound for d in delays)
-    return _RHS(fn, read_lags, general_reads, list(read_lags), max_lag, False)
+    return _Rhs(fn, read_lags, general_reads, list(read_lags), False)
 
 
 def _delay_split(delays):
@@ -391,9 +384,9 @@ def _delay_split(delays):
     return lags, general
 
 
-def _make_rhs(target, forcing, quad_step_ref):
+def _make_rhs(target, forcing, quad_step: float):
     if isinstance(target, cr.LinearDelayEquation):
-        return _make_linear_rhs(target, forcing, quad_step_ref)
+        return _make_linear_rhs(target, forcing, quad_step)
     if isinstance(target, md.MackeyGlassRemoval):
         return _make_removal_rhs(target, forcing)
     if isinstance(target, md.MackeyGlassProduction):
@@ -490,10 +483,11 @@ def integrate(
     if not (t1 > t0):
         raise ConfigurationError("need t1 > t0")
 
-    quad_step_ref = [quad_step if quad_step is not None else step]
-    if quad_step_ref[0] <= 0.0:
+    if quad_step is None:
+        quad_step = step
+    if quad_step <= 0.0:
         raise ConfigurationError("quad_step must be positive")
-    rhs = _make_rhs(target, forcing, quad_step_ref)
+    rhs = _make_rhs(target, forcing, quad_step)
     hist = _as_history(history)
 
     if not allow_extrapolation:
@@ -547,7 +541,7 @@ def integrate(
 
     def safe_rhs(t, y):
         try:
-            return rhs(t, y, read)
+            return rhs.fn(t, y, read)
         except OverflowError:
             return math.nan
 
@@ -649,7 +643,6 @@ class Lemma3Report:
 
     max_value: float
     positive_throughout: bool
-    applicable: bool
     identity_defect: float
 
 
@@ -682,21 +675,11 @@ def verify_lemma3(
         for term in eq.negative_terms:
             total -= term.coeff.value(u) * X.value(term.delay(u))
         for term in eq.distributed_terms:
-            lo = term.window_start(u)
-            hi = u
-            if term.kernel.width is not None:
-                hi = min(lo + term.kernel.width, u)
-            length = hi - lo
-            if length < 1e-14:
-                avg = X.value(lo)
-            else:
-                npts = max(2, int(math.ceil(length / min(step, spacing))) + 1)
-                qs = np.linspace(lo, hi, npts)
-                avg = float(_trapezoid([X.value(q) for q in qs], qs)) / length
+            avg = _window_average(term, u, X.value, min(step, spacing))
             total += term.sign * term.total_weight.value(u) * avg
         return total
 
-    mesh_lags = _make_rhs(eq, None, [step]).mesh_lags
+    mesh_lags = _make_rhs(eq, None, step).mesh_lags
     segments = breaking_points(s, t1, mesh_lags)
     prefix = [(s, 0.0)]
     acc = 0.0
@@ -724,7 +707,6 @@ def verify_lemma3(
     return Lemma3Report(
         max_value=float(max_value),
         positive_throughout=positive,
-        applicable=positive,
         identity_defect=float(defect),
     )
 

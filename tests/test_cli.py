@@ -255,6 +255,26 @@ def test_sweep_bracket_failure_exit_code(tmp_path, capsys):
     assert (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_rejects_nonpositive_tol(tmp_path, capsys):
+    assert cli.main(["sweep", "--target", "eq3", "--param", "b", "--lo", "0.2",
+                     "--hi", "0.45", "--points", "2", "--step", "0.05", "--tol", "0",
+                     "--out", str(tmp_path)]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_sweep_threshold_uses_the_table_T(tmp_path, capsys):
+    # --T governs the bisection as well as the table: with windows this
+    # short nothing certifies, so there is no flip to bisect.
+    assert cli.main(["sweep", "--target", "eq3abc", "--set", "b=0.1", "--param", "a",
+                     "--lo", "0.2", "--hi", "0.9", "--points", "3", "--step", "0.05",
+                     "--T", "1e-4", "--out", str(tmp_path)]) == 3
+    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.split(",")[1] != "UniformExponential" for row in rows)
+    assert not (tmp_path / "threshold.json").exists()
+    assert "predicate is False at both ends" in capsys.readouterr().err
+
+
 def test_sweep_requires_declared_parameter(tmp_path, capsys):
     assert cli.main(["sweep", "--target", "eq26", "--param", "a", "--lo", "0.0",
                      "--hi", "1.0", "--out", str(tmp_path)]) == 2

@@ -243,7 +243,7 @@ def test_reduce_distributed_brackets_window():
     red = cr.reduce(eq)
     assert isinstance(red.h, tf.ConstantLag) and red.h.lag == 2.0
     assert isinstance(red.H, tf.IdentityDelay)
-    assert isinstance(red.u, tf.ConstantLag) and red.u.lag == 5.0
+    assert isinstance(red.r, tf.ConstantLag) and red.r.lag == 5.0
     assert isinstance(red.U, tf.ConstantLag) and red.U.lag == 2.0
 
 

@@ -76,6 +76,18 @@ def test_classify_rejects_short_spans():
     assert dg.classify(tr, max_lag=0.1).classification == dg.SUSTAINED
 
 
+def test_classify_truncated_divergent_run_is_growing():
+    # Divergence cuts the run short of twenty lags; that is a verdict, not
+    # a span too short to judge.
+    model = md.ex51(sigma=1.6, r=12.0)
+    x_eq = md.equilibrium(model)
+    traj = sv.integrate(model, sv.ConstantHistory(0.8 * x_eq), 96.0,
+                        initial_value=1.2 * x_eq, on_divergence="truncate")
+    assert traj.diverged and traj.t1 - traj.t0 < 20.0 * 1.6
+    rep = dg.classify(traj, equilibrium=x_eq, max_lag=1.6)
+    assert rep.classification == dg.GROWING
+
+
 # ---------------------------------------------------------------------------
 # Decay fitting
 # ---------------------------------------------------------------------------
@@ -146,6 +158,15 @@ def test_threshold_requires_a_bracket():
         dg.find_threshold(lambda p: True, 0.0, 1.0)
     with pytest.raises(tf.ConfigurationError):
         dg.find_threshold(lambda p: p < 0.5, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+def test_threshold_rejects_nonpositive_tol(tol):
+    def pred(p):
+        raise AssertionError("tol must be rejected before bisecting")
+
+    with pytest.raises(tf.ConfigurationError):
+        dg.find_threshold(pred, 0.0, 1.0, tol=tol)
 
 
 def test_certificate_threshold_for_removal_model():

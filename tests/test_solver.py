@@ -202,7 +202,7 @@ def test_sign_change_beyond_the_critical_product():
 def test_lemma_identity_bound_and_defect():
     eq = _linear([(1.0, 1.0 / math.e)])
     rep = sv.verify_lemma3(eq, 0.0, 20.0, step=0.005)
-    assert rep.positive_throughout and rep.applicable
+    assert rep.positive_throughout
     assert rep.max_value <= 1.0 + 1e-3
     assert rep.identity_defect < 1e-6
 
@@ -219,7 +219,6 @@ def test_lemma_identity_reports_sign_change():
     eq = _linear([(1.0, 1.2)])
     rep = sv.verify_lemma3(eq, 0.0, 20.0, step=0.005)
     assert not rep.positive_throughout
-    assert not rep.applicable
     assert rep.max_value > 1.0 + 1e-3
     # The identity itself holds regardless of positivity.
     assert rep.identity_defect < 1e-6
