@@ -273,12 +273,11 @@ def certificate_predicate(
     T: Optional[float] = None,
     *,
     grid: int = tf.DEFAULT_GRID,
-    horizon: Optional[float] = None,
 ) -> Callable[[float], bool]:
     """param -> True iff the analytic certificates fully certify stability."""
 
     def pred(param: float) -> bool:
-        verdict, _ = certify(builder(param), T, grid=grid, horizon=horizon)
+        verdict, _ = certify(builder(param), T, grid=grid)
         return verdict == cr.UNIFORM_EXPONENTIAL
 
     return pred
