@@ -308,7 +308,7 @@ def target_from_config(obj, path: str = "target"):
     )
 
 
-_OPTION_KEYS = ("step", "horizon", "tol", "grid", "T")
+_OPTION_KEYS = ("step", "horizon", "T")
 
 
 @dataclass(frozen=True)
@@ -419,9 +419,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 def run_check(args: argparse.Namespace) -> int:
     target, opts = resolve_target(args.target, parse_overrides(args.sets))
-    grid = args.grid if args.grid is not None else opts.get("grid", tf.DEFAULT_GRID)
     T = args.T if args.T is not None else opts.get("T")
-    verdict, certs = dg.certify(target, T, grid=int(grid), horizon=args.horizon)
+    verdict, certs = dg.certify(target, T, horizon=args.horizon)
     payload = {
         "schema": SCHEMA_VERSION,
         "generated_at": _utc_now(),
@@ -528,14 +527,14 @@ def run_sweep(args: argparse.Namespace) -> int:
     for i in range(args.points):
         value = args.lo + (args.hi - args.lo) * i / (args.points - 1)
         target = build(value)
-        verdict, _ = dg.certify(target, args.T, grid=args.grid)
+        verdict, _ = dg.certify(target, args.T)
         _, report, _ = dg.perturbed_run(target, horizon=args.horizon, step=args.step)
         lines.append("%.17g,%s,%s" % (value, verdict, report.classification))
     csv_path = os.path.join(args.out, "sweep.csv")
     _write_atomic(csv_path, "\n".join(lines) + "\n")
 
     if args.predicate == "certificate":
-        predicate = dg.certificate_predicate(build, args.T, grid=args.grid)
+        predicate = dg.certificate_predicate(build, args.T)
     else:
         predicate = dg.empirical_predicate(build, horizon=args.horizon, step=args.step)
     threshold = dg.find_threshold(predicate, args.lo, args.hi, tol=args.tol)
@@ -991,7 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="evaluate the analytic certificates")
     add_target(p_check)
     p_check.add_argument("--T", type=float, default=None, help="persistence window length")
-    p_check.add_argument("--grid", type=int, default=None, help="sup-search grid size")
     p_check.add_argument("--horizon", type=float, default=None, help="sup-search horizon for aperiodic rates")
 
     p_sim = sub.add_parser("simulate", help="integrate a perturbed run and classify it")
@@ -1017,7 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--step", type=float, default=None, help="integration step for empirical runs")
     p_sweep.add_argument("--horizon", type=float, default=None, help="integration span for empirical runs")
     p_sweep.add_argument("--T", type=float, default=None, help="persistence window length")
-    p_sweep.add_argument("--grid", type=int, default=tf.DEFAULT_GRID, help="sup-search grid size")
 
     p_repro = sub.add_parser("reproduce", help="run a scripted reproduction scenario")
     p_repro.add_argument("scenario", choices=sorted(SCENARIOS))

@@ -387,7 +387,7 @@ def _persistence_checks(c: Coefficient, label: str, t0: float):
     )
     if limited:
         notes.append(
-            "the %s has general asymptotic class, so divergence of its "
+            "%s has general asymptotic class, so divergence of its "
             "integral cannot be confirmed from a finite scan" % label
         )
     checks.append(
@@ -418,7 +418,6 @@ def _persistence_upgrade(
     notes: list,
     T: Optional[float],
     t0: float,
-    grid: int,
     horizon: Optional[float],
 ) -> Certificate:
     """Conclude a certificate whose other checks all hold.
@@ -427,7 +426,7 @@ def _persistence_upgrade(
     over windows of length T stays positive, and asymptotic otherwise.
     """
     T_used = T if T is not None else _default_T(c)
-    lim_info = tf.liminf_forward_integral_info(c, T_used, t0, grid=grid, horizon=horizon)
+    lim_info = tf.liminf_forward_integral_info(c, T_used, t0, horizon=horizon)
     quantities.append(
         Quantity(
             "liminf_T",
@@ -480,7 +479,6 @@ def check_diff_form(
     eq: LinearDelayEquation,
     T: Optional[float] = None,
     *,
-    grid: int = tf.DEFAULT_GRID,
     horizon: Optional[float] = None,
 ) -> Certificate:
     """Stability test driven by window integrals of the difference a - b.
@@ -508,11 +506,11 @@ def check_diff_form(
 
     d1, d2, gap_label = _gap_pair(eq, red)
     try:
-        s_info = tf.sup_window_integral_info(c, red.h, t0, grid=grid, horizon=horizon)
-        v_info = tf.sup_between_delays_info(c, d1, d2, t0, grid=grid, horizon=horizon)
+        s_info = tf.sup_window_integral_info(c, red.h, t0, horizon=horizon)
+        v_info = tf.sup_between_delays_info(c, d1, d2, t0, horizon=horizon)
     except tf.ConfigurationError as exc:
         return _inapplicable(name, str(exc))
-    q_hi, _ = tf.ratio_extrema(red.b, c, t0, grid=grid, horizon=horizon)
+    q_hi, _ = tf.ratio_extrema(red.b, c, t0, horizon=horizon)
     S, Q, V = s_info.value, q_hi.value, v_info.value
     star = max(S - _INV_E, 0.0) + 2.0 * Q * V
     quantities += [
@@ -570,7 +568,7 @@ def check_diff_form(
         return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
 
     return _persistence_upgrade(
-        name, c, "a-b", "difference", quantities, checks, notes, T, t0, grid, horizon
+        name, c, "a-b", "difference", quantities, checks, notes, T, t0, horizon
     )
 
 
@@ -583,7 +581,6 @@ def check_ratio_form(
     eq: LinearDelayEquation,
     T: Optional[float] = None,
     *,
-    grid: int = tf.DEFAULT_GRID,
     horizon: Optional[float] = None,
 ) -> Certificate:
     """Stability test driven by window integrals of the positive side a.
@@ -606,11 +603,11 @@ def check_ratio_form(
 
     d1, d2, gap_label = _gap_pair(eq, red)
     try:
-        s_info = tf.sup_window_integral_info(red.a, red.h, t0, grid=grid, horizon=horizon)
-        v_info = tf.sup_between_delays_info(red.a, d1, d2, t0, grid=grid, horizon=horizon)
+        s_info = tf.sup_window_integral_info(red.a, red.h, t0, horizon=horizon)
+        v_info = tf.sup_between_delays_info(red.a, d1, d2, t0, horizon=horizon)
     except tf.ConfigurationError as exc:
         return _inapplicable(name, str(exc))
-    r_hi, r_lo = tf.ratio_extrema(red.b, red.a, t0, grid=grid, horizon=horizon)
+    r_hi, r_lo = tf.ratio_extrema(red.b, red.a, t0, horizon=horizon)
     S, V = s_info.value, v_info.value
     R_sup, R_inf = r_hi.value, max(r_lo.value, 0.0)
     quantities += [
@@ -712,7 +709,7 @@ def check_ratio_form(
         return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
 
     return _persistence_upgrade(
-        name, red.a, "a", "positive side", quantities, checks, notes, T, t0, grid, horizon
+        name, red.a, "a", "positive side", quantities, checks, notes, T, t0, horizon
     )
 
 
@@ -725,7 +722,6 @@ def check_nondelay_dominant(
     eq: LinearDelayEquation,
     T: Optional[float] = None,
     *,
-    grid: int = tf.DEFAULT_GRID,
     horizon: Optional[float] = None,
 ) -> Certificate:
     """Stability test for equations whose positive side is undelayed.
@@ -756,10 +752,10 @@ def check_nondelay_dominant(
     b = tf.coeff_sum(neg_coeffs) if neg_coeffs else tf.constant(0.0)
     t0 = eq.t0
     try:
-        _, a_lo = tf.coefficient_extrema(a, t0, grid=grid, horizon=horizon)
+        _, a_lo = tf.coefficient_extrema(a, t0, horizon=horizon)
     except tf.ConfigurationError as exc:
         return _inapplicable(name, str(exc))
-    r_hi, _ = tf.ratio_extrema(b, a, t0, grid=grid, horizon=horizon)
+    r_hi, _ = tf.ratio_extrema(b, a, t0, horizon=horizon)
 
     quantities = [
         Quantity("a_inf", a_lo.value, "essinf over t of the undelayed coefficient a"),
@@ -802,7 +798,7 @@ def check_nondelay_dominant(
     except ValueError:
         return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
     return _persistence_upgrade(
-        name, c, "a-b", "difference", quantities, checks, notes, T, t0, grid, horizon
+        name, c, "a-b", "difference", quantities, checks, notes, T, t0, horizon
     )
 
 
@@ -815,14 +811,13 @@ def evaluate_all(
     eq: LinearDelayEquation,
     T: Optional[float] = None,
     *,
-    grid: int = tf.DEFAULT_GRID,
     horizon: Optional[float] = None,
 ):
     """Run every checker and return the certificates, strongest verdict first."""
     certs = [
-        check_nondelay_dominant(eq, T, grid=grid, horizon=horizon),
-        check_diff_form(eq, T, grid=grid, horizon=horizon),
-        check_ratio_form(eq, T, grid=grid, horizon=horizon),
+        check_nondelay_dominant(eq, T, horizon=horizon),
+        check_diff_form(eq, T, horizon=horizon),
+        check_ratio_form(eq, T, horizon=horizon),
     ]
     certs.sort(key=lambda c: -_VERDICT_RANK[c.verdict])
     return tuple(certs)

@@ -19,7 +19,6 @@ import numpy as np
 from . import criteria as cr
 from . import models as md
 from . import solver as sv
-from . import timefn as tf
 from .timefn import ConfigurationError
 
 __all__ = [
@@ -62,8 +61,6 @@ def classify(
     equilibrium: float = 0.0,
     *,
     max_lag: Optional[float] = None,
-    decay_ratio: float = DEFAULT_DECAY_RATIO,
-    growth_ratio: float = DEFAULT_GROWTH_RATIO,
 ) -> BehaviorReport:
     """Compare first- and last-quarter amplitudes around the equilibrium.
 
@@ -86,9 +83,9 @@ def classify(
         verdict = GROWING
     elif init == 0.0:
         verdict = DECAYING if tail == 0.0 else GROWING
-    elif tail <= decay_ratio * init:
+    elif tail <= DEFAULT_DECAY_RATIO * init:
         verdict = DECAYING
-    elif tail >= growth_ratio * init:
+    elif tail >= DEFAULT_GROWTH_RATIO * init:
         verdict = GROWING
     else:
         verdict = SUSTAINED
@@ -110,21 +107,17 @@ class DecayFit:
     used_peaks: bool
 
 
-def fit_decay(
-    trajectory: sv.Trajectory,
-    equilibrium: float = 0.0,
-    *,
-    skip_fraction: float = 0.25,
-) -> DecayFit:
+def fit_decay(trajectory: sv.Trajectory, equilibrium: float = 0.0) -> DecayFit:
     """Fit an exponential envelope to the deviation from equilibrium.
 
     Uses local maxima of the deviation when the signal oscillates (five or
-    more peaks); otherwise falls back to all samples. Values below a
-    relative floor are discarded so roundoff tails cannot drag the fit.
+    more peaks); otherwise falls back to all samples. The first quarter of
+    the run is skipped as transient, and values below a relative floor are
+    discarded so roundoff tails cannot drag the fit.
     """
     ts = trajectory.times
     dev = np.abs(trajectory.values - equilibrium)
-    start = trajectory.t0 + skip_fraction * (trajectory.t1 - trajectory.t0)
+    start = trajectory.t0 + 0.25 * (trajectory.t1 - trajectory.t0)
     keep = ts >= start
     ts = ts[keep]
     dev = dev[keep]
@@ -216,17 +209,16 @@ def certify(
     target,
     T: Optional[float] = None,
     *,
-    grid: int = tf.DEFAULT_GRID,
     horizon: Optional[float] = None,
 ):
     """(best verdict, certificate tuple) for an equation or model."""
     if isinstance(target, cr.LinearDelayEquation):
-        certs = cr.evaluate_all(target, T, grid=grid, horizon=horizon)
+        certs = cr.evaluate_all(target, T, horizon=horizon)
         return cr.best_verdict(certs), certs
     if isinstance(target, md.MackeyGlassRemoval):
-        cert = md.check_les_removal(target, T, grid=grid, horizon=horizon)
+        cert = md.check_les_removal(target, T, horizon=horizon)
     elif isinstance(target, md.MackeyGlassProduction):
-        cert = md.check_les_production(target, T, grid=grid, horizon=horizon)
+        cert = md.check_les_production(target, T, horizon=horizon)
     else:
         raise ConfigurationError(
             "target must be a LinearDelayEquation or a Mackey-Glass model"
@@ -269,15 +261,12 @@ def perturbed_run(target, *, history=None, x0=None, horizon=None, step=None):
 
 
 def certificate_predicate(
-    builder: Callable[[float], object],
-    T: Optional[float] = None,
-    *,
-    grid: int = tf.DEFAULT_GRID,
+    builder: Callable[[float], object], T: Optional[float] = None
 ) -> Callable[[float], bool]:
     """param -> True iff the analytic certificates fully certify stability."""
 
     def pred(param: float) -> bool:
-        verdict, _ = certify(builder(param), T, grid=grid)
+        verdict, _ = certify(builder(param), T)
         return verdict == cr.UNIFORM_EXPONENTIAL
 
     return pred

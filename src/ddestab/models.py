@@ -172,7 +172,6 @@ def check_les_removal(
     model: MackeyGlassRemoval,
     T: Optional[float] = None,
     *,
-    grid: int = tf.DEFAULT_GRID,
     horizon: Optional[float] = None,
 ) -> cr.Certificate:
     """Certify local exponential stability of the removal-delay model.
@@ -213,8 +212,8 @@ def check_les_removal(
             ),
         )
     lin = linearize(model)
-    routes = [cr.check_diff_form(lin, T, grid=grid, horizon=horizon)]
-    routes.append(cr.check_ratio_form(lin, T, grid=grid, horizon=horizon))
+    routes = [cr.check_diff_form(lin, T, horizon=horizon)]
+    routes.append(cr.check_ratio_form(lin, T, horizon=horizon))
     best = max(routes, key=lambda c: cr._VERDICT_RANK[c.verdict])
     notes = list(best.notes)
     notes.append("linearization tested via the %s checker" % best.name)
@@ -233,7 +232,6 @@ def check_les_removal(
 def production_stability_checks(
     model: MackeyGlassProduction,
     *,
-    grid: int = tf.DEFAULT_GRID,
     horizon: Optional[float] = None,
 ):
     """The three stability conditions for the production form, as checks.
@@ -250,8 +248,8 @@ def production_stability_checks(
     s = model.s
     inner = tf.delay_min(model.p, model.q)
     outer = tf.delay_max(model.p, model.q)
-    iq = tf.sup_window_integral(s, model.q, 0.0, grid=grid, horizon=horizon)
-    gap = tf.sup_between_delays(s, inner, outer, 0.0, grid=grid, horizon=horizon)
+    iq = tf.sup_window_integral(s, model.q, 0.0, horizon=horizon)
+    gap = tf.sup_between_delays(s, inner, outer, 0.0, horizon=horizon)
     combined = max(alpha * iq - 1.0 / math.e, 0.0) + 2.0 * gap
     width = (1.0 + alpha) * gap
     shifted = max((1.0 + alpha) * iq - 1.0 / math.e, 0.0)
@@ -294,7 +292,6 @@ def check_les_production(
     model: MackeyGlassProduction,
     T: Optional[float] = None,
     *,
-    grid: int = tf.DEFAULT_GRID,
     horizon: Optional[float] = None,
 ) -> cr.Certificate:
     """Certify local exponential stability of the production-form model.
@@ -307,7 +304,7 @@ def check_les_production(
     t0 = 0.0
     pre, notes, mean = cr._persistence_checks(model.s, "the rate coefficient", t0)
     notes = list(notes)
-    cond, quantities = production_stability_checks(model, grid=grid, horizon=horizon)
+    cond, quantities = production_stability_checks(model, horizon=horizon)
     quantities = (
         cr.Quantity("x_star", x_star, "positive equilibrium state"),
         cr.Quantity("mean_s", mean, "long-run mean value of the rate"),
@@ -329,7 +326,7 @@ def check_les_production(
         return cr._conclude(name, cr.ASYMPTOTIC, quantities, checks, notes)
 
     T_used = T if T is not None else cr._default_T(model.s)
-    lim_info = tf.liminf_forward_integral_info(model.s, T_used, t0, grid=grid, horizon=horizon)
+    lim_info = tf.liminf_forward_integral_info(model.s, T_used, t0, horizon=horizon)
     upgrade = cr.make_check(
         "rate persistently positive over windows of length T=%g" % T_used,
         lim_info.value,
@@ -417,27 +414,15 @@ def ex5(n: float = 4.0) -> MackeyGlassProduction:
 class BuiltinSpec:
     factory: object
     params: dict
-    kind: str
-    summary: str
 
 
 BUILTINS = {
-    "eq3": BuiltinSpec(
-        eq3, {"b": 0.3}, "equation", "oscillating-rate pair, delayed positive term"
-    ),
-    "eq26": BuiltinSpec(
-        eq26, {}, "equation", "constant pair with undelayed negative term"
-    ),
-    "eq27": BuiltinSpec(eq27, {}, "equation", "constant pair, both terms delayed"),
-    "eq3abc": BuiltinSpec(
-        eq3abc, {"a": 0.6, "b": 0.3}, "equation", "oscillating-rate adjustable pair"
-    ),
-    "ex51": BuiltinSpec(
-        ex51, {"sigma": 1.1, "r": 4.0}, "model", "removal-delay model, pulsed rate"
-    ),
-    "ex5": BuiltinSpec(
-        ex5, {"n": 4.0}, "model", "production-form model, pulsed rate"
-    ),
+    "eq3": BuiltinSpec(eq3, {"b": 0.3}),
+    "eq26": BuiltinSpec(eq26, {}),
+    "eq27": BuiltinSpec(eq27, {}),
+    "eq3abc": BuiltinSpec(eq3abc, {"a": 0.6, "b": 0.3}),
+    "ex51": BuiltinSpec(ex51, {"sigma": 1.1, "r": 4.0}),
+    "ex5": BuiltinSpec(ex5, {"n": 4.0}),
 }
 
 

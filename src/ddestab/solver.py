@@ -315,7 +315,7 @@ def _window_average(term: cr.DistributedTerm, t: float, read, qstep: float) -> f
     return float(_trapezoid([read(tau) for tau in grid], grid)) / length
 
 
-def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing, quad_step: float):
+def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing, step: float):
     concentrated = []
     for term in eq.positive_terms:
         concentrated.append((term.coeff, term.delay, -1.0))
@@ -329,7 +329,7 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing, quad_step: float):
             xv = y if isinstance(delay, IdentityDelay) else read(delay(t))
             total += sgn * coeff.value(t) * xv
         for term in distributed:
-            avg = _window_average(term, t, read, quad_step)
+            avg = _window_average(term, t, read, step)
             total -= term.sign * term.total_weight.value(t) * avg
         return total
 
@@ -384,9 +384,9 @@ def _delay_split(delays):
     return lags, general
 
 
-def _make_rhs(target, forcing, quad_step: float):
+def _make_rhs(target, forcing, step: float):
     if isinstance(target, cr.LinearDelayEquation):
-        return _make_linear_rhs(target, forcing, quad_step)
+        return _make_linear_rhs(target, forcing, step)
     if isinstance(target, md.MackeyGlassRemoval):
         return _make_removal_rhs(target, forcing)
     if isinstance(target, md.MackeyGlassProduction):
@@ -464,7 +464,6 @@ def integrate(
     allow_extrapolation: bool = False,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     on_divergence: str = "raise",
-    quad_step: Optional[float] = None,
 ) -> Trajectory:
     """Integrate a delay equation or model forward from its history.
 
@@ -480,14 +479,12 @@ def integrate(
         raise ConfigurationError("step must be positive")
     if t0 is None:
         t0 = target.t0 if isinstance(target, cr.LinearDelayEquation) else 0.0
+    if not math.isfinite(t1):
+        raise ConfigurationError("t1 must be finite")
     if not (t1 > t0):
         raise ConfigurationError("need t1 > t0")
 
-    if quad_step is None:
-        quad_step = step
-    if quad_step <= 0.0:
-        raise ConfigurationError("quad_step must be positive")
-    rhs = _make_rhs(target, forcing, quad_step)
+    rhs = _make_rhs(target, forcing, step)
     hist = _as_history(history)
 
     if not allow_extrapolation:
@@ -652,7 +649,6 @@ def verify_lemma3(
     t1: float,
     *,
     step: float = 0.01,
-    s_spacing: Optional[float] = None,
 ) -> Lemma3Report:
     """Check the fundamental-solution integral bound numerically.
 
@@ -664,9 +660,7 @@ def verify_lemma3(
     """
     X = fundamental_solution(eq, s, t1, step=step)
     lag = max(eq.max_lag, step)
-    spacing = s_spacing if s_spacing is not None else min(10.0 * step, lag / 2.0)
-    if spacing <= 0.0:
-        raise ConfigurationError("s_spacing must be positive")
+    spacing = min(10.0 * step, lag / 2.0)
 
     def integrand(u: float) -> float:
         total = 0.0

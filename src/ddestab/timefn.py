@@ -57,7 +57,7 @@ __all__ = [
     "representative_span",
 ]
 
-DEFAULT_GRID = 1024
+_GRID = 1024
 _REFINE_XTOL = 1e-12
 _ZERO_TOL = 1e-12
 
@@ -410,9 +410,7 @@ def difference(a: Coefficient, b: Coefficient) -> Coefficient:
     return _LinearCombination(((1.0, a), (-1.0, b)))
 
 
-def proportional_ratio(
-    num: Coefficient, den: Coefficient, *, samples: int = 513
-) -> Optional[float]:
+def proportional_ratio(num: Coefficient, den: Coefficient) -> Optional[float]:
     """Constant k with num = k * den everywhere, or None.
 
     Detected by sampling over the merged representative span; an irrational
@@ -426,6 +424,7 @@ def proportional_ratio(
     cls = merge_classes([num.asymptotic_class, den.asymptotic_class])
     span = representative_span(cls)
     offset = span * (math.e / 7.0 - math.floor(math.e / 7.0))
+    samples = 513
     ts = [offset + span * k / (samples - 1) for k in range(samples)]
     den_vals = [den.value(t) for t in ts]
     num_vals = [num.value(t) for t in ts]
@@ -575,7 +574,10 @@ def _structure(
     cls = merge_classes(classes)
     general_delay = any(isinstance(d, GeneralDelay) for d in delays)
     if horizon is not None:
-        return ("general", float(horizon))
+        # GeneralClass rejects a non-finite or non-positive horizon with a
+        # plain ValueError; criteria would turn a ConfigurationError into
+        # an Inconclusive certificate.
+        return ("general", GeneralClass(float(horizon)).analysis_horizon)
     if isinstance(cls, GeneralClass):
         return ("general", cls.analysis_horizon)
     if general_delay:
@@ -619,7 +621,7 @@ def _golden_max(fn, lo: float, hi: float, xtol: float):
     return best_x, best_v
 
 
-def _maximize(fn, t0: float, structure, grid: int, span_pad: float) -> SupInfo:
+def _maximize(fn, t0: float, structure, span_pad: float) -> SupInfo:
     kind, param = structure
     if kind == "constant":
         return SupInfo(fn(t0), t0, False)
@@ -629,7 +631,7 @@ def _maximize(fn, t0: float, structure, grid: int, span_pad: float) -> SupInfo:
     else:
         lo, hi = t0, t0 + param + span_pad
         limited = True
-    n = max(int(grid), 8)
+    n = _GRID
     xs = [lo + (hi - lo) * k / n for k in range(n + 1)]
     vals = [_finite(fn(x)) for x in xs]
     if any(v == math.inf for v in vals):
@@ -656,13 +658,12 @@ def sup_window_integral_info(
     lower: Delay,
     t0: float = 0.0,
     *,
-    grid: int = DEFAULT_GRID,
     horizon: Optional[float] = None,
 ) -> SupInfo:
     """Essential supremum over t >= t0 of the integral of c over [lower(t), t]."""
     structure = _structure([c.asymptotic_class], [lower], horizon)
     return _maximize(
-        lambda t: window_integral(c, lower, t), t0, structure, grid, lower.lag_bound
+        lambda t: window_integral(c, lower, t), t0, structure, lower.lag_bound
     )
 
 
@@ -671,10 +672,9 @@ def sup_window_integral(
     lower: Delay,
     t0: float = 0.0,
     *,
-    grid: int = DEFAULT_GRID,
     horizon: Optional[float] = None,
 ) -> float:
-    return sup_window_integral_info(c, lower, t0, grid=grid, horizon=horizon).value
+    return sup_window_integral_info(c, lower, t0, horizon=horizon).value
 
 
 def sup_between_delays_info(
@@ -683,14 +683,13 @@ def sup_between_delays_info(
     d2: Delay,
     t0: float = 0.0,
     *,
-    grid: int = DEFAULT_GRID,
     horizon: Optional[float] = None,
 ) -> SupInfo:
     """Essential supremum over t >= t0 of |integral of c over [d1(t), d2(t)]|."""
     structure = _structure([c.asymptotic_class], [d1, d2], horizon)
     pad = max(d1.lag_bound, d2.lag_bound)
     return _maximize(
-        lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, grid, pad
+        lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad
     )
 
 
@@ -700,10 +699,9 @@ def sup_between_delays(
     d2: Delay,
     t0: float = 0.0,
     *,
-    grid: int = DEFAULT_GRID,
     horizon: Optional[float] = None,
 ) -> float:
-    return sup_between_delays_info(c, d1, d2, t0, grid=grid, horizon=horizon).value
+    return sup_between_delays_info(c, d1, d2, t0, horizon=horizon).value
 
 
 def liminf_forward_integral_info(
@@ -711,7 +709,6 @@ def liminf_forward_integral_info(
     length: float,
     t0: float = 0.0,
     *,
-    grid: int = DEFAULT_GRID,
     horizon: Optional[float] = None,
 ) -> SupInfo:
     """Essential infimum over t >= t0 of the integral of c over [t, t+length].
@@ -724,7 +721,7 @@ def liminf_forward_integral_info(
         raise ValueError("length must be finite and positive")
     structure = _structure([c.asymptotic_class], [], horizon)
     info = _maximize(
-        lambda t: -c.integral(t, t + length), t0, structure, grid, length
+        lambda t: -c.integral(t, t + length), t0, structure, length
     )
     return SupInfo(-info.value, info.argmax, info.horizon_limited)
 
@@ -734,10 +731,9 @@ def liminf_forward_integral(
     length: float,
     t0: float = 0.0,
     *,
-    grid: int = DEFAULT_GRID,
     horizon: Optional[float] = None,
 ) -> float:
-    return liminf_forward_integral_info(c, length, t0, grid=grid, horizon=horizon).value
+    return liminf_forward_integral_info(c, length, t0, horizon=horizon).value
 
 
 def ratio_extrema(
@@ -745,7 +741,6 @@ def ratio_extrema(
     den: Coefficient,
     t0: float = 0.0,
     *,
-    grid: int = DEFAULT_GRID,
     horizon: Optional[float] = None,
 ):
     """(esssup, essinf) of num(t)/den(t) for t >= t0.
@@ -774,8 +769,8 @@ def ratio_extrema(
             return math.inf
         return nv / dv
 
-    hi = _maximize(ratio_at, t0, structure, grid, 0.0)
-    lo = _maximize(lambda t: -ratio_at(t), t0, structure, grid, 0.0)
+    hi = _maximize(ratio_at, t0, structure, 0.0)
+    lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0)
     return hi, SupInfo(-lo.value, lo.argmax, lo.horizon_limited)
 
 
@@ -783,19 +778,16 @@ def coefficient_extrema(
     c: Coefficient,
     t0: float = 0.0,
     *,
-    grid: int = DEFAULT_GRID,
     horizon: Optional[float] = None,
 ):
     """(esssup, essinf) of the coefficient's values for t >= t0."""
     structure = _structure([c.asymptotic_class], [], horizon)
-    hi = _maximize(c.value, t0, structure, grid, 0.0)
-    lo = _maximize(lambda t: -c.value(t), t0, structure, grid, 0.0)
+    hi = _maximize(c.value, t0, structure, 0.0)
+    lo = _maximize(lambda t: -c.value(t), t0, structure, 0.0)
     return hi, SupInfo(-lo.value, lo.argmax, lo.horizon_limited)
 
 
-def persistent_mean(
-    c: Coefficient, t0: float = 0.0, *, horizon: Optional[float] = None
-):
+def persistent_mean(c: Coefficient, t0: float = 0.0):
     """(long-run mean value, horizon_limited flag).
 
     Exact for constant and periodic coefficients; for general ones the mean
@@ -806,16 +798,14 @@ def persistent_mean(
         return c.value(t0), False
     if isinstance(cls, PeriodicClass):
         return c.integral(t0, t0 + cls.period) / cls.period, False
-    span = horizon if horizon is not None else cls.analysis_horizon
+    span = cls.analysis_horizon
     return c.integral(t0, t0 + span) / span, True
 
 
-def vanishing_fraction(
-    c: Coefficient, t0: float = 0.0, *, samples: int = 512, horizon: Optional[float] = None
-) -> float:
+def vanishing_fraction(c: Coefficient, t0: float = 0.0) -> float:
     """Fraction of sample points where the coefficient (essentially) vanishes."""
-    cls = c.asymptotic_class
-    span = horizon if horizon is not None else representative_span(cls)
+    span = representative_span(c.asymptotic_class)
+    samples = 512
     ts = [t0 + span * (k + 0.5) / samples for k in range(samples)]
     vals = [abs(c.value(t)) for t in ts]
     scale = max(max(vals), 1e-300)

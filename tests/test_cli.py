@@ -201,6 +201,47 @@ def test_check_unknown_builtin_exit_code(tmp_path, capsys):
     assert "unknown built-in" in err and "eq26" in err
 
 
+def test_check_horizon_reaches_the_certificates(tmp_path):
+    assert cli.main(["check", "--target", "eq3", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "certificates.json").read_text())
+    assert doc["verdict"] == "UniformExponential"
+
+    assert cli.main(["check", "--target", "eq3", "--horizon", "10", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "certificates.json").read_text())
+    assert doc["verdict"] == "Asymptotic"
+    notes = [n for c in doc["certificates"] for n in c["notes"]]
+    assert any("scanned up to a finite horizon" in n for n in notes)
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf", "0", "-5"])
+def test_check_rejects_bad_horizon(tmp_path, capsys, horizon):
+    assert cli.main(["check", "--target", "eq3", "--horizon", horizon,
+                     "--out", str(tmp_path)]) == 2
+    assert "horizon" in capsys.readouterr().err
+    assert not (tmp_path / "certificates.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--target", "eq3", "--grid", "64"],
+        ["sweep", "--target", "eq3", "--param", "b", "--lo", "0.2", "--hi", "0.45", "--grid", "64"],
+    ],
+)
+def test_grid_flag_is_gone(tmp_path, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["grid", "tol"])
+def test_config_rejects_removed_options(tmp_path, capsys, key):
+    path = tmp_path / "eq.json"
+    path.write_text(cli.serialize_config(md.make_builtin("eq26"), {key: -5}))
+    assert cli.main(["check", "--target", str(path), "--out", str(tmp_path)]) == 2
+    assert "options.%s" % key in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -224,6 +265,25 @@ def test_simulate_bad_override_exit_code(tmp_path, capsys):
     assert cli.main(["simulate", "--target", "ex51", "--set", "nope=1",
                      "--out", str(tmp_path)]) == 2
     assert "no parameter" in capsys.readouterr().err
+
+
+def test_simulate_history_and_x0_reach_the_run(tmp_path):
+    assert cli.main(["simulate", "--target", "eq26", "--history", "0.5", "--x0", "2",
+                     "--horizon", "25", "--out", str(tmp_path)]) == 0
+    behavior = json.loads((tmp_path / "behavior.json").read_text())
+    assert behavior["history"] == 0.5
+    assert behavior["initial_value"] == 2.0
+    assert behavior["horizon"] == 25.0
+    first = (tmp_path / "trajectory.csv").read_text().splitlines()[1].split(",")
+    assert first[:2] == ["0", "2"]
+    # x'(0) = -x(-1) + 0.3 x(0) reads the history.
+    assert float(first[2]) == pytest.approx(-0.5 + 0.3 * 2.0)
+
+
+def test_simulate_rejects_infinite_horizon(tmp_path, capsys):
+    assert cli.main(["simulate", "--target", "eq26", "--horizon", "inf",
+                     "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +410,23 @@ def test_reproduce_json_deterministic(tmp_path):
         ]
 
     assert strip_timestamp(out1) == strip_timestamp(out2)
+
+
+def test_readme_documents_every_flag_and_option():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    flags = {
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+    assert "--history" in flags and "--x0" in flags
+    assert sorted(f for f in flags if f not in readme) == []
+    assert [k for k in cli._OPTION_KEYS if "`%s`" % k not in readme] == []
 
 
 def test_outputs_have_no_leftover_temp_files(tmp_path):

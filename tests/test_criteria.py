@@ -290,6 +290,18 @@ def test_default_persistence_window_is_one_period():
     assert any(c.description.endswith("T=3.14159") for c in cert.checks)
 
 
+def test_general_class_persistence_note_names_the_coefficient_once():
+    rate = tf.piecewise_constant([0.0, 6.0], [1.0, 0.5, 1.0])
+    eq = cr.LinearDelayEquation(
+        positive_terms=[cr.Term(rate, tf.ConstantLag(0.5))],
+        negative_terms=[cr.Term(tf.scaled(0.3, rate), tf.IdentityDelay())],
+    )
+    notes = cr.check_diff_form(eq).notes + cr.check_ratio_form(eq).notes
+    for label in ("the coefficient difference", "the positive-side coefficient"):
+        assert label + " has general asymptotic class, so divergence" in " ".join(notes)
+    assert not any("the the" in n for n in notes)
+
+
 def test_certificate_serialization_shape():
     cert = cr.check_diff_form(eq_e1())
     blob = json.dumps(cert.to_dict(), allow_nan=False)

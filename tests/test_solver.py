@@ -257,6 +257,12 @@ def test_step_larger_than_lag_is_rejected():
     assert tr.t1 == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("t1", [math.inf, -math.inf, math.nan])
+def test_non_finite_end_time_is_rejected(t1):
+    with pytest.raises(sv.ConfigurationError):
+        sv.integrate(_linear([(0.9, 1.0)]), 1.0, t1, step=0.01)
+
+
 def test_general_delay_integration_self_converges():
     delay = tf.GeneralDelay(lambda t: t - (0.5 + 0.4 * math.sin(t)), 0.9)
     eq = cr.LinearDelayEquation(

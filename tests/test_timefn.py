@@ -231,6 +231,15 @@ def test_general_delay_requires_horizon():
     assert got == pytest.approx(oracle, abs=1e-6)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -5.0])
+def test_explicit_horizon_must_be_finite_and_positive(horizon):
+    # A plain ValueError: criteria reads a ConfigurationError as missing
+    # structure and would write an Inconclusive certificate instead.
+    with pytest.raises(ValueError) as err:
+        tf.sup_window_integral(tf.sinsq(1.0, 1.0), tf.ConstantLag(2.0), horizon=horizon)
+    assert not isinstance(err.value, tf.ConfigurationError)
+
+
 # ---------------------------------------------------------------------------
 # Ratio and value extrema, means, vanishing
 # ---------------------------------------------------------------------------
