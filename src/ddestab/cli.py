@@ -418,6 +418,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def run_check(args: argparse.Namespace) -> int:
+    # Checked here, not only by the searches: a certificate can conclude
+    # before any search reads the horizon.
+    if args.horizon is not None and not (math.isfinite(args.horizon) and args.horizon > 0.0):
+        raise ConfigError("--horizon must be finite and positive, got %g" % args.horizon)
     target, opts = resolve_target(args.target, parse_overrides(args.sets))
     T = args.T if args.T is not None else opts.get("T")
     verdict, certs = dg.certify(target, T, horizon=args.horizon)
@@ -524,12 +528,17 @@ def run_sweep(args: argparse.Namespace) -> int:
             raise ConfigError("%s=%g: %s" % (args.param, value, exc)) from exc
 
     lines = ["param,verdict,classification"]
+    tabulated = {}  # the predicate's value at each table point
     for i in range(args.points):
         value = args.lo + (args.hi - args.lo) * i / (args.points - 1)
         target = build(value)
         verdict, _ = dg.certify(target, args.T)
         _, report, _ = dg.perturbed_run(target, horizon=args.horizon, step=args.step)
         lines.append("%.17g,%s,%s" % (value, verdict, report.classification))
+        if args.predicate == "certificate":
+            tabulated[value] = verdict == cr.UNIFORM_EXPONENTIAL
+        else:
+            tabulated[value] = report.classification == dg.DECAYING
     csv_path = os.path.join(args.out, "sweep.csv")
     _write_atomic(csv_path, "\n".join(lines) + "\n")
 
@@ -537,7 +546,13 @@ def run_sweep(args: argparse.Namespace) -> int:
         predicate = dg.certificate_predicate(build, args.T)
     else:
         predicate = dg.empirical_predicate(build, horizon=args.horizon, step=args.step)
-    threshold = dg.find_threshold(predicate, args.lo, args.hi, tol=args.tol)
+
+    def reuse_table(value: float) -> bool:
+        # The bisection starts from lo and hi: the table's first point and,
+        # unless rounding moved it, its last.
+        return tabulated[value] if value in tabulated else predicate(value)
+
+    threshold = dg.find_threshold(reuse_table, args.lo, args.hi, tol=args.tol)
     payload = {
         "schema": SCHEMA_VERSION,
         "generated_at": _utc_now(),

@@ -89,8 +89,9 @@ class TabulatedHistory:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        ts = np.asarray(self.times, dtype=float)
-        xs = np.asarray(self.values, dtype=float)
+        # Copies, so freezing them leaves the caller's arrays writable.
+        ts = np.array(self.times, dtype=float)
+        xs = np.array(self.values, dtype=float)
         if ts.ndim != 1 or ts.shape != xs.shape or ts.size < 2:
             raise ConfigurationError("need matching 1-d arrays with >= 2 samples")
         if not np.all(np.diff(ts) > 0.0):

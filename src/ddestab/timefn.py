@@ -10,6 +10,7 @@ suprema over unbounded time ranges are evaluated.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -60,6 +61,10 @@ __all__ = [
 _GRID = 1024
 _REFINE_XTOL = 1e-12
 _ZERO_TOL = 1e-12
+# Entries kept by the per-process memo of each extremum search. The searches
+# take frozen dataclasses and floats and are deterministic in them, so a hit
+# returns exactly what recomputing would.
+_MEMO_SIZE = 256
 
 
 class ConfigurationError(ValueError):
@@ -653,6 +658,7 @@ def _maximize(fn, t0: float, structure, span_pad: float) -> SupInfo:
     return SupInfo(best_v, best_x, limited)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def sup_window_integral_info(
     c: Coefficient,
     lower: Delay,
@@ -677,6 +683,7 @@ def sup_window_integral(
     return sup_window_integral_info(c, lower, t0, horizon=horizon).value
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def sup_between_delays_info(
     c: Coefficient,
     d1: Delay,
@@ -704,6 +711,7 @@ def sup_between_delays(
     return sup_between_delays_info(c, d1, d2, t0, horizon=horizon).value
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def liminf_forward_integral_info(
     c: Coefficient,
     length: float,
@@ -736,6 +744,7 @@ def liminf_forward_integral(
     return liminf_forward_integral_info(c, length, t0, horizon=horizon).value
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def ratio_extrema(
     num: Coefficient,
     den: Coefficient,

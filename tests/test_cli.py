@@ -6,6 +6,7 @@ from its printed lhs/rhs/direction, and exit codes pinned against the
 documented contract (0 ok, 1 reproduction mismatch, 2 usage, 3 numeric).
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import pytest
 
 from ddestab import cli
 from ddestab import criteria as cr
+from ddestab import diagnostics as dg
 from ddestab import models as md
 from ddestab import timefn as tf
 
@@ -215,10 +217,15 @@ def test_check_horizon_reaches_the_certificates(tmp_path):
 
 @pytest.mark.parametrize("horizon", ["nan", "inf", "0", "-5"])
 def test_check_rejects_bad_horizon(tmp_path, capsys, horizon):
-    assert cli.main(["check", "--target", "eq3", "--horizon", horizon,
-                     "--out", str(tmp_path)]) == 2
-    assert "horizon" in capsys.readouterr().err
-    assert not (tmp_path / "certificates.json").exists()
+    # Strong saturation (n = 6) fails the removal model's precondition
+    # before any extremum search reads the horizon.
+    saturated = tmp_path / "saturated.json"
+    saturated.write_text(cli.serialize_config(dataclasses.replace(md.ex51(), n=6.0)))
+    for target in ("eq3", str(saturated)):
+        assert cli.main(["check", "--target", target, "--horizon", horizon,
+                         "--out", str(tmp_path)]) == 2
+        assert "--horizon" in capsys.readouterr().err
+        assert not (tmp_path / "certificates.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -434,3 +441,25 @@ def test_outputs_have_no_leftover_temp_files(tmp_path):
                      "--out", str(tmp_path)]) == 0
     leftovers = [name for name in os.listdir(tmp_path) if ".tmp" in name]
     assert leftovers == []
+
+
+def test_sweep_bisection_reuses_the_table(tmp_path, monkeypatch):
+    runs = []
+    perturbed_run = dg.perturbed_run
+
+    def counted(target, **kwargs):
+        runs.append(target)
+        return perturbed_run(target, **kwargs)
+
+    monkeypatch.setattr(dg, "perturbed_run", counted)
+    assert cli.main(["sweep", "--target", "eq3", "--param", "b", "--lo", "0.3", "--hi", "0.6",
+                     "--points", "3", "--tol", "0.1", "--step", "0.05", "--predicate", "empirical",
+                     "--out", str(tmp_path)]) == 0
+    swept = len(runs)
+    # Before, the sweep ran its table and then this whole bisection anew.
+    runs.clear()
+    predicate = dg.empirical_predicate(lambda b: md.make_builtin("eq3", b=b), step=0.05)
+    threshold = dg.find_threshold(predicate, 0.3, 0.6, tol=0.1)
+    # The bisection's end points and its first midpoint (0.45) are table rows.
+    assert swept == 3 + len(runs) - 3
+    assert json.loads((tmp_path / "threshold.json").read_text())["threshold"] == threshold

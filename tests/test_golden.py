@@ -23,6 +23,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_output
 
 _SWEEP = ["sweep", "--target", "eq3", "--param", "b", "--lo", "0.2", "--hi", "0.45",
           "--points", "3", "--tol", "1e-3", "--step", "0.05"]
+_SWEEP_EX5 = ["sweep", "--target", "ex5", "--param", "n", "--lo", "5", "--hi", "9",
+              "--points", "3", "--tol", "0.05", "--step", "0.1", "--horizon", "121"]
 
 CASES = {
     **{"check-" + name: ["check", "--target", name]
@@ -31,8 +33,9 @@ CASES = {
     "simulate-ex51": ["simulate", "--target", "ex51"],
     "sweep-certificate": _SWEEP + ["--predicate", "certificate"],
     "sweep-empirical": _SWEEP + ["--predicate", "empirical"],
+    "sweep-ex5-certificate": _SWEEP_EX5 + ["--predicate", "certificate"],
     **{"reproduce-" + name: ["reproduce", name]
-       for name in ("example1", "example2", "example2a", "fig2")},
+       for name in ("example1", "example2", "example2a", "example5", "fig2")},
 }
 
 

@@ -328,6 +328,15 @@ def test_tabulated_history_interpolates_and_guards_domain():
         sv.TabulatedHistory(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
 
 
+def test_tabulated_history_copies_the_caller_arrays():
+    ts, xs = np.array([0.0, 1.0]), np.array([1.0, 3.0])
+    hist = sv.TabulatedHistory(ts, xs)
+    xs[0] = 2.0
+    assert hist.value(0.5) == 2.0
+    with pytest.raises(ValueError):
+        hist.values[0] = 2.0
+
+
 def test_history_sum_weights():
     combo = sv.history_sum([math.sin, math.cos], [2.0, -1.0])
     assert combo.value(0.3) == pytest.approx(2.0 * math.sin(0.3) - math.cos(0.3))

@@ -372,3 +372,34 @@ def test_property_sup_monotone_in_lag(lag1, lag2):
     s_lo = tf.sup_window_integral(c, tf.ConstantLag(lo))
     s_hi = tf.sup_window_integral(c, tf.ConstantLag(hi))
     assert s_lo <= s_hi + 1e-12
+
+
+def test_repeated_search_is_a_memo_hit():
+    # Called as the criteria and the plain form call it: t0 by position,
+    # horizon by keyword (the memo keys on the arguments as passed).
+    c, lag = tf.sinsq(0.7, 1.3, 0.2), tf.ConstantLag(1.7)
+    first = tf.sup_window_integral_info(c, lag, 0.0, horizon=None)
+    hits = tf.sup_window_integral_info.cache_info().hits
+    again = tf.sup_window_integral_info(
+        tf.sinsq(0.7, 1.3, 0.2), tf.ConstantLag(1.7), 0.0, horizon=None
+    )
+    assert tf.sup_window_integral_info.cache_info().hits == hits + 1
+    assert again == first == tf.sup_window_integral_info.__wrapped__(c, lag)
+    assert tf.sup_window_integral(c, lag) == first.value
+    assert tf.sup_window_integral_info.cache_info().hits == hits + 2
+
+
+def test_memo_never_shares_general_delays_of_equal_code():
+    def lagged(lag):
+        return tf.GeneralDelay(lambda t: t - lag, 2.0)
+
+    c = tf.sinsq(1.0, 1.0)
+    near, far = lagged(0.5), lagged(2.0)
+    assert near.fn.__code__ is far.fn.__code__ and near != far
+    misses = tf.sup_window_integral_info.cache_info().misses
+    s_near = tf.sup_window_integral_info(c, near, horizon=20.0)
+    s_far = tf.sup_window_integral_info(c, far, horizon=20.0)
+    assert tf.sup_window_integral_info.cache_info().misses == misses + 2
+    assert s_near == tf.sup_window_integral_info.__wrapped__(c, near, horizon=20.0)
+    assert s_far == tf.sup_window_integral_info.__wrapped__(c, far, horizon=20.0)
+    assert s_near.value < s_far.value
