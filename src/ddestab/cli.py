@@ -22,7 +22,6 @@ from typing import Optional
 from . import criteria as cr
 from . import diagnostics as dg
 from . import models as md
-from . import solver as sv
 from . import timefn as tf
 
 __all__ = [
@@ -93,8 +92,6 @@ def coefficient_to_config(c: tf.Coefficient) -> dict:
     if isinstance(c, tf.ConstantCoefficient):
         return {"kind": "constant", "v": c.v}
     if isinstance(c, tf.SinSqCoefficient):
-        if c.declared_class is not None:
-            raise ConfigError("coefficients with a declared asymptotic class are not serializable")
         return {
             "kind": "sinsq",
             "amplitude": c.amplitude,
@@ -102,8 +99,6 @@ def coefficient_to_config(c: tf.Coefficient) -> dict:
             "phase": c.phase,
         }
     if isinstance(c, tf.PiecewiseConstantCoefficient):
-        if c.declared_class is not None:
-            raise ConfigError("coefficients with a declared asymptotic class are not serializable")
         return {
             "kind": "piecewise",
             "breakpoints": list(c.breakpoints),
@@ -112,8 +107,6 @@ def coefficient_to_config(c: tf.Coefficient) -> dict:
     if isinstance(c, tf.ScaledCoefficient):
         return {"kind": "scaled", "factor": c.factor, "inner": coefficient_to_config(c.inner)}
     if isinstance(c, tf.SumCoefficient):
-        if c.declared_class is not None:
-            raise ConfigError("coefficients with a declared asymptotic class are not serializable")
         return {"kind": "sum", "terms": [coefficient_to_config(t) for t in c.terms]}
     raise ConfigError("coefficient %r is not serializable" % type(c).__name__)
 
@@ -395,10 +388,6 @@ def resolve_target(name_or_path: str, overrides: dict):
 # ---------------------------------------------------------------------------
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
@@ -408,7 +397,10 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_report(path: str, **fields) -> None:
+    """Write a JSON report: the given fields plus the schema and a timestamp."""
+    stamp = datetime.now(timezone.utc).isoformat()
+    payload = {"schema": SCHEMA_VERSION, "generated_at": stamp, **fields}
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -425,15 +417,13 @@ def run_check(args: argparse.Namespace) -> int:
     target, opts = resolve_target(args.target, parse_overrides(args.sets))
     T = args.T if args.T is not None else opts.get("T")
     verdict, certs = dg.certify(target, T, horizon=args.horizon)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "generated_at": _utc_now(),
-        "target": target_to_config(target),
-        "verdict": verdict,
-        "certificates": [c.to_dict() for c in certs],
-    }
     path = os.path.join(args.out, "certificates.json")
-    _write_json(path, payload)
+    _write_report(
+        path,
+        target=target_to_config(target),
+        verdict=verdict,
+        certificates=[c.to_dict() for c in certs],
+    )
     for cert in certs:
         print("%s: %s" % (cert.name, cert.verdict))
     print("verdict: %s -> %s" % (verdict, path))
@@ -448,8 +438,6 @@ def run_simulate(args: argparse.Namespace) -> int:
         target, history=args.history, x0=args.x0, horizon=horizon, step=step
     )
     behavior = {
-        "schema": SCHEMA_VERSION,
-        "generated_at": _utc_now(),
         "target": target_to_config(target),
         "classification": report.classification,
         "initial_amplitude": report.initial_amplitude,
@@ -476,7 +464,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     tmp = "%s.tmp%d" % (csv_path, os.getpid())
     traj.to_csv(tmp)
     os.replace(tmp, csv_path)
-    _write_json(os.path.join(args.out, "behavior.json"), behavior)
+    _write_report(os.path.join(args.out, "behavior.json"), **behavior)
     print(
         "classification: %s (tail %.6g over initial %.6g) -> %s"
         % (report.classification, report.tail_amplitude, report.initial_amplitude, csv_path)
@@ -504,9 +492,12 @@ def _builtin_builder(name: str, param: str, overrides: dict):
             )
 
     def build(value: float):
-        params = dict(overrides)
-        params[param] = value
-        return md.make_builtin(name, **params)
+        # The swept value wins over a --set of the same parameter; an
+        # invalid point is named by its value.
+        try:
+            return md.make_builtin(name, **{**overrides, param: value})
+        except ValueError as exc:
+            raise ConfigError("%s=%g: %s" % (param, value, exc)) from exc
 
     return build
 
@@ -516,17 +507,7 @@ def run_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep requires --hi greater than --lo")
     if args.points < 2:
         raise ConfigError("sweep requires at least two points")
-    raw_build = _builtin_builder(args.target, args.param, parse_overrides(args.sets))
-
-    def build(value: float):
-        # Name the offending parameter value when a point is invalid.
-        try:
-            return raw_build(value)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError("%s=%g: %s" % (args.param, value, exc)) from exc
-
+    build = _builtin_builder(args.target, args.param, parse_overrides(args.sets))
     lines = ["param,verdict,classification"]
     tabulated = {}  # the predicate's value at each table point
     for i in range(args.points):
@@ -553,18 +534,16 @@ def run_sweep(args: argparse.Namespace) -> int:
         return tabulated[value] if value in tabulated else predicate(value)
 
     threshold = dg.find_threshold(reuse_table, args.lo, args.hi, tol=args.tol)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "generated_at": _utc_now(),
-        "target": args.target,
-        "parameter": args.param,
-        "lo": args.lo,
-        "hi": args.hi,
-        "tol": args.tol,
-        "predicate": args.predicate,
-        "threshold": threshold,
-    }
-    _write_json(os.path.join(args.out, "threshold.json"), payload)
+    _write_report(
+        os.path.join(args.out, "threshold.json"),
+        target=args.target,
+        parameter=args.param,
+        lo=args.lo,
+        hi=args.hi,
+        tol=args.tol,
+        predicate=args.predicate,
+        threshold=threshold,
+    )
     print("threshold %s = %.10g (%s predicate) -> %s" % (args.param, threshold, args.predicate, csv_path))
     return 0
 
@@ -589,14 +568,6 @@ def _row(name, computed, recorded, *, tol=None, provenance="recorded", status=No
         "status": status,
         "note": note,
     }
-
-
-def _ratio_only_predicate(build):
-    def pred(value: float) -> bool:
-        certs = {c.name: c for c in cr.evaluate_all(build(value))}
-        return certs["ratio-form"].verdict == cr.UNIFORM_EXPONENTIAL
-
-    return pred
 
 
 def _repro_example1():
@@ -698,12 +669,11 @@ def _repro_example2():
 
 
 def _repro_example2a():
-    threshold = dg.find_threshold(
-        _ratio_only_predicate(lambda a: md.make_builtin("eq3abc", a=a, b=a / 2.0)),
-        0.05,
-        0.95,
-        tol=1e-5,
-    )
+    def ratio_form_certifies(a: float) -> bool:
+        eq = md.make_builtin("eq3abc", a=a, b=a / 2.0)
+        return cr.check_ratio_form(eq).verdict == cr.UNIFORM_EXPONENTIAL
+
+    threshold = dg.find_threshold(ratio_form_certifies, 0.05, 0.95, tol=1e-5)
     exact = 0.5 * (1.0 + _INV_E) / (1.0 + math.sin(2.0) / 2.0)
     return [
         _row(
@@ -724,20 +694,20 @@ def _repro_example2a():
     ]
 
 
-def _production_check_predicate(key: str):
-    def pred(n: float) -> bool:
+def _production_threshold(key: str) -> float:
+    """Threshold in n where one stability check of the production model stops holding."""
+
+    def holds(n: float) -> bool:
         checks, _ = md.production_stability_checks(md.make_builtin("ex5", n=n))
         return checks[key].satisfied
 
-    return pred
+    return dg.find_threshold(holds, 0.5, 20.0, tol=1e-6)
 
 
 def _repro_example5():
-    thr_combined = dg.find_threshold(_production_check_predicate("combined_bound"), 0.5, 20.0, tol=1e-6)
-    thr_gap = dg.find_threshold(_production_check_predicate("gap_bound"), 0.5, 20.0, tol=1e-6)
-    thr_pair = dg.find_threshold(
-        _production_check_predicate("window_vs_gap_bound"), 0.5, 20.0, tol=1e-6
-    )
+    thr_combined = _production_threshold("combined_bound")
+    thr_gap = _production_threshold("gap_bound")
+    thr_pair = _production_threshold("window_vs_gap_bound")
     exact_combined = (_INV_E + 0.7) / 0.15
     exact_gap = 34.0 / 3.0
     exact_pair = 2.0 * ((1.0 + _INV_E) / 0.45 - 1.0)
@@ -816,11 +786,17 @@ def _pulse_removal_threshold(sigma: float, lo: float, hi: float) -> float:
     )
 
 
+def _pulse_removal_run(sigma: float, r: float):
+    """(trajectory, report) of the figures' perturbed run of the pulsed removal model."""
+    traj, report, _ = dg.perturbed_run(
+        md.make_builtin("ex51", sigma=sigma, r=r), history=0.4, x0=0.6, horizon=100.0, step=0.01
+    )
+    return traj, report
+
+
 def _repro_fig1():
-    model4 = md.make_builtin("ex51", sigma=1.1, r=4.0)
-    traj4, rep4, _ = dg.perturbed_run(model4, history=0.4, x0=0.6, horizon=100.0, step=0.01)
-    model85 = md.make_builtin("ex51", sigma=1.1, r=8.5)
-    _, rep85, _ = dg.perturbed_run(model85, history=0.4, x0=0.6, horizon=100.0, step=0.01)
+    traj4, rep4 = _pulse_removal_run(1.1, 4.0)
+    _, rep85 = _pulse_removal_run(1.1, 8.5)
     threshold = _pulse_removal_threshold(1.1, 1.0, 6.0)
     gap = 0.05 + math.sin(0.1 * math.pi) / (2.0 * math.pi)
     exact_thr = (1.0 + _INV_E) / (0.2 + 1.2 * gap)
@@ -855,11 +831,7 @@ def _repro_fig1():
 
 
 def _repro_fig1a():
-    runs = {}
-    for r in (3.0, 3.2, 5.0, 6.0):
-        model = md.make_builtin("ex51", sigma=1.5, r=r)
-        _, rep, _ = dg.perturbed_run(model, history=0.4, x0=0.6, horizon=100.0, step=0.01)
-        runs[r] = rep.classification
+    runs = {r: _pulse_removal_run(1.5, r)[1].classification for r in (3.0, 3.2, 5.0, 6.0)}
     threshold = _pulse_removal_threshold(1.5, 0.5, 3.0)
     gap = 0.25 + 1.0 / (2.0 * math.pi)
     exact_thr = (1.0 + _INV_E) / (0.2 + 1.2 * gap)
@@ -950,15 +922,13 @@ def _format_cell(value) -> str:
 def run_reproduce(args: argparse.Namespace) -> int:
     rows = SCENARIOS[args.scenario]()
     mismatches = sum(1 for row in rows if row["status"] == "mismatch")
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "generated_at": _utc_now(),
-        "scenario": args.scenario,
-        "rows": rows,
-        "mismatches": mismatches,
-        "status": "mismatch" if mismatches else "ok",
-    }
-    _write_json(os.path.join(args.out, "reproduction.json"), payload)
+    _write_report(
+        os.path.join(args.out, "reproduction.json"),
+        scenario=args.scenario,
+        rows=rows,
+        mismatches=mismatches,
+        status="mismatch" if mismatches else "ok",
+    )
     print("scenario %s" % args.scenario)
     for row in rows:
         line = "[%-8s] %s: computed=%s recorded=%s" % (
@@ -1051,7 +1021,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (dg.BracketError, sv.DivergenceError) as exc:
+    except dg.BracketError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:

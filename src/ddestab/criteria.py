@@ -748,8 +748,7 @@ def check_nondelay_dominant(
         return _inapplicable(name, "negative side has several distributed terms")
 
     a = a_term.coeff
-    neg_coeffs = [t.coeff for t in eq.negative_terms] + [d.total_weight for d in neg_dist]
-    b = tf.coeff_sum(neg_coeffs) if neg_coeffs else tf.constant(0.0)
+    b = reduce(eq).b
     t0 = eq.t0
     try:
         _, a_lo = tf.coefficient_extrema(a, t0, horizon=horizon)

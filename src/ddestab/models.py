@@ -354,10 +354,7 @@ def check_les_production(
 
 def eq3(b: float = 0.3) -> cr.LinearDelayEquation:
     """Oscillating-rate pair: x' + sin^2(t) [0.6 x(t-2) - b x(t)] = 0."""
-    return cr.LinearDelayEquation(
-        positive_terms=[cr.Term(tf.sinsq(0.6, 1.0), ConstantLag(2.0))],
-        negative_terms=[cr.Term(tf.sinsq(float(b), 1.0), IdentityDelay())],
-    )
+    return eq3abc(0.6, b)
 
 
 def eq26() -> cr.LinearDelayEquation:

@@ -618,14 +618,11 @@ def fundamental_solution(
     t1: float,
     *,
     step: float = 0.01,
-    **kwargs,
 ) -> Trajectory:
     """X(., s): zero before s, one at s, then the homogeneous solution."""
     if not isinstance(eq, cr.LinearDelayEquation):
         raise ConfigurationError("fundamental solutions are defined for linear equations")
-    return integrate(
-        eq, ConstantHistory(0.0), t1, step=step, t0=s, initial_value=1.0, **kwargs
-    )
+    return integrate(eq, ConstantHistory(0.0), t1, step=step, t0=s, initial_value=1.0)
 
 
 @dataclass(frozen=True)
@@ -662,20 +659,9 @@ def verify_lemma3(
     X = fundamental_solution(eq, s, t1, step=step)
     lag = max(eq.max_lag, step)
     spacing = min(10.0 * step, lag / 2.0)
-
-    def integrand(u: float) -> float:
-        total = 0.0
-        for term in eq.positive_terms:
-            total += term.coeff.value(u) * X.value(term.delay(u))
-        for term in eq.negative_terms:
-            total -= term.coeff.value(u) * X.value(term.delay(u))
-        for term in eq.distributed_terms:
-            avg = _window_average(term, u, X.value, min(step, spacing))
-            total += term.sign * term.total_weight.value(u) * avg
-        return total
-
-    mesh_lags = _make_rhs(eq, None, step).mesh_lags
-    segments = breaking_points(s, t1, mesh_lags)
+    # The integrand is minus the equation's right-hand side read along X.
+    rhs = _make_rhs(eq, None, min(step, spacing))
+    segments = breaking_points(s, t1, rhs.mesh_lags)
     prefix = [(s, 0.0)]
     acc = 0.0
     for a, b in zip(segments[:-1], segments[1:]):
@@ -691,7 +677,7 @@ def verify_lemma3(
         for k in range(n + 1):
             u = a + seg * k / n
             u = min(max(u, a + nudge), b - nudge)
-            ys.append(integrand(u))
+            ys.append(-rhs.fn(u, X.value(u), X.value))
         for k in range(2, n + 1, 2):
             acc += hgrid / 3.0 * (ys[k - 2] + 4.0 * ys[k - 1] + ys[k])
             prefix.append((a + seg * k / n, acc))

@@ -3,9 +3,10 @@ and essential extrema consumed by the stability criteria.
 
 Coefficients are nonnegative functions of time with exact antiderivatives,
 so window integrals are closed-form differences rather than quadratures.
-Each coefficient carries an asymptotic class (constant, periodic, or
-general with a declared analysis horizon) that determines how essential
-suprema over unbounded time ranges are evaluated.
+Each coefficient derives its asymptotic class (constant, periodic, or
+general with an analysis horizon) from its structure; the class
+determines how essential suprema over unbounded time ranges are
+evaluated.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def merge_classes(classes: Sequence[AsymptoticClass]) -> AsymptoticClass:
 
     Any general class dominates (horizons are maxed); periodic classes must
     share a common period reachable as a small integer multiple of the
-    largest one, otherwise the caller must declare a class explicitly.
+    largest one, otherwise a ConfigurationError names the periods.
     """
     generals = [c for c in classes if isinstance(c, GeneralClass)]
     if generals:
@@ -129,8 +130,8 @@ def merge_classes(classes: Sequence[AsymptoticClass]) -> AsymptoticClass:
         if all(abs(candidate / p - round(candidate / p)) < 1e-9 for p in periods):
             return PeriodicClass(candidate)
     raise ConfigurationError(
-        "periodic components have no small common period; "
-        "declare an asymptotic class explicitly"
+        "periodic components (periods %s) have no common period within 64 "
+        "multiples of the longest" % ", ".join("%.6g" % p for p in periods)
     )
 
 
@@ -192,7 +193,6 @@ class SinSqCoefficient(Coefficient):
     amplitude: float
     angular_freq: float
     phase: float = 0.0
-    declared_class: Optional[AsymptoticClass] = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
@@ -209,8 +209,6 @@ class SinSqCoefficient(Coefficient):
 
     @property
     def asymptotic_class(self) -> AsymptoticClass:
-        if self.declared_class is not None:
-            return self.declared_class
         if self.amplitude == 0.0:
             return ConstantClass()
         return PeriodicClass(math.pi / self.angular_freq)
@@ -222,7 +220,6 @@ class PiecewiseConstantCoefficient(Coefficient):
 
     breakpoints: tuple
     values: tuple
-    declared_class: Optional[AsymptoticClass] = None
     _cum: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
@@ -260,8 +257,6 @@ class PiecewiseConstantCoefficient(Coefficient):
 
     @property
     def asymptotic_class(self) -> AsymptoticClass:
-        if self.declared_class is not None:
-            return self.declared_class
         if all(v == self.values[0] for v in self.values):
             return ConstantClass()
         return GeneralClass(max(abs(self.breakpoints[-1]), 1.0))
@@ -292,7 +287,6 @@ class ScaledCoefficient(Coefficient):
 @dataclass(frozen=True)
 class SumCoefficient(Coefficient):
     terms: tuple
-    declared_class: Optional[AsymptoticClass] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -307,8 +301,6 @@ class SumCoefficient(Coefficient):
 
     @property
     def asymptotic_class(self) -> AsymptoticClass:
-        if self.declared_class is not None:
-            return self.declared_class
         return merge_classes([c.asymptotic_class for c in self.terms])
 
 
@@ -353,30 +345,21 @@ def constant(v: float) -> ConstantCoefficient:
     return ConstantCoefficient(float(v))
 
 
-def sinsq(
-    amplitude: float,
-    angular_freq: float,
-    phase: float = 0.0,
-    declared_class: Optional[AsymptoticClass] = None,
-) -> SinSqCoefficient:
-    return SinSqCoefficient(float(amplitude), float(angular_freq), float(phase), declared_class)
+def sinsq(amplitude: float, angular_freq: float, phase: float = 0.0) -> SinSqCoefficient:
+    return SinSqCoefficient(float(amplitude), float(angular_freq), float(phase))
 
 
 def piecewise_constant(
-    breakpoints: Sequence[float],
-    values: Sequence[float],
-    declared_class: Optional[AsymptoticClass] = None,
+    breakpoints: Sequence[float], values: Sequence[float]
 ) -> PiecewiseConstantCoefficient:
-    return PiecewiseConstantCoefficient(tuple(breakpoints), tuple(values), declared_class)
+    return PiecewiseConstantCoefficient(tuple(breakpoints), tuple(values))
 
 
 def scaled(factor: float, inner: Coefficient) -> Coefficient:
     if isinstance(inner, ConstantCoefficient):
         return ConstantCoefficient(factor * inner.v)
     if isinstance(inner, SinSqCoefficient):
-        return SinSqCoefficient(
-            factor * inner.amplitude, inner.angular_freq, inner.phase, inner.declared_class
-        )
+        return SinSqCoefficient(factor * inner.amplitude, inner.angular_freq, inner.phase)
     return ScaledCoefficient(float(factor), inner)
 
 
@@ -409,7 +392,7 @@ def difference(a: Coefficient, b: Coefficient) -> Coefficient:
         d = a.amplitude - b.amplitude
         if d < -1e-9 * max(1.0, a.amplitude):
             raise ValueError("difference is negative")
-        return SinSqCoefficient(max(d, 0.0), a.angular_freq, a.phase, a.declared_class)
+        return SinSqCoefficient(max(d, 0.0), a.angular_freq, a.phase)
     if isinstance(b, ConstantCoefficient) and b.v == 0.0:
         return a
     return _LinearCombination(((1.0, a), (-1.0, b)))

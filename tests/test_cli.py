@@ -436,6 +436,37 @@ def test_readme_documents_every_flag_and_option():
     assert [k for k in cli._OPTION_KEYS if "`%s`" % k not in readme] == []
 
 
+def test_readme_python_quick_start_prints_its_comments(capsys):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    # The comment lines right after a print are its expected output.
+    expected, after_print = [], False
+    for line in block.splitlines():
+        if after_print and line.startswith("# "):
+            expected.append(line[2:])
+        else:
+            after_print = "print(" in line
+    exec(compile(block, "README.md", "exec"), {})
+    assert expected and capsys.readouterr().out.splitlines() == expected
+
+
+def test_check_incommensurate_periods_exits_2(tmp_path, capsys):
+    rate = {"kind": "sum", "terms": [
+        {"kind": "sinsq", "amplitude": 1.0, "angular_freq": 1.0},
+        {"kind": "sinsq", "amplitude": 1.0, "angular_freq": math.sqrt(2.0)},
+    ]}
+    config = tmp_path / "incommensurate.json"
+    config.write_text(json.dumps({"schema": 1, "target": {
+        "type": "linear", "positive": [{"coeff": rate, "delay": {"lag": 1.0}}]}}))
+    out = tmp_path / "out"
+    for extra in ([], ["--horizon", "200"]):
+        assert cli.main(["check", "--target", str(config), "--out", str(out)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "no common period" in err and "declare" not in err
+        assert not (out / "certificates.json").exists()
+
+
 def test_outputs_have_no_leftover_temp_files(tmp_path):
     assert cli.main(["simulate", "--target", "eq26", "--horizon", "25",
                      "--out", str(tmp_path)]) == 0

@@ -35,7 +35,7 @@ CASES = {
     "sweep-empirical": _SWEEP + ["--predicate", "empirical"],
     "sweep-ex5-certificate": _SWEEP_EX5 + ["--predicate", "certificate"],
     **{"reproduce-" + name: ["reproduce", name]
-       for name in ("example1", "example2", "example2a", "example5", "fig2")},
+       for name in ("example1", "example2", "example2a", "example5", "fig1", "fig1a", "fig2")},
 }
 
 

@@ -224,6 +224,29 @@ def test_lemma_identity_reports_sign_change():
     assert rep.identity_defect < 1e-6
 
 
+# Exact reports, so that any change to how the lemma integrand is summed
+# shows. The distributed window (0.015) is shorter than two steps.
+LEMMA_PINS = {
+    "eq26": (md.eq26(), 10.0, 1.701673026282486, False, 3.6857002649881565e-07),
+    "eq3": (md.eq3(), 12.0, 1.0009469909937838, False, 2.742630385965672e-06),
+    "distributed": (
+        cr.LinearDelayEquation(
+            distributed_terms=[cr.DistributedTerm(1, tf.constant(0.8), tf.ConstantLag(0.015))]
+        ),
+        5.0, 0.9840177841385668, True, 0.002003523270015628,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_PINS))
+def test_lemma_report_is_pinned(name):
+    eq, t1, max_value, positive, defect = LEMMA_PINS[name]
+    rep = sv.verify_lemma3(eq, 0.0, t1, step=0.01)
+    assert (rep.max_value, rep.positive_throughout, rep.identity_defect) == (
+        max_value, positive, defect
+    )
+
+
 # ---------------------------------------------------------------------------
 # Divergence handling
 # ---------------------------------------------------------------------------

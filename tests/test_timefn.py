@@ -291,7 +291,7 @@ def test_persistent_mean():
 def test_vanishing_fraction():
     assert tf.vanishing_fraction(tf.sinsq(1.0, 1.0)) < 0.02
     assert tf.vanishing_fraction(tf.constant(0.0)) == 1.0
-    c = tf.piecewise_constant([0.0, 6.0], [1.0, 0.0, 1.0], tf.GeneralClass(12.0))
+    c = tf.piecewise_constant([0.0, 6.0, 12.0], [1.0, 0.0, 1.0, 1.0])
     assert 0.3 < tf.vanishing_fraction(c) < 0.7
 
 
