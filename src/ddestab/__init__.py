@@ -12,108 +12,23 @@ The package splits into five layers plus a command line front end:
 - ``diagnostics``: trajectory classification, decay-rate fitting, and
   threshold search.
 - ``cli``: the ``ddestab`` command (check / simulate / sweep / reproduce).
+
+The package itself exports the names of the README's quick start; every
+other name is imported from its own module.
 """
 
-from .timefn import (
-    ConfigurationError,
-    ConstantLag,
-    GeneralDelay,
-    IdentityDelay,
-    constant,
-    piecewise_constant,
-    sinsq,
-    sup_window_integral,
-)
-from .criteria import (
-    ASYMPTOTIC,
-    INCONCLUSIVE,
-    MARGINAL,
-    UNIFORM_EXPONENTIAL,
-    Certificate,
-    DistributedTerm,
-    LinearDelayEquation,
-    Term,
-    UniformKernel,
-    best_verdict,
-    evaluate_all,
-)
-from .models import (
-    BUILTINS,
-    MackeyGlassProduction,
-    MackeyGlassRemoval,
-    equilibrium,
-    linearize,
-    make_builtin,
-)
-from .solver import (
-    ConstantHistory,
-    DivergenceError,
-    FunctionHistory,
-    Trajectory,
-    fundamental_solution,
-    integrate,
-    verify_lemma3,
-)
-from .diagnostics import (
-    DECAYING,
-    GROWING,
-    SUSTAINED,
-    BehaviorReport,
-    BracketError,
-    certificate_predicate,
-    classify,
-    find_threshold,
-    fit_decay,
-)
-from .cli import ConfigError, main, parse_config, serialize_config
+from .criteria import evaluate_all
+from .diagnostics import classify
+from .models import make_builtin
+from .solver import ConstantHistory, integrate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ConfigurationError",
-    "ConstantLag",
-    "GeneralDelay",
-    "IdentityDelay",
-    "constant",
-    "piecewise_constant",
-    "sinsq",
-    "sup_window_integral",
-    "ASYMPTOTIC",
-    "INCONCLUSIVE",
-    "MARGINAL",
-    "UNIFORM_EXPONENTIAL",
-    "Certificate",
-    "DistributedTerm",
-    "LinearDelayEquation",
-    "Term",
-    "UniformKernel",
-    "best_verdict",
-    "evaluate_all",
-    "BUILTINS",
-    "MackeyGlassProduction",
-    "MackeyGlassRemoval",
-    "equilibrium",
-    "linearize",
-    "make_builtin",
     "ConstantHistory",
-    "DivergenceError",
-    "FunctionHistory",
-    "Trajectory",
-    "fundamental_solution",
-    "integrate",
-    "verify_lemma3",
-    "DECAYING",
-    "GROWING",
-    "SUSTAINED",
-    "BehaviorReport",
-    "BracketError",
-    "certificate_predicate",
     "classify",
-    "find_threshold",
-    "fit_decay",
-    "ConfigError",
-    "main",
-    "parse_config",
-    "serialize_config",
+    "evaluate_all",
+    "integrate",
+    "make_builtin",
 ]

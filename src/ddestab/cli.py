@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import criteria as cr
 from . import diagnostics as dg
@@ -65,21 +65,15 @@ def _as_dict(obj, path: str) -> dict:
     return obj
 
 
-def _get(obj: dict, key: str, path: str):
-    if key not in obj:
-        _fail(path, "missing required field %r" % key)
-    return obj[key]
+_REQUIRED = object()
 
 
-def _number(obj: dict, key: str, path: str, default=None) -> float:
-    if key not in obj:
-        if default is not None:
-            return default
+def _get(obj: dict, key: str, path: str, default=_REQUIRED):
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
         _fail(path, "missing required field %r" % key)
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail("%s.%s" % (path, key), "expected a number")
-    return float(value)
+    return default
 
 
 def _check_keys(obj: dict, allowed, path: str) -> None:
@@ -88,70 +82,10 @@ def _check_keys(obj: dict, allowed, path: str) -> None:
             _fail("%s.%s" % (path, key), "unexpected field (allowed: %s)" % ", ".join(sorted(allowed)))
 
 
-def coefficient_to_config(c: tf.Coefficient) -> dict:
-    if isinstance(c, tf.ConstantCoefficient):
-        return {"kind": "constant", "v": c.v}
-    if isinstance(c, tf.SinSqCoefficient):
-        return {
-            "kind": "sinsq",
-            "amplitude": c.amplitude,
-            "angular_freq": c.angular_freq,
-            "phase": c.phase,
-        }
-    if isinstance(c, tf.PiecewiseConstantCoefficient):
-        return {
-            "kind": "piecewise",
-            "breakpoints": list(c.breakpoints),
-            "values": list(c.values),
-        }
-    if isinstance(c, tf.ScaledCoefficient):
-        return {"kind": "scaled", "factor": c.factor, "inner": coefficient_to_config(c.inner)}
-    if isinstance(c, tf.SumCoefficient):
-        return {"kind": "sum", "terms": [coefficient_to_config(t) for t in c.terms]}
-    raise ConfigError("coefficient %r is not serializable" % type(c).__name__)
-
-
-def coefficient_from_config(obj, path: str) -> tf.Coefficient:
-    obj = _as_dict(obj, path)
-    kind = obj.get("kind")
-    try:
-        if kind == "constant":
-            _check_keys(obj, ("kind", "v"), path)
-            return tf.constant(_number(obj, "v", path))
-        if kind == "sinsq":
-            _check_keys(obj, ("kind", "amplitude", "angular_freq", "phase"), path)
-            return tf.sinsq(
-                _number(obj, "amplitude", path),
-                _number(obj, "angular_freq", path),
-                _number(obj, "phase", path, default=0.0),
-            )
-        if kind == "piecewise":
-            _check_keys(obj, ("kind", "breakpoints", "values"), path)
-            breakpoints = _get(obj, "breakpoints", path)
-            values = _get(obj, "values", path)
-            if not isinstance(breakpoints, list) or not isinstance(values, list):
-                _fail(path, "breakpoints and values must be arrays")
-            return tf.piecewise_constant(breakpoints, values)
-        if kind == "scaled":
-            _check_keys(obj, ("kind", "factor", "inner"), path)
-            inner = coefficient_from_config(_get(obj, "inner", path), path + ".inner")
-            return tf.scaled(_number(obj, "factor", path), inner)
-        if kind == "sum":
-            _check_keys(obj, ("kind", "terms"), path)
-            terms = _get(obj, "terms", path)
-            if not isinstance(terms, list) or not terms:
-                _fail(path + ".terms", "expected a non-empty array")
-            return tf.coeff_sum(
-                [coefficient_from_config(t, "%s.terms[%d]" % (path, i)) for i, t in enumerate(terms)]
-            )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
-    _fail(
-        "%s.kind" % path,
-        "unknown coefficient kind %r (expected constant, sinsq, piecewise, scaled, or sum)" % kind,
-    )
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, "expected a number")
+    return float(value)
 
 
 def delay_to_config(d) -> dict:
@@ -166,8 +100,9 @@ def delay_from_config(obj, path: str):
     obj = _as_dict(obj, path)
     if "lag" in obj:
         _check_keys(obj, ("lag",), path)
+        lag = _number(obj["lag"], path + ".lag")
         try:
-            return tf.ConstantLag(_number(obj, "lag", path))
+            return tf.ConstantLag(lag)
         except ValueError as exc:
             _fail(path, str(exc))
     if obj.get("identity") is True:
@@ -176,129 +111,165 @@ def delay_from_config(obj, path: str):
     _fail(path, 'expected {"lag": number} or {"identity": true}')
 
 
-def _term_to_config(term: cr.Term) -> dict:
-    return {"coeff": coefficient_to_config(term.coeff), "delay": delay_to_config(term.delay)}
+class _Leaf(NamedTuple):
+    """A field rule for a value that holds no declared shape."""
+
+    dump: Callable  # attribute value -> configuration value
+    load: Callable  # (configuration value, field path) -> constructor argument
 
 
-def _term_from_config(obj, path: str) -> cr.Term:
-    obj = _as_dict(obj, path)
-    _check_keys(obj, ("coeff", "delay"), path)
-    return cr.Term(
-        coefficient_from_config(_get(obj, "coeff", path), path + ".coeff"),
-        delay_from_config(_get(obj, "delay", path), path + ".delay"),
-    )
+class _Field(NamedTuple):
+    key: str
+    rule: object  # a _Leaf, a _Shape, a _Family, or a one-element list of one (an array)
+    default: object = _REQUIRED  # a configuration value, loaded like a given one
+    attr: Optional[str] = None  # attribute of the built object; the key when None
 
 
-def _distributed_to_config(term: cr.DistributedTerm) -> dict:
-    return {
-        "sign": term.sign,
-        "weight": coefficient_to_config(term.total_weight),
-        "window_start": delay_to_config(term.window_start),
-        "width": term.kernel.width,
-    }
+class _Shape(NamedTuple):
+    """A serializable type; ``build`` (``cls`` when None) takes the loaded fields in order."""
+
+    cls: type
+    fields: tuple
+    build: Optional[Callable] = None
 
 
-def _distributed_from_config(obj, path: str) -> cr.DistributedTerm:
-    obj = _as_dict(obj, path)
-    _check_keys(obj, ("sign", "weight", "window_start", "width"), path)
-    sign = _get(obj, "sign", path)
-    if sign not in (1, -1):
-        _fail(path + ".sign", "expected 1 or -1")
-    width = obj.get("width")
-    if width is not None and (isinstance(width, bool) or not isinstance(width, (int, float))):
-        _fail(path + ".width", "expected a number or null")
+class _Family(NamedTuple):
+    """Shapes told apart by the value of one key, such as a coefficient's ``kind``."""
+
+    noun: str
+    tag: str
+    shapes: dict  # tag value -> _Shape, in the order error messages list them
+
+
+def _dump(rule, value):
+    if isinstance(rule, list):
+        return [_dump(rule[0], item) for item in value]
+    if isinstance(rule, _Leaf):
+        return rule.dump(value)
+    if isinstance(rule, _Family):
+        for name, shape in rule.shapes.items():
+            if isinstance(value, shape.cls):
+                return {rule.tag: name, **_dump(shape, value)}
+        raise ConfigError("%s %r is not serializable" % (rule.noun, type(value).__name__))
+    return {f.key: _dump(f.rule, getattr(value, f.attr or f.key)) for f in rule.fields}
+
+
+def _load(rule, value, path: str, tag=()):
+    """What ``value`` describes under ``rule``; ``tag`` is a family key allowed beside the fields."""
+    if isinstance(rule, list):
+        if not isinstance(value, list):
+            _fail(path, "expected an array")
+        return [_load(rule[0], item, "%s[%d]" % (path, i)) for i, item in enumerate(value)]
+    if isinstance(rule, _Leaf):
+        return rule.load(value, path)
+    obj = _as_dict(value, path)
+    if isinstance(rule, _Family):
+        name = obj.get(rule.tag)
+        if not (isinstance(name, str) and name in rule.shapes):
+            *others, last = rule.shapes
+            _fail(
+                "%s.%s" % (path, rule.tag),
+                "unknown %s %s %r (expected %s, or %s)"
+                % (rule.noun, rule.tag, name, ", ".join(others), last),
+            )
+        return _load(rule.shapes[name], obj, path, (rule.tag,))
+    _check_keys(obj, tag + tuple(f.key for f in rule.fields), path)
     try:
-        return cr.DistributedTerm(
-            sign=sign,
-            total_weight=coefficient_from_config(_get(obj, "weight", path), path + ".weight"),
-            window_start=delay_from_config(_get(obj, "window_start", path), path + ".window_start"),
-            kernel=cr.UniformKernel(None if width is None else float(width)),
-        )
+        args = [_load(f.rule, _get(obj, f.key, path, f.default), path + "." + f.key) for f in rule.fields]
+        return (rule.build or rule.cls)(*args)
     except ConfigError:
         raise
     except ValueError as exc:
         _fail(path, str(exc))
+
+
+def _sign(value, path: str) -> int:
+    if isinstance(value, bool) or value not in (1, -1):
+        _fail(path, "expected 1 or -1")
+    return value
+
+
+def _kernel(width, path: str) -> cr.UniformKernel:
+    return cr.UniformKernel(None if width is None else _number(width, path))
+
+
+_NUMBER = _Leaf(lambda value: value, _number)
+_DELAY = _Leaf(delay_to_config, delay_from_config)
+# Filled in below, because coefficients nest coefficients.
+_COEFFICIENTS = _Family("coefficient", "kind", {})
+_COEFFICIENTS.shapes.update(
+    constant=_Shape(tf.ConstantCoefficient, (_Field("v", _NUMBER),), tf.constant),
+    sinsq=_Shape(
+        tf.SinSqCoefficient,
+        (_Field("amplitude", _NUMBER), _Field("angular_freq", _NUMBER), _Field("phase", _NUMBER, 0.0)),
+        tf.sinsq,
+    ),
+    piecewise=_Shape(
+        tf.PiecewiseConstantCoefficient,
+        (_Field("breakpoints", [_NUMBER]), _Field("values", [_NUMBER])),
+        tf.piecewise_constant,
+    ),
+    scaled=_Shape(
+        tf.ScaledCoefficient, (_Field("factor", _NUMBER), _Field("inner", _COEFFICIENTS)), tf.scaled
+    ),
+    sum=_Shape(tf.SumCoefficient, (_Field("terms", [_COEFFICIENTS]),), tf.coeff_sum),
+)
+_TERM = _Shape(cr.Term, (_Field("coeff", _COEFFICIENTS), _Field("delay", _DELAY)))
+_DISTRIBUTED_TERM = _Shape(
+    cr.DistributedTerm,
+    (
+        _Field("sign", _Leaf(_NUMBER.dump, _sign)),
+        _Field("weight", _COEFFICIENTS, attr="total_weight"),
+        _Field("window_start", _DELAY),
+        _Field("width", _Leaf(lambda kernel: kernel.width, _kernel), None, attr="kernel"),
+    ),
+)
+_TARGETS = _Family(
+    "target",
+    "type",
+    {
+        "linear": _Shape(
+            cr.LinearDelayEquation,
+            (
+                _Field("positive", [_TERM], [], attr="positive_terms"),
+                _Field("negative", [_TERM], [], attr="negative_terms"),
+                _Field("distributed", [_DISTRIBUTED_TERM], [], attr="distributed_terms"),
+                _Field("t0", _NUMBER, 0.0),
+            ),
+        ),
+        "mg_removal": _Shape(
+            md.MackeyGlassRemoval,
+            (
+                _Field("r", _COEFFICIENTS),
+                _Field("beta", _NUMBER),
+                _Field("gamma", _NUMBER),
+                _Field("n", _NUMBER),
+                _Field("g", _DELAY),
+                _Field("h", _DELAY),
+            ),
+        ),
+        "mg_production": _Shape(
+            md.MackeyGlassProduction,
+            (
+                _Field("s", _COEFFICIENTS),
+                _Field("beta", _NUMBER),
+                _Field("n", _NUMBER),
+                _Field("p", _DELAY),
+                _Field("q", _DELAY),
+            ),
+        ),
+    },
+)
 
 
 def target_to_config(target) -> dict:
     """Serialize an equation or model to its configuration descriptor."""
-    if isinstance(target, cr.LinearDelayEquation):
-        return {
-            "type": "linear",
-            "t0": target.t0,
-            "positive": [_term_to_config(t) for t in target.positive_terms],
-            "negative": [_term_to_config(t) for t in target.negative_terms],
-            "distributed": [_distributed_to_config(t) for t in target.distributed_terms],
-        }
-    if isinstance(target, md.MackeyGlassRemoval):
-        return {
-            "type": "mg_removal",
-            "r": coefficient_to_config(target.r),
-            "beta": target.beta,
-            "gamma": target.gamma,
-            "n": target.n,
-            "g": delay_to_config(target.g),
-            "h": delay_to_config(target.h),
-        }
-    if isinstance(target, md.MackeyGlassProduction):
-        return {
-            "type": "mg_production",
-            "s": coefficient_to_config(target.s),
-            "beta": target.beta,
-            "n": target.n,
-            "p": delay_to_config(target.p),
-            "q": delay_to_config(target.q),
-        }
-    raise ConfigError("target %r is not serializable" % type(target).__name__)
-
-
-def _terms_from_config(obj: dict, key: str, path: str, loader):
-    items = obj.get(key, [])
-    if not isinstance(items, list):
-        _fail("%s.%s" % (path, key), "expected an array")
-    return [loader(item, "%s.%s[%d]" % (path, key, i)) for i, item in enumerate(items)]
+    return _dump(_TARGETS, target)
 
 
 def target_from_config(obj, path: str = "target"):
     """Build an equation or model from its configuration descriptor."""
-    obj = _as_dict(obj, path)
-    kind = obj.get("type")
-    try:
-        if kind == "linear":
-            _check_keys(obj, ("type", "t0", "positive", "negative", "distributed"), path)
-            return cr.LinearDelayEquation(
-                positive_terms=_terms_from_config(obj, "positive", path, _term_from_config),
-                negative_terms=_terms_from_config(obj, "negative", path, _term_from_config),
-                distributed_terms=_terms_from_config(obj, "distributed", path, _distributed_from_config),
-                t0=_number(obj, "t0", path, default=0.0),
-            )
-        if kind == "mg_removal":
-            _check_keys(obj, ("type", "r", "beta", "gamma", "n", "g", "h"), path)
-            return md.MackeyGlassRemoval(
-                r=coefficient_from_config(_get(obj, "r", path), path + ".r"),
-                beta=_number(obj, "beta", path),
-                gamma=_number(obj, "gamma", path),
-                n=_number(obj, "n", path),
-                g=delay_from_config(_get(obj, "g", path), path + ".g"),
-                h=delay_from_config(_get(obj, "h", path), path + ".h"),
-            )
-        if kind == "mg_production":
-            _check_keys(obj, ("type", "s", "beta", "n", "p", "q"), path)
-            return md.MackeyGlassProduction(
-                s=coefficient_from_config(_get(obj, "s", path), path + ".s"),
-                beta=_number(obj, "beta", path),
-                n=_number(obj, "n", path),
-                p=delay_from_config(_get(obj, "p", path), path + ".p"),
-                q=delay_from_config(_get(obj, "q", path), path + ".q"),
-            )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
-    _fail(
-        "%s.type" % path,
-        "unknown target type %r (expected linear, mg_removal, or mg_production)" % kind,
-    )
+    return _load(_TARGETS, obj, path)
 
 
 _OPTION_KEYS = ("step", "horizon", "T")
@@ -324,12 +295,10 @@ def parse_config(text: str) -> ParsedConfig:
     if schema != SCHEMA_VERSION:
         _fail("schema", "unsupported schema version %r (expected %d)" % (schema, SCHEMA_VERSION))
     target = target_from_config(_get(doc, "target", ""), "target")
-    options = doc.get("options", {})
-    options = _as_dict(options, "options")
+    options = _as_dict(doc.get("options", {}), "options")
     _check_keys(options, _OPTION_KEYS, "options")
     for key, value in options.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail("options.%s" % key, "expected a number")
+        _number(value, "options.%s" % key)
     return ParsedConfig(target, dict(options))
 
 
@@ -479,16 +448,11 @@ def _builtin_builder(name: str, param: str, overrides: dict):
             % ", ".join(sorted(md.BUILTINS))
         )
     declared = md.BUILTINS[name].params
-    if param not in declared:
-        raise ConfigError(
-            "built-in %r has no parameter %r (declared: %s)"
-            % (name, param, ", ".join(sorted(declared)) or "none")
-        )
-    for key in overrides:
+    for key in (param, *overrides):
         if key not in declared:
             raise ConfigError(
                 "built-in %r has no parameter %r (declared: %s)"
-                % (name, key, ", ".join(sorted(declared)))
+                % (name, key, ", ".join(sorted(declared)) or "none")
             )
 
     def build(value: float):
@@ -570,6 +534,23 @@ def _row(name, computed, recorded, *, tol=None, provenance="recorded", status=No
     }
 
 
+def _derived_and_recorded(
+    name, computed, exact, *, tol, note, recorded_name, recorded, recorded_tol=None, recorded_note=None
+):
+    """A value against its closed form, then against its recorded reference (info only without a tol)."""
+    return [
+        _row(name, computed, exact, tol=tol, provenance="derived", note=note),
+        _row(
+            recorded_name,
+            computed,
+            recorded,
+            tol=recorded_tol,
+            status=None if recorded_tol else "info",
+            note=recorded_note,
+        ),
+    ]
+
+
 def _repro_example1():
     sup = tf.sup_window_integral(tf.sinsq(1.0, 1.0), tf.ConstantLag(2.0))
     exact_sup = 1.0 + math.sin(2.0) / 2.0
@@ -578,35 +559,25 @@ def _repro_example1():
     )
     exact_thr = (1.0 + _INV_E) / exact_sup - 0.6
     return [
-        _row(
+        *_derived_and_recorded(
             "unit-amplitude oscillating rate: esssup of the window integral over one lag",
             sup,
             exact_sup,
             tol=1e-6,
-            provenance="derived",
             note="closed form 1 + sin(2)/2",
+            recorded_name="same esssup against the recorded upper bound",
+            recorded=1.4547,
+            recorded_tol=5e-4,
         ),
-        _row(
-            "same esssup against the recorded upper bound",
-            sup,
-            1.4547,
-            tol=5e-4,
-            provenance="recorded",
-        ),
-        _row(
+        *_derived_and_recorded(
             "undelayed-size threshold from certificate bisection",
             threshold,
             exact_thr,
             tol=1e-4,
-            provenance="derived",
             note="closed form (1 + 1/e)/(1 + sin(2)/2) - 0.6",
-        ),
-        _row(
-            "same threshold against the recorded value",
-            threshold,
-            0.3403,
-            tol=5e-4,
-            provenance="recorded",
+            recorded_name="same threshold against the recorded value",
+            recorded=0.3403,
+            recorded_tol=5e-4,
         ),
         _row(
             "previously recorded bound for the same family",
@@ -675,23 +646,16 @@ def _repro_example2a():
 
     threshold = dg.find_threshold(ratio_form_certifies, 0.05, 0.95, tol=1e-5)
     exact = 0.5 * (1.0 + _INV_E) / (1.0 + math.sin(2.0) / 2.0)
-    return [
-        _row(
-            "proportional pair (b = a/2): ratio-route threshold in a",
-            threshold,
-            exact,
-            tol=1e-4,
-            provenance="derived",
-            note="closed form (1/2)(1 + 1/e)/(1 + sin(2)/2)",
-        ),
-        _row(
-            "same threshold against the recorded value",
-            threshold,
-            0.47,
-            tol=5e-3,
-            provenance="recorded",
-        ),
-    ]
+    return _derived_and_recorded(
+        "proportional pair (b = a/2): ratio-route threshold in a",
+        threshold,
+        exact,
+        tol=1e-4,
+        note="closed form (1/2)(1 + 1/e)/(1 + sin(2)/2)",
+        recorded_name="same threshold against the recorded value",
+        recorded=0.47,
+        recorded_tol=5e-3,
+    )
 
 
 def _production_threshold(key: str) -> float:
@@ -712,51 +676,35 @@ def _repro_example5():
     exact_gap = 34.0 / 3.0
     exact_pair = 2.0 * ((1.0 + _INV_E) / 0.45 - 1.0)
     return [
-        _row(
+        *_derived_and_recorded(
             "single-condition route: threshold in the saturation exponent n",
             thr_combined,
             exact_combined,
             tol=1e-4,
-            provenance="derived",
             note="closed form (1/e + 0.7)/0.15",
+            recorded_name="same threshold against the recorded value",
+            recorded=7.119,
+            recorded_tol=1e-2,
         ),
-        _row(
-            "same threshold against the recorded value",
-            thr_combined,
-            7.119,
-            tol=1e-2,
-            provenance="recorded",
-        ),
-        _row(
+        *_derived_and_recorded(
             "paired route, part 1: threshold in n",
             thr_gap,
             exact_gap,
             tol=1e-4,
-            provenance="derived",
             note="closed form 2(1/0.15 - 1) = 34/3",
+            recorded_name="same threshold against the recorded value",
+            recorded=11.333,
+            recorded_tol=1e-2,
         ),
-        _row(
-            "same threshold against the recorded value",
-            thr_gap,
-            11.333,
-            tol=1e-2,
-            provenance="recorded",
-        ),
-        _row(
+        *_derived_and_recorded(
             "paired route, part 2 evaluated literally as displayed: threshold in n",
             thr_pair,
             exact_pair,
             tol=1e-4,
-            provenance="derived",
             note="closed form 2((1 + 1/e)/0.45 - 1)",
-        ),
-        _row(
-            "paired route, part 2: recorded threshold",
-            thr_pair,
-            14.2,
-            status="info",
-            provenance="recorded",
-            note=(
+            recorded_name="paired route, part 2: recorded threshold",
+            recorded=14.2,
+            recorded_note=(
                 "discrepancy flagged, neither value asserted: the displayed inequality "
                 "evaluated literally gives ~4.0795, while the recorded 14.2 follows "
                 "different window arithmetic"
@@ -808,21 +756,15 @@ def _repro_fig1():
             rep85.classification,
             dg.SUSTAINED,
         ),
-        _row(
+        *_derived_and_recorded(
             "certificate threshold in r (exact window arithmetic)",
             threshold,
             exact_thr,
             tol=1e-3,
-            provenance="derived",
             note="closed form (1 + 1/e)/(0.2 + 1.2 (0.05 + sin(0.1 pi)/(2 pi)))",
-        ),
-        _row(
-            "certificate threshold in r against the recorded value",
-            threshold,
-            4.27,
-            status="info",
-            provenance="recorded",
-            note=(
+            recorded_name="certificate threshold in r against the recorded value",
+            recorded=4.27,
+            recorded_note=(
                 "the recorded bound rounds the delay-gap integral up to 0.1 r; exact "
                 "window arithmetic gives 0.09918 r and threshold ~4.2878"
             ),
@@ -865,21 +807,15 @@ def _repro_fig1a():
             provenance="measured",
             note="oscillations grow without bound at r=6",
         ),
-        _row(
+        *_derived_and_recorded(
             "certificate threshold in r (exact window arithmetic)",
             threshold,
             exact_thr,
             tol=1e-3,
-            provenance="derived",
             note="closed form (1 + 1/e)/(0.2 + 1.2 (0.25 + 1/(2 pi)))",
-        ),
-        _row(
-            "certificate threshold in r against the recorded value",
-            threshold,
-            2.73576,
-            status="info",
-            provenance="recorded",
-            note=(
+            recorded_name="certificate threshold in r against the recorded value",
+            recorded=2.73576,
+            recorded_note=(
                 "the recorded bound 2 + 2/e uses the mean-rate value r/4 for the "
                 "delay-gap integral; the exact esssup is r(0.25 + 1/(2 pi)), giving "
                 "threshold ~1.9796"

@@ -280,14 +280,9 @@ def make_check(
     )
 
 
-def _json_num(x: float) -> float:
-    if x != x:
-        return 0.0
-    if x == math.inf:
-        return 1e308
-    if x == -math.inf:
-        return -1e308
-    return x
+def _json_num(x: float) -> Optional[float]:
+    """The value, or None (JSON null) when it is not finite."""
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ evaluated.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -367,7 +368,7 @@ def coeff_sum(terms: Sequence[Coefficient]) -> Coefficient:
     terms = tuple(terms)
     if len(terms) == 1:
         return terms[0]
-    if all(isinstance(c, ConstantCoefficient) for c in terms):
+    if terms and all(isinstance(c, ConstantCoefficient) for c in terms):
         return ConstantCoefficient(sum(c.v for c in terms))
     return SumCoefficient(terms)
 
@@ -641,7 +642,23 @@ def _maximize(fn, t0: float, structure, span_pad: float) -> SupInfo:
     return SupInfo(best_v, best_x, limited)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memoized(search):
+    """Memoize a search so that every way of passing the same arguments shares one entry."""
+    signature = inspect.signature(search)
+    cached = functools.lru_cache(maxsize=_MEMO_SIZE)(search)
+
+    @functools.wraps(search)
+    def memoized(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args, **bound.kwargs)
+
+    memoized.cache_info = cached.cache_info
+    memoized.cache_clear = cached.cache_clear
+    return memoized
+
+
+@_memoized
 def sup_window_integral_info(
     c: Coefficient,
     lower: Delay,
@@ -666,7 +683,7 @@ def sup_window_integral(
     return sup_window_integral_info(c, lower, t0, horizon=horizon).value
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@_memoized
 def sup_between_delays_info(
     c: Coefficient,
     d1: Delay,
@@ -694,7 +711,7 @@ def sup_between_delays(
     return sup_between_delays_info(c, d1, d2, t0, horizon=horizon).value
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@_memoized
 def liminf_forward_integral_info(
     c: Coefficient,
     length: float,
@@ -727,7 +744,7 @@ def liminf_forward_integral(
     return liminf_forward_integral_info(c, length, t0, horizon=horizon).value
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@_memoized
 def ratio_extrema(
     num: Coefficient,
     den: Coefficient,

@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+import ddestab
 from ddestab import cli
 from ddestab import criteria as cr
 from ddestab import diagnostics as dg
@@ -62,6 +63,41 @@ def test_config_round_trip_models():
         assert type(parsed.target) is type(target)
 
 
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        tf.scaled(0.4, tf.piecewise_constant([1.0, 2.0], [0.3, 0.4, 0.3])),
+        tf.coeff_sum([tf.sinsq(0.6, 1.0), tf.piecewise_constant([1.0], [0.2, 0.1])]),
+    ],
+)
+def test_config_round_trip_scaled_and_sum(coeff):
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(coeff, tf.ConstantLag(1.0))])
+    text = cli.serialize_config(eq)
+    assert json.loads(text)["target"]["positive"][0]["coeff"]["kind"] in ("scaled", "sum")
+    parsed = cli.parse_config(text)
+    assert parsed.target == eq
+    assert cli.serialize_config(parsed.target) == text
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("breakpoints", [None], "target.positive[0].coeff.breakpoints[0]: expected a number"),
+        ("breakpoints", ["1"], "target.positive[0].coeff.breakpoints[0]: expected a number"),
+        ("breakpoints", [True], "target.positive[0].coeff.breakpoints[0]: expected a number"),
+        ("values", 0.5, "target.positive[0].coeff.values: expected an array"),
+    ],
+    ids=["null", "string", "boolean", "not-an-array"],
+)
+def test_config_rejects_non_numeric_piecewise_entries(tmp_path, capsys, field, value, message):
+    coeff = {"kind": "piecewise", "breakpoints": [1.0], "values": [0.2, 0.1], field: value}
+    config = tmp_path / "piecewise.json"
+    config.write_text(json.dumps({"schema": 1, "target": {
+        "type": "linear", "positive": [{"coeff": coeff, "delay": {"lag": 1.0}}]}}))
+    assert cli.main(["check", "--target", str(config), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_schema_errors_carry_field_paths():
     cases = [
         ("not json at all", "<document>"),
@@ -79,6 +115,11 @@ def test_config_schema_errors_carry_field_paths():
             "target.h",
         ),
         ('{"schema": 1, "target": {"type": "linear", "bogus": 3}}', "target.bogus"),
+        (
+            '{"schema": 1, "target": {"type": "linear", "distributed": [{"sign": true, '
+            '"weight": {"kind": "constant", "v": 0.1}, "window_start": {"lag": 1.0}}]}}',
+            "target.distributed[0].sign: expected 1 or -1",
+        ),
     ]
     for text, fragment in cases:
         with pytest.raises(cli.ConfigError) as err:
@@ -201,6 +242,29 @@ def test_check_unknown_builtin_exit_code(tmp_path, capsys):
     assert cli.main(["check", "--target", "nosuch", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "unknown built-in" in err and "eq26" in err
+
+
+def test_check_writes_non_finite_values_as_null(tmp_path):
+    # Before t = 5 both sides weigh 1, so a - b vanishes there: Q = sup b/(a - b)
+    # is infinite, and N* = 2QV with V = 0 is NaN.
+    eq = cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(1.0), tf.ConstantLag(0.5))],
+        negative_terms=[cr.Term(tf.piecewise_constant([5.0], [1.0, 0.5]), tf.ConstantLag(0.5))],
+    )
+    config = tmp_path / "eq.json"
+    config.write_text(cli.serialize_config(eq))
+    assert cli.main(["check", "--target", str(config), "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "certificates.json").read_text()
+    assert "1e+308" not in text
+    doc = json.loads(text)
+    assert doc["verdict"] == "Inconclusive"
+    diff = {c["name"]: c for c in doc["certificates"]}["diff-form"]
+    assert diff["verdict"] == "Inconclusive"
+    values = {q["symbol"]: q["value"] for q in diff["quantities"]}
+    assert values["Q"] is None and values["N_star"] is None
+    (product,) = [c for c in diff["checks"] if c["description"].startswith("product of the side ratio")]
+    assert product["lhs"] is None and product["margin"] is None
+    assert product["satisfied"] is False
 
 
 def test_check_horizon_reaches_the_certificates(tmp_path):
@@ -434,6 +498,16 @@ def test_readme_documents_every_flag_and_option():
     assert "--history" in flags and "--x0" in flags
     assert sorted(f for f in flags if f not in readme) == []
     assert [k for k in cli._OPTION_KEYS if "`%s`" % k not in readme] == []
+
+
+def test_package_exports_the_readme_quick_start_names():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    imported = block.split("from ddestab import (", 1)[1].split(")", 1)[0]
+    names = {name.strip() for name in imported.split(",") if name.strip()}
+    assert sorted(ddestab.__all__) == sorted(names | {"__version__"})
+    assert all(hasattr(ddestab, name) for name in ddestab.__all__)
 
 
 def test_readme_python_quick_start_prints_its_comments(capsys):

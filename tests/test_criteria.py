@@ -96,6 +96,38 @@ def test_e2_diff_form_inconclusive():
     assert not main.satisfied
 
 
+def test_ratio_form_ratio_weighted_bound():
+    # x' + 0.5 x(t-1) - 0.2 sin^2(t) x(t) = 0: the ratio b/a ranges over
+    # [0, 0.4], so the window integral 0.5 meets (1 - 0.4)/(1 - 0)(1 - 0.5) + 1/e.
+    eq = cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(0.5), tf.ConstantLag(1.0))],
+        negative_terms=[cr.Term(tf.sinsq(0.2, 1.0), tf.IdentityDelay())],
+    )
+    cert = cr.check_ratio_form(eq)
+    assert cert.verdict == cr.UNIFORM_EXPONENTIAL
+    q = {q.symbol: q.value for q in cert.quantities}
+    assert q["S_a"] == pytest.approx(0.5, abs=1e-12)
+    assert q["V_a"] == pytest.approx(0.5, abs=1e-12)
+    assert q["R_sup"] == pytest.approx(0.4, abs=1e-12)
+    assert q["bound"] == pytest.approx(0.3 + INV_E, abs=1e-12)
+    assert find_check(cert, 0.5, 0.3 + INV_E).satisfied
+
+
+def test_diff_form_multi_term_gap_spans_all_delays():
+    # 0.2 at lags 1 and 2 against 0.1 at lag 0.5: the difference 0.3 is
+    # integrated over the full spread [t-2, t-0.5] for V and [t-2, t] for S.
+    eq = cr.LinearDelayEquation(
+        positive_terms=[
+            cr.Term(tf.constant(0.2), tf.ConstantLag(1.0)),
+            cr.Term(tf.constant(0.2), tf.ConstantLag(2.0)),
+        ],
+        negative_terms=[cr.Term(tf.constant(0.1), tf.ConstantLag(0.5))],
+    )
+    q = {q.symbol: q.value for q in cr.check_diff_form(eq).quantities}
+    assert q["V"] == pytest.approx(0.45, abs=1e-12)
+    assert q["S"] == pytest.approx(0.6, abs=1e-12)
+
+
 def test_evaluate_all_orders_by_strength():
     certs = cr.evaluate_all(eq_e2())
     assert certs[0].verdict == cr.UNIFORM_EXPONENTIAL

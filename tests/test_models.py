@@ -218,6 +218,16 @@ def test_production_benchmark_single_route():
     )
 
 
+def test_production_upgrade_unavailable_over_a_finite_horizon():
+    # A finite scan horizon leaves the persistence upgrade unproven, so the
+    # single-condition route certifies asymptotic stability only.
+    cert = md.check_les_production(md.ex5(4.0), horizon=10.0)
+    assert cert.verdict == cr.ASYMPTOTIC
+    combined = [c for c in cert.checks if "single-condition route" in c.description]
+    assert combined[0].lhs == pytest.approx(2.0 * 0.3 - INV_E + 0.3, abs=1e-9)
+    assert any("upgrade unavailable" in n for n in cert.notes)
+
+
 def test_production_benchmark_fails_when_steep():
     cert = md.check_les_production(md.ex5(12.0))
     assert cert.verdict == cr.INCONCLUSIVE

@@ -375,8 +375,6 @@ def test_property_sup_monotone_in_lag(lag1, lag2):
 
 
 def test_repeated_search_is_a_memo_hit():
-    # Called as the criteria and the plain form call it: t0 by position,
-    # horizon by keyword (the memo keys on the arguments as passed).
     c, lag = tf.sinsq(0.7, 1.3, 0.2), tf.ConstantLag(1.7)
     first = tf.sup_window_integral_info(c, lag, 0.0, horizon=None)
     hits = tf.sup_window_integral_info.cache_info().hits
@@ -387,6 +385,14 @@ def test_repeated_search_is_a_memo_hit():
     assert again == first == tf.sup_window_integral_info.__wrapped__(c, lag)
     assert tf.sup_window_integral(c, lag) == first.value
     assert tf.sup_window_integral_info.cache_info().hits == hits + 2
+
+    # The plain form, then the _info form left to its defaults: one search.
+    tf.sup_window_integral_info.cache_clear()
+    d = tf.sinsq(0.4, 2.0)
+    plain = tf.sup_window_integral(d, lag)
+    assert tf.sup_window_integral_info(d, lag).value == plain
+    info = tf.sup_window_integral_info.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_memo_never_shares_general_delays_of_equal_code():
