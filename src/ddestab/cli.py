@@ -85,7 +85,10 @@ def _check_keys(obj: dict, allowed, path: str) -> None:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, "number too large for a float")
 
 
 def delay_to_config(d) -> dict:

@@ -24,18 +24,11 @@ check is satisfied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import timefn as tf
-from .timefn import (
-    Coefficient,
-    ConstantClass,
-    Delay,
-    GeneralClass,
-    IdentityDelay,
-    PeriodicClass,
-)
+from .timefn import Coefficient, Delay, IdentityDelay, PeriodicClass
 
 __all__ = [
     "UNIFORM_EXPONENTIAL",
@@ -150,17 +143,20 @@ class LinearDelayEquation:
 
     def _validate_domination(self) -> None:
         # The framework requires the positive side to dominate pointwise:
-        # sum a_k(t) >= sum b_j(t) for (almost) all t, checked on samples.
+        # sum a_k(t) >= sum b_j(t) for (almost) all t >= t0, checked on
+        # every segment of step functions and on samples otherwise.
         pos = self._pos_coeffs()
         neg = self._neg_coeffs()
         if not neg:
             return
-        classes = [c.asymptotic_class for c in pos + neg]
-        span = tf.representative_span(tf.merge_classes(classes))
+        ts = tf.step_cover(*pos, *neg, t0=self.t0)
+        if ts is None:
+            classes = [c.asymptotic_class for c in pos + neg]
+            span = tf.representative_span(tf.merge_classes(classes))
+            ts = [self.t0 + span * k / 512.0 for k in range(513)]
         worst_t, worst = 0.0, math.inf
         scale = 1e-300
-        for k in range(513):
-            t = self.t0 + span * k / 512.0
+        for t in ts:
             p = sum(c.value(t) for c in pos)
             n = sum(c.value(t) for c in neg)
             scale = max(scale, p, n)

@@ -6,7 +6,9 @@ so window integrals are closed-form differences rather than quadratures.
 Each coefficient derives its asymptotic class (constant, periodic, or
 general with an analysis horizon) from its structure; the class
 determines how essential suprema over unbounded time ranges are
-evaluated.
+evaluated. Where the coefficient has more structure, the extremum comes
+from it: closed forms for a sinsq window, and the kinks and segments of a
+step function; everything else is searched on a grid.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "scaled",
     "coeff_sum",
     "difference",
+    "step_cover",
     "proportional_ratio",
     "ConstantLag",
     "IdentityDelay",
@@ -63,6 +66,9 @@ __all__ = [
 _GRID = 1024
 _REFINE_XTOL = 1e-12
 _ZERO_TOL = 1e-12
+# Ulps by which a closed-form extremum is moved outward, so that no check
+# rests on the rounding of the formula.
+_PAD_ULPS = 4
 # Entries kept by the per-process memo of each extremum search. The searches
 # take frozen dataclasses and floats and are deterministic in them, so a hit
 # returns exactly what recomputing would.
@@ -309,9 +315,10 @@ class SumCoefficient(Coefficient):
 class _LinearCombination(Coefficient):
     """Internal signed combination (for differences like a-b).
 
-    Nonnegativity cannot be verified symbolically, so it is validated on a
-    sample grid over the representative span; public constructors never
-    produce negative weights.
+    Nonnegativity is validated on every segment of a step function and
+    otherwise, as it cannot be verified symbolically, on a sample grid over
+    the representative span; public constructors never produce negative
+    weights.
     """
 
     parts: tuple  # of (weight, Coefficient)
@@ -326,8 +333,10 @@ class _LinearCombination(Coefficient):
             default=1.0,
         )
         tol = 1e-9 * max(scale, 1.0)
-        for k in range(257):
-            t = span * k / 256.0
+        ts = step_cover(self)
+        if ts is None:
+            ts = [span * k / 256.0 for k in range(257)]
+        for t in ts:
             if self.value(t) < -tol:
                 raise ValueError("signed combination is negative at t=%g" % t)
 
@@ -399,22 +408,73 @@ def difference(a: Coefficient, b: Coefficient) -> Coefficient:
     return _LinearCombination(((1.0, a), (-1.0, b)))
 
 
+def _step_breakpoints(*coeffs: Coefficient) -> Optional[tuple]:
+    """Sorted union of the coefficients' breakpoints, or None if one is not a step function.
+
+    Step functions are constant and piecewise-constant coefficients and any
+    scaled, summed or signed combination built only from them; between two
+    consecutive breakpoints such a coefficient is constant.
+    """
+    merged = set()
+    for c in coeffs:
+        if isinstance(c, PiecewiseConstantCoefficient):
+            bps = c.breakpoints
+        elif isinstance(c, ScaledCoefficient):
+            bps = _step_breakpoints(c.inner)
+        elif isinstance(c, SumCoefficient):
+            bps = _step_breakpoints(*c.terms)
+        elif isinstance(c, _LinearCombination):
+            bps = _step_breakpoints(*(part for _, part in c.parts))
+        elif isinstance(c, ConstantCoefficient):
+            bps = ()
+        else:
+            return None
+        if bps is None:
+            return None
+        merged.update(bps)
+    return tuple(sorted(merged))
+
+
+def _step_points(breakpoints: Sequence[float], lo: float, hi: float) -> list:
+    """lo, hi, the breakpoints between them and the midpoint of every segment.
+
+    A step function with these breakpoints takes each of its values on
+    [lo, hi] at one of the returned points.
+    """
+    xs = [lo] + [b for b in breakpoints if lo < b < hi] + [hi]
+    mids = [0.5 * (x + y) for x, y in zip(xs, xs[1:])]
+    return sorted(xs + mids)
+
+
+def step_cover(*coeffs: Coefficient, t0: float = -math.inf) -> Optional[list]:
+    """A point in every segment at or after t0 of the step functions, or None."""
+    bps = _step_breakpoints(*coeffs)
+    if bps is None:
+        return None
+    if not bps:
+        return [t0 if math.isfinite(t0) else 0.0]
+    lo = max(bps[0] - 1.0, t0)
+    return _step_points(bps, lo, max(bps[-1], lo) + 1.0)
+
+
 def proportional_ratio(num: Coefficient, den: Coefficient) -> Optional[float]:
     """Constant k with num = k * den everywhere, or None.
 
-    Detected by sampling over the merged representative span; an irrational
-    offset keeps structural zeros of the two functions from hiding at the
-    sample points.
+    Step functions are compared on every segment. Anything else is sampled
+    over the merged representative span; an irrational offset keeps
+    structural zeros of the two functions from hiding at the sample points.
     """
     if isinstance(num, ConstantCoefficient) and isinstance(den, ConstantCoefficient):
         if den.v == 0.0:
             return 0.0 if num.v == 0.0 else None
         return num.v / den.v
-    cls = merge_classes([num.asymptotic_class, den.asymptotic_class])
-    span = representative_span(cls)
-    offset = span * (math.e / 7.0 - math.floor(math.e / 7.0))
-    samples = 513
-    ts = [offset + span * k / (samples - 1) for k in range(samples)]
+    ts = step_cover(num, den)
+    if ts is None:
+        cls = merge_classes([num.asymptotic_class, den.asymptotic_class])
+        span = representative_span(cls)
+        offset = span * (math.e / 7.0 - math.floor(math.e / 7.0))
+        samples = 513
+        ts = [offset + span * k / (samples - 1) for k in range(samples)]
     den_vals = [den.value(t) for t in ts]
     num_vals = [num.value(t) for t in ts]
     den_scale = max((abs(v) for v in den_vals), default=0.0)
@@ -610,7 +670,23 @@ def _golden_max(fn, lo: float, hi: float, xtol: float):
     return best_x, best_v
 
 
-def _maximize(fn, t0: float, structure, span_pad: float) -> SupInfo:
+def _best(xs: Sequence[float], vals: Sequence[float], limited: bool) -> SupInfo:
+    """The largest of vals at its first point; an infinite value wins outright."""
+    if math.inf in vals:
+        i = vals.index(math.inf)
+        return SupInfo(math.inf, xs[i], limited)
+    i = max(range(len(vals)), key=vals.__getitem__)
+    return SupInfo(vals[i], xs[i], limited)
+
+
+def _maximize(fn, t0: float, structure, span_pad: float, points=None) -> SupInfo:
+    """Supremum of fn over the structure's scan range from t0.
+
+    ``points(lo, hi)``, when given, lists points of [lo, hi] that include a
+    maximizer of fn there (the kinks of a piecewise-linear fn); fn is then
+    evaluated only at those. Otherwise a grid locates the local maxima and
+    a golden-section search refines each.
+    """
     kind, param = structure
     if kind == "constant":
         return SupInfo(fn(t0), t0, False)
@@ -620,12 +696,14 @@ def _maximize(fn, t0: float, structure, span_pad: float) -> SupInfo:
     else:
         lo, hi = t0, t0 + param + span_pad
         limited = True
+    if points is not None:
+        xs = points(lo, hi)
+        return _best(xs, [_finite(fn(x)) for x in xs], limited)
     n = _GRID
     xs = [lo + (hi - lo) * k / n for k in range(n + 1)]
     vals = [_finite(fn(x)) for x in xs]
-    if any(v == math.inf for v in vals):
-        i = vals.index(math.inf)
-        return SupInfo(math.inf, xs[i], limited)
+    if math.inf in vals:
+        return _best(xs, vals, limited)
     best_x, best_v = xs[0], vals[0]
     xtol = max(_REFINE_XTOL, (hi - lo) * 1e-15)
     for i in range(n + 1):
@@ -640,6 +718,54 @@ def _maximize(fn, t0: float, structure, span_pad: float) -> SupInfo:
             if v > best_v:
                 best_x, best_v = x, v
     return SupInfo(best_v, best_x, limited)
+
+
+def _kinks(c: Coefficient, shifts: Sequence[float]):
+    """Points for _maximize of a window integral of c whose ends sit at t - shift.
+
+    For a step function c the integral is piecewise linear in t, with kinks
+    where an end crosses a breakpoint. None for any other c.
+    """
+    bps = _step_breakpoints(c)
+    if bps is None:
+        return None
+    kinks = sorted({b + s for b in bps for s in shifts})
+    return lambda lo, hi: [lo] + [x for x in kinks if lo < x < hi] + [hi]
+
+
+def _segments(*coeffs: Coefficient):
+    """Points for _maximize of a pointwise function of step functions, or None."""
+    bps = _step_breakpoints(*coeffs)
+    if bps is None:
+        return None
+    return lambda lo, hi: _step_points(bps, lo, hi)
+
+
+def _sinsq_window(c: Coefficient, structure, length: float, u0: float, upper: bool):
+    """Closed-form extremum over u >= u0 of the integral of c over [u - length, u].
+
+    Applies to a sinsq coefficient A sin^2(w s + phi) searched over one
+    period. The integral is A L/2 - A sin(w L) cos(2 w u + 2 phi - w L)/(2 w),
+    so its supremum (``upper``) is A L/2 + A |sin w L|/(2 w) and its infimum
+    A L/2 - A |sin w L|/(2 w). Returns (value, first extremal u >= u0), the
+    value padded outward by a few ulps; None when c is not such a sinsq.
+    """
+    if not (isinstance(c, SinSqCoefficient) and structure[0] == "periodic"):
+        return None
+    amp, w, period = c.amplitude, c.angular_freq, structure[1]
+    sin_wl = math.sin(w * length)
+    half = amp * length / 2.0
+    swing = amp * abs(sin_wl) / (2.0 * w)
+    pad = _PAD_ULPS * math.ulp(half + swing)
+    value = half + swing + pad if upper else max(half - swing - pad, 0.0)
+    # Extremal where 2 w u + 2 phi - w L is pi or 0 (mod 2 pi), by the sign
+    # of sin(w L); any u is extremal when sin(w L) vanishes.
+    if sin_wl == 0.0:
+        return value, u0
+    theta = math.pi if (sin_wl > 0.0) == upper else 0.0
+    base = (theta - 2.0 * c.phase + w * length) / (2.0 * w)
+    u = base + period * math.ceil((u0 - base) / period)
+    return value, u if u >= u0 else u + period
 
 
 def _memoized(search):
@@ -668,8 +794,15 @@ def sup_window_integral_info(
 ) -> SupInfo:
     """Essential supremum over t >= t0 of the integral of c over [lower(t), t]."""
     structure = _structure([c.asymptotic_class], [lower], horizon)
+    lag = _as_lag(lower)
+    points = None
+    if lag is not None:
+        exact = _sinsq_window(c, structure, lag, t0, True)
+        if exact is not None:
+            return SupInfo(*exact, False)
+        points = _kinks(c, (0.0, lag))
     return _maximize(
-        lambda t: window_integral(c, lower, t), t0, structure, lower.lag_bound
+        lambda t: window_integral(c, lower, t), t0, structure, lower.lag_bound, points
     )
 
 
@@ -694,9 +827,17 @@ def sup_between_delays_info(
 ) -> SupInfo:
     """Essential supremum over t >= t0 of |integral of c over [d1(t), d2(t)]|."""
     structure = _structure([c.asymptotic_class], [d1, d2], horizon)
+    lag1, lag2 = _as_lag(d1), _as_lag(d2)
+    points = None
+    if lag1 is not None and lag2 is not None:
+        near = min(lag1, lag2)
+        exact = _sinsq_window(c, structure, abs(lag1 - lag2), t0 - near, True)
+        if exact is not None:
+            return SupInfo(exact[0], max(exact[1] + near, t0), False)
+        points = _kinks(c, (lag1, lag2))
     pad = max(d1.lag_bound, d2.lag_bound)
     return _maximize(
-        lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad
+        lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad, points
     )
 
 
@@ -728,8 +869,11 @@ def liminf_forward_integral_info(
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError("length must be finite and positive")
     structure = _structure([c.asymptotic_class], [], horizon)
+    exact = _sinsq_window(c, structure, length, t0 + length, False)
+    if exact is not None:
+        return SupInfo(exact[0], max(exact[1] - length, t0), False)
     info = _maximize(
-        lambda t: -c.integral(t, t + length), t0, structure, length
+        lambda t: -c.integral(t, t + length), t0, structure, length, _kinks(c, (0.0, -length))
     )
     return SupInfo(-info.value, info.argmax, info.horizon_limited)
 
@@ -778,8 +922,9 @@ def ratio_extrema(
             return math.inf
         return nv / dv
 
-    hi = _maximize(ratio_at, t0, structure, 0.0)
-    lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0)
+    points = _segments(num, den)
+    hi = _maximize(ratio_at, t0, structure, 0.0, points)
+    lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0, points)
     return hi, SupInfo(-lo.value, lo.argmax, lo.horizon_limited)
 
 
@@ -791,8 +936,9 @@ def coefficient_extrema(
 ):
     """(esssup, essinf) of the coefficient's values for t >= t0."""
     structure = _structure([c.asymptotic_class], [], horizon)
-    hi = _maximize(c.value, t0, structure, 0.0)
-    lo = _maximize(lambda t: -c.value(t), t0, structure, 0.0)
+    points = _segments(c)
+    hi = _maximize(c.value, t0, structure, 0.0, points)
+    lo = _maximize(lambda t: -c.value(t), t0, structure, 0.0, points)
     return hi, SupInfo(-lo.value, lo.argmax, lo.horizon_limited)
 
 

@@ -98,6 +98,14 @@ def test_config_rejects_non_numeric_piecewise_entries(tmp_path, capsys, field, v
     assert message in capsys.readouterr().err
 
 
+def test_config_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
+    config = tmp_path / "huge.json"
+    config.write_text('{"schema": 1, "target": {"type": "linear", "positive": [{"coeff": '
+                      '{"kind": "constant", "v": 0.5}, "delay": {"lag": 1%s}}]}}' % ("0" * 400))
+    assert cli.main(["check", "--target", str(config), "--out", str(tmp_path)]) == 2
+    assert "target.positive[0].delay.lag: number too large for a float" in capsys.readouterr().err
+
+
 def test_config_schema_errors_carry_field_paths():
     cases = [
         ("not json at all", "<document>"),

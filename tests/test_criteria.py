@@ -194,6 +194,26 @@ def test_domination_validation_rejects_negative_excess():
         )
 
 
+def _spiked_feedback(a):
+    # b = 0.5 except for a spike to 1.5 on [500.13, 500.18], far narrower
+    # than the spacing of any fixed sample grid over the 500-long span.
+    b = tf.piecewise_constant([500.13, 500.18], [0.5, 1.5, 0.5])
+    return cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(a), tf.IdentityDelay())],
+        negative_terms=[cr.Term(b, tf.ConstantLag(1.0))],
+    )
+
+
+def test_domination_is_decided_on_every_segment_of_a_step_function():
+    with pytest.raises(ValueError, match="domination"):
+        _spiked_feedback(1.0)
+    # Dominated, the spike still sets the ratio supremum.
+    cert = cr.check_nondelay_dominant(_spiked_feedback(2.0))
+    assert {q.symbol: q.value for q in cert.quantities}["R_sup"] == 0.75
+    assert tf.proportional_ratio(_spiked_feedback(2.0).negative_terms[0].coeff,
+                                 tf.constant(1.0)) is None
+
+
 # ---------------------------------------------------------------------------
 # Non-delay-dominant checker
 # ---------------------------------------------------------------------------

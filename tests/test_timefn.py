@@ -3,7 +3,9 @@
 Oracles used here and nowhere in the package:
 - scipy.integrate.quad (adaptive quadrature) for integrals,
 - dense numpy grids (1e6 points per period) for essential extrema,
-- hand-derived closed forms for the oscillating-coefficient windows.
+- hand-derived closed forms for the oscillating-coefficient windows,
+- dense scans of antiderivative differences, which bound a supremum from
+  below, for the extrema the package takes from structure.
 """
 
 import math
@@ -69,6 +71,9 @@ def test_difference_rejects_negative_combination():
     # Structurally dissimilar difference goes through the sampled validator.
     with pytest.raises(ValueError):
         tf.difference(tf.constant(0.3), tf.sinsq(0.9, 1.0))
+    # A step function is validated on every segment, however narrow.
+    with pytest.raises(ValueError, match="negative at t=100.13"):
+        tf.difference(tf.constant(1.0), tf.piecewise_constant([100.13, 100.15], [0.5, 1.5, 0.5]))
 
 
 def test_difference_simplifies_common_shapes():
@@ -409,3 +414,87 @@ def test_memo_never_shares_general_delays_of_equal_code():
     assert s_near == tf.sup_window_integral_info.__wrapped__(c, near, horizon=20.0)
     assert s_far == tf.sup_window_integral_info.__wrapped__(c, far, horizon=20.0)
     assert s_near.value < s_far.value
+
+
+# ---------------------------------------------------------------------------
+# Extrema from structure: sinsq closed forms and step-function kinks
+# ---------------------------------------------------------------------------
+
+
+def antiderivative_scan(c, fn_of_anti, lo, hi, n=4096):
+    """Values of a window integral, built from c.antiderivative, on n + 1 points."""
+    return [fn_of_anti(c.antiderivative, lo + (hi - lo) * k / n) for k in range(n + 1)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    amp=st.floats(0.05, 5.0),
+    freq=st.floats(0.2, 6.0),
+    phase=st.floats(0.0, math.pi),
+    lag=st.floats(0.01, 6.0),
+    short=st.floats(0.0, 3.0),
+    plateau=st.integers(0, 3),
+)
+def test_property_sinsq_closed_forms_bracket_a_dense_scan(amp, freq, phase, lag, short, plateau):
+    c = tf.sinsq(amp, freq, phase)
+    if plateau:
+        lag = plateau * math.pi / freq  # w L = k pi: the window integral is constant
+    period = math.pi / freq
+    h = (period + lag + short) / 4096
+    # A 4097-point scan of a smooth window integral misses the extremum by at
+    # most half its second derivative, 2 A w |sin w L|, times (h/2)^2.
+    slack = amp * freq * h * h / 4.0 + 1e-9
+    sups = [
+        (tf.sup_window_integral_info(c, tf.ConstantLag(lag)),
+         lambda F, t: F(t) - F(t - lag), lag),
+        (tf.sup_between_delays_info(c, tf.ConstantLag(short + lag), tf.ConstantLag(short)),
+         lambda F, t: abs(F(t - short) - F(t - short - lag)), lag + short),
+    ]
+    for info, fn, pad in sups:
+        scan = max(antiderivative_scan(c, fn, 0.0, period + pad))
+        assert scan <= info.value + 1e-9
+        assert info.value - scan <= slack
+        assert info.argmax >= 0.0
+        assert fn(c.antiderivative, info.argmax) == pytest.approx(info.value, abs=1e-9)
+    inf = tf.liminf_forward_integral_info(c, lag)
+    scan = min(antiderivative_scan(c, lambda F, t: F(t + lag) - F(t), 0.0, period + lag))
+    assert inf.value <= scan + 1e-9
+    assert scan - inf.value <= slack
+    assert inf.value >= 0.0 and inf.argmax >= 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    base=st.floats(0.1, 1.0),
+    height=st.floats(1.5, 5.0),
+    start=st.floats(1.0, 490.0),
+    width_cells=st.floats(0.01, 0.9),
+    lag_cells=st.floats(0.01, 0.9),
+)
+def test_property_step_window_sup_finds_a_spike_narrower_than_a_grid_cell(
+    base, height, start, width_cells, lag_cells
+):
+    # The scan span is the analysis horizon 500 plus the lag; the spike and
+    # the lag are both narrower than 1/1024 of it.
+    cell = 500.0 / 1024
+    width, lag = width_cells * cell, lag_cells * cell
+    c = tf.piecewise_constant([start, start + width, 500.0], [base, height, base, base])
+    info = tf.sup_window_integral_info(c, tf.ConstantLag(lag))
+
+    def window(F, t):
+        return F(t) - F(t - lag)
+
+    scan = antiderivative_scan(c, window, 0.0, 500.0 + lag)
+    scan += antiderivative_scan(c, window, start - 1.0, start + 1.0)
+    assert max(scan) <= info.value + 1e-12
+    assert info.value == pytest.approx(height * min(width, lag) + base * max(lag - width, 0.0),
+                                       rel=1e-9)
+
+
+def test_step_extrema_see_every_segment():
+    c = tf.piecewise_constant([100.0, 100.01, 300.0], [1.0, 4.0, 1.0, 0.5])
+    hi, lo = tf.coefficient_extrema(c)
+    assert (hi.value, lo.value) == (4.0, 0.5)
+    hi, lo = tf.ratio_extrema(c, tf.coeff_sum([tf.constant(1.0), c]))
+    assert (hi.value, lo.value) == (0.8, 0.5 / 1.5)
+    assert tf.liminf_forward_integral(c, 0.001) == pytest.approx(0.0005, rel=1e-9)
