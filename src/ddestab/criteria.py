@@ -144,7 +144,8 @@ class LinearDelayEquation:
     def _validate_domination(self) -> None:
         # The framework requires the positive side to dominate pointwise:
         # sum a_k(t) >= sum b_j(t) for (almost) all t >= t0, checked on
-        # every segment of step functions and on samples otherwise.
+        # every segment of step functions and on samples otherwise, plus a
+        # point in every segment of the step parts of a mixture.
         pos = self._pos_coeffs()
         neg = self._neg_coeffs()
         if not neg:
@@ -154,6 +155,7 @@ class LinearDelayEquation:
             classes = [c.asymptotic_class for c in pos + neg]
             span = tf.representative_span(tf.merge_classes(classes))
             ts = [self.t0 + span * k / 512.0 for k in range(513)]
+            ts += tf.summand_cover(*pos, *neg, t0=self.t0)
         worst_t, worst = 0.0, math.inf
         scale = 1e-300
         for t in ts:

@@ -3,7 +3,8 @@
 Classical fixed-step RK4 between breaking points, with cubic Hermite dense
 output on every step. Delayed reads hit the prescribed history before the
 start time and the dense output afterwards; distributed (window-averaged)
-terms are evaluated by trapezoid quadrature on the same dense output.
+terms integrate the same dense output exactly, one closed-form integral per
+window.
 
 The step size must not exceed the smallest positive lag, so every delayed
 read lands in an already-completed segment. The only exception is the
@@ -19,6 +20,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -113,8 +115,6 @@ class TabulatedHistory:
 
 History = Union[ConstantHistory, FunctionHistory, TabulatedHistory]
 
-_trapezoid = getattr(np, "trapezoid", getattr(np, "trapz", None))
-
 
 def _as_history(phi) -> History:
     if callable(getattr(phi, "value", None)):
@@ -145,6 +145,16 @@ def history_sum(histories: Sequence, weights: Optional[Sequence[float]] = None) 
     return FunctionHistory(lambda t: sum(w * h.value(t) for w, h in zip(ws, hs)))
 
 
+def _history_integral(hist: History, lo: float, hi: float, spacing: float) -> float:
+    """Integral of the history over [lo, hi]: exact for a constant history,
+    otherwise the trapezoid rule at about ``spacing``."""
+    if isinstance(hist, ConstantHistory):
+        return hist.const * (hi - lo)
+    n = max(1, int(math.ceil((hi - lo) / spacing)))
+    vals = [hist.value(u) for u in np.linspace(lo, hi, n + 1)]
+    return (hi - lo) / n * (sum(vals) - 0.5 * (vals[0] + vals[-1]))
+
+
 # ---------------------------------------------------------------------------
 # Trajectory with dense output
 # ---------------------------------------------------------------------------
@@ -172,6 +182,47 @@ def _hermite_deriv(ta, xa, ma, tb, xb, mb, t):
         + (3.0 * s2 - 4.0 * s + 1.0) * ma
         + (3.0 * s2 - 2.0 * s) * mb
     )
+
+
+def _hermite_integral(ta, xa, ma, tb, xb, mb, u, v):
+    """Integral over [u, v] of the Hermite piece on [ta, tb], in closed form."""
+    h = tb - ta
+    p = (u - ta) / h
+    q = (v - ta) / h
+    # Differences of the powers of the two ends, for the basis primitives.
+    d1 = q - p
+    d2 = q * q - p * p
+    d3 = q * q * q - p * p * p
+    d4 = q * q * q * q - p * p * p * p
+    return h * (
+        (0.5 * d4 - d3 + d1) * xa
+        + (0.25 * d4 - 2.0 / 3.0 * d3 + 0.5 * d2) * h * ma
+        + (d3 - 0.5 * d4) * xb
+        + (0.25 * d4 - d3 / 3.0) * h * mb
+    )
+
+
+def _piece_integral(ta, xa, ma, tb, xb, mb):
+    """Integral of the Hermite piece over its whole step (arrays welcome)."""
+    h = tb - ta
+    return h * (xa + xb) / 2.0 + h * h * (ma - mb) / 12.0
+
+
+def _dense_integral(ts, xs, ms, mends, pieces, a, b):
+    """Integral of the dense output over [a, b], ts[0] <= a < b <= ts[-1].
+
+    Steps lying wholly inside are summed from their stored integrals
+    ``pieces``; only the two end steps are integrated in part. The sum runs
+    over the window alone, so a decaying solution keeps its relative
+    accuracy (a global running antiderivative would cancel it away).
+    """
+    i = bisect.bisect_right(ts, a) - 1  # the step holding a
+    j = bisect.bisect_left(ts, b) - 1  # the step holding b
+    if i == j:
+        return _hermite_integral(ts[i], xs[i], ms[i], ts[i + 1], xs[i + 1], mends[i + 1], a, b)
+    head = _hermite_integral(ts[i], xs[i], ms[i], ts[i + 1], xs[i + 1], mends[i + 1], a, ts[i + 1])
+    tail = _hermite_integral(ts[j], xs[j], ms[j], ts[j + 1], xs[j + 1], mends[j + 1], ts[j], b)
+    return head + sum(pieces[i + 1:j]) + tail
 
 
 @dataclass(frozen=True)
@@ -262,6 +313,36 @@ class Trajectory:
             )
         )
 
+    @cached_property
+    def _dense(self) -> tuple:
+        """Nodes, end derivatives and whole-step integrals, as lists."""
+        mends = self.derivatives if self.left_derivatives is None else self.left_derivatives
+        ts, xs, ms = self.times, self.values, self.derivatives
+        pieces = _piece_integral(ts[:-1], xs[:-1], ms[:-1], ts[1:], xs[1:], mends[1:])
+        return ts.tolist(), xs.tolist(), ms.tolist(), mends.tolist(), pieces.tolist()
+
+    def integral(self, lo: float, hi: float) -> float:
+        """Integral of x over [lo, hi], exact on the dense output.
+
+        The part before t0 comes from the history: exact for a constant
+        history, otherwise the trapezoid rule at the largest mesh step.
+        """
+        if not lo <= hi:
+            raise ConfigurationError("need lo <= hi")
+        t0, t1 = self.t0, self.t1
+        if hi > t1 + 1e-9 * max(1.0, abs(t0), abs(t1)):
+            raise DomainError("trajectory integrated to %g beyond end %g" % (hi, t1))
+        total = 0.0
+        if lo < t0:
+            steps = np.diff(self.times)
+            spacing = float(steps.max()) if steps.size else t0 - lo
+            total = _history_integral(self.history, lo, min(hi, t0), spacing)
+            lo = t0
+        hi = min(hi, t1)
+        if hi > lo:
+            total += _dense_integral(*self._dense, lo, hi)
+        return float(total)
+
     def __call__(self, t: float) -> float:
         return self.value(t)
 
@@ -279,19 +360,22 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class _Rhs:
-    """Derivative evaluator ``fn(t, y, read)`` plus the delay structure.
+    """Derivative evaluator ``fn(t, y, read, integral)`` plus the delay structure.
 
-    ``read_lags``/``general_reads`` describe concentrated delayed reads (they
-    constrain the step); ``mesh_lags`` seed the breaking-point mesh;
-    ``window_to_now`` flags distributed windows reaching the current time,
-    whose leading sliver needs the within-step predictor.
+    ``read(tau)`` is x at one delayed time and ``integral(lo, hi)`` the
+    integral of x over a window. ``read_lags``/``general_reads`` describe
+    concentrated delayed reads (they constrain the step); ``mesh_lags`` seed
+    the breaking-point mesh; ``windows`` flags distributed terms, and
+    ``window_to_now`` those whose windows reach the current time, where the
+    leading sliver needs the within-step predictor.
     """
 
     fn: Callable
     read_lags: list
     general_reads: list
     mesh_lags: list
-    window_to_now: bool
+    windows: bool = False
+    window_to_now: bool = False
 
 
 def _window_reaches_now(term: cr.DistributedTerm) -> bool:
@@ -302,8 +386,8 @@ def _window_reaches_now(term: cr.DistributedTerm) -> bool:
     return True  # variable window start: assume the worst
 
 
-def _window_average(term: cr.DistributedTerm, t: float, read, qstep: float) -> float:
-    """Trapezoid average of ``read`` over the term's window at time t."""
+def _window_average(term: cr.DistributedTerm, t: float, read, integral) -> float:
+    """Average of x over the term's window at time t, from its exact integral."""
     lo = term.window_start(t)
     hi = t
     if term.kernel.width is not None:
@@ -311,12 +395,10 @@ def _window_average(term: cr.DistributedTerm, t: float, read, qstep: float) -> f
     length = hi - lo
     if length < 1e-14:
         return read(lo)
-    npts = max(2, int(math.ceil(length / qstep)) + 1)
-    grid = np.linspace(lo, hi, npts)
-    return float(_trapezoid([read(tau) for tau in grid], grid)) / length
+    return integral(lo, hi) / length
 
 
-def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing, step: float):
+def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
     concentrated = []
     for term in eq.positive_terms:
         concentrated.append((term.coeff, term.delay, -1.0))
@@ -324,13 +406,13 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing, step: float):
         concentrated.append((term.coeff, term.delay, +1.0))
     distributed = tuple(eq.distributed_terms)
 
-    def fn(t, y, read):
+    def fn(t, y, read, integral):
         total = 0.0 if forcing is None else float(forcing(t))
         for coeff, delay, sgn in concentrated:
             xv = y if isinstance(delay, IdentityDelay) else read(delay(t))
             total += sgn * coeff.value(t) * xv
         for term in distributed:
-            avg = _window_average(term, t, read, step)
+            avg = _window_average(term, t, read, integral)
             total -= term.sign * term.total_weight.value(t) * avg
         return total
 
@@ -343,11 +425,11 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing, step: float):
             mesh_lags.append(term.window_start.lag)
             if term.kernel.width is not None and term.window_start.lag > term.kernel.width:
                 mesh_lags.append(term.window_start.lag - term.kernel.width)
-    return _Rhs(fn, read_lags, general_reads, mesh_lags, window_to_now)
+    return _Rhs(fn, read_lags, general_reads, mesh_lags, bool(distributed), window_to_now)
 
 
 def _make_removal_rhs(model: md.MackeyGlassRemoval, forcing):
-    def fn(t, y, read):
+    def fn(t, y, read, integral):
         x_g = y if isinstance(model.g, IdentityDelay) else read(model.g(t))
         x_h = y if isinstance(model.h, IdentityDelay) else read(model.h(t))
         total = model.r.value(t) * md.removal_reaction(model, x_g, x_h)
@@ -359,7 +441,7 @@ def _make_removal_rhs(model: md.MackeyGlassRemoval, forcing):
 
 
 def _make_production_rhs(model: md.MackeyGlassProduction, forcing):
-    def fn(t, y, read):
+    def fn(t, y, read, integral):
         x_p = y if isinstance(model.p, IdentityDelay) else read(model.p(t))
         x_q = y if isinstance(model.q, IdentityDelay) else read(model.q(t))
         total = model.s.value(t) * md.production_reaction(model, x_p, x_q, y)
@@ -372,7 +454,7 @@ def _make_production_rhs(model: md.MackeyGlassProduction, forcing):
 
 def _model_rhs(fn, delays):
     read_lags, general_reads = _delay_split(delays)
-    return _Rhs(fn, read_lags, general_reads, list(read_lags), False)
+    return _Rhs(fn, read_lags, general_reads, list(read_lags))
 
 
 def _delay_split(delays):
@@ -385,9 +467,9 @@ def _delay_split(delays):
     return lags, general
 
 
-def _make_rhs(target, forcing, step: float):
+def _make_rhs(target, forcing):
     if isinstance(target, cr.LinearDelayEquation):
-        return _make_linear_rhs(target, forcing, step)
+        return _make_linear_rhs(target, forcing)
     if isinstance(target, md.MackeyGlassRemoval):
         return _make_removal_rhs(target, forcing)
     if isinstance(target, md.MackeyGlassProduction):
@@ -485,7 +567,7 @@ def integrate(
     if not (t1 > t0):
         raise ConfigurationError("need t1 > t0")
 
-    rhs = _make_rhs(target, forcing, step)
+    rhs = _make_rhs(target, forcing)
     hist = _as_history(history)
 
     if not allow_extrapolation:
@@ -513,8 +595,11 @@ def integrate(
     xs: list = [x0]
     ms: list = [0.0]  # right-limit node derivatives
     mls = [0.0] if jump0 else None  # left-limit node derivatives
+    mends = ms if mls is None else mls  # derivatives closing each step
+    pieces: list = []  # whole-step integrals, for distributed windows
     pending = [t0, x0, 0.0]  # anchor time, value, slope for leading-edge reads
     hist_pad = 1e-9 * max(1.0, abs(t0))
+    extrapolate = allow_extrapolation or rhs.window_to_now
 
     def read(tau: float) -> float:
         if tau < t0 - hist_pad:
@@ -528,18 +613,39 @@ def integrate(
                 return xs[-1]
             if i < 0:
                 return xs[0]
-            mend = mls[i + 1] if mls is not None else ms[i + 1]
-            return _hermite(ts[i], xs[i], ms[i], ts[i + 1], xs[i + 1], mend, tau)
-        if allow_extrapolation or rhs.window_to_now:
+            return _hermite(ts[i], xs[i], ms[i], ts[i + 1], xs[i + 1], mends[i + 1], tau)
+        if extrapolate:
             at, ax, am = pending
             return ax + (tau - at) * am
         raise DomainError(
             "delayed read at %g ahead of completed segment end %g" % (tau, last)
         )
 
+    def integral(lo: float, hi: float) -> float:
+        total = 0.0
+        if lo < t0:
+            total = _history_integral(hist, lo, min(hi, t0), step)
+            lo = t0
+        last = ts[-1]
+        if hi > last:
+            if not extrapolate and hi > last + 1e-12 * max(1.0, abs(last)):
+                raise DomainError(
+                    "window reaches %g ahead of completed segment end %g" % (hi, last)
+                )
+            # The predictor, integrated exactly over the sliver past the end.
+            at, ax, am = pending
+            a = max(lo, last)
+            total += (hi - a) * (ax + (0.5 * (a + hi) - at) * am)
+            hi = last
+        if hi > lo:
+            # The last step is always an end step here, read from its nodes,
+            # so only steps sealed below are summed.
+            total += _dense_integral(ts, xs, ms, mends, pieces, lo, hi)
+        return total
+
     def safe_rhs(t, y):
         try:
-            return rhs.fn(t, y, read)
+            return rhs.fn(t, y, read, integral)
         except OverflowError:
             return math.nan
 
@@ -590,6 +696,9 @@ def integrate(
             ms[-1] = m_right
             if mls is not None:
                 mls[-1] = m_left
+            if rhs.windows:
+                # Sealed once its closing derivative is final.
+                pieces.append(_piece_integral(ta, xa, ms[-2], tb, xb, mends[-1]))
         else:
             diverged = True
             div_time = tb
@@ -660,7 +769,7 @@ def verify_lemma3(
     lag = max(eq.max_lag, step)
     spacing = min(10.0 * step, lag / 2.0)
     # The integrand is minus the equation's right-hand side read along X.
-    rhs = _make_rhs(eq, None, min(step, spacing))
+    rhs = _make_rhs(eq, None)
     segments = breaking_points(s, t1, rhs.mesh_lags)
     prefix = [(s, 0.0)]
     acc = 0.0
@@ -677,7 +786,7 @@ def verify_lemma3(
         for k in range(n + 1):
             u = a + seg * k / n
             u = min(max(u, a + nudge), b - nudge)
-            ys.append(-rhs.fn(u, X.value(u), X.value))
+            ys.append(-rhs.fn(u, X.value(u), X.value, X.integral))
         for k in range(2, n + 1, 2):
             acc += hgrid / 3.0 * (ys[k - 2] + 4.0 * ys[k - 1] + ys[k])
             prefix.append((a + seg * k / n, acc))

@@ -40,6 +40,7 @@ __all__ = [
     "coeff_sum",
     "difference",
     "step_cover",
+    "summand_cover",
     "proportional_ratio",
     "ConstantLag",
     "IdentityDelay",
@@ -455,6 +456,27 @@ def step_cover(*coeffs: Coefficient, t0: float = -math.inf) -> Optional[list]:
         return [t0 if math.isfinite(t0) else 0.0]
     lo = max(bps[0] - 1.0, t0)
     return _step_points(bps, lo, max(bps[-1], lo) + 1.0)
+
+
+def summand_cover(*coeffs: Coefficient, t0: float = -math.inf) -> list:
+    """A point in every segment at or after t0 of the step-function summands.
+
+    Summands are found through sums, signed combinations and scalings, so a
+    mixture such as a sinsq plus a narrow pulse gets a point inside the
+    pulse that a sample grid could step over. Empty when there are none.
+    """
+    parts, todo = [], list(coeffs)
+    while todo:
+        c = todo.pop()
+        if _step_breakpoints(c) is not None:
+            parts.append(c)
+        elif isinstance(c, SumCoefficient):
+            todo.extend(c.terms)
+        elif isinstance(c, _LinearCombination):
+            todo.extend(part for _, part in c.parts)
+        elif isinstance(c, ScaledCoefficient):
+            todo.append(c.inner)
+    return step_cover(*parts, t0=t0) if parts else []
 
 
 def proportional_ratio(num: Coefficient, den: Coefficient) -> Optional[float]:

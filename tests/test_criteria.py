@@ -214,6 +214,18 @@ def test_domination_is_decided_on_every_segment_of_a_step_function():
                                  tf.constant(1.0)) is None
 
 
+def test_domination_samples_every_step_segment_of_a_mixture():
+    # sinsq plus a 0.02-wide pulse reaches 1.33 > 1 inside the pulse, which
+    # the 513-sample grid over the sinsq period steps over.
+    pulse = tf.piecewise_constant([250.37, 250.39], [0.0, 1.0, 0.0])
+    feedback = tf.coeff_sum([tf.sinsq(0.5, 1.0), pulse])
+    with pytest.raises(ValueError, match="domination"):
+        cr.LinearDelayEquation(
+            positive_terms=[cr.Term(tf.constant(1.0), tf.IdentityDelay())],
+            negative_terms=[cr.Term(feedback, tf.ConstantLag(1.0))],
+        )
+
+
 # ---------------------------------------------------------------------------
 # Non-delay-dominant checker
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ LEMMA_PINS = {
         cr.LinearDelayEquation(
             distributed_terms=[cr.DistributedTerm(1, tf.constant(0.8), tf.ConstantLag(0.015))]
         ),
-        5.0, 0.9840177841385668, True, 0.002003523270015628,
+        5.0, 0.982014204866997, True, 7.492323517649738e-07,
     ),
 }
 
@@ -335,6 +335,60 @@ def test_full_window_average_decays_and_converges():
     coarse = sv.integrate(eq, 1.0, 6.0, step=0.02)
     worst = max(abs(coarse.value(t) - ref.value(t)) for t in np.linspace(0, 6, 61))
     assert worst < 1e-4
+
+
+# A removal window against a feedback window, both over the last 0.634.
+_WINDOW_PAIR = cr.LinearDelayEquation(distributed_terms=[
+    cr.DistributedTerm(1, tf.constant(1.948), tf.ConstantLag(0.634)),
+    cr.DistributedTerm(-1, tf.constant(0.178), tf.ConstantLag(0.634)),
+])
+
+
+def _window_run(step, t1, history=0.8):
+    return sv.integrate(_WINDOW_PAIR, history, t1, step=step, initial_value=1.2)
+
+
+def test_window_integrals_converge_at_third_order():
+    # Exact window integrals leave only the dense output's own error:
+    # about 8x per halving (trapezoid windows gave 4x).
+    ref = _window_run(0.05 / 16, 21.0)
+    probes = np.linspace(0.0, 21.0, 421)
+    errs = []
+    for step in (0.05, 0.025, 0.0125):
+        tr = _window_run(step, 21.0)
+        errs.append(max(abs(tr.value(t) - ref.value(t)) for t in probes))
+    assert errs[0] / errs[1] >= 6.0 and errs[1] / errs[2] >= 6.0
+
+
+def test_decaying_window_run_has_no_noise_floor():
+    # Windows are summed over their own steps, never as differences of a
+    # running O(1) integral, so a tail far below machine epsilon stays
+    # accurate to the discretisation error.
+    coarse, fine = _window_run(0.05, 40.0), _window_run(0.0125, 40.0)
+    assert 0.0 < abs(fine.final_value) < 1e-30
+    assert coarse.final_value == pytest.approx(fine.final_value, rel=0.01)
+
+
+def test_window_before_start_time_reads_any_history_alike():
+    const = _window_run(0.05, 5.0)
+    for hist in (
+        sv.FunctionHistory(lambda t: 0.8),
+        sv.TabulatedHistory(np.array([-0.634, 0.0]), np.array([0.8, 0.8])),
+    ):
+        tr = _window_run(0.05, 5.0, hist)
+        assert np.max(np.abs(tr.values - const.values)) < 1e-13
+
+
+def test_trajectory_integral_is_exact_on_the_dense_output():
+    tr = sv.integrate(_linear([(1.0, 0.0)]), 1.0, 5.0, step=0.01)
+    exact = math.exp(-0.3) - math.exp(-2.7)
+    assert tr.integral(0.3, 2.7) == pytest.approx(exact, abs=1e-10)
+    # The history part: the constant 1 over [-1, 0].
+    assert tr.integral(-1.0, 2.7) == pytest.approx(1.0 + 1.0 - math.exp(-2.7), abs=1e-10)
+    with pytest.raises(tf.DomainError):
+        tr.integral(1.0, 5.5)
+    with pytest.raises(sv.ConfigurationError):
+        tr.integral(2.7, 0.3)
 
 
 # ---------------------------------------------------------------------------
