@@ -8,7 +8,8 @@ general with an analysis horizon) from its structure; the class
 determines how essential suprema over unbounded time ranges are
 evaluated. Where the coefficient has more structure, the extremum comes
 from it: closed forms for a sinsq window, and the kinks and segments of a
-step function; everything else is searched on a grid.
+step function; everything else is searched on a grid, to which the step
+summands of a mixture add their kinks and segments.
 """
 
 from __future__ import annotations
@@ -458,12 +459,11 @@ def step_cover(*coeffs: Coefficient, t0: float = -math.inf) -> Optional[list]:
     return _step_points(bps, lo, max(bps[-1], lo) + 1.0)
 
 
-def summand_cover(*coeffs: Coefficient, t0: float = -math.inf) -> list:
-    """A point in every segment at or after t0 of the step-function summands.
+def _step_summands(*coeffs: Coefficient) -> list:
+    """The step functions among the summands of the coefficients.
 
-    Summands are found through sums, signed combinations and scalings, so a
-    mixture such as a sinsq plus a narrow pulse gets a point inside the
-    pulse that a sample grid could step over. Empty when there are none.
+    Summands are found through sums, signed combinations and scalings; a
+    step function is its own only summand.
     """
     parts, todo = [], list(coeffs)
     while todo:
@@ -476,7 +476,33 @@ def summand_cover(*coeffs: Coefficient, t0: float = -math.inf) -> list:
             todo.extend(part for _, part in c.parts)
         elif isinstance(c, ScaledCoefficient):
             todo.append(c.inner)
+    return parts
+
+
+def summand_cover(*coeffs: Coefficient, t0: float = -math.inf) -> list:
+    """A point in every segment at or after t0 of the step-function summands.
+
+    A mixture such as a sinsq plus a narrow pulse gets a point inside the
+    pulse that a sample grid could step over. Empty when there are none.
+    """
+    parts = _step_summands(*coeffs)
     return step_cover(*parts, t0=t0) if parts else []
+
+
+def _nonnegative(c: Coefficient) -> bool:
+    """Whether c >= 0 everywhere follows from how c is built.
+
+    The sinsq, constant, piecewise-constant and scaled constructors reject
+    negative values and factors. A signed combination is excluded: its
+    sign is only sampled.
+    """
+    if isinstance(c, (SinSqCoefficient, ConstantCoefficient, PiecewiseConstantCoefficient)):
+        return True
+    if isinstance(c, ScaledCoefficient):
+        return _nonnegative(c.inner)
+    if isinstance(c, SumCoefficient):
+        return all(_nonnegative(term) for term in c.terms)
+    return False
 
 
 def proportional_ratio(num: Coefficient, den: Coefficient) -> Optional[float]:
@@ -701,13 +727,14 @@ def _best(xs: Sequence[float], vals: Sequence[float], limited: bool) -> SupInfo:
     return SupInfo(vals[i], xs[i], limited)
 
 
-def _maximize(fn, t0: float, structure, span_pad: float, points=None) -> SupInfo:
+def _maximize(fn, t0: float, structure, span_pad: float, points=None, exhaustive=False) -> SupInfo:
     """Supremum of fn over the structure's scan range from t0.
 
-    ``points(lo, hi)``, when given, lists points of [lo, hi] that include a
-    maximizer of fn there (the kinks of a piecewise-linear fn); fn is then
-    evaluated only at those. Otherwise a grid locates the local maxima and
-    a golden-section search refines each.
+    ``points(lo, hi)``, when given, lists points of [lo, hi] where fn can
+    have a maximum that a grid steps over (the kinks of a window integral,
+    the segments of a step function). When they are ``exhaustive``, fn is
+    evaluated only at those. Otherwise they join a grid that locates the
+    local maxima, and a golden-section search refines each.
     """
     kind, param = structure
     if kind == "constant":
@@ -718,11 +745,14 @@ def _maximize(fn, t0: float, structure, span_pad: float, points=None) -> SupInfo
     else:
         lo, hi = t0, t0 + param + span_pad
         limited = True
-    if points is not None:
+    if points is not None and exhaustive:
         xs = points(lo, hi)
         return _best(xs, [_finite(fn(x)) for x in xs], limited)
     n = _GRID
     xs = [lo + (hi - lo) * k / n for k in range(n + 1)]
+    if points is not None:
+        xs = sorted(set(xs).union(x for x in points(lo, hi) if lo < x < hi))
+        n = len(xs) - 1
     vals = [_finite(fn(x)) for x in xs]
     if math.inf in vals:
         return _best(xs, vals, limited)
@@ -743,38 +773,58 @@ def _maximize(fn, t0: float, structure, span_pad: float, points=None) -> SupInfo
 
 
 def _kinks(c: Coefficient, shifts: Sequence[float]):
-    """Points for _maximize of a window integral of c whose ends sit at t - shift.
+    """(points, exhaustive) for _maximize of a window integral of c whose ends sit at t - shift.
 
-    For a step function c the integral is piecewise linear in t, with kinks
-    where an end crosses a breakpoint. None for any other c.
+    The window integral of a step function is piecewise linear in t, with
+    kinks where an end crosses a breakpoint, so its kinks are exhaustive.
+    The kinks of the step summands of a mixture join the search grid.
     """
-    bps = _step_breakpoints(c)
-    if bps is None:
-        return None
-    kinks = sorted({b + s for b in bps for s in shifts})
-    return lambda lo, hi: [lo] + [x for x in kinks if lo < x < hi] + [hi]
+    parts = _step_summands(c)
+    if not parts:
+        return None, False
+    kinks = sorted({b + s for b in _step_breakpoints(*parts) for s in shifts})
+    return (
+        lambda lo, hi: [lo] + [x for x in kinks if lo < x < hi] + [hi],
+        _step_breakpoints(c) is not None,
+    )
 
 
-def _segments(*coeffs: Coefficient):
-    """Points for _maximize of a pointwise function of step functions, or None."""
+def _segments(*coeffs: Coefficient, t0: float):
+    """(points, exhaustive) for _maximize of a pointwise function of the coefficients.
+
+    A point in every segment is exhaustive for step functions; for a
+    mixture, a point in every segment of its step summands joins the grid.
+    """
     bps = _step_breakpoints(*coeffs)
-    if bps is None:
-        return None
-    return lambda lo, hi: _step_points(bps, lo, hi)
+    if bps is not None:
+        return (lambda lo, hi: _step_points(bps, lo, hi)), True
+    cover = summand_cover(*coeffs, t0=t0)
+    if not cover:
+        return None, False
+    return (lambda lo, hi: cover), False
 
 
 def _sinsq_window(c: Coefficient, structure, length: float, u0: float, upper: bool):
     """Closed-form extremum over u >= u0 of the integral of c over [u - length, u].
 
-    Applies to a sinsq coefficient A sin^2(w s + phi) searched over one
-    period. The integral is A L/2 - A sin(w L) cos(2 w u + 2 phi - w L)/(2 w),
-    so its supremum (``upper``) is A L/2 + A |sin w L|/(2 w) and its infimum
-    A L/2 - A |sin w L|/(2 w). Returns (value, first extremal u >= u0), the
-    value padded outward by a few ulps; None when c is not such a sinsq.
+    Applies to a sinsq coefficient A sin^2(w s + phi) whenever the scan
+    range covers its period pi/w: always when the structure is periodic,
+    and under an explicit horizon when the horizon is at least one period.
+    The integral is A L/2 - A sin(w L) cos(2 w u + 2 phi - w L)/(2 w), so
+    its supremum (``upper``) is A L/2 + A |sin w L|/(2 w) and its infimum
+    A L/2 - A |sin w L|/(2 w). Returns (value, first extremal u >= u0,
+    horizon_limited), the value padded outward by a few ulps and the
+    extremal u within one period of u0; None when c is not such a sinsq or
+    the range is shorter than a period.
     """
-    if not (isinstance(c, SinSqCoefficient) and structure[0] == "periodic"):
+    if not isinstance(c, SinSqCoefficient):
         return None
-    amp, w, period = c.amplitude, c.angular_freq, structure[1]
+    kind, param = structure
+    period = math.pi / c.angular_freq
+    if kind == "constant" or (kind == "general" and param < period):
+        return None
+    amp, w = c.amplitude, c.angular_freq
+    limited = kind == "general"
     sin_wl = math.sin(w * length)
     half = amp * length / 2.0
     swing = amp * abs(sin_wl) / (2.0 * w)
@@ -783,11 +833,11 @@ def _sinsq_window(c: Coefficient, structure, length: float, u0: float, upper: bo
     # Extremal where 2 w u + 2 phi - w L is pi or 0 (mod 2 pi), by the sign
     # of sin(w L); any u is extremal when sin(w L) vanishes.
     if sin_wl == 0.0:
-        return value, u0
+        return value, u0, limited
     theta = math.pi if (sin_wl > 0.0) == upper else 0.0
     base = (theta - 2.0 * c.phase + w * length) / (2.0 * w)
     u = base + period * math.ceil((u0 - base) / period)
-    return value, u if u >= u0 else u + period
+    return value, u if u >= u0 else u + period, limited
 
 
 def _memoized(search):
@@ -817,14 +867,14 @@ def sup_window_integral_info(
     """Essential supremum over t >= t0 of the integral of c over [lower(t), t]."""
     structure = _structure([c.asymptotic_class], [lower], horizon)
     lag = _as_lag(lower)
-    points = None
+    points = (None, False)
     if lag is not None:
         exact = _sinsq_window(c, structure, lag, t0, True)
         if exact is not None:
-            return SupInfo(*exact, False)
+            return SupInfo(*exact)
         points = _kinks(c, (0.0, lag))
     return _maximize(
-        lambda t: window_integral(c, lower, t), t0, structure, lower.lag_bound, points
+        lambda t: window_integral(c, lower, t), t0, structure, lower.lag_bound, *points
     )
 
 
@@ -847,19 +897,25 @@ def sup_between_delays_info(
     *,
     horizon: Optional[float] = None,
 ) -> SupInfo:
-    """Essential supremum over t >= t0 of |integral of c over [d1(t), d2(t)]|."""
+    """Essential supremum over t >= t0 of |integral of c over [d1(t), d2(t)]|.
+
+    When d2 is the identity and c is nonnegative by construction, the
+    integral is the window integral over [d1(t), t] and that search answers.
+    """
+    if isinstance(d2, IdentityDelay) and _nonnegative(c):
+        return sup_window_integral_info(c, d1, t0, horizon=horizon)
     structure = _structure([c.asymptotic_class], [d1, d2], horizon)
     lag1, lag2 = _as_lag(d1), _as_lag(d2)
-    points = None
+    points = (None, False)
     if lag1 is not None and lag2 is not None:
         near = min(lag1, lag2)
         exact = _sinsq_window(c, structure, abs(lag1 - lag2), t0 - near, True)
         if exact is not None:
-            return SupInfo(exact[0], max(exact[1] + near, t0), False)
+            return SupInfo(exact[0], max(exact[1] + near, t0), exact[2])
         points = _kinks(c, (lag1, lag2))
     pad = max(d1.lag_bound, d2.lag_bound)
     return _maximize(
-        lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad, points
+        lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad, *points
     )
 
 
@@ -893,9 +949,9 @@ def liminf_forward_integral_info(
     structure = _structure([c.asymptotic_class], [], horizon)
     exact = _sinsq_window(c, structure, length, t0 + length, False)
     if exact is not None:
-        return SupInfo(exact[0], max(exact[1] - length, t0), False)
+        return SupInfo(exact[0], max(exact[1] - length, t0), exact[2])
     info = _maximize(
-        lambda t: -c.integral(t, t + length), t0, structure, length, _kinks(c, (0.0, -length))
+        lambda t: -c.integral(t, t + length), t0, structure, length, *_kinks(c, (0.0, -length))
     )
     return SupInfo(-info.value, info.argmax, info.horizon_limited)
 
@@ -944,9 +1000,9 @@ def ratio_extrema(
             return math.inf
         return nv / dv
 
-    points = _segments(num, den)
-    hi = _maximize(ratio_at, t0, structure, 0.0, points)
-    lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0, points)
+    points = _segments(num, den, t0=t0)
+    hi = _maximize(ratio_at, t0, structure, 0.0, *points)
+    lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0, *points)
     return hi, SupInfo(-lo.value, lo.argmax, lo.horizon_limited)
 
 
@@ -958,9 +1014,9 @@ def coefficient_extrema(
 ):
     """(esssup, essinf) of the coefficient's values for t >= t0."""
     structure = _structure([c.asymptotic_class], [], horizon)
-    points = _segments(c)
-    hi = _maximize(c.value, t0, structure, 0.0, points)
-    lo = _maximize(lambda t: -c.value(t), t0, structure, 0.0, points)
+    points = _segments(c, t0=t0)
+    hi = _maximize(c.value, t0, structure, 0.0, *points)
+    lo = _maximize(lambda t: -c.value(t), t0, structure, 0.0, *points)
     return hi, SupInfo(-lo.value, lo.argmax, lo.horizon_limited)
 
 

@@ -226,6 +226,21 @@ def test_domination_samples_every_step_segment_of_a_mixture():
         )
 
 
+def test_ratio_supremum_sees_every_step_segment_of_a_mixture():
+    # Dominated by a = 2, the pulse still sets the ratio supremum; the
+    # 1025-point grid over the 250-long span steps over it.
+    pulse = tf.piecewise_constant([250.37, 250.39], [0.0, 1.0, 0.0])
+    feedback = tf.coeff_sum([tf.sinsq(0.5, 1.0), pulse])
+    eq = cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(2.0), tf.IdentityDelay())],
+        negative_terms=[cr.Term(feedback, tf.ConstantLag(1.0))],
+    )
+    cert = cr.check_nondelay_dominant(eq)
+    scan = max(feedback.value(250.37 + 0.02 * k / 100) / 2.0 for k in range(100))
+    assert scan > 0.66
+    assert {q.symbol: q.value for q in cert.quantities}["R_sup"] >= scan
+
+
 # ---------------------------------------------------------------------------
 # Non-delay-dominant checker
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ Oracles used here and nowhere in the package:
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -498,3 +499,122 @@ def test_step_extrema_see_every_segment():
     hi, lo = tf.ratio_extrema(c, tf.coeff_sum([tf.constant(1.0), c]))
     assert (hi.value, lo.value) == (0.8, 0.5 / 1.5)
     assert tf.liminf_forward_integral(c, 0.001) == pytest.approx(0.0005, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    amp=st.floats(0.05, 5.0),
+    freq=st.floats(0.2, 6.0),
+    phase=st.floats(0.0, math.pi),
+    lag=st.floats(0.01, 6.0),
+    short=st.floats(0.0, 3.0),
+    t0=st.floats(0.0, 5.0),
+    periods=st.floats(0.2, 3.0),
+)
+def test_property_sinsq_extrema_under_a_horizon_bracket_a_dense_scan(
+    amp, freq, phase, lag, short, t0, periods
+):
+    # A horizon of at least one period takes the closed form; a shorter one
+    # keeps the search. Either way the range is [t0, t0 + horizon + pad].
+    c = tf.sinsq(amp, freq, phase)
+    horizon = periods * math.pi / freq
+    slack = amp * freq * ((horizon + lag + short) / 4096) ** 2 / 4.0 + 1e-9
+    searches = [
+        (tf.sup_window_integral_info(c, tf.ConstantLag(lag), t0, horizon=horizon),
+         lambda F, t: F(t) - F(t - lag), lag, max),
+        (tf.sup_between_delays_info(c, tf.ConstantLag(short + lag), tf.ConstantLag(short), t0,
+                                    horizon=horizon),
+         lambda F, t: abs(F(t - short) - F(t - short - lag)), lag + short, max),
+        (tf.liminf_forward_integral_info(c, lag, t0, horizon=horizon),
+         lambda F, t: F(t + lag) - F(t), lag, min),
+    ]
+    for info, fn, pad, extremum in searches:
+        sign = 1.0 if extremum is max else -1.0
+        scan = extremum(antiderivative_scan(c, fn, t0, t0 + horizon + pad))
+        assert sign * (scan - info.value) <= 1e-9
+        assert sign * (info.value - scan) <= slack
+        assert info.horizon_limited
+        assert t0 <= info.argmax <= t0 + horizon + pad
+        assert fn(c.antiderivative, info.argmax) == pytest.approx(info.value, abs=1e-9)
+
+
+def test_sinsq_over_a_horizon_of_a_period_or_more_is_not_searched(monkeypatch):
+    calls = []
+    anti = tf.SinSqCoefficient.antiderivative
+
+    def counted(self, t):
+        calls.append(t)
+        return anti(self, t)
+
+    monkeypatch.setattr(tf.SinSqCoefficient, "antiderivative", counted)
+    c = tf.sinsq(0.8, 1.3)
+    period = math.pi / 1.3
+    infos = [
+        tf.liminf_forward_integral_info.__wrapped__(c, period, horizon=40.0),
+        tf.sup_window_integral_info.__wrapped__(c, tf.ConstantLag(0.7), horizon=40.0),
+        tf.sup_between_delays_info.__wrapped__(
+            c, tf.ConstantLag(0.7), tf.ConstantLag(0.2), horizon=40.0
+        ),
+    ]
+    assert calls == []
+    assert all(info.horizon_limited for info in infos)
+    # One period over a shorter horizon is still searched.
+    tf.liminf_forward_integral_info.__wrapped__(c, period, horizon=0.5 * period)
+    assert calls
+
+
+def test_gap_ending_at_t_is_the_window_for_a_nonnegative_coefficient():
+    lag = tf.GeneralDelay(lambda t: t - 1.0 - 0.5 * math.sin(t) ** 2, 1.5)
+    pulse = tf.piecewise_constant([3.0, 3.2], [0.1, 2.0, 0.1])
+    for c in (tf.sinsq(0.9, 1.2, 0.3), tf.coeff_sum([tf.scaled(2.0, tf.sinsq(0.4, 0.7)), pulse])):
+        gap = tf.sup_between_delays_info(c, lag, tf.IdentityDelay(), 0.5, horizon=12.0)
+        assert gap == tf.sup_window_integral_info(c, lag, 0.5, horizon=12.0)
+
+    # A coefficient that goes negative keeps the search for sup |F|.
+    @dataclass(frozen=True)
+    class MinusOne(tf.Coefficient):
+        def value(self, t):
+            return -1.0
+
+        def antiderivative(self, t):
+            return -t
+
+        @property
+        def asymptotic_class(self):
+            return tf.ConstantClass()
+
+    window = tf.sup_window_integral_info(MinusOne(), lag, horizon=12.0)
+    gap = tf.sup_between_delays_info(MinusOne(), lag, tf.IdentityDelay(), horizon=12.0)
+    assert window.value == pytest.approx(-1.0, abs=1e-9)
+    assert gap.value == pytest.approx(1.5, abs=1e-9)
+    # A signed combination is nonnegative only by sampling: it is searched too.
+    signed = tf.difference(tf.constant(1.0), tf.sinsq(0.5, 1.0))
+    misses = tf.sup_window_integral_info.cache_info().misses
+    tf.sup_between_delays_info(signed, lag, tf.IdentityDelay(), horizon=12.0)
+    assert tf.sup_window_integral_info.cache_info().misses == misses
+
+
+def test_mixture_window_search_sees_the_kinks_of_a_step_summand():
+    # A 0.05-wide pulse on sinsq is narrower than a grid cell of the 250-long
+    # scan; the lag-0.05 window that covers it was stepped over.
+    pulse = tf.piecewise_constant([250.37, 250.42], [0.0, 1.0, 0.0])
+    c = tf.coeff_sum([tf.sinsq(0.5, 1.0), pulse])
+    info = tf.sup_window_integral_info(c, tf.ConstantLag(0.05))
+    scan = max(antiderivative_scan(c, lambda F, t: F(t) - F(t - 0.05), 250.3, 250.5))
+    assert scan > 0.066
+    assert scan <= info.value + 1e-12
+    gap = tf.sup_between_delays_info(c, tf.ConstantLag(1.05), tf.ConstantLag(1.0))
+    assert scan <= gap.value + 1e-12
+    # A 0.05-wide hole in a unit floor: the lowest forward window is the hole.
+    hole = tf.piecewise_constant([250.37, 250.42], [1.0, 0.0, 1.0])
+    inf = tf.liminf_forward_integral_info(tf.coeff_sum([tf.sinsq(0.5, 1.0), hole]), 0.05)
+    in_hole = 0.5 * (0.025 - (math.sin(2 * 250.42) - math.sin(2 * 250.37)) / 4)
+    assert inf.value == pytest.approx(in_hole, abs=1e-9)
+
+
+def test_mixture_extrema_see_every_segment_of_a_step_summand():
+    # ratio_extrema is checked through check_nondelay_dominant in test_criteria.
+    pulse = tf.piecewise_constant([250.37, 250.39], [0.0, 1.0, 0.0])
+    b = tf.coeff_sum([tf.sinsq(0.5, 1.0), pulse])
+    hi, _ = tf.coefficient_extrema(b)
+    assert max(b.value(250.37 + 0.02 * k / 100) for k in range(100)) <= hi.value
