@@ -53,10 +53,15 @@ class NoPositiveEquilibriumError(ValueError):
 
 
 def _pow(x: float, n: float) -> float:
+    """x**n; NaN for a negative x under a fractional n, which has no real value.
+
+    The NaN makes the derivative non-finite, so the integrator stops the run
+    as diverged.
+    """
     if float(n).is_integer():
         return x ** int(n)
     if x < 0.0:
-        raise ValueError("fractional power of a negative state")
+        return math.nan
     return x ** n
 
 

@@ -12,6 +12,18 @@ leading sliver of a window that extends up to the current time: those
 reads use a within-step linear predictor, which keeps the overall scheme
 explicit. ``allow_extrapolation=True`` extends the same predictor to
 concentrated reads, for equations whose lag genuinely dips below the step.
+
+Each right-hand side is split into a time part (coefficients, forcing),
+its delayed reads, and a state part (the arithmetic on x). A step
+evaluates the first two once per distinct stage time: the midpoint serves
+k2 and k3, the step end k4 and both node slopes. Reads at constant lags
+come in blocks: while the steps advance by less than the smallest lag,
+every such read lands in finished steps, so a block's reads are located
+with one ``np.searchsorted`` and interpolated elementwise by ``_hermite``,
+in the same operations and order as one scalar read, hence bit for bit.
+The scalar read remains for every read a block cannot settle ahead of
+time: general delays, windows, the history, reads near t0 or at the last
+finished node, and extrapolated reads.
 """
 
 from __future__ import annotations
@@ -360,22 +372,40 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class _Rhs:
-    """Derivative evaluator ``fn(t, y, read, integral)`` plus the delay structure.
+    """A right-hand side split into a time part, delayed reads and a state part.
 
-    ``read(tau)`` is x at one delayed time and ``integral(lo, hi)`` the
-    integral of x over a window. ``read_lags``/``general_reads`` describe
+    ``coeffs(t)`` is the time part: coefficient values and forcing at t.
+    ``sites`` lists what the equation reads from the past, one slot each: a
+    delay, read at one delayed time, or a DistributedTerm, averaged over its
+    window. ``state(y, cv, xv)`` is the arithmetic on the state y, given the
+    time part ``cv`` and one value ``xv[k]`` per site; ``y_dependent`` is
+    False when it ignores y. ``read_lags``/``general_reads`` describe
     concentrated delayed reads (they constrain the step); ``mesh_lags`` seed
     the breaking-point mesh; ``windows`` flags distributed terms, and
     ``window_to_now`` those whose windows reach the current time, where the
     leading sliver needs the within-step predictor.
     """
 
-    fn: Callable
+    coeffs: Callable
+    sites: tuple
+    state: Callable
+    y_dependent: bool
     read_lags: list
     general_reads: list
     mesh_lags: list
     windows: bool = False
     window_to_now: bool = False
+
+    def fn(self, t, y, read, integral):
+        """The derivative at (t, y), reading x through ``read``/``integral``."""
+        xv = [_site_value(site, t, read, integral) for site in self.sites]
+        return self.state(y, self.coeffs(t), xv)
+
+
+def _site_value(site, t, read, integral):
+    if isinstance(site, cr.DistributedTerm):
+        return _window_average(site, t, read, integral)
+    return read(site(t))
 
 
 def _window_reaches_now(term: cr.DistributedTerm) -> bool:
@@ -398,25 +428,49 @@ def _window_average(term: cr.DistributedTerm, t: float, read, integral) -> float
     return integral(lo, hi) / length
 
 
+def _slots(delays):
+    """Each delay's site index (-1 for x(t) itself) and the delayed sites."""
+    at, sites = [], []
+    for d in delays:
+        if isinstance(d, IdentityDelay):
+            at.append(-1)
+        else:
+            at.append(len(sites))
+            sites.append(d)
+    return at, sites
+
+
 def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
-    concentrated = []
-    for term in eq.positive_terms:
-        concentrated.append((term.coeff, term.delay, -1.0))
-    for term in eq.negative_terms:
-        concentrated.append((term.coeff, term.delay, +1.0))
-    distributed = tuple(eq.distributed_terms)
+    # Every term adds w(t) * x in turn: w = -a for a positive term, +b for a
+    # negative one, and -sign * weight for a window (``total -= s * avg`` and
+    # ``total += (-s) * avg`` give the same bits).
+    terms = eq.positive_terms + eq.negative_terms
+    signed = [(-1.0, term.coeff) for term in eq.positive_terms]
+    signed += [(1.0, term.coeff) for term in eq.negative_terms]
+    distributed = eq.distributed_terms
+    signed += [(-term.sign, term.total_weight) for term in distributed]
+    at, sites = _slots(term.delay for term in terms)
+    at += range(len(sites), len(sites) + len(distributed))
+    sites += distributed
 
-    def fn(t, y, read, integral):
+    def coeffs(t):
         total = 0.0 if forcing is None else float(forcing(t))
-        for coeff, delay, sgn in concentrated:
-            xv = y if isinstance(delay, IdentityDelay) else read(delay(t))
-            total += sgn * coeff.value(t) * xv
-        for term in distributed:
-            avg = _window_average(term, t, read, integral)
-            total -= term.sign * term.total_weight.value(t) * avg
-        return total
+        return total, [s * c.value(t) for s, c in signed]
 
-    read_lags, general_reads = _delay_split(d for _, d, _ in concentrated)
+    if -1 in at:
+        def state(y, cv, xv):
+            total, ws = cv
+            for w, k in zip(ws, at):
+                total += w * (y if k < 0 else xv[k])
+            return total
+    else:
+        def state(y, cv, xv):
+            total, ws = cv
+            for w, x in zip(ws, xv):
+                total += w * x
+            return total
+
+    read_lags, general_reads = _delay_split(sites)
     mesh_lags = list(read_lags)
     window_to_now = False
     for term in distributed:
@@ -425,36 +479,51 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
             mesh_lags.append(term.window_start.lag)
             if term.kernel.width is not None and term.window_start.lag > term.kernel.width:
                 mesh_lags.append(term.window_start.lag - term.kernel.width)
-    return _Rhs(fn, read_lags, general_reads, mesh_lags, bool(distributed), window_to_now)
+    return _Rhs(
+        coeffs, tuple(sites), state, -1 in at, read_lags, general_reads, mesh_lags,
+        bool(distributed), window_to_now,
+    )
 
 
 def _make_removal_rhs(model: md.MackeyGlassRemoval, forcing):
-    def fn(t, y, read, integral):
-        x_g = y if isinstance(model.g, IdentityDelay) else read(model.g(t))
-        x_h = y if isinstance(model.h, IdentityDelay) else read(model.h(t))
-        total = model.r.value(t) * md.removal_reaction(model, x_g, x_h)
-        if forcing is not None:
-            total += float(forcing(t))
+    (at_g, at_h), sites = _slots((model.g, model.h))
+
+    def coeffs(t):
+        return model.r.value(t), None if forcing is None else float(forcing(t))
+
+    def state(y, cv, xv):
+        rate, force = cv
+        x_g = y if at_g < 0 else xv[at_g]
+        x_h = y if at_h < 0 else xv[at_h]
+        total = rate * md.removal_reaction(model, x_g, x_h)
+        if force is not None:
+            total += force
         return total
 
-    return _model_rhs(fn, (model.g, model.h))
+    return _model_rhs(coeffs, sites, state, min(at_g, at_h) < 0)
 
 
 def _make_production_rhs(model: md.MackeyGlassProduction, forcing):
-    def fn(t, y, read, integral):
-        x_p = y if isinstance(model.p, IdentityDelay) else read(model.p(t))
-        x_q = y if isinstance(model.q, IdentityDelay) else read(model.q(t))
-        total = model.s.value(t) * md.production_reaction(model, x_p, x_q, y)
-        if forcing is not None:
-            total += float(forcing(t))
+    (at_p, at_q), sites = _slots((model.p, model.q))
+
+    def coeffs(t):
+        return model.s.value(t), None if forcing is None else float(forcing(t))
+
+    def state(y, cv, xv):
+        rate, force = cv
+        x_p = y if at_p < 0 else xv[at_p]
+        x_q = y if at_q < 0 else xv[at_q]
+        total = rate * md.production_reaction(model, x_p, x_q, y)
+        if force is not None:
+            total += force
         return total
 
-    return _model_rhs(fn, (model.p, model.q))
+    return _model_rhs(coeffs, sites, state, True)
 
 
-def _model_rhs(fn, delays):
-    read_lags, general_reads = _delay_split(delays)
-    return _Rhs(fn, read_lags, general_reads, list(read_lags))
+def _model_rhs(coeffs, sites, state, y_dependent):
+    read_lags, general_reads = _delay_split(sites)
+    return _Rhs(coeffs, tuple(sites), state, y_dependent, read_lags, general_reads, list(read_lags))
 
 
 def _delay_split(delays):
@@ -583,13 +652,14 @@ def integrate(
             )
 
     mesh = _build_mesh(t0, t1, step, rhs.mesh_lags)
+    nodes = mesh.tolist()
     x0 = float(hist.value(t0)) if initial_value is None else float(initial_value)
 
     # A start-time jump (initial value differing from the history's end)
     # makes delayed reads at exactly t0 two-sided: by default they resolve
     # to x0, except while evaluating quantities tied to the left limit.
     jump0 = abs(x0 - float(hist.value(t0))) > 1e-15 * max(1.0, abs(x0))
-    want_left = [False]
+    want_left = False
 
     ts: list = [t0]
     xs: list = [x0]
@@ -599,22 +669,31 @@ def integrate(
     pieces: list = []  # whole-step integrals, for distributed windows
     pending = [t0, x0, 0.0]  # anchor time, value, slope for leading-edge reads
     hist_pad = 1e-9 * max(1.0, abs(t0))
+    hist_lo, hist_hi = t0 - hist_pad, t0 + hist_pad
     extrapolate = allow_extrapolation or rhs.window_to_now
+    # Whether the reads since the last ``prepare`` used the last node or the
+    # predictor (they change once the step is pushed), or the left limit of
+    # the start-time jump (they change with ``want_left``).
+    touched_end = touched_left = False
 
     def read(tau: float) -> float:
-        if tau < t0 - hist_pad:
+        nonlocal touched_end, touched_left
+        if tau < hist_lo:
             return float(hist.value(tau))
-        if jump0 and want_left[0] and tau <= t0 + hist_pad:
+        if jump0 and want_left and tau <= hist_hi:
+            touched_left = True
             return float(hist.value(min(tau, t0)))
         last = ts[-1]
         if tau <= last + 1e-12 * max(1.0, abs(last)):
             i = bisect.bisect_right(ts, tau) - 1
             if i >= len(ts) - 1:
+                touched_end = True
                 return xs[-1]
             if i < 0:
                 return xs[0]
             return _hermite(ts[i], xs[i], ms[i], ts[i + 1], xs[i + 1], mends[i + 1], tau)
         if extrapolate:
+            touched_end = True
             at, ax, am = pending
             return ax + (tau - at) * am
         raise DomainError(
@@ -622,6 +701,7 @@ def integrate(
         )
 
     def integral(lo: float, hi: float) -> float:
+        nonlocal touched_end
         total = 0.0
         if lo < t0:
             total = _history_integral(hist, lo, min(hi, t0), step)
@@ -633,6 +713,7 @@ def integrate(
                     "window reaches %g ahead of completed segment end %g" % (hi, last)
                 )
             # The predictor, integrated exactly over the sliver past the end.
+            touched_end = True
             at, ax, am = pending
             a = max(lo, last)
             total += (hi - a) * (ax + (0.5 * (a + hi) - at) * am)
@@ -643,13 +724,84 @@ def integrate(
             total += _dense_integral(ts, xs, ms, mends, pieces, lo, hi)
         return total
 
-    def safe_rhs(t, y):
+    # Method of steps: while the steps advance by less than the smallest
+    # constant lag, every read at such a lag lands in steps already
+    # finished. A block of steps therefore gets those reads in one numpy
+    # pass, bit for bit what ``read`` returns. NaN marks a slot left to
+    # ``read``: general delays, windows, and reads in the history, near t0
+    # or at or past the last finished node.
+    sites = rhs.sites
+    batched = [k for k, s in enumerate(sites) if isinstance(s, tf.ConstantLag) and s.lag > 0.0]
+    lags = np.array([sites[k].lag for k in batched])
+    lag_min = float(lags.min()) if batched else math.inf
+    unresolved = [math.nan] * len(sites)
+    xs_done = np.empty(mesh.size)
+    ms_done = np.empty(mesh.size)
+    me_done = ms_done if mls is None else np.empty(mesh.size)
+    synced = 0
+
+    def block(j):
+        """(count, rows, clean) for the steps j to j + count - 1.
+
+        ``rows[0][r]`` and ``rows[1][r]`` hold one read value per site at the
+        midpoint and at the end of step j + r; ``clean`` says a row has no NaN.
+        """
+        nonlocal synced
+        n = j + 1  # finished nodes
+        last = nodes[j]
+        if batched:
+            # The steps whose end reads at the smallest lag land below the last node.
+            stop = min(int(np.searchsorted(mesh, last + lag_min, "right")) + 1, mesh.size - 1)
+            count = int(np.searchsorted(mesh[j + 1:stop + 1] - lag_min, last))
+        else:
+            count = mesh.size - 1 - j
+        if not batched or n < 2 or count == 0:
+            count = max(count, 1)
+            return count, ([unresolved] * count,) * 2, ([False] * count,) * 2
+        xs_done[synced:n] = xs[synced:n]
+        ms_done[synced:n] = ms[synced:n]
+        if mls is not None:
+            me_done[synced:n] = mls[synced:n]
+        synced = n
+        ta = mesh[j:j + count]
+        tb = mesh[j + 1:j + count + 1]
+        tau = np.stack((ta + 0.5 * (tb - ta), tb))[..., None] - lags
+        i = np.clip(np.searchsorted(mesh[:n], tau, "right") - 1, 0, n - 2)
+        with np.errstate(all="ignore"):
+            vals = _hermite(
+                mesh[i], xs_done[i], ms_done[i], mesh[i + 1], xs_done[i + 1], me_done[i + 1], tau
+            )
+        rows = np.full(tau.shape[:2] + (len(sites),), math.nan)
+        rows[..., batched] = np.where((tau > hist_hi) & (tau < last), vals, math.nan)
+        return count, rows.tolist(), (~np.isnan(rows).any(axis=-1)).tolist()
+
+    coeffs, state, y_dependent = rhs.coeffs, rhs.state, rhs.y_dependent
+
+    def prepare(t, row, clean):
+        """Time part and read values at stage time t; None if either overflows."""
+        nonlocal touched_end, touched_left
+        touched_end = touched_left = False
         try:
-            return rhs.fn(t, y, read, integral)
+            cv = coeffs(t)
+            if clean:
+                return cv, row
+            xv = list(row)
+            for k, site in enumerate(sites):
+                if xv[k] != xv[k]:
+                    xv[k] = _site_value(site, t, read, integral)
+            return cv, xv
+        except OverflowError:
+            return None
+
+    def stage(y, prep):
+        if prep is None:
+            return math.nan
+        try:
+            return state(y, *prep)
         except OverflowError:
             return math.nan
 
-    ms[0] = safe_rhs(t0, x0)
+    ms[0] = stage(x0, prepare(t0, unresolved, False))
     if mls is not None:
         mls[0] = ms[0]
     if not math.isfinite(ms[0]) or not math.isfinite(x0) or abs(x0) > divergence_threshold:
@@ -667,31 +819,44 @@ def integrate(
 
     diverged = False
     div_time = None
+    block_start = block_end = 0
     for j in range(mesh.size - 1):
-        ta = float(mesh[j])
-        tb = float(mesh[j + 1])
+        if j == block_end:
+            count, (mid_rows, end_rows), (mid_clean, end_clean) = block(j)
+            block_start, block_end = j, j + count
+        r = j - block_start
+        ta = nodes[j]
+        tb = nodes[j + 1]
         h = tb - ta
         xa = xs[-1]
         k1 = ms[-1]
         pending[0], pending[1], pending[2] = ta, xa, k1
-        k2 = safe_rhs(ta + 0.5 * h, xa + 0.5 * h * k1)
-        k3 = safe_rhs(ta + 0.5 * h, xa + 0.5 * h * k2)
+        # k2 and k3 share the stage time ta + h/2, so its time part and reads.
+        at_mid = prepare(ta + 0.5 * h, mid_rows[r], mid_clean[r])
+        k2 = stage(xa + 0.5 * h * k1, at_mid)
+        k3 = stage(xa + 0.5 * h * k2, at_mid) if y_dependent else k2
         # The step end can sit exactly where a delayed read crosses the
         # start-time jump; the step itself belongs to the left limit.
-        want_left[0] = True
-        k4 = safe_rhs(tb, xa + h * k3)
+        want_left = True
+        at_end = prepare(tb, end_rows[r], end_clean[r])
+        k4 = stage(xa + h * k3, at_end)
         xb = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not math.isfinite(xb) or abs(xb) > divergence_threshold:
-            want_left[0] = False
             diverged = True
             div_time = tb
             if math.isfinite(xb):
                 push(tb, xb, k4 if math.isfinite(k4) else 0.0)
             break
         push(tb, xb, k4 if math.isfinite(k4) else 0.0)
-        m_left = safe_rhs(tb, xb)
-        want_left[0] = False
-        m_right = safe_rhs(tb, xb) if jump0 else m_left
+        # The node slopes reuse k4's reads unless one of them saw the step
+        # end, which the push has just replaced.
+        if touched_end:
+            at_end = prepare(tb, end_rows[r], end_clean[r])
+            m_left = stage(xb, at_end)
+        else:
+            m_left = stage(xb, at_end) if y_dependent else k4
+        want_left = False
+        m_right = stage(xb, prepare(tb, end_rows[r], end_clean[r])) if touched_left else m_left
         if math.isfinite(m_right) and math.isfinite(m_left):
             ms[-1] = m_right
             if mls is not None:

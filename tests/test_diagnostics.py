@@ -88,6 +88,19 @@ def test_classify_truncated_divergent_run_is_growing():
     assert rep.classification == dg.GROWING
 
 
+def test_removal_run_crossing_zero_under_fractional_n_diverges():
+    # x^2.5 has no real value once the state turns negative: the run ends
+    # there as diverged instead of raising out of the integrator.
+    model = md.MackeyGlassRemoval(r=tf.constant(12.0), beta=1.25, gamma=1.0, n=2.5,
+                                  g=tf.ConstantLag(1.5), h=tf.ConstantLag(1.0))
+    traj, rep, _ = dg.perturbed_run(model, horizon=60.0, step=0.01)
+    assert traj.diverged and traj.t1 < 60.0
+    assert rep.classification == dg.GROWING
+    x_eq = md.equilibrium(model)
+    with pytest.raises(sv.DivergenceError):
+        sv.integrate(model, 0.8 * x_eq, 60.0, step=0.01, initial_value=1.2 * x_eq)
+
+
 # ---------------------------------------------------------------------------
 # Decay fitting
 # ---------------------------------------------------------------------------

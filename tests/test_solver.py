@@ -6,6 +6,7 @@ the pure-delay equation), Richardson-style self-convergence, and exact
 linearity identities.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -471,3 +472,182 @@ def test_mesh_nodes_include_breaking_points():
     tr = sv.integrate(eq, 1.0, 4.0, step=0.03)
     for bp in (0.5, 1.0, 1.5, 2.0, 3.5):
         assert np.min(np.abs(tr.times - bp)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Block reads: the same bits for less work
+# ---------------------------------------------------------------------------
+
+
+def _digest(tr):
+    h = hashlib.sha256()
+    for arr in (tr.times, tr.values, tr.derivatives, tr.left_derivatives):
+        h.update(b"none" if arr is None else arr.tobytes())
+    h.update(repr((tr.diverged, tr.divergence_time)).encode())
+    return h.hexdigest()
+
+
+_WOBBLE = tf.GeneralDelay(lambda t: t - (0.5 + 0.4 * math.sin(t)), 0.9)
+
+# One run for each way a read leaves the numpy block for the scalar read
+# (a step equal to the lag, reads near t0 under a start jump, extrapolation,
+# windows reaching the current time), plus tabulated and function histories,
+# forcing, a general delay, both models with and without an undelayed
+# argument, a fundamental solution and a diverging run. The digests were
+# taken from the integrator that evaluated every stage and read by itself.
+PIN_RUNS = {
+    "step_equals_lag": (
+        lambda: sv.integrate(_linear([(0.9, 0.05)]), 1.0, 3.0, step=0.05),
+        "2f68a9514939522fc45111c532ed33f87b4e915a2d953244c2556f6b4cfebb6d",
+    ),
+    "start_jump_constant_lags": (
+        lambda: sv.integrate(
+            _linear([(0.9, 1.0)], [(0.3, 0.7)]), 0.8, 10.0, step=0.01, initial_value=1.2
+        ),
+        "548ffb797bcdd33f34d02a364b6aa7d7772c889aae72788ad1b44c1f9f624cc8",
+    ),
+    "extrapolation": (
+        lambda: sv.integrate(
+            _linear([(0.9, 0.2)]), 1.0, 5.0, step=0.3, allow_extrapolation=True
+        ),
+        "d4855d45d7180de0b623e2b6bfb3e1a66213913d786410af3e778b3122166b2c",
+    ),
+    "window_to_now": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(
+                positive_terms=[_term(0.3, 0.5)],
+                distributed_terms=[cr.DistributedTerm(1, tf.constant(0.8), tf.ConstantLag(1.0))],
+            ),
+            0.8, 6.0, step=0.05, initial_value=1.2,
+        ),
+        "aa7f4831f0af2b66f1a8b49cd1792afb3fb73b784d210b3a23d610831d0e722c",
+    ),
+    "narrow_window": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(
+                negative_terms=[_term(0.2, 0.0)],
+                distributed_terms=[cr.DistributedTerm(
+                    1, tf.constant(0.9), tf.ConstantLag(1.1), cr.UniformKernel(0.2)
+                )],
+            ),
+            1.0, 6.0, step=0.02,
+        ),
+        "8976f7030c701ca647d9d69af12d3cc6666aca486ab16e90f61d9e90eac918a9",
+    ),
+    "tabulated_history": (
+        lambda: sv.integrate(
+            _linear([(0.9, 1.0)], [(0.2, 0.0)]),
+            sv.tabulate_history(math.cos, -1.5, 0.0, 0.1), 6.0, step=0.02,
+        ),
+        "ac5bfb1db393d05bf8acc5e25a32b41aa3a04829a064d510fa8bc5f049b33033",
+    ),
+    "function_history_forcing": (
+        lambda: sv.integrate(
+            _linear([(1.0, 0.0), (0.5, 1.0)]), math.cos, 10.0, step=0.01,
+            forcing=lambda t: -math.sin(t) + math.cos(t) + 0.5 * math.cos(t - 1.0),
+        ),
+        "8ed442ba34255169e934f863a848ae9c29e0fc85342d6e03ecb30c3f8bf16287",
+    ),
+    "general_delay": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(0.8, 1.3), _WOBBLE)]),
+            0.8, 8.0, step=0.02, initial_value=1.2,
+        ),
+        "b42c451beaffae1efd8f4661a1e4af87641d3cf289fe10041e32f2d3abb4b1d9",
+    ),
+    "ex51": (
+        lambda: sv.integrate(md.ex51(), 0.4, 30.0, step=0.01, initial_value=0.6),
+        "224e36a7ab7661a3cead49c69810026fe8bacba2854cac1afeadd74de0bc73cb",
+    ),
+    "ex5": (
+        lambda: sv.integrate(md.ex5(n=11.0), 0.8, 60.0, step=0.05, initial_value=1.2),
+        "183bfb2d02b908c49a2c307af9a9f9e17e53a8fa9ba46e5d4a8cfdf43371442d",
+    ),
+    "fundamental_solution": (
+        lambda: sv.fundamental_solution(md.eq26(), 0.5, 8.0, step=0.01),
+        "c395fb69832b0636c9793d71d157667808a33874bdeff34d468f740a606d9e76",
+    ),
+    "divergence": (
+        lambda: sv.integrate(
+            _linear([(1.0, 3.0)]), 1.0, 200.0, step=0.01, divergence_threshold=10.0,
+            on_divergence="truncate",
+        ),
+        "e54c1f5ec040aa334d8582a7231d40d89cf3bb59a62594be9eba8aa05a50b96b",
+    ),
+    "removal_undelayed_g": (
+        lambda: sv.integrate(
+            md.MackeyGlassRemoval(r=tf.sinsq(2.0, math.pi), beta=1.25, gamma=1.0, n=2.0,
+                                  g=tf.IdentityDelay(), h=tf.ConstantLag(1.0)),
+            0.5, 20.0, step=0.01, initial_value=0.7,
+        ),
+        "a1d967b65c980f99e2c584f9dc3559ae8017f09ae024551e4f662c88c4f3dab8",
+    ),
+    "production_undelayed_q": (
+        lambda: sv.integrate(
+            md.MackeyGlassProduction(s=tf.constant(0.5), beta=2.0, n=4.0,
+                                     p=tf.ConstantLag(2.0), q=tf.IdentityDelay()),
+            0.9, 30.0, step=0.02, initial_value=1.1, forcing=lambda t: 0.1 * math.sin(t),
+        ),
+        "924efef9019d3d645c6c6f5b8e13a21aced89c02b724dfb79d1a763d5f336ca4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_RUNS))
+def test_trajectory_bits_are_pinned(name):
+    run, digest = PIN_RUNS[name]
+    assert _digest(run()) == digest
+
+
+class _CountingConstant(tf.Coefficient):
+    """A constant coefficient that counts its evaluations."""
+
+    def __init__(self, v):
+        self.v = v
+        self.calls = 0
+
+    def value(self, t):
+        self.calls += 1
+        return self.v
+
+
+def test_each_stage_time_is_evaluated_once_and_reads_come_in_blocks(monkeypatch):
+    coeffs = [_CountingConstant(0.3), _CountingConstant(0.2)]
+    eq = cr.LinearDelayEquation(positive_terms=[
+        cr.Term(coeffs[0], tf.ConstantLag(1.0)), cr.Term(coeffs[1], tf.ConstantLag(0.7)),
+    ])
+    scalar_reads = []
+    hermite = sv._hermite
+
+    def counting_hermite(*args):
+        if isinstance(args[-1], float):  # a block passes arrays
+            scalar_reads.append(args[-1])
+        return hermite(*args)
+
+    monkeypatch.setattr(sv, "_hermite", counting_hermite)
+    steps = sv.integrate(eq, 1.0, 20.0, step=0.01).times.size - 1
+    # The midpoint serves k2 and k3; the step end serves k4 and the node slopes.
+    assert max(c.calls for c in coeffs) <= 2 * steps + 1
+    assert len(scalar_reads) <= 0.05 * steps
+
+
+@pytest.mark.parametrize("part", ["time", "state"])
+def test_overflow_truncates_at_the_first_node_past_it(part):
+    # OverflowError in the forcing (the time part) or in x^n of a huge
+    # delayed state (the state part) after t = 0.5 makes that stage's
+    # derivative NaN, so the run stops as diverged at the node 0.51.
+    model = md.MackeyGlassRemoval(r=tf.constant(1.0), beta=1.25, gamma=1.0, n=2.0,
+                                  g=tf.ConstantLag(1.0), h=tf.ConstantLag(1.0))
+    history, forcing = 0.5, None
+    if part == "time":
+        def forcing(t):
+            if t > 0.5:
+                raise OverflowError("forcing overflows")
+            return 0.0
+    else:
+        history = lambda t: 1e200 if -0.5 < t < 0.0 else 0.5
+    tr = sv.integrate(model, history, 5.0, step=0.01, forcing=forcing, on_divergence="truncate")
+    assert tr.diverged
+    assert tr.t1 == 0.5 and tr.divergence_time == 0.51
+    with pytest.raises(sv.DivergenceError):
+        sv.integrate(model, history, 5.0, step=0.01, forcing=forcing)
