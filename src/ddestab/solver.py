@@ -16,14 +16,17 @@ concentrated reads, for equations whose lag genuinely dips below the step.
 Each right-hand side is split into a time part (coefficients, forcing),
 its delayed reads, and a state part (the arithmetic on x). A step
 evaluates the first two once per distinct stage time: the midpoint serves
-k2 and k3, the step end k4 and both node slopes. Reads at constant lags
-come in blocks: while the steps advance by less than the smallest lag,
-every such read lands in finished steps, so a block's reads are located
-with one ``np.searchsorted`` and interpolated elementwise by ``_hermite``,
-in the same operations and order as one scalar read, hence bit for bit.
-The scalar read remains for every read a block cannot settle ahead of
-time: general delays, windows, the history, reads near t0 or at the last
-finished node, and extrapolated reads.
+k2 and k3, the step end k4 and both node slopes; when the node slopes
+must read again, they keep the step end's time part. Reads at constant
+lags come in blocks: while the steps advance by less than the smallest
+lag, every such read lands in finished steps, so a block's reads are
+located with one ``np.searchsorted`` and interpolated elementwise by
+``_hermite``, in the same operations and order as one scalar read, hence
+bit for bit. Blocks are used when the smallest lag spans at least
+``_BLOCK_STEPS`` steps; shorter blocks cost more than they save. The
+scalar read remains for every read a block cannot settle ahead of time:
+general delays, windows, the history, reads near t0 or at the last
+finished node, extrapolated reads, and all reads when the lag is short.
 """
 
 from __future__ import annotations
@@ -60,6 +63,11 @@ __all__ = [
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
 _BREAKING_POINT_CAP = 200_000
+# Reads come in blocks only when the smallest constant lag spans at least
+# this many steps: a block pays some fifty numpy calls up front, and saves a
+# few microseconds per step and read site (the two break even near 10 steps
+# on lag-to-step ratios 8-64 of a linear and a removal run).
+_BLOCK_STEPS = 12
 
 
 class DivergenceError(RuntimeError):
@@ -457,18 +465,11 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
         total = 0.0 if forcing is None else float(forcing(t))
         return total, [s * c.value(t) for s, c in signed]
 
-    if -1 in at:
-        def state(y, cv, xv):
-            total, ws = cv
-            for w, k in zip(ws, at):
-                total += w * (y if k < 0 else xv[k])
-            return total
-    else:
-        def state(y, cv, xv):
-            total, ws = cv
-            for w, x in zip(ws, xv):
-                total += w * x
-            return total
+    def state(y, cv, xv):
+        total, ws = cv
+        for w, k in zip(ws, at):
+            total += w * (y if k < 0 else xv[k])
+        return total
 
     read_lags, general_reads = _delay_split(sites)
     mesh_lags = list(read_lags)
@@ -732,6 +733,8 @@ def integrate(
     # or at or past the last finished node.
     sites = rhs.sites
     batched = [k for k, s in enumerate(sites) if isinstance(s, tf.ConstantLag) and s.lag > 0.0]
+    if batched and min(sites[k].lag for k in batched) < _BLOCK_STEPS * float(np.diff(mesh).max()):
+        batched = []  # blocks of a few steps would not pay for their numpy calls
     lags = np.array([sites[k].lag for k in batched])
     lag_min = float(lags.min()) if batched else math.inf
     unresolved = [math.nan] * len(sites)
@@ -755,8 +758,7 @@ def integrate(
             count = int(np.searchsorted(mesh[j + 1:stop + 1] - lag_min, last))
         else:
             count = mesh.size - 1 - j
-        if not batched or n < 2 or count == 0:
-            count = max(count, 1)
+        if not batched or n < 2:
             return count, ([unresolved] * count,) * 2, ([False] * count,) * 2
         xs_done[synced:n] = xs[synced:n]
         ms_done[synced:n] = ms[synced:n]
@@ -777,12 +779,16 @@ def integrate(
 
     coeffs, state, y_dependent = rhs.coeffs, rhs.state, rhs.y_dependent
 
-    def prepare(t, row, clean):
-        """Time part and read values at stage time t; None if either overflows."""
+    def prepare(t, row, clean, cv=None):
+        """Time part and read values at stage time t; None if either overflows.
+
+        A given time part ``cv`` is kept, and only the reads are redone.
+        """
         nonlocal touched_end, touched_left
         touched_end = touched_left = False
         try:
-            cv = coeffs(t)
+            if cv is None:
+                cv = coeffs(t)
             if clean:
                 return cv, row
             xv = list(row)
@@ -848,15 +854,20 @@ def integrate(
                 push(tb, xb, k4 if math.isfinite(k4) else 0.0)
             break
         push(tb, xb, k4 if math.isfinite(k4) else 0.0)
-        # The node slopes reuse k4's reads unless one of them saw the step
-        # end, which the push has just replaced.
+        # The node slopes reuse k4's time part (a k4 that overflowed has
+        # ended the run), and its reads unless one of them saw the step end,
+        # which the push has just replaced.
+        cv_end = at_end[0]
         if touched_end:
-            at_end = prepare(tb, end_rows[r], end_clean[r])
+            at_end = prepare(tb, end_rows[r], end_clean[r], cv_end)
             m_left = stage(xb, at_end)
         else:
             m_left = stage(xb, at_end) if y_dependent else k4
         want_left = False
-        m_right = stage(xb, prepare(tb, end_rows[r], end_clean[r])) if touched_left else m_left
+        if touched_left:
+            m_right = stage(xb, prepare(tb, end_rows[r], end_clean[r], cv_end))
+        else:
+            m_right = m_left
         if math.isfinite(m_right) and math.isfinite(m_left):
             ms[-1] = m_right
             if mls is not None:

@@ -631,6 +631,23 @@ def test_each_stage_time_is_evaluated_once_and_reads_come_in_blocks(monkeypatch)
     assert len(scalar_reads) <= 0.05 * steps
 
 
+def test_node_slope_rereads_keep_the_time_part():
+    # With the step equal to the lag every end read lands on the node just
+    # pushed, and the first one also on the left limit of the start jump:
+    # the node slopes read again, but reuse k4's coefficients and forcing.
+    coeff = _CountingConstant(0.3)
+    forced = []
+
+    def forcing(t):
+        forced.append(t)
+        return 0.1
+
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(coeff, tf.ConstantLag(0.01))])
+    tr = sv.integrate(eq, 1.0, 2.0, step=0.01, initial_value=1.5, forcing=forcing)
+    steps = tr.times.size - 1
+    assert coeff.calls == len(forced) == 2 * steps + 1
+
+
 @pytest.mark.parametrize("part", ["time", "state"])
 def test_overflow_truncates_at_the_first_node_past_it(part):
     # OverflowError in the forcing (the time part) or in x^n of a huge
