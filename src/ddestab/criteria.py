@@ -129,7 +129,14 @@ class LinearDelayEquation:
         for term in self.distributed_terms:
             if not isinstance(term, DistributedTerm):
                 raise TypeError("distributed entries must be DistributedTerm instances")
-        self._validate_domination()
+        # The framework requires the positive side to dominate pointwise:
+        # sum a_k(t) >= sum b_j(t) for (almost) all t >= t0.
+        t = tf.domination_violation(self._pos_coeffs(), self._neg_coeffs(), self.t0)
+        if t is not None:
+            raise ValueError(
+                "negative-side coefficients exceed the positive side at t=%g "
+                "(violates the domination requirement)" % t
+            )
 
     def _pos_coeffs(self):
         return [t.coeff for t in self.positive_terms] + [
@@ -140,35 +147,6 @@ class LinearDelayEquation:
         return [t.coeff for t in self.negative_terms] + [
             d.total_weight for d in self.distributed_terms if d.sign == -1
         ]
-
-    def _validate_domination(self) -> None:
-        # The framework requires the positive side to dominate pointwise:
-        # sum a_k(t) >= sum b_j(t) for (almost) all t >= t0, checked on
-        # every segment of step functions and on samples otherwise, plus a
-        # point in every segment of the step parts of a mixture.
-        pos = self._pos_coeffs()
-        neg = self._neg_coeffs()
-        if not neg:
-            return
-        ts = tf.step_cover(*pos, *neg, t0=self.t0)
-        if ts is None:
-            classes = [c.asymptotic_class for c in pos + neg]
-            span = tf.representative_span(tf.merge_classes(classes))
-            ts = [self.t0 + span * k / 512.0 for k in range(513)]
-            ts += tf.summand_cover(*pos, *neg, t0=self.t0)
-        worst_t, worst = 0.0, math.inf
-        scale = 1e-300
-        for t in ts:
-            p = sum(c.value(t) for c in pos)
-            n = sum(c.value(t) for c in neg)
-            scale = max(scale, p, n)
-            if p - n < worst:
-                worst_t, worst = t, p - n
-        if worst < -1e-9 * max(scale, 1.0):
-            raise ValueError(
-                "negative-side coefficients exceed the positive side at t=%g "
-                "(violates the domination requirement)" % worst_t
-            )
 
     @property
     def all_delays(self):
@@ -242,7 +220,8 @@ class Check:
     ``margin`` is how far the inequality holds: rhs - lhs for "<" checks,
     lhs - rhs for ">" checks. Strict checks are satisfied only when the
     margin clears the marginal band; non-strict checks pass at margin 0.
-    ``marginal`` flags failures within the band of the bound.
+    ``marginal`` flags failures within the band of the bound. A check with
+    a side that is not finite is neither.
     """
 
     description: str
@@ -261,11 +240,13 @@ def make_check(
     if direction not in ("<", ">"):
         raise ValueError("direction must be '<' or '>'")
     margin = (rhs - lhs) if direction == "<" else (lhs - rhs)
+    # A side that is not finite fails closed, whatever the margin says.
+    finite = math.isfinite(lhs) and math.isfinite(rhs)
     if strict:
-        satisfied = margin > MARGINAL_BAND
+        satisfied = finite and margin > MARGINAL_BAND
     else:
-        satisfied = margin >= 0.0
-    marginal = (not satisfied) and margin >= -MARGINAL_BAND
+        satisfied = finite and margin >= 0.0
+    marginal = finite and not satisfied and margin >= -MARGINAL_BAND
     return Check(
         description=description,
         lhs=lhs,

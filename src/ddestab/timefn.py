@@ -4,22 +4,29 @@ and essential extrema consumed by the stability criteria.
 Coefficients are nonnegative functions of time with exact antiderivatives,
 so window integrals are closed-form differences rather than quadratures.
 Each coefficient derives its asymptotic class (constant, periodic, or
-general with an analysis horizon) from its structure; the class
-determines how essential suprema over unbounded time ranges are
-evaluated. Where the coefficient has more structure, the extremum comes
-from it: closed forms for a sinsq window, and the kinks and segments of a
-step function; everything else is searched on a grid, to which the step
-summands of a mixture add their kinks and segments.
+general with an analysis horizon) from its structure; the class sets the
+time range of an essential extremum. Every coefficient the constructors
+build is a step part plus a trigonometric polynomial in one base frequency
+(its normal form), which decides pointwise questions exactly:
+proportionality, vanishing, domination and nonnegativity, and the extrema
+of a coefficient or of a ratio with a positive denominator. A sinsq window
+has closed forms and a step function's window is read at its kinks; the
+rest (general delays, windows of mixtures or under a horizon shorter than
+a sinsq period, ratios whose denominator reaches zero) is searched on a
+grid.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import inspect
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "ConfigurationError",
@@ -40,8 +47,7 @@ __all__ = [
     "scaled",
     "coeff_sum",
     "difference",
-    "step_cover",
-    "summand_cover",
+    "domination_violation",
     "proportional_ratio",
     "ConstantLag",
     "IdentityDelay",
@@ -71,6 +77,7 @@ _ZERO_TOL = 1e-12
 # Ulps by which a closed-form extremum is moved outward, so that no check
 # rests on the rounding of the formula.
 _PAD_ULPS = 4
+_TAU = 2.0 * math.pi
 # Entries kept by the per-process memo of each extremum search. The searches
 # take frozen dataclasses and floats and are deterministic in them, so a hit
 # returns exactly what recomputing would.
@@ -134,13 +141,19 @@ def merge_classes(classes: Sequence[AsymptoticClass]) -> AsymptoticClass:
     if not periods:
         return ConstantClass()
     base = max(periods)
-    for mult in range(1, 65):
-        candidate = mult * base
-        if all(abs(candidate / p - round(candidate / p)) < 1e-9 for p in periods):
-            return PeriodicClass(candidate)
+    mult = _common_multiple([base / p for p in periods])
+    if mult is not None:
+        return PeriodicClass(mult * base)
     raise ConfigurationError(
         "periodic components (periods %s) have no common period within 64 "
         "multiples of the longest" % ", ".join("%.6g" % p for p in periods)
+    )
+
+
+def _common_multiple(ratios: Sequence[float]) -> Optional[int]:
+    """The least m <= 64 that makes every m * ratio an integer (to 1e-9), or None."""
+    return next(
+        (m for m in range(1, 65) if all(abs(m * r - round(m * r)) < 1e-9 for r in ratios)), None
     )
 
 
@@ -317,10 +330,8 @@ class SumCoefficient(Coefficient):
 class _LinearCombination(Coefficient):
     """Internal signed combination (for differences like a-b).
 
-    Nonnegativity is validated on every segment of a step function and
-    otherwise, as it cannot be verified symbolically, on a sample grid over
-    the representative span; public constructors never produce negative
-    weights.
+    ``difference`` validates it nonnegative before building it; public
+    constructors never produce negative weights.
     """
 
     parts: tuple  # of (weight, Coefficient)
@@ -329,18 +340,6 @@ class _LinearCombination(Coefficient):
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise ValueError("combination needs at least one part")
-        span = representative_span(self.asymptotic_class)
-        scale = max(
-            (abs(w) * max(abs(c.value(0.0)), abs(c.value(span / 3.0))) for w, c in self.parts),
-            default=1.0,
-        )
-        tol = 1e-9 * max(scale, 1.0)
-        ts = step_cover(self)
-        if ts is None:
-            ts = [span * k / 256.0 for k in range(257)]
-        for t in ts:
-            if self.value(t) < -tol:
-                raise ValueError("signed combination is negative at t=%g" % t)
 
     def value(self, t: float) -> float:
         return sum(w * c.value(t) for w, c in self.parts)
@@ -355,6 +354,9 @@ class _LinearCombination(Coefficient):
 
 def constant(v: float) -> ConstantCoefficient:
     return ConstantCoefficient(float(v))
+
+
+_ONE = ConstantCoefficient(1.0)
 
 
 def sinsq(amplitude: float, angular_freq: float, phase: float = 0.0) -> SinSqCoefficient:
@@ -407,140 +409,226 @@ def difference(a: Coefficient, b: Coefficient) -> Coefficient:
         return SinSqCoefficient(max(d, 0.0), a.angular_freq, a.phase)
     if isinstance(b, ConstantCoefficient) and b.v == 0.0:
         return a
+    t = domination_violation([a], [b])
+    if t is not None:
+        raise ValueError("signed combination is negative at t=%g" % t)
     return _LinearCombination(((1.0, a), (-1.0, b)))
 
 
-def _step_breakpoints(*coeffs: Coefficient) -> Optional[tuple]:
-    """Sorted union of the coefficients' breakpoints, or None if one is not a step function.
+# ---------------------------------------------------------------------------
+# Normal form
+# ---------------------------------------------------------------------------
 
-    Step functions are constant and piecewise-constant coefficients and any
-    scaled, summed or signed combination built only from them; between two
-    consecutive breakpoints such a coefficient is constant.
+
+@dataclass(frozen=True)
+class _NormalForm:
+    """levels[i] plus the sum of Re(w e^{i f t}) over the waves (f, w).
+
+    i is the segment of the (right-continuous) breakpoints holding t. As
+    A sin^2(w t + phi) = A/2 - (A/2) cos(2 w t + 2 phi), a sinsq term adds
+    A/2 to the levels and -(A/2) e^{2 i phi} at f = 2 w. ``signed`` tells
+    whether a part entered with a negative weight; otherwise the
+    coefficient is nonnegative by construction.
     """
-    merged = set()
-    for c in coeffs:
-        if isinstance(c, PiecewiseConstantCoefficient):
-            bps = c.breakpoints
+
+    waves: tuple
+    breakpoints: tuple
+    levels: tuple
+    signed: bool
+
+    def level(self, t: float) -> float:
+        return self.levels[bisect_right(self.breakpoints, t)]
+
+    def trig(self, t: float) -> float:
+        return sum(w.real * math.cos(f * t) - w.imag * math.sin(f * t) for f, w in self.waves)
+
+    @property
+    def bound(self) -> float:
+        """An upper bound of the coefficient's magnitude."""
+        return max(map(abs, self.levels)) + sum(abs(w) for _, w in self.waves)
+
+
+def _normal_form(*parts) -> Optional[_NormalForm]:
+    """The normal form of the sum of weight * c over the (weight, c) parts.
+
+    None when a part is not built from the constant, sinsq and piecewise
+    constant constructors by scaling, summing and signed combination.
+    """
+    waves, steps, todo, signed = {}, [], list(parts), False
+    while todo:
+        w, c = todo.pop()
+        signed = signed or w < 0.0
+        if isinstance(c, ConstantCoefficient):
+            steps.append(((), (w * c.v,)))
+        elif isinstance(c, SinSqCoefficient):
+            half = w * c.amplitude / 2.0
+            steps.append(((), (half,)))
+            f = 2.0 * c.angular_freq
+            waves[f] = waves.get(f, 0.0) - half * cmath.exp(2j * c.phase)
+        elif isinstance(c, PiecewiseConstantCoefficient):
+            steps.append((c.breakpoints, tuple(w * v for v in c.values)))
         elif isinstance(c, ScaledCoefficient):
-            bps = _step_breakpoints(c.inner)
+            todo.append((w * c.factor, c.inner))
         elif isinstance(c, SumCoefficient):
-            bps = _step_breakpoints(*c.terms)
+            todo.extend((w, term) for term in c.terms)
         elif isinstance(c, _LinearCombination):
-            bps = _step_breakpoints(*(part for _, part in c.parts))
-        elif isinstance(c, ConstantCoefficient):
-            bps = ()
+            todo.extend((w * weight, part) for weight, part in c.parts)
         else:
             return None
-        if bps is None:
-            return None
-        merged.update(bps)
-    return tuple(sorted(merged))
+    bps = tuple(sorted(set().union(*(b for b, _ in steps))))
+    levels = tuple(sum(v[bisect_right(b, t)] for b, v in steps) for t in (-math.inf,) + bps)
+    waves = tuple((f, w) for f, w in sorted(waves.items()) if w != 0)
+    return _NormalForm(waves, bps, levels, signed)
 
 
-def _step_points(breakpoints: Sequence[float], lo: float, hi: float) -> list:
-    """lo, hi, the breakpoints between them and the midpoint of every segment.
+def _pieces(breakpoints: Sequence[float], lo: float, hi: float) -> list:
+    """lo, the breakpoints strictly between lo and hi, and hi."""
+    return [lo] + [b for b in breakpoints if lo < b < hi] + [hi]
 
-    A step function with these breakpoints takes each of its values on
-    [lo, hi] at one of the returned points.
+
+def _harmonics(*forms: _NormalForm):
+    """(nu, arrays): each form's waves as two-sided coefficients c[K + m] of e^{i m nu t}.
+
+    None unless every frequency is a multiple of nu to 1e-12, nu being the
+    lowest frequency over at most 64 (as ``merge_classes`` asks of periods).
     """
-    xs = [lo] + [b for b in breakpoints if lo < b < hi] + [hi]
-    mids = [0.5 * (x + y) for x, y in zip(xs, xs[1:])]
-    return sorted(xs + mids)
-
-
-def step_cover(*coeffs: Coefficient, t0: float = -math.inf) -> Optional[list]:
-    """A point in every segment at or after t0 of the step functions, or None."""
-    bps = _step_breakpoints(*coeffs)
-    if bps is None:
+    fs = sorted({f for nf in forms for f, _ in nf.waves}) or [1.0]
+    mult = _common_multiple([f / fs[0] for f in fs])
+    nu = fs[0] / (mult or 1)
+    order = {f: round(f / nu) for f in fs}
+    if mult is None or any(abs(k * nu - f) > 1e-12 * f for f, k in order.items()):
         return None
-    if not bps:
-        return [t0 if math.isfinite(t0) else 0.0]
-    lo = max(bps[0] - 1.0, t0)
-    return _step_points(bps, lo, max(bps[-1], lo) + 1.0)
+    K = max(order.values())
+    arrays = [np.zeros(2 * K + 1, complex) for _ in forms]
+    for nf, c in zip(forms, arrays):
+        for f, w in nf.waves:
+            c[K + order[f]] += w / 2.0
+            c[K - order[f]] += w.conjugate() / 2.0
+    return nu, arrays
 
 
-def _step_summands(*coeffs: Coefficient) -> list:
-    """The step functions among the summands of the coefficients.
+def _derivative(c):
+    """Two-sided coefficients of the derivative in nu t."""
+    K = (len(c) - 1) // 2
+    return 1j * np.arange(-K, K + 1) * c
 
-    Summands are found through sums, signed combinations and scalings; a
-    step function is its own only summand.
+
+def _trig_zeros(g) -> list:
+    """Angles x where the (real, as g is Hermitian) sum of g[K + m] e^{i m x} vanishes.
+
+    Negligible top harmonics are dropped. One harmonic has a closed form;
+    more take the eigenvalues of the companion matrix of the polynomial in
+    z = e^{i x} (Boyd, SINUM 2002), polished by Newton steps. Angles of
+    roots off the unit circle stay as spare candidates.
     """
-    parts, todo = [], list(coeffs)
-    while todo:
-        c = todo.pop()
-        if _step_breakpoints(c) is not None:
-            parts.append(c)
-        elif isinstance(c, SumCoefficient):
-            todo.extend(c.terms)
-        elif isinstance(c, _LinearCombination):
-            todo.extend(part for _, part in c.parts)
-        elif isinstance(c, ScaledCoefficient):
-            todo.append(c.inner)
-    return parts
+    tol = 1e-14 * float(np.max(np.abs(g)))
+    while len(g) > 1 and abs(g[-1]) <= tol:
+        g = g[1:-1]
+    K = (len(g) - 1) // 2
+    if K == 0:
+        return []
+    if K == 1:  # g0 + 2 |g1| cos(x + arg g1) = 0
+        c, phi = -g[1].real / (2.0 * abs(g[2])), cmath.phase(g[2])
+        return [] if abs(c) > 1.0 else [math.acos(c) - phi, -math.acos(c) - phi]
+    companion = np.eye(2 * K, k=-1, dtype=complex)
+    companion[:, -1] = -g[:-1] / g[-1]
+    x = np.angle(np.linalg.eigvals(companion))
+    m, dg = np.arange(-K, K + 1), _derivative(g)
+    for _ in range(3):
+        e = np.exp(1j * np.outer(x, m))
+        step = (e @ g).real / np.where((e @ dg).real == 0.0, np.inf, (e @ dg).real)
+        x = np.where(np.abs(step) < 0.5 / K, x - step, x)
+    return x.tolist()
 
 
-def summand_cover(*coeffs: Coefficient, t0: float = -math.inf) -> list:
-    """A point in every segment at or after t0 of the step-function summands.
+def _candidates(forms, lo: float, hi: float, nu: float, angles) -> list:
+    """(t, a) pairs where a function of the forms takes its extrema on [lo, hi].
 
-    A mixture such as a sinsq plus a narrow pulse gets a point inside the
-    pulse that a sample grid could step over. Empty when there are none.
+    a is the start of the piece whose levels hold at t. Each piece [a, b)
+    between breakpoints gives a; when a form has waves, also b as a left
+    limit and the times inside where nu t is one of ``angles(a)`` mod 2 pi.
     """
-    parts = _step_summands(*coeffs)
-    return step_cover(*parts, t0=t0) if parts else []
+    xs = _pieces(sorted(set().union(*(nf.breakpoints for nf in forms))), lo, hi)
+    smooth = any(nf.waves for nf in forms)
+    out = []
+    for a, b in zip(xs, xs[1:]):
+        out.append((a, a))
+        if smooth:
+            for x in angles(a):
+                first, stop = (math.ceil((s * nu - x) / _TAU) for s in (a, b))
+                out += [(t, a) for t in ((x + _TAU * k) / nu for k in range(first, stop)) if t > a]
+            out.append((b, a))
+    return sorted(out) + [(hi, hi)]
 
 
-def _nonnegative(c: Coefficient) -> bool:
-    """Whether c >= 0 everywhere follows from how c is built.
+def _least(nf: _NormalForm, lo: float, hi: float):
+    """(t, value) where the normal form is least on [lo, hi], by its own arithmetic.
 
-    The sinsq, constant, piecewise-constant and scaled constructors reject
-    negative values and factors. A signed combination is excluded: its
-    sign is only sampled.
+    An infinite end is cut a period (a unit, without waves) past the outer
+    breakpoints. None when the waves have no common frequency.
     """
-    if isinstance(c, (SinSqCoefficient, ConstantCoefficient, PiecewiseConstantCoefficient)):
-        return True
-    if isinstance(c, ScaledCoefficient):
-        return _nonnegative(c.inner)
-    if isinstance(c, SumCoefficient):
-        return all(_nonnegative(term) for term in c.terms)
-    return False
+    harm = _harmonics(nf)
+    if harm is None:
+        return None
+    nu, (c,) = harm
+    period, bps = (_TAU / nu if nf.waves else 1.0), nf.breakpoints or (0.0,)
+    lo = bps[0] - period if lo == -math.inf else lo
+    hi = max(bps[-1], lo) + period if hi == math.inf else hi
+    angles = _trig_zeros(_derivative(c))
+    points = _candidates([nf], lo, hi, nu, lambda a: angles)
+    return min(((t, nf.level(a) + nf.trig(t)) for t, a in points), key=lambda p: p[1])
+
+
+def domination_violation(
+    pos: Sequence[Coefficient], neg: Sequence[Coefficient], t0: float = -math.inf
+) -> Optional[float]:
+    """The time t >= t0 where sum(neg) most exceeds sum(pos), if beyond tolerance.
+
+    None when sum(pos) - sum(neg) stays above -1e-9 times the larger
+    side's magnitude (at least -1e-9). Exact from the normal form; searched
+    over the representative span when there is none or its waves have no
+    common frequency.
+    """
+    if not neg:
+        return None
+    parts = [(1.0, c) for c in pos] + [(-1.0, c) for c in neg]
+    nf = _normal_form(*parts)
+    least = None if nf is None else _least(nf, t0, math.inf)
+    if least is not None:
+        t, value = least
+        scale = max(_normal_form(*((1.0, c) for c in side)).bound for side in (pos, neg))
+    else:
+        info = _maximize(
+            lambda t: -sum(w * c.value(t) for w, c in parts),
+            t0 if t0 > -math.inf else 0.0,
+            _structure([c.asymptotic_class for _, c in parts], [], None),
+            0.0,
+        )
+        t, value = info.argmax, -info.value
+        scale = max(abs(c.value(t)) for _, c in parts)
+    return t if value < -1e-9 * max(scale, 1.0) else None
 
 
 def proportional_ratio(num: Coefficient, den: Coefficient) -> Optional[float]:
     """Constant k with num = k * den everywhere, or None.
 
-    Step functions are compared on every segment. Anything else is sampled
-    over the merged representative span; an irrational offset keeps
-    structural zeros of the two functions from hiding at the sample points.
+    Decided from the normal forms: num - k * den must vanish, every level
+    and wave of it within 1e-9 of the magnitudes. A scaling of den gives
+    its factor; otherwise k is the ratio of the largest levels, or of the
+    magnitudes when den has no level. None also without a normal form.
     """
-    if isinstance(num, ConstantCoefficient) and isinstance(den, ConstantCoefficient):
-        if den.v == 0.0:
-            return 0.0 if num.v == 0.0 else None
-        return num.v / den.v
-    ts = step_cover(num, den)
-    if ts is None:
-        cls = merge_classes([num.asymptotic_class, den.asymptotic_class])
-        span = representative_span(cls)
-        offset = span * (math.e / 7.0 - math.floor(math.e / 7.0))
-        samples = 513
-        ts = [offset + span * k / (samples - 1) for k in range(samples)]
-    den_vals = [den.value(t) for t in ts]
-    num_vals = [num.value(t) for t in ts]
-    den_scale = max((abs(v) for v in den_vals), default=0.0)
-    num_scale = max((abs(v) for v in num_vals), default=0.0)
-    if den_scale == 0.0:
-        return 0.0 if num_scale == 0.0 else None
-    ratios = [
-        nv / dv for nv, dv in zip(num_vals, den_vals) if abs(dv) > 1e-9 * den_scale
-    ]
-    if not ratios:
+    n, d = _normal_form((1.0, num)), _normal_form((1.0, den))
+    if n is None or d is None:
         return None
-    k = ratios[len(ratios) // 2]
-    if max(ratios) - min(ratios) > 1e-9 * max(1.0, abs(k)):
-        return None
-    resid_tol = 1e-9 * max(num_scale, abs(k) * den_scale, 1e-300)
-    if all(abs(nv - k * dv) <= resid_tol for nv, dv in zip(num_vals, den_vals)):
-        return k
-    return None
+    if d.bound == 0.0:
+        return 0.0 if n.bound == 0.0 else None
+    if isinstance(num, ScaledCoefficient) and num.inner == den:
+        k = num.factor
+    else:
+        d_top = max(map(abs, d.levels))
+        k = max(map(abs, n.levels)) / d_top if d_top else n.bound / d.bound
+    rest = _normal_form((1.0, num), (-k, den)).bound
+    return k if rest <= 1e-9 * max(n.bound, k * d.bound) else None
 
 
 # ---------------------------------------------------------------------------
@@ -772,36 +860,22 @@ def _maximize(fn, t0: float, structure, span_pad: float, points=None, exhaustive
     return SupInfo(best_v, best_x, limited)
 
 
-def _kinks(c: Coefficient, shifts: Sequence[float]):
-    """(points, exhaustive) for _maximize of a window integral of c whose ends sit at t - shift.
+def _kinks(shifts: Sequence[float], *coeffs: Coefficient):
+    """(points, exhaustive) for _maximize of a function with kinks at breakpoint + shift.
 
-    The window integral of a step function is piecewise linear in t, with
-    kinks where an end crosses a breakpoint, so its kinks are exhaustive.
-    The kinks of the step summands of a mixture join the search grid.
+    A window integral of a step function, whose ends sit at t - shift, is
+    piecewise linear in t, so its kinks are exhaustive; those of a
+    mixture's step part join the search grid.
     """
-    parts = _step_summands(c)
-    if not parts:
+    forms = [_normal_form((1.0, c)) for c in coeffs]
+    if None in forms:
         return None, False
-    kinks = sorted({b + s for b in _step_breakpoints(*parts) for s in shifts})
-    return (
-        lambda lo, hi: [lo] + [x for x in kinks if lo < x < hi] + [hi],
-        _step_breakpoints(c) is not None,
-    )
-
-
-def _segments(*coeffs: Coefficient, t0: float):
-    """(points, exhaustive) for _maximize of a pointwise function of the coefficients.
-
-    A point in every segment is exhaustive for step functions; for a
-    mixture, a point in every segment of its step summands joins the grid.
-    """
-    bps = _step_breakpoints(*coeffs)
-    if bps is not None:
-        return (lambda lo, hi: _step_points(bps, lo, hi)), True
-    cover = summand_cover(*coeffs, t0=t0)
-    if not cover:
+    smooth = any(nf.waves for nf in forms)
+    bps = set().union(*(nf.breakpoints for nf in forms))
+    if smooth and not bps:
         return None, False
-    return (lambda lo, hi: cover), False
+    kinks = sorted({b + s for b in bps for s in shifts})
+    return (lambda lo, hi: _pieces(kinks, lo, hi)), not smooth
 
 
 def _sinsq_window(c: Coefficient, structure, length: float, u0: float, upper: bool):
@@ -872,7 +946,7 @@ def sup_window_integral_info(
         exact = _sinsq_window(c, structure, lag, t0, True)
         if exact is not None:
             return SupInfo(*exact)
-        points = _kinks(c, (0.0, lag))
+        points = _kinks((0.0, lag), c)
     return _maximize(
         lambda t: window_integral(c, lower, t), t0, structure, lower.lag_bound, *points
     )
@@ -899,10 +973,12 @@ def sup_between_delays_info(
 ) -> SupInfo:
     """Essential supremum over t >= t0 of |integral of c over [d1(t), d2(t)]|.
 
-    When d2 is the identity and c is nonnegative by construction, the
-    integral is the window integral over [d1(t), t] and that search answers.
+    When d2 is the identity and c is nonnegative by construction (built
+    without a signed combination), the integral is the window integral over
+    [d1(t), t] and that search answers.
     """
-    if isinstance(d2, IdentityDelay) and _nonnegative(c):
+    nf = _normal_form((1.0, c))
+    if isinstance(d2, IdentityDelay) and nf is not None and not nf.signed:
         return sup_window_integral_info(c, d1, t0, horizon=horizon)
     structure = _structure([c.asymptotic_class], [d1, d2], horizon)
     lag1, lag2 = _as_lag(d1), _as_lag(d2)
@@ -912,7 +988,7 @@ def sup_between_delays_info(
         exact = _sinsq_window(c, structure, abs(lag1 - lag2), t0 - near, True)
         if exact is not None:
             return SupInfo(exact[0], max(exact[1] + near, t0), exact[2])
-        points = _kinks(c, (lag1, lag2))
+        points = _kinks((lag1, lag2), c)
     pad = max(d1.lag_bound, d2.lag_bound)
     return _maximize(
         lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad, *points
@@ -951,7 +1027,7 @@ def liminf_forward_integral_info(
     if exact is not None:
         return SupInfo(exact[0], max(exact[1] - length, t0), exact[2])
     info = _maximize(
-        lambda t: -c.integral(t, t + length), t0, structure, length, *_kinks(c, (0.0, -length))
+        lambda t: -c.integral(t, t + length), t0, structure, length, *_kinks((0.0, -length), c)
     )
     return SupInfo(-info.value, info.argmax, info.horizon_limited)
 
@@ -976,10 +1052,13 @@ def ratio_extrema(
 ):
     """(esssup, essinf) of num(t)/den(t) for t >= t0.
 
-    Points where the denominator vanishes are excluded when the numerator
-    vanishes with it (matching the essential extrema of the a.e.-defined
-    ratio); a vanishing denominator under a nonvanishing numerator makes the
-    supremum infinite.
+    Proportional coefficients give their ratio. While the denominator
+    stays positive, the ratio is read at the candidates of the normal forms,
+    stationary where p'q - pq' (a trigonometric polynomial) vanishes, and
+    moved outward by a few ulps when a form has waves. A denominator that
+    reaches zero is searched: where it vanishes with the numerator the
+    point is excluded (the ratio is defined a.e.), and under a nonvanishing
+    numerator the supremum is infinite.
     """
     k = proportional_ratio(num, den)
     if k is not None:
@@ -987,23 +1066,45 @@ def ratio_extrema(
     structure = _structure(
         [num.asymptotic_class, den.asymptotic_class], [], horizon
     )
-    span = representative_span(merge_classes([num.asymptotic_class, den.asymptotic_class]))
-    probe = max(abs(den.value(t0 + span * k2 / 64.0)) for k2 in range(65))
-    floor = 1e-12 * max(probe, 1e-300)
+    kind, param = structure
+    lo, hi, limited = t0, t0 + (param if kind != "constant" else 0.0), kind == "general"
+    forms = (_normal_form((1.0, num)), _normal_form((1.0, den)))
+    harm = None if None in forms else _harmonics(*forms)
+    least = None if harm is None else _least(forms[1], lo, hi)
+    if least is not None and least[1] > 1e-12 * forms[1].bound:
+        nu, (p, q) = harm
+        K = (len(p) - 1) // 2
+
+        def angles(a: float) -> list:
+            pa, qa = p.copy(), q.copy()
+            pa[K] += forms[0].level(a)
+            qa[K] += forms[1].level(a)
+            return _trig_zeros(np.convolve(_derivative(pa), qa) - np.convolve(pa, _derivative(qa)))
+
+        points = []
+        for t, a in _candidates(forms, lo, hi, nu, angles):
+            nv, dv = (c.value(t) + (nf.level(a) - nf.level(t)) for c, nf in zip((num, den), forms))
+            points.append((t, nv / dv))
+        (t_hi, r_hi), (t_lo, r_lo) = (f(points, key=lambda p: p[1]) for f in (max, min))
+        ulps = math.ulp(forms[0].bound) + max(abs(r_hi), abs(r_lo)) * math.ulp(forms[1].bound)
+        pad = _PAD_ULPS * ulps / least[1] if forms[0].waves or forms[1].waves else 0.0
+        return SupInfo(r_hi + pad, t_hi, limited), SupInfo(r_lo - pad, t_lo, limited)
+    scale = coefficient_extrema(den, t0, horizon=horizon)[0].value
+    floor = 1e-12 * max(scale, 1e-300)
 
     def ratio_at(t: float) -> float:
         dv = den.value(t)
         nv = num.value(t)
         if abs(dv) <= floor:
-            if abs(nv) <= 1e-9 * max(probe, 1.0):
+            if abs(nv) <= 1e-9 * max(scale, 1.0):
                 return math.nan
             return math.inf
         return nv / dv
 
-    points = _segments(num, den, t0=t0)
-    hi = _maximize(ratio_at, t0, structure, 0.0, *points)
-    lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0, *points)
-    return hi, SupInfo(-lo.value, lo.argmax, lo.horizon_limited)
+    points = _kinks((0.0,), num, den)
+    r_hi = _maximize(ratio_at, t0, structure, 0.0, *points)
+    r_lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0, *points)
+    return r_hi, SupInfo(-r_lo.value, r_lo.argmax, r_lo.horizon_limited)
 
 
 def coefficient_extrema(
@@ -1012,12 +1113,8 @@ def coefficient_extrema(
     *,
     horizon: Optional[float] = None,
 ):
-    """(esssup, essinf) of the coefficient's values for t >= t0."""
-    structure = _structure([c.asymptotic_class], [], horizon)
-    points = _segments(c, t0=t0)
-    hi = _maximize(c.value, t0, structure, 0.0, *points)
-    lo = _maximize(lambda t: -c.value(t), t0, structure, 0.0, *points)
-    return hi, SupInfo(-lo.value, lo.argmax, lo.horizon_limited)
+    """(esssup, essinf) of the coefficient's values for t >= t0: those of c/1."""
+    return ratio_extrema(c, _ONE, t0, horizon=horizon)
 
 
 def persistent_mean(c: Coefficient, t0: float = 0.0):
@@ -1036,10 +1133,19 @@ def persistent_mean(c: Coefficient, t0: float = 0.0):
 
 
 def vanishing_fraction(c: Coefficient, t0: float = 0.0) -> float:
-    """Fraction of sample points where the coefficient (essentially) vanishes."""
+    """Fraction of [t0, t0 + representative span] where the coefficient vanishes.
+
+    Waves vanish only on a null set, so this is the length of the step
+    segments where a coefficient without waves is zero (within _ZERO_TOL of
+    its largest level) over the span. NaN when c has no normal form.
+    """
+    nf = _normal_form((1.0, c))
+    if nf is None:
+        return math.nan
     span = representative_span(c.asymptotic_class)
-    samples = 512
-    ts = [t0 + span * (k + 0.5) / samples for k in range(samples)]
-    vals = [abs(c.value(t)) for t in ts]
-    scale = max(max(vals), 1e-300)
-    return sum(1 for v in vals if v <= _ZERO_TOL * scale) / samples
+    if nf.waves:
+        return 0.0
+    xs = _pieces(nf.breakpoints, t0, t0 + span)
+    levels = [nf.level(a) for a in xs[:-1]]
+    zero = _ZERO_TOL * max([abs(v) for v in levels] + [1e-300])
+    return sum(b - a for a, b, v in zip(xs, xs[1:], levels) if abs(v) <= zero) / span

@@ -226,6 +226,24 @@ def test_domination_samples_every_step_segment_of_a_mixture():
         )
 
 
+def test_domination_sees_a_sinsq_peak_between_samples():
+    # b = 1.000001 sin^2(t + 0.003) exceeds a = 1 by 1e-6 near its peak.
+    with pytest.raises(ValueError, match="domination"):
+        cr.LinearDelayEquation(
+            positive_terms=[cr.Term(tf.constant(1.0), tf.ConstantLag(1.0))],
+            negative_terms=[cr.Term(tf.sinsq(1.000001, 1.0, 0.003), tf.IdentityDelay())],
+        )
+
+
+def test_non_finite_check_sides_fail_closed():
+    for lhs, rhs in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (math.inf, math.inf)):
+        for strict in (True, False):
+            for direction in ("<", ">"):
+                check = cr.make_check("x", lhs, rhs, strict=strict, direction=direction)
+                assert not check.satisfied and not check.marginal
+    assert cr.make_check("x", 0.5, 1.0, strict=True).satisfied
+
+
 def test_ratio_supremum_sees_every_step_segment_of_a_mixture():
     # Dominated by a = 2, the pulse still sets the ratio supremum; the
     # 1025-point grid over the 250-long span steps over it.

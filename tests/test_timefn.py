@@ -69,9 +69,12 @@ def test_difference_rejects_negative_combination():
         tf.difference(tf.constant(0.3), tf.constant(0.4))
     with pytest.raises(ValueError):
         tf.difference(tf.sinsq(0.3, 1.0), tf.sinsq(0.6, 1.0))
-    # Structurally dissimilar difference goes through the sampled validator.
+    # Structurally dissimilar difference goes through the normal-form minimum.
     with pytest.raises(ValueError):
         tf.difference(tf.constant(0.3), tf.sinsq(0.9, 1.0))
+    # Its peak, 1e-5 above the constant, falls between any fixed samples.
+    with pytest.raises(ValueError, match="negative"):
+        tf.difference(tf.constant(1.0), tf.sinsq(1.00001, 1.0, 0.006))
     # A step function is validated on every segment, however narrow.
     with pytest.raises(ValueError, match="negative at t=100.13"):
         tf.difference(tf.constant(1.0), tf.piecewise_constant([100.13, 100.15], [0.5, 1.5, 0.5]))
@@ -299,6 +302,9 @@ def test_vanishing_fraction():
     assert tf.vanishing_fraction(tf.constant(0.0)) == 1.0
     c = tf.piecewise_constant([0.0, 6.0, 12.0], [1.0, 0.0, 1.0, 1.0])
     assert 0.3 < tf.vanishing_fraction(c) < 0.7
+    # A zero segment counts by its length, not by the samples that land in it.
+    c = tf.piecewise_constant([1.0, 1.01, 30.0], [1.0, 0.0, 1.0, 1.0])
+    assert tf.vanishing_fraction(c) == (1.01 - 1.0) / 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +593,7 @@ def test_gap_ending_at_t_is_the_window_for_a_nonnegative_coefficient():
     gap = tf.sup_between_delays_info(MinusOne(), lag, tf.IdentityDelay(), horizon=12.0)
     assert window.value == pytest.approx(-1.0, abs=1e-9)
     assert gap.value == pytest.approx(1.5, abs=1e-9)
-    # A signed combination is nonnegative only by sampling: it is searched too.
+    # A signed combination is nonnegative only within a tolerance: it is searched too.
     signed = tf.difference(tf.constant(1.0), tf.sinsq(0.5, 1.0))
     misses = tf.sup_window_integral_info.cache_info().misses
     tf.sup_between_delays_info(signed, lag, tf.IdentityDelay(), horizon=12.0)
@@ -618,3 +624,97 @@ def test_mixture_extrema_see_every_segment_of_a_step_summand():
     b = tf.coeff_sum([tf.sinsq(0.5, 1.0), pulse])
     hi, _ = tf.coefficient_extrema(b)
     assert max(b.value(250.37 + 0.02 * k / 100) for k in range(100)) <= hi.value
+
+
+# ---------------------------------------------------------------------------
+# Normal form
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def commensurate_sums(draw, base):
+    """A sum of sinsq terms at multiples of base, maybe with a step summand."""
+    terms = [
+        tf.sinsq(draw(st.floats(0.05, 2.0)), base * draw(st.integers(1, 4)),
+                 draw(st.floats(0.0, math.pi)))
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    if draw(st.booleans()):
+        start = draw(st.floats(0.0, 10.0))
+        width = draw(st.floats(0.01, 2.0))
+        terms.append(tf.piecewise_constant([start, start + width, 12.0],
+                                           [draw(st.floats(0.0, 1.0)) for _ in range(4)]))
+    return tf.coeff_sum(terms)
+
+
+def _scan_range(c, t0=0.0):
+    return t0, t0 + tf.representative_span(c.asymptotic_class)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), base=st.floats(0.3, 2.0), k=st.floats(0.01, 5.0),
+       t=st.floats(-50.0, 50.0))
+def test_property_normal_form_is_exact_and_encloses_a_dense_scan(data, base, k, t):
+    c, d = data.draw(commensurate_sums(base)), data.draw(commensurate_sums(base))
+    nf = tf._normal_form((1.0, c))
+    assert nf.level(t) + nf.trig(t) == pytest.approx(c.value(t), abs=1e-12 * nf.bound)
+    assert tf.proportional_ratio(tf.scaled(k, c), c) == k
+    lo, hi = _scan_range(c)
+    c_hi, c_lo = tf.coefficient_extrema(c)
+    values = [c.value(lo + (hi - lo) * j / 4096) for j in range(4097)]
+    assert c_lo.value <= min(values) and max(values) <= c_hi.value
+    # Stationary points are found, not stepped over: the scan comes within
+    # its own resolution of each extremum.
+    assert c_hi.value - max(values) <= 1e-3 * nf.bound
+    assert min(values) - c_lo.value <= 1e-3 * nf.bound
+    den = tf.coeff_sum([tf.constant(0.25), d])
+    lo, hi = _scan_range(tf.coeff_sum([c, den]))
+    r_hi, r_lo = tf.ratio_extrema(c, den)
+    ratios = [c.value(s) / den.value(s) for s in np.linspace(lo, hi, 4097)]
+    assert r_lo.value <= min(ratios) and max(ratios) <= r_hi.value
+
+
+def test_normal_form_decides_shape_questions_without_sampling(monkeypatch):
+    calls = []
+    value = tf.SinSqCoefficient.value
+
+    def counted(self, t):
+        calls.append(t)
+        return value(self, t)
+
+    monkeypatch.setattr(tf.SinSqCoefficient, "value", counted)
+    from ddestab import models as md
+
+    a, b = tf.sinsq(0.9, 1.0, 0.3), tf.sinsq(0.3, 1.0, 0.3)
+    assert tf.proportional_ratio(b, a) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert tf.proportional_ratio(tf.sinsq(0.3, 2.0), a) is None
+    assert tf.vanishing_fraction(tf.coeff_sum([a, tf.constant(0.0)])) == 0.0
+    tf.difference(tf.constant(1.5), tf.coeff_sum([a, b]))
+    md.linearize(md.ex51())
+    assert len(calls) <= 4
+
+
+def test_extrema_of_several_frequencies_come_from_the_companion_matrix():
+    # sin^2(t) + sin^2(2t) peaks where cos(2t) + cos(4t) is least:
+    # cos(2t) = -1/4, giving 1 - (2 (1/16) - 1 - 1/4)/2 = 1.5625.
+    c = tf.coeff_sum([tf.sinsq(1.0, 1.0), tf.sinsq(1.0, 2.0)])
+    hi, lo = tf.coefficient_extrema(c)
+    assert hi.value == pytest.approx(1.5625, abs=1e-14) and hi.value >= 1.5625
+    assert -1e-14 <= lo.value <= 0.0
+    assert c.value(hi.argmax) == pytest.approx(1.5625, abs=1e-14)
+    # Values read at a stationary point are moved outward, not trusted to the last bit.
+    assert hi.value > c.value(hi.argmax) and lo.value < c.value(lo.argmax)
+
+
+def test_incommensurate_waves_keep_the_search():
+    # A step summand makes the class general, so sqrt(2) and 1 may mix;
+    # proportionality and vanishing are still exact.
+    c = tf.coeff_sum([tf.sinsq(1.0, 1.0), tf.sinsq(1.0, math.sqrt(2.0)),
+                      tf.piecewise_constant([5.0], [0.0, 0.5])])
+    assert tf._harmonics(tf._normal_form((1.0, c))) is None
+    assert tf.proportional_ratio(tf.scaled(2.0, c), c) == 2.0
+    assert tf.vanishing_fraction(c) == 0.0
+    hi, lo = tf.coefficient_extrema(c)
+    lo_t, hi_t = _scan_range(c)
+    values = [c.value(lo_t + (hi_t - lo_t) * j / 4096) for j in range(4097)]
+    assert lo.value <= min(values) + 1e-9 and max(values) <= hi.value + 1e-9
