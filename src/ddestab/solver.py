@@ -51,14 +51,12 @@ __all__ = [
     "FunctionHistory",
     "TabulatedHistory",
     "tabulate_history",
-    "history_sum",
     "Trajectory",
     "breaking_points",
     "integrate",
     "fundamental_solution",
     "Lemma3Report",
     "verify_lemma3",
-    "superposition_check",
 ]
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
@@ -154,15 +152,6 @@ def tabulate_history(fn, t_lo: float, t_hi: float, step: float) -> TabulatedHist
     ts = np.linspace(t_lo, t_hi, n)
     xs = np.array([float(fn(t)) for t in ts])
     return TabulatedHistory(ts, xs)
-
-
-def history_sum(histories: Sequence, weights: Optional[Sequence[float]] = None) -> FunctionHistory:
-    """Pointwise weighted sum of histories (weights default to 1)."""
-    hs = [_as_history(h) for h in histories]
-    ws = [1.0] * len(hs) if weights is None else [float(w) for w in weights]
-    if len(ws) != len(hs):
-        raise ConfigurationError("one weight per history required")
-    return FunctionHistory(lambda t: sum(w * h.value(t) for w, h in zip(ws, hs)))
 
 
 def _history_integral(hist: History, lo: float, hi: float, spacing: float) -> float:
@@ -975,32 +964,3 @@ def verify_lemma3(
         positive_throughout=positive,
         identity_defect=float(defect),
     )
-
-
-# ---------------------------------------------------------------------------
-# Superposition defect
-# ---------------------------------------------------------------------------
-
-
-def superposition_check(
-    eq: cr.LinearDelayEquation,
-    phi1,
-    phi2,
-    t1: float,
-    *,
-    step: float = 1e-3,
-    forcing: Optional[Callable[[float], float]] = None,
-) -> float:
-    """Worst-case linearity defect |x[phi1+phi2, f] - x[phi1, f] - x[phi2, 0]|.
-
-    For a linear equation the defect is pure numerics (roundoff plus
-    interpolation), so it doubles as an integration self-test.
-    """
-    if not isinstance(eq, cr.LinearDelayEquation):
-        raise ConfigurationError("superposition applies to linear equations")
-    x1 = integrate(eq, phi1, t1, step=step, forcing=forcing)
-    x2 = integrate(eq, phi2, t1, step=step)
-    both = history_sum([phi1, phi2])
-    x12 = integrate(eq, both, t1, step=step, forcing=forcing)
-    defect = np.max(np.abs(x12.values - x1.values - x2.values))
-    return float(defect)

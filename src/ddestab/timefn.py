@@ -9,11 +9,12 @@ time range of an essential extremum. Every coefficient the constructors
 build is a step part plus a trigonometric polynomial in one base frequency
 (its normal form), which decides pointwise questions exactly:
 proportionality, vanishing, domination and nonnegativity, and the extrema
-of a coefficient or of a ratio with a positive denominator. A sinsq window
-has closed forms and a step function's window is read at its kinks; the
-rest (general delays, windows of mixtures or under a horizon shorter than
-a sinsq period, ratios whose denominator reaches zero) is searched on a
-grid.
+of a coefficient or of a ratio with a positive denominator. It also gives
+every window extremum at constant lags: between two kinks a window
+integral is a trigonometric polynomial plus a linear term, read at its
+kinks and stationary points. The rest (general delays, ratios whose
+denominator reaches zero, waves with no common base frequency, coefficient
+classes of the caller's own) is searched on a grid.
 """
 
 from __future__ import annotations
@@ -454,6 +455,14 @@ def _normal_form(*parts) -> Optional[_NormalForm]:
     None when a part is not built from the constant, sinsq and piecewise
     constant constructors by scaling, summing and signed combination.
     """
+    try:
+        return _normal_form_memo(*parts)
+    except TypeError:  # only hashing raises it: a caller's own unhashable class has none
+        return None
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _normal_form_memo(*parts) -> Optional[_NormalForm]:
     waves, steps, todo, signed = {}, [], list(parts), False
     while todo:
         w, c = todo.pop()
@@ -541,23 +550,24 @@ def _trig_zeros(g) -> list:
     return x.tolist()
 
 
-def _candidates(forms, lo: float, hi: float, nu: float, angles) -> list:
-    """(t, a) pairs where a function of the forms takes its extrema on [lo, hi].
+def _candidates(breakpoints, smooth: bool, lo: float, hi: float, nu: float, angles) -> list:
+    """(t, m) pairs where a function with these sorted breakpoints takes its extrema on [lo, hi].
 
-    a is the start of the piece whose levels hold at t. Each piece [a, b)
-    between breakpoints gives a; when a form has waves, also b as a left
-    limit and the times inside where nu t is one of ``angles(a)`` mod 2 pi.
+    m is the midpoint of the piece [a, b) between breakpoints that holds t,
+    where the piece's levels are read. Each piece gives a; when ``smooth``,
+    also b as a left limit and the times inside where nu t is one of
+    ``angles(m)`` mod 2 pi.
     """
-    xs = _pieces(sorted(set().union(*(nf.breakpoints for nf in forms))), lo, hi)
-    smooth = any(nf.waves for nf in forms)
+    xs = _pieces(breakpoints, lo, hi)
     out = []
     for a, b in zip(xs, xs[1:]):
-        out.append((a, a))
+        m = (a + b) / 2.0
+        out.append((a, m))
         if smooth:
-            for x in angles(a):
+            for x in angles(m):
                 first, stop = (math.ceil((s * nu - x) / _TAU) for s in (a, b))
-                out += [(t, a) for t in ((x + _TAU * k) / nu for k in range(first, stop)) if t > a]
-            out.append((b, a))
+                out += [(t, m) for t in ((x + _TAU * k) / nu for k in range(first, stop)) if t > a]
+            out.append((b, m))
     return sorted(out) + [(hi, hi)]
 
 
@@ -575,8 +585,8 @@ def _least(nf: _NormalForm, lo: float, hi: float):
     lo = bps[0] - period if lo == -math.inf else lo
     hi = max(bps[-1], lo) + period if hi == math.inf else hi
     angles = _trig_zeros(_derivative(c))
-    points = _candidates([nf], lo, hi, nu, lambda a: angles)
-    return min(((t, nf.level(a) + nf.trig(t)) for t, a in points), key=lambda p: p[1])
+    points = _candidates(nf.breakpoints, bool(nf.waves), lo, hi, nu, lambda m: angles)
+    return min(((t, nf.level(m) + nf.trig(t)) for t, m in points), key=lambda p: p[1])
 
 
 def domination_violation(
@@ -603,6 +613,7 @@ def domination_violation(
             t0 if t0 > -math.inf else 0.0,
             _structure([c.asymptotic_class for _, c in parts], [], None),
             0.0,
+            () if nf is None else nf.breakpoints,
         )
         t, value = info.argmax, -info.value
         scale = max(abs(c.value(t)) for _, c in parts)
@@ -806,44 +817,34 @@ def _golden_max(fn, lo: float, hi: float, xtol: float):
     return best_x, best_v
 
 
-def _best(xs: Sequence[float], vals: Sequence[float], limited: bool) -> SupInfo:
-    """The largest of vals at its first point; an infinite value wins outright."""
-    if math.inf in vals:
-        i = vals.index(math.inf)
-        return SupInfo(math.inf, xs[i], limited)
-    i = max(range(len(vals)), key=vals.__getitem__)
-    return SupInfo(vals[i], xs[i], limited)
-
-
-def _maximize(fn, t0: float, structure, span_pad: float, points=None, exhaustive=False) -> SupInfo:
-    """Supremum of fn over the structure's scan range from t0.
-
-    ``points(lo, hi)``, when given, lists points of [lo, hi] where fn can
-    have a maximum that a grid steps over (the kinks of a window integral,
-    the segments of a step function). When they are ``exhaustive``, fn is
-    evaluated only at those. Otherwise they join a grid that locates the
-    local maxima, and a golden-section search refines each.
-    """
+def _scan_range(t0: float, structure, pad: float):
+    """(lo, hi, horizon_limited): t0 alone, one period from t0, or the horizon plus pad."""
     kind, param = structure
     if kind == "constant":
-        return SupInfo(fn(t0), t0, False)
+        return t0, t0, False
     if kind == "periodic":
-        lo, hi = t0, t0 + param
-        limited = False
-    else:
-        lo, hi = t0, t0 + param + span_pad
-        limited = True
-    if points is not None and exhaustive:
-        xs = points(lo, hi)
-        return _best(xs, [_finite(fn(x)) for x in xs], limited)
+        return t0, t0 + param, False
+    return t0, t0 + param + pad, True
+
+
+def _maximize(fn, t0: float, structure, span_pad: float, points=()) -> SupInfo:
+    """Supremum of fn over the structure's scan range from t0.
+
+    A grid locates the local maxima and a golden-section search refines
+    each; ``points`` (kinks, breakpoints) join the grid, so none is stepped over.
+    """
+    kind, _ = structure
+    if kind == "constant":
+        return SupInfo(fn(t0), t0, False)
+    lo, hi, limited = _scan_range(t0, structure, span_pad)
     n = _GRID
     xs = [lo + (hi - lo) * k / n for k in range(n + 1)]
-    if points is not None:
-        xs = sorted(set(xs).union(x for x in points(lo, hi) if lo < x < hi))
+    if points:
+        xs = sorted(set(xs).union(x for x in points if lo < x < hi))
         n = len(xs) - 1
     vals = [_finite(fn(x)) for x in xs]
     if math.inf in vals:
-        return _best(xs, vals, limited)
+        return SupInfo(math.inf, xs[vals.index(math.inf)], limited)
     best_x, best_v = xs[0], vals[0]
     xtol = max(_REFINE_XTOL, (hi - lo) * 1e-15)
     for i in range(n + 1):
@@ -860,67 +861,81 @@ def _maximize(fn, t0: float, structure, span_pad: float, points=None, exhaustive
     return SupInfo(best_v, best_x, limited)
 
 
-def _kinks(shifts: Sequence[float], *coeffs: Coefficient):
-    """(points, exhaustive) for _maximize of a function with kinks at breakpoint + shift.
+def _window_extrema(c: Coefficient, near: float, far: float, t0: float, structure, pad: float):
+    """(sup, inf) over the scan range from t0 of W(t), the integral of c over [t - far, t - near].
 
-    A window integral of a step function, whose ends sit at t - shift, is
-    piecewise linear in t, so its kinks are exhaustive; those of a
-    mixture's step part join the search grid.
+    Between two kinks (a breakpoint plus near or far), W' = c(t - near) -
+    c(t - far) is a level, read at the piece's midpoint, plus a trigonometric
+    polynomial. So the continuous W is read by c's own antiderivative at the
+    range's ends, every kink and every zero of W', moved outward by a few
+    ulps when c has waves. A single wave (f, w) over at least its period has
+    the closed form level L +- |w| |sin(f L/2)| / (f/2), L = far - near, the
+    infimum floored at 0 unless c is signed. Without a normal form on one
+    base frequency, the grid searches, holding every kink.
     """
-    forms = [_normal_form((1.0, c)) for c in coeffs]
-    if None in forms:
-        return None, False
-    smooth = any(nf.waves for nf in forms)
-    bps = set().union(*(nf.breakpoints for nf in forms))
-    if smooth and not bps:
-        return None, False
-    kinks = sorted({b + s for b in bps for s in shifts})
-    return (lambda lo, hi: _pieces(kinks, lo, hi)), not smooth
-
-
-def _sinsq_window(c: Coefficient, structure, length: float, u0: float, upper: bool):
-    """Closed-form extremum over u >= u0 of the integral of c over [u - length, u].
-
-    Applies to a sinsq coefficient A sin^2(w s + phi) whenever the scan
-    range covers its period pi/w: always when the structure is periodic,
-    and under an explicit horizon when the horizon is at least one period.
-    The integral is A L/2 - A sin(w L) cos(2 w u + 2 phi - w L)/(2 w), so
-    its supremum (``upper``) is A L/2 + A |sin w L|/(2 w) and its infimum
-    A L/2 - A |sin w L|/(2 w). Returns (value, first extremal u >= u0,
-    horizon_limited), the value padded outward by a few ulps and the
-    extremal u within one period of u0; None when c is not such a sinsq or
-    the range is shorter than a period.
-    """
-    if not isinstance(c, SinSqCoefficient):
-        return None
     kind, param = structure
-    period = math.pi / c.angular_freq
-    if kind == "constant" or (kind == "general" and param < period):
-        return None
-    amp, w = c.amplitude, c.angular_freq
-    limited = kind == "general"
-    sin_wl = math.sin(w * length)
-    half = amp * length / 2.0
-    swing = amp * abs(sin_wl) / (2.0 * w)
-    pad = _PAD_ULPS * math.ulp(half + swing)
-    value = half + swing + pad if upper else max(half - swing - pad, 0.0)
-    # Extremal where 2 w u + 2 phi - w L is pi or 0 (mod 2 pi), by the sign
-    # of sin(w L); any u is extremal when sin(w L) vanishes.
-    if sin_wl == 0.0:
-        return value, u0, limited
-    theta = math.pi if (sin_wl > 0.0) == upper else 0.0
-    base = (theta - 2.0 * c.phase + w * length) / (2.0 * w)
-    u = base + period * math.ceil((u0 - base) / period)
-    return value, u if u >= u0 else u + period, limited
+    lo, hi, limited = _scan_range(t0, structure, pad)
+    nf = _normal_form((1.0, c))
+    if nf is not None and len(nf.waves) == 1 and not nf.breakpoints and (
+        kind == "periodic" or (kind == "general" and param >= _TAU / nf.waves[0][0])
+    ):
+        (f, w), length = nf.waves[0], far - near
+        half, swing = nf.levels[0] * length, abs(w) * abs(math.sin(f * length / 2.0)) / (f / 2.0)
+        ulps = _PAD_ULPS * math.ulp(half + swing)
+        low = half - swing - ulps
+        # W - half is Re(hat e^{i f t}) / f: largest where f t = -arg(hat), least pi past it.
+        hat = w * (cmath.exp(-1j * f * near) - cmath.exp(-1j * f * far)) / 1j
+        t_top, t_low = (lo + (x - cmath.phase(hat) - lo * f) % _TAU / f for x in (0.0, math.pi))
+        return (SupInfo(half + swing + ulps, t_top, limited),
+                SupInfo(low if nf.signed else max(low, 0.0), t_low, limited))
+    harm = _harmonics(nf) if nf is not None and nf.waves else None
+    kinks = sorted({b + s for b in (() if nf is None else nf.breakpoints) for s in (near, far)})
+
+    def window(t: float) -> float:
+        return c.integral(t - far, t - near)
+
+    if nf is None or (nf.waves and harm is None):
+        top = _maximize(window, t0, structure, pad, kinks)
+        low = _maximize(lambda t: -window(t), t0, structure, pad, kinks)
+        return top, SupInfo(-low.value, low.argmax, low.horizon_limited)
+    nu, angles = 1.0, None
+    if harm is not None:
+        nu, (g,) = harm
+        K = (len(g) - 1) // 2
+        m = np.arange(-K, K + 1)
+        slope = g * (np.exp(-1j * nu * near * m) - np.exp(-1j * nu * far * m))
+
+        def angles(mid: float) -> list:
+            h = slope.copy()
+            h[K] += nf.level(mid - near) - nf.level(mid - far)
+            return _trig_zeros(h)
+
+    values = [(window(t), t) for t, _ in _candidates(kinks, bool(nf.waves), lo, hi, nu, angles)]
+    (top, t_top), (low, t_low) = (pick(values, key=lambda v: v[0]) for pick in (max, min))
+    if nf.waves:
+        top += _PAD_ULPS * sum(math.ulp(c.antiderivative(t_top - s)) for s in (near, far))
+        low -= _PAD_ULPS * sum(math.ulp(c.antiderivative(t_low - s)) for s in (near, far))
+    return SupInfo(top, t_top, limited), SupInfo(low, t_low, limited)
 
 
 def _memoized(search):
-    """Memoize a search so that every way of passing the same arguments shares one entry."""
+    """Memoize a search so that every way of passing the same arguments shares one entry.
+
+    The key is the positional arguments, defaults filled in from a tuple read
+    once, then the keyword-only ones; a positional one passed by keyword binds.
+    """
     signature = inspect.signature(search)
+    params = signature.parameters.values()
+    positional = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+    required = sum(p.default is p.empty for p in positional)
+    defaults = tuple(p.default for p in positional[required:])
+    keywords = {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
     cached = functools.lru_cache(maxsize=_MEMO_SIZE)(search)
 
     @functools.wraps(search)
     def memoized(*args, **kwargs):
+        if required <= len(args) <= len(positional) and kwargs.keys() <= keywords.keys():
+            return cached(*args, *defaults[len(args) - required:], **{**keywords, **kwargs})
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         return cached(*bound.args, **bound.kwargs)
@@ -941,15 +956,9 @@ def sup_window_integral_info(
     """Essential supremum over t >= t0 of the integral of c over [lower(t), t]."""
     structure = _structure([c.asymptotic_class], [lower], horizon)
     lag = _as_lag(lower)
-    points = (None, False)
     if lag is not None:
-        exact = _sinsq_window(c, structure, lag, t0, True)
-        if exact is not None:
-            return SupInfo(*exact)
-        points = _kinks((0.0, lag), c)
-    return _maximize(
-        lambda t: window_integral(c, lower, t), t0, structure, lower.lag_bound, *points
-    )
+        return _window_extrema(c, 0.0, lag, t0, structure, lag)[0]
+    return _maximize(lambda t: window_integral(c, lower, t), t0, structure, lower.lag_bound)
 
 
 def sup_window_integral(
@@ -975,24 +984,21 @@ def sup_between_delays_info(
 
     When d2 is the identity and c is nonnegative by construction (built
     without a signed combination), the integral is the window integral over
-    [d1(t), t] and that search answers.
+    [d1(t), t] and that search answers. At constant lags it is the larger
+    of sup W and -inf W, W the integral from the farther to the nearer lag.
     """
     nf = _normal_form((1.0, c))
     if isinstance(d2, IdentityDelay) and nf is not None and not nf.signed:
         return sup_window_integral_info(c, d1, t0, horizon=horizon)
     structure = _structure([c.asymptotic_class], [d1, d2], horizon)
-    lag1, lag2 = _as_lag(d1), _as_lag(d2)
-    points = (None, False)
-    if lag1 is not None and lag2 is not None:
-        near = min(lag1, lag2)
-        exact = _sinsq_window(c, structure, abs(lag1 - lag2), t0 - near, True)
-        if exact is not None:
-            return SupInfo(exact[0], max(exact[1] + near, t0), exact[2])
-        points = _kinks((lag1, lag2), c)
     pad = max(d1.lag_bound, d2.lag_bound)
-    return _maximize(
-        lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad, *points
-    )
+    lags = (_as_lag(d1), _as_lag(d2))
+    if None not in lags:
+        top, low = _window_extrema(c, min(lags), max(lags), t0, structure, pad)
+        if top.value >= -low.value:
+            return top
+        return SupInfo(-low.value, low.argmax, low.horizon_limited)
+    return _maximize(lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad)
 
 
 def sup_between_delays(
@@ -1023,13 +1029,7 @@ def liminf_forward_integral_info(
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError("length must be finite and positive")
     structure = _structure([c.asymptotic_class], [], horizon)
-    exact = _sinsq_window(c, structure, length, t0 + length, False)
-    if exact is not None:
-        return SupInfo(exact[0], max(exact[1] - length, t0), exact[2])
-    info = _maximize(
-        lambda t: -c.integral(t, t + length), t0, structure, length, *_kinks((0.0, -length), c)
-    )
-    return SupInfo(-info.value, info.argmax, info.horizon_limited)
+    return _window_extrema(c, -length, 0.0, t0, structure, length)[1]
 
 
 def liminf_forward_integral(
@@ -1066,24 +1066,24 @@ def ratio_extrema(
     structure = _structure(
         [num.asymptotic_class, den.asymptotic_class], [], horizon
     )
-    kind, param = structure
-    lo, hi, limited = t0, t0 + (param if kind != "constant" else 0.0), kind == "general"
+    lo, hi, limited = _scan_range(t0, structure, 0.0)
     forms = (_normal_form((1.0, num)), _normal_form((1.0, den)))
     harm = None if None in forms else _harmonics(*forms)
     least = None if harm is None else _least(forms[1], lo, hi)
+    bps = () if None in forms else sorted(set(forms[0].breakpoints).union(forms[1].breakpoints))
     if least is not None and least[1] > 1e-12 * forms[1].bound:
         nu, (p, q) = harm
         K = (len(p) - 1) // 2
 
-        def angles(a: float) -> list:
+        def angles(mid: float) -> list:
             pa, qa = p.copy(), q.copy()
-            pa[K] += forms[0].level(a)
-            qa[K] += forms[1].level(a)
+            pa[K] += forms[0].level(mid)
+            qa[K] += forms[1].level(mid)
             return _trig_zeros(np.convolve(_derivative(pa), qa) - np.convolve(pa, _derivative(qa)))
 
         points = []
-        for t, a in _candidates(forms, lo, hi, nu, angles):
-            nv, dv = (c.value(t) + (nf.level(a) - nf.level(t)) for c, nf in zip((num, den), forms))
+        for t, m in _candidates(bps, bool(forms[0].waves or forms[1].waves), lo, hi, nu, angles):
+            nv, dv = (c.value(t) + (nf.level(m) - nf.level(t)) for c, nf in zip((num, den), forms))
             points.append((t, nv / dv))
         (t_hi, r_hi), (t_lo, r_lo) = (f(points, key=lambda p: p[1]) for f in (max, min))
         ulps = math.ulp(forms[0].bound) + max(abs(r_hi), abs(r_lo)) * math.ulp(forms[1].bound)
@@ -1101,9 +1101,8 @@ def ratio_extrema(
             return math.inf
         return nv / dv
 
-    points = _kinks((0.0,), num, den)
-    r_hi = _maximize(ratio_at, t0, structure, 0.0, *points)
-    r_lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0, *points)
+    r_hi = _maximize(ratio_at, t0, structure, 0.0, bps)
+    r_lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0, bps)
     return r_hi, SupInfo(-r_lo.value, r_lo.argmax, r_lo.horizon_limited)
 
 

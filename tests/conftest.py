@@ -1,9 +1,9 @@
-"""Every test starts and ends with empty extremum-search memos.
+"""Every test starts and ends with empty extremum-search and normal-form memos.
 
-``timefn`` memoizes its extremum searches per process. Emptying the memos
-around each test keeps a test that counts the work of a search (the
-benchmark's tracer test counts coefficient integrals) independent of which
-tests ran before it.
+``timefn`` memoizes its extremum searches and its normal forms per process.
+Emptying the memos around each test keeps a test that counts the work of a
+search (the benchmark's tracer test counts coefficient integrals)
+independent of which tests ran before it.
 """
 
 import pytest
@@ -15,6 +15,7 @@ _MEMOIZED = (
     tf.sup_between_delays_info,
     tf.liminf_forward_integral_info,
     tf.ratio_extrema,
+    tf._normal_form_memo,
 )
 
 

@@ -424,7 +424,7 @@ def test_memo_never_shares_general_delays_of_equal_code():
 
 
 # ---------------------------------------------------------------------------
-# Extrema from structure: sinsq closed forms and step-function kinks
+# Window extrema from the normal form: closed forms, kinks, stationary points
 # ---------------------------------------------------------------------------
 
 
@@ -647,8 +647,13 @@ def commensurate_sums(draw, base):
     return tf.coeff_sum(terms)
 
 
-def _scan_range(c, t0=0.0):
-    return t0, t0 + tf.representative_span(c.asymptotic_class)
+def _scan_range(c, t0=0.0, horizon=None, pad=0.0):
+    """The range an extremum covers: one period, or the span plus pad."""
+    cls = c.asymptotic_class
+    if horizon is None and isinstance(cls, tf.PeriodicClass):
+        return t0, t0 + cls.period
+    span = horizon if horizon is not None else tf.representative_span(cls)
+    return t0, t0 + span + pad
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -718,3 +723,97 @@ def test_incommensurate_waves_keep_the_search():
     lo_t, hi_t = _scan_range(c)
     values = [c.value(lo_t + (hi_t - lo_t) * j / 4096) for j in range(4097)]
     assert lo.value <= min(values) + 1e-9 and max(values) <= hi.value + 1e-9
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), base=st.floats(0.3, 2.0), lag=st.floats(0.01, 3.0),
+       short=st.floats(0.0, 2.0), t0=st.floats(0.0, 5.0),
+       horizon=st.one_of(st.none(), st.floats(0.5, 15.0)))
+def test_property_window_extrema_of_sums_bracket_a_dense_scan(data, base, lag, short, t0, horizon):
+    c = data.draw(commensurate_sums(base))
+    # W is Lipschitz with constant 2 max|c|, so a scan at spacing h comes
+    # within max|c| h of each extremum.
+    bound = tf._normal_form((1.0, c)).bound
+    searches = [
+        (tf.sup_window_integral_info(c, tf.ConstantLag(lag), t0, horizon=horizon),
+         lambda F, t: F(t) - F(t - lag), lag, max),
+        (tf.sup_between_delays_info(c, tf.ConstantLag(short + lag), tf.ConstantLag(short), t0,
+                                    horizon=horizon),
+         lambda F, t: abs(F(t - short) - F(t - short - lag)), lag + short, max),
+        (tf.liminf_forward_integral_info(c, lag, t0, horizon=horizon),
+         lambda F, t: F(t + lag) - F(t), lag, min),
+    ]
+    for info, fn, pad, extremum in searches:
+        lo, hi = _scan_range(c, t0, horizon, pad)
+        scan = extremum(antiderivative_scan(c, fn, lo, hi, 2048))
+        sign = 1.0 if extremum is max else -1.0
+        assert sign * (scan - info.value) <= 1e-9
+        assert sign * (info.value - scan) <= bound * (hi - lo) / 2048 + 1e-9
+        assert lo <= info.argmax <= hi
+        assert fn(c.antiderivative, info.argmax) == pytest.approx(info.value, abs=1e-9)
+
+
+def test_window_extrema_at_constant_lags_are_never_searched(monkeypatch):
+    calls = []
+    golden = tf._golden_max
+
+    def counted(*args):
+        calls.append(args)
+        return golden(*args)
+
+    monkeypatch.setattr(tf, "_golden_max", counted)
+    pulse = tf.piecewise_constant([250.37, 250.42], [0.0, 1.0, 0.0])
+    near, far = tf.ConstantLag(1.0), tf.ConstantLag(1.05)
+    for c in (tf.coeff_sum([tf.sinsq(0.5, 1.0), pulse]),
+              tf.coeff_sum([tf.sinsq(1.0, 1.0), tf.sinsq(0.7, 2.0, 0.4)])):
+        tf.sup_window_integral_info(c, tf.ConstantLag(0.05))
+        tf.sup_between_delays_info(c, far, near)
+        tf.liminf_forward_integral_info(c, 0.05)
+    signed = tf.difference(tf.constant(1.0), tf.sinsq(0.5, 1.0))
+    gap = tf.sup_between_delays_info(signed, far, near)
+    assert calls == []
+    # 1 - sin^2(s)/2 over a 0.05-long gap is largest where sin(s) = 0.
+    top = max(antiderivative_scan(signed, lambda F, t: F(t - 1.0) - F(t - 1.05), 0.0, math.pi))
+    assert top <= gap.value <= top + 1e-6
+
+
+def test_grid_fallback_holds_every_kink():
+    # sqrt(2) and 1 have no common base frequency, so the window is searched
+    # on the grid; the 0.02-wide pulse is narrower than its 0.245 cells.
+    pulse = tf.piecewise_constant([250.37, 250.39], [0.0, 10.0, 0.0])
+    c = tf.coeff_sum([tf.sinsq(1.0, 1.0), tf.sinsq(1.0, math.sqrt(2.0)), pulse])
+    assert tf._harmonics(tf._normal_form((1.0, c))) is None
+    info = tf.sup_window_integral_info(c, tf.ConstantLag(0.02))
+    scan = max(antiderivative_scan(c, lambda F, t: F(t) - F(t - 0.02), 250.3, 250.5))
+    assert scan > 0.2
+    assert scan <= info.value + 1e-12
+    gap = tf.sup_between_delays_info(c, tf.ConstantLag(1.02), tf.ConstantLag(1.0))
+    assert scan <= gap.value + 1e-12
+    # The domination check's grid holds the breakpoints too.
+    with pytest.raises(ValueError, match="negative at t=250.37"):
+        tf.difference(tf.constant(3.0), c)
+
+
+def test_coefficient_class_of_its_own_may_be_unhashable():
+    from ddestab import criteria as cr
+
+    @dataclass  # compares by value, so it has no hash
+    class Half(tf.Coefficient):
+        def value(self, t):
+            return 0.5
+
+        def antiderivative(self, t):
+            return 0.5 * t
+
+        @property
+        def asymptotic_class(self):
+            return tf.ConstantClass()
+
+    assert Half.__hash__ is None
+    assert tf._normal_form((1.0, Half())) is None
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(1.0), tf.IdentityDelay())],
+                                negative_terms=[cr.Term(Half(), tf.ConstantLag(1.0))])
+    assert eq.negative_terms[0].coeff == Half()
+    with pytest.raises(ValueError, match="domination"):
+        cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(0.4), tf.IdentityDelay())],
+                               negative_terms=[cr.Term(Half(), tf.ConstantLag(1.0))])
