@@ -12,9 +12,13 @@ proportionality, vanishing, domination and nonnegativity, and the extrema
 of a coefficient or of a ratio with a positive denominator. It also gives
 every window extremum at constant lags: between two kinks a window
 integral is a trigonometric polynomial plus a linear term, read at its
-kinks and stationary points. The rest (general delays, ratios whose
+kinks and stationary points. A step-only ratio whose denominator reaches
+zero is read once per piece. The rest (general delays, other ratios whose
 denominator reaches zero, waves with no common base frequency, coefficient
-classes of the caller's own) is searched on a grid.
+classes of the caller's own) is searched on a grid with a golden-section
+refinement of each local maximum. With a normal form the grid takes one
+numpy pass (a general delay is read once per scan range and the reads are
+shared between searches), but every value reported is the coefficient's own.
 """
 
 from __future__ import annotations
@@ -83,6 +87,9 @@ _TAU = 2.0 * math.pi
 # take frozen dataclasses and floats and are deterministic in them, so a hit
 # returns exactly what recomputing would.
 _MEMO_SIZE = 256
+# Entries kept by the memo of a general delay's reads on the grid. The diff and
+# ratio forms of one certificate ask for the same reads back to back.
+_SAMPLE_MEMO_SIZE = 4
 
 
 class ConfigurationError(ValueError):
@@ -448,6 +455,30 @@ class _NormalForm:
         """An upper bound of the coefficient's magnitude."""
         return max(map(abs, self.levels)) + sum(abs(w) for _, w in self.waves)
 
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """The form at each of the times ts, in one array pass."""
+        levels = np.asarray(self.levels)[np.searchsorted(self.breakpoints, ts, "right")]
+        return levels + self._waves(ts, False)
+
+    def antiderivatives(self, ts: np.ndarray) -> np.ndarray:
+        """An antiderivative of the form at each of the times ts, in one array pass.
+
+        The step part accumulates from the first breakpoint, as a piecewise
+        constant coefficient does; a wave (f, w) adds Re(w e^{i f t} / (i f)).
+        """
+        levels, knots = np.asarray(self.levels), np.asarray(self.breakpoints or (0.0,))
+        cum = np.concatenate(([0.0], np.cumsum(levels[1:-1] * np.diff(knots))))
+        i = np.searchsorted(self.breakpoints, ts, "right")
+        j = np.maximum(i - 1, 0)
+        return cum[j] + levels[i] * (ts - knots[j]) + self._waves(ts, True)
+
+    def _waves(self, ts: np.ndarray, integrated: bool) -> np.ndarray:
+        """The sum of Re(w e^{i f t}) over the waves (f, w) at ts, or of Re(w e^{i f t} / (i f))."""
+        if not self.waves:
+            return np.zeros(np.shape(ts))
+        f, w = (np.array(x) for x in zip(*self.waves))
+        return (np.exp(1j * np.multiply.outer(ts, f)) @ (w / (1j * f) if integrated else w)).real
+
 
 def _normal_form(*parts) -> Optional[_NormalForm]:
     """The normal form of the sum of weight * c over the (weight, c) parts.
@@ -614,6 +645,7 @@ def domination_violation(
             _structure([c.asymptotic_class for _, c in parts], [], None),
             0.0,
             () if nf is None else nf.breakpoints,
+            None if nf is None else (lambda xs: -nf.values(xs)),
         )
         t, value = info.argmax, -info.value
         scale = max(abs(c.value(t)) for _, c in parts)
@@ -701,10 +733,25 @@ class GeneralDelay:
                 "delayed argument %g lags current time %g by more than lag_bound %g"
                 % (v, t, self.lag_bound)
             )
-        return min(v, t)
+        return t if t < v else v  # min(v, t) without the call: v on a tie or a NaN
 
 
 Delay = Union[ConstantLag, IdentityDelay, GeneralDelay]
+
+
+@dataclass(frozen=True)
+class _Envelope:
+    """t -> pick(d(t) for d in delays), pick being min or max.
+
+    A value, not a closure, so that equal envelopes compare and hash equal
+    and a search over one is a memo hit for the other.
+    """
+
+    delays: tuple
+    pick: Callable
+
+    def __call__(self, t: float) -> float:
+        return self.pick(d(t) for d in self.delays)
 
 
 def _as_lag(d: Delay) -> Optional[float]:
@@ -724,7 +771,7 @@ def delay_min(*delays: Delay) -> Delay:
         m = max(lags)
         return IdentityDelay() if m == 0.0 else ConstantLag(m)
     bound = max(d.lag_bound for d in delays)
-    return GeneralDelay(lambda t, _ds=delays: min(d(t) for d in _ds), bound)
+    return GeneralDelay(_Envelope(delays, min), bound)
 
 
 def delay_max(*delays: Delay) -> Delay:
@@ -736,7 +783,7 @@ def delay_max(*delays: Delay) -> Delay:
         m = min(lags)
         return IdentityDelay() if m == 0.0 else ConstantLag(m)
     bound = min(d.lag_bound for d in delays)
-    return GeneralDelay(lambda t, _ds=delays: max(d(t) for d in _ds), bound)
+    return GeneralDelay(_Envelope(delays, max), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -796,24 +843,24 @@ def _golden_max(fn, lo: float, hi: float, xtol: float):
     h = b - a
     c = a + invphi2 * h
     d = a + invphi * h
-    fc = fn(c)
-    fd = fn(d)
-    best_x, best_v = (c, _finite(fc)) if _finite(fc) >= _finite(fd) else (d, _finite(fd))
+    fc = _finite(fn(c))
+    fd = _finite(fn(d))
+    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
     while h > xtol:
-        if _finite(fc) >= _finite(fd):
+        if fc >= fd:
             b, d, fd = d, c, fc
             h = b - a
             c = a + invphi2 * h
-            fc = fn(c)
-            if _finite(fc) > best_v:
-                best_x, best_v = c, _finite(fc)
+            fc = _finite(fn(c))
+            if fc > best_v:
+                best_x, best_v = c, fc
         else:
             a, c, fc = c, d, fd
             h = b - a
             d = a + invphi * h
-            fd = fn(d)
-            if _finite(fd) > best_v:
-                best_x, best_v = d, _finite(fd)
+            fd = _finite(fn(d))
+            if fd > best_v:
+                best_x, best_v = d, fd
     return best_x, best_v
 
 
@@ -827,38 +874,87 @@ def _scan_range(t0: float, structure, pad: float):
     return t0, t0 + param + pad, True
 
 
-def _maximize(fn, t0: float, structure, span_pad: float, points=()) -> SupInfo:
+def _grid(lo: float, hi: float, points=()) -> np.ndarray:
+    """_GRID even steps over [lo, hi], joined by the points strictly inside."""
+    xs = lo + (hi - lo) * np.arange(_GRID + 1) / _GRID
+    inside = [x for x in points if lo < x < hi]
+    return np.union1d(xs, inside) if inside else xs
+
+
+def _maximize(fn, t0: float, structure, span_pad: float, points=(), values=None) -> SupInfo:
     """Supremum of fn over the structure's scan range from t0.
 
     A grid locates the local maxima and a golden-section search refines
-    each; ``points`` (kinks, breakpoints) join the grid, so none is stepped over.
+    each; ``points`` (kinks, breakpoints) join the grid, so none is stepped
+    over. ``values``, when given, maps the grid (an array) to fn's values in
+    one pass. They only choose the brackets: every value reported, a grid
+    point's too, is fn's own, and fn confirms each infinite one.
     """
     kind, _ = structure
     if kind == "constant":
         return SupInfo(fn(t0), t0, False)
     lo, hi, limited = _scan_range(t0, structure, span_pad)
-    n = _GRID
-    xs = [lo + (hi - lo) * k / n for k in range(n + 1)]
-    if points:
-        xs = sorted(set(xs).union(x for x in points if lo < x < hi))
-        n = len(xs) - 1
-    vals = [_finite(fn(x)) for x in xs]
-    if math.inf in vals:
-        return SupInfo(math.inf, xs[vals.index(math.inf)], limited)
-    best_x, best_v = xs[0], vals[0]
+    xs = _grid(lo, hi, points)
+    if values is None:
+        vals = own = np.array([_finite(fn(x)) for x in xs.tolist()])
+    else:
+        vals, own = values(xs), None
+        vals[np.isnan(vals)] = -math.inf
+        tops = np.flatnonzero(np.isposinf(vals))
+        vals[tops] = [_finite(fn(x)) for x in xs[tops].tolist()]
+    xs = xs.tolist()
+    if np.isposinf(vals).any():
+        return SupInfo(math.inf, xs[int(np.argmax(vals))], limited)
+
+    def at(i: int) -> float:
+        return float(own[i]) if own is not None else _finite(fn(xs[i]))
+
+    best_x, best_v = xs[0], at(0)
     xtol = max(_REFINE_XTOL, (hi - lo) * 1e-15)
-    for i in range(n + 1):
-        left = vals[i - 1] if i > 0 else -math.inf
-        right = vals[i + 1] if i < n else -math.inf
-        if vals[i] >= left and vals[i] >= right and vals[i] > -math.inf:
-            blo = xs[max(i - 1, 0)]
-            bhi = xs[min(i + 1, n)]
-            x, v = _golden_max(fn, blo, bhi, xtol)
-            if vals[i] > v:
-                x, v = xs[i], vals[i]
-            if v > best_v:
-                best_x, best_v = x, v
+    n = len(xs) - 1
+    neighbours = np.concatenate(([-math.inf], vals, [-math.inf]))
+    peaks = (vals >= neighbours[:-2]) & (vals >= neighbours[2:]) & (vals > -math.inf)
+    for i in np.flatnonzero(peaks).tolist():
+        x, v = _golden_max(fn, xs[max(i - 1, 0)], xs[min(i + 1, n)], xtol)
+        v_i = at(i)
+        if v_i > v:
+            x, v = xs[i], v_i
+        if v > best_v:
+            best_x, best_v = x, v
     return SupInfo(best_v, best_x, limited)
+
+
+@functools.lru_cache(maxsize=_SAMPLE_MEMO_SIZE)
+def _delay_samples(delays: tuple, lo: float, hi: float) -> np.ndarray:
+    """Each delay read at every point of the grid over [lo, hi]: one column per delay.
+
+    Reads go through the delays' own calls, point by point in grid order, so
+    the first invalid delayed argument raises as a point-by-point search
+    would. Memoized, so that searches over one delay and range share them.
+    """
+    reads = [d(t) for t in _grid(lo, hi).tolist() for d in delays]
+    return np.array(reads).reshape(-1, len(delays))
+
+
+def _gap_values(c: Coefficient, d1: Delay, d2: Delay, t0: float, structure, pad: float):
+    """The integral of c over [d1(t), d2(t)] on _maximize's grid, as an array function.
+
+    From the normal form's antiderivative, with the general delays read
+    once per scan range. None without a normal form or for a delay class of
+    the caller's own.
+    """
+    lo, hi, _ = _scan_range(t0, structure, pad)
+    nf = _normal_form((1.0, c))
+    general = tuple(d for d in (d1, d2) if _as_lag(d) is None)
+    if nf is None or not all(isinstance(d, GeneralDelay) for d in general):
+        return None
+
+    def values(xs: np.ndarray) -> np.ndarray:
+        reads = iter(_delay_samples(general, lo, hi).T)
+        ends = [next(reads) if lag is None else xs - lag for lag in map(_as_lag, (d1, d2))]
+        return nf.antiderivatives(ends[1]) - nf.antiderivatives(ends[0])
+
+    return values
 
 
 def _window_extrema(c: Coefficient, near: float, far: float, t0: float, structure, pad: float):
@@ -895,8 +991,11 @@ def _window_extrema(c: Coefficient, near: float, far: float, t0: float, structur
         return c.integral(t - far, t - near)
 
     if nf is None or (nf.waves and harm is None):
-        top = _maximize(window, t0, structure, pad, kinks)
-        low = _maximize(lambda t: -window(t), t0, structure, pad, kinks)
+        values = None if nf is None else (
+            lambda xs: nf.antiderivatives(xs - near) - nf.antiderivatives(xs - far))
+        top = _maximize(window, t0, structure, pad, kinks, values)
+        low = _maximize(lambda t: -window(t), t0, structure, pad, kinks,
+                        None if nf is None else (lambda xs: -values(xs)))
         return top, SupInfo(-low.value, low.argmax, low.horizon_limited)
     nu, angles = 1.0, None
     if harm is not None:
@@ -958,7 +1057,12 @@ def sup_window_integral_info(
     lag = _as_lag(lower)
     if lag is not None:
         return _window_extrema(c, 0.0, lag, t0, structure, lag)[0]
-    return _maximize(lambda t: window_integral(c, lower, t), t0, structure, lower.lag_bound)
+    pad = lower.lag_bound
+    # A general delay's reads never pass t, which window_integral checks of other delays.
+    window = (lambda t: c.integral(lower(t), t)) if isinstance(lower, GeneralDelay) else (
+        lambda t: window_integral(c, lower, t))
+    return _maximize(window, t0, structure, pad,
+                     values=_gap_values(c, lower, IdentityDelay(), t0, structure, pad))
 
 
 def sup_window_integral(
@@ -998,7 +1102,9 @@ def sup_between_delays_info(
         if top.value >= -low.value:
             return top
         return SupInfo(-low.value, low.argmax, low.horizon_limited)
-    return _maximize(lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad)
+    gap = _gap_values(c, d1, d2, t0, structure, pad)
+    return _maximize(lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad,
+                     values=None if gap is None else (lambda xs: np.abs(gap(xs))))
 
 
 def sup_between_delays(
@@ -1090,19 +1196,35 @@ def ratio_extrema(
         pad = _PAD_ULPS * ulps / least[1] if forms[0].waves or forms[1].waves else 0.0
         return SupInfo(r_hi + pad, t_hi, limited), SupInfo(r_lo - pad, t_lo, limited)
     scale = coefficient_extrema(den, t0, horizon=horizon)[0].value
-    floor = 1e-12 * max(scale, 1e-300)
+    floor, tol = 1e-12 * max(scale, 1e-300), 1e-9 * max(scale, 1.0)
 
     def ratio_at(t: float) -> float:
         dv = den.value(t)
         nv = num.value(t)
         if abs(dv) <= floor:
-            if abs(nv) <= 1e-9 * max(scale, 1.0):
+            if abs(nv) <= tol:
                 return math.nan
             return math.inf
         return nv / dv
 
-    r_hi = _maximize(ratio_at, t0, structure, 0.0, bps)
-    r_lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0, bps)
+    if None in forms:
+        ratios = None
+    elif not (forms[0].waves or forms[1].waves):
+        # Without waves the ratio is constant on each piece: one read each.
+        reads = [(ratio_at(t), t) for t, _ in _candidates(bps, False, lo, hi, 1.0, None)]
+        (r_hi, t_hi), (r_lo, t_lo) = (
+            max(reads, key=lambda r: _finite(sign * r[0])) for sign in (1.0, -1.0))
+        return SupInfo(_finite(r_hi), t_hi, limited), SupInfo(-_finite(-r_lo), t_lo, limited)
+    else:
+        def ratios(xs: np.ndarray) -> np.ndarray:
+            nv, dv = forms[0].values(xs), forms[1].values(xs)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(np.abs(dv) <= floor,
+                                np.where(np.abs(nv) <= tol, math.nan, math.inf), nv / dv)
+
+    r_hi = _maximize(ratio_at, t0, structure, 0.0, bps, ratios)
+    r_lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0, bps,
+                     None if ratios is None else (lambda xs: -ratios(xs)))
     return r_hi, SupInfo(-r_lo.value, r_lo.argmax, r_lo.horizon_limited)
 
 

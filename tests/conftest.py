@@ -1,6 +1,7 @@
-"""Every test starts and ends with empty extremum-search and normal-form memos.
+"""Every test starts and ends with empty extremum-search, normal-form and delay-read memos.
 
-``timefn`` memoizes its extremum searches and its normal forms per process.
+``timefn`` memoizes its extremum searches, its normal forms and a general
+delay's reads on the search grid per process.
 Emptying the memos around each test keeps a test that counts the work of a
 search (the benchmark's tracer test counts coefficient integrals)
 independent of which tests ran before it.
@@ -16,6 +17,7 @@ _MEMOIZED = (
     tf.liminf_forward_integral_info,
     tf.ratio_extrema,
     tf._normal_form_memo,
+    tf._delay_samples,
 )
 
 

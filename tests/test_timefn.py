@@ -9,6 +9,7 @@ Oracles used here and nowhere in the package:
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,6 +281,21 @@ def test_ratio_extrema_unbounded():
     assert hi.value == math.inf
 
 
+def test_step_only_ratio_whose_denominator_vanishes_is_read_once_per_piece(monkeypatch):
+    calls = []
+    golden = tf._golden_max
+    monkeypatch.setattr(tf, "_golden_max", lambda *args: calls.append(args) or golden(*args))
+    num = tf.piecewise_constant([5.0, 10.0, 20.0], [1.0, 2.0, 1.0, 0.5])
+    den = tf.piecewise_constant([5.0, 10.0, 20.0], [1.0, 0.0, 1.0, 0.5])
+    hi, lo = tf.ratio_extrema(num, den)
+    assert (hi.value, hi.argmax, lo.value, lo.argmax) == (math.inf, 5.0, 1.0, 0.0)
+    # Where both vanish the point is excluded; only the other pieces count.
+    hi, lo = tf.ratio_extrema(tf.piecewise_constant([5.0, 10.0], [3.0, 0.0, 2.0]),
+                              tf.piecewise_constant([5.0, 10.0], [1.0, 0.0, 4.0]))
+    assert (hi.value, lo.value) == (3.0, 0.5)
+    assert calls == []
+
+
 def test_coefficient_extrema():
     hi, lo = tf.coefficient_extrema(tf.sinsq(0.8, 1.0))
     assert hi.value == pytest.approx(0.8, abs=1e-10)
@@ -327,6 +343,18 @@ def test_delay_min_max_general():
     assert isinstance(d, tf.GeneralDelay)
     assert d(0.0) == pytest.approx(-1.2)
     assert d(math.pi / 2.0) == pytest.approx(math.pi / 2.0 - 1.5)
+
+
+def test_equal_delay_envelopes_share_one_search():
+    g = tf.GeneralDelay(lambda t: t - 1.0 - 0.5 * abs(math.sin(t)), 1.5)
+    envelopes = [tf.delay_min(g, tf.ConstantLag(1.1)) for _ in range(2)]
+    assert envelopes[0] == envelopes[1] and hash(envelopes[0]) == hash(envelopes[1])
+    assert envelopes[0] != tf.delay_max(g, tf.ConstantLag(1.1))
+    c = tf.sinsq(1.0, 1.0)
+    first = tf.sup_window_integral_info(c, envelopes[0], horizon=10.0)
+    again = tf.sup_window_integral_info(c, envelopes[1], horizon=10.0)
+    info = tf.sup_window_integral_info.cache_info()
+    assert (info.hits, info.misses) == (1, 1) and again == first
 
 
 def test_merge_classes():
@@ -817,3 +845,89 @@ def test_coefficient_class_of_its_own_may_be_unhashable():
     with pytest.raises(ValueError, match="domination"):
         cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(0.4), tf.IdentityDelay())],
                                negative_terms=[cr.Term(Half(), tf.ConstantLag(1.0))])
+
+
+# ---------------------------------------------------------------------------
+# Grid searches: one array pass from the normal form, general delays read once
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), base=st.floats(0.3, 2.0), start=st.floats(-20.0, 20.0),
+       widths=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=3),
+       ts=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=20))
+def test_property_array_antiderivative_matches_the_coefficients_own(data, base, start, widths, ts):
+    knots = [start + sum(widths[:k + 1]) for k in range(len(widths))]
+    levels = [data.draw(st.floats(0.0, 2.0)) for _ in range(len(knots) + 1)]
+    step = tf.piecewise_constant(knots, levels)
+    c = tf.coeff_sum([data.draw(commensurate_sums(base)), step])
+    nf = tf._normal_form((1.0, c))
+    ts = np.array(ts)
+    own = np.array([c.antiderivative(t) for t in ts])
+    scale = nf.bound * (1.0 + np.abs(ts).max())
+    assert np.abs(np.diff(nf.antiderivatives(ts)) - np.diff(own)).max() <= 1e-12 * scale
+    assert np.abs(nf.values(ts) - [c.value(t) for t in ts]).max() <= 1e-12 * nf.bound
+
+
+def test_general_delay_searches_share_one_read_of_the_grid(monkeypatch):
+    from ddestab import criteria as cr
+
+    reads, calls = [], []
+
+    def delayed(t):
+        reads.append(t)
+        return t - 1.0 - 0.3 * math.sin(1.1 * t)
+
+    golden = tf._golden_max
+    monkeypatch.setattr(tf, "_golden_max", lambda *args: calls.append(args) or golden(*args))
+    delay = tf.GeneralDelay(delayed, 1.3)
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(0.4, 1.2), delay)],
+                                negative_terms=[cr.Term(tf.sinsq(0.1, 1.2), tf.IdentityDelay())])
+    certs = cr.evaluate_all(eq, horizon=40.0)
+    assert {cert.name for cert in certs} >= {"diff-form", "ratio-form"}
+    lo, hi = _scan_range(eq.positive_terms[0].coeff, 0.0, 40.0, 1.3)
+    grid = {lo + (hi - lo) * k / tf._GRID for k in range(tf._GRID + 1)}
+    on_grid = [t for t in reads if t in grid]
+    assert set(on_grid) == grid
+    # The diff form (on a - b) and the ratio form (on a) each search the
+    # grid; past one shared read, a grid point is read again only to report
+    # its value: the first point and each refined local maximum.
+    assert len(calls) >= 2
+    assert len(on_grid) <= len(grid) + len(calls) + 2
+
+
+def test_general_delay_search_raises_at_the_first_invalid_grid_point():
+    c = tf.sinsq(1.0, 1.0)
+    far = tf.GeneralDelay(lambda t: t - (0.5 if t < 5.0 else 3.0), 1.0)
+    near = tf.GeneralDelay(lambda t: t - (0.2 if t < 3.0 else 2.0), 1.0)
+    lo, hi = _scan_range(c, 0.0, 10.0, 1.0)
+    grid = [lo + (hi - lo) * k / tf._GRID for k in range(tf._GRID + 1)]
+    for search, first in ((lambda: tf.sup_window_integral_info(c, far, horizon=10.0), 5.0),
+                          # d1 is read before d2 at each point, as the integral's bounds are.
+                          (lambda: tf.sup_between_delays_info(c, far, near, horizon=10.0), 3.0)):
+        t = next(x for x in grid if x >= first)
+        with pytest.raises(tf.DomainError, match="lags current time %s by" % re.escape("%g" % t)):
+            search()
+
+
+@pytest.mark.parametrize("pulse", [False, True])
+def test_general_delay_searches_report_the_coefficients_own_integral(pulse):
+    wobble = tf.GeneralDelay(lambda t: t - 1.0 - 0.4 * math.sin(0.9 * t), 1.4)
+    c = tf.sinsq(0.8, 1.3, 0.4)
+    if pulse:
+        c = tf.coeff_sum([c, tf.piecewise_constant([12.3, 12.35], [0.0, 3.0, 0.0])])
+    near = tf.ConstantLag(0.3)
+    for lower in (wobble, tf.delay_min(wobble, tf.ConstantLag(1.2)),
+                  tf.delay_max(wobble, tf.ConstantLag(1.2))):
+        searches = [
+            (tf.sup_window_integral_info(c, lower, horizon=30.0),
+             lambda t: c.integral(lower(t), t)),
+            (tf.sup_between_delays_info(c, lower, near, horizon=30.0),
+             lambda t: abs(c.integral(lower(t), near(t)))),
+        ]
+        lo, hi = _scan_range(c, 0.0, 30.0, lower.lag_bound)
+        for info, fn in searches:
+            assert info.value == fn(info.argmax)
+            assert max(fn(t) for t in np.linspace(lo, hi, 4097)) - 1e-12 <= info.value
+            # The grid evaluated point by point, fn alone, is the reference.
+            assert info == tf._maximize(fn, 0.0, ("general", 30.0), lower.lag_bound)
