@@ -17,8 +17,8 @@ zero is read once per piece. The rest (general delays, other ratios whose
 denominator reaches zero, waves with no common base frequency, coefficient
 classes of the caller's own) is searched on a grid with a golden-section
 refinement of each local maximum. With a normal form the grid takes one
-numpy pass (a general delay is read once per scan range and the reads are
-shared between searches), but every value reported is the coefficient's own.
+numpy pass (a general delay is read once per grid and the reads are shared
+between searches), but every value reported is the coefficient's own.
 """
 
 from __future__ import annotations
@@ -733,7 +733,7 @@ class GeneralDelay:
                 "delayed argument %g lags current time %g by more than lag_bound %g"
                 % (v, t, self.lag_bound)
             )
-        return t if t < v else v  # min(v, t) without the call: v on a tie or a NaN
+        return t if t < v else v  # min(v, t) without the builtin call
 
 
 Delay = Union[ConstantLag, IdentityDelay, GeneralDelay]
@@ -805,7 +805,7 @@ def window_integral(c: Coefficient, lower: Delay, t: float) -> float:
     lo = lower(t)
     if lo > t + 1e-9:
         raise DomainError("window lower bound %g exceeds t=%g" % (lo, t))
-    return c.integral(min(lo, t), t)
+    return c.integral(t if t < lo else lo, t)  # min(lo, t) without the builtin call
 
 
 def _structure(
@@ -874,13 +874,6 @@ def _scan_range(t0: float, structure, pad: float):
     return t0, t0 + param + pad, True
 
 
-def _grid(lo: float, hi: float, points=()) -> np.ndarray:
-    """_GRID even steps over [lo, hi], joined by the points strictly inside."""
-    xs = lo + (hi - lo) * np.arange(_GRID + 1) / _GRID
-    inside = [x for x in points if lo < x < hi]
-    return np.union1d(xs, inside) if inside else xs
-
-
 def _maximize(fn, t0: float, structure, span_pad: float, points=(), values=None) -> SupInfo:
     """Supremum of fn over the structure's scan range from t0.
 
@@ -888,20 +881,23 @@ def _maximize(fn, t0: float, structure, span_pad: float, points=(), values=None)
     each; ``points`` (kinks, breakpoints) join the grid, so none is stepped
     over. ``values``, when given, maps the grid (an array) to fn's values in
     one pass. They only choose the brackets: every value reported, a grid
-    point's too, is fn's own, and fn confirms each infinite one.
+    point's too, is fn's own, and fn reads again each grid point whose
+    array value is not finite (NaN, where fn may be finite, or infinite).
     """
     kind, _ = structure
     if kind == "constant":
         return SupInfo(fn(t0), t0, False)
     lo, hi, limited = _scan_range(t0, structure, span_pad)
-    xs = _grid(lo, hi, points)
+    xs = lo + (hi - lo) * np.arange(_GRID + 1) / _GRID
+    inside = [x for x in points if lo < x < hi]
+    if inside:
+        xs = np.union1d(xs, inside)
     if values is None:
         vals = own = np.array([_finite(fn(x)) for x in xs.tolist()])
     else:
         vals, own = values(xs), None
-        vals[np.isnan(vals)] = -math.inf
-        tops = np.flatnonzero(np.isposinf(vals))
-        vals[tops] = [_finite(fn(x)) for x in xs[tops].tolist()]
+        odd = np.flatnonzero(~np.isfinite(vals))
+        vals[odd] = [_finite(fn(x)) for x in xs[odd].tolist()]
     xs = xs.tolist()
     if np.isposinf(vals).any():
         return SupInfo(math.inf, xs[int(np.argmax(vals))], limited)
@@ -925,32 +921,31 @@ def _maximize(fn, t0: float, structure, span_pad: float, points=(), values=None)
 
 
 @functools.lru_cache(maxsize=_SAMPLE_MEMO_SIZE)
-def _delay_samples(delays: tuple, lo: float, hi: float) -> np.ndarray:
-    """Each delay read at every point of the grid over [lo, hi]: one column per delay.
+def _delay_samples(delays: tuple, grid: bytes) -> np.ndarray:
+    """Each delay read at every point of the grid (float64 bytes): one column per delay.
 
     Reads go through the delays' own calls, point by point in grid order, so
     the first invalid delayed argument raises as a point-by-point search
-    would. Memoized, so that searches over one delay and range share them.
+    would. Memoized, so that searches over one delay and grid share them.
     """
-    reads = [d(t) for t in _grid(lo, hi).tolist() for d in delays]
+    reads = [d(t) for t in np.frombuffer(grid).tolist() for d in delays]
     return np.array(reads).reshape(-1, len(delays))
 
 
-def _gap_values(c: Coefficient, d1: Delay, d2: Delay, t0: float, structure, pad: float):
-    """The integral of c over [d1(t), d2(t)] on _maximize's grid, as an array function.
+def _gap_values(c: Coefficient, d1: Delay, d2: Delay):
+    """The integral of c over [d1(t), d2(t)] at each of the times xs, as an array function.
 
     From the normal form's antiderivative, with the general delays read
-    once per scan range. None without a normal form or for a delay class of
-    the caller's own.
+    once per grid. None without a normal form or for a delay class of the
+    caller's own.
     """
-    lo, hi, _ = _scan_range(t0, structure, pad)
     nf = _normal_form((1.0, c))
     general = tuple(d for d in (d1, d2) if _as_lag(d) is None)
     if nf is None or not all(isinstance(d, GeneralDelay) for d in general):
         return None
 
     def values(xs: np.ndarray) -> np.ndarray:
-        reads = iter(_delay_samples(general, lo, hi).T)
+        reads = iter(_delay_samples(general, xs.tobytes()).T)
         ends = [next(reads) if lag is None else xs - lag for lag in map(_as_lag, (d1, d2))]
         return nf.antiderivatives(ends[1]) - nf.antiderivatives(ends[0])
 
@@ -1057,12 +1052,8 @@ def sup_window_integral_info(
     lag = _as_lag(lower)
     if lag is not None:
         return _window_extrema(c, 0.0, lag, t0, structure, lag)[0]
-    pad = lower.lag_bound
-    # A general delay's reads never pass t, which window_integral checks of other delays.
-    window = (lambda t: c.integral(lower(t), t)) if isinstance(lower, GeneralDelay) else (
-        lambda t: window_integral(c, lower, t))
-    return _maximize(window, t0, structure, pad,
-                     values=_gap_values(c, lower, IdentityDelay(), t0, structure, pad))
+    return _maximize(lambda t: window_integral(c, lower, t), t0, structure, lower.lag_bound,
+                     values=_gap_values(c, lower, IdentityDelay()))
 
 
 def sup_window_integral(
@@ -1102,7 +1093,7 @@ def sup_between_delays_info(
         if top.value >= -low.value:
             return top
         return SupInfo(-low.value, low.argmax, low.horizon_limited)
-    gap = _gap_values(c, d1, d2, t0, structure, pad)
+    gap = _gap_values(c, d1, d2)
     return _maximize(lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad,
                      values=None if gap is None else (lambda xs: np.abs(gap(xs))))
 

@@ -910,6 +910,38 @@ def test_general_delay_search_raises_at_the_first_invalid_grid_point():
             search()
 
 
+def test_maximize_reads_again_every_grid_point_whose_array_value_is_not_finite():
+    def fn(t):
+        return math.sin(t) + 0.1 * t
+
+    def values(xs):
+        # fn's own values, except NaN around the supremum and -inf or +inf
+        # elsewhere: fn is finite at every one of those points.
+        v = np.array([fn(x) for x in xs.tolist()])
+        v[(xs > 7.0) & (xs < 8.5)] = math.nan
+        v[xs < 1.0] = -math.inf
+        v[(xs > 3.0) & (xs < 3.1)] = math.inf
+        return v
+
+    structure = ("general", 10.0)
+    reference = tf._maximize(fn, 0.0, structure, 0.0)
+    assert 7.0 < reference.argmax < 8.5
+    assert tf._maximize(fn, 0.0, structure, 0.0, values=values) == reference
+
+
+def test_general_delay_gap_values_read_the_delays_at_the_times_given():
+    wobble = tf.GeneralDelay(lambda t: t - 1.0 - 0.4 * math.sin(0.9 * t), 1.4)
+    c = tf.sinsq(0.8, 1.3, 0.4)
+    values = tf._gap_values(c, wobble, tf.IdentityDelay())
+    xs = np.array([0.5, 2.0, 3.25, 7.0])
+    own = [c.integral(wobble(t), t) for t in xs.tolist()]
+    assert np.abs(values(xs) - own).max() <= 1e-12
+    # Points joining the grid are read too, so the search equals the point-by-point one.
+    fn, structure, points = (lambda t: tf.window_integral(c, wobble, t)), ("general", 30.0), (3.3, 7.77)
+    assert (tf._maximize(fn, 0.0, structure, 1.4, points, values)
+            == tf._maximize(fn, 0.0, structure, 1.4, points))
+
+
 @pytest.mark.parametrize("pulse", [False, True])
 def test_general_delay_searches_report_the_coefficients_own_integral(pulse):
     wobble = tf.GeneralDelay(lambda t: t - 1.0 - 0.4 * math.sin(0.9 * t), 1.4)
