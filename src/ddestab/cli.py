@@ -381,13 +381,18 @@ def _write_report(path: str, **fields) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_positive(flag: str, value: Optional[float]) -> None:
+    # Checked up front, not only by the searches: a certificate can conclude
+    # before any search reads the horizon or the persistence window T.
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise ConfigError("%s must be finite and positive, got %g" % (flag, value))
+
+
 def run_check(args: argparse.Namespace) -> int:
-    # Checked here, not only by the searches: a certificate can conclude
-    # before any search reads the horizon.
-    if args.horizon is not None and not (math.isfinite(args.horizon) and args.horizon > 0.0):
-        raise ConfigError("--horizon must be finite and positive, got %g" % args.horizon)
+    _check_positive("--horizon", args.horizon)
     target, opts = resolve_target(args.target, parse_overrides(args.sets))
     T = args.T if args.T is not None else opts.get("T")
+    _check_positive("--T", T)
     verdict, certs = dg.certify(target, T, horizon=args.horizon)
     path = os.path.join(args.out, "certificates.json")
     _write_report(
@@ -474,6 +479,7 @@ def run_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep requires --hi greater than --lo")
     if args.points < 2:
         raise ConfigError("sweep requires at least two points")
+    _check_positive("--T", args.T)
     build = _builtin_builder(args.target, args.param, parse_overrides(args.sets))
     lines = ["param,verdict,classification"]
     tabulated = {}  # the predicate's value at each table point

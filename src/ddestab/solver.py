@@ -36,7 +36,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class TabulatedHistory:
         return float(np.interp(t, self.times, self.values))
 
 
-History = Union[ConstantHistory, FunctionHistory, TabulatedHistory]
+History = ConstantHistory | FunctionHistory | TabulatedHistory
 
 
 def _as_history(phi) -> History:
@@ -376,22 +376,15 @@ class _Rhs:
     delay, read at one delayed time, or a DistributedTerm, averaged over its
     window. ``state(y, cv, xv)`` is the arithmetic on the state y, given the
     time part ``cv`` and one value ``xv[k]`` per site; ``y_dependent`` is
-    False when it ignores y. ``read_lags``/``general_reads`` describe
-    concentrated delayed reads (they constrain the step); ``mesh_lags`` seed
-    the breaking-point mesh; ``windows`` flags distributed terms, and
-    ``window_to_now`` those whose windows reach the current time, where the
-    leading sliver needs the within-step predictor.
+    False when it ignores y. What the integrator needs to know of the reads
+    (the lags that bound the step and seed the mesh, the windows) it
+    derives from the sites.
     """
 
     coeffs: Callable
     sites: tuple
     state: Callable
     y_dependent: bool
-    read_lags: list
-    general_reads: list
-    mesh_lags: list
-    windows: bool = False
-    window_to_now: bool = False
 
     def fn(self, t, y, read, integral):
         """The derivative at (t, y), reading x through ``read``/``integral``."""
@@ -460,19 +453,7 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
             total += w * (y if k < 0 else xv[k])
         return total
 
-    read_lags, general_reads = _delay_split(sites)
-    mesh_lags = list(read_lags)
-    window_to_now = False
-    for term in distributed:
-        window_to_now = window_to_now or _window_reaches_now(term)
-        if isinstance(term.window_start, tf.ConstantLag):
-            mesh_lags.append(term.window_start.lag)
-            if term.kernel.width is not None and term.window_start.lag > term.kernel.width:
-                mesh_lags.append(term.window_start.lag - term.kernel.width)
-    return _Rhs(
-        coeffs, tuple(sites), state, -1 in at, read_lags, general_reads, mesh_lags,
-        bool(distributed), window_to_now,
-    )
+    return _Rhs(coeffs, tuple(sites), state, -1 in at)
 
 
 def _make_removal_rhs(model: md.MackeyGlassRemoval, forcing):
@@ -490,7 +471,7 @@ def _make_removal_rhs(model: md.MackeyGlassRemoval, forcing):
             total += force
         return total
 
-    return _model_rhs(coeffs, sites, state, min(at_g, at_h) < 0)
+    return _Rhs(coeffs, tuple(sites), state, min(at_g, at_h) < 0)
 
 
 def _make_production_rhs(model: md.MackeyGlassProduction, forcing):
@@ -508,22 +489,29 @@ def _make_production_rhs(model: md.MackeyGlassProduction, forcing):
             total += force
         return total
 
-    return _model_rhs(coeffs, sites, state, True)
+    return _Rhs(coeffs, tuple(sites), state, True)
 
 
-def _model_rhs(coeffs, sites, state, y_dependent):
-    read_lags, general_reads = _delay_split(sites)
-    return _Rhs(coeffs, tuple(sites), state, y_dependent, read_lags, general_reads, list(read_lags))
-
-
-def _delay_split(delays):
+def _delay_split(sites):
+    """The positive constant lags and the general delays read at a point."""
     lags, general = [], []
-    for d in delays:
+    for d in sites:
         if isinstance(d, tf.ConstantLag) and d.lag > 0.0:
             lags.append(d.lag)
         elif isinstance(d, tf.GeneralDelay):
             general.append(d)
     return lags, general
+
+
+def _mesh_lags(sites) -> list:
+    """The lags that seed the breaking-point mesh: constant read lags and constant window ends."""
+    lags = _delay_split(sites)[0]
+    for term in sites:
+        if isinstance(term, cr.DistributedTerm) and isinstance(term.window_start, tf.ConstantLag):
+            lags.append(term.window_start.lag)
+            if term.kernel.width is not None and term.window_start.lag > term.kernel.width:
+                lags.append(term.window_start.lag - term.kernel.width)
+    return lags
 
 
 def _make_rhs(target, forcing):
@@ -628,20 +616,23 @@ def integrate(
 
     rhs = _make_rhs(target, forcing)
     hist = _as_history(history)
+    sites = rhs.sites
+    windows = [s for s in sites if isinstance(s, cr.DistributedTerm)]
 
     if not allow_extrapolation:
-        min_lag = min(rhs.read_lags, default=math.inf)
-        for gd in rhs.general_reads:
+        read_lags, general_reads = _delay_split(sites)
+        min_lag = min(read_lags, default=math.inf)
+        for gd in general_reads:
             for k in range(257):
                 t = t0 + (t1 - t0) * k / 256.0
                 min_lag = min(min_lag, t - gd(t))
-        if min_lag < step - 1e-12 and (rhs.read_lags or rhs.general_reads):
+        if min_lag < step - 1e-12 and (read_lags or general_reads):
             raise ConfigurationError(
                 "step %g exceeds the smallest positive lag %g; shrink the step "
                 "or pass allow_extrapolation=True" % (step, min_lag)
             )
 
-    mesh = _build_mesh(t0, t1, step, rhs.mesh_lags)
+    mesh = _build_mesh(t0, t1, step, _mesh_lags(sites))
     nodes = mesh.tolist()
     x0 = float(hist.value(t0)) if initial_value is None else float(initial_value)
 
@@ -660,7 +651,7 @@ def integrate(
     pending = [t0, x0, 0.0]  # anchor time, value, slope for leading-edge reads
     hist_pad = 1e-9 * max(1.0, abs(t0))
     hist_lo, hist_hi = t0 - hist_pad, t0 + hist_pad
-    extrapolate = allow_extrapolation or rhs.window_to_now
+    extrapolate = allow_extrapolation or any(map(_window_reaches_now, windows))
     # Whether the reads since the last ``prepare`` used the last node or the
     # predictor (they change once the step is pushed), or the left limit of
     # the start-time jump (they change with ``want_left``).
@@ -720,7 +711,6 @@ def integrate(
     # pass, bit for bit what ``read`` returns. NaN marks a slot left to
     # ``read``: general delays, windows, and reads in the history, near t0
     # or at or past the last finished node.
-    sites = rhs.sites
     batched = [k for k, s in enumerate(sites) if isinstance(s, tf.ConstantLag) and s.lag > 0.0]
     if batched and min(sites[k].lag for k in batched) < _BLOCK_STEPS * float(np.diff(mesh).max()):
         batched = []  # blocks of a few steps would not pay for their numpy calls
@@ -861,7 +851,7 @@ def integrate(
             ms[-1] = m_right
             if mls is not None:
                 mls[-1] = m_left
-            if rhs.windows:
+            if windows:
                 # Sealed once its closing derivative is final.
                 pieces.append(_piece_integral(ta, xa, ms[-2], tb, xb, mends[-1]))
         else:
@@ -935,7 +925,7 @@ def verify_lemma3(
     spacing = min(10.0 * step, lag / 2.0)
     # The integrand is minus the equation's right-hand side read along X.
     rhs = _make_rhs(eq, None)
-    segments = breaking_points(s, t1, rhs.mesh_lags)
+    segments = breaking_points(s, t1, _mesh_lags(rhs.sites))
     prefix = [(s, 0.0)]
     acc = 0.0
     for a, b in zip(segments[:-1], segments[1:]):

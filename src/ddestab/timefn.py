@@ -4,10 +4,11 @@ and essential extrema consumed by the stability criteria.
 Coefficients are nonnegative functions of time with exact antiderivatives,
 so window integrals are closed-form differences rather than quadratures.
 Each coefficient derives its asymptotic class (constant, periodic, or
-general with an analysis horizon) from its structure; the class sets the
-time range of an essential extremum. Every coefficient the constructors
-build is a step part plus a trigonometric polynomial in one base frequency
-(its normal form), which decides pointwise questions exactly:
+general with an analysis horizon) from its structure. The class, or a
+given horizon's, is the time range of an essential extremum: one point,
+one period, or the horizon. Every coefficient the constructors build is a
+step part plus a trigonometric polynomial in one base frequency (its
+normal form), which decides pointwise questions exactly:
 proportionality, vanishing, domination and nonnegativity, and the extrema
 of a coefficient or of a ratio with a positive denominator. It also gives
 every window extremum at constant lags: between two kinks a window
@@ -25,11 +26,10 @@ from __future__ import annotations
 
 import cmath
 import functools
-import inspect
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -85,7 +85,8 @@ _PAD_ULPS = 4
 _TAU = 2.0 * math.pi
 # Entries kept by the per-process memo of each extremum search. The searches
 # take frozen dataclasses and floats and are deterministic in them, so a hit
-# returns exactly what recomputing would.
+# returns exactly what recomputing would. A key is the arguments as passed, so
+# every caller passes t0 by position and horizon by keyword.
 _MEMO_SIZE = 256
 # Entries kept by the memo of a general delay's reads on the grid. The diff and
 # ratio forms of one certificate ask for the same reads back to back.
@@ -132,7 +133,7 @@ class GeneralClass:
             raise ValueError("analysis_horizon must be finite and positive")
 
 
-AsymptoticClass = Union[ConstantClass, PeriodicClass, GeneralClass]
+AsymptoticClass = ConstantClass | PeriodicClass | GeneralClass
 
 
 def merge_classes(classes: Sequence[AsymptoticClass]) -> AsymptoticClass:
@@ -642,7 +643,7 @@ def domination_violation(
         info = _maximize(
             lambda t: -sum(w * c.value(t) for w, c in parts),
             t0 if t0 > -math.inf else 0.0,
-            _structure([c.asymptotic_class for _, c in parts], [], None),
+            merge_classes([c.asymptotic_class for _, c in parts]),
             0.0,
             () if nf is None else nf.breakpoints,
             None if nf is None else (lambda xs: -nf.values(xs)),
@@ -736,7 +737,7 @@ class GeneralDelay:
         return t if t < v else v  # min(v, t) without the builtin call
 
 
-Delay = Union[ConstantLag, IdentityDelay, GeneralDelay]
+Delay = ConstantLag | IdentityDelay | GeneralDelay
 
 
 @dataclass(frozen=True)
@@ -808,28 +809,23 @@ def window_integral(c: Coefficient, lower: Delay, t: float) -> float:
     return c.integral(t if t < lo else lo, t)  # min(lo, t) without the builtin call
 
 
-def _structure(
+def _search_class(
     classes: Sequence[AsymptoticClass],
     delays: Sequence[Delay],
     horizon: Optional[float],
-):
-    """Resolve how to search for an extremum: exact point, one period, or scan."""
+) -> AsymptoticClass:
+    """The class an extremum is searched under: the merged class, or a given horizon's."""
     cls = merge_classes(classes)
-    general_delay = any(isinstance(d, GeneralDelay) for d in delays)
     if horizon is not None:
         # GeneralClass rejects a non-finite or non-positive horizon with a
         # plain ValueError; criteria would turn a ConfigurationError into
         # an Inconclusive certificate.
-        return ("general", GeneralClass(float(horizon)).analysis_horizon)
-    if isinstance(cls, GeneralClass):
-        return ("general", cls.analysis_horizon)
-    if general_delay:
+        return GeneralClass(float(horizon))
+    if not isinstance(cls, GeneralClass) and any(isinstance(d, GeneralDelay) for d in delays):
         raise ConfigurationError(
             "a general delayed argument needs an explicit analysis horizon"
         )
-    if isinstance(cls, PeriodicClass):
-        return ("periodic", cls.period)
-    return ("constant", 0.0)
+    return cls
 
 
 def _finite(v: float) -> float:
@@ -864,18 +860,17 @@ def _golden_max(fn, lo: float, hi: float, xtol: float):
     return best_x, best_v
 
 
-def _scan_range(t0: float, structure, pad: float):
+def _scan_range(t0: float, cls: AsymptoticClass, pad: float):
     """(lo, hi, horizon_limited): t0 alone, one period from t0, or the horizon plus pad."""
-    kind, param = structure
-    if kind == "constant":
+    if isinstance(cls, ConstantClass):
         return t0, t0, False
-    if kind == "periodic":
-        return t0, t0 + param, False
-    return t0, t0 + param + pad, True
+    if isinstance(cls, PeriodicClass):
+        return t0, t0 + cls.period, False
+    return t0, t0 + cls.analysis_horizon + pad, True
 
 
-def _maximize(fn, t0: float, structure, span_pad: float, points=(), values=None) -> SupInfo:
-    """Supremum of fn over the structure's scan range from t0.
+def _maximize(fn, t0: float, cls, span_pad: float, points=(), values=None) -> SupInfo:
+    """Supremum of fn over the class's scan range from t0.
 
     A grid locates the local maxima and a golden-section search refines
     each; ``points`` (kinks, breakpoints) join the grid, so none is stepped
@@ -884,10 +879,9 @@ def _maximize(fn, t0: float, structure, span_pad: float, points=(), values=None)
     point's too, is fn's own, and fn reads again each grid point whose
     array value is not finite (NaN, where fn may be finite, or infinite).
     """
-    kind, _ = structure
-    if kind == "constant":
+    if isinstance(cls, ConstantClass):
         return SupInfo(fn(t0), t0, False)
-    lo, hi, limited = _scan_range(t0, structure, span_pad)
+    lo, hi, limited = _scan_range(t0, cls, span_pad)
     xs = lo + (hi - lo) * np.arange(_GRID + 1) / _GRID
     inside = [x for x in points if lo < x < hi]
     if inside:
@@ -952,7 +946,7 @@ def _gap_values(c: Coefficient, d1: Delay, d2: Delay):
     return values
 
 
-def _window_extrema(c: Coefficient, near: float, far: float, t0: float, structure, pad: float):
+def _window_extrema(c: Coefficient, near: float, far: float, t0: float, cls, pad: float):
     """(sup, inf) over the scan range from t0 of W(t), the integral of c over [t - far, t - near].
 
     Between two kinks (a breakpoint plus near or far), W' = c(t - near) -
@@ -964,11 +958,11 @@ def _window_extrema(c: Coefficient, near: float, far: float, t0: float, structur
     infimum floored at 0 unless c is signed. Without a normal form on one
     base frequency, the grid searches, holding every kink.
     """
-    kind, param = structure
-    lo, hi, limited = _scan_range(t0, structure, pad)
+    lo, hi, limited = _scan_range(t0, cls, pad)
     nf = _normal_form((1.0, c))
     if nf is not None and len(nf.waves) == 1 and not nf.breakpoints and (
-        kind == "periodic" or (kind == "general" and param >= _TAU / nf.waves[0][0])
+        isinstance(cls, PeriodicClass)
+        or (isinstance(cls, GeneralClass) and cls.analysis_horizon >= _TAU / nf.waves[0][0])
     ):
         (f, w), length = nf.waves[0], far - near
         half, swing = nf.levels[0] * length, abs(w) * abs(math.sin(f * length / 2.0)) / (f / 2.0)
@@ -988,8 +982,8 @@ def _window_extrema(c: Coefficient, near: float, far: float, t0: float, structur
     if nf is None or (nf.waves and harm is None):
         values = None if nf is None else (
             lambda xs: nf.antiderivatives(xs - near) - nf.antiderivatives(xs - far))
-        top = _maximize(window, t0, structure, pad, kinks, values)
-        low = _maximize(lambda t: -window(t), t0, structure, pad, kinks,
+        top = _maximize(window, t0, cls, pad, kinks, values)
+        low = _maximize(lambda t: -window(t), t0, cls, pad, kinks,
                         None if nf is None else (lambda xs: -values(xs)))
         return top, SupInfo(-low.value, low.argmax, low.horizon_limited)
     nu, angles = 1.0, None
@@ -1012,34 +1006,7 @@ def _window_extrema(c: Coefficient, near: float, far: float, t0: float, structur
     return SupInfo(top, t_top, limited), SupInfo(low, t_low, limited)
 
 
-def _memoized(search):
-    """Memoize a search so that every way of passing the same arguments shares one entry.
-
-    The key is the positional arguments, defaults filled in from a tuple read
-    once, then the keyword-only ones; a positional one passed by keyword binds.
-    """
-    signature = inspect.signature(search)
-    params = signature.parameters.values()
-    positional = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
-    required = sum(p.default is p.empty for p in positional)
-    defaults = tuple(p.default for p in positional[required:])
-    keywords = {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
-    cached = functools.lru_cache(maxsize=_MEMO_SIZE)(search)
-
-    @functools.wraps(search)
-    def memoized(*args, **kwargs):
-        if required <= len(args) <= len(positional) and kwargs.keys() <= keywords.keys():
-            return cached(*args, *defaults[len(args) - required:], **{**keywords, **kwargs})
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*bound.args, **bound.kwargs)
-
-    memoized.cache_info = cached.cache_info
-    memoized.cache_clear = cached.cache_clear
-    return memoized
-
-
-@_memoized
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def sup_window_integral_info(
     c: Coefficient,
     lower: Delay,
@@ -1048,11 +1015,11 @@ def sup_window_integral_info(
     horizon: Optional[float] = None,
 ) -> SupInfo:
     """Essential supremum over t >= t0 of the integral of c over [lower(t), t]."""
-    structure = _structure([c.asymptotic_class], [lower], horizon)
+    cls = _search_class([c.asymptotic_class], [lower], horizon)
     lag = _as_lag(lower)
     if lag is not None:
-        return _window_extrema(c, 0.0, lag, t0, structure, lag)[0]
-    return _maximize(lambda t: window_integral(c, lower, t), t0, structure, lower.lag_bound,
+        return _window_extrema(c, 0.0, lag, t0, cls, lag)[0]
+    return _maximize(lambda t: window_integral(c, lower, t), t0, cls, lower.lag_bound,
                      values=_gap_values(c, lower, IdentityDelay()))
 
 
@@ -1066,7 +1033,7 @@ def sup_window_integral(
     return sup_window_integral_info(c, lower, t0, horizon=horizon).value
 
 
-@_memoized
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def sup_between_delays_info(
     c: Coefficient,
     d1: Delay,
@@ -1085,16 +1052,16 @@ def sup_between_delays_info(
     nf = _normal_form((1.0, c))
     if isinstance(d2, IdentityDelay) and nf is not None and not nf.signed:
         return sup_window_integral_info(c, d1, t0, horizon=horizon)
-    structure = _structure([c.asymptotic_class], [d1, d2], horizon)
+    cls = _search_class([c.asymptotic_class], [d1, d2], horizon)
     pad = max(d1.lag_bound, d2.lag_bound)
     lags = (_as_lag(d1), _as_lag(d2))
     if None not in lags:
-        top, low = _window_extrema(c, min(lags), max(lags), t0, structure, pad)
+        top, low = _window_extrema(c, min(lags), max(lags), t0, cls, pad)
         if top.value >= -low.value:
             return top
         return SupInfo(-low.value, low.argmax, low.horizon_limited)
     gap = _gap_values(c, d1, d2)
-    return _maximize(lambda t: abs(c.integral(d1(t), d2(t))), t0, structure, pad,
+    return _maximize(lambda t: abs(c.integral(d1(t), d2(t))), t0, cls, pad,
                      values=None if gap is None else (lambda xs: np.abs(gap(xs))))
 
 
@@ -1109,7 +1076,7 @@ def sup_between_delays(
     return sup_between_delays_info(c, d1, d2, t0, horizon=horizon).value
 
 
-@_memoized
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def liminf_forward_integral_info(
     c: Coefficient,
     length: float,
@@ -1125,8 +1092,8 @@ def liminf_forward_integral_info(
     """
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError("length must be finite and positive")
-    structure = _structure([c.asymptotic_class], [], horizon)
-    return _window_extrema(c, -length, 0.0, t0, structure, length)[1]
+    cls = _search_class([c.asymptotic_class], [], horizon)
+    return _window_extrema(c, -length, 0.0, t0, cls, length)[1]
 
 
 def liminf_forward_integral(
@@ -1139,7 +1106,7 @@ def liminf_forward_integral(
     return liminf_forward_integral_info(c, length, t0, horizon=horizon).value
 
 
-@_memoized
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def ratio_extrema(
     num: Coefficient,
     den: Coefficient,
@@ -1160,10 +1127,8 @@ def ratio_extrema(
     k = proportional_ratio(num, den)
     if k is not None:
         return SupInfo(k, t0, False), SupInfo(k, t0, False)
-    structure = _structure(
-        [num.asymptotic_class, den.asymptotic_class], [], horizon
-    )
-    lo, hi, limited = _scan_range(t0, structure, 0.0)
+    cls = _search_class([num.asymptotic_class, den.asymptotic_class], [], horizon)
+    lo, hi, limited = _scan_range(t0, cls, 0.0)
     forms = (_normal_form((1.0, num)), _normal_form((1.0, den)))
     harm = None if None in forms else _harmonics(*forms)
     least = None if harm is None else _least(forms[1], lo, hi)
@@ -1213,8 +1178,8 @@ def ratio_extrema(
                 return np.where(np.abs(dv) <= floor,
                                 np.where(np.abs(nv) <= tol, math.nan, math.inf), nv / dv)
 
-    r_hi = _maximize(ratio_at, t0, structure, 0.0, bps, ratios)
-    r_lo = _maximize(lambda t: -ratio_at(t), t0, structure, 0.0, bps,
+    r_hi = _maximize(ratio_at, t0, cls, 0.0, bps, ratios)
+    r_lo = _maximize(lambda t: -ratio_at(t), t0, cls, 0.0, bps,
                      None if ratios is None else (lambda xs: -ratios(xs)))
     return r_hi, SupInfo(-r_lo.value, r_lo.argmax, r_lo.horizon_limited)
 
@@ -1238,10 +1203,8 @@ def persistent_mean(c: Coefficient, t0: float = 0.0):
     cls = c.asymptotic_class
     if isinstance(cls, ConstantClass):
         return c.value(t0), False
-    if isinstance(cls, PeriodicClass):
-        return c.integral(t0, t0 + cls.period) / cls.period, False
-    span = cls.analysis_horizon
-    return c.integral(t0, t0 + span) / span, True
+    span = representative_span(cls)
+    return c.integral(t0, t0 + span) / span, isinstance(cls, GeneralClass)
 
 
 def vanishing_fraction(c: Coefficient, t0: float = 0.0) -> float:

@@ -300,6 +300,23 @@ def test_check_rejects_bad_horizon(tmp_path, capsys, horizon):
         assert not (tmp_path / "certificates.json").exists()
 
 
+@pytest.mark.parametrize("T", ["nan", "inf", "0", "-5"])
+def test_bad_T_is_rejected_up_front(tmp_path, capsys, T):
+    # eq3 at b = 0.59 is Inconclusive before any route reads T, so only the
+    # up-front check sees it; options.T is checked the same way as --T.
+    config = tmp_path / "eq3.json"
+    config.write_text(cli.serialize_config(md.make_builtin("eq3", b=0.59), {"T": float(T)}))
+    out = tmp_path / "out"
+    for argv in (["check", "--target", "eq3", "--set", "b=0.59", "--T", T],
+                 ["check", "--target", str(config)],
+                 ["check", "--target", "eq26", "--T", T],
+                 ["sweep", "--target", "eq3", "--param", "b", "--lo", "0.2", "--hi", "0.45",
+                  "--points", "2", "--step", "0.05", "--T", T]):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert "--T must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,7 +9,10 @@ Oracles used here and nowhere in the package:
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -426,13 +429,28 @@ def test_repeated_search_is_a_memo_hit():
     assert tf.sup_window_integral(c, lag) == first.value
     assert tf.sup_window_integral_info.cache_info().hits == hits + 2
 
-    # The plain form, then the _info form left to its defaults: one search.
-    tf.sup_window_integral_info.cache_clear()
-    d = tf.sinsq(0.4, 2.0)
-    plain = tf.sup_window_integral(d, lag)
-    assert tf.sup_window_integral_info(d, lag).value == plain
-    info = tf.sup_window_integral_info.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+refs = []
+for _ in range(5):
+    for name in [m for m in sys.modules if m == "ddestab" or m.startswith("ddestab.")]:
+        del sys.modules[name]
+    importlib.import_module("ddestab.cli")
+    refs.append(weakref.ref(sys.modules["ddestab.timefn"]))
+gc.collect()
+print(sum(ref() is not None for ref in refs))
+"""
+
+
+def test_reimported_modules_are_freed():
+    # A module-level typing.Union alias stays in typing's subscription cache,
+    # and with it every module set imported again (as a benchmark's setup does).
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tf.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "1"
 
 
 def test_memo_never_shares_general_delays_of_equal_code():
@@ -923,10 +941,10 @@ def test_maximize_reads_again_every_grid_point_whose_array_value_is_not_finite()
         v[(xs > 3.0) & (xs < 3.1)] = math.inf
         return v
 
-    structure = ("general", 10.0)
-    reference = tf._maximize(fn, 0.0, structure, 0.0)
+    cls = tf.GeneralClass(10.0)
+    reference = tf._maximize(fn, 0.0, cls, 0.0)
     assert 7.0 < reference.argmax < 8.5
-    assert tf._maximize(fn, 0.0, structure, 0.0, values=values) == reference
+    assert tf._maximize(fn, 0.0, cls, 0.0, values=values) == reference
 
 
 def test_general_delay_gap_values_read_the_delays_at_the_times_given():
@@ -937,9 +955,9 @@ def test_general_delay_gap_values_read_the_delays_at_the_times_given():
     own = [c.integral(wobble(t), t) for t in xs.tolist()]
     assert np.abs(values(xs) - own).max() <= 1e-12
     # Points joining the grid are read too, so the search equals the point-by-point one.
-    fn, structure, points = (lambda t: tf.window_integral(c, wobble, t)), ("general", 30.0), (3.3, 7.77)
-    assert (tf._maximize(fn, 0.0, structure, 1.4, points, values)
-            == tf._maximize(fn, 0.0, structure, 1.4, points))
+    fn, cls, points = (lambda t: tf.window_integral(c, wobble, t)), tf.GeneralClass(30.0), (3.3, 7.77)
+    assert (tf._maximize(fn, 0.0, cls, 1.4, points, values)
+            == tf._maximize(fn, 0.0, cls, 1.4, points))
 
 
 @pytest.mark.parametrize("pulse", [False, True])
@@ -962,4 +980,4 @@ def test_general_delay_searches_report_the_coefficients_own_integral(pulse):
             assert info.value == fn(info.argmax)
             assert max(fn(t) for t in np.linspace(lo, hi, 4097)) - 1e-12 <= info.value
             # The grid evaluated point by point, fn alone, is the reference.
-            assert info == tf._maximize(fn, 0.0, ("general", 30.0), lower.lag_bound)
+            assert info == tf._maximize(fn, 0.0, tf.GeneralClass(30.0), lower.lag_bound)
