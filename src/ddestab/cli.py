@@ -408,6 +408,9 @@ def run_check(args: argparse.Namespace) -> int:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
+    for flag, value in (("--history", args.history), ("--x0", args.x0)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError("%s must be finite, got %g" % (flag, value))
     target, opts = resolve_target(args.target, parse_overrides(args.sets))
     step = args.step if args.step is not None else opts.get("step")
     horizon = args.horizon if args.horizon is not None else opts.get("horizon")

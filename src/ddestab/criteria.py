@@ -129,6 +129,8 @@ class LinearDelayEquation:
         for term in self.distributed_terms:
             if not isinstance(term, DistributedTerm):
                 raise TypeError("distributed entries must be DistributedTerm instances")
+        if not math.isfinite(self.t0):
+            raise ValueError("t0 must be finite")
         # The framework requires the positive side to dominate pointwise:
         # sum a_k(t) >= sum b_j(t) for (almost) all t >= t0.
         t = tf.domination_violation(self._pos_coeffs(), self._neg_coeffs(), self.t0)

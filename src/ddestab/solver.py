@@ -6,6 +6,11 @@ start time and the dense output afterwards; distributed (window-averaged)
 terms integrate the same dense output exactly, one closed-form integral per
 window.
 
+The mesh is uniform between breaking points: t0, t1 and t0 plus every sum
+of at most five constant lags. A jump at t0 reaches the k-th derivative at
+the sums of k lags; past RK4's order it no longer costs accuracy, so deeper
+sums are not tracked.
+
 The step size must not exceed the smallest positive lag, so every delayed
 read lands in an already-completed segment. The only exception is the
 leading sliver of a window that extends up to the current time: those
@@ -32,7 +37,7 @@ finished node, extrapolated reads, and all reads when the lag is short.
 from __future__ import annotations
 
 import bisect
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,7 +65,8 @@ __all__ = [
 ]
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
-_BREAKING_POINT_CAP = 200_000
+# Deepest tracked sum of lags: RK4's order plus one, a level of margin.
+_LEVELS = 5
 # Reads come in blocks only when the smallest constant lag spans at least
 # this many steps: a block pays some fifty numpy calls up front, and saves a
 # few microseconds per step and read site (the two break even near 10 steps
@@ -532,33 +538,24 @@ def _make_rhs(target, forcing):
 
 
 def breaking_points(t0: float, t1: float, lags: Sequence[float]) -> list:
-    """Times where solution smoothness can drop: t0 plus sums of lags.
+    """Times where the solution loses enough smoothness to cost RK4 accuracy.
 
-    Deduplicated on a 1e-9 grid and capped at a fixed count; the cap only
-    costs mesh alignment, not correctness of the integration.
+    ``t0``, ``t1`` and ``t0`` plus every sum of at most ``_LEVELS`` lags
+    below ``t1``, sorted and kept 1e-9 apart. A jump at ``t0`` reaches
+    ``x^(k)`` at the sums of ``k`` lags, so deeper sums are smooth enough
+    for RK4 (Bellen and Zennaro 2003, ch. 3).
     """
     uniq = sorted({l for l in lags if l > 0.0})
-    points = {0.0}
-    heap = [0.0]
-    seen = {0}
-    span = t1 - t0
-    while heap and len(points) < _BREAKING_POINT_CAP:
-        p = heapq.heappop(heap)
-        for lag in uniq:
-            q = p + lag
-            if q > span + 1e-9:
-                continue
-            key = int(round(q / 1e-9))
-            if key in seen:
-                continue
-            seen.add(key)
-            points.add(q)
-            heapq.heappush(heap, q)
-    out = sorted(t0 + p for p in points if p <= span + 1e-9)
-    if not out or abs(out[-1] - t1) > 1e-9:
-        out.append(t1)
-    else:
-        out[-1] = t1
+    sums = {
+        sum(c)
+        for k in range(1, _LEVELS + 1)
+        for c in itertools.combinations_with_replacement(uniq, k)
+    }
+    out = [t0]
+    for t in sorted(t0 + p for p in sums):
+        if out[-1] + 1e-9 < t < t1 - 1e-9:
+            out.append(t)
+    out.append(t1)
     return out
 
 

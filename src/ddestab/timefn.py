@@ -230,6 +230,8 @@ class SinSqCoefficient(Coefficient):
             raise ValueError("amplitude must be finite and nonnegative")
         if not (math.isfinite(self.angular_freq) and self.angular_freq > 0.0):
             raise ValueError("angular_freq must be finite and positive")
+        if not math.isfinite(self.phase):
+            raise ValueError("phase must be finite")
 
     def value(self, t: float) -> float:
         return self.amplitude * math.sin(self.angular_freq * t + self.phase) ** 2
@@ -260,6 +262,8 @@ class PiecewiseConstantCoefficient(Coefficient):
         object.__setattr__(self, "values", vals)
         if len(vals) != len(bp) + 1:
             raise ValueError("need exactly one more value than breakpoints")
+        if not all(math.isfinite(b) for b in bp):
+            raise ValueError("breakpoints must be finite")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(not math.isfinite(v) or v < 0.0 for v in vals):

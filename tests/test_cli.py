@@ -129,6 +129,17 @@ def test_config_schema_errors_carry_field_paths():
             "target.distributed[0].sign: expected 1 or -1",
         ),
     ]
+    # Python's json reads NaN and Infinity, so a configuration can carry them.
+    linear = '{"schema": 1, "target": {"type": "linear", %s}}'
+    coeff = linear % '"positive": [{"coeff": {%s}, "delay": {"lag": 1.0}}]'
+    sinsq = coeff % '"kind": "sinsq", "amplitude": 0.5, "angular_freq": 1.0, "phase": %s'
+    steps = coeff % '"kind": "piecewise", "breakpoints": [%s, 2], "values": [0.2, 0.1, 0.3]'
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        cases += [
+            (sinsq % bad, "target.positive[0].coeff: phase must be finite"),
+            (steps % bad, "target.positive[0].coeff: breakpoints must be finite"),
+            (linear % ('"t0": %s' % bad), "target: t0 must be finite"),
+        ]
     for text, fragment in cases:
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config(text)
@@ -380,6 +391,27 @@ def test_simulate_rejects_infinite_horizon(tmp_path, capsys):
     assert cli.main(["simulate", "--target", "eq26", "--horizon", "inf",
                      "--out", str(tmp_path)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--x0", "--history"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_simulate_rejects_non_finite_start_values(tmp_path, capsys, flag, value):
+    # "--x0=-inf": a separate "-inf" would read as a flag.
+    assert cli.main(["simulate", "--target", "eq26", "%s=%s" % (flag, value),
+                     "--out", str(tmp_path)]) == 2
+    assert "%s must be finite" % flag in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_simulate_huge_history_is_a_diverging_run(tmp_path):
+    assert cli.main(["simulate", "--target", "eq26", "--history", "1e308", "--horizon", "5",
+                     "--out", str(tmp_path)]) == 0
+
+    def strict(token):
+        raise AssertionError("behavior.json holds %s" % token)
+
+    behavior = json.loads((tmp_path / "behavior.json").read_text(), parse_constant=strict)
+    assert behavior["diverged"] is True
 
 
 # ---------------------------------------------------------------------------

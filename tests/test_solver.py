@@ -126,6 +126,21 @@ def test_rk4_error_ratios_are_fourth_order():
         assert 14.0 < coarse / fine < 18.0
 
 
+def test_delay_equation_keeps_fourth_order():
+    # A start jump at incommensurate lags: the mesh tracks only the first few
+    # sums of lags, and the jumps it leaves out must not cost the order.
+    eq = _linear([(0.6, 1.015)], neg=[(0.3, 0.297)])
+    probes = np.linspace(0.0, 12.0, 1201)
+
+    def run(step):
+        tr = sv.integrate(eq, 0.8, 12.0, step=step, initial_value=1.2)
+        return np.array([tr.value(t) for t in probes])
+
+    ref = run(0.000625)
+    errs = [np.max(np.abs(run(s) - ref)) for s in (0.04, 0.02, 0.01, 0.005)]
+    assert errs[0] / errs[-1] >= 2**10.5
+
+
 def test_dense_output_hits_nodes_and_interpolates():
     eq = _linear([(0.9, 1.0)])
     tr = sv.integrate(eq, 1.0, 6.0, step=0.05)
@@ -251,7 +266,7 @@ LEMMA_PINS = {
         cr.LinearDelayEquation(
             distributed_terms=[cr.DistributedTerm(1, tf.constant(0.8), tf.ConstantLag(0.015))]
         ),
-        5.0, 0.982014204866997, True, 7.492323517649738e-07,
+        5.0, 0.9820150905357858, True, 9.462085253097996e-07,
     ),
 }
 
@@ -477,6 +492,19 @@ def test_breaking_points_incommensurate_lags():
                 assert any(abs(p - want) < 1e-9 for p in pts)
 
 
+def test_breaking_points_stop_at_sums_of_five_lags():
+    pts = sv.breaking_points(0.0, 41.0, [1.015, 0.297])
+    want = sorted({n * 1.015 + m * 0.297 for n in range(6) for m in range(6 - n)})
+    assert len(pts) == 22 == len(want) + 1
+    assert np.allclose(pts[:-1], want, rtol=0.0, atol=1e-12) and pts[-1] == 41.0
+
+
+def test_incommensurate_lags_cost_few_extra_steps():
+    eq = _linear([(0.6, 1.015)], neg=[(0.3, 0.297)])
+    tr = sv.integrate(eq, 0.8, 41.0, step=0.02, initial_value=1.2)
+    assert len(tr.times) - 1 <= 2070
+
+
 def test_mesh_nodes_include_breaking_points():
     eq = _linear([(0.8, 1.0)], neg=[(0.3, 0.5)])
     tr = sv.integrate(eq, 1.0, 4.0, step=0.03)
@@ -508,19 +536,19 @@ _WOBBLE = tf.GeneralDelay(lambda t: t - (0.5 + 0.4 * math.sin(t)), 0.9)
 PIN_RUNS = {
     "step_equals_lag": (
         lambda: sv.integrate(_linear([(0.9, 0.05)]), 1.0, 3.0, step=0.05),
-        "2f68a9514939522fc45111c532ed33f87b4e915a2d953244c2556f6b4cfebb6d",
+        "17d3ebbf29845904f8f3358da63baa35cf2725a9ad8a788493807cfcf8ff4a5a",
     ),
     "start_jump_constant_lags": (
         lambda: sv.integrate(
             _linear([(0.9, 1.0)], [(0.3, 0.7)]), 0.8, 10.0, step=0.01, initial_value=1.2
         ),
-        "548ffb797bcdd33f34d02a364b6aa7d7772c889aae72788ad1b44c1f9f624cc8",
+        "a95de3a70fc2eb79ed27fe099dfa46b930e8a10af48a60477a3a132d39dba331",
     ),
     "extrapolation": (
         lambda: sv.integrate(
             _linear([(0.9, 0.2)]), 1.0, 5.0, step=0.3, allow_extrapolation=True
         ),
-        "d4855d45d7180de0b623e2b6bfb3e1a66213913d786410af3e778b3122166b2c",
+        "3119ba9017322352da72021c652485d22536909b750d16de08d81a24ca9725b1",
     ),
     "window_to_now": (
         lambda: sv.integrate(
@@ -542,7 +570,7 @@ PIN_RUNS = {
             ),
             1.0, 6.0, step=0.02,
         ),
-        "8976f7030c701ca647d9d69af12d3cc6666aca486ab16e90f61d9e90eac918a9",
+        "fb1a58190366d48d481a8d0d1e4aa1a34a686bb63017f108d5aa14b6fc6bb244",
     ),
     "tabulated_history": (
         lambda: sv.integrate(
@@ -556,7 +584,7 @@ PIN_RUNS = {
             _linear([(1.0, 0.0), (0.5, 1.0)]), math.cos, 10.0, step=0.01,
             forcing=lambda t: -math.sin(t) + math.cos(t) + 0.5 * math.cos(t - 1.0),
         ),
-        "8ed442ba34255169e934f863a848ae9c29e0fc85342d6e03ecb30c3f8bf16287",
+        "1d4044bda706c51508f73699f8f7a276fd6ba476fd5a74e6c0f92753118579f0",
     ),
     "general_delay": (
         lambda: sv.integrate(
@@ -567,7 +595,7 @@ PIN_RUNS = {
     ),
     "ex51": (
         lambda: sv.integrate(md.ex51(), 0.4, 30.0, step=0.01, initial_value=0.6),
-        "224e36a7ab7661a3cead49c69810026fe8bacba2854cac1afeadd74de0bc73cb",
+        "aa974d1ba708e4016e24fd14d1b0e4fc4b4c0ac15d2988a85593a2b2669900c5",
     ),
     "ex5": (
         lambda: sv.integrate(md.ex5(n=11.0), 0.8, 60.0, step=0.05, initial_value=1.2),
@@ -575,7 +603,7 @@ PIN_RUNS = {
     ),
     "fundamental_solution": (
         lambda: sv.fundamental_solution(md.eq26(), 0.5, 8.0, step=0.01),
-        "c395fb69832b0636c9793d71d157667808a33874bdeff34d468f740a606d9e76",
+        "e43245eb44f09bfe5af75f51af0b9cb84179d8ea6143fc3029451d691cdefd96",
     ),
     "divergence": (
         lambda: sv.integrate(
@@ -590,7 +618,7 @@ PIN_RUNS = {
                                   g=tf.IdentityDelay(), h=tf.ConstantLag(1.0)),
             0.5, 20.0, step=0.01, initial_value=0.7,
         ),
-        "a1d967b65c980f99e2c584f9dc3559ae8017f09ae024551e4f662c88c4f3dab8",
+        "42b56c94180acb1bb37a98db7ce6106e92345bd12556766721c7bf0b39aa771b",
     ),
     "production_undelayed_q": (
         lambda: sv.integrate(
@@ -598,7 +626,7 @@ PIN_RUNS = {
                                      p=tf.ConstantLag(2.0), q=tf.IdentityDelay()),
             0.9, 30.0, step=0.02, initial_value=1.1, forcing=lambda t: 0.1 * math.sin(t),
         ),
-        "924efef9019d3d645c6c6f5b8e13a21aced89c02b724dfb79d1a763d5f336ca4",
+        "6df384dfa83e43448669809a3881830d1ea749685b08dfa37b5ace5c4ed1ae8c",
     ),
 }
 
