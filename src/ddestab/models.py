@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import criteria as cr
 from . import timefn as tf
 from .timefn import Coefficient, ConstantLag, Delay, IdentityDelay
@@ -52,15 +54,20 @@ class NoPositiveEquilibriumError(ValueError):
     """Production does not dominate clearance, so no positive equilibrium."""
 
 
-def _pow(x: float, n: float) -> float:
+def _pow(x, n: float):
     """x**n; NaN for a negative x under a fractional n, which has no real value.
 
     The NaN makes the derivative non-finite, so the integrator stops the run
-    as diverged.
+    as diverged. An array goes element by element through the same Python
+    ``**``: glibc's ``pow(x, 2)`` is not ``x*x`` (``0.5500016000000001**2``
+    differs from the square in the last bit), and numpy's power squares.
     """
-    if float(n).is_integer():
-        return x ** int(n)
-    if x < 0.0:
+    whole = float(n).is_integer()
+    if whole:
+        n = int(n)
+    if isinstance(x, np.ndarray):
+        return np.array([v ** n if whole or v >= 0.0 else math.nan for v in x.tolist()])
+    if not whole and x < 0.0:
         return math.nan
     return x ** n
 

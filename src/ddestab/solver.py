@@ -22,16 +22,32 @@ Each right-hand side is split into a time part (coefficients, forcing),
 its delayed reads, and a state part (the arithmetic on x). A step
 evaluates the first two once per distinct stage time: the midpoint serves
 k2 and k3, the step end k4 and both node slopes; when the node slopes
-must read again, they keep the step end's time part. Reads at constant
-lags come in blocks: while the steps advance by less than the smallest
-lag, every such read lands in finished steps, so a block's reads are
-located with one ``np.searchsorted`` and interpolated elementwise by
-``_hermite``, in the same operations and order as one scalar read, hence
-bit for bit. Blocks are used when the smallest lag spans at least
-``_BLOCK_STEPS`` steps; shorter blocks cost more than they save. The
-scalar read remains for every read a block cannot settle ahead of time:
-general delays, windows, the history, reads near t0 or at the last
-finished node, extrapolated reads, and all reads when the lag is short.
+must read again, they keep the step end's time part.
+
+Delayed reads come in blocks: while the steps advance by less than the
+smallest lag, every read lands in finished steps. Where each read lands
+and its Hermite weights follow from the mesh, so they are found once per
+run; a block then interpolates all its reads elementwise, in the same
+operations and order as one scalar read, hence bit for bit. Reads at
+general delays take part, the block sized by the sampled smallest lag, and
+so do reads before t0 from a constant history. When the state part ignores
+the current state (every term delayed, as in the removal form of ``ex51``),
+a block's steps are settled in one numpy pass as well (Bellen and Zennaro
+2003, ch. 3): the time part is evaluated at the block's stage times, the
+state part on arrays gives k2 = k3 and k4, each step's k1 is the previous
+k4, and the nodes are the running sum ``np.cumsum`` of the increments, the
+scalar loop's own IEEE operations in its order. The pass hands a step back
+to the scalar loop when something in it raises (an overflowing time part or
+x^n, a floating-point exception) or its node leaves the finite range or the
+divergence threshold.
+
+Blocks are used when the smallest lag spans at least ``_BLOCK_STEPS``
+steps; shorter blocks cost more than they save. The scalar read and the
+scalar step remain the reference for everything a block cannot settle
+ahead of time: windows, reads near t0 (two-sided under a start jump) or at
+the last finished node, histories other than a constant one, extrapolated
+reads, divergence, every state part that reads x(t), and all steps when the
+lag is short.
 """
 
 from __future__ import annotations
@@ -67,11 +83,12 @@ __all__ = [
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
 # Deepest tracked sum of lags: RK4's order plus one, a level of margin.
 _LEVELS = 5
-# Reads come in blocks only when the smallest constant lag spans at least
-# this many steps: a block pays some fifty numpy calls up front, and saves a
-# few microseconds per step and read site (the two break even near 10 steps
-# on lag-to-step ratios 8-64 of a linear and a removal run).
-_BLOCK_STEPS = 12
+# Reads come in blocks only when the smallest lag spans at least this many
+# steps: a block pays some fifteen numpy calls up front, and the pass that
+# settles its steps some thirty more. Against the scalar loop they break even
+# at 6-8 steps on an ex51 run, a production run and a linear run with two
+# lags, and near 10 on eq26, which reads one lag beside x(t).
+_BLOCK_STEPS = 10
 
 
 class DivergenceError(RuntimeError):
@@ -175,17 +192,18 @@ def _history_integral(hist: History, lo: float, hi: float, spacing: float) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _hermite(ta, xa, ma, tb, xb, mb, t):
+def _hermite_weights(ta, tb, t):
+    """The weights of xa, ma, xb and mb in the cubic Hermite piece on [ta, tb] at t."""
     h = tb - ta
     s = (t - ta) / h
     s2 = s * s
     s3 = s2 * s
-    return (
-        (2.0 * s3 - 3.0 * s2 + 1.0) * xa
-        + (s3 - 2.0 * s2 + s) * h * ma
-        + (-2.0 * s3 + 3.0 * s2) * xb
-        + (s3 - s2) * h * mb
-    )
+    return 2.0 * s3 - 3.0 * s2 + 1.0, (s3 - 2.0 * s2 + s) * h, -2.0 * s3 + 3.0 * s2, (s3 - s2) * h
+
+
+def _hermite(ta, xa, ma, tb, xb, mb, t):
+    w0, w1, w2, w3 = _hermite_weights(ta, tb, t)
+    return w0 * xa + w1 * ma + w2 * xb + w3 * mb
 
 
 def _hermite_deriv(ta, xa, ma, tb, xb, mb, t):
@@ -382,8 +400,10 @@ class _Rhs:
     delay, read at one delayed time, or a DistributedTerm, averaged over its
     window. ``state(y, cv, xv)`` is the arithmetic on the state y, given the
     time part ``cv`` and one value ``xv[k]`` per site; ``y_dependent`` is
-    False when it ignores y. What the integrator needs to know of the reads
-    (the lags that bound the step and seed the mesh, the windows) it
+    False when it ignores y. Given arrays (one entry per stage time) in place
+    of the time part's numbers and the site values, it does the same IEEE
+    operations element by element. What the integrator needs to know of the
+    reads (the lags that bound the step and seed the mesh, the windows) it
     derives from the sites.
     """
 
@@ -402,6 +422,26 @@ def _site_value(site, t, read, integral):
     if isinstance(site, cr.DistributedTerm):
         return _window_average(site, t, read, integral)
     return read(site(t))
+
+
+def _stack(parts):
+    """One time part of arrays from a list of time parts of the same shape."""
+    first = parts[0]
+    if first is None:
+        return None
+    if isinstance(first, (tuple, list)):
+        return type(first)(_stack(p) for p in zip(*parts))
+    return np.array(parts)
+
+
+def _time_parts(coeffs, times: np.ndarray):
+    """The time part at each of ``times`` as one time part of arrays.
+
+    Each time goes through the scalar ``coeffs``, so every coefficient
+    through its own ``value``: numpy's sin and square need not agree with
+    ``math.sin`` and Python's ``**`` in the last bit.
+    """
+    return _stack(list(map(coeffs, times.tolist())))
 
 
 def _window_reaches_now(term: cr.DistributedTerm) -> bool:
@@ -616,9 +656,9 @@ def integrate(
     sites = rhs.sites
     windows = [s for s in sites if isinstance(s, cr.DistributedTerm)]
 
+    read_lags, general_reads = _delay_split(sites)
+    min_lag = min(read_lags, default=math.inf)
     if not allow_extrapolation:
-        read_lags, general_reads = _delay_split(sites)
-        min_lag = min(read_lags, default=math.inf)
         for gd in general_reads:
             for k in range(257):
                 t = t0 + (t1 - t0) * k / 256.0
@@ -702,56 +742,88 @@ def integrate(
             total += _dense_integral(ts, xs, ms, mends, pieces, lo, hi)
         return total
 
-    # Method of steps: while the steps advance by less than the smallest
-    # constant lag, every read at such a lag lands in steps already
-    # finished. A block of steps therefore gets those reads in one numpy
-    # pass, bit for bit what ``read`` returns. NaN marks a slot left to
-    # ``read``: general delays, windows, and reads in the history, near t0
-    # or at or past the last finished node.
-    batched = [k for k, s in enumerate(sites) if isinstance(s, tf.ConstantLag) and s.lag > 0.0]
-    if batched and min(sites[k].lag for k in batched) < _BLOCK_STEPS * float(np.diff(mesh).max()):
+    # Method of steps: while the steps advance by less than the smallest lag,
+    # every delayed read lands in steps already finished. A block of steps
+    # therefore gets those reads in one numpy pass, bit for bit what ``read``
+    # returns. The blocks, where each read lands, its Hermite weights and
+    # whether a block can settle it all follow from the mesh alone, so they
+    # are found once per run. General delays are read at every stage time up
+    # front and sized by the sampled smallest lag above; a read that lag
+    # misjudges lands at or past the block's first node. NaN marks a slot
+    # left to ``read``: windows, and reads near t0, at or past the block's
+    # first node, or in a history other than a constant one.
+    steps = mesh.size - 1
+    batched = [
+        k for k, s in enumerate(sites)
+        if isinstance(s, tf.ConstantLag) and s.lag > 0.0
+        or isinstance(s, tf.GeneralDelay) and not allow_extrapolation
+    ]
+    widths = np.diff(mesh)
+    if batched and min_lag < _BLOCK_STEPS * float(widths.max()):
         batched = []  # blocks of a few steps would not pay for their numpy calls
-    lags = np.array([sites[k].lag for k in batched])
-    lag_min = float(lags.min()) if batched else math.inf
     unresolved = [math.nan] * len(sites)
-    xs_done = np.empty(mesh.size)
-    ms_done = np.empty(mesh.size)
-    me_done = ms_done if mls is None else np.empty(mesh.size)
+    starts = [0, steps]  # the first step of each block, then the number of steps
+    run_end = None
+    if batched:
+        h_sixth = widths / 6.0
+        stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
+        tau = np.full(stage_times.shape + (len(sites),), math.nan)
+        for k in batched:
+            if isinstance(sites[k], tf.ConstantLag):
+                tau[..., k] = stage_times - sites[k].lag
+                continue
+            try:
+                reads = list(map(sites[k], stage_times.ravel().tolist()))
+                tau[..., k] = np.reshape(reads, stage_times.shape)
+            except Exception:
+                pass  # left to ``read``, which raises it again at its own step
+        # A block from node j ends at the last node whose reads at the
+        # smallest lag land below node j.
+        ends = np.searchsorted(mesh - min_lag, mesh, "left") - 1
+        starts = [0]
+        while starts[-1] < steps:
+            starts.append(int(ends[starts[-1]]))
+        step_of = np.searchsorted(mesh, tau, "right") - 1  # the step holding each read
+        block_first = np.repeat(starts[:-1], np.diff(starts))[:, None]
+        inside = (tau > hist_hi) & (step_of < block_first)
+        before = hist.const if isinstance(hist, ConstantHistory) else math.nan
+        outside = np.where(tau < hist_lo, before, math.nan)
+        row_clean = (inside | ~np.isnan(outside)).all(axis=-1)
+        np.clip(step_of, 0, steps - 1, out=step_of)
+        with np.errstate(all="ignore"):
+            weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
+        del tau
+        if not rhs.y_dependent:
+            # The pass settles runs of steps clean at both stage times, up to
+            # the next unclean step or block.
+            barrier = np.append(np.flatnonzero(~row_clean.all(axis=0)), steps)
+            later = np.array(starts[1:])
+            order = np.arange(steps)
+            run_end = np.minimum(
+                barrier[np.searchsorted(barrier, order)],
+                later[np.searchsorted(later, order, "right")],
+            ).tolist()
+        xs_done = np.zeros(mesh.size)
+        ms_done = np.zeros(mesh.size)
+        me_done = ms_done if mls is None else np.zeros(mesh.size)
     synced = 0
 
-    def block(j):
-        """(count, rows, clean) for the steps j to j + count - 1.
-
-        ``rows[0][r]`` and ``rows[1][r]`` hold one read value per site at the
-        midpoint and at the end of step j + r; ``clean`` says a row has no NaN.
-        """
+    def block(j, end):
+        """Read values per site at the midpoints (``[0]``) and the ends
+        (``[1]``) of the steps j to end - 1; NaN where ``read`` is left to."""
         nonlocal synced
         n = j + 1  # finished nodes
-        last = nodes[j]
-        if batched:
-            # The steps whose end reads at the smallest lag land below the last node.
-            stop = min(int(np.searchsorted(mesh, last + lag_min, "right")) + 1, mesh.size - 1)
-            count = int(np.searchsorted(mesh[j + 1:stop + 1] - lag_min, last))
-        else:
-            count = mesh.size - 1 - j
-        if not batched or n < 2:
-            return count, ([unresolved] * count,) * 2, ([False] * count,) * 2
         xs_done[synced:n] = xs[synced:n]
         ms_done[synced:n] = ms[synced:n]
         if mls is not None:
             me_done[synced:n] = mls[synced:n]
         synced = n
-        ta = mesh[j:j + count]
-        tb = mesh[j + 1:j + count + 1]
-        tau = np.stack((ta + 0.5 * (tb - ta), tb))[..., None] - lags
-        i = np.clip(np.searchsorted(mesh[:n], tau, "right") - 1, 0, n - 2)
+        at = step_of[:, j:end]
+        nxt = at + 1
+        w0, w1, w2, w3 = (w[:, j:end] for w in weights)
         with np.errstate(all="ignore"):
-            vals = _hermite(
-                mesh[i], xs_done[i], ms_done[i], mesh[i + 1], xs_done[i + 1], me_done[i + 1], tau
-            )
-        rows = np.full(tau.shape[:2] + (len(sites),), math.nan)
-        rows[..., batched] = np.where((tau > hist_hi) & (tau < last), vals, math.nan)
-        return count, rows.tolist(), (~np.isnan(rows).any(axis=-1)).tolist()
+            vals = w0 * xs_done[at] + w1 * ms_done[at] + w2 * xs_done[nxt] + w3 * me_done[nxt]
+        return np.where(inside[:, j:end], vals, outside[:, j:end])
 
     coeffs, state, y_dependent = rhs.coeffs, rhs.state, rhs.y_dependent
 
@@ -783,6 +855,41 @@ def integrate(
         except OverflowError:
             return math.nan
 
+    def advance(j, rows):
+        """Settle the steps from j on, one per row of ``rows``, in one numpy pass.
+
+        Valid when the state part ignores y and every read is in ``rows``:
+        then k3 = k2, each step's k1 is the previous k4, and the nodes are a
+        running sum, in the scalar loop's operations and order. Returns how
+        many steps it settled; the next one, if any, goes to the scalar loop,
+        since its node is not finite or passes the threshold. Anything that
+        raises (an overflowing time part or x^n, a floating-point exception)
+        hands the whole run to the scalar loop.
+        """
+        m = rows.shape[1]
+        try:
+            cv = _time_parts(coeffs, stage_times[:, j:j + m].ravel())
+            with np.errstate(all="raise", under="ignore"):
+                k = state(None, cv, rows.reshape(2 * m, -1).T)
+                k2, k4 = k[:m], k[m:]
+                k1 = np.concatenate(([ms[-1]], k4[:-1]))
+                incr = h_sixth[j:j + m] * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
+                incr[0] += xs[-1]
+                xb = np.cumsum(incr)
+        except Exception:
+            return 0  # the scalar loop meets it again at its own step
+        # A non-finite k4 leaves its node non-finite too.
+        ok = np.isfinite(xb) & (np.abs(xb) <= divergence_threshold)
+        if not ok.all():
+            m = int(np.argmin(ok))
+        ts.extend(nodes[j + 1:j + m + 1])
+        xs.extend(xb[:m].tolist())
+        slopes = k4[:m].tolist()
+        ms.extend(slopes)
+        if mls is not None:
+            mls.extend(slopes)
+        return m
+
     ms[0] = stage(x0, prepare(t0, unresolved, False))
     if mls is not None:
         mls[0] = ms[0]
@@ -801,11 +908,25 @@ def integrate(
 
     diverged = False
     div_time = None
-    block_start = block_end = 0
-    for j in range(mesh.size - 1):
+    block_start = block_end = j = 0
+    bounds = iter(starts[1:])
+    while j < steps:
         if j == block_end:
-            count, (mid_rows, end_rows), (mid_clean, end_clean) = block(j)
-            block_start, block_end = j, j + count
+            block_start, block_end = j, next(bounds)
+            rows = block(j, block_end) if batched else None
+            mid_rows = None
+        if run_end is not None and run_end[j] > j:
+            stop = run_end[j]
+            j += advance(j, rows[:, j - block_start:stop - block_start])
+            if j == stop:
+                continue
+        if mid_rows is None:
+            if batched:
+                mid_rows, end_rows = rows.tolist()
+                mid_clean, end_clean = row_clean[:, block_start:block_end].tolist()
+            else:
+                mid_rows = end_rows = [unresolved] * steps
+                mid_clean = end_clean = [False] * steps
         r = j - block_start
         ta = nodes[j]
         tb = nodes[j + 1]
@@ -855,6 +976,7 @@ def integrate(
             diverged = True
             div_time = tb
             break
+        j += 1
 
     traj = Trajectory(
         np.array(ts), np.array(xs), np.array(ms), hist,

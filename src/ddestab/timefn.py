@@ -124,9 +124,15 @@ class PeriodicClass:
 
 @dataclass(frozen=True)
 class GeneralClass:
-    """No exploitable structure; extrema are scanned up to analysis_horizon."""
+    """No exploitable structure; extrema are scanned up to analysis_horizon.
+
+    The horizon is counted from the start of the scan. ``transient_end`` is
+    a time the scan reaches whatever its start: a step part's last
+    breakpoint, so a start before the steps still sees them all.
+    """
 
     analysis_horizon: float
+    transient_end: float = -math.inf
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.analysis_horizon) and self.analysis_horizon > 0.0):
@@ -145,7 +151,9 @@ def merge_classes(classes: Sequence[AsymptoticClass]) -> AsymptoticClass:
     """
     generals = [c for c in classes if isinstance(c, GeneralClass)]
     if generals:
-        return GeneralClass(max(c.analysis_horizon for c in generals))
+        return GeneralClass(
+            max(c.analysis_horizon for c in generals), max(c.transient_end for c in generals)
+        )
     periods = [c.period for c in classes if isinstance(c, PeriodicClass)]
     if not periods:
         return ConstantClass()
@@ -294,7 +302,7 @@ class PiecewiseConstantCoefficient(Coefficient):
     def asymptotic_class(self) -> AsymptoticClass:
         if all(v == self.values[0] for v in self.values):
             return ConstantClass()
-        return GeneralClass(max(abs(self.breakpoints[-1]), 1.0))
+        return GeneralClass(max(abs(self.breakpoints[-1]), 1.0), self.breakpoints[-1])
 
 
 @dataclass(frozen=True)
@@ -865,12 +873,13 @@ def _golden_max(fn, lo: float, hi: float, xtol: float):
 
 
 def _scan_range(t0: float, cls: AsymptoticClass, pad: float):
-    """(lo, hi, horizon_limited): t0 alone, one period from t0, or the horizon plus pad."""
+    """(lo, hi, horizon_limited): t0 alone, one period from t0, or the
+    horizon, reaching at least the end of the transient, plus pad."""
     if isinstance(cls, ConstantClass):
         return t0, t0, False
     if isinstance(cls, PeriodicClass):
         return t0, t0 + cls.period, False
-    return t0, t0 + cls.analysis_horizon + pad, True
+    return t0, max(t0 + cls.analysis_horizon, cls.transient_end) + pad, True
 
 
 def _maximize(fn, t0: float, cls, span_pad: float, points=(), values=None) -> SupInfo:

@@ -289,6 +289,22 @@ def test_nondelay_dominant_boundary_ratio_is_marginal():
     assert cert.verdict == cr.MARGINAL
 
 
+def test_step_rate_is_scanned_through_its_steps_from_a_negative_start():
+    # The step part's horizon counts from t0; a scan from t0 = -10 stopped at
+    # -5 and read b/a = 0.5, missing the step to 1.0 on [4, 5).
+    b = tf.piecewise_constant([4.0, 5.0], [0.5, 1.0, 0.5])
+    for t0 in (-10.0, 0.0):
+        eq = cr.LinearDelayEquation(
+            positive_terms=[cr.Term(tf.constant(1.0), tf.IdentityDelay())],
+            negative_terms=[cr.Term(b, tf.ConstantLag(1.0))],
+            t0=t0,
+        )
+        cert = cr.check_nondelay_dominant(eq)
+        assert {q.symbol: q.value for q in cert.quantities}["R_sup"] == 1.0
+        assert cert.verdict == cr.MARGINAL
+        assert tf.coefficient_extrema(b, t0)[0].value == 1.0
+
+
 def test_nondelay_dominant_inapplicable_when_positive_delayed():
     cert = cr.check_nondelay_dominant(eq_e1())
     assert cert.verdict == cr.INCONCLUSIVE

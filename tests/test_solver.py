@@ -6,6 +6,7 @@ the pure-delay equation), Richardson-style self-convergence, and exact
 linearity identities.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -526,13 +527,34 @@ def _digest(tr):
 
 
 _WOBBLE = tf.GeneralDelay(lambda t: t - (0.5 + 0.4 * math.sin(t)), 0.9)
+_SLOW_WOBBLE = tf.GeneralDelay(lambda t: t - (1.0 + 0.3 * math.sin(0.7 * t)), 1.3)
+# A removal run from 1e150 that swings past 1.34e154 around t = 14.3, where
+# x^2 of a delayed read overflows in the middle of a block.
+_HUGE_REMOVAL = md.MackeyGlassRemoval(r=tf.constant(4.0), beta=1.25, gamma=1.0, n=2.0,
+                                      g=tf.ConstantLag(0.5), h=tf.ConstantLag(1.0))
+
+
+def _huge_removal_run(on_divergence):
+    return sv.integrate(_HUGE_REMOVAL, 1e150, 40.0, step=0.01, initial_value=1e150,
+                        divergence_threshold=1e300, on_divergence=on_divergence)
+
+
+def _raised_trajectory(run):
+    with pytest.raises(sv.DivergenceError) as info:
+        run()
+    return info.value.trajectory
+
 
 # One run for each way a read leaves the numpy block for the scalar read
 # (a step equal to the lag, reads near t0 under a start jump, extrapolation,
 # windows reaching the current time), plus tabulated and function histories,
-# forcing, a general delay, both models with and without an undelayed
-# argument, a fundamental solution and a diverging run. The digests were
-# taken from the integrator that evaluated every stage and read by itself.
+# forcing, general delays, both models with and without an undelayed
+# argument, a fundamental solution and diverging runs. The digests were
+# taken from the integrator that evaluated every stage and read by itself;
+# those of the delay-only runs whose lags span many steps (a general delay,
+# an overflow inside a block in both divergence modes, NaN from a negative
+# x under a fractional n) before delay-only runs settled blocks of steps in
+# one numpy pass.
 PIN_RUNS = {
     "step_equals_lag": (
         lambda: sv.integrate(_linear([(0.9, 0.05)]), 1.0, 3.0, step=0.05),
@@ -592,6 +614,33 @@ PIN_RUNS = {
             0.8, 8.0, step=0.02, initial_value=1.2,
         ),
         "b42c451beaffae1efd8f4661a1e4af87641d3cf289fe10041e32f2d3abb4b1d9",
+    ),
+    "general_delay_blocks": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(
+                positive_terms=[cr.Term(tf.sinsq(0.8, 1.3), _SLOW_WOBBLE),
+                                cr.Term(tf.constant(0.3), tf.ConstantLag(1.5))],
+                negative_terms=[cr.Term(tf.constant(0.1), tf.ConstantLag(0.8))],
+            ),
+            0.8, 12.0, step=0.02, initial_value=1.2,
+        ),
+        "8afe35263b110c267cd7acbaa251128fa0cb9fa36df2733144c7fabc6f57e05e",
+    ),
+    "overflow_in_block_truncate": (
+        lambda: _huge_removal_run("truncate"),
+        "a1cbaf0dd748683b75fcdd14f159122ab238020516eb13cc1883ef5f5de4076a",
+    ),
+    "overflow_in_block_raise": (
+        lambda: _raised_trajectory(lambda: _huge_removal_run("raise")),
+        "a1cbaf0dd748683b75fcdd14f159122ab238020516eb13cc1883ef5f5de4076a",
+    ),
+    "removal_fractional_n_nan": (
+        lambda: sv.integrate(
+            md.MackeyGlassRemoval(r=tf.sinsq(6.0, math.pi), beta=1.25, gamma=1.0, n=2.5,
+                                  g=tf.ConstantLag(1.2), h=tf.ConstantLag(1.0)),
+            0.5, 40.0, step=0.01, initial_value=0.9, on_divergence="truncate",
+        ),
+        "2aaca73e1fb67f04e5be49b98a01a7e7c796ccc235a79565b87bd135ecc32031",
     ),
     "ex51": (
         lambda: sv.integrate(md.ex51(), 0.4, 30.0, step=0.01, initial_value=0.6),
@@ -663,10 +712,90 @@ def test_each_stage_time_is_evaluated_once_and_reads_come_in_blocks(monkeypatch)
         return hermite(*args)
 
     monkeypatch.setattr(sv, "_hermite", counting_hermite)
+    # The run reads only the past, so blocks of its steps go through the
+    # state part on arrays; count the stage values those calls give.
+    array_stages = []
+    make_rhs = sv._make_rhs
+
+    def counting_rhs(target, forcing):
+        rhs = make_rhs(target, forcing)
+
+        def state(y, cv, xv):
+            k = rhs.state(y, cv, xv)
+            if isinstance(k, np.ndarray):
+                array_stages.append(k.size)
+            return k
+
+        return dataclasses.replace(rhs, state=state)
+
+    monkeypatch.setattr(sv, "_make_rhs", counting_rhs)
     steps = sv.integrate(eq, 1.0, 20.0, step=0.01).times.size - 1
     # The midpoint serves k2 and k3; the step end serves k4 and the node slopes.
     assert max(c.calls for c in coeffs) <= 2 * steps + 1
     assert len(scalar_reads) <= 0.05 * steps
+    # Both stage values of nine steps in ten come from array calls.
+    assert sum(array_stages) >= 0.9 * 2 * steps
+
+
+# Where glibc's pow(x, 2), which Python's x**2 calls, differs from x*x and
+# from numpy's square, in _pow alone and through the whole reaction.
+_POW_TRAP = 0.5500016000000001
+_REACTION_TRAP = 0.9200799845202297
+
+
+def _same(array, scalars):
+    assert isinstance(array, np.ndarray)
+    assert np.array_equal(array, np.array(scalars), equal_nan=True)
+
+
+def test_pow_on_arrays_is_the_scalar_pow_element_by_element():
+    assert _POW_TRAP ** 2 != _POW_TRAP * _POW_TRAP
+    xs = [_POW_TRAP, _REACTION_TRAP, -0.3, 0.0, 2.0]
+    for n in (2.0, 10.0, 2.5):
+        _same(md._pow(np.array(xs), n), [md._pow(x, n) for x in xs])
+    assert math.isnan(md._pow(np.array([-0.3]), 2.5)[0])
+    with pytest.raises(OverflowError):
+        md._pow(1e200, 2.0)
+    with pytest.raises(OverflowError):
+        md._pow(np.array([1.0, 1e200]), 2.0)
+
+
+@pytest.mark.parametrize("model", [
+    md.MackeyGlassRemoval(r=tf.constant(1.5), beta=1.25, gamma=1.0, n=2.0,
+                          g=tf.ConstantLag(1.0), h=tf.ConstantLag(0.5)),
+    md.MackeyGlassRemoval(r=tf.constant(1.5), beta=1.25, gamma=1.0, n=2.5,
+                          g=tf.ConstantLag(1.0), h=tf.ConstantLag(0.5)),
+    md.MackeyGlassProduction(s=tf.constant(0.5), beta=2.0, n=2.0,
+                             p=tf.ConstantLag(1.0), q=tf.ConstantLag(0.5)),
+    md.MackeyGlassProduction(s=tf.constant(0.5), beta=2.0, n=2.5,
+                             p=tf.ConstantLag(1.0), q=tf.ConstantLag(0.5)),
+], ids=["removal", "removal-fractional", "production", "production-fractional"])
+def test_model_state_on_arrays_is_the_scalar_state_element_by_element(model):
+    # Both reads carry the traps, a negative value (NaN under a fractional
+    # n) and zero; the time part varies too.
+    state = sv._make_rhs(model, None).state
+    xs = [_POW_TRAP, _REACTION_TRAP, -0.3, 0.0, 1.7]
+    ys = [0.8, 1.1, 0.2, _REACTION_TRAP, -0.4]
+    rates = [0.3, 1.5, 2.0, 0.7, 1.0]
+    scalar = [state(y, (r, None), [a, b]) for y, r, a, b in zip(ys, rates, xs, xs[::-1])]
+    _same(state(np.array(ys), (np.array(rates), None), np.array([xs, xs[::-1]])), scalar)
+    with pytest.raises(OverflowError):
+        state(1.0, (1.0, None), [1e200, 1e200])
+    with pytest.raises(OverflowError):
+        state(np.ones(2), (np.ones(2), None), np.array([[1.0, 1e200], [1.0, 1e200]]))
+
+
+def test_sinsq_time_part_on_a_block_is_the_scalar_time_part():
+    # At t = 1.258, sin(t)**2 differs from sin(t) * sin(t) and numpy's square.
+    s = math.sin(1.258)
+    assert s ** 2 != s * s
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(1.0, 1.0), tf.ConstantLag(1.0))])
+    coeffs = sv._make_rhs(eq, None).coeffs
+    times = [1.258, 0.5, 2.0, 3.3]
+    total, (w,) = sv._time_parts(coeffs, np.array(times))
+    _same(w, [coeffs(t)[1][0] for t in times])
+    _same(total, [coeffs(t)[0] for t in times])
+    assert w[0] == -(s ** 2)
 
 
 def test_node_slope_rereads_keep_the_time_part():
