@@ -42,12 +42,13 @@ x^n, a floating-point exception) or its node leaves the finite range or the
 divergence threshold.
 
 Blocks are used when the smallest lag spans at least ``_BLOCK_STEPS``
-steps; shorter blocks cost more than they save. The scalar read and the
-scalar step remain the reference for everything a block cannot settle
-ahead of time: windows, reads near t0 (two-sided under a start jump) or at
-the last finished node, histories other than a constant one, extrapolated
-reads, divergence, every state part that reads x(t), and all steps when the
-lag is short.
+steps; shorter blocks cost more than they save. A run with no batched site
+(windows only, or lags too short for blocks) is one block of NaN rows. The
+scalar read and the scalar step remain the reference for everything a block
+cannot settle ahead of time: windows, reads near t0 (two-sided under a
+start jump) or at the last finished node, histories other than a constant
+one, extrapolated reads, divergence, every state part that reads x(t), and
+all steps when the lag is short.
 """
 
 from __future__ import annotations
@@ -679,13 +680,11 @@ def integrate(
     jump0 = abs(x0 - float(hist.value(t0))) > 1e-15 * max(1.0, abs(x0))
     want_left = False
 
-    ts: list = [t0]
     xs: list = [x0]
     ms: list = [0.0]  # right-limit node derivatives
     mls = [0.0] if jump0 else None  # left-limit node derivatives
     mends = ms if mls is None else mls  # derivatives closing each step
     pieces: list = []  # whole-step integrals, for distributed windows
-    pending = [t0, x0, 0.0]  # anchor time, value, slope for leading-edge reads
     hist_pad = 1e-9 * max(1.0, abs(t0))
     hist_lo, hist_hi = t0 - hist_pad, t0 + hist_pad
     extrapolate = allow_extrapolation or any(map(_window_reaches_now, windows))
@@ -693,6 +692,9 @@ def integrate(
     # predictor (they change once the step is pushed), or the left limit of
     # the start-time jump (they change with ``want_left``).
     touched_end = touched_left = False
+    # The finished nodes are nodes[:len(xs)]. The predictor past the last one
+    # serves only a step not yet pushed: the node-slope reads after a push land
+    # at or before the new node (a GeneralDelay returns min(v, t), windows end at t).
 
     def read(tau: float) -> float:
         nonlocal touched_end, touched_left
@@ -701,19 +703,19 @@ def integrate(
         if jump0 and want_left and tau <= hist_hi:
             touched_left = True
             return float(hist.value(min(tau, t0)))
-        last = ts[-1]
+        n = len(xs)
+        last = nodes[n - 1]
         if tau <= last + 1e-12 * max(1.0, abs(last)):
-            i = bisect.bisect_right(ts, tau) - 1
-            if i >= len(ts) - 1:
+            i = bisect.bisect_right(nodes, tau, 0, n) - 1
+            if i >= n - 1:
                 touched_end = True
                 return xs[-1]
             if i < 0:
                 return xs[0]
-            return _hermite(ts[i], xs[i], ms[i], ts[i + 1], xs[i + 1], mends[i + 1], tau)
+            return _hermite(nodes[i], xs[i], ms[i], nodes[i + 1], xs[i + 1], mends[i + 1], tau)
         if extrapolate:
             touched_end = True
-            at, ax, am = pending
-            return ax + (tau - at) * am
+            return xs[-1] + (tau - last) * ms[-1]
         raise DomainError(
             "delayed read at %g ahead of completed segment end %g" % (tau, last)
         )
@@ -724,7 +726,7 @@ def integrate(
         if lo < t0:
             total = _history_integral(hist, lo, min(hi, t0), step)
             lo = t0
-        last = ts[-1]
+        last = nodes[len(xs) - 1]
         if hi > last:
             if not extrapolate and hi > last + 1e-12 * max(1.0, abs(last)):
                 raise DomainError(
@@ -732,14 +734,13 @@ def integrate(
                 )
             # The predictor, integrated exactly over the sliver past the end.
             touched_end = True
-            at, ax, am = pending
             a = max(lo, last)
-            total += (hi - a) * (ax + (0.5 * (a + hi) - at) * am)
+            total += (hi - a) * (xs[-1] + (0.5 * (a + hi) - last) * ms[-1])
             hi = last
         if hi > lo:
             # The last step is always an end step here, read from its nodes,
             # so only steps sealed below are summed.
-            total += _dense_integral(ts, xs, ms, mends, pieces, lo, hi)
+            total += _dense_integral(nodes, xs, ms, mends, pieces, lo, hi)
         return total
 
     # Method of steps: while the steps advance by less than the smallest lag,
@@ -751,7 +752,8 @@ def integrate(
     # front and sized by the sampled smallest lag above; a read that lag
     # misjudges lands at or past the block's first node. NaN marks a slot
     # left to ``read``: windows, and reads near t0, at or past the block's
-    # first node, or in a history other than a constant one.
+    # first node, or in a history other than a constant one. A run with no
+    # batched site is one block of NaN rows.
     steps = mesh.size - 1
     batched = [
         k for k, s in enumerate(sites)
@@ -761,51 +763,40 @@ def integrate(
     widths = np.diff(mesh)
     if batched and min_lag < _BLOCK_STEPS * float(widths.max()):
         batched = []  # blocks of a few steps would not pay for their numpy calls
-    unresolved = [math.nan] * len(sites)
-    starts = [0, steps]  # the first step of each block, then the number of steps
-    run_end = None
-    if batched:
-        h_sixth = widths / 6.0
-        stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
-        tau = np.full(stage_times.shape + (len(sites),), math.nan)
-        for k in batched:
-            if isinstance(sites[k], tf.ConstantLag):
-                tau[..., k] = stage_times - sites[k].lag
-                continue
-            try:
-                reads = list(map(sites[k], stage_times.ravel().tolist()))
-                tau[..., k] = np.reshape(reads, stage_times.shape)
-            except Exception:
-                pass  # left to ``read``, which raises it again at its own step
-        # A block from node j ends at the last node whose reads at the
-        # smallest lag land below node j.
-        ends = np.searchsorted(mesh - min_lag, mesh, "left") - 1
-        starts = [0]
-        while starts[-1] < steps:
-            starts.append(int(ends[starts[-1]]))
-        step_of = np.searchsorted(mesh, tau, "right") - 1  # the step holding each read
-        block_first = np.repeat(starts[:-1], np.diff(starts))[:, None]
-        inside = (tau > hist_hi) & (step_of < block_first)
-        before = hist.const if isinstance(hist, ConstantHistory) else math.nan
-        outside = np.where(tau < hist_lo, before, math.nan)
-        row_clean = (inside | ~np.isnan(outside)).all(axis=-1)
-        np.clip(step_of, 0, steps - 1, out=step_of)
-        with np.errstate(all="ignore"):
-            weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
-        del tau
-        if not rhs.y_dependent:
-            # The pass settles runs of steps clean at both stage times, up to
-            # the next unclean step or block.
-            barrier = np.append(np.flatnonzero(~row_clean.all(axis=0)), steps)
-            later = np.array(starts[1:])
-            order = np.arange(steps)
-            run_end = np.minimum(
-                barrier[np.searchsorted(barrier, order)],
-                later[np.searchsorted(later, order, "right")],
-            ).tolist()
-        xs_done = np.zeros(mesh.size)
-        ms_done = np.zeros(mesh.size)
-        me_done = ms_done if mls is None else np.zeros(mesh.size)
+    h_sixth = widths / 6.0
+    stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
+    tau = np.full(stage_times.shape + (len(sites),), math.nan)
+    for k in batched:
+        if isinstance(sites[k], tf.ConstantLag):
+            tau[..., k] = stage_times - sites[k].lag
+            continue
+        try:
+            reads = list(map(sites[k], stage_times.ravel().tolist()))
+            tau[..., k] = np.reshape(reads, stage_times.shape)
+        except Exception:
+            pass  # left to ``read``, which raises it again at its own step
+    # A block from node j ends at the last node whose reads at the smallest
+    # lag land below node j; with no batched site the run is one block.
+    ends = np.searchsorted(mesh - (min_lag if batched else math.inf), mesh, "left") - 1
+    starts = [0]  # the first step of each block, then the number of steps
+    while starts[-1] < steps:
+        starts.append(int(ends[starts[-1]]))
+    step_of = np.searchsorted(mesh, tau, "right") - 1  # the step holding each read
+    block_first = np.repeat(starts[:-1], np.diff(starts))[:, None]
+    inside = (tau > hist_hi) & (step_of < block_first)
+    before = hist.const if isinstance(hist, ConstantHistory) else math.nan
+    outside = np.where(tau < hist_lo, before, math.nan)
+    row_clean = (inside | ~np.isnan(outside)).all(axis=-1)
+    np.clip(step_of, 0, steps - 1, out=step_of)
+    with np.errstate(all="ignore"):
+        weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
+    del tau
+    # The steps with a slot left to ``read`` at either stage time, then the number
+    # of steps: the pass settles the steps up to the next of them or the block's end.
+    unclean = np.flatnonzero(~row_clean.all(axis=0)).tolist() + [steps]
+    xs_done = np.zeros(mesh.size)
+    ms_done = np.zeros(mesh.size)
+    me_done = ms_done if mls is None else np.zeros(mesh.size)
     synced = 0
 
     def block(j, end):
@@ -882,7 +873,6 @@ def integrate(
         ok = np.isfinite(xb) & (np.abs(xb) <= divergence_threshold)
         if not ok.all():
             m = int(np.argmin(ok))
-        ts.extend(nodes[j + 1:j + m + 1])
         xs.extend(xb[:m].tolist())
         slopes = k4[:m].tolist()
         ms.extend(slopes)
@@ -890,21 +880,14 @@ def integrate(
             mls.extend(slopes)
         return m
 
-    ms[0] = stage(x0, prepare(t0, unresolved, False))
+    ms[0] = stage(x0, prepare(t0, [math.nan] * len(sites), False))
     if mls is not None:
         mls[0] = ms[0]
     if not math.isfinite(ms[0]) or not math.isfinite(x0) or abs(x0) > divergence_threshold:
-        traj = Trajectory(np.array(ts), np.array(xs), np.array([0.0]), hist, True, t0)
+        traj = Trajectory(mesh[:1], np.array(xs), np.array([0.0]), hist, True, t0)
         if on_divergence == "raise":
             raise DivergenceError("derivative not finite at start time %g" % t0, traj)
         return traj
-
-    def push(t, x, m):
-        ts.append(t)
-        xs.append(x)
-        ms.append(m)
-        if mls is not None:
-            mls.append(m)
 
     diverged = False
     div_time = None
@@ -913,27 +896,23 @@ def integrate(
     while j < steps:
         if j == block_end:
             block_start, block_end = j, next(bounds)
-            rows = block(j, block_end) if batched else None
+            rows = block(j, block_end)
             mid_rows = None
-        if run_end is not None and run_end[j] > j:
-            stop = run_end[j]
-            j += advance(j, rows[:, j - block_start:stop - block_start])
-            if j == stop:
-                continue
+        if not y_dependent:
+            stop = min(unclean[bisect.bisect_left(unclean, j)], block_end)
+            if stop > j:
+                j += advance(j, rows[:, j - block_start:stop - block_start])
+                if j == stop:
+                    continue
         if mid_rows is None:
-            if batched:
-                mid_rows, end_rows = rows.tolist()
-                mid_clean, end_clean = row_clean[:, block_start:block_end].tolist()
-            else:
-                mid_rows = end_rows = [unresolved] * steps
-                mid_clean = end_clean = [False] * steps
+            mid_rows, end_rows = rows.tolist()
+            mid_clean, end_clean = row_clean[:, block_start:block_end].tolist()
         r = j - block_start
         ta = nodes[j]
         tb = nodes[j + 1]
         h = tb - ta
         xa = xs[-1]
         k1 = ms[-1]
-        pending[0], pending[1], pending[2] = ta, xa, k1
         # k2 and k3 share the stage time ta + h/2, so its time part and reads.
         at_mid = prepare(ta + 0.5 * h, mid_rows[r], mid_clean[r])
         k2 = stage(xa + 0.5 * h * k1, at_mid)
@@ -944,13 +923,15 @@ def integrate(
         at_end = prepare(tb, end_rows[r], end_clean[r])
         k4 = stage(xa + h * k3, at_end)
         xb = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if math.isfinite(xb):
+            xs.append(xb)
+            ms.append(k4 if math.isfinite(k4) else 0.0)
+            if mls is not None:
+                mls.append(ms[-1])
         if not math.isfinite(xb) or abs(xb) > divergence_threshold:
             diverged = True
             div_time = tb
-            if math.isfinite(xb):
-                push(tb, xb, k4 if math.isfinite(k4) else 0.0)
             break
-        push(tb, xb, k4 if math.isfinite(k4) else 0.0)
         # The node slopes reuse k4's time part (a k4 that overflowed has
         # ended the run), and its reads unless one of them saw the step end,
         # which the push has just replaced.
@@ -979,7 +960,7 @@ def integrate(
         j += 1
 
     traj = Trajectory(
-        np.array(ts), np.array(xs), np.array(ms), hist,
+        mesh[:len(xs)], np.array(xs), np.array(ms), hist,
         diverged=diverged, divergence_time=div_time,
         left_derivatives=None if mls is None else np.array(mls),
     )

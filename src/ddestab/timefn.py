@@ -891,6 +891,7 @@ def _maximize(fn, t0: float, cls, span_pad: float, points=(), values=None) -> Su
     one pass. They only choose the brackets: every value reported, a grid
     point's too, is fn's own, and fn reads again each grid point whose
     array value is not finite (NaN, where fn may be finite, or infinite).
+    Without ``values`` every grid point is NaN, so fn reads them all.
     """
     if isinstance(cls, ConstantClass):
         return SupInfo(fn(t0), t0, False)
@@ -899,27 +900,20 @@ def _maximize(fn, t0: float, cls, span_pad: float, points=(), values=None) -> Su
     inside = [x for x in points if lo < x < hi]
     if inside:
         xs = np.union1d(xs, inside)
-    if values is None:
-        vals = own = np.array([_finite(fn(x)) for x in xs.tolist()])
-    else:
-        vals, own = values(xs), None
-        odd = np.flatnonzero(~np.isfinite(vals))
-        vals[odd] = [_finite(fn(x)) for x in xs[odd].tolist()]
+    vals = np.full(xs.size, math.nan) if values is None else values(xs)
+    odd = np.flatnonzero(~np.isfinite(vals))
+    vals[odd] = [_finite(fn(x)) for x in xs[odd].tolist()]
     xs = xs.tolist()
     if np.isposinf(vals).any():
         return SupInfo(math.inf, xs[int(np.argmax(vals))], limited)
-
-    def at(i: int) -> float:
-        return float(own[i]) if own is not None else _finite(fn(xs[i]))
-
-    best_x, best_v = xs[0], at(0)
+    best_x, best_v = xs[0], _finite(fn(xs[0]))
     xtol = max(_REFINE_XTOL, (hi - lo) * 1e-15)
     n = len(xs) - 1
     neighbours = np.concatenate(([-math.inf], vals, [-math.inf]))
     peaks = (vals >= neighbours[:-2]) & (vals >= neighbours[2:]) & (vals > -math.inf)
     for i in np.flatnonzero(peaks).tolist():
         x, v = _golden_max(fn, xs[max(i - 1, 0)], xs[min(i + 1, n)], xtol)
-        v_i = at(i)
+        v_i = _finite(fn(xs[i]))
         if v_i > v:
             x, v = xs[i], v_i
         if v > best_v:

@@ -549,7 +549,9 @@ def _raised_trajectory(run):
 # (a step equal to the lag, reads near t0 under a start jump, extrapolation,
 # windows reaching the current time), plus tabulated and function histories,
 # forcing, general delays, both models with and without an undelayed
-# argument, a fundamental solution and diverging runs. The digests were
+# argument, a fundamental solution, diverging runs, and two runs with no
+# batched read: one with windows alone and one with nothing to read, whose
+# forcing is its whole right-hand side. The digests were
 # taken from the integrator that evaluated every stage and read by itself;
 # those of the delay-only runs whose lags span many steps (a general delay,
 # an overflow inside a block in both divergence modes, NaN from a negative
@@ -607,6 +609,23 @@ PIN_RUNS = {
             forcing=lambda t: -math.sin(t) + math.cos(t) + 0.5 * math.cos(t - 1.0),
         ),
         "1d4044bda706c51508f73699f8f7a276fd6ba476fd5a74e6c0f92753118579f0",
+    ),
+    "distributed_only": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(distributed_terms=[
+                cr.DistributedTerm(1, tf.constant(0.9), tf.ConstantLag(1.2), cr.UniformKernel(0.5)),
+                cr.DistributedTerm(-1, tf.sinsq(0.2, 1.1), tf.ConstantLag(0.7)),
+            ]),
+            0.8, 10.0, step=0.02, initial_value=1.2,
+        ),
+        "2c81071f79a33504b6862aa4494a6de1b0fa7719599a4338cffd9499ec35cf97",
+    ),
+    "forcing_only": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(), 0.5, 10.0, step=0.01,
+            forcing=lambda t: math.cos(t) * math.exp(-0.1 * t),
+        ),
+        "59fb8a686d8bbae92e848633d68eefdbf2c9c4e0f736d79f95a8cd6f59622b96",
     ),
     "general_delay": (
         lambda: sv.integrate(
@@ -684,6 +703,27 @@ PIN_RUNS = {
 def test_trajectory_bits_are_pinned(name):
     run, digest = PIN_RUNS[name]
     assert _digest(run()) == digest
+
+
+def test_non_finite_start_derivative_ends_the_run_at_t0():
+    # -1e300 * 1e10 overflows, so x'(t0) is infinite while x0 stays below the threshold.
+    eq = cr.LinearDelayEquation(positive_terms=[_term(1e300, 0.0)])
+    raised = _raised_trajectory(lambda: sv.integrate(eq, 1e10, 5.0, step=0.01))
+    kept = sv.integrate(eq, 1e10, 5.0, step=0.01, on_divergence="truncate")
+    for tr in (raised, kept):
+        assert (tr.times.tolist(), tr.values.tolist(), tr.derivatives.tolist()) == ([0.0], [1e10], [0.0])
+        assert (tr.diverged, tr.divergence_time, tr.left_derivatives) == (True, 0.0, None)
+
+
+def test_general_delay_breaking_its_bound_between_lag_samples_raises_at_its_step():
+    # The 257 lag samples fall on multiples of 0.1, so only the stage times
+    # 10.01, 10.02 and 10.03 see the lag of 5; the batched reads give up on
+    # this delay and the scalar read meets the error at its own step.
+    bad = tf.GeneralDelay(lambda t: t - (5.0 if 10.005 < t < 10.035 else 0.5), 1.0)
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(0.4), bad)])
+    with pytest.raises(tf.DomainError) as info:
+        sv.integrate(eq, 1.0, 25.6, step=0.02)
+    assert str(info.value) == "delayed argument 5.01 lags current time 10.01 by more than lag_bound 1"
 
 
 class _CountingConstant(tf.Coefficient):

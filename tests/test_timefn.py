@@ -284,6 +284,33 @@ def test_ratio_extrema_unbounded():
     assert hi.value == math.inf
 
 
+class _OwnPeriodic(tf.Coefficient):
+    """A periodic coefficient of the caller's own: no normal form, so it is searched."""
+
+    def __init__(self, fn, period):
+        self.fn, self.period = fn, period
+
+    def value(self, t):
+        return self.fn(t)
+
+    @property
+    def asymptotic_class(self):
+        return tf.PeriodicClass(self.period)
+
+
+def test_ratio_of_own_classes_whose_denominator_vanishes_is_pinned():
+    den = _OwnPeriodic(lambda t: math.sin(t) ** 2, math.pi)
+    # A numerator that stays positive makes the supremum infinite at t = 0.
+    hi, lo = tf.ratio_extrema(_OwnPeriodic(lambda t: 1.0 + math.cos(t) ** 2, math.pi), den)
+    assert hi == tf.SupInfo(math.inf, 0.0, False)
+    assert lo == tf.SupInfo(1.0, 1.5707963198096195, False)
+    # One that vanishes with it leaves 1 + cos(t)/2 with t = 0 excluded.
+    num = _OwnPeriodic(lambda t: math.sin(t) ** 2 * (1.0 + 0.5 * math.cos(t)), 2.0 * math.pi)
+    hi, lo = tf.ratio_extrema(num, den)
+    assert hi == tf.SupInfo(1.49999999999975, 1.0002462229565892e-06, False)
+    assert lo == tf.SupInfo(0.50000000000025, 3.1415916535707487, False)
+
+
 def test_step_only_ratio_whose_denominator_vanishes_is_read_once_per_piece(monkeypatch):
     calls = []
     golden = tf._golden_max
