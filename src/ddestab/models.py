@@ -255,13 +255,17 @@ def production_stability_checks(
       integral.
     - ``gap_bound`` and ``window_vs_gap_bound``: the paired alternative
       route; both must hold together.
+
+    Returns the checks and ``(quantities, notes)``; the notes say when a
+    supremum was scanned only to a finite horizon.
     """
     alpha = _production_alpha(model)
     s = model.s
     inner = tf.delay_min(model.p, model.q)
     outer = tf.delay_max(model.p, model.q)
-    iq = tf.sup_window_integral(s, model.q, 0.0, horizon=horizon)
-    gap = tf.sup_between_delays(s, inner, outer, 0.0, horizon=horizon)
+    iq_info = tf.sup_window_integral_info(s, model.q, 0.0, horizon=horizon)
+    gap_info = tf.sup_between_delays_info(s, inner, outer, 0.0, horizon=horizon)
+    iq, gap = iq_info.value, gap_info.value
     combined = max(alpha * iq - 1.0 / math.e, 0.0) + 2.0 * gap
     width = (1.0 + alpha) * gap
     shifted = max((1.0 + alpha) * iq - 1.0 / math.e, 0.0)
@@ -297,7 +301,7 @@ def production_stability_checks(
             "gap", gap, "esssup over t of |int s| between the two delayed arguments"
         ),
     )
-    return checks, quantities
+    return checks, (quantities, cr._limited_note(iq_info, gap_info))
 
 
 def check_les_production(
@@ -316,7 +320,8 @@ def check_les_production(
     t0 = 0.0
     pre, notes, mean = cr._persistence_checks(model.s, "the rate coefficient", t0)
     notes = list(notes)
-    cond, quantities = production_stability_checks(model, horizon=horizon)
+    cond, (quantities, limited) = production_stability_checks(model, horizon=horizon)
+    notes.extend(limited)
     quantities = (
         cr.Quantity("x_star", x_star, "positive equilibrium state"),
         cr.Quantity("mean_s", mean, "long-run mean value of the rate"),

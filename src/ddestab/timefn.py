@@ -775,28 +775,25 @@ def _as_lag(d: Delay) -> Optional[float]:
     return None
 
 
-def delay_min(*delays: Delay) -> Delay:
-    """Pointwise minimum of delayed arguments (the most-delayed one)."""
+def _pointwise(delays: tuple, pick: Callable, opposite: Callable) -> Delay:
+    """pick(d(t) for d in delays); the lags and lag bounds combine by the opposite."""
     if len(delays) == 1:
         return delays[0]
     lags = [_as_lag(d) for d in delays]
     if all(l is not None for l in lags):
-        m = max(lags)
+        m = opposite(lags)
         return IdentityDelay() if m == 0.0 else ConstantLag(m)
-    bound = max(d.lag_bound for d in delays)
-    return GeneralDelay(_Envelope(delays, min), bound)
+    return GeneralDelay(_Envelope(delays, pick), opposite(d.lag_bound for d in delays))
+
+
+def delay_min(*delays: Delay) -> Delay:
+    """Pointwise minimum of delayed arguments (the most-delayed one)."""
+    return _pointwise(delays, min, max)
 
 
 def delay_max(*delays: Delay) -> Delay:
     """Pointwise maximum of delayed arguments (the least-delayed one)."""
-    if len(delays) == 1:
-        return delays[0]
-    lags = [_as_lag(d) for d in delays]
-    if all(l is not None for l in lags):
-        m = min(lags)
-        return IdentityDelay() if m == 0.0 else ConstantLag(m)
-    bound = min(d.lag_bound for d in delays)
-    return GeneralDelay(_Envelope(delays, max), bound)
+    return _pointwise(delays, max, min)
 
 
 # ---------------------------------------------------------------------------
@@ -1201,33 +1198,41 @@ def coefficient_extrema(
     return ratio_extrema(c, _ONE, t0, horizon=horizon)
 
 
+def _tail_start(cls: AsymptoticClass, t0: float) -> float:
+    """Where the long run is read from: t0, or past a step part's last breakpoint."""
+    return max(t0, cls.transient_end) if isinstance(cls, GeneralClass) else t0
+
+
 def persistent_mean(c: Coefficient, t0: float = 0.0):
     """(long-run mean value, horizon_limited flag).
 
     Exact for constant and periodic coefficients; for general ones the mean
-    over the analysis horizon is reported and flagged.
+    over the analysis horizon from the tail start is reported and flagged.
     """
     cls = c.asymptotic_class
     if isinstance(cls, ConstantClass):
         return c.value(t0), False
-    span = representative_span(cls)
-    return c.integral(t0, t0 + span) / span, isinstance(cls, GeneralClass)
+    span, lo = representative_span(cls), _tail_start(cls, t0)
+    return c.integral(lo, lo + span) / span, isinstance(cls, GeneralClass)
 
 
 def vanishing_fraction(c: Coefficient, t0: float = 0.0) -> float:
-    """Fraction of [t0, t0 + representative span] where the coefficient vanishes.
+    """Fraction of the representative span from the tail start where c vanishes.
 
-    Waves vanish only on a null set, so this is the length of the step
-    segments where a coefficient without waves is zero (within _ZERO_TOL of
-    its largest level) over the span. NaN when c has no normal form.
+    The tail starts at t0, or past a step part's last breakpoint, since a
+    transient is a null fraction of all t >= t0. Waves vanish only on a null
+    set, so this is the length of the step segments where a coefficient
+    without waves is zero (within _ZERO_TOL of its largest level) over the
+    span. NaN when c has no normal form.
     """
     nf = _normal_form((1.0, c))
     if nf is None:
         return math.nan
-    span = representative_span(c.asymptotic_class)
     if nf.waves:
         return 0.0
-    xs = _pieces(nf.breakpoints, t0, t0 + span)
+    cls = c.asymptotic_class
+    span, lo = representative_span(cls), _tail_start(cls, t0)
+    xs = _pieces(nf.breakpoints, lo, lo + span)
     levels = [nf.level(a) for a in xs[:-1]]
     zero = _ZERO_TOL * max([abs(v) for v in levels] + [1e-300])
     return sum(b - a for a, b, v in zip(xs, xs[1:], levels) if abs(v) <= zero) / span

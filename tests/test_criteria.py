@@ -305,6 +305,21 @@ def test_step_rate_is_scanned_through_its_steps_from_a_negative_start():
         assert tf.coefficient_extrema(b, t0)[0].value == 1.0
 
 
+def test_step_rate_mean_and_vanishing_fraction_read_its_tail():
+    # b is zero for all t >= 5; reading [t0, t0 + 5] gave a mean of 0.6 from
+    # t0 = 0 and 0.5 from t0 = -10, and a vanishing fraction of 0.
+    b = tf.piecewise_constant([4.0, 5.0], [0.5, 1.0, 0.0])
+    for t0 in (0.0, -10.0):
+        assert tf.persistent_mean(b, t0) == (0.0, True)
+        assert tf.vanishing_fraction(b, t0) == 1.0
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(b, tf.ConstantLag(1.0))])
+    certs = {c.name: c for c in cr.evaluate_all(eq)}
+    assert {q.symbol: q.value for q in certs["diff-form"].quantities}["mean_diff"] == 0.0
+    assert {q.symbol: q.value for q in certs["ratio-form"].quantities}["mean_a"] == 0.0
+    # The class stays general, so the structural persistence check still fails.
+    assert all(c.verdict == cr.INCONCLUSIVE for c in certs.values())
+
+
 def test_nondelay_dominant_inapplicable_when_positive_delayed():
     cert = cr.check_nondelay_dominant(eq_e1())
     assert cert.verdict == cr.INCONCLUSIVE

@@ -228,6 +228,20 @@ def test_production_upgrade_unavailable_over_a_finite_horizon():
     assert any("upgrade unavailable" in n for n in cert.notes)
 
 
+def test_production_certificate_notes_a_finite_scan_horizon():
+    # Its suprema were scanned to the horizon only, as the diff form's were,
+    # which says so; without a horizon ex5's periodic rate needs no caveat.
+    def caveat(cert):
+        return any("scanned up to a finite horizon" in n for n in cert.notes)
+
+    cert = md.check_les_production(md.ex5(4.0), horizon=40.0)
+    assert cert.verdict == cr.ASYMPTOTIC
+    assert "certified by the single-condition route" in cert.notes
+    assert caveat(cert)
+    assert caveat(cr.check_diff_form(md.linearize(md.ex5(4.0)), horizon=40.0))
+    assert not caveat(md.check_les_production(md.ex5(4.0)))
+
+
 def test_production_benchmark_fails_when_steep():
     cert = md.check_les_production(md.ex5(12.0))
     assert cert.verdict == cr.INCONCLUSIVE

@@ -346,11 +346,14 @@ def test_persistent_mean():
 def test_vanishing_fraction():
     assert tf.vanishing_fraction(tf.sinsq(1.0, 1.0)) < 0.02
     assert tf.vanishing_fraction(tf.constant(0.0)) == 1.0
+    # A step part is read past its last breakpoint: zero segments before it
+    # are a null fraction of all t >= t0, however wide or narrow.
     c = tf.piecewise_constant([0.0, 6.0, 12.0], [1.0, 0.0, 1.0, 1.0])
-    assert 0.3 < tf.vanishing_fraction(c) < 0.7
-    # A zero segment counts by its length, not by the samples that land in it.
+    assert tf.vanishing_fraction(c) == 0.0
     c = tf.piecewise_constant([1.0, 1.01, 30.0], [1.0, 0.0, 1.0, 1.0])
-    assert tf.vanishing_fraction(c) == (1.01 - 1.0) / 30.0
+    assert tf.vanishing_fraction(c) == 0.0
+    c = tf.piecewise_constant([1.0, 1.01, 30.0], [1.0, 0.0, 1.0, 0.0])
+    assert tf.vanishing_fraction(c) == 1.0
 
 
 # ---------------------------------------------------------------------------
