@@ -793,7 +793,9 @@ def integrate(
     del tau
     # The steps with a slot left to ``read`` at either stage time, then the number
     # of steps: the pass settles the steps up to the next of them or the block's end.
+    # A run without a clean step (windows only, say) never looks for one.
     unclean = np.flatnonzero(~row_clean.all(axis=0)).tolist() + [steps]
+    passes = not rhs.y_dependent and len(unclean) <= steps
     xs_done = np.zeros(mesh.size)
     ms_done = np.zeros(mesh.size)
     me_done = ms_done if mls is None else np.zeros(mesh.size)
@@ -898,7 +900,7 @@ def integrate(
             block_start, block_end = j, next(bounds)
             rows = block(j, block_end)
             mid_rows = None
-        if not y_dependent:
+        if passes:
             stop = min(unclean[bisect.bisect_left(unclean, j)], block_end)
             if stop > j:
                 j += advance(j, rows[:, j - block_start:stop - block_start])
