@@ -22,7 +22,9 @@ Each right-hand side is split into a time part (coefficients, forcing),
 its delayed reads, and a state part (the arithmetic on x). A step
 evaluates the first two once per distinct stage time: the midpoint serves
 k2 and k3, the step end k4 and both node slopes; when the node slopes
-must read again, they keep the step end's time part.
+must read again, they keep the step end's time part. The state part is
+split again: a delayed part that needs no x(t) and a current part that
+finishes it with the state, so k2 and k3 share one delayed part as well.
 
 Delayed reads come in blocks: while the steps advance by less than the
 smallest lag, every read lands in finished steps. Where each read lands
@@ -30,24 +32,27 @@ and its Hermite weights follow from the mesh, so they are found once per
 run; a block then interpolates all its reads elementwise, in the same
 operations and order as one scalar read, hence bit for bit. Reads at
 general delays take part, the block sized by the sampled smallest lag, and
-so do reads before t0 from a constant history. When the state part ignores
-the current state (every term delayed, as in the removal form of ``ex51``),
-a block's steps are settled in one numpy pass as well (Bellen and Zennaro
-2003, ch. 3): the time part is evaluated at the block's stage times, the
-state part on arrays gives k2 = k3 and k4, each step's k1 is the previous
-k4, and the nodes are the running sum ``np.cumsum`` of the increments, the
-scalar loop's own IEEE operations in its order. The pass hands a step back
-to the scalar loop when something in it raises (an overflowing time part or
-x^n, a floating-point exception) or its node leaves the finite range or the
-divergence threshold.
+so do reads before t0 from a constant history. A block's steps are then
+settled in one pass (Bellen and Zennaro 2003, ch. 3): the time part is
+evaluated at the block's stage times and the delayed part on arrays. When
+the state part ignores the current state (every term delayed, as in the
+removal form of ``ex51``), that gives k2 = k3 and k4, each step's k1 is
+the previous k4, and the nodes are the running sum ``np.cumsum`` of the
+increments. When it reads x(t) (``eq3``, ``eq26``, the production form of
+``ex5``), the RK4 recurrence runs over floats through the current part
+alone. Either way these are the scalar loop's own IEEE operations in its
+order. The pass hands a step back to the scalar loop when its node or node
+slope leaves the finite range or the divergence threshold, and the rest of
+its run of steps when its array part raises (an overflowing time part or
+x^n, a floating-point exception).
 
 Blocks are used when the smallest lag spans at least ``_BLOCK_STEPS``
 steps; shorter blocks cost more than they save. A run with no batched site
-(windows only, or lags too short for blocks) is one block of NaN rows. The
-scalar read and the scalar step remain the reference for everything a block
-cannot settle ahead of time: windows, reads near t0 (two-sided under a
-start jump) or at the last finished node, histories other than a constant
-one, extrapolated reads, divergence, every state part that reads x(t), and
+(windows only, or lags too short for blocks) is one block of NaN rows, and
+skips the geometry of the reads. The scalar read and the scalar step remain
+the reference for everything a block cannot settle ahead of time: windows,
+reads near t0 (two-sided under a start jump) or at the last finished node,
+histories other than a constant one, extrapolated reads, divergence, and
 all steps when the lag is short.
 """
 
@@ -56,6 +61,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -86,9 +92,10 @@ DEFAULT_DIVERGENCE_THRESHOLD = 1e12
 _LEVELS = 5
 # Reads come in blocks only when the smallest lag spans at least this many
 # steps: a block pays some fifteen numpy calls up front, and the pass that
-# settles its steps some thirty more. Against the scalar loop they break even
-# at 6-8 steps on an ex51 run, a production run and a linear run with two
-# lags, and near 10 on eq26, which reads one lag beside x(t).
+# settles its steps some thirty more. Now that the pass settles state parts
+# that read x(t) too, blocks and pass break even with the scalar loop at about
+# 6 steps on eq26, eq3, ex5 and ex51 runs, and gain 1.3-1.9x at 8; 10 leaves
+# a margin.
 _BLOCK_STEPS = 10
 
 
@@ -396,27 +403,35 @@ class Trajectory:
 class _Rhs:
     """A right-hand side split into a time part, delayed reads and a state part.
 
-    ``coeffs(t)`` is the time part: coefficient values and forcing at t.
-    ``sites`` lists what the equation reads from the past, one slot each: a
-    delay, read at one delayed time, or a DistributedTerm, averaged over its
-    window. ``state(y, cv, xv)`` is the arithmetic on the state y, given the
-    time part ``cv`` and one value ``xv[k]`` per site; ``y_dependent`` is
-    False when it ignores y. Given arrays (one entry per stage time) in place
-    of the time part's numbers and the site values, it does the same IEEE
-    operations element by element. What the integrator needs to know of the
-    reads (the lags that bound the step and seed the mesh, the windows) it
-    derives from the sites.
+    ``coeffs`` is the time part: one function of t per value it holds
+    (coefficients, forcing). ``sites`` lists what the equation reads from the
+    past, one slot each: a delay, read at one delayed time, or a
+    DistributedTerm, averaged over its window. The state part comes in two
+    pieces. ``delayed(cv, xv)`` does all the arithmetic that needs no x(t),
+    given the time part's values ``cv`` and one value ``xv[k]`` per site;
+    ``current(y, d)`` finishes it with the state y. ``current`` is None when
+    the state part ignores y, and ``delayed`` then gives the derivative
+    itself. Given arrays (one entry per stage time) in place of the numbers,
+    ``delayed`` does the same IEEE operations element by element, and gives
+    the values ``current`` takes, one array each. What the integrator needs to
+    know of the reads (the lags that bound the step and seed the mesh, the
+    windows) it derives from the sites.
     """
 
-    coeffs: Callable
+    coeffs: tuple
     sites: tuple
-    state: Callable
-    y_dependent: bool
+    delayed: Callable
+    current: Optional[Callable]
+
+    @property
+    def y_dependent(self) -> bool:
+        return self.current is not None
 
     def fn(self, t, y, read, integral):
         """The derivative at (t, y), reading x through ``read``/``integral``."""
         xv = [_site_value(site, t, read, integral) for site in self.sites]
-        return self.state(y, self.coeffs(t), xv)
+        d = self.delayed([f(t) for f in self.coeffs], xv)
+        return d if self.current is None else self.current(y, d)
 
 
 def _site_value(site, t, read, integral):
@@ -425,24 +440,15 @@ def _site_value(site, t, read, integral):
     return read(site(t))
 
 
-def _stack(parts):
-    """One time part of arrays from a list of time parts of the same shape."""
-    first = parts[0]
-    if first is None:
-        return None
-    if isinstance(first, (tuple, list)):
-        return type(first)(_stack(p) for p in zip(*parts))
-    return np.array(parts)
+def _time_parts(coeffs, times: np.ndarray) -> list:
+    """The time part at each of ``times``, one array per value.
 
-
-def _time_parts(coeffs, times: np.ndarray):
-    """The time part at each of ``times`` as one time part of arrays.
-
-    Each time goes through the scalar ``coeffs``, so every coefficient
+    Each time goes through the scalar functions, so every coefficient
     through its own ``value``: numpy's sin and square need not agree with
     ``math.sin`` and Python's ``**`` in the last bit.
     """
-    return _stack(list(map(coeffs, times.tolist())))
+    ts = times.tolist()
+    return [np.fromiter(map(f, ts), float, len(ts)) for f in coeffs]
 
 
 def _window_reaches_now(term: cr.DistributedTerm) -> bool:
@@ -477,6 +483,10 @@ def _slots(delays):
     return at, sites
 
 
+def _forcing_part(forcing):
+    return (lambda t: 0.0) if forcing is None else (lambda t: float(forcing(t)))
+
+
 def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
     # Every term adds w(t) * x in turn: w = -a for a positive term, +b for a
     # negative one, and -sign * weight for a window (``total -= s * avg`` and
@@ -489,54 +499,79 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
     at, sites = _slots(term.delay for term in terms)
     at += range(len(sites), len(sites) + len(distributed))
     sites += distributed
+    # ``delayed`` sums the terms before the first x(t), after the forcing,
+    # and forms w or w * x of each term after it; ``current`` adds those in
+    # order, times y where the term reads x(t).
+    first = at.index(-1) if -1 in at else len(at)
+    head = [(s, k) for (s, _), k in zip(signed[:first], at)]
+    rest = [(s, k) for (s, _), k in zip(signed[first:], at[first:])]
+    now = [k < 0 for _, k in rest]
 
-    def coeffs(t):
-        total = 0.0 if forcing is None else float(forcing(t))
-        return total, [s * c.value(t) for s, c in signed]
+    def delayed(cv, xv):
+        total = cv[0]
+        for (s, k), v in zip(head, cv[1:]):
+            total += s * v * xv[k]
+        if not rest:
+            return total
+        vs = cv[first + 1:]
+        return [total] + [s * v if k < 0 else s * v * xv[k] for (s, k), v in zip(rest, vs)]
 
-    def state(y, cv, xv):
-        total, ws = cv
-        for w, k in zip(ws, at):
-            total += w * (y if k < 0 else xv[k])
+    def current(y, d):
+        total = d[0]
+        for v, times_y in zip(d[1:], now):
+            total += v * y if times_y else v
         return total
 
-    return _Rhs(coeffs, tuple(sites), state, -1 in at)
+    if now == [True]:
+        def current(y, d):  # x(t) last, as in eq3 and eq26: the fold above in one step
+            return d[0] + d[1] * y
+
+    coeffs = (_forcing_part(forcing),) + tuple(c.value for _, c in signed)
+    return _Rhs(coeffs, tuple(sites), delayed, current if rest else None)
+
+
+def _make_model_rhs(model, rate, gamma, slots, forcing):
+    """rate(t) [production_term(x_a, x_b) - gamma x_c] plus forcing.
+
+    ``slots`` holds the site indices of a, b and c (-1 for x(t)) and the
+    sites; a None ``gamma`` clears x_c itself. ``delayed`` forms the
+    production term when both its reads are delayed, and the whole
+    derivative when x_c is delayed too.
+    """
+    (a, b, c), sites = slots
+    split = min(a, b) >= 0
+    coeffs = (rate.value,) if forcing is None else (rate.value, _forcing_part(forcing))
+    nc = len(coeffs)
+
+    def finish(cv, p, x_c):
+        total = cv[0] * (p - (x_c if gamma is None else gamma * x_c))
+        if forcing is not None:
+            total += cv[1]
+        return total
+
+    def delayed(cv, xv):
+        if not split:
+            return [*cv, *xv]
+        p = md.production_term(model, xv[a], xv[b])
+        return finish(cv, p, xv[c]) if c >= 0 else [*cv, p]
+
+    def current(y, d):
+        if split:
+            return finish(d, d[nc], y)
+        x_a, x_b, x_c = (y if k < 0 else d[nc + k] for k in (a, b, c))
+        return finish(d, md.production_term(model, x_a, x_b), x_c)
+
+    return _Rhs(coeffs, tuple(sites), delayed, None if min(a, b, c) >= 0 else current)
 
 
 def _make_removal_rhs(model: md.MackeyGlassRemoval, forcing):
-    (at_g, at_h), sites = _slots((model.g, model.h))
-
-    def coeffs(t):
-        return model.r.value(t), None if forcing is None else float(forcing(t))
-
-    def state(y, cv, xv):
-        rate, force = cv
-        x_g = y if at_g < 0 else xv[at_g]
-        x_h = y if at_h < 0 else xv[at_h]
-        total = rate * md.removal_reaction(model, x_g, x_h)
-        if force is not None:
-            total += force
-        return total
-
-    return _Rhs(coeffs, tuple(sites), state, min(at_g, at_h) < 0)
+    (g, h), sites = _slots((model.g, model.h))
+    return _make_model_rhs(model, model.r, model.gamma, ((g, g, h), sites), forcing)
 
 
 def _make_production_rhs(model: md.MackeyGlassProduction, forcing):
-    (at_p, at_q), sites = _slots((model.p, model.q))
-
-    def coeffs(t):
-        return model.s.value(t), None if forcing is None else float(forcing(t))
-
-    def state(y, cv, xv):
-        rate, force = cv
-        x_p = y if at_p < 0 else xv[at_p]
-        x_q = y if at_q < 0 else xv[at_q]
-        total = rate * md.production_reaction(model, x_p, x_q, y)
-        if force is not None:
-            total += force
-        return total
-
-    return _Rhs(coeffs, tuple(sites), state, True)
+    (p, q), sites = _slots((model.p, model.q))
+    return _make_model_rhs(model, model.s, None, ((p, q, -1), sites), forcing)
 
 
 def _delay_split(sites):
@@ -752,8 +787,7 @@ def integrate(
     # front and sized by the sampled smallest lag above; a read that lag
     # misjudges lands at or past the block's first node. NaN marks a slot
     # left to ``read``: windows, and reads near t0, at or past the block's
-    # first node, or in a history other than a constant one. A run with no
-    # batched site is one block of NaN rows.
+    # first node, or in a history other than a constant one.
     steps = mesh.size - 1
     batched = [
         k for k, s in enumerate(sites)
@@ -763,47 +797,49 @@ def integrate(
     widths = np.diff(mesh)
     if batched and min_lag < _BLOCK_STEPS * float(widths.max()):
         batched = []  # blocks of a few steps would not pay for their numpy calls
-    h_sixth = widths / 6.0
     stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
-    tau = np.full(stage_times.shape + (len(sites),), math.nan)
-    for k in batched:
-        if isinstance(sites[k], tf.ConstantLag):
-            tau[..., k] = stage_times - sites[k].lag
-            continue
-        try:
-            reads = list(map(sites[k], stage_times.ravel().tolist()))
-            tau[..., k] = np.reshape(reads, stage_times.shape)
-        except Exception:
-            pass  # left to ``read``, which raises it again at its own step
-    # A block from node j ends at the last node whose reads at the smallest
-    # lag land below node j; with no batched site the run is one block.
-    ends = np.searchsorted(mesh - (min_lag if batched else math.inf), mesh, "left") - 1
-    starts = [0]  # the first step of each block, then the number of steps
-    while starts[-1] < steps:
-        starts.append(int(ends[starts[-1]]))
-    step_of = np.searchsorted(mesh, tau, "right") - 1  # the step holding each read
-    block_first = np.repeat(starts[:-1], np.diff(starts))[:, None]
-    inside = (tau > hist_hi) & (step_of < block_first)
-    before = hist.const if isinstance(hist, ConstantHistory) else math.nan
-    outside = np.where(tau < hist_lo, before, math.nan)
-    row_clean = (inside | ~np.isnan(outside)).all(axis=-1)
-    np.clip(step_of, 0, steps - 1, out=step_of)
-    with np.errstate(all="ignore"):
-        weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
-    del tau
-    # The steps with a slot left to ``read`` at either stage time, then the number
-    # of steps: the pass settles the steps up to the next of them or the block's end.
-    # A run without a clean step (windows only, say) never looks for one.
-    unclean = np.flatnonzero(~row_clean.all(axis=0)).tolist() + [steps]
-    passes = not rhs.y_dependent and len(unclean) <= steps
-    xs_done = np.zeros(mesh.size)
-    ms_done = np.zeros(mesh.size)
-    me_done = ms_done if mls is None else np.zeros(mesh.size)
-    synced = 0
+    if batched:
+        tau = np.full(stage_times.shape + (len(sites),), math.nan)
+        for k in batched:
+            if isinstance(sites[k], tf.ConstantLag):
+                tau[..., k] = stage_times - sites[k].lag
+                continue
+            try:
+                reads = list(map(sites[k], stage_times.ravel().tolist()))
+                tau[..., k] = np.reshape(reads, stage_times.shape)
+            except Exception:
+                pass  # left to ``read``, which raises it again at its own step
+        # A block from node j ends at the last node whose reads at the smallest
+        # lag land below node j.
+        ends = np.searchsorted(mesh - min_lag, mesh, "left") - 1
+        starts = [0]  # the first step of each block, then the number of steps
+        while starts[-1] < steps:
+            starts.append(int(ends[starts[-1]]))
+        step_of = np.searchsorted(mesh, tau, "right") - 1  # the step holding each read
+        block_first = np.repeat(starts[:-1], np.diff(starts))[:, None]
+        inside = (tau > hist_hi) & (step_of < block_first)
+        before = hist.const if isinstance(hist, ConstantHistory) else math.nan
+        outside = np.where(tau < hist_lo, before, math.nan)
+        row_clean = (inside | ~np.isnan(outside)).all(axis=-1)
+        np.clip(step_of, 0, steps - 1, out=step_of)
+        with np.errstate(all="ignore"):
+            weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
+        del tau
+        xs_done = np.zeros(mesh.size)
+        ms_done = np.zeros(mesh.size)
+        me_done = ms_done if mls is None else np.zeros(mesh.size)
+        synced = 0
+    else:
+        # With no batched site the run is one block of NaN rows, clean only
+        # when there is nothing to read.
+        starts = [0, steps]
+        row_clean = np.full((2, steps), not sites)
 
     def block(j, end):
         """Read values per site at the midpoints (``[0]``) and the ends
         (``[1]``) of the steps j to end - 1; NaN where ``read`` is left to."""
+        if not batched:
+            return np.full((2, end - j, len(sites)), math.nan)
         nonlocal synced
         n = j + 1  # finished nodes
         xs_done[synced:n] = xs[synced:n]
@@ -818,10 +854,18 @@ def integrate(
             vals = w0 * xs_done[at] + w1 * ms_done[at] + w2 * xs_done[nxt] + w3 * me_done[nxt]
         return np.where(inside[:, j:end], vals, outside[:, j:end])
 
-    coeffs, state, y_dependent = rhs.coeffs, rhs.state, rhs.y_dependent
+    # The steps with a slot left to ``read`` at either stage time, then the number
+    # of steps: the pass settles the steps up to the next of them or the block's end.
+    # A run without a clean step (windows only, say) never looks for one.
+    unclean = np.flatnonzero(~row_clean.all(axis=0)).tolist() + [steps]
+    passes = len(unclean) <= steps
+    resume = 0  # the pass waits for this step after one of its segments raised
+    limit = min(divergence_threshold, sys.float_info.max)  # no finite node passes it
+    coeffs, delayed, current = rhs.coeffs, rhs.delayed, rhs.current
+    y_dependent = current is not None
 
     def prepare(t, row, clean, cv=None):
-        """Time part and read values at stage time t; None if either overflows.
+        """Time part and delayed part at stage time t; None if one overflows.
 
         A given time part ``cv`` is kept, and only the reads are redone.
         """
@@ -829,50 +873,57 @@ def integrate(
         touched_end = touched_left = False
         try:
             if cv is None:
-                cv = coeffs(t)
-            if clean:
-                return cv, row
-            xv = list(row)
-            for k, site in enumerate(sites):
-                if xv[k] != xv[k]:
-                    xv[k] = _site_value(site, t, read, integral)
-            return cv, xv
+                cv = [f(t) for f in coeffs]
+            if not clean:
+                row = list(row)
+                for k, site in enumerate(sites):
+                    if row[k] != row[k]:
+                        row[k] = _site_value(site, t, read, integral)
+            return cv, delayed(cv, row)
         except OverflowError:
             return None
 
     def stage(y, prep):
         if prep is None:
             return math.nan
+        if current is None:
+            return prep[1]
         try:
-            return state(y, *prep)
+            return current(y, prep[1])
         except OverflowError:
             return math.nan
 
     def advance(j, rows):
-        """Settle the steps from j on, one per row of ``rows``, in one numpy pass.
+        """Settle the steps from j on, one per row of ``rows``, in one pass.
 
-        Valid when the state part ignores y and every read is in ``rows``:
-        then k3 = k2, each step's k1 is the previous k4, and the nodes are a
-        running sum, in the scalar loop's operations and order. Returns how
+        Valid when every read is in ``rows``. The time part at the stage
+        times and ``delayed`` go over arrays. When the state part ignores y,
+        k3 = k2, each step's k1 is the previous k4, and the nodes are a running
+        sum; otherwise the recurrence runs step by step on ``current``. Either
+        way they are the scalar loop's operations in its order. Returns how
         many steps it settled; the next one, if any, goes to the scalar loop,
-        since its node is not finite or passes the threshold. Anything that
-        raises (an overflowing time part or x^n, a floating-point exception)
-        hands the whole run to the scalar loop.
+        since its node or node slope is not finite or passes the threshold.
+        Anything that raises on the arrays (an overflowing time part or x^n,
+        a floating-point exception) hands the segment to the scalar loop.
         """
+        nonlocal resume
         m = rows.shape[1]
         try:
             cv = _time_parts(coeffs, stage_times[:, j:j + m].ravel())
             with np.errstate(all="raise", under="ignore"):
-                k = state(None, cv, rows.reshape(2 * m, -1).T)
-                k2, k4 = k[:m], k[m:]
+                d = delayed(cv, rows.reshape(2 * m, -1).T)
+                if y_dependent:
+                    return settle(j, np.transpose(d).tolist(), m)
+                k2, k4 = d[:m], d[m:]
                 k1 = np.concatenate(([ms[-1]], k4[:-1]))
-                incr = h_sixth[j:j + m] * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
+                incr = widths[j:j + m] / 6.0 * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
                 incr[0] += xs[-1]
                 xb = np.cumsum(incr)
         except Exception:
-            return 0  # the scalar loop meets it again at its own step
+            resume = j + m  # the scalar loop meets it again at its own step
+            return 0
         # A non-finite k4 leaves its node non-finite too.
-        ok = np.isfinite(xb) & (np.abs(xb) <= divergence_threshold)
+        ok = np.abs(xb) <= limit
         if not ok.all():
             m = int(np.argmin(ok))
         xs.extend(xb[:m].tolist())
@@ -881,6 +932,32 @@ def integrate(
         if mls is not None:
             mls.extend(slopes)
         return m
+
+    def settle(j, ds, m):
+        """The RK4 recurrence of ``advance`` over floats, from the delayed parts
+        ``ds`` at the m midpoints and then the m step ends."""
+        xa, k1 = xs[-1], ms[-1]
+        nodes_x, slopes = [], []
+        try:
+            for h, at_mid, at_end in zip(widths[j:j + m].tolist(), ds[:m], ds[m:]):
+                k2 = current(xa + 0.5 * h * k1, at_mid)
+                k3 = current(xa + 0.5 * h * k2, at_mid)
+                k4 = current(xa + h * k3, at_end)
+                xa = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not abs(xa) <= limit:
+                    break
+                k1 = current(xa, at_end)
+                if not math.isfinite(k1):
+                    break
+                nodes_x.append(xa)
+                slopes.append(k1)
+        except Exception:
+            pass  # the scalar loop meets it again at its own step
+        xs.extend(nodes_x)
+        ms.extend(slopes)
+        if mls is not None:
+            mls.extend(slopes)
+        return len(slopes)
 
     ms[0] = stage(x0, prepare(t0, [math.nan] * len(sites), False))
     if mls is not None:
@@ -900,7 +977,7 @@ def integrate(
             block_start, block_end = j, next(bounds)
             rows = block(j, block_end)
             mid_rows = None
-        if passes:
+        if passes and j >= resume:
             stop = min(unclean[bisect.bisect_left(unclean, j)], block_end)
             if stop > j:
                 j += advance(j, rows[:, j - block_start:stop - block_start])

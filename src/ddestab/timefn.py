@@ -78,7 +78,6 @@ __all__ = [
 
 _GRID = 1024
 _REFINE_XTOL = 1e-12
-_ZERO_TOL = 1e-12
 # Ulps by which a closed-form extremum is moved outward, so that no check
 # rests on the rounding of the formula.
 _PAD_ULPS = 4
@@ -1217,22 +1216,17 @@ def persistent_mean(c: Coefficient, t0: float = 0.0):
 
 
 def vanishing_fraction(c: Coefficient, t0: float = 0.0) -> float:
-    """Fraction of the representative span from the tail start where c vanishes.
+    """Fraction of all t >= t0 where c vanishes: 1.0 or 0.0.
 
     The tail starts at t0, or past a step part's last breakpoint, since a
     transient is a null fraction of all t >= t0. Waves vanish only on a null
-    set, so this is the length of the step segments where a coefficient
-    without waves is zero (within _ZERO_TOL of its largest level) over the
-    span. NaN when c has no normal form.
+    set, and from the tail start a coefficient without waves has one level,
+    so c vanishes on all of the tail or on none of it. NaN when c has no
+    normal form.
     """
     nf = _normal_form((1.0, c))
     if nf is None:
         return math.nan
     if nf.waves:
         return 0.0
-    cls = c.asymptotic_class
-    span, lo = representative_span(cls), _tail_start(cls, t0)
-    xs = _pieces(nf.breakpoints, lo, lo + span)
-    levels = [nf.level(a) for a in xs[:-1]]
-    zero = _ZERO_TOL * max([abs(v) for v in levels] + [1e-300])
-    return sum(b - a for a, b, v in zip(xs, xs[1:], levels) if abs(v) <= zero) / span
+    return 1.0 if nf.level(_tail_start(c.asymptotic_class, t0)) == 0.0 else 0.0

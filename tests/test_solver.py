@@ -539,6 +539,18 @@ def _huge_removal_run(on_divergence):
                         divergence_threshold=1e300, on_divergence=on_divergence)
 
 
+# A production run whose x^2 at the lag of 1 overflows in the middle of a
+# block near t = 9.68: the forcing drives it up from 1e150.
+_HUGE_PRODUCTION = md.MackeyGlassProduction(s=tf.constant(0.5), beta=2.0, n=2.0,
+                                            p=tf.ConstantLag(0.5), q=tf.ConstantLag(1.0))
+
+
+def _huge_production_run(on_divergence):
+    return sv.integrate(_HUGE_PRODUCTION, 1e150, 40.0, step=0.01, initial_value=1e150,
+                        forcing=lambda t: 1e153 * t, divergence_threshold=1e300,
+                        on_divergence=on_divergence)
+
+
 def _raised_trajectory(run):
     with pytest.raises(sv.DivergenceError) as info:
         run()
@@ -556,7 +568,11 @@ def _raised_trajectory(run):
 # those of the delay-only runs whose lags span many steps (a general delay,
 # an overflow inside a block in both divergence modes, NaN from a negative
 # x under a fractional n) before delay-only runs settled blocks of steps in
-# one numpy pass.
+# one numpy pass; and those of the runs whose state part reads x(t) at lags
+# of many steps (eq3's shape, a linear run whose x(t) term comes first and
+# one with two x(t) terms, production runs with forcing, with NaN from a
+# fractional n, and with an overflow inside a block in both divergence
+# modes) before such runs were settled a block of steps per pass too.
 PIN_RUNS = {
     "step_equals_lag": (
         lambda: sv.integrate(_linear([(0.9, 0.05)]), 1.0, 3.0, step=0.05),
@@ -688,6 +704,58 @@ PIN_RUNS = {
         ),
         "42b56c94180acb1bb37a98db7ce6106e92345bd12556766721c7bf0b39aa771b",
     ),
+    "sinsq_undelayed_negative": (
+        lambda: sv.integrate(md.eq3abc(0.6, 0.45), 0.8, 40.0, step=0.02, initial_value=1.2),
+        "301cd576e4fb2e4d0d556c37d6b4ffaa89ef85bdc18767d7f39214ed0a294e3a",
+    ),
+    "linear_current_first": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(
+                positive_terms=[cr.Term(tf.constant(0.5), tf.IdentityDelay()),
+                                cr.Term(tf.sinsq(0.4, 1.3), tf.ConstantLag(1.0))],
+                negative_terms=[cr.Term(tf.constant(0.2), tf.ConstantLag(0.6))],
+            ),
+            0.8, 20.0, step=0.01, initial_value=1.2,
+        ),
+        "86d88c650caa1db6a72e7e030c8af4aadb5a1b62856709dba84245208b66a446",
+    ),
+    "linear_two_current_terms": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(
+                positive_terms=[cr.Term(tf.sinsq(0.5, 1.1), tf.ConstantLag(1.0)),
+                                cr.Term(tf.constant(0.7), tf.IdentityDelay())],
+                negative_terms=[cr.Term(tf.constant(0.2), tf.ConstantLag(0.5)),
+                                cr.Term(tf.sinsq(0.3, 0.9), tf.IdentityDelay())],
+            ),
+            0.8, 20.0, step=0.01, initial_value=1.2, forcing=lambda t: 0.1 * math.cos(t),
+        ),
+        "e4a77a96ebd958c19abfdcd2a3a621831a741d476556422848d4d01ecd2757f4",
+    ),
+    "production_forcing": (
+        lambda: sv.integrate(
+            md.MackeyGlassProduction(s=tf.sinsq(0.8, math.pi), beta=2.0, n=4.0,
+                                     p=tf.ConstantLag(1.0), q=tf.ConstantLag(2.0)),
+            0.9, 40.0, step=0.02, initial_value=1.1, forcing=lambda t: 0.05 * math.cos(t),
+        ),
+        "d7a2cc2eb0e1b1a8e79991aa3e052ba23e0e02ce055a3645365a9ed9a40754fa",
+    ),
+    "production_fractional_n_nan": (
+        lambda: sv.integrate(
+            md.MackeyGlassProduction(s=tf.constant(0.5), beta=2.0, n=2.5,
+                                     p=tf.ConstantLag(0.5), q=tf.ConstantLag(1.0)),
+            0.5, 40.0, step=0.01, forcing=lambda t: -1.5 if t > 7.3 else 0.0,
+            on_divergence="truncate",
+        ),
+        "c3e6ee2d3863a09b9d96773c0f1c20b4bbc665f2b1736cd5807df1762f4bc27c",
+    ),
+    "production_overflow_in_block_truncate": (
+        lambda: _huge_production_run("truncate"),
+        "8ddd4e6794f9e6d5f72e217d00aca3171eeed50ff65f88803f5ab4a9c4d36226",
+    ),
+    "production_overflow_in_block_raise": (
+        lambda: _raised_trajectory(lambda: _huge_production_run("raise")),
+        "8ddd4e6794f9e6d5f72e217d00aca3171eeed50ff65f88803f5ab4a9c4d36226",
+    ),
     "production_undelayed_q": (
         lambda: sv.integrate(
             md.MackeyGlassProduction(s=tf.constant(0.5), beta=2.0, n=4.0,
@@ -754,27 +822,69 @@ def test_each_stage_time_is_evaluated_once_and_reads_come_in_blocks(monkeypatch)
     monkeypatch.setattr(sv, "_hermite", counting_hermite)
     # The run reads only the past, so blocks of its steps go through the
     # state part on arrays; count the stage values those calls give.
-    array_stages = []
-    make_rhs = sv._make_rhs
-
-    def counting_rhs(target, forcing):
-        rhs = make_rhs(target, forcing)
-
-        def state(y, cv, xv):
-            k = rhs.state(y, cv, xv)
-            if isinstance(k, np.ndarray):
-                array_stages.append(k.size)
-            return k
-
-        return dataclasses.replace(rhs, state=state)
-
-    monkeypatch.setattr(sv, "_make_rhs", counting_rhs)
+    array_stages = _count_array_stages(monkeypatch)
     steps = sv.integrate(eq, 1.0, 20.0, step=0.01).times.size - 1
     # The midpoint serves k2 and k3; the step end serves k4 and the node slopes.
     assert max(c.calls for c in coeffs) <= 2 * steps + 1
     assert len(scalar_reads) <= 0.05 * steps
     # Both stage values of nine steps in ten come from array calls.
     assert sum(array_stages) >= 0.9 * 2 * steps
+
+
+def _count_array_stages(monkeypatch, times=None):
+    """The number of stage times in each call of ``delayed`` on arrays; each
+    time the time part is evaluated at goes into ``times``, if given."""
+    array_stages = []
+    make_rhs = sv._make_rhs
+
+    def counting_rhs(target, forcing):
+        rhs = make_rhs(target, forcing)
+        first, *others = rhs.coeffs
+
+        def counted(t):
+            if times is not None:
+                times.append(t)
+            return first(t)
+
+        def delayed(cv, xv):
+            d = rhs.delayed(cv, xv)
+            first = d
+            while isinstance(first, (tuple, list)):
+                first = first[0]
+            if isinstance(first, np.ndarray):
+                array_stages.append(first.size)
+            return d
+
+        return dataclasses.replace(rhs, coeffs=(counted, *others), delayed=delayed)
+
+    monkeypatch.setattr(sv, "_make_rhs", counting_rhs)
+    return array_stages
+
+
+def test_each_stage_time_is_evaluated_once_when_the_state_reads_x_now(monkeypatch):
+    # eq26: x' + x(t - 1) - 0.3 x(t) = 0. The state part reads x(t), so blocks
+    # of steps get their delayed part on arrays and finish on floats.
+    times = []
+    array_stages = _count_array_stages(monkeypatch, times)
+    steps = sv.integrate(md.eq26(), 1.0, 20.0, step=0.01, initial_value=1.2).times.size - 1
+    assert len(times) <= 2 * steps + 1
+    # Both stage times of nine steps in ten get their delayed part from array calls.
+    assert sum(array_stages) >= 0.9 * 2 * steps
+
+
+def test_a_pass_that_raises_hands_its_segment_to_the_scalar_loop(monkeypatch):
+    # x^2 overflows in the middle of a block: the pass raises there once, and
+    # the scalar loop settles the rest of that segment without asking it again.
+    sizes = []
+    time_parts = sv._time_parts
+
+    def counting_time_parts(coeffs, times):
+        sizes.append(times.size)
+        return time_parts(coeffs, times)
+
+    monkeypatch.setattr(sv, "_time_parts", counting_time_parts)
+    steps = _huge_removal_run("truncate").times.size - 1
+    assert sum(sizes) <= 2 * steps + sizes[-1]
 
 
 # Where glibc's pow(x, 2), which Python's x**2 calls, differs from x*x and
@@ -812,17 +922,26 @@ def test_pow_on_arrays_is_the_scalar_pow_element_by_element():
 ], ids=["removal", "removal-fractional", "production", "production-fractional"])
 def test_model_state_on_arrays_is_the_scalar_state_element_by_element(model):
     # Both reads carry the traps, a negative value (NaN under a fractional
-    # n) and zero; the time part varies too.
-    state = sv._make_rhs(model, None).state
+    # n) and zero; the time part varies too. On arrays the delayed part goes
+    # over the stage times at once and the current part over each one's numbers.
+    rhs = sv._make_rhs(model, None)
+
+    def state(y, cv, xv):
+        d = rhs.delayed(cv, xv)
+        return d if rhs.current is None else rhs.current(y, d)
+
     xs = [_POW_TRAP, _REACTION_TRAP, -0.3, 0.0, 1.7]
     ys = [0.8, 1.1, 0.2, _REACTION_TRAP, -0.4]
     rates = [0.3, 1.5, 2.0, 0.7, 1.0]
-    scalar = [state(y, (r, None), [a, b]) for y, r, a, b in zip(ys, rates, xs, xs[::-1])]
-    _same(state(np.array(ys), (np.array(rates), None), np.array([xs, xs[::-1]])), scalar)
+    scalar = [state(y, [r], [a, b]) for y, r, a, b in zip(ys, rates, xs, xs[::-1])]
+    d = rhs.delayed([np.array(rates)], np.array([xs, xs[::-1]]))
+    if rhs.current is not None:
+        d = np.array([rhs.current(y, e) for y, e in zip(ys, np.transpose(d).tolist())])
+    _same(d, scalar)
     with pytest.raises(OverflowError):
-        state(1.0, (1.0, None), [1e200, 1e200])
+        state(1.0, [1.0], [1e200, 1e200])
     with pytest.raises(OverflowError):
-        state(np.ones(2), (np.ones(2), None), np.array([[1.0, 1e200], [1.0, 1e200]]))
+        rhs.delayed([np.ones(2)], np.array([[1.0, 1e200], [1.0, 1e200]]))
 
 
 def test_sinsq_time_part_on_a_block_is_the_scalar_time_part():
@@ -832,10 +951,10 @@ def test_sinsq_time_part_on_a_block_is_the_scalar_time_part():
     eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(1.0, 1.0), tf.ConstantLag(1.0))])
     coeffs = sv._make_rhs(eq, None).coeffs
     times = [1.258, 0.5, 2.0, 3.3]
-    total, (w,) = sv._time_parts(coeffs, np.array(times))
-    _same(w, [coeffs(t)[1][0] for t in times])
-    _same(total, [coeffs(t)[0] for t in times])
-    assert w[0] == -(s ** 2)
+    total, w = sv._time_parts(coeffs, np.array(times))
+    _same(w, [coeffs[1](t) for t in times])
+    _same(total, [coeffs[0](t) for t in times])
+    assert w[0] == s ** 2
 
 
 def test_node_slope_rereads_keep_the_time_part():
