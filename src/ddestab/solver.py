@@ -423,10 +423,6 @@ class _Rhs:
     delayed: Callable
     current: Optional[Callable]
 
-    @property
-    def y_dependent(self) -> bool:
-        return self.current is not None
-
     def fn(self, t, y, read, integral):
         """The derivative at (t, y), reading x through ``read``/``integral``."""
         xv = [_site_value(site, t, read, integral) for site in self.sites]

@@ -848,11 +848,9 @@ def _count_array_stages(monkeypatch, times=None):
 
         def delayed(cv, xv):
             d = rhs.delayed(cv, xv)
-            first = d
-            while isinstance(first, (tuple, list)):
-                first = first[0]
-            if isinstance(first, np.ndarray):
-                array_stages.append(first.size)
+            leaf = d[0] if isinstance(d, list) else d
+            if isinstance(leaf, np.ndarray):
+                array_stages.append(leaf.size)
             return d
 
         return dataclasses.replace(rhs, coeffs=(counted, *others), delayed=delayed)
