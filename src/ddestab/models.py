@@ -33,7 +33,6 @@ __all__ = [
     "MackeyGlassProduction",
     "equilibrium",
     "linearize",
-    "production_term",
     "removal_reaction",
     "production_reaction",
     "check_les_removal",
@@ -110,21 +109,21 @@ class MackeyGlassProduction:
             raise ValueError("n must be positive")
 
 
-def production_term(model, x, x_n):
+def _production_term(model, x, x_n):
     """beta x / (1 + x_n^n), the saturating production of either model."""
     return model.beta * x / (1.0 + _pow(x_n, model.n))
 
 
 def removal_reaction(model: MackeyGlassRemoval, x_g: float, x_h: float) -> float:
     """The bracketed reaction term of the removal-delay model."""
-    return production_term(model, x_g, x_g) - model.gamma * x_h
+    return _production_term(model, x_g, x_g) - model.gamma * x_h
 
 
 def production_reaction(
     model: MackeyGlassProduction, x_p: float, x_q: float, x_now: float
 ) -> float:
     """The bracketed reaction term of the production form."""
-    return production_term(model, x_p, x_q) - x_now
+    return _production_term(model, x_p, x_q) - x_now
 
 
 def equilibrium(model) -> float:

@@ -48,12 +48,11 @@ x^n, a floating-point exception).
 
 Blocks are used when the smallest lag spans at least ``_BLOCK_STEPS``
 steps; shorter blocks cost more than they save. A run with no batched site
-(windows only, or lags too short for blocks) is one block of NaN rows, and
-skips the geometry of the reads. The scalar read and the scalar step remain
-the reference for everything a block cannot settle ahead of time: windows,
-reads near t0 (two-sided under a start jump) or at the last finished node,
-histories other than a constant one, extrapolated reads, divergence, and
-all steps when the lag is short.
+(windows only, or lags too short for blocks) is one block of NaN rows. The
+scalar read and the scalar step remain the reference for everything a block
+cannot settle ahead of time: windows, reads near t0 (two-sided under a start
+jump) or at the last finished node, histories other than a constant one,
+extrapolated reads, divergence, and all steps when the lag is short.
 """
 
 from __future__ import annotations
@@ -518,16 +517,12 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
             total += v * y if times_y else v
         return total
 
-    if now == [True]:
-        def current(y, d):  # x(t) last, as in eq3 and eq26: the fold above in one step
-            return d[0] + d[1] * y
-
     coeffs = (_forcing_part(forcing),) + tuple(c.value for _, c in signed)
     return _Rhs(coeffs, tuple(sites), delayed, current if rest else None)
 
 
 def _make_model_rhs(model, rate, gamma, slots, forcing):
-    """rate(t) [production_term(x_a, x_b) - gamma x_c] plus forcing.
+    """rate(t) [_production_term(x_a, x_b) - gamma x_c] plus forcing.
 
     ``slots`` holds the site indices of a, b and c (-1 for x(t)) and the
     sites; a None ``gamma`` clears x_c itself. ``delayed`` forms the
@@ -548,14 +543,14 @@ def _make_model_rhs(model, rate, gamma, slots, forcing):
     def delayed(cv, xv):
         if not split:
             return [*cv, *xv]
-        p = md.production_term(model, xv[a], xv[b])
+        p = md._production_term(model, xv[a], xv[b])
         return finish(cv, p, xv[c]) if c >= 0 else [*cv, p]
 
     def current(y, d):
         if split:
             return finish(d, d[nc], y)
         x_a, x_b, x_c = (y if k < 0 else d[nc + k] for k in (a, b, c))
-        return finish(d, md.production_term(model, x_a, x_b), x_c)
+        return finish(d, md._production_term(model, x_a, x_b), x_c)
 
     return _Rhs(coeffs, tuple(sites), delayed, None if min(a, b, c) >= 0 else current)
 
@@ -794,48 +789,45 @@ def integrate(
     if batched and min_lag < _BLOCK_STEPS * float(widths.max()):
         batched = []  # blocks of a few steps would not pay for their numpy calls
     stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
-    if batched:
-        tau = np.full(stage_times.shape + (len(sites),), math.nan)
-        for k in batched:
-            if isinstance(sites[k], tf.ConstantLag):
-                tau[..., k] = stage_times - sites[k].lag
-                continue
-            try:
-                reads = list(map(sites[k], stage_times.ravel().tolist()))
-                tau[..., k] = np.reshape(reads, stage_times.shape)
-            except Exception:
-                pass  # left to ``read``, which raises it again at its own step
-        # A block from node j ends at the last node whose reads at the smallest
-        # lag land below node j.
-        ends = np.searchsorted(mesh - min_lag, mesh, "left") - 1
-        starts = [0]  # the first step of each block, then the number of steps
-        while starts[-1] < steps:
-            starts.append(int(ends[starts[-1]]))
-        step_of = np.searchsorted(mesh, tau, "right") - 1  # the step holding each read
-        block_first = np.repeat(starts[:-1], np.diff(starts))[:, None]
-        inside = (tau > hist_hi) & (step_of < block_first)
-        before = hist.const if isinstance(hist, ConstantHistory) else math.nan
-        outside = np.where(tau < hist_lo, before, math.nan)
-        row_clean = (inside | ~np.isnan(outside)).all(axis=-1)
-        np.clip(step_of, 0, steps - 1, out=step_of)
-        with np.errstate(all="ignore"):
-            weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
-        del tau
-        xs_done = np.zeros(mesh.size)
-        ms_done = np.zeros(mesh.size)
-        me_done = ms_done if mls is None else np.zeros(mesh.size)
-        synced = 0
-    else:
-        # With no batched site the run is one block of NaN rows, clean only
-        # when there is nothing to read.
-        starts = [0, steps]
-        row_clean = np.full((2, steps), not sites)
+    tau = np.full(stage_times.shape + (len(sites),), math.nan)
+    for k in batched:
+        if isinstance(sites[k], tf.ConstantLag):
+            tau[..., k] = stage_times - sites[k].lag
+            continue
+        try:
+            reads = list(map(sites[k], stage_times.ravel().tolist()))
+            tau[..., k] = np.reshape(reads, stage_times.shape)
+        except Exception:
+            pass  # left to ``read``, which raises it again at its own step
+    # A block from node j ends at the last node whose reads at the smallest
+    # lag land below node j; with no batched site the run is one block.
+    ends = np.searchsorted(mesh - (min_lag if batched else math.inf), mesh, "left") - 1
+    starts = [0]  # the first step of each block, then the number of steps
+    while starts[-1] < steps:
+        starts.append(int(ends[starts[-1]]))
+    step_of = np.searchsorted(mesh, tau, "right") - 1  # the step holding each read
+    block_first = np.repeat(starts[:-1], np.diff(starts))[:, None]
+    inside = (tau > hist_hi) & (step_of < block_first)
+    before = hist.const if isinstance(hist, ConstantHistory) else math.nan
+    outside = np.where(tau < hist_lo, before, math.nan)
+    row_clean = (inside | ~np.isnan(outside)).all(axis=-1)
+    np.clip(step_of, 0, steps - 1, out=step_of)
+    with np.errstate(all="ignore"):
+        weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
+    del tau
+    # The steps with a slot left to ``read`` at either stage time, then the number
+    # of steps: the pass settles the steps up to the next of them or the block's end.
+    # A run without a clean step (windows only, say) never looks for one.
+    unclean = np.flatnonzero(~row_clean.all(axis=0)).tolist() + [steps]
+    passes = len(unclean) <= steps
+    xs_done = np.zeros(mesh.size)
+    ms_done = np.zeros(mesh.size)
+    me_done = ms_done if mls is None else np.zeros(mesh.size)
+    synced = 0
 
     def block(j, end):
         """Read values per site at the midpoints (``[0]``) and the ends
         (``[1]``) of the steps j to end - 1; NaN where ``read`` is left to."""
-        if not batched:
-            return np.full((2, end - j, len(sites)), math.nan)
         nonlocal synced
         n = j + 1  # finished nodes
         xs_done[synced:n] = xs[synced:n]
@@ -850,11 +842,6 @@ def integrate(
             vals = w0 * xs_done[at] + w1 * ms_done[at] + w2 * xs_done[nxt] + w3 * me_done[nxt]
         return np.where(inside[:, j:end], vals, outside[:, j:end])
 
-    # The steps with a slot left to ``read`` at either stage time, then the number
-    # of steps: the pass settles the steps up to the next of them or the block's end.
-    # A run without a clean step (windows only, say) never looks for one.
-    unclean = np.flatnonzero(~row_clean.all(axis=0)).tolist() + [steps]
-    passes = len(unclean) <= steps
     resume = 0  # the pass waits for this step after one of its segments raised
     limit = min(divergence_threshold, sys.float_info.max)  # no finite node passes it
     coeffs, delayed, current = rhs.coeffs, rhs.delayed, rhs.current
