@@ -500,7 +500,7 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
     first = at.index(-1) if -1 in at else len(at)
     head = [(s, k) for (s, _), k in zip(signed[:first], at)]
     rest = [(s, k) for (s, _), k in zip(signed[first:], at[first:])]
-    now = [k < 0 for _, k in rest]
+    later = [(i, k < 0) for i, (_, k) in enumerate(rest, 1)][1:]  # d[i] after the first x(t)
 
     def delayed(cv, xv):
         total = cv[0]
@@ -512,9 +512,9 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
         return [total] + [s * v if k < 0 else s * v * xv[k] for (s, k), v in zip(rest, vs)]
 
     def current(y, d):
-        total = d[0]
-        for v, times_y in zip(d[1:], now):
-            total += v * y if times_y else v
+        total = d[0] + d[1] * y  # rest opens with the first x(t) term
+        for i, times_y in later:
+            total += d[i] * y if times_y else d[i]
         return total
 
     coeffs = (_forcing_part(forcing),) + tuple(c.value for _, c in signed)
