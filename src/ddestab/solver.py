@@ -92,9 +92,9 @@ _LEVELS = 5
 # Reads come in blocks only when the smallest lag spans at least this many
 # steps: a block pays some fifteen numpy calls up front, and the pass that
 # settles its steps some thirty more. Now that the pass settles state parts
-# that read x(t) too, blocks and pass break even with the scalar loop at about
-# 6 steps on eq26, eq3, ex5 and ex51 runs, and gain 1.3-1.9x at 8; 10 leaves
-# a margin.
+# that read x(t) too, blocks and pass break even with the scalar loop at 4-6
+# steps on eq26 and eq3 runs and about 6 on ex5 and ex51 runs, and gain
+# 1.1-1.9x at 8; 10 leaves a margin.
 _BLOCK_STEPS = 10
 
 
