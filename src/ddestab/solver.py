@@ -26,33 +26,35 @@ must read again, they keep the step end's time part. The state part is
 split again: a delayed part that needs no x(t) and a current part that
 finishes it with the state, so k2 and k3 share one delayed part as well.
 
-Delayed reads come in blocks: while the steps advance by less than the
-smallest lag, every read lands in finished steps. Where each read lands
-and its Hermite weights follow from the mesh, so they are found once per
-run; a block then interpolates all its reads elementwise, in the same
-operations and order as one scalar read, hence bit for bit. Reads at
-general delays take part, the block sized by the sampled smallest lag, and
-so do reads before t0 from a constant history. A block's steps are then
-settled in one pass (Bellen and Zennaro 2003, ch. 3): the time part is
-evaluated at the block's stage times and the delayed part on arrays. When
-the state part ignores the current state (every term delayed, as in the
-removal form of ``ex51``), that gives k2 = k3 and k4, each step's k1 is
-the previous k4, and the nodes are the running sum ``np.cumsum`` of the
-increments. When it reads x(t) (``eq3``, ``eq26``, the production form of
-``ex5``), the RK4 recurrence runs over floats through the current part
-alone. Either way these are the scalar loop's own IEEE operations in its
-order. The pass hands a step back to the scalar loop when its node or node
-slope leaves the finite range or the divergence threshold, and the rest of
-its run of steps when its array part raises (an overflowing time part or
-x^n, a floating-point exception).
+Where every delayed read lands, at both stage times of every step, is
+found once per run: t - lag at a constant lag, one call per stage time at
+a general delay. Its smallest lag bounds the step, checked before the
+first step, and sizes the blocks. Delayed reads come in blocks: while the
+steps advance by less than the smallest lag, every read lands in finished
+steps, so a block interpolates all its reads elementwise, with Hermite
+weights found once per run, in the same operations and order as one
+scalar read, hence bit for bit. Reads before t0 from a constant history
+take part too; what a block leaves, the scalar read reads where it lands.
+A block's steps are then settled in one pass (Bellen and Zennaro 2003,
+ch. 3): the time part is evaluated at the block's stage times and the
+delayed part on arrays. When the state part ignores the current state
+(every term delayed, as in the removal form of ``ex51``), that gives
+k2 = k3 and k4, each step's k1 is the previous k4, and the nodes are the
+running sum ``np.cumsum`` of the increments. When it reads x(t) (``eq3``,
+``eq26``, the production form of ``ex5``), the RK4 recurrence runs over
+floats through the current part alone. Either way these are the scalar
+loop's own IEEE operations in its order. The pass hands a step back to
+the scalar loop when its node or node slope leaves the finite range or
+the divergence threshold, and the rest of its run of steps when its array
+part raises (an overflowing time part or x^n, a floating-point exception).
 
 Blocks are used when the smallest lag spans at least ``_BLOCK_STEPS``
-steps; shorter blocks cost more than they save. A run with no batched site
-(windows only, or lags too short for blocks) is one block of NaN rows. The
-scalar read and the scalar step remain the reference for everything a block
-cannot settle ahead of time: windows, reads near t0 (two-sided under a start
-jump) or at the last finished node, histories other than a constant one,
-extrapolated reads, divergence, and all steps when the lag is short.
+steps; shorter blocks cost more than they save. A run with no point read
+(windows only) or with lags too short for blocks is one block of NaN rows.
+The scalar read and the scalar step remain the reference for everything a
+block cannot settle ahead of time: windows, reads near t0 (two-sided under a
+start jump) or at the last finished node, histories other than a constant
+one, extrapolated reads, divergence, and all steps when the lag is short.
 """
 
 from __future__ import annotations
@@ -565,20 +567,9 @@ def _make_production_rhs(model: md.MackeyGlassProduction, forcing):
     return _make_model_rhs(model, model.s, None, ((p, q, -1), sites), forcing)
 
 
-def _delay_split(sites):
-    """The positive constant lags and the general delays read at a point."""
-    lags, general = [], []
-    for d in sites:
-        if isinstance(d, tf.ConstantLag) and d.lag > 0.0:
-            lags.append(d.lag)
-        elif isinstance(d, tf.GeneralDelay):
-            general.append(d)
-    return lags, general
-
-
 def _mesh_lags(sites) -> list:
     """The lags that seed the breaking-point mesh: constant read lags and constant window ends."""
-    lags = _delay_split(sites)[0]
+    lags = [d.lag for d in sites if isinstance(d, tf.ConstantLag)]
     for term in sites:
         if isinstance(term, cr.DistributedTerm) and isinstance(term.window_start, tf.ConstantLag):
             lags.append(term.window_start.lag)
@@ -677,33 +668,54 @@ def integrate(
         raise ConfigurationError("t1 must be finite")
     if not (t1 > t0):
         raise ConfigurationError("need t1 > t0")
+    if math.isnan(divergence_threshold):
+        raise ConfigurationError("divergence_threshold must not be NaN")
 
     rhs = _make_rhs(target, forcing)
     hist = _as_history(history)
     sites = rhs.sites
     windows = [s for s in sites if isinstance(s, cr.DistributedTerm)]
 
-    read_lags, general_reads = _delay_split(sites)
-    min_lag = min(read_lags, default=math.inf)
-    if not allow_extrapolation:
-        for gd in general_reads:
-            for k in range(257):
-                t = t0 + (t1 - t0) * k / 256.0
-                min_lag = min(min_lag, t - gd(t))
-        if min_lag < step - 1e-12 and (read_lags or general_reads):
-            raise ConfigurationError(
-                "step %g exceeds the smallest positive lag %g; shrink the step "
-                "or pass allow_extrapolation=True" % (step, min_lag)
-            )
-
     mesh = _build_mesh(t0, t1, step, _mesh_lags(sites))
     nodes = mesh.tolist()
-    x0 = float(hist.value(t0)) if initial_value is None else float(initial_value)
+    steps = mesh.size - 1
+    widths = np.diff(mesh)
+    stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
 
+    # Where each delayed read lands at the midpoint ([0]) and the end ([1]) of
+    # every step: the floats the site returns there. The other slots are read
+    # at the site (``unplaced``): windows, lag-0 sites, general delays under
+    # ``allow_extrapolation`` and those that raise (again at their own step).
+    # The smallest lag bounds the step: constant lags as given, general ones
+    # at their least over the stage times.
+    tau = np.full(stage_times.shape + (len(sites),), math.nan)
+    lags = []
+    for k, site in enumerate(sites):
+        if isinstance(site, tf.ConstantLag) and site.lag > 0.0:
+            tau[..., k] = stage_times - site.lag
+            lags.append(site.lag)
+        elif isinstance(site, tf.GeneralDelay) and not allow_extrapolation:
+            try:
+                reads = list(map(site, stage_times.ravel().tolist()))
+            except Exception:
+                continue
+            tau[..., k] = np.reshape(reads, stage_times.shape)
+            lags.append(float(np.min(stage_times - tau[..., k])))
+    placed = np.flatnonzero(~np.isnan(tau[0, 0])).tolist()
+    unplaced = [k for k in range(len(sites)) if k not in placed]
+    min_lag = min(lags, default=math.inf)
+    if min_lag < step - 1e-12 and not allow_extrapolation:
+        raise ConfigurationError(
+            "step %g exceeds the smallest positive lag %g; shrink the step "
+            "or pass allow_extrapolation=True" % (step, min_lag)
+        )
+
+    h0 = float(hist.value(t0))
+    x0 = h0 if initial_value is None else float(initial_value)
     # A start-time jump (initial value differing from the history's end)
     # makes delayed reads at exactly t0 two-sided: by default they resolve
     # to x0, except while evaluating quantities tied to the left limit.
-    jump0 = abs(x0 - float(hist.value(t0))) > 1e-15 * max(1.0, abs(x0))
+    jump0 = abs(x0 - h0) > 1e-15 * max(1.0, abs(x0))
     want_left = False
 
     xs: list = [x0]
@@ -770,51 +782,27 @@ def integrate(
         return total
 
     # Method of steps: while the steps advance by less than the smallest lag,
-    # every delayed read lands in steps already finished. A block of steps
-    # therefore gets those reads in one numpy pass, bit for bit what ``read``
-    # returns. The blocks, where each read lands, its Hermite weights and
-    # whether a block can settle it all follow from the mesh alone, so they
-    # are found once per run. General delays are read at every stage time up
-    # front and sized by the sampled smallest lag above; a read that lag
-    # misjudges lands at or past the block's first node. NaN marks a slot
-    # left to ``read``: windows, and reads near t0, at or past the block's
-    # first node, or in a history other than a constant one.
-    steps = mesh.size - 1
-    batched = [
-        k for k, s in enumerate(sites)
-        if isinstance(s, tf.ConstantLag) and s.lag > 0.0
-        or isinstance(s, tf.GeneralDelay) and not allow_extrapolation
-    ]
-    widths = np.diff(mesh)
-    if batched and min_lag < _BLOCK_STEPS * float(widths.max()):
-        batched = []  # blocks of a few steps would not pay for their numpy calls
-    stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
-    tau = np.full(stage_times.shape + (len(sites),), math.nan)
-    for k in batched:
-        if isinstance(sites[k], tf.ConstantLag):
-            tau[..., k] = stage_times - sites[k].lag
-            continue
-        try:
-            reads = list(map(sites[k], stage_times.ravel().tolist()))
-            tau[..., k] = np.reshape(reads, stage_times.shape)
-        except Exception:
-            pass  # left to ``read``, which raises it again at its own step
+    # every delayed read lands in steps already finished, so a block of steps
+    # gets those reads in one numpy pass, bit for bit what ``read`` returns.
     # A block from node j ends at the last node whose reads at the smallest
-    # lag land below node j; with no batched site the run is one block.
-    ends = np.searchsorted(mesh - (min_lag if batched else math.inf), mesh, "left") - 1
+    # lag land below node j; a run with lags too short for blocks to pay for
+    # their numpy calls is one block of NaN rows. NaN in a row leaves a slot
+    # to the scalar read: NaN in ``tau``, and reads near t0, at or past the
+    # block's first node, or in a history other than a constant one.
+    blocks = min_lag >= _BLOCK_STEPS * float(widths.max())
+    ends = np.searchsorted(mesh - (min_lag if blocks else math.inf), mesh, "left") - 1
     starts = [0]  # the first step of each block, then the number of steps
     while starts[-1] < steps:
         starts.append(int(ends[starts[-1]]))
     step_of = np.searchsorted(mesh, tau, "right") - 1  # the step holding each read
     block_first = np.repeat(starts[:-1], np.diff(starts))[:, None]
     inside = (tau > hist_hi) & (step_of < block_first)
-    before = hist.const if isinstance(hist, ConstantHistory) else math.nan
+    before = hist.const if blocks and isinstance(hist, ConstantHistory) else math.nan
     outside = np.where(tau < hist_lo, before, math.nan)
     row_clean = (inside | ~np.isnan(outside)).all(axis=-1)
     np.clip(step_of, 0, steps - 1, out=step_of)
     with np.errstate(all="ignore"):
         weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
-    del tau
     # The steps with a slot left to ``read`` at either stage time, then the number
     # of steps: the pass settles the steps up to the next of them or the block's end.
     # A run without a clean step (windows only, say) never looks for one.
@@ -843,25 +831,29 @@ def integrate(
         return np.where(inside[:, j:end], vals, outside[:, j:end])
 
     resume = 0  # the pass waits for this step after one of its segments raised
-    limit = min(divergence_threshold, sys.float_info.max)  # no finite node passes it
+    # A node diverges unless |x| <= limit: past the threshold or not finite.
+    limit = min(divergence_threshold, sys.float_info.max)
     coeffs, delayed, current = rhs.coeffs, rhs.delayed, rhs.current
     y_dependent = current is not None
 
-    def prepare(t, row, clean, cv=None):
+    def prepare(t, row, at, cv=None):
         """Time part and delayed part at stage time t; None if one overflows.
 
-        A given time part ``cv`` is kept, and only the reads are redone.
+        Unplaced slots are read at the site, placed ones that are NaN in the
+        block's ``row`` at ``at``. A given time part ``cv`` is kept, and only
+        the reads are redone.
         """
         nonlocal touched_end, touched_left
         touched_end = touched_left = False
         try:
             if cv is None:
                 cv = [f(t) for f in coeffs]
-            if not clean:
-                row = list(row)
-                for k, site in enumerate(sites):
-                    if row[k] != row[k]:
-                        row[k] = _site_value(site, t, read, integral)
+            row = list(row)
+            for k in unplaced:
+                row[k] = _site_value(sites[k], t, read, integral)
+            for k in placed:
+                if row[k] != row[k]:
+                    row[k] = read(at[k])
             return cv, delayed(cv, row)
         except OverflowError:
             return None
@@ -942,10 +934,11 @@ def integrate(
             mls.extend(slopes)
         return len(slopes)
 
-    ms[0] = stage(x0, prepare(t0, [math.nan] * len(sites), False))
+    at0 = [sites[k](t0) if k in placed else math.nan for k in range(len(sites))]
+    ms[0] = stage(x0, prepare(t0, [math.nan] * len(sites), at0))
     if mls is not None:
         mls[0] = ms[0]
-    if not math.isfinite(ms[0]) or not math.isfinite(x0) or abs(x0) > divergence_threshold:
+    if not (abs(x0) <= limit and math.isfinite(ms[0])):
         traj = Trajectory(mesh[:1], np.array(xs), np.array([0.0]), hist, True, t0)
         if on_divergence == "raise":
             raise DivergenceError("derivative not finite at start time %g" % t0, traj)
@@ -968,7 +961,7 @@ def integrate(
                     continue
         if mid_rows is None:
             mid_rows, end_rows = rows.tolist()
-            mid_clean, end_clean = row_clean[:, block_start:block_end].tolist()
+            mid_tau, end_tau = tau[:, block_start:block_end].tolist()
         r = j - block_start
         ta = nodes[j]
         tb = nodes[j + 1]
@@ -976,21 +969,21 @@ def integrate(
         xa = xs[-1]
         k1 = ms[-1]
         # k2 and k3 share the stage time ta + h/2, so its time part and reads.
-        at_mid = prepare(ta + 0.5 * h, mid_rows[r], mid_clean[r])
+        at_mid = prepare(ta + 0.5 * h, mid_rows[r], mid_tau[r])
         k2 = stage(xa + 0.5 * h * k1, at_mid)
         k3 = stage(xa + 0.5 * h * k2, at_mid) if y_dependent else k2
         # The step end can sit exactly where a delayed read crosses the
         # start-time jump; the step itself belongs to the left limit.
         want_left = True
-        at_end = prepare(tb, end_rows[r], end_clean[r])
+        at_end = prepare(tb, end_rows[r], end_tau[r])
         k4 = stage(xa + h * k3, at_end)
         xb = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if math.isfinite(xb):
+        if math.isfinite(xb):  # and so is k4
             xs.append(xb)
-            ms.append(k4 if math.isfinite(k4) else 0.0)
+            ms.append(k4)
             if mls is not None:
-                mls.append(ms[-1])
-        if not math.isfinite(xb) or abs(xb) > divergence_threshold:
+                mls.append(k4)
+        if not abs(xb) <= limit:
             diverged = True
             div_time = tb
             break
@@ -999,13 +992,13 @@ def integrate(
         # which the push has just replaced.
         cv_end = at_end[0]
         if touched_end:
-            at_end = prepare(tb, end_rows[r], end_clean[r], cv_end)
+            at_end = prepare(tb, end_rows[r], end_tau[r], cv_end)
             m_left = stage(xb, at_end)
         else:
             m_left = stage(xb, at_end) if y_dependent else k4
         want_left = False
         if touched_left:
-            m_right = stage(xb, prepare(tb, end_rows[r], end_clean[r], cv_end))
+            m_right = stage(xb, prepare(tb, end_rows[r], end_tau[r], cv_end))
         else:
             m_right = m_left
         if math.isfinite(m_right) and math.isfinite(m_left):

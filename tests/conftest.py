@@ -4,21 +4,15 @@
 delay's reads on the search grid per process.
 Emptying the memos around each test keeps a test that counts the work of a
 search (the benchmark's tracer test counts coefficient integrals)
-independent of which tests ran before it.
+independent of which tests ran before it. Every memo of the module is
+emptied, found by its ``cache_clear``, so that a memo added later is too.
 """
 
 import pytest
 
 from ddestab import timefn as tf
 
-_MEMOIZED = (
-    tf.sup_window_integral_info,
-    tf.sup_between_delays_info,
-    tf.liminf_forward_integral_info,
-    tf.ratio_extrema,
-    tf._normal_form_memo,
-    tf._delay_samples,
-)
+_MEMOIZED = [memo for memo in vars(tf).values() if hasattr(memo, "cache_clear")]
 
 
 @pytest.fixture(autouse=True)

@@ -540,13 +540,16 @@ def _huge_removal_run(on_divergence):
 
 
 # A production run whose x^2 at the lag of 1 overflows in the middle of a
-# block near t = 9.68: the forcing drives it up from 1e150.
+# block near t = 9.68: the forcing drives it up from 1e150. With q reading
+# x(t), the overflow is x(t)^2 in the current part, and the run ends at 8.68.
 _HUGE_PRODUCTION = md.MackeyGlassProduction(s=tf.constant(0.5), beta=2.0, n=2.0,
                                             p=tf.ConstantLag(0.5), q=tf.ConstantLag(1.0))
+_HUGE_PRODUCTION_NOW = md.MackeyGlassProduction(s=tf.constant(0.5), beta=2.0, n=2.0,
+                                                p=tf.ConstantLag(1.0), q=tf.IdentityDelay())
 
 
-def _huge_production_run(on_divergence):
-    return sv.integrate(_HUGE_PRODUCTION, 1e150, 40.0, step=0.01, initial_value=1e150,
+def _huge_production_run(on_divergence, model=_HUGE_PRODUCTION):
+    return sv.integrate(model, 1e150, 40.0, step=0.01, initial_value=1e150,
                         forcing=lambda t: 1e153 * t, divergence_threshold=1e300,
                         on_divergence=on_divergence)
 
@@ -572,7 +575,10 @@ def _raised_trajectory(run):
 # of many steps (eq3's shape, a linear run whose x(t) term comes first and
 # one with two x(t) terms, production runs with forcing, with NaN from a
 # fractional n, and with an overflow inside a block in both divergence
-# modes) before such runs were settled a block of steps per pass too.
+# modes) before such runs were settled a block of steps per pass too; and
+# those of an overflow in the current part (both divergence modes) and of
+# windows whose start is a general delay, whole and narrow, before every
+# delayed read was placed once per run.
 PIN_RUNS = {
     "step_equals_lag": (
         lambda: sv.integrate(_linear([(0.9, 0.05)]), 1.0, 3.0, step=0.05),
@@ -756,6 +762,36 @@ PIN_RUNS = {
         lambda: _raised_trajectory(lambda: _huge_production_run("raise")),
         "8ddd4e6794f9e6d5f72e217d00aca3171eeed50ff65f88803f5ab4a9c4d36226",
     ),
+    "production_current_overflow_truncate": (
+        lambda: _huge_production_run("truncate", _HUGE_PRODUCTION_NOW),
+        "c75a558e2cd7767dd49883a414552f91870189dc7f43e1e838b24760b4a2c50e",
+    ),
+    "production_current_overflow_raise": (
+        lambda: _raised_trajectory(lambda: _huge_production_run("raise", _HUGE_PRODUCTION_NOW)),
+        "c75a558e2cd7767dd49883a414552f91870189dc7f43e1e838b24760b4a2c50e",
+    ),
+    "general_window_start": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(
+                positive_terms=[_term(0.2, 0.5)],
+                distributed_terms=[cr.DistributedTerm(1, tf.constant(0.6), _SLOW_WOBBLE)],
+            ),
+            0.8, 10.0, step=0.02, initial_value=1.2,
+        ),
+        "57d7f1110950f2f520aa34912839c361d312a3f635602863188adbcc1734bbf6",
+    ),
+    "general_window_start_narrow": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(
+                positive_terms=[_term(0.2, 0.5)],
+                distributed_terms=[cr.DistributedTerm(
+                    1, tf.constant(0.6), _SLOW_WOBBLE, cr.UniformKernel(0.6)
+                )],
+            ),
+            0.8, 10.0, step=0.02, initial_value=1.2,
+        ),
+        "e47f57c09a4a7014535240c418421bebdd972e92068745dec59526d98c94b09f",
+    ),
     "production_undelayed_q": (
         lambda: sv.integrate(
             md.MackeyGlassProduction(s=tf.constant(0.5), beta=2.0, n=4.0,
@@ -784,14 +820,55 @@ def test_non_finite_start_derivative_ends_the_run_at_t0():
 
 
 def test_general_delay_breaking_its_bound_between_lag_samples_raises_at_its_step():
-    # The 257 lag samples fall on multiples of 0.1, so only the stage times
-    # 10.01, 10.02 and 10.03 see the lag of 5; the batched reads give up on
-    # this delay and the scalar read meets the error at its own step.
+    # Only the stage times 10.01, 10.02 and 10.03 see the lag of 5; placing
+    # the reads up front gives up on this delay at the first of them, and the
+    # scalar read meets the error at its own step.
     bad = tf.GeneralDelay(lambda t: t - (5.0 if 10.005 < t < 10.035 else 0.5), 1.0)
     eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(0.4), bad)])
     with pytest.raises(tf.DomainError) as info:
         sv.integrate(eq, 1.0, 25.6, step=0.02)
     assert str(info.value) == "delayed argument 5.01 lags current time 10.01 by more than lag_bound 1"
+
+
+def test_general_delay_is_called_once_per_stage_time():
+    calls = []
+
+    def wobble(t):
+        calls.append(t)
+        return t - (1.0 + 0.3 * math.sin(0.7 * t))
+
+    # The run of the "general_delay_blocks" pin, whose lags span many steps.
+    eq = cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.sinsq(0.8, 1.3), tf.GeneralDelay(wobble, 1.3)),
+                        cr.Term(tf.constant(0.3), tf.ConstantLag(1.5))],
+        negative_terms=[cr.Term(tf.constant(0.1), tf.ConstantLag(0.8))],
+    )
+    steps = sv.integrate(eq, 0.8, 12.0, step=0.02, initial_value=1.2).times.size - 1
+    # Each midpoint and step end, and t0 for the start slope.
+    assert len(calls) <= 2 * steps + 1
+
+
+@pytest.mark.parametrize("dip", [(10.015, 10.025), (10.005, 10.015)])
+def test_general_lag_below_the_step_at_any_stage_time_is_rejected_up_front(dip):
+    # The lag of 0.015 < 0.02 is seen at the step end 10.02 or only at the
+    # midpoint 10.01; either way no step is taken.
+    lo, hi = dip
+    coeff = _CountingConstant(0.4)
+    dipping = tf.GeneralDelay(lambda t: t - (0.015 if lo < t < hi else 0.5), 1.0)
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(coeff, dipping)])
+    with pytest.raises(tf.ConfigurationError, match="smallest positive lag 0.015"):
+        sv.integrate(eq, 1.0, 20.0, step=0.02)
+    assert coeff.calls == 0
+
+
+def test_nan_divergence_threshold_is_rejected_up_front():
+    coeff = _CountingConstant(0.4)
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(coeff, tf.ConstantLag(1.0))])
+    with pytest.raises(tf.ConfigurationError):
+        sv.integrate(eq, 1.0, 5.0, step=0.05, divergence_threshold=math.nan)
+    assert coeff.calls == 0
+    # No threshold at all stays allowed.
+    assert sv.integrate(eq, 1.0, 5.0, step=0.05, divergence_threshold=math.inf).t1 == 5.0
 
 
 class _CountingConstant(tf.Coefficient):
