@@ -483,6 +483,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ConfigError("sweep requires at least two points")
     _check_positive("--T", args.T)
+    _check_positive("--tol", args.tol)
     build = _builtin_builder(args.target, args.param, parse_overrides(args.sets))
     lines = ["param,verdict,classification"]
     tabulated = {}  # the predicate's value at each table point

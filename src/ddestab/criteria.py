@@ -71,10 +71,13 @@ _VANISH_LIMIT = 0.02
 
 @dataclass(frozen=True)
 class Term:
-    """One concentrated term coeff(t) * x(delay(t))."""
+    """One concentrated term coeff(t) * x(delay(t)); a zero lag reads x(t)."""
 
     coeff: Coefficient
     delay: Delay
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "delay", tf.canonical_delay(self.delay))
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,7 @@ class DistributedTerm:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        object.__setattr__(self, "window_start", tf.canonical_delay(self.window_start))
         if isinstance(self.window_start, IdentityDelay):
             raise ValueError("distributed term needs a window of positive length")
 

@@ -90,6 +90,8 @@ class MackeyGlassRemoval:
             raise ValueError("gamma must be positive")
         if not (math.isfinite(self.n) and self.n > 0.0):
             raise ValueError("n must be positive")
+        object.__setattr__(self, "g", tf.canonical_delay(self.g))
+        object.__setattr__(self, "h", tf.canonical_delay(self.h))
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,8 @@ class MackeyGlassProduction:
             raise ValueError("beta must be positive")
         if not (math.isfinite(self.n) and self.n > 0.0):
             raise ValueError("n must be positive")
+        object.__setattr__(self, "p", tf.canonical_delay(self.p))
+        object.__setattr__(self, "q", tf.canonical_delay(self.q))
 
 
 def _production_term(model, x, x_n):

@@ -29,14 +29,13 @@ finishes it with the state, so k2 and k3 share one delayed part as well.
 Where every delayed read lands, at both stage times of every step, is
 found once per run: t - lag at a constant lag, one call per stage time at
 a general delay. Its smallest lag bounds the step, checked before the
-first step, and sizes the blocks. Delayed reads come in blocks: while the
-steps advance by less than the smallest lag, every read lands in finished
-steps, so a block interpolates all its reads elementwise, with Hermite
-weights found once per run, in the same operations and order as one
-scalar read, hence bit for bit. Reads before t0 from a constant history
-take part too; what a block leaves, the scalar read reads where it lands.
-A block's steps are then settled in one pass (Bellen and Zennaro 2003,
-ch. 3): the time part is evaluated at the block's stage times and the
+first step. From any step j, the method of steps (Bellen and Zennaro 2003,
+ch. 3) settles a segment of steps at once: the steps up to the first one
+that reads step j or later or has a slot only the scalar read can read. Its
+reads land in finished steps or before t0 in a constant history, so the
+segment interpolates them elementwise, with Hermite weights found once per
+run, in the same operations and order as one scalar read, hence bit for
+bit. The time part is then evaluated at the segment's stage times and the
 delayed part on arrays. When the state part ignores the current state
 (every term delayed, as in the removal form of ``ex51``), that gives
 k2 = k3 and k4, each step's k1 is the previous k4, and the nodes are the
@@ -45,16 +44,15 @@ running sum ``np.cumsum`` of the increments. When it reads x(t) (``eq3``,
 floats through the current part alone. Either way these are the scalar
 loop's own IEEE operations in its order. The pass hands a step back to
 the scalar loop when its node or node slope leaves the finite range or
-the divergence threshold, and the rest of its run of steps when its array
+the divergence threshold, and the rest of its segment when its array
 part raises (an overflowing time part or x^n, a floating-point exception).
 
-Blocks are used when the smallest lag spans at least ``_BLOCK_STEPS``
-steps; shorter blocks cost more than they save. A run with no point read
-(windows only) or with lags too short for blocks is one block of NaN rows.
-The scalar read and the scalar step remain the reference for everything a
-block cannot settle ahead of time: windows, reads near t0 (two-sided under a
-start jump) or at the last finished node, histories other than a constant
-one, extrapolated reads, divergence, and all steps when the lag is short.
+Segments are settled in one pass when they hold at least ``_BLOCK_STEPS``
+steps; shorter ones cost more than they save. The scalar read and the
+scalar step remain the reference for everything a segment cannot settle
+ahead of time: windows, reads near t0 (two-sided under a start jump) or at
+the last finished node, histories other than a constant one, extrapolated
+reads, divergence, and all steps when the lag is short.
 """
 
 from __future__ import annotations
@@ -91,12 +89,11 @@ __all__ = [
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
 # Deepest tracked sum of lags: RK4's order plus one, a level of margin.
 _LEVELS = 5
-# Reads come in blocks only when the smallest lag spans at least this many
-# steps: a block pays some fifteen numpy calls up front, and the pass that
-# settles its steps some thirty more. Now that the pass settles state parts
-# that read x(t) too, blocks and pass break even with the scalar loop at 4-6
-# steps on eq26 and eq3 runs and about 6 on ex5 and ex51 runs, and gain
-# 1.1-1.9x at 8; 10 leaves a margin.
+# A segment of steps is settled in one pass only when it holds at least this
+# many steps: the pass pays some fifteen numpy calls for the segment's reads
+# and some thirty more to settle its steps. It breaks even with the scalar
+# loop at 4-6 steps on eq26 and eq3 runs and about 6 on ex5 and ex51 runs,
+# and gains 1.1-1.9x at 8; 10 leaves a margin.
 _BLOCK_STEPS = 10
 
 
@@ -683,15 +680,15 @@ def integrate(
     stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
 
     # Where each delayed read lands at the midpoint ([0]) and the end ([1]) of
-    # every step: the floats the site returns there. The other slots are read
-    # at the site (``unplaced``): windows, lag-0 sites, general delays under
-    # ``allow_extrapolation`` and those that raise (again at their own step).
-    # The smallest lag bounds the step: constant lags as given, general ones
-    # at their least over the stage times.
+    # every step: the floats the site returns there. NaN leaves a slot to be
+    # read at the site: windows, general delays under ``allow_extrapolation``
+    # and those that raise (again at their own step). The smallest lag bounds
+    # the step: constant lags as given, general ones at their least over the
+    # stage times.
     tau = np.full(stage_times.shape + (len(sites),), math.nan)
     lags = []
     for k, site in enumerate(sites):
-        if isinstance(site, tf.ConstantLag) and site.lag > 0.0:
+        if isinstance(site, tf.ConstantLag):
             tau[..., k] = stage_times - site.lag
             lags.append(site.lag)
         elif isinstance(site, tf.GeneralDelay) and not allow_extrapolation:
@@ -701,8 +698,6 @@ def integrate(
                 continue
             tau[..., k] = np.reshape(reads, stage_times.shape)
             lags.append(float(np.min(stage_times - tau[..., k])))
-    placed = np.flatnonzero(~np.isnan(tau[0, 0])).tolist()
-    unplaced = [k for k in range(len(sites)) if k not in placed]
     min_lag = min(lags, default=math.inf)
     if min_lag < step - 1e-12 and not allow_extrapolation:
         raise ConfigurationError(
@@ -781,41 +776,32 @@ def integrate(
             total += _dense_integral(nodes, xs, ms, mends, pieces, lo, hi)
         return total
 
-    # Method of steps: while the steps advance by less than the smallest lag,
-    # every delayed read lands in steps already finished, so a block of steps
-    # gets those reads in one numpy pass, bit for bit what ``read`` returns.
-    # A block from node j ends at the last node whose reads at the smallest
-    # lag land below node j; a run with lags too short for blocks to pay for
-    # their numpy calls is one block of NaN rows. NaN in a row leaves a slot
-    # to the scalar read: NaN in ``tau``, and reads near t0, at or past the
-    # block's first node, or in a history other than a constant one.
-    blocks = min_lag >= _BLOCK_STEPS * float(widths.max())
-    ends = np.searchsorted(mesh - (min_lag if blocks else math.inf), mesh, "left") - 1
-    starts = [0]  # the first step of each block, then the number of steps
-    while starts[-1] < steps:
-        starts.append(int(ends[starts[-1]]))
+    # Method of steps: a segment of steps whose reads all land in finished
+    # steps, or before t0 in a constant history, gets them in one numpy pass,
+    # bit for bit what ``read`` returns. ``reach`` is the running maximum of
+    # the step that a read of each step, or of an earlier one, lands in: the
+    # steps from j on read only finished steps up to the first whose reach is
+    # j or more. ``unclean`` lists the steps with a slot only ``read`` can
+    # read (NaN in ``tau``, a read near t0, or one before t0 in a history
+    # other than a constant one), then the number of steps.
     step_of = np.searchsorted(mesh, tau, "right") - 1  # the step holding each read
-    block_first = np.repeat(starts[:-1], np.diff(starts))[:, None]
-    inside = (tau > hist_hi) & (step_of < block_first)
-    before = hist.const if blocks and isinstance(hist, ConstantHistory) else math.nan
-    outside = np.where(tau < hist_lo, before, math.nan)
-    row_clean = (inside | ~np.isnan(outside)).all(axis=-1)
+    before = hist.const if isinstance(hist, ConstantHistory) else math.nan
+    later = tau > hist_hi
+    clean = later | ((tau < hist_lo) & (before == before))
+    unclean = np.flatnonzero(~clean.all(axis=(0, 2))).tolist() + [steps]
+    landed = np.where(later, step_of, -1).max(axis=(0, 2), initial=-1)
+    reach = np.maximum.accumulate(landed).tolist()
     np.clip(step_of, 0, steps - 1, out=step_of)
     with np.errstate(all="ignore"):
         weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
-    # The steps with a slot left to ``read`` at either stage time, then the number
-    # of steps: the pass settles the steps up to the next of them or the block's end.
-    # A run without a clean step (windows only, say) never looks for one.
-    unclean = np.flatnonzero(~row_clean.all(axis=0)).tolist() + [steps]
-    passes = len(unclean) <= steps
     xs_done = np.zeros(mesh.size)
     ms_done = np.zeros(mesh.size)
     me_done = ms_done if mls is None else np.zeros(mesh.size)
     synced = 0
 
-    def block(j, end):
+    def block(j, stop):
         """Read values per site at the midpoints (``[0]``) and the ends
-        (``[1]``) of the steps j to end - 1; NaN where ``read`` is left to."""
+        (``[1]``) of the steps j to stop - 1, a segment."""
         nonlocal synced
         n = j + 1  # finished nodes
         xs_done[synced:n] = xs[synced:n]
@@ -823,12 +809,12 @@ def integrate(
         if mls is not None:
             me_done[synced:n] = mls[synced:n]
         synced = n
-        at = step_of[:, j:end]
+        at = step_of[:, j:stop]
         nxt = at + 1
-        w0, w1, w2, w3 = (w[:, j:end] for w in weights)
+        w0, w1, w2, w3 = (w[:, j:stop] for w in weights)
         with np.errstate(all="ignore"):
             vals = w0 * xs_done[at] + w1 * ms_done[at] + w2 * xs_done[nxt] + w3 * me_done[nxt]
-        return np.where(inside[:, j:end], vals, outside[:, j:end])
+        return np.where(tau[:, j:stop] < hist_lo, before, vals)
 
     resume = 0  # the pass waits for this step after one of its segments raised
     # A node diverges unless |x| <= limit: past the threshold or not finite.
@@ -836,25 +822,21 @@ def integrate(
     coeffs, delayed, current = rhs.coeffs, rhs.delayed, rhs.current
     y_dependent = current is not None
 
-    def prepare(t, row, at, cv=None):
+    def prepare(t, at, cv=None):
         """Time part and delayed part at stage time t; None if one overflows.
 
-        Unplaced slots are read at the site, placed ones that are NaN in the
-        block's ``row`` at ``at``. A given time part ``cv`` is kept, and only
-        the reads are redone.
+        Each slot is read at its place in ``at``, or at the site where that
+        is NaN. A given time part ``cv`` is kept, and only the reads are redone.
         """
         nonlocal touched_end, touched_left
         touched_end = touched_left = False
         try:
             if cv is None:
                 cv = [f(t) for f in coeffs]
-            row = list(row)
-            for k in unplaced:
-                row[k] = _site_value(sites[k], t, read, integral)
-            for k in placed:
-                if row[k] != row[k]:
-                    row[k] = read(at[k])
-            return cv, delayed(cv, row)
+            xv = list(at)
+            for k, a in enumerate(at):
+                xv[k] = read(a) if a == a else _site_value(sites[k], t, read, integral)
+            return cv, delayed(cv, xv)
         except OverflowError:
             return None
 
@@ -868,25 +850,25 @@ def integrate(
         except OverflowError:
             return math.nan
 
-    def advance(j, rows):
-        """Settle the steps from j on, one per row of ``rows``, in one pass.
+    def advance(j, reads):
+        """Settle the segment from step j on in one pass, given its ``block`` reads.
 
-        Valid when every read is in ``rows``. The time part at the stage
-        times and ``delayed`` go over arrays. When the state part ignores y,
-        k3 = k2, each step's k1 is the previous k4, and the nodes are a running
-        sum; otherwise the recurrence runs step by step on ``current``. Either
-        way they are the scalar loop's operations in its order. Returns how
-        many steps it settled; the next one, if any, goes to the scalar loop,
-        since its node or node slope is not finite or passes the threshold.
-        Anything that raises on the arrays (an overflowing time part or x^n,
-        a floating-point exception) hands the segment to the scalar loop.
+        The time part at the stage times and ``delayed`` go over arrays. When
+        the state part ignores y, k3 = k2, each step's k1 is the previous k4,
+        and the nodes are a running sum; otherwise the recurrence runs step by
+        step on ``current``. Either way they are the scalar loop's operations
+        in its order. Returns how many steps it settled; the next one, if any,
+        goes to the scalar loop, since its node or node slope is not finite or
+        passes the threshold. Anything that raises on the arrays (an
+        overflowing time part or x^n, a floating-point exception) hands the
+        segment to the scalar loop.
         """
         nonlocal resume
-        m = rows.shape[1]
+        m = reads.shape[1]
         try:
             cv = _time_parts(coeffs, stage_times[:, j:j + m].ravel())
             with np.errstate(all="raise", under="ignore"):
-                d = delayed(cv, rows.reshape(2 * m, -1).T)
+                d = delayed(cv, reads.reshape(2 * m, -1).T)
                 if y_dependent:
                     return settle(j, np.transpose(d).tolist(), m)
                 k2, k4 = d[:m], d[m:]
@@ -934,8 +916,7 @@ def integrate(
             mls.extend(slopes)
         return len(slopes)
 
-    at0 = [sites[k](t0) if k in placed else math.nan for k in range(len(sites))]
-    ms[0] = stage(x0, prepare(t0, [math.nan] * len(sites), at0))
+    ms[0] = stage(x0, prepare(t0, [math.nan] * len(sites)))
     if mls is not None:
         mls[0] = ms[0]
     if not (abs(x0) <= limit and math.isfinite(ms[0])):
@@ -946,36 +927,32 @@ def integrate(
 
     diverged = False
     div_time = None
-    block_start = block_end = j = 0
-    bounds = iter(starts[1:])
+    j = 0
     while j < steps:
-        if j == block_end:
-            block_start, block_end = j, next(bounds)
-            rows = block(j, block_end)
-            mid_rows = None
-        if passes and j >= resume:
-            stop = min(unclean[bisect.bisect_left(unclean, j)], block_end)
-            if stop > j:
-                j += advance(j, rows[:, j - block_start:stop - block_start])
+        if j >= resume:
+            # The segment from j ends at the next unclean step (j itself for
+            # a window), then at the first step that reads step j or later.
+            stop = unclean[bisect.bisect_left(unclean, j)]
+            if stop - j >= _BLOCK_STEPS:
+                stop = bisect.bisect_left(reach, j, j, stop)
+            if stop - j >= _BLOCK_STEPS:
+                j += advance(j, block(j, stop))
                 if j == stop:
                     continue
-        if mid_rows is None:
-            mid_rows, end_rows = rows.tolist()
-            mid_tau, end_tau = tau[:, block_start:block_end].tolist()
-        r = j - block_start
+        mid_tau, end_tau = tau[:, j].tolist()
         ta = nodes[j]
         tb = nodes[j + 1]
         h = tb - ta
         xa = xs[-1]
         k1 = ms[-1]
         # k2 and k3 share the stage time ta + h/2, so its time part and reads.
-        at_mid = prepare(ta + 0.5 * h, mid_rows[r], mid_tau[r])
+        at_mid = prepare(ta + 0.5 * h, mid_tau)
         k2 = stage(xa + 0.5 * h * k1, at_mid)
         k3 = stage(xa + 0.5 * h * k2, at_mid) if y_dependent else k2
         # The step end can sit exactly where a delayed read crosses the
         # start-time jump; the step itself belongs to the left limit.
         want_left = True
-        at_end = prepare(tb, end_rows[r], end_tau[r])
+        at_end = prepare(tb, end_tau)
         k4 = stage(xa + h * k3, at_end)
         xb = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if math.isfinite(xb):  # and so is k4
@@ -992,13 +969,13 @@ def integrate(
         # which the push has just replaced.
         cv_end = at_end[0]
         if touched_end:
-            at_end = prepare(tb, end_rows[r], end_tau[r], cv_end)
+            at_end = prepare(tb, end_tau, cv_end)
             m_left = stage(xb, at_end)
         else:
             m_left = stage(xb, at_end) if y_dependent else k4
         want_left = False
         if touched_left:
-            m_right = stage(xb, prepare(tb, end_rows[r], end_tau[r], cv_end))
+            m_right = stage(xb, prepare(tb, end_tau, cv_end))
         else:
             m_right = m_left
         if math.isfinite(m_right) and math.isfinite(m_left):

@@ -58,6 +58,7 @@ __all__ = [
     "IdentityDelay",
     "GeneralDelay",
     "Delay",
+    "canonical_delay",
     "delay_min",
     "delay_max",
     "SupInfo",
@@ -751,6 +752,11 @@ class GeneralDelay:
 Delay = ConstantLag | IdentityDelay | GeneralDelay
 
 
+def canonical_delay(d: Delay) -> Delay:
+    """``d``, or ``IdentityDelay()`` for a zero ``ConstantLag``: both read x(t)."""
+    return IdentityDelay() if isinstance(d, ConstantLag) and d.lag == 0.0 else d
+
+
 @dataclass(frozen=True)
 class _Envelope:
     """t -> pick(d(t) for d in delays), pick being min or max.
@@ -780,8 +786,7 @@ def _pointwise(delays: tuple, pick: Callable, opposite: Callable) -> Delay:
         return delays[0]
     lags = [_as_lag(d) for d in delays]
     if all(l is not None for l in lags):
-        m = opposite(lags)
-        return IdentityDelay() if m == 0.0 else ConstantLag(m)
+        return canonical_delay(ConstantLag(opposite(lags)))
     return GeneralDelay(_Envelope(delays, pick), opposite(d.lag_bound for d in delays))
 
 

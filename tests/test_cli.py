@@ -368,6 +368,19 @@ def test_simulate_ex51_decaying(tmp_path):
     assert abs(data["x"][-1] - 0.5) < 0.01
 
 
+def test_simulate_reads_a_zero_lag_as_the_current_state(tmp_path):
+    # x' + x(t - 1) - 0.3 x(t - 0) = 0 is eq26, x' + x(t - 1) - 0.3 x(t) = 0.
+    config = tmp_path / "zero_lag.json"
+    config.write_text(json.dumps({"schema": 1, "target": {
+        "type": "linear",
+        "positive": [{"coeff": {"kind": "constant", "v": 1.0}, "delay": {"lag": 1.0}}],
+        "negative": [{"coeff": {"kind": "constant", "v": 0.3}, "delay": {"lag": 0}}]}}))
+    zero, eq26 = tmp_path / "zero", tmp_path / "eq26"
+    assert cli.main(["simulate", "--target", str(config), "--out", str(zero)]) == 0
+    assert cli.main(["simulate", "--target", "eq26", "--out", str(eq26)]) == 0
+    assert (zero / "trajectory.csv").read_text() == (eq26 / "trajectory.csv").read_text()
+
+
 def test_simulate_bad_override_exit_code(tmp_path, capsys):
     assert cli.main(["simulate", "--target", "ex51", "--set", "nope=1",
                      "--out", str(tmp_path)]) == 2
@@ -448,6 +461,13 @@ def test_sweep_rejects_nonpositive_tol(tmp_path, capsys):
                      "--hi", "0.45", "--points", "2", "--step", "0.05", "--tol", "0",
                      "--out", str(tmp_path)]) == 2
     assert "tol" in capsys.readouterr().err
+
+
+def test_sweep_checks_tol_before_the_table(tmp_path, capsys):
+    assert cli.main(["sweep", "--target", "eq3", "--param", "b", "--lo", "0.2",
+                     "--hi", "0.5", "--points", "9", "--tol", "0", "--out", str(tmp_path)]) == 2
+    assert "--tol must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_threshold_uses_the_table_T(tmp_path, capsys):

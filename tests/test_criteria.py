@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ddestab import criteria as cr
+from ddestab import models as md
 from ddestab import timefn as tf
 
 INV_E = 1.0 / math.e
@@ -202,6 +203,25 @@ def _spiked_feedback(a):
         positive_terms=[cr.Term(tf.constant(a), tf.IdentityDelay())],
         negative_terms=[cr.Term(b, tf.ConstantLag(1.0))],
     )
+
+
+def test_a_zero_constant_lag_is_the_identity_delay():
+    # A positive term at ConstantLag(0.0) is undelayed, so the nondelay-dominant
+    # route applies to it; as a window start it leaves a window of no length.
+    zero, now = tf.ConstantLag(0.0), tf.IdentityDelay()
+    assert cr.Term(tf.constant(1.0), zero) == cr.Term(tf.constant(1.0), now)
+    eq = cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(1.0), zero)],
+        negative_terms=[cr.Term(tf.constant(0.3), tf.ConstantLag(1.0))],
+    )
+    assert cr.check_nondelay_dominant(eq).verdict == cr.UNIFORM_EXPONENTIAL
+    with pytest.raises(ValueError, match="positive length"):
+        cr.DistributedTerm(1, tf.constant(0.5), zero)
+    removal = md.MackeyGlassRemoval(r=tf.constant(1.0), beta=1.25, gamma=1.0, n=2.0,
+                                    g=zero, h=tf.ConstantLag(1.0))
+    production = md.MackeyGlassProduction(s=tf.constant(0.5), beta=2.0, n=4.0,
+                                          p=tf.ConstantLag(2.0), q=zero)
+    assert (removal.g, production.q) == (now, now)
 
 
 def test_domination_is_decided_on_every_segment_of_a_step_function():

@@ -10,8 +10,11 @@ import dataclasses
 import hashlib
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddestab import criteria as cr
 from ddestab import models as md
@@ -20,8 +23,7 @@ from ddestab import timefn as tf
 
 
 def _term(value, lag):
-    delay = tf.IdentityDelay() if lag == 0.0 else tf.ConstantLag(lag)
-    return cr.Term(tf.constant(value), delay)
+    return cr.Term(tf.constant(value), tf.ConstantLag(lag))  # a zero lag reads x(t)
 
 
 def _linear(pos, neg=(), dist=()):
@@ -514,7 +516,7 @@ def test_mesh_nodes_include_breaking_points():
 
 
 # ---------------------------------------------------------------------------
-# Block reads: the same bits for less work
+# Segment reads: the same bits for less work
 # ---------------------------------------------------------------------------
 
 
@@ -528,8 +530,10 @@ def _digest(tr):
 
 _WOBBLE = tf.GeneralDelay(lambda t: t - (0.5 + 0.4 * math.sin(t)), 0.9)
 _SLOW_WOBBLE = tf.GeneralDelay(lambda t: t - (1.0 + 0.3 * math.sin(0.7 * t)), 1.3)
+# A lag that swings between 0.5 and 1.5, 25 to 75 steps of 0.02.
+_SWING = tf.GeneralDelay(lambda t: t - (1.0 + 0.5 * math.sin(0.7 * t)), 1.5)
 # A removal run from 1e150 that swings past 1.34e154 around t = 14.3, where
-# x^2 of a delayed read overflows in the middle of a block.
+# x^2 of a delayed read overflows in the middle of a segment.
 _HUGE_REMOVAL = md.MackeyGlassRemoval(r=tf.constant(4.0), beta=1.25, gamma=1.0, n=2.0,
                                       g=tf.ConstantLag(0.5), h=tf.ConstantLag(1.0))
 
@@ -540,7 +544,7 @@ def _huge_removal_run(on_divergence):
 
 
 # A production run whose x^2 at the lag of 1 overflows in the middle of a
-# block near t = 9.68: the forcing drives it up from 1e150. With q reading
+# segment near t = 9.68: the forcing drives it up from 1e150. With q reading
 # x(t), the overflow is x(t)^2 in the current part, and the run ends at 8.68.
 _HUGE_PRODUCTION = md.MackeyGlassProduction(s=tf.constant(0.5), beta=2.0, n=2.0,
                                             p=tf.ConstantLag(0.5), q=tf.ConstantLag(1.0))
@@ -560,25 +564,28 @@ def _raised_trajectory(run):
     return info.value.trajectory
 
 
-# One run for each way a read leaves the numpy block for the scalar read
-# (a step equal to the lag, reads near t0 under a start jump, extrapolation,
-# windows reaching the current time), plus tabulated and function histories,
-# forcing, general delays, both models with and without an undelayed
-# argument, a fundamental solution, diverging runs, and two runs with no
-# batched read: one with windows alone and one with nothing to read, whose
-# forcing is its whole right-hand side. The digests were
+# One run for each way a read leaves a segment's numpy reads for the scalar
+# read (a step equal to the lag, reads near t0 under a start jump,
+# extrapolation, windows reaching the current time), plus tabulated and
+# function histories, forcing, general delays, both models with and without
+# an undelayed argument, a fundamental solution, diverging runs, and two runs
+# with no delayed point read: one with windows alone, all on the scalar
+# loop, and one with nothing to read, whose forcing is its whole right-hand
+# side, one segment. The digests were
 # taken from the integrator that evaluated every stage and read by itself;
 # those of the delay-only runs whose lags span many steps (a general delay,
-# an overflow inside a block in both divergence modes, NaN from a negative
-# x under a fractional n) before delay-only runs settled blocks of steps in
-# one numpy pass; and those of the runs whose state part reads x(t) at lags
-# of many steps (eq3's shape, a linear run whose x(t) term comes first and
-# one with two x(t) terms, production runs with forcing, with NaN from a
-# fractional n, and with an overflow inside a block in both divergence
-# modes) before such runs were settled a block of steps per pass too; and
+# an overflow inside a segment in both divergence modes, NaN from a negative
+# x under a fractional n) before delay-only runs settled segments of steps
+# in one numpy pass; and those of the runs whose state part reads x(t) at
+# lags of many steps (eq3's shape, a linear run whose x(t) term comes first
+# and one with two x(t) terms, production runs with forcing, with NaN from a
+# fractional n, and with an overflow inside a segment in both divergence
+# modes) before such runs were settled a segment of steps per pass too;
 # those of an overflow in the current part (both divergence modes) and of
 # windows whose start is a general delay, whole and narrow, before every
-# delayed read was placed once per run.
+# delayed read was placed once per run; and that of a lag swinging between
+# 25 and 75 steps before a segment followed the lag where it is rather than
+# the run's least lag.
 PIN_RUNS = {
     "step_equals_lag": (
         lambda: sv.integrate(_linear([(0.9, 0.05)]), 1.0, 3.0, step=0.05),
@@ -666,6 +673,13 @@ PIN_RUNS = {
             0.8, 12.0, step=0.02, initial_value=1.2,
         ),
         "8afe35263b110c267cd7acbaa251128fa0cb9fa36df2733144c7fabc6f57e05e",
+    ),
+    "general_lag_swing": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(0.5), _SWING)]),
+            0.8, 40.0, step=0.02, initial_value=1.2,
+        ),
+        "387139f8dd78338354aa522bd8df0a79354c9a1f330c796aaeb934670f657b70",
     ),
     "overflow_in_block_truncate": (
         lambda: _huge_removal_run("truncate"),
@@ -892,12 +906,12 @@ def test_each_stage_time_is_evaluated_once_and_reads_come_in_blocks(monkeypatch)
     hermite = sv._hermite
 
     def counting_hermite(*args):
-        if isinstance(args[-1], float):  # a block passes arrays
+        if isinstance(args[-1], float):  # a segment passes arrays
             scalar_reads.append(args[-1])
         return hermite(*args)
 
     monkeypatch.setattr(sv, "_hermite", counting_hermite)
-    # The run reads only the past, so blocks of its steps go through the
+    # The run reads only the past, so segments of its steps go through the
     # state part on arrays; count the stage values those calls give.
     array_stages = _count_array_stages(monkeypatch)
     steps = sv.integrate(eq, 1.0, 20.0, step=0.01).times.size - 1
@@ -937,7 +951,7 @@ def _count_array_stages(monkeypatch, times=None):
 
 
 def test_each_stage_time_is_evaluated_once_when_the_state_reads_x_now(monkeypatch):
-    # eq26: x' + x(t - 1) - 0.3 x(t) = 0. The state part reads x(t), so blocks
+    # eq26: x' + x(t - 1) - 0.3 x(t) = 0. The state part reads x(t), so segments
     # of steps get their delayed part on arrays and finish on floats.
     times = []
     array_stages = _count_array_stages(monkeypatch, times)
@@ -947,9 +961,8 @@ def test_each_stage_time_is_evaluated_once_when_the_state_reads_x_now(monkeypatc
     assert sum(array_stages) >= 0.9 * 2 * steps
 
 
-def test_a_pass_that_raises_hands_its_segment_to_the_scalar_loop(monkeypatch):
-    # x^2 overflows in the middle of a block: the pass raises there once, and
-    # the scalar loop settles the rest of that segment without asking it again.
+def _count_passes(monkeypatch):
+    """The number of stage times in each pass, one entry per ``_time_parts`` call."""
     sizes = []
     time_parts = sv._time_parts
 
@@ -958,8 +971,92 @@ def test_a_pass_that_raises_hands_its_segment_to_the_scalar_loop(monkeypatch):
         return time_parts(coeffs, times)
 
     monkeypatch.setattr(sv, "_time_parts", counting_time_parts)
+    return sizes
+
+
+def test_a_pass_that_raises_hands_its_segment_to_the_scalar_loop(monkeypatch):
+    # x^2 overflows in the middle of a segment: the pass raises there once, and
+    # the scalar loop settles the rest of that segment without asking it again.
+    sizes = _count_passes(monkeypatch)
     steps = _huge_removal_run("truncate").times.size - 1
     assert sum(sizes) <= 2 * steps + sizes[-1]
+
+
+def test_a_swinging_lag_is_settled_in_segments_that_follow_it(monkeypatch):
+    # A segment ends where a read reaches its first step, so it spans the lag
+    # of its own stretch of the run (25 to 75 steps), not the run's least:
+    # sized by the least lag, the 2 000 steps took 80 passes.
+    sizes = _count_passes(monkeypatch)
+    steps = PIN_RUNS["general_lag_swing"][0]().times.size - 1
+    assert len(sizes) <= 50
+    assert sum(sizes) == 2 * steps
+
+
+def test_a_zero_constant_lag_reads_the_current_state():
+    # x' + x(t - 1) - 0.3 x(t - 0) = 0 is eq26; the zero lag used to be read
+    # as a delay landing in the step being taken, and raised.
+    runs = [
+        sv.integrate(
+            cr.LinearDelayEquation(positive_terms=[_term(1.0, 1.0)],
+                                   negative_terms=[cr.Term(tf.constant(0.3), delay)]),
+            0.8, 10.0, step=0.01, initial_value=1.2,
+        )
+        for delay in (tf.ConstantLag(0.0), tf.IdentityDelay())
+    ]
+    assert _digest(runs[0]) == _digest(runs[1])
+
+
+def _property_run(kind, a, lag, wobble, now, step, unstable):
+    """A short run of ``kind``: a linear equation at a constant lag (``wobble``
+    0) or a general one, with an x(t) term of ``now * a`` unless ``now`` is 0;
+    ``ex51``; or a production model reading x(t) in its denominator when
+    ``now`` < 0. An ``unstable`` run has a threshold of 1.5, and a linear one
+    a coefficient times lag of 2.5, a production one a forcing that drives x
+    below zero, where its fractional power is NaN: most of them diverge."""
+    options = dict(step=step, divergence_threshold=1.5 if unstable else 1e12,
+                   on_divergence="truncate")
+    if kind == "ex51":
+        return sv.integrate(md.ex51(sigma=0.5 + lag, r=2.0 * a), 0.4, 8.0,
+                            initial_value=0.6, **options)
+    if kind == "production":
+        model = md.MackeyGlassProduction(
+            s=tf.sinsq(a, 1.0), beta=2.0, n=2.5 + 4.0 * wobble, p=tf.ConstantLag(lag),
+            q=tf.IdentityDelay() if now < 0.0 else tf.ConstantLag(2.0 * lag),
+        )
+        forcing = (lambda t: -3.0 * math.cos(t)) if unstable else None
+        return sv.integrate(model, 0.8, 12.0, initial_value=1.2, forcing=forcing, **options)
+    delay = tf.ConstantLag(lag)
+    if wobble > 0.0:
+        delay = tf.GeneralDelay(lambda t: t - lag * (1.0 + wobble * math.sin(t)),
+                                lag * (1.0 + wobble))
+    if unstable:
+        a = 2.5 / lag
+    positive, negative = [cr.Term(tf.constant(a), delay)], []
+    if now != 0.0:
+        (positive if now > 0.0 else negative).append(_term(abs(now) * a, 0.0))
+    eq = cr.LinearDelayEquation(positive_terms=positive, negative_terms=negative)
+    return sv.integrate(eq, 0.8, 8.0, initial_value=1.2, **options)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["linear", "ex51", "production"]),
+    a=st.floats(0.1, 3.0),
+    lag=st.floats(0.15, 1.5),
+    wobble=st.sampled_from([0.0, 0.2, 0.5]),
+    now=st.sampled_from([0.0, 0.5, -0.5]),
+    step=st.sampled_from([0.01, 0.02, 0.05]),
+    unstable=st.booleans(),
+)
+def test_property_the_pass_is_the_scalar_loop_bit_for_bit(kind, a, lag, wobble, now, step,
+                                                           unstable):
+    run = _property_run(kind, a, lag, wobble, now, step, unstable)
+    with mock.patch.object(sv, "_BLOCK_STEPS", 10**9):  # every step on the scalar loop
+        scalar = _property_run(kind, a, lag, wobble, now, step, unstable)
+    for name in ("times", "values", "derivatives", "left_derivatives"):
+        got, want = getattr(run, name), getattr(scalar, name)
+        assert (got is None and want is None) or got.tobytes() == want.tobytes()
+    assert run.diverged == scalar.diverged
 
 
 # Where glibc's pow(x, 2), which Python's x**2 calls, differs from x*x and
