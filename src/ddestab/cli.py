@@ -485,18 +485,32 @@ def run_sweep(args: argparse.Namespace) -> int:
     _check_positive("--T", args.T)
     _check_positive("--tol", args.tol)
     build = _builtin_builder(args.target, args.param, parse_overrides(args.sets))
-    lines = ["param,verdict,classification"]
-    tabulated = {}  # the predicate's value at each table point
+    # The table's runs go as columns of shared runs, after its certificates;
+    # the first error is still the one a point-by-point table meets first.
+    points, failure = [], None
     for i in range(args.points):
         value = args.lo + (args.hi - args.lo) * i / (args.points - 1)
-        target = build(value)
-        verdict, _ = dg.certify(target, args.T)
-        _, report, _ = dg.perturbed_run(target, horizon=args.horizon, step=args.step)
+        try:
+            target = build(value)
+            points.append((value, target, dg.certify(target, args.T)[0]))
+        except Exception as exc:
+            failure = exc
+            break
+    runs = dg.perturbed_runs([target for _, target, _ in points], horizon=args.horizon,
+                             step=args.step)
+    lines = ["param,verdict,classification"]
+    tabulated = {}  # the predicate's value at each table point
+    for (value, _, verdict), run in zip(points, runs):
+        if isinstance(run, Exception):
+            raise run
+        report = run[1]
         lines.append("%.17g,%s,%s" % (value, verdict, report.classification))
         if args.predicate == "certificate":
             tabulated[value] = verdict == cr.UNIFORM_EXPONENTIAL
         else:
             tabulated[value] = report.classification == dg.DECAYING
+    if failure is not None:
+        raise failure
     csv_path = os.path.join(args.out, "sweep.csv")
     _write_atomic(csv_path, "\n".join(lines) + "\n")
 

@@ -34,6 +34,7 @@ __all__ = [
     "target_structure",
     "certify",
     "perturbed_run",
+    "perturbed_runs",
     "certificate_predicate",
     "empirical_predicate",
 ]
@@ -226,6 +227,21 @@ def certify(
     return cert.verdict, (cert,)
 
 
+def _standard_setup(target, history, x0, horizon, step):
+    """The standard perturbed run's setup, and the target's largest lag."""
+    x_eq, max_lag, t0 = target_structure(target)
+    base = x_eq if x_eq > 0.0 else 1.0
+    setup = {
+        "equilibrium": x_eq,
+        "history": history if history is not None else 0.8 * base,
+        "initial_value": x0 if x0 is not None else 1.2 * base,
+        "horizon": horizon if horizon is not None else 60.0 * max(max_lag, 1.0),
+        "step": step if step is not None else 0.01,
+        "t0": t0,
+    }
+    return setup, max_lag
+
+
 def perturbed_run(target, *, history=None, x0=None, horizon=None, step=None):
     """Standard perturbed simulation: (trajectory, behavior report, setup).
 
@@ -234,30 +250,53 @@ def perturbed_run(target, *, history=None, x0=None, horizon=None, step=None):
     is zero), over sixty lags at step 0.01 unless overridden. ``setup``
     records the values used.
     """
-    x_eq, max_lag, t0 = target_structure(target)
-    base = x_eq if x_eq > 0.0 else 1.0
-    phi = history if history is not None else 0.8 * base
-    start = x0 if x0 is not None else 1.2 * base
-    hor = horizon if horizon is not None else 60.0 * max(max_lag, 1.0)
-    h = step if step is not None else 0.01
+    setup, max_lag = _standard_setup(target, history, x0, horizon, step)
     traj = sv.integrate(
         target,
-        sv.ConstantHistory(phi),
-        t0 + hor,
-        step=h,
-        initial_value=start,
+        sv.ConstantHistory(setup["history"]),
+        setup["t0"] + setup["horizon"],
+        step=setup["step"],
+        initial_value=setup["initial_value"],
         on_divergence="truncate",
     )
-    report = classify(traj, equilibrium=x_eq, max_lag=max_lag)
-    setup = {
-        "equilibrium": x_eq,
-        "history": phi,
-        "initial_value": start,
-        "horizon": hor,
-        "step": h,
-        "t0": t0,
-    }
+    report = classify(traj, equilibrium=setup["equilibrium"], max_lag=max_lag)
     return traj, report, setup
+
+
+def perturbed_runs(targets, *, horizon=None, step=None) -> list:
+    """``perturbed_run`` of each target: its triple, or the exception it raises.
+
+    Runs that end at the same time are columns of one ``integrate_columns``
+    call, which shares the passes of those whose sites agree too.
+    """
+    out: list = [None] * len(targets)
+    groups: dict = {}  # end time -> [(index, target, setup, max lag)]
+    for i, target in enumerate(targets):
+        try:
+            setup, max_lag = _standard_setup(target, None, None, horizon, step)
+        except Exception as exc:
+            out[i] = exc
+            continue
+        groups.setdefault(setup["t0"] + setup["horizon"], []).append((i, target, setup, max_lag))
+    for t1, members in groups.items():
+        indices, group, setups, lags = zip(*members)
+        trajs = sv.integrate_columns(
+            group,
+            [sv.ConstantHistory(setup["history"]) for setup in setups],
+            t1,
+            step=setups[0]["step"],
+            initial_values=[setup["initial_value"] for setup in setups],
+            on_divergence="truncate",
+        )
+        for i, setup, max_lag, traj in zip(indices, setups, lags, trajs):
+            if not isinstance(traj, Exception):
+                try:
+                    traj = (traj, classify(traj, equilibrium=setup["equilibrium"], max_lag=max_lag),
+                            setup)
+                except Exception as exc:
+                    traj = exc
+            out[i] = traj
+    return out
 
 
 def certificate_predicate(

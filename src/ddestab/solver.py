@@ -19,12 +19,15 @@ explicit. ``allow_extrapolation=True`` extends the same predictor to
 concentrated reads, for equations whose lag genuinely dips below the step.
 
 Each right-hand side is split into a time part (coefficients, forcing),
-its delayed reads, and a state part (the arithmetic on x). A step
-evaluates the first two once per distinct stage time: the midpoint serves
-k2 and k3, the step end k4 and both node slopes; when the node slopes
-must read again, they keep the step end's time part. The state part is
-split again: a delayed part that needs no x(t) and a current part that
-finishes it with the state, so k2 and k3 share one delayed part as well.
+its delayed reads, and a state part (the arithmetic on x). The time part is
+planned once per run, at t0 and at every stage time at once, from the
+coefficient objects themselves and bit for bit their scalar ``value``; a
+step reads its row, a segment a slice. The reads are taken once per
+distinct stage time: the midpoint serves k2 and k3, the step end k4 and
+both node slopes; when the node slopes must read again, they keep the step
+end's time part. The state part is split again: a delayed part that needs
+no x(t) and a current part that finishes it with the state, so k2 and k3
+share one delayed part as well.
 
 Where every delayed read lands, at both stage times of every step, is
 found once per run: t - lag at a constant lag, one call per stage time at
@@ -35,8 +38,8 @@ that reads step j or later or has a slot only the scalar read can read. Its
 reads land in finished steps or before t0 in a constant history, so the
 segment interpolates them elementwise, with Hermite weights found once per
 run, in the same operations and order as one scalar read, hence bit for
-bit. The time part is then evaluated at the segment's stage times and the
-delayed part on arrays. When the state part ignores the current state
+bit. The time part is then a slice of the plan and the delayed part is
+formed on arrays. When the state part ignores the current state
 (every term delayed, as in the removal form of ``ex51``), that gives
 k2 = k3 and k4, each step's k1 is the previous k4, and the nodes are the
 running sum ``np.cumsum`` of the increments. When it reads x(t) (``eq3``,
@@ -45,7 +48,16 @@ floats through the current part alone. Either way these are the scalar
 loop's own IEEE operations in its order. The pass hands a step back to
 the scalar loop when its node or node slope leaves the finite range or
 the divergence threshold, and the rest of its segment when its array
-part raises (an overflowing time part or x^n, a floating-point exception).
+part raises (an overflowing x^n, a floating-point exception).
+
+Runs that share their start time, end, step and delayed reads are columns
+of one integration (``integrate_columns``): one mesh, one placement of the
+reads and one sequence of segments, each gathering the reads of every
+column at once and summing the increments of every column that ignores
+x(t) in one ``np.cumsum``; the time plans share their sin calls. Each
+column keeps its own delayed part, float recurrence and scalar steps, so
+its bits are those of its run alone, and a column that settles fewer steps
+of a segment than the others finishes alone. ``integrate`` is one column.
 
 Segments are settled in one pass when they hold at least ``_BLOCK_STEPS``
 steps; shorter ones cost more than they save. The scalar read and the
@@ -63,6 +75,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -81,6 +94,7 @@ __all__ = [
     "Trajectory",
     "breaking_points",
     "integrate",
+    "integrate_columns",
     "fundamental_solution",
     "Lemma3Report",
     "verify_lemma3",
@@ -91,9 +105,11 @@ DEFAULT_DIVERGENCE_THRESHOLD = 1e12
 _LEVELS = 5
 # A segment of steps is settled in one pass only when it holds at least this
 # many steps: the pass pays some fifteen numpy calls for the segment's reads
-# and some thirty more to settle its steps. It breaks even with the scalar
-# loop at 4-6 steps on eq26 and eq3 runs and about 6 on ex5 and ex51 runs,
-# and gains 1.1-1.9x at 8; 10 leaves a margin.
+# and some thirty more to settle its steps. Per column (one run alone) it
+# breaks even with the scalar loop at 4-6 steps on eq26 and eq3 runs and
+# about 6 on ex5 and ex51 runs, and gains 1.1-1.9x at 8; 10 leaves a margin.
+# Columns of one integration share the reads' calls and the running sum,
+# so they break even sooner.
 _BLOCK_STEPS = 10
 
 
@@ -401,9 +417,9 @@ class Trajectory:
 class _Rhs:
     """A right-hand side split into a time part, delayed reads and a state part.
 
-    ``coeffs`` is the time part: one function of t per value it holds
-    (coefficients, forcing). ``sites`` lists what the equation reads from the
-    past, one slot each: a delay, read at one delayed time, or a
+    ``coeffs`` is the time part: one entry per value it holds, a Coefficient
+    or a function of t (forcing). ``sites`` lists what the equation reads from
+    the past, one slot each: a delay, read at one delayed time, or a
     DistributedTerm, averaged over its window. The state part comes in two
     pieces. ``delayed(cv, xv)`` does all the arithmetic that needs no x(t),
     given the time part's values ``cv`` and one value ``xv[k]`` per site;
@@ -424,7 +440,7 @@ class _Rhs:
     def fn(self, t, y, read, integral):
         """The derivative at (t, y), reading x through ``read``/``integral``."""
         xv = [_site_value(site, t, read, integral) for site in self.sites]
-        d = self.delayed([f(t) for f in self.coeffs], xv)
+        d = self.delayed([f(t) for f in _time_fns(self.coeffs)], xv)
         return d if self.current is None else self.current(y, d)
 
 
@@ -434,15 +450,53 @@ def _site_value(site, t, read, integral):
     return read(site(t))
 
 
-def _time_parts(coeffs, times: np.ndarray) -> list:
-    """The time part at each of ``times``, one array per value.
+def _time_fns(coeffs) -> list:
+    """The scalar function of each time-part entry: a coefficient's ``value``, or the entry."""
+    return [f.value if isinstance(f, tf.Coefficient) else f for f in coeffs]
 
-    Each time goes through the scalar functions, so every coefficient
-    through its own ``value``: numpy's sin and square need not agree with
-    ``math.sin`` and Python's ``**`` in the last bit.
+
+def _plan(coeffs, times: np.ndarray, waves: Optional[dict] = None) -> np.ndarray:
+    """The time part at each of ``times``: one row per time, one column per entry.
+
+    Built from the coefficients themselves, bit for bit what their scalar
+    ``value`` gives at each time. A constant is filled in; a sin^2 part is
+    ``amplitude * s2`` on arrays, with s2 = ``math.sin(w * t + phase) ** 2``
+    one time at a time (numpy's sin and square need not agree with
+    ``math.sin`` and Python's ``**`` in the last bit), once per distinct
+    (w, phase) in ``waves``; a step part is its level at ``searchsorted``.
+    Scalings, sums and differences combine their parts in their own
+    operations and order. Everything else (a class of the caller's own, a
+    forcing) goes through its scalar function.
     """
-    ts = times.tolist()
-    return [np.fromiter(map(f, ts), float, len(ts)) for f in coeffs]
+    waves = {} if waves is None else waves
+    return np.stack([_planned(f, times, waves) for f in coeffs], axis=-1)
+
+
+def _planned(f, times: np.ndarray, waves: dict) -> np.ndarray:
+    kind = type(f)
+    if kind is tf.ConstantCoefficient:
+        return np.full(times.shape, f.v, dtype=float)
+    if kind is tf.SinSqCoefficient:
+        key = (f.angular_freq, f.phase)
+        if key not in waves:
+            sines = map(math.sin, (f.angular_freq * times + f.phase).tolist())
+            waves[key] = np.fromiter(map(pow, sines, itertools.repeat(2)), float, times.size)
+        return f.amplitude * waves[key]
+    if kind is tf.PiecewiseConstantCoefficient:
+        return np.array(f.values)[np.searchsorted(f.breakpoints, times, "right")]
+    if kind is tf.ScaledCoefficient:
+        return f.factor * _planned(f.inner, times, waves)
+    if kind is tf.SumCoefficient:
+        return _summed([_planned(c, times, waves) for c in f.terms])
+    if kind is tf._LinearCombination:
+        return _summed([w * _planned(c, times, waves) for w, c in f.parts])
+    fn = f.value if isinstance(f, tf.Coefficient) else f
+    return np.fromiter(map(fn, times.tolist()), float, times.size)
+
+
+def _summed(parts: list) -> np.ndarray:
+    """Python's ``sum`` of the parts at each time, as a sum's ``value`` adds them."""
+    return np.fromiter(map(sum, zip(*(p.tolist() for p in parts))), float, parts[0].size)
 
 
 def _window_reaches_now(term: cr.DistributedTerm) -> bool:
@@ -478,7 +532,7 @@ def _slots(delays):
 
 
 def _forcing_part(forcing):
-    return (lambda t: 0.0) if forcing is None else (lambda t: float(forcing(t)))
+    return tf.constant(0.0) if forcing is None else (lambda t: float(forcing(t)))
 
 
 def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
@@ -504,7 +558,7 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
     def delayed(cv, xv):
         total = cv[0]
         for (s, k), v in zip(head, cv[1:]):
-            total += s * v * xv[k]
+            total = total + s * v * xv[k]  # not in place: cv[0] may be a view of the plan
         if not rest:
             return total
         vs = cv[first + 1:]
@@ -516,7 +570,7 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
             total += d[i] * y if times_y else d[i]
         return total
 
-    coeffs = (_forcing_part(forcing),) + tuple(c.value for _, c in signed)
+    coeffs = (_forcing_part(forcing),) + tuple(c for _, c in signed)
     return _Rhs(coeffs, tuple(sites), delayed, current if rest else None)
 
 
@@ -530,7 +584,7 @@ def _make_model_rhs(model, rate, gamma, slots, forcing):
     """
     (a, b, c), sites = slots
     split = min(a, b) >= 0
-    coeffs = (rate.value,) if forcing is None else (rate.value, _forcing_part(forcing))
+    coeffs = (rate,) if forcing is None else (rate, _forcing_part(forcing))
     nc = len(coeffs)
 
     def finish(cv, p, x_c):
@@ -616,17 +670,16 @@ def breaking_points(t0: float, t1: float, lags: Sequence[float]) -> list:
 
 def _build_mesh(t0: float, t1: float, step: float, lags: Sequence[float]) -> np.ndarray:
     bps = breaking_points(t0, t1, lags)
-    nodes = [t0]
+    pieces = [np.array([t0], dtype=float)]
     for a, b in zip(bps[:-1], bps[1:]):
         seg = b - a
-        if seg <= step * 1e-6 and len(nodes) > 1:
+        if seg <= step * 1e-6 and len(pieces) > 1:
             # Merge breaking points closer than a sliver of the step.
-            nodes[-1] = b
+            pieces[-1][-1] = b
             continue
         n = max(1, int(math.ceil(seg / step - 1e-9)))
-        for k in range(1, n + 1):
-            nodes.append(a + seg * k / n)
-    return np.asarray(nodes)
+        pieces.append(a + seg * np.arange(1, n + 1) / n)  # a + seg * k / n, k = 1..n
+    return np.concatenate(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +706,77 @@ def integrate(
     MackeyGlassProduction. ``history`` supplies x on [t0 - max_lag, t0];
     ``initial_value`` overrides x(t0) (allowing a jump at the start).
     ``on_divergence`` is "raise" or "truncate"; divergence means |x|
-    exceeding ``divergence_threshold`` or turning non-finite.
+    exceeding ``divergence_threshold`` or turning non-finite. This is the
+    one-column case of ``integrate_columns``.
     """
+    (out,) = integrate_columns(
+        [target], [history], t1, step=step, t0=t0, initial_values=[initial_value],
+        forcing=forcing, allow_extrapolation=allow_extrapolation,
+        divergence_threshold=divergence_threshold, on_divergence=on_divergence,
+    )
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def integrate_columns(
+    targets: Sequence,
+    histories: Sequence,
+    t1: float,
+    *,
+    step: float = 0.01,
+    t0: Optional[float] = None,
+    initial_values: Optional[Sequence] = None,
+    forcing: Optional[Callable[[float], float]] = None,
+    allow_extrapolation: bool = False,
+    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+    on_divergence: str = "raise",
+) -> list:
+    """``integrate`` each target from its history and initial value, as columns of one run.
+
+    Returns, per target, its Trajectory or the exception ``integrate``
+    raises for it, a DivergenceError included. Targets whose start time and
+    sites agree share one mesh, one placement of their reads, the sin calls
+    of their time plans and one sequence of passes: each pass gathers every
+    column's reads at once and settles, in one running sum, the steps of
+    every column whose state part ignores x(t). Each column keeps its own
+    ``delayed``, its own float recurrence and its own scalar steps, so it
+    gets the bits ``integrate`` gives it alone.
+    """
+    if initial_values is None:
+        initial_values = [None] * len(targets)
+    if not len(targets) == len(histories) == len(initial_values):
+        raise ConfigurationError("need one history and one initial value per target")
+    results: list = [None] * len(targets)
+    groups: list = []  # ((t0, sites), [(index, rhs, history, initial value)])
+    for c, (target, history, x0) in enumerate(zip(targets, histories, initial_values)):
+        try:
+            start = _start_time(target, t1, step, t0, divergence_threshold, on_divergence)
+            rhs = _make_rhs(target, forcing)
+            column = (c, rhs, _as_history(history), x0)
+        except Exception as exc:
+            results[c] = exc
+            continue
+        key = (start, rhs.sites)
+        for known, members in groups:
+            if known == key:
+                members.append(column)
+                break
+        else:
+            groups.append((key, [column]))
+    for (start, sites), members in groups:
+        try:
+            _integrate_group(start, t1, step, sites, members, results, allow_extrapolation,
+                             divergence_threshold, on_divergence)
+        except Exception as exc:  # the step check, shared by the group
+            for c, *_ in members:
+                if results[c] is None:
+                    results[c] = exc
+    return results
+
+
+def _start_time(target, t1, step, t0, divergence_threshold, on_divergence) -> float:
+    """The run's start time, once its arguments check out."""
     if on_divergence not in ("raise", "truncate"):
         raise ConfigurationError('on_divergence must be "raise" or "truncate"')
     if not (math.isfinite(step) and step > 0.0):
@@ -667,12 +789,13 @@ def integrate(
         raise ConfigurationError("need t1 > t0")
     if math.isnan(divergence_threshold):
         raise ConfigurationError("divergence_threshold must not be NaN")
+    return t0
 
-    rhs = _make_rhs(target, forcing)
-    hist = _as_history(history)
-    sites = rhs.sites
+
+def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
+                     divergence_threshold, on_divergence) -> None:
+    """Integrate ``members``, columns sharing t0, t1, step and their sites, into ``results``."""
     windows = [s for s in sites if isinstance(s, cr.DistributedTerm)]
-
     mesh = _build_mesh(t0, t1, step, _mesh_lags(sites))
     nodes = mesh.tolist()
     steps = mesh.size - 1
@@ -705,76 +828,247 @@ def integrate(
             "or pass allow_extrapolation=True" % (step, min_lag)
         )
 
-    h0 = float(hist.value(t0))
-    x0 = h0 if initial_value is None else float(initial_value)
-    # A start-time jump (initial value differing from the history's end)
-    # makes delayed reads at exactly t0 two-sided: by default they resolve
-    # to x0, except while evaluating quantities tied to the left limit.
-    jump0 = abs(x0 - h0) > 1e-15 * max(1.0, abs(x0))
-    want_left = False
-
-    xs: list = [x0]
-    ms: list = [0.0]  # right-limit node derivatives
-    mls = [0.0] if jump0 else None  # left-limit node derivatives
-    mends = ms if mls is None else mls  # derivatives closing each step
-    pieces: list = []  # whole-step integrals, for distributed windows
     hist_pad = 1e-9 * max(1.0, abs(t0))
     hist_lo, hist_hi = t0 - hist_pad, t0 + hist_pad
     extrapolate = allow_extrapolation or any(map(_window_reaches_now, windows))
-    # Whether the reads since the last ``prepare`` used the last node or the
-    # predictor (they change once the step is pushed), or the left limit of
-    # the start-time jump (they change with ``want_left``).
-    touched_end = touched_left = False
-    # The finished nodes are nodes[:len(xs)]. The predictor past the last one
-    # serves only a step not yet pushed: the node-slope reads after a push land
-    # at or before the new node (a GeneralDelay returns min(v, t), windows end at t).
+    # A node diverges unless |x| <= limit: past the threshold or not finite.
+    limit = min(divergence_threshold, sys.float_info.max)
+    # Each column's time part is planned at t0 (its start slope) and at every
+    # stage time at once; the scalar loop reads one row at its step, a pass a
+    # slice. The sin^2 of each (frequency, phase) is shared by the columns.
+    plan_times = np.concatenate(([t0], stage_times.ravel()))
+    waves: dict = {}
 
-    def read(tau: float) -> float:
-        nonlocal touched_end, touched_left
-        if tau < hist_lo:
-            return float(hist.value(tau))
-        if jump0 and want_left and tau <= hist_hi:
-            touched_left = True
-            return float(hist.value(min(tau, t0)))
-        n = len(xs)
-        last = nodes[n - 1]
-        if tau <= last + 1e-12 * max(1.0, abs(last)):
-            i = bisect.bisect_right(nodes, tau, 0, n) - 1
-            if i >= n - 1:
+    def column(index, rhs, hist, x0):
+        """One run's state and scalar step; None (with its result set) if it ends at t0."""
+        h0 = float(hist.value(t0))
+        x0 = h0 if x0 is None else float(x0)
+        # A start-time jump (initial value differing from the history's end)
+        # makes delayed reads at exactly t0 two-sided: by default they resolve
+        # to x0, except while evaluating quantities tied to the left limit.
+        jump0 = abs(x0 - h0) > 1e-15 * max(1.0, abs(x0))
+        want_left = False
+        xs: list = [x0]
+        ms: list = [0.0]  # right-limit node derivatives
+        mls = [0.0] if jump0 else None  # left-limit node derivatives
+        mends = ms if mls is None else mls  # derivatives closing each step
+        pieces: list = []  # whole-step integrals, for distributed windows
+        # Whether the reads since the last ``prepare`` used the last node or the
+        # predictor (they change once the step is pushed), or the left limit of
+        # the start-time jump (they change with ``want_left``).
+        touched_end = touched_left = False
+        # The finished nodes are nodes[:len(xs)]. The predictor past the last one
+        # serves only a step not yet pushed: the node-slope reads after a push land
+        # at or before the new node (a GeneralDelay returns min(v, t), windows end at t).
+        own_sites, delayed, current = rhs.sites, rhs.delayed, rhs.current
+        y_dependent = current is not None
+        fns = _time_fns(rhs.coeffs)
+        try:
+            table = _plan(rhs.coeffs, plan_times, waves)
+            cv0, table = table[0].tolist(), table[1:].reshape(2, steps, -1)
+        except Exception:
+            # No plan: the scalar loop evaluates each stage time through
+            # ``fns``, and meets the error, if any, at its own step.
+            cv0 = table = None
+        div_time = None
+
+        def read(tau: float) -> float:
+            nonlocal touched_end, touched_left
+            if tau < hist_lo:
+                return float(hist.value(tau))
+            if jump0 and want_left and tau <= hist_hi:
+                touched_left = True
+                return float(hist.value(min(tau, t0)))
+            n = len(xs)
+            last = nodes[n - 1]
+            if tau <= last + 1e-12 * max(1.0, abs(last)):
+                i = bisect.bisect_right(nodes, tau, 0, n) - 1
+                if i >= n - 1:
+                    touched_end = True
+                    return xs[-1]
+                if i < 0:
+                    return xs[0]
+                return _hermite(nodes[i], xs[i], ms[i], nodes[i + 1], xs[i + 1], mends[i + 1], tau)
+            if extrapolate:
                 touched_end = True
-                return xs[-1]
-            if i < 0:
-                return xs[0]
-            return _hermite(nodes[i], xs[i], ms[i], nodes[i + 1], xs[i + 1], mends[i + 1], tau)
-        if extrapolate:
-            touched_end = True
-            return xs[-1] + (tau - last) * ms[-1]
-        raise DomainError(
-            "delayed read at %g ahead of completed segment end %g" % (tau, last)
+                return xs[-1] + (tau - last) * ms[-1]
+            raise DomainError(
+                "delayed read at %g ahead of completed segment end %g" % (tau, last)
+            )
+
+        def integral(lo: float, hi: float) -> float:
+            nonlocal touched_end
+            total = 0.0
+            if lo < t0:
+                total = _history_integral(hist, lo, min(hi, t0), step)
+                lo = t0
+            last = nodes[len(xs) - 1]
+            if hi > last:
+                if not extrapolate and hi > last + 1e-12 * max(1.0, abs(last)):
+                    raise DomainError(
+                        "window reaches %g ahead of completed segment end %g" % (hi, last)
+                    )
+                # The predictor, integrated exactly over the sliver past the end.
+                touched_end = True
+                a = max(lo, last)
+                total += (hi - a) * (xs[-1] + (0.5 * (a + hi) - last) * ms[-1])
+                hi = last
+            if hi > lo:
+                # The last step is always an end step here, read from its nodes,
+                # so only steps sealed below are summed.
+                total += _dense_integral(nodes, xs, ms, mends, pieces, lo, hi)
+            return total
+
+        def prepare(t, at, cv):
+            """Time part and delayed part at stage time t; None if one overflows.
+
+            The time part is ``cv``, a row of the plan, or evaluated here when
+            the run has none. Each slot is read at its place in ``at``, or at
+            the site where that is NaN.
+            """
+            nonlocal touched_end, touched_left
+            touched_end = touched_left = False
+            try:
+                if cv is None:
+                    cv = [f(t) for f in fns]
+                xv = list(at)
+                for k, a in enumerate(at):
+                    xv[k] = read(a) if a == a else _site_value(own_sites[k], t, read, integral)
+                return cv, delayed(cv, xv)
+            except OverflowError:
+                return None
+
+        def stage(y, prep):
+            if prep is None:
+                return math.nan
+            if current is None:
+                return prep[1]
+            try:
+                return current(y, prep[1])
+            except OverflowError:
+                return math.nan
+
+        def extend(nodes_x, slopes):
+            xs.extend(nodes_x)
+            ms.extend(slopes)
+            if mls is not None:
+                mls.extend(slopes)
+
+        def settle(j, ds, m):
+            """The RK4 recurrence of a pass over floats, from the delayed parts
+            ``ds`` at the m midpoints and then the m step ends."""
+            xa, k1 = xs[-1], ms[-1]
+            nodes_x, slopes = [], []
+            try:
+                for h, at_mid, at_end in zip(widths[j:j + m].tolist(), ds[:m], ds[m:]):
+                    k2 = current(xa + 0.5 * h * k1, at_mid)
+                    k3 = current(xa + 0.5 * h * k2, at_mid)
+                    k4 = current(xa + h * k3, at_end)
+                    xa = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    if not abs(xa) <= limit:
+                        break
+                    k1 = current(xa, at_end)
+                    if not math.isfinite(k1):
+                        break
+                    nodes_x.append(xa)
+                    slopes.append(k1)
+            except Exception:
+                pass  # the scalar loop meets it again at its own step
+            extend(nodes_x, slopes)
+            return len(slopes)
+
+        def scalar_step(j):
+            """RK4 step j on floats; False when the run ends at its node."""
+            nonlocal want_left, div_time
+            mid_tau, end_tau = tau[:, j].tolist()
+            ta = nodes[j]
+            tb = nodes[j + 1]
+            h = tb - ta
+            xa = xs[-1]
+            k1 = ms[-1]
+            # k2 and k3 share the stage time ta + h/2, so its time part and reads.
+            at_mid = prepare(ta + 0.5 * h, mid_tau, None if table is None else table[0, j].tolist())
+            k2 = stage(xa + 0.5 * h * k1, at_mid)
+            k3 = stage(xa + 0.5 * h * k2, at_mid) if y_dependent else k2
+            # The step end can sit exactly where a delayed read crosses the
+            # start-time jump; the step itself belongs to the left limit.
+            want_left = True
+            at_end = prepare(tb, end_tau, None if table is None else table[1, j].tolist())
+            k4 = stage(xa + h * k3, at_end)
+            xb = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if math.isfinite(xb):  # and so is k4
+                xs.append(xb)
+                ms.append(k4)
+                if mls is not None:
+                    mls.append(k4)
+            if not abs(xb) <= limit:
+                div_time = tb
+                return False
+            # The node slopes reuse k4's time part (a k4 that overflowed has
+            # ended the run), and its reads unless one of them saw the step end,
+            # which the push has just replaced.
+            cv_end = at_end[0]
+            if touched_end:
+                at_end = prepare(tb, end_tau, cv_end)
+                m_left = stage(xb, at_end)
+            else:
+                m_left = stage(xb, at_end) if y_dependent else k4
+            want_left = False
+            if touched_left:
+                m_right = stage(xb, prepare(tb, end_tau, cv_end))
+            else:
+                m_right = m_left
+            if not (math.isfinite(m_right) and math.isfinite(m_left)):
+                div_time = tb
+                return False
+            ms[-1] = m_right
+            if mls is not None:
+                mls[-1] = m_left
+            if windows:
+                # Sealed once its closing derivative is final.
+                pieces.append(_piece_integral(ta, xa, ms[-2], tb, xb, mends[-1]))
+            return True
+
+        def finish():
+            """The run's Trajectory, or the DivergenceError that carries it."""
+            traj = Trajectory(
+                mesh[:len(xs)], np.array(xs), np.array(ms), hist,
+                diverged=div_time is not None, divergence_time=div_time,
+                left_derivatives=None if mls is None else np.array(mls),
+            )
+            if div_time is not None and on_divergence == "raise":
+                return DivergenceError(
+                    "solution exceeded %g near t=%g" % (divergence_threshold, div_time), traj
+                )
+            return traj
+
+        ms[0] = stage(x0, prepare(t0, [math.nan] * len(own_sites), cv0))
+        if mls is not None:
+            mls[0] = ms[0]
+        if not (abs(x0) <= limit and math.isfinite(ms[0])):
+            traj = Trajectory(mesh[:1], np.array(xs), np.array([0.0]), hist, True, t0)
+            results[index] = traj if on_divergence == "truncate" else DivergenceError(
+                "derivative not finite at start time %g" % t0, traj
+            )
+            return None
+        return SimpleNamespace(
+            index=index, xs=xs, ms=ms, mls=mls, mends=mends, table=table,
+            before=hist.const if isinstance(hist, ConstantHistory) else math.nan,
+            # The pass waits for this step (a run with no plan takes none).
+            resume=0 if table is not None else steps,
+            delayed=delayed, current=current, extend=extend, settle=settle,
+            step=scalar_step, finish=finish,
         )
 
-    def integral(lo: float, hi: float) -> float:
-        nonlocal touched_end
-        total = 0.0
-        if lo < t0:
-            total = _history_integral(hist, lo, min(hi, t0), step)
-            lo = t0
-        last = nodes[len(xs) - 1]
-        if hi > last:
-            if not extrapolate and hi > last + 1e-12 * max(1.0, abs(last)):
-                raise DomainError(
-                    "window reaches %g ahead of completed segment end %g" % (hi, last)
-                )
-            # The predictor, integrated exactly over the sliver past the end.
-            touched_end = True
-            a = max(lo, last)
-            total += (hi - a) * (xs[-1] + (0.5 * (a + hi) - last) * ms[-1])
-            hi = last
-        if hi > lo:
-            # The last step is always an end step here, read from its nodes,
-            # so only steps sealed below are summed.
-            total += _dense_integral(nodes, xs, ms, mends, pieces, lo, hi)
-        return total
+    columns = []
+    for c, rhs, hist, x0 in members:
+        try:
+            col = column(c, rhs, hist, x0)
+        except Exception as exc:
+            results[c] = exc
+            continue
+        if col is not None:
+            columns.append(col)
 
     # Method of steps: a segment of steps whose reads all land in finished
     # steps, or before t0 in a constant history, gets them in one numpy pass,
@@ -785,222 +1079,137 @@ def integrate(
     # read (NaN in ``tau``, a read near t0, or one before t0 in a history
     # other than a constant one), then the number of steps.
     step_of = np.searchsorted(mesh, tau, "right") - 1  # the step holding each read
-    before = hist.const if isinstance(hist, ConstantHistory) else math.nan
+    constant = all(col.before == col.before for col in columns)
     later = tau > hist_hi
-    clean = later | ((tau < hist_lo) & (before == before))
+    clean = later | ((tau < hist_lo) & constant)
     unclean = np.flatnonzero(~clean.all(axis=(0, 2))).tolist() + [steps]
     landed = np.where(later, step_of, -1).max(axis=(0, 2), initial=-1)
     reach = np.maximum.accumulate(landed).tolist()
+    # The steps from ``late`` on read nothing before t0.
+    early = tau < hist_lo
+    late = int(np.flatnonzero(early.any(axis=(0, 2)))[-1]) + 1 if early.any() else 0
     np.clip(step_of, 0, steps - 1, out=step_of)
     with np.errstate(all="ignore"):
         weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
-    xs_done = np.zeros(mesh.size)
-    ms_done = np.zeros(mesh.size)
-    me_done = ms_done if mls is None else np.zeros(mesh.size)
-    synced = 0
 
-    def block(j, stop):
-        """Read values per site at the midpoints (``[0]``) and the ends
-        (``[1]``) of the steps j to stop - 1, a segment."""
-        nonlocal synced
-        n = j + 1  # finished nodes
-        xs_done[synced:n] = xs[synced:n]
-        ms_done[synced:n] = ms[synced:n]
-        if mls is not None:
-            me_done[synced:n] = mls[synced:n]
-        synced = n
-        at = step_of[:, j:stop]
-        nxt = at + 1
-        w0, w1, w2, w3 = (w[:, j:stop] for w in weights)
-        with np.errstate(all="ignore"):
-            vals = w0 * xs_done[at] + w1 * ms_done[at] + w2 * xs_done[nxt] + w3 * me_done[nxt]
-        return np.where(tau[:, j:stop] < hist_lo, before, vals)
+    def settle_pass(cols, j, stop, reads):
+        """Settle steps j to stop - 1 of each column from its segment reads
+        (rows in ``cols``' order); how many steps each settled.
 
-    resume = 0  # the pass waits for this step after one of its segments raised
-    # A node diverges unless |x| <= limit: past the threshold or not finite.
-    limit = min(divergence_threshold, sys.float_info.max)
-    coeffs, delayed, current = rhs.coeffs, rhs.delayed, rhs.current
-    y_dependent = current is not None
-
-    def prepare(t, at, cv=None):
-        """Time part and delayed part at stage time t; None if one overflows.
-
-        Each slot is read at its place in ``at``, or at the site where that
-        is NaN. A given time part ``cv`` is kept, and only the reads are redone.
+        The time part is a slice of the plan and ``delayed`` goes over
+        arrays. When the state part ignores y, k3 = k2, each step's k1 is the
+        previous k4, and the nodes are a running sum, for all such columns
+        at once; otherwise the recurrence runs step by step on ``current``.
+        Either way they are the scalar loop's operations in its order. A
+        column settles fewer steps when its next node or node slope is not
+        finite or passes the threshold, and none when ``delayed`` raises on
+        its arrays (an overflowing x^n, a floating-point exception); the
+        scalar loop takes its next step, or the rest of the segment.
         """
-        nonlocal touched_end, touched_left
-        touched_end = touched_left = False
-        try:
-            if cv is None:
-                cv = [f(t) for f in coeffs]
-            xv = list(at)
-            for k, a in enumerate(at):
-                xv[k] = read(a) if a == a else _site_value(sites[k], t, read, integral)
-            return cv, delayed(cv, xv)
-        except OverflowError:
-            return None
-
-    def stage(y, prep):
-        if prep is None:
-            return math.nan
-        if current is None:
-            return prep[1]
-        try:
-            return current(y, prep[1])
-        except OverflowError:
-            return math.nan
-
-    def advance(j, reads):
-        """Settle the segment from step j on in one pass, given its ``block`` reads.
-
-        The time part at the stage times and ``delayed`` go over arrays. When
-        the state part ignores y, k3 = k2, each step's k1 is the previous k4,
-        and the nodes are a running sum; otherwise the recurrence runs step by
-        step on ``current``. Either way they are the scalar loop's operations
-        in its order. Returns how many steps it settled; the next one, if any,
-        goes to the scalar loop, since its node or node slope is not finite or
-        passes the threshold. Anything that raises on the arrays (an
-        overflowing time part or x^n, a floating-point exception) hands the
-        segment to the scalar loop.
-        """
-        nonlocal resume
-        m = reads.shape[1]
-        try:
-            cv = _time_parts(coeffs, stage_times[:, j:j + m].ravel())
-            with np.errstate(all="raise", under="ignore"):
-                d = delayed(cv, reads.reshape(2 * m, -1).T)
-                if y_dependent:
-                    return settle(j, np.transpose(d).tolist(), m)
-                k2, k4 = d[:m], d[m:]
-                k1 = np.concatenate(([ms[-1]], k4[:-1]))
-                incr = widths[j:j + m] / 6.0 * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
-                incr[0] += xs[-1]
-                xb = np.cumsum(incr)
-        except Exception:
-            resume = j + m  # the scalar loop meets it again at its own step
-            return 0
-        # A non-finite k4 leaves its node non-finite too.
-        ok = np.abs(xb) <= limit
-        if not ok.all():
-            m = int(np.argmin(ok))
-        xs.extend(xb[:m].tolist())
-        slopes = k4[:m].tolist()
-        ms.extend(slopes)
-        if mls is not None:
-            mls.extend(slopes)
-        return m
-
-    def settle(j, ds, m):
-        """The RK4 recurrence of ``advance`` over floats, from the delayed parts
-        ``ds`` at the m midpoints and then the m step ends."""
-        xa, k1 = xs[-1], ms[-1]
-        nodes_x, slopes = [], []
-        try:
-            for h, at_mid, at_end in zip(widths[j:j + m].tolist(), ds[:m], ds[m:]):
-                k2 = current(xa + 0.5 * h * k1, at_mid)
-                k3 = current(xa + 0.5 * h * k2, at_mid)
-                k4 = current(xa + h * k3, at_end)
-                xa = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not abs(xa) <= limit:
-                    break
-                k1 = current(xa, at_end)
-                if not math.isfinite(k1):
-                    break
-                nodes_x.append(xa)
-                slopes.append(k1)
-        except Exception:
-            pass  # the scalar loop meets it again at its own step
-        xs.extend(nodes_x)
-        ms.extend(slopes)
-        if mls is not None:
-            mls.extend(slopes)
-        return len(slopes)
-
-    ms[0] = stage(x0, prepare(t0, [math.nan] * len(sites)))
-    if mls is not None:
-        mls[0] = ms[0]
-    if not (abs(x0) <= limit and math.isfinite(ms[0])):
-        traj = Trajectory(mesh[:1], np.array(xs), np.array([0.0]), hist, True, t0)
-        if on_divergence == "raise":
-            raise DivergenceError("derivative not finite at start time %g" % t0, traj)
-        return traj
-
-    diverged = False
-    div_time = None
-    j = 0
-    while j < steps:
-        if j >= resume:
-            # The segment from j ends at the next unclean step (j itself for
-            # a window), then at the first step that reads step j or later.
-            stop = unclean[bisect.bisect_left(unclean, j)]
-            if stop - j >= _BLOCK_STEPS:
-                stop = bisect.bisect_left(reach, j, j, stop)
-            if stop - j >= _BLOCK_STEPS:
-                j += advance(j, block(j, stop))
-                if j == stop:
+        m = stop - j
+        settled = [0] * len(cols)
+        summed = []  # (row, delayed part) of the columns summed at once
+        with np.errstate(all="raise", under="ignore"):
+            for r, col in enumerate(cols):
+                try:
+                    d = col.delayed(col.table[:, j:stop].reshape(2 * m, -1).T,
+                                    reads[r].reshape(2 * m, -1).T)
+                except Exception:
+                    col.resume = stop  # the scalar loop meets it again at its own step
                     continue
-        mid_tau, end_tau = tau[:, j].tolist()
-        ta = nodes[j]
-        tb = nodes[j + 1]
-        h = tb - ta
-        xa = xs[-1]
-        k1 = ms[-1]
-        # k2 and k3 share the stage time ta + h/2, so its time part and reads.
-        at_mid = prepare(ta + 0.5 * h, mid_tau)
-        k2 = stage(xa + 0.5 * h * k1, at_mid)
-        k3 = stage(xa + 0.5 * h * k2, at_mid) if y_dependent else k2
-        # The step end can sit exactly where a delayed read crosses the
-        # start-time jump; the step itself belongs to the left limit.
-        want_left = True
-        at_end = prepare(tb, end_tau)
-        k4 = stage(xa + h * k3, at_end)
-        xb = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if math.isfinite(xb):  # and so is k4
-            xs.append(xb)
-            ms.append(k4)
-            if mls is not None:
-                mls.append(k4)
-        if not abs(xb) <= limit:
-            diverged = True
-            div_time = tb
-            break
-        # The node slopes reuse k4's time part (a k4 that overflowed has
-        # ended the run), and its reads unless one of them saw the step end,
-        # which the push has just replaced.
-        cv_end = at_end[0]
-        if touched_end:
-            at_end = prepare(tb, end_tau, cv_end)
-            m_left = stage(xb, at_end)
-        else:
-            m_left = stage(xb, at_end) if y_dependent else k4
-        want_left = False
-        if touched_left:
-            m_right = stage(xb, prepare(tb, end_tau, cv_end))
-        else:
-            m_right = m_left
-        if math.isfinite(m_right) and math.isfinite(m_left):
-            ms[-1] = m_right
-            if mls is not None:
-                mls[-1] = m_left
-            if windows:
-                # Sealed once its closing derivative is final.
-                pieces.append(_piece_integral(ta, xa, ms[-2], tb, xb, mends[-1]))
-        else:
-            diverged = True
-            div_time = tb
-            break
-        j += 1
+                if col.current is None:
+                    summed.append((r, d))
+                else:
+                    settled[r] = col.settle(j, np.transpose(d).tolist(), m)
+        if summed:
+            d = np.array([d for _, d in summed])
+            k2, k4 = d[:, :m], d[:, m:]
+            ends = np.array([(cols[r].ms[-1], cols[r].xs[-1]) for r, _ in summed])
+            k1 = np.concatenate((ends[:, :1], k4[:, :-1]), axis=1)
+            # An overflow or a non-finite k4 leaves its node non-finite.
+            incr = widths[j:stop] / 6.0 * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
+            incr[:, 0] += ends[:, 1]
+            xb = np.cumsum(incr, axis=1)
+            ok = np.abs(xb) <= limit
+            for (r, _), fine, xr, kr in zip(summed, ok, xb, k4):
+                n = m if fine.all() else int(np.argmin(fine))
+                cols[r].extend(xr[:n].tolist(), kr[:n].tolist())
+                settled[r] = n
+        return settled
 
-    traj = Trajectory(
-        mesh[:len(xs)], np.array(xs), np.array(ms), hist,
-        diverged=diverged, divergence_time=div_time,
-        left_derivatives=None if mls is None else np.array(mls),
-    )
-    if diverged and on_divergence == "raise":
-        raise DivergenceError(
-            "solution exceeded %g near t=%g" % (divergence_threshold, div_time), traj
-        )
-    return traj
+    def advance(cols, j):
+        """Take ``cols``, all at step j, to the end of the run together.
+
+        From a step j the pass settles the segment up to the next unclean
+        step (j itself for a window), then the first step that reads step j
+        or later, when it holds at least ``_BLOCK_STEPS`` steps; otherwise
+        each column takes its scalar step. A column that settles fewer steps
+        of a segment than the others leaves; returns those, each with the
+        step it goes on from alone.
+        """
+        strays = []
+        rows = 0  # the columns the node arrays below hold, in order
+        while cols and j < steps:
+            if j >= cols[0].resume:
+                stop = unclean[bisect.bisect_left(unclean, j)]
+                if stop - j >= _BLOCK_STEPS:
+                    stop = bisect.bisect_left(reach, j, j, stop)
+                if stop - j >= _BLOCK_STEPS:
+                    if rows != len(cols):  # columns only ever leave
+                        rows, synced = len(cols), 0
+                        xs_done = np.zeros((rows, mesh.size))
+                        ms_done = np.zeros((rows, mesh.size))
+                        me_done = ms_done
+                        if any(col.mls is not None for col in cols):
+                            me_done = np.zeros((rows, mesh.size))
+                        before = np.array([col.before for col in cols], float)[:, None, None, None]
+                        # Where each read's step starts in the flat node arrays,
+                        # row r of which starts at r * mesh.size.
+                        flat_of = step_of + np.arange(rows)[:, None, None, None] * mesh.size
+                        flat_next = flat_of + 1
+                    n = j + 1  # finished nodes
+                    for r, col in enumerate(cols):
+                        xs_done[r, synced:n] = col.xs[synced:n]
+                        ms_done[r, synced:n] = col.ms[synced:n]
+                        if me_done is not ms_done:
+                            me_done[r, synced:n] = col.mends[synced:n]
+                    synced = n
+                    # Read values per column and site at the midpoints ([0]) and
+                    # the ends ([1]) of the segment's steps.
+                    at, nxt = flat_of[:, :, j:stop], flat_next[:, :, j:stop]
+                    w0, w1, w2, w3 = (w[:, j:stop] for w in weights)
+                    xf, mf, ef = xs_done.ravel(), ms_done.ravel(), me_done.ravel()
+                    with np.errstate(all="ignore"):
+                        vals = w0 * xf[at] + w1 * mf[at] + w2 * xf[nxt] + w3 * ef[nxt]
+                        reads = vals if j >= late else np.where(early[:, j:stop], before, vals)
+                        settled = settle_pass(cols, j, stop, reads)
+                    for col, m in zip(cols, settled):
+                        if m < stop - j:
+                            col.resume = max(col.resume, j + m + 1)
+                            strays.append(([col], j + m))
+                    cols = [col for col, m in zip(cols, settled) if m == stop - j]
+                    j = stop
+                    continue
+            going = []
+            for col in cols:
+                try:
+                    if col.step(j):
+                        going.append(col)
+                    else:
+                        results[col.index] = col.finish()
+                except Exception as exc:
+                    results[col.index] = exc
+            cols = going
+            j += 1
+        for col in cols:
+            results[col.index] = col.finish()
+        return strays
+
+    # The columns with a plan go together; each one without goes alone.
+    runs = [([col for col in columns if col.table is not None], 0)]
+    runs += [([col], 0) for col in columns if col.table is None]
+    while runs:
+        runs += advance(*runs.pop())
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from ddestab import cli
 from ddestab import criteria as cr
 from ddestab import diagnostics as dg
 from ddestab import models as md
+from ddestab import solver as sv
 from ddestab import timefn as tf
 
 MARGINAL_BAND = 1e-9
@@ -626,14 +627,16 @@ def test_outputs_have_no_leftover_temp_files(tmp_path):
 
 
 def test_sweep_bisection_reuses_the_table(tmp_path, monkeypatch):
+    # Every run goes through the column call: the table's as columns of one
+    # call, each bisection run as a call of one column.
     runs = []
-    perturbed_run = dg.perturbed_run
+    integrate_columns = sv.integrate_columns
 
-    def counted(target, **kwargs):
-        runs.append(target)
-        return perturbed_run(target, **kwargs)
+    def counted(targets, *args, **kwargs):
+        runs.extend(targets)
+        return integrate_columns(targets, *args, **kwargs)
 
-    monkeypatch.setattr(dg, "perturbed_run", counted)
+    monkeypatch.setattr(sv, "integrate_columns", counted)
     assert cli.main(["sweep", "--target", "eq3", "--param", "b", "--lo", "0.3", "--hi", "0.6",
                      "--points", "3", "--tol", "0.1", "--step", "0.05", "--predicate", "empirical",
                      "--out", str(tmp_path)]) == 0
@@ -645,3 +648,15 @@ def test_sweep_bisection_reuses_the_table(tmp_path, monkeypatch):
     # The bisection's end points and its first midpoint (0.45) are table rows.
     assert swept == 3 + len(runs) - 3
     assert json.loads((tmp_path / "threshold.json").read_text())["threshold"] == threshold
+
+
+def test_sweep_whose_second_point_fails_exits_with_that_points_error(tmp_path, capsys):
+    # sigma = 1.5 needs 30 time units to classify, and the horizon is 25; the
+    # first point's run is fine. The table's runs go together, after its
+    # certificates, yet the error is the one the second point's run raises.
+    argv = ["sweep", "--target", "ex51", "--param", "sigma", "--lo", "1.0", "--hi", "2.0",
+            "--points", "3", "--tol", "0.1", "--step", "0.05", "--horizon", "25",
+            "--predicate", "empirical", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: span 25 too short to classify; need at least 20 lags (30)\n"
+    assert not (tmp_path / "sweep.csv").exists()

@@ -34,6 +34,20 @@ CASES = {
     "sweep-certificate": _SWEEP + ["--predicate", "certificate"],
     "sweep-empirical": _SWEEP + ["--predicate", "empirical"],
     "sweep-ex5-certificate": _SWEEP_EX5 + ["--predicate", "certificate"],
+    "sweep-ex5-empirical": ["sweep", "--target", "ex5", "--param", "n", "--lo", "5", "--hi", "13",
+                            "--points", "3", "--tol", "0.25", "--step", "0.1", "--horizon", "121",
+                            "--predicate", "empirical"],
+    # The table's runs are columns of one run where the swept value leaves
+    # the sites alone, and each its own run where it moves a lag (sigma).
+    "sweep-eq3abc-empirical": ["sweep", "--target", "eq3abc", "--param", "a", "--lo", "0.25",
+                               "--hi", "0.8", "--set", "b=0.2", "--points", "4", "--tol", "0.02",
+                               "--step", "0.05", "--horizon", "50", "--predicate", "empirical"],
+    "sweep-ex51-r-empirical": ["sweep", "--target", "ex51", "--param", "r", "--lo", "3",
+                               "--hi", "9", "--set", "sigma=1.2", "--points", "3", "--tol", "0.2",
+                               "--step", "0.05", "--horizon", "40", "--predicate", "empirical"],
+    "sweep-ex51-sigma-empirical": ["sweep", "--target", "ex51", "--param", "sigma", "--lo", "0.8",
+                                   "--hi", "1.6", "--points", "3", "--tol", "0.02", "--step", "0.05",
+                                   "--horizon", "40", "--predicate", "empirical"],
     **{"reproduce-" + name: ["reproduce", name]
        for name in ("example1", "example2", "example2a", "example5", "fig1", "fig1a", "fig2")},
 }

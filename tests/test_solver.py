@@ -923,26 +923,26 @@ def test_each_stage_time_is_evaluated_once_and_reads_come_in_blocks(monkeypatch)
 
 
 def _count_array_stages(monkeypatch, times=None):
-    """The number of stage times in each call of ``delayed`` on arrays; each
-    time the time part is evaluated at goes into ``times``, if given."""
+    """The number of stage times in each call of ``delayed`` on arrays, counted
+    as the call starts; each time the time part is evaluated at goes into
+    ``times``, if given."""
     array_stages = []
     make_rhs = sv._make_rhs
 
     def counting_rhs(target, forcing):
         rhs = make_rhs(target, forcing)
         first, *others = rhs.coeffs
+        value = first.value if isinstance(first, tf.Coefficient) else first
 
         def counted(t):
             if times is not None:
                 times.append(t)
-            return first(t)
+            return value(t)
 
         def delayed(cv, xv):
-            d = rhs.delayed(cv, xv)
-            leaf = d[0] if isinstance(d, list) else d
-            if isinstance(leaf, np.ndarray):
-                array_stages.append(leaf.size)
-            return d
+            if isinstance(cv[0], np.ndarray):
+                array_stages.append(cv[0].size)
+            return rhs.delayed(cv, xv)
 
         return dataclasses.replace(rhs, coeffs=(counted, *others), delayed=delayed)
 
@@ -962,16 +962,9 @@ def test_each_stage_time_is_evaluated_once_when_the_state_reads_x_now(monkeypatc
 
 
 def _count_passes(monkeypatch):
-    """The number of stage times in each pass, one entry per ``_time_parts`` call."""
-    sizes = []
-    time_parts = sv._time_parts
-
-    def counting_time_parts(coeffs, times):
-        sizes.append(times.size)
-        return time_parts(coeffs, times)
-
-    monkeypatch.setattr(sv, "_time_parts", counting_time_parts)
-    return sizes
+    """The number of stage times in each pass of a one-column run: its
+    ``delayed`` is called on arrays once per pass, a pass that raises included."""
+    return _count_array_stages(monkeypatch)
 
 
 def test_a_pass_that_raises_hands_its_segment_to_the_scalar_loop(monkeypatch):
@@ -1123,10 +1116,176 @@ def test_sinsq_time_part_on_a_block_is_the_scalar_time_part():
     eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(1.0, 1.0), tf.ConstantLag(1.0))])
     coeffs = sv._make_rhs(eq, None).coeffs
     times = [1.258, 0.5, 2.0, 3.3]
-    total, w = sv._time_parts(coeffs, np.array(times))
-    _same(w, [coeffs[1](t) for t in times])
-    _same(total, [coeffs[0](t) for t in times])
+    total, w = sv._plan(coeffs, np.array(times)).T
+    _same(w, [coeffs[1].value(t) for t in times])
+    _same(total, [coeffs[0].value(t) for t in times])
     assert w[0] == s ** 2
+
+
+class _OwnCoefficient(tf.Coefficient):
+    """A coefficient class of the caller's own: the plan goes through its value."""
+
+    def __init__(self, amplitude, raise_after=math.inf):
+        self.amplitude = amplitude
+        self.raise_after = raise_after
+
+    def value(self, t):
+        if t > self.raise_after:
+            raise ValueError("own coefficient undefined past %g" % self.raise_after)
+        return self.amplitude * math.cos(t) ** 2
+
+
+class _RaisingSinSq(tf.SinSqCoefficient):
+    """A sin^2 rate that cannot be evaluated past ``after``; a subclass, so
+    the plan takes it through its scalar value."""
+
+    after = 30.0
+
+    def value(self, t):
+        if t > self.after:
+            raise OverflowError("rate undefined past %g" % self.after)
+        return super().value(t)
+
+
+# sin(_POW_PHASE) is _POW_TRAP, so a sin^2 part at phase _POW_PHASE and t = 0
+# squares the value where glibc's pow(x, 2) is not x*x.
+_POW_PHASE = math.asin(_POW_TRAP)
+_AMPLITUDES = st.sampled_from([0.0, -0.0, 1.0, 0.3, 6.0]) | st.floats(0.0, 5.0)
+_LEAVES = st.one_of(
+    st.builds(tf.ConstantCoefficient, st.sampled_from([0.0, -0.0, 0.7]) | st.floats(0.0, 5.0)),
+    st.builds(tf.SinSqCoefficient, _AMPLITUDES,
+              st.sampled_from([1.0, math.pi]) | st.floats(0.1, 5.0),
+              st.sampled_from([0.0, _POW_PHASE]) | st.floats(-3.0, 3.0)),
+    st.builds(tf.piecewise_constant, st.just([0.5, 1.258, 2.0]),
+              st.lists(st.floats(0.0, 5.0), min_size=4, max_size=4)),
+    st.builds(tf.piecewise_constant, st.just([]), st.lists(st.floats(0.0, 5.0), min_size=1, max_size=1)),
+    st.builds(_OwnCoefficient, st.floats(0.0, 5.0)),
+)
+_TREES = st.recursive(_LEAVES, lambda parts: st.one_of(
+    st.builds(tf.ScaledCoefficient, st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(0.0, 5.0), parts),
+    st.builds(tf.coeff_sum, st.lists(parts, min_size=1, max_size=3)),
+    # The shape ``difference`` builds when no structure simplifies it.
+    st.builds(lambda a, b, w: tf._LinearCombination(((1.0, a), (-w, b))), parts, parts,
+              st.sampled_from([1.0, -0.0]) | st.floats(0.0, 2.0)),
+), max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(trees=st.lists(_TREES, min_size=1, max_size=3),
+       times=st.lists(st.floats(-5.0, 20.0), max_size=8))
+def test_property_the_plan_is_the_scalar_time_part_bit_for_bit(trees, times):
+    assert math.sin(_POW_PHASE) == _POW_TRAP and _POW_TRAP ** 2 != _POW_TRAP * _POW_TRAP
+    # The square trap, t = 0 (the pow trap at _POW_PHASE), every breakpoint
+    # exactly, and times before the first one.
+    times = [1.258, 0.0, 0.5, 2.0, 0.2, -1.0] + times
+    forced = lambda t: math.exp(-t) * math.sin(3.0 * t)  # noqa: E731
+    coeffs = (sv._forcing_part(None), sv._forcing_part(forced), *trees)
+    table = sv._plan(coeffs, np.array(times))
+    for column, f in zip(table.T, sv._time_fns(coeffs)):
+        want = [f(t) for t in times]
+        assert column.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_the_plan_takes_a_difference_in_its_own_order():
+    # 0.6 sin^2(t) + 0.5 less 0.3 sin^2(2t) is no shape ``difference`` simplifies.
+    a = tf.coeff_sum([tf.sinsq(0.6, 1.0), tf.constant(0.5)])
+    d = tf.difference(a, tf.sinsq(0.3, 2.0))
+    assert isinstance(d, tf._LinearCombination) and isinstance(a, tf.SumCoefficient)
+    times = np.linspace(-1.0, 7.0, 97)
+    (column,) = sv._plan((d,), times).T
+    assert column.tobytes() == np.array([d.value(t) for t in times.tolist()]).tobytes()
+
+
+def test_a_run_whose_plan_raises_evaluates_each_stage_time_in_the_scalar_loop():
+    # The pin's rate raises past t = 30, which its run, ended by a NaN near
+    # t = 3.4, never reaches; planned up front, the rate raises, and the run
+    # falls back to the scalar loop with the pin's bits.
+    run, digest = PIN_RUNS["removal_fractional_n_nan"]
+    rate = _RaisingSinSq(6.0, math.pi)
+    model = md.MackeyGlassRemoval(r=rate, beta=1.25, gamma=1.0, n=2.5,
+                                  g=tf.ConstantLag(1.2), h=tf.ConstantLag(1.0))
+    with pytest.raises(OverflowError):
+        sv._plan((rate,), np.array([10.0, 31.0]))
+    tr = sv.integrate(model, 0.5, 40.0, step=0.01, initial_value=0.9, on_divergence="truncate")
+    assert _digest(tr) == digest == _digest(run())
+
+
+def test_a_diverging_run_evaluates_each_stage_time_once(monkeypatch):
+    # The pin ends in a NaN after 338 steps; its time part is planned once
+    # over the run's stage times and never evaluated again.
+    times = []
+    _count_array_stages(monkeypatch, times)
+    run, digest = PIN_RUNS["removal_fractional_n_nan"]
+    tr = run()
+    assert _digest(tr) == digest and tr.diverged
+    steps = sv._build_mesh(0.0, 40.0, 0.01, [1.2, 1.0]).size - 1
+    assert len(set(times)) == len(times) == 2 * steps + 1
+
+
+def _column_family(kind, params):
+    """The targets of one column call and the options they share."""
+    if kind == "linear":
+        # eq3abc's shape beside a constant pair and a run with no x(t) term:
+        # the same site, columns whose state part reads x(t) or not.
+        targets = [md.eq3abc(a, a * b) for a, b in params]
+        targets.append(cr.LinearDelayEquation(
+            positive_terms=[cr.Term(tf.constant(params[0][0]), tf.ConstantLag(2.0))],
+            negative_terms=[cr.Term(tf.constant(params[0][0] * params[0][1]), tf.IdentityDelay())]))
+        targets.append(cr.LinearDelayEquation(
+            positive_terms=[cr.Term(tf.sinsq(params[-1][0], 1.0), tf.ConstantLag(2.0))]))
+        # Two that pass the threshold mid-segment, with and without x(t).
+        targets.append(cr.LinearDelayEquation(
+            positive_terms=[cr.Term(tf.constant(3.0), tf.ConstantLag(2.0))]))
+        targets.append(md.eq3abc(6.0, 1.0))
+        return targets, [0.8] * len(targets), [1.2] * len(targets), dict(
+            step=0.05, t1=30.0, divergence_threshold=1e3)
+    if kind == "ex51":
+        targets = [md.ex51(sigma=0.5, r=4.0 * a) for a, _ in params]
+        # The huge removal run overflows x^2 in the middle of a segment.
+        targets.append(_HUGE_REMOVAL)
+        starts = [0.4] * len(params) + [1e150]
+        return targets, starts, [0.6] * len(params) + [1e150], dict(
+            step=0.01, t1=16.0, divergence_threshold=1e300)
+    targets = [md.ex5(n=4.0 + 8.0 * a) for a, _ in params]
+    return targets, [0.8] * len(targets), [1.2 + b for _, b in params], dict(step=0.1, t1=60.0)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["linear", "ex51", "ex5"]),
+    params=st.lists(st.tuples(st.floats(0.05, 1.5), st.floats(0.0, 0.9)), min_size=1, max_size=4),
+    on_divergence=st.sampled_from(["truncate", "raise"]),
+)
+def test_property_columns_are_separate_runs_bit_for_bit(kind, params, on_divergence):
+    targets, histories, starts, options = _column_family(kind, params)
+    t1 = options.pop("t1")
+    # One column whose coefficient raises part way, with the family's sites.
+    bad = _OwnCoefficient(0.3, raise_after=t1 / 2.0)
+    if kind == "linear":
+        targets.append(cr.LinearDelayEquation(
+            positive_terms=[cr.Term(bad, tf.ConstantLag(2.0))]))
+    elif kind == "ex51":
+        targets.append(dataclasses.replace(md.ex51(sigma=0.5), r=bad))
+    else:
+        targets.append(dataclasses.replace(md.ex5(), s=bad))
+    histories.append(histories[0])
+    starts.append(starts[0])
+    columns = sv.integrate_columns(targets, histories, t1, initial_values=starts,
+                                   on_divergence=on_divergence, **options)
+    assert isinstance(columns[-1], ValueError)
+    for target, history, x0, got in zip(targets, histories, starts, columns):
+        try:
+            want = sv.integrate(target, history, t1, initial_value=x0,
+                                on_divergence=on_divergence, **options)
+        except Exception as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            want, got = getattr(exc, "trajectory", None), getattr(got, "trajectory", None)
+            if want is None:
+                continue
+        for name in ("times", "values", "derivatives", "left_derivatives"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        assert (got.diverged, got.divergence_time) == (want.diverged, want.divergence_time)
 
 
 def test_node_slope_rereads_keep_the_time_part():
