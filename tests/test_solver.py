@@ -585,7 +585,11 @@ def _raised_trajectory(run):
 # windows whose start is a general delay, whole and narrow, before every
 # delayed read was placed once per run; and that of a lag swinging between
 # 25 and 75 steps before a segment followed the lag where it is rather than
-# the run's least lag.
+# the run's least lag; those of runs whose terms share a site (a constant
+# lag, ex51's g = h, a general delay, a general window start), of the window
+# pair to t = 21, of windows narrower than a step, under a tabulated history
+# with a start jump, and extrapolated, before each distinct site was read
+# once and every window placed once per run.
 PIN_RUNS = {
     "step_equals_lag": (
         lambda: sv.integrate(_linear([(0.9, 0.05)]), 1.0, 3.0, step=0.05),
@@ -813,6 +817,71 @@ PIN_RUNS = {
             0.9, 30.0, step=0.02, initial_value=1.1, forcing=lambda t: 0.1 * math.sin(t),
         ),
         "6df384dfa83e43448669809a3881830d1ea749685b08dfa37b5ace5c4ed1ae8c",
+    ),
+    "window_pair_long": (
+        lambda: _window_run(0.05, 21.0),
+        "a40c7ba8735fd4c6220a6f548f976b164fae5a4a75a83aeef7fa3cfcf044daaf",
+    ),
+    "one_lag_both_signs": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(
+                positive_terms=[cr.Term(tf.constant(0.9), tf.ConstantLag(1.0))],
+                negative_terms=[cr.Term(tf.sinsq(0.3, 1.3), tf.ConstantLag(1.0))],
+            ),
+            0.8, 20.0, step=0.01, initial_value=1.2,
+        ),
+        "8b6e2f12270d7a6f8309c65c68688c467894b0b198042cbc2573ab2c03764ee2",
+    ),
+    "ex51_sigma_one": (
+        lambda: sv.integrate(md.ex51(sigma=1.0), 0.4, 30.0, step=0.01, initial_value=0.6),
+        "6abf71e6e0836eda34227f494cdcdf04bf701540bf23d52adb3e7395291929da",
+    ),
+    "general_delay_shared": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(
+                positive_terms=[cr.Term(tf.constant(0.8), _SLOW_WOBBLE)],
+                negative_terms=[cr.Term(tf.sinsq(0.2, 1.3), _SLOW_WOBBLE)],
+            ),
+            0.8, 12.0, step=0.02, initial_value=1.2,
+        ),
+        "94a4601576ede4ee17cd2347be576a013b407ff2085d3b70704f4d557e105951",
+    ),
+    "general_window_start_shared": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(
+                positive_terms=[_term(0.2, 0.5)],
+                distributed_terms=[cr.DistributedTerm(1, tf.constant(0.6), _SLOW_WOBBLE),
+                                   cr.DistributedTerm(-1, tf.constant(0.2), _SLOW_WOBBLE)],
+            ),
+            0.8, 10.0, step=0.02, initial_value=1.2,
+        ),
+        "3c52038cc2d98b47a303af1fb60d2ba7f61897bbc8b5e086237947b51386b9bb",
+    ),
+    "window_inside_step": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(distributed_terms=[
+                cr.DistributedTerm(1, tf.constant(0.9), tf.ConstantLag(1.1), cr.UniformKernel(0.01)),
+                cr.DistributedTerm(-1, tf.constant(0.3), tf.ConstantLag(0.5), cr.UniformKernel(0.3)),
+            ]),
+            math.cos, 8.0, step=0.02,
+        ),
+        "6a06a4c9e90b01161b6f61f9d2a7632a6db1a8f7ed2d57ef2a56f838f30bc27b",
+    ),
+    "window_tabulated_history_jump": (
+        lambda: _window_run(0.05, 6.0, sv.tabulate_history(math.cos, -1.0, 0.0, 0.1)),
+        "9dd4bec4071ca6fcb0fb156f978813157143550702b3f9af892f0cfe66223fc4",
+    ),
+    "window_extrapolated": (
+        lambda: sv.integrate(
+            cr.LinearDelayEquation(
+                positive_terms=[cr.Term(tf.constant(0.5), tf.ConstantLag(0.15))],
+                distributed_terms=[cr.DistributedTerm(
+                    1, tf.constant(0.4), tf.ConstantLag(0.2), cr.UniformKernel(0.1)
+                )],
+            ),
+            1.0, 5.0, step=0.3, allow_extrapolation=True,
+        ),
+        "1bff4a41a5e0c9179ccd2e96926c9eaf983b97d1b4fe428af2e52bd55a6a84ce",
     ),
 }
 
