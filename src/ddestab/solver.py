@@ -29,10 +29,20 @@ end's time part. The state part is split again: a delayed part that needs
 no x(t) and a current part that finishes it with the state, so k2 and k3
 share one delayed part as well.
 
+Terms that read one site (a positive and a negative term at one lag, two
+distributed terms over one window) share it, so each distinct delay and
+each distinct window (start and kernel) is read once per stage time.
 Where every delayed read lands, at both stage times of every step, is
 found once per run: t - lag at a constant lag, one call per stage time at
 a general delay. Its smallest lag bounds the step, checked before the
-first step. From any step j, the method of steps (Bellen and Zennaro 2003,
+first step. Each window is placed once per run as well, at the midpoint
+and at the step end before and after the push: its ends, the steps that
+hold them, its history span, the coefficients of the predictor sliver and
+the Hermite-integral weights of its head and tail. A window read is then a
+few products and the sum of the whole steps between, in the operations and
+order of the closed-form integral, hence bit for bit; the tail of the last
+finished step is formed once per state and shared by every window read at
+it. From any step j, the method of steps (Bellen and Zennaro 2003,
 ch. 3) settles a segment of steps at once: the steps up to the first one
 that reads step j or later or has a slot only the scalar read can read. Its
 reads land in finished steps or before t0 in a constant history, so the
@@ -64,7 +74,10 @@ steps; shorter ones cost more than they save. The scalar read and the
 scalar step remain the reference for everything a segment cannot settle
 ahead of time: windows, reads near t0 (two-sided under a start jump) or at
 the last finished node, histories other than a constant one, extrapolated
-reads, divergence, and all steps when the lag is short.
+reads, divergence, and all steps when the lag is short. The site read, in
+turn, is the reference for every window read placement cannot know: a
+window shorter than 1e-14, a start that raises, a window that reaches past
+the last node where that raises.
 """
 
 from __future__ import annotations
@@ -239,8 +252,9 @@ def _hermite_deriv(ta, xa, ma, tb, xb, mb, t):
     )
 
 
-def _hermite_integral(ta, xa, ma, tb, xb, mb, u, v):
-    """Integral over [u, v] of the Hermite piece on [ta, tb], in closed form."""
+def _hermite_integral_weights(ta, tb, u, v):
+    """h and the weights of xa, ma, xb and mb in the integral over [u, v] of
+    the Hermite piece on [ta, tb], divided by h (arrays welcome)."""
     h = tb - ta
     p = (u - ta) / h
     q = (v - ta) / h
@@ -249,12 +263,19 @@ def _hermite_integral(ta, xa, ma, tb, xb, mb, u, v):
     d2 = q * q - p * p
     d3 = q * q * q - p * p * p
     d4 = q * q * q * q - p * p * p * p
-    return h * (
-        (0.5 * d4 - d3 + d1) * xa
-        + (0.25 * d4 - 2.0 / 3.0 * d3 + 0.5 * d2) * h * ma
-        + (d3 - 0.5 * d4) * xb
-        + (0.25 * d4 - d3 / 3.0) * h * mb
+    return (
+        h,
+        0.5 * d4 - d3 + d1,
+        (0.25 * d4 - 2.0 / 3.0 * d3 + 0.5 * d2) * h,
+        d3 - 0.5 * d4,
+        (0.25 * d4 - d3 / 3.0) * h,
     )
+
+
+def _hermite_integral(ta, xa, ma, tb, xb, mb, u, v):
+    """Integral over [u, v] of the Hermite piece on [ta, tb], in closed form."""
+    h, a, b, c, d = _hermite_integral_weights(ta, tb, u, v)
+    return h * (a * xa + b * ma + c * xb + d * mb)
 
 
 def _piece_integral(ta, xa, ma, tb, xb, mb):
@@ -419,17 +440,20 @@ class _Rhs:
 
     ``coeffs`` is the time part: one entry per value it holds, a Coefficient
     or a function of t (forcing). ``sites`` lists what the equation reads from
-    the past, one slot each: a delay, read at one delayed time, or a
-    DistributedTerm, averaged over its window. The state part comes in two
-    pieces. ``delayed(cv, xv)`` does all the arithmetic that needs no x(t),
-    given the time part's values ``cv`` and one value ``xv[k]`` per site;
-    ``current(y, d)`` finishes it with the state y. ``current`` is None when
-    the state part ignores y, and ``delayed`` then gives the derivative
+    the past, one slot per distinct read: the delays, each read at one
+    delayed time, then the windows (``_Window``), each averaged over. Terms
+    that read one site (a positive and a negative term at one lag, two
+    distributed terms over one window) share its slot. The state part comes
+    in two pieces. ``delayed(cv, xv)`` does all the arithmetic that needs no
+    x(t), given the time part's values ``cv`` and one value ``xv[k]`` per
+    site; ``current(y, d)`` finishes it with the state y. ``current`` is None
+    when the state part ignores y, and ``delayed`` then gives the derivative
     itself. Given arrays (one entry per stage time) in place of the numbers,
     ``delayed`` does the same IEEE operations element by element, and gives
     the values ``current`` takes, one array each. What the integrator needs to
     know of the reads (the lags that bound the step and seed the mesh, the
-    windows) it derives from the sites.
+    windows) it derives from the sites, and it places each site's reads,
+    windows included, once per run.
     """
 
     coeffs: tuple
@@ -445,7 +469,7 @@ class _Rhs:
 
 
 def _site_value(site, t, read, integral):
-    if isinstance(site, cr.DistributedTerm):
+    if isinstance(site, _Window):
         return _window_average(site, t, read, integral)
     return read(site(t))
 
@@ -499,7 +523,15 @@ def _summed(parts: list) -> np.ndarray:
     return np.fromiter(map(sum, zip(*(p.tolist() for p in parts))), float, parts[0].size)
 
 
-def _window_reaches_now(term: cr.DistributedTerm) -> bool:
+@dataclass(frozen=True)
+class _Window:
+    """What a distributed term averages x over: [w(t), t], or [w(t), w(t) + width] cut at t."""
+
+    window_start: tf.Delay
+    kernel: cr.UniformKernel
+
+
+def _window_reaches_now(term: _Window) -> bool:
     if term.kernel.width is None:
         return True
     if isinstance(term.window_start, tf.ConstantLag):
@@ -507,8 +539,8 @@ def _window_reaches_now(term: cr.DistributedTerm) -> bool:
     return True  # variable window start: assume the worst
 
 
-def _window_average(term: cr.DistributedTerm, t: float, read, integral) -> float:
-    """Average of x over the term's window at time t, from its exact integral."""
+def _window_average(term: _Window, t: float, read, integral) -> float:
+    """Average of x over the window at time t, from its exact integral."""
     lo = term.window_start(t)
     hi = t
     if term.kernel.width is not None:
@@ -519,15 +551,16 @@ def _window_average(term: cr.DistributedTerm, t: float, read, integral) -> float
     return integral(lo, hi) / length
 
 
-def _slots(delays):
-    """Each delay's site index (-1 for x(t) itself) and the delayed sites."""
+def _slots(reads):
+    """Each read's site index (-1 for x(t) itself) and the distinct sites, in order."""
     at, sites = [], []
-    for d in delays:
+    for d in reads:
         if isinstance(d, IdentityDelay):
             at.append(-1)
-        else:
-            at.append(len(sites))
+            continue
+        if d not in sites:
             sites.append(d)
+        at.append(sites.index(d))
     return at, sites
 
 
@@ -544,9 +577,8 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
     signed += [(1.0, term.coeff) for term in eq.negative_terms]
     distributed = eq.distributed_terms
     signed += [(-term.sign, term.total_weight) for term in distributed]
-    at, sites = _slots(term.delay for term in terms)
-    at += range(len(sites), len(sites) + len(distributed))
-    sites += distributed
+    at, sites = _slots([term.delay for term in terms]
+                       + [_Window(term.window_start, term.kernel) for term in distributed])
     # ``delayed`` sums the terms before the first x(t), after the forcing,
     # and forms w or w * x of each term after it; ``current`` adds those in
     # order, times y where the term reads x(t).
@@ -622,7 +654,7 @@ def _mesh_lags(sites) -> list:
     """The lags that seed the breaking-point mesh: constant read lags and constant window ends."""
     lags = [d.lag for d in sites if isinstance(d, tf.ConstantLag)]
     for term in sites:
-        if isinstance(term, cr.DistributedTerm) and isinstance(term.window_start, tf.ConstantLag):
+        if isinstance(term, _Window) and isinstance(term.window_start, tf.ConstantLag):
             lags.append(term.window_start.lag)
             if term.kernel.width is not None and term.window_start.lag > term.kernel.width:
                 lags.append(term.window_start.lag - term.kernel.width)
@@ -792,10 +824,100 @@ def _start_time(target, t1, step, t0, divergence_threshold, on_divergence) -> fl
     return t0
 
 
+def _place_windows(windows, mesh, stage_times, t0, extrapolate) -> list:
+    """Every window read of a run, placed once: per step, the records of its
+    midpoint, of its end before the push and of its end after it, one per
+    window in order (see ``_placed_window``).
+
+    A window start that raises at any stage time leaves that window to the
+    site read throughout, which meets the error again at its own step.
+    """
+    steps = mesh.size - 1
+    if not windows:
+        return [((), (), ())] * steps
+    # The three uses as rows: the stage time and the last finished node.
+    times = stage_times[[0, 1, 1]]
+    last = np.stack((mesh[:-1], mesh[:-1], mesh[1:]))
+    uses = []
+    for w in windows:
+        start = w.window_start
+        try:
+            if isinstance(start, tf.ConstantLag):
+                lo = times - start.lag
+            else:
+                lo = np.array(list(map(start, stage_times.ravel().tolist())), float)
+                lo = lo.reshape(stage_times.shape)[[0, 1, 1]]
+        except Exception:
+            uses.append([[None] * steps] * 3)
+            continue
+        uses.append(_placed_window(lo, times, last, w.kernel.width, mesh, t0, extrapolate))
+    return list(zip(*(zip(*(use[row] for use in uses)) for row in range(3))))
+
+
+def _placed_window(lo, t, last, width, mesh, t0, extrapolate) -> list:
+    """One window's reads at the stage times ``t`` from its lower ends ``lo``,
+    with the last finished node at ``last`` (one row per use): per use and
+    step a record, or None where only the site read can read it (a window
+    shorter than 1e-14, a lower end that is not finite, a window reaching
+    past ``last`` where that raises).
+
+    A record follows ``_window_average`` and ``integral`` branch for branch,
+    with their numbers worked out ahead: the length; the history span where
+    the window starts before t0 (else None); whether it reaches past the
+    last node, with the two coefficients of the predictor sliver; the step
+    holding the lower end (-1 when no finished step is read) and h and the
+    Hermite-integral weights of the head (of the whole part when both ends
+    lie in that step); the step holding the upper end, with h and the
+    weights of the tail, or None where the tail is the last finished step
+    whole, which every read at one state shares.
+    """
+    with np.errstate(all="ignore"):
+        hi = t if width is None else np.where(t < lo + width, t, lo + width)
+        length = hi - lo
+        early = lo < t0
+        lo_in = np.where(early, t0, lo)
+        over = hi > last
+        a = np.where(last > lo_in, last, lo_in)
+        hi_in = np.where(over, last, hi)
+        known = np.isfinite(lo) & (length >= 1e-14)
+        if not extrapolate:
+            known &= ~(hi > last + 1e-12 * np.maximum(1.0, np.abs(last)))
+        top = mesh.size - 2
+        i = np.minimum(np.maximum(np.searchsorted(mesh, lo_in, "right") - 1, 0), top)
+        jj = np.minimum(np.maximum(np.searchsorted(mesh, hi_in, "left") - 1, 0), top)
+        dense = hi_in > lo_in
+        single = i == jj
+        head = _hermite_integral_weights(mesh[i], mesh[i + 1], lo_in,
+                                         np.where(single, hi_in, mesh[i + 1]))
+        tail = _hermite_integral_weights(mesh[jj], mesh[jj + 1], mesh[jj], hi_in)
+        own = dense & ~single & (hi_in != last)
+        spans = (lo, np.where(t0 < hi, t0, hi))
+        rows = [f.tolist() for f in (length, over, hi - a, 0.5 * (a + hi) - last,
+                                     np.where(dense, i, -1), *head, jj)]
+    out = []
+    for use, row_known in enumerate(known):
+        length, *rest = (f[use] for f in rows)
+        records = list(zip(length, _sparse(early[use], [p[use] for p in spans]), *rest,
+                           _sparse(own[use], [w[use] for w in tail])))
+        for j in np.flatnonzero(~row_known).tolist():
+            records[j] = None
+        out.append(records)
+    return out
+
+
+def _sparse(mask, parts) -> list:
+    """Per entry of ``mask``, the tuple of ``parts`` there, or None where it is False."""
+    out = [None] * mask.size
+    at = np.flatnonzero(mask)
+    for j, values in zip(at.tolist(), zip(*(p[at].tolist() for p in parts))):
+        out[j] = values
+    return out
+
+
 def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
                      divergence_threshold, on_divergence) -> None:
     """Integrate ``members``, columns sharing t0, t1, step and their sites, into ``results``."""
-    windows = [s for s in sites if isinstance(s, cr.DistributedTerm)]
+    windows = [s for s in sites if isinstance(s, _Window)]
     mesh = _build_mesh(t0, t1, step, _mesh_lags(sites))
     nodes = mesh.tolist()
     steps = mesh.size - 1
@@ -804,8 +926,9 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
 
     # Where each delayed read lands at the midpoint ([0]) and the end ([1]) of
     # every step: the floats the site returns there. NaN leaves a slot to be
-    # read at the site: windows, general delays under ``allow_extrapolation``
-    # and those that raise (again at their own step). The smallest lag bounds
+    # read at the site: general delays under ``allow_extrapolation`` and those
+    # that raise (again at their own step); windows, placed below, keep their
+    # slots NaN so that no segment takes them. The smallest lag bounds
     # the step: constant lags as given, general ones at their least over the
     # stage times.
     tau = np.full(stage_times.shape + (len(sites),), math.nan)
@@ -831,6 +954,14 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
     hist_pad = 1e-9 * max(1.0, abs(t0))
     hist_lo, hist_hi = t0 - hist_pad, t0 + hist_pad
     extrapolate = allow_extrapolation or any(map(_window_reaches_now, windows))
+    # The point reads' places in the scalar loop, and the window reads of
+    # each step, placed once for every column.
+    point = tau[..., :len(sites) - len(windows)]
+    placed = _place_windows(windows, mesh, stage_times, t0, extrapolate)
+    # The weights of each step's integral whole: the tail a window read shares
+    # when its window reaches the last finished node.
+    whole = list(zip(*(w.tolist() for w in _hermite_integral_weights(
+        mesh[:-1], mesh[1:], mesh[:-1], mesh[1:])))) if windows else None
     # A node diverges unless |x| <= limit: past the threshold or not finite.
     limit = min(divergence_threshold, sys.float_info.max)
     # Each column's time part is planned at t0 (its start slope) and at every
@@ -857,6 +988,9 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
         # predictor (they change once the step is pushed), or the left limit of
         # the start-time jump (they change with ``want_left``).
         touched_end = touched_left = False
+        # The integral over the last finished step whole, once a window read at
+        # the current state has formed it; each step and each push clear it.
+        tail = None
         # The finished nodes are nodes[:len(xs)]. The predictor past the last one
         # serves only a step not yet pushed: the node-slope reads after a push land
         # at or before the new node (a GeneralDelay returns min(v, t), windows end at t).
@@ -919,21 +1053,49 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
                 total += _dense_integral(nodes, xs, ms, mends, pieces, lo, hi)
             return total
 
-        def prepare(t, at, cv):
+        def window(p):
+            """A placed window read: ``_window_average`` through ``integral``,
+            in their operations and order, from the record ``p``."""
+            nonlocal touched_end, tail
+            length, span, over, c1, c2, i, h, w0, w1, w2, w3, jj, own = p
+            total = 0.0
+            if span is not None:
+                total = _history_integral(hist, span[0], span[1], step)
+            if over:
+                touched_end = True
+                total += c1 * (xs[-1] + c2 * ms[-1])
+            if i >= 0:
+                part = h * (w0 * xs[i] + w1 * ms[i] + w2 * xs[i + 1] + w3 * mends[i + 1])
+                if jj != i:
+                    if own is None and tail is not None:
+                        end = tail
+                    else:
+                        h, w0, w1, w2, w3 = whole[jj] if own is None else own
+                        end = h * (w0 * xs[jj] + w1 * ms[jj] + w2 * xs[jj + 1] + w3 * mends[jj + 1])
+                        if own is None:
+                            tail = end
+                    part = part + sum(pieces[i + 1:jj]) + end
+                total += part
+            return total / length
+
+        def prepare(t, at, win, cv):
             """Time part and delayed part at stage time t; None if one overflows.
 
             The time part is ``cv``, a row of the plan, or evaluated here when
-            the run has none. Each slot is read at its place in ``at``, or at
-            the site where that is NaN.
+            the run has none. Each point slot is read at its place in ``at``,
+            each window slot from its record in ``win``; either at the site
+            where that is NaN or None.
             """
             nonlocal touched_end, touched_left
             touched_end = touched_left = False
             try:
                 if cv is None:
                     cv = [f(t) for f in fns]
-                xv = list(at)
-                for k, a in enumerate(at):
-                    xv[k] = read(a) if a == a else _site_value(own_sites[k], t, read, integral)
+                xv = [read(a) if a == a else _site_value(own_sites[k], t, read, integral)
+                      for k, a in enumerate(at)]
+                for k, p in enumerate(win, len(at)):
+                    xv.append(window(p) if p is not None else
+                              _site_value(own_sites[k], t, read, integral))
                 return cv, delayed(cv, xv)
             except OverflowError:
                 return None
@@ -979,21 +1141,24 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
 
         def scalar_step(j):
             """RK4 step j on floats; False when the run ends at its node."""
-            nonlocal want_left, div_time
-            mid_tau, end_tau = tau[:, j].tolist()
+            nonlocal want_left, div_time, tail
+            mid_tau, end_tau = point[:, j].tolist()
+            mid_win, end_win, post_win = placed[j]
+            tail = None
             ta = nodes[j]
             tb = nodes[j + 1]
             h = tb - ta
             xa = xs[-1]
             k1 = ms[-1]
             # k2 and k3 share the stage time ta + h/2, so its time part and reads.
-            at_mid = prepare(ta + 0.5 * h, mid_tau, None if table is None else table[0, j].tolist())
+            at_mid = prepare(ta + 0.5 * h, mid_tau, mid_win,
+                             None if table is None else table[0, j].tolist())
             k2 = stage(xa + 0.5 * h * k1, at_mid)
             k3 = stage(xa + 0.5 * h * k2, at_mid) if y_dependent else k2
             # The step end can sit exactly where a delayed read crosses the
             # start-time jump; the step itself belongs to the left limit.
             want_left = True
-            at_end = prepare(tb, end_tau, None if table is None else table[1, j].tolist())
+            at_end = prepare(tb, end_tau, end_win, None if table is None else table[1, j].tolist())
             k4 = stage(xa + h * k3, at_end)
             xb = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if math.isfinite(xb):  # and so is k4
@@ -1001,6 +1166,7 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
                 ms.append(k4)
                 if mls is not None:
                     mls.append(k4)
+                tail = None
             if not abs(xb) <= limit:
                 div_time = tb
                 return False
@@ -1009,13 +1175,13 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
             # which the push has just replaced.
             cv_end = at_end[0]
             if touched_end:
-                at_end = prepare(tb, end_tau, cv_end)
+                at_end = prepare(tb, end_tau, post_win, cv_end)
                 m_left = stage(xb, at_end)
             else:
                 m_left = stage(xb, at_end) if y_dependent else k4
             want_left = False
             if touched_left:
-                m_right = stage(xb, prepare(tb, end_tau, cv_end))
+                m_right = stage(xb, prepare(tb, end_tau, post_win, cv_end))
             else:
                 m_right = m_left
             if not (math.isfinite(m_right) and math.isfinite(m_left)):
@@ -1042,7 +1208,7 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
                 )
             return traj
 
-        ms[0] = stage(x0, prepare(t0, [math.nan] * len(own_sites), cv0))
+        ms[0] = stage(x0, prepare(t0, [math.nan] * point.shape[-1], [None] * len(windows), cv0))
         if mls is not None:
             mls[0] = ms[0]
         if not (abs(x0) <= limit and math.isfinite(ms[0])):

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ddestab import criteria as cr
 from ddestab import models as md
@@ -1066,6 +1066,110 @@ def test_a_zero_constant_lag_reads_the_current_state():
         for delay in (tf.ConstantLag(0.0), tf.IdentityDelay())
     ]
     assert _digest(runs[0]) == _digest(runs[1])
+
+
+def test_each_distinct_site_is_read_once_per_stage_time(monkeypatch):
+    # A general delay read by two terms, and a general window start shared by
+    # two windows, are called as often as with one term: once per stage time
+    # and once at t0 for the start slope.
+    calls = []
+
+    def wobble(t):
+        calls.append(t)
+        return t - (1.0 + 0.3 * math.sin(0.7 * t))
+
+    delay = tf.GeneralDelay(wobble, 1.3)
+    pair = [cr.Term(tf.constant(0.8), delay)], [cr.Term(tf.sinsq(0.2, 1.3), delay)]
+    windows = [cr.DistributedTerm(1, tf.constant(0.6), delay),
+               cr.DistributedTerm(-1, tf.constant(0.2), delay)]
+    averages = []
+    window_average = sv._window_average
+    monkeypatch.setattr(sv, "_window_average", lambda *args: averages.append(args[1])
+                        or window_average(*args))
+    for one, two in (
+        (cr.LinearDelayEquation(positive_terms=pair[0]),
+         cr.LinearDelayEquation(positive_terms=pair[0], negative_terms=pair[1])),
+        (cr.LinearDelayEquation(distributed_terms=windows[:1]),
+         cr.LinearDelayEquation(distributed_terms=windows)),
+    ):
+        counts = []
+        for eq in (one, two):
+            calls.clear()
+            steps = sv.integrate(eq, 0.8, 12.0, step=0.02, initial_value=1.2).times.size - 1
+            counts.append(len(calls))
+        assert counts == [2 * steps + 1] * 2
+    # Every window read but the start slope's is placed: the site read serves
+    # only the slots placement cannot know.
+    assert averages == [0.0, 0.0]
+
+
+def _window_property_run(start, width, history, jump, unstable, mix, lag, a, step):
+    """A short run over one window that a removal and a feedback term share:
+    its ``start`` a constant lag, a general delay, or one that touches t
+    (windows of length zero); its kernel whole or of ``width``; under a
+    constant, a function or a tabulated ``history``, with or without a start
+    ``jump``; ``unstable`` runs (a * lag = 12, threshold 1.5) mostly diverge,
+    and ``mix`` adds a point read and an x(t) term."""
+    start = {
+        "constant": tf.ConstantLag(lag),
+        "general": tf.GeneralDelay(lambda t: t - lag * (1.0 + 0.3 * math.sin(t)), 1.3 * lag),
+        "touching": tf.GeneralDelay(lambda t: t - lag * max(0.0, math.sin(3.0 * t)), lag),
+    }[start]
+    if unstable:
+        a = 12.0 / lag
+    kernel = cr.UniformKernel(width)
+    windows = [cr.DistributedTerm(1, tf.constant(a), start, kernel),
+               cr.DistributedTerm(-1, tf.sinsq(0.3 * a, 1.0), start, kernel)]
+    positive, negative = [], []
+    if mix:
+        positive, negative = [_term(0.3 * a, max(lag, step))], [_term(0.1 * a, 0.0)]
+    eq = cr.LinearDelayEquation(positive_terms=positive, negative_terms=negative,
+                                distributed_terms=windows)
+    phi = {
+        "constant": 0.8,
+        "function": sv.FunctionHistory(lambda t: 0.8 + 0.2 * math.cos(3.0 * t)),
+        "tabulated": sv.tabulate_history(lambda t: 0.8 - 0.1 * t, -2.5, 0.0, 0.1),
+    }[history]
+    return sv.integrate(eq, phi, 6.0, step=step, initial_value=1.2 if jump else None,
+                        divergence_threshold=1.5 if unstable else 1e12,
+                        on_divergence="truncate")
+
+
+def _outcome(run):
+    """A run's trajectory bits, or the type and message of what it raised."""
+    try:
+        tr = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [None if arr is None else arr.tobytes()
+            for arr in (tr.times, tr.values, tr.derivatives, tr.left_derivatives)], (
+        tr.diverged, tr.divergence_time)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    start=st.sampled_from(["constant", "general", "touching"]),
+    width=st.sampled_from([None, 0.004, 0.3, 3.0]),
+    history=st.sampled_from(["constant", "function", "tabulated"]),
+    jump=st.booleans(),
+    unstable=st.booleans(),
+    mix=st.booleans(),
+    lag=st.floats(0.05, 1.5),
+    a=st.floats(0.1, 2.0),
+    step=st.sampled_from([0.01, 0.02, 0.05]),
+)
+# A window of 0.3 ending 0.02 before t reaches past the last node at a step
+# of 0.05, and raises there.
+@example(start="constant", width=0.3, history="function", jump=True, unstable=False, mix=True,
+         lag=0.32, a=1.0, step=0.05)
+def test_property_placed_windows_are_the_site_read_bit_for_bit(start, width, history, jump,
+                                                                unstable, mix, lag, a, step):
+    args = (start, width, history, jump, unstable, mix, lag, a, step)
+    placed = _outcome(lambda: _window_property_run(*args))
+    # Placement off: every window slot is read at the site.
+    with mock.patch.object(sv, "_placed_window", lambda lo, *rest: [[None] * row.size for row in lo]):
+        site = _outcome(lambda: _window_property_run(*args))
+    assert placed == site
 
 
 def _property_run(kind, a, lag, wobble, now, step, unstable):
