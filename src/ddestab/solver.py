@@ -954,9 +954,9 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
     hist_pad = 1e-9 * max(1.0, abs(t0))
     hist_lo, hist_hi = t0 - hist_pad, t0 + hist_pad
     extrapolate = allow_extrapolation or any(map(_window_reaches_now, windows))
-    # The point reads' places in the scalar loop, and the window reads of
-    # each step, placed once for every column.
-    point = tau[..., :len(sites) - len(windows)]
+    # The point reads' places in the scalar loop, step by step, and the
+    # window reads of each step, placed once for every column.
+    point = np.ascontiguousarray(tau[..., :len(sites) - len(windows)].transpose(1, 0, 2))
     placed = _place_windows(windows, mesh, stage_times, t0, extrapolate)
     # The weights of each step's integral whole: the tail a window read shares
     # when its window reaches the last finished node.
@@ -1091,8 +1091,9 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
             try:
                 if cv is None:
                     cv = [f(t) for f in fns]
-                xv = [read(a) if a == a else _site_value(own_sites[k], t, read, integral)
-                      for k, a in enumerate(at)]
+                xv = list(at)
+                for k, a in enumerate(at):
+                    xv[k] = read(a) if a == a else _site_value(own_sites[k], t, read, integral)
                 for k, p in enumerate(win, len(at)):
                     xv.append(window(p) if p is not None else
                               _site_value(own_sites[k], t, read, integral))
@@ -1142,7 +1143,7 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
         def scalar_step(j):
             """RK4 step j on floats; False when the run ends at its node."""
             nonlocal want_left, div_time, tail
-            mid_tau, end_tau = point[:, j].tolist()
+            mid_tau, end_tau = point[j].tolist()
             mid_win, end_win, post_win = placed[j]
             tail = None
             ta = nodes[j]
