@@ -582,19 +582,19 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
     # ``delayed`` sums the terms before the first x(t), after the forcing,
     # and forms w or w * x of each term after it; ``current`` adds those in
     # order, times y where the term reads x(t).
+    # Each term is (s, k, i): its sign, its site and its time-part entry cv[i].
     first = at.index(-1) if -1 in at else len(at)
-    head = [(s, k) for (s, _), k in zip(signed[:first], at)]
-    rest = [(s, k) for (s, _), k in zip(signed[first:], at[first:])]
-    later = [(i, k < 0) for i, (_, k) in enumerate(rest, 1)][1:]  # d[i] after the first x(t)
+    parts = [(s, k, i) for i, ((s, _), k) in enumerate(zip(signed, at), 1)]
+    head, rest = parts[:first], parts[first:]
+    later = [(i, k < 0) for i, (_, k, _) in enumerate(rest, 1)][1:]  # d[i] after the first x(t)
 
     def delayed(cv, xv):
         total = cv[0]
-        for (s, k), v in zip(head, cv[1:]):
-            total = total + s * v * xv[k]  # not in place: cv[0] may be a view of the plan
+        for s, k, i in head:
+            total = total + s * cv[i] * xv[k]  # not in place: cv[0] may be a view of the plan
         if not rest:
             return total
-        vs = cv[first + 1:]
-        return [total] + [s * v if k < 0 else s * v * xv[k] for (s, k), v in zip(rest, vs)]
+        return [total] + [s * cv[i] if k < 0 else s * cv[i] * xv[k] for s, k, i in rest]
 
     def current(y, d):
         total = d[0] + d[1] * y  # rest opens with the first x(t) term
