@@ -52,10 +52,16 @@ bit. The time part is then a slice of the plan and the delayed part is
 formed on arrays. When the state part ignores the current state
 (every term delayed, as in the removal form of ``ex51``), that gives
 k2 = k3 and k4, each step's k1 is the previous k4, and the nodes are the
-running sum ``np.cumsum`` of the increments. When it reads x(t) (``eq3``,
-``eq26``, the production form of ``ex5``), the RK4 recurrence runs over
-floats through the current part alone. Either way these are the scalar
-loop's own IEEE operations in its order. The pass hands a step back to
+running sum ``np.cumsum`` of the increments. When it reads x(t), the RK4
+recurrence runs over floats, fed one list per entry of the delayed part.
+The right-hand side declares the affine shape of its current part where it
+has one: a linear equation whose one x(t) term closes the sum (``eq3``,
+``eq26``) is d0 + d1 x(t), and the production form with both Hill reads
+delayed (``ex5``) is d0 (dp - x(t)), plus d1 under forcing. Each shape has
+its own loop with the stage arithmetic written out; any other (a term
+after the x(t) term, x(t) inside the Hill term) calls the current part at
+each stage. Either way these are the scalar loop's own IEEE operations in
+its order, and its rules for ending a run. The pass hands a step back to
 the scalar loop when its node or node slope leaves the finite range or
 the divergence threshold, and the rest of its segment when its array
 part raises (an overflowing x^n, a floating-point exception).
@@ -119,8 +125,8 @@ _LEVELS = 5
 # A segment of steps is settled in one pass only when it holds at least this
 # many steps: the pass pays some fifteen numpy calls for the segment's reads
 # and some thirty more to settle its steps. Per column (one run alone) it
-# breaks even with the scalar loop at 4-6 steps on eq26 and eq3 runs and
-# about 6 on ex5 and ex51 runs, and gains 1.1-1.9x at 8; 10 leaves a margin.
+# breaks even with the scalar loop at about 5 steps on eq26, eq3 and ex51
+# runs and 4-5 on ex5 runs, and gains 1.2-1.9x at 8; 10 leaves a margin.
 # Columns of one integration share the reads' calls and the running sum,
 # so they break even sooner.
 _BLOCK_STEPS = 10
@@ -454,12 +460,21 @@ class _Rhs:
     know of the reads (the lags that bound the step and seed the mesh, the
     windows) it derives from the sites, and it places each site's reads,
     windows included, once per run.
+
+    ``shape`` declares the affine form of ``current``, so that a pass runs
+    the float recurrence with the stage arithmetic written out (``_settle``):
+    "sum" when ``current(y, d)`` is ``d[0] + d[1] * y`` (a linear equation
+    whose one x(t) term closes the sum), "product" when it is
+    ``d[0] * (d[1] - y)`` (the production form with both Hill reads
+    delayed), "forced product" when it is ``d[0] * (d[2] - y) + d[1]`` (the
+    same under forcing). None leaves the recurrence to call ``current``.
     """
 
     coeffs: tuple
     sites: tuple
     delayed: Callable
     current: Optional[Callable]
+    shape: Optional[str] = None
 
     def fn(self, t, y, read, integral):
         """The derivative at (t, y), reading x through ``read``/``integral``."""
@@ -603,7 +618,8 @@ def _make_linear_rhs(eq: cr.LinearDelayEquation, forcing):
         return total
 
     coeffs = (_forcing_part(forcing),) + tuple(c for _, c in signed)
-    return _Rhs(coeffs, tuple(sites), delayed, current if rest else None)
+    return _Rhs(coeffs, tuple(sites), delayed, current if rest else None,
+                "sum" if len(rest) == 1 else None)
 
 
 def _make_model_rhs(model, rate, gamma, slots, forcing):
@@ -637,7 +653,10 @@ def _make_model_rhs(model, rate, gamma, slots, forcing):
         x_a, x_b, x_c = (y if k < 0 else d[nc + k] for k in (a, b, c))
         return finish(d, md._production_term(model, x_a, x_b), x_c)
 
-    return _Rhs(coeffs, tuple(sites), delayed, None if min(a, b, c) >= 0 else current)
+    shape = None
+    if split and c < 0 and gamma is None:
+        shape = "product" if forcing is None else "forced product"
+    return _Rhs(coeffs, tuple(sites), delayed, None if min(a, b, c) >= 0 else current, shape)
 
 
 def _make_removal_rhs(model: md.MackeyGlassRemoval, forcing):
@@ -914,6 +933,82 @@ def _sparse(mask, parts) -> list:
     return out
 
 
+def _settle(shape, current, xa, k1, hs, d, limit) -> tuple:
+    """The RK4 recurrence of a pass over floats, from the node xa and its
+    slope k1 over steps of widths ``hs``: the nodes and node slopes it
+    settles, up to the first node with ``not abs(x) <= limit`` or slope that
+    is not finite, or the first step whose ``current`` raises.
+
+    ``d`` is the delayed part, per entry its values at the m midpoints and
+    then the m step ends. A declared ``shape`` (see ``_Rhs``) runs its own
+    loop with the arithmetic of ``current`` written out; any other calls
+    ``current`` with each stage's entries. Either way these are the scalar
+    loop's IEEE operations in its order.
+    """
+    m = len(hs)
+    nodes_x, slopes = [], []
+    if shape == "sum":
+        c0, c1 = d
+        for h, a0, a1, b0, b1 in zip(hs, c0, c1, c0[m:], c1[m:]):
+            k2 = a0 + a1 * (xa + 0.5 * h * k1)
+            k3 = a0 + a1 * (xa + 0.5 * h * k2)
+            k4 = b0 + b1 * (xa + h * k3)
+            xa = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not abs(xa) <= limit:
+                break
+            k1 = b0 + b1 * xa
+            if not math.isfinite(k1):
+                break
+            nodes_x.append(xa)
+            slopes.append(k1)
+    elif shape == "product":
+        rate, p = d
+        for h, ra, pa, rb, pb in zip(hs, rate, p, rate[m:], p[m:]):
+            k2 = ra * (pa - (xa + 0.5 * h * k1))
+            k3 = ra * (pa - (xa + 0.5 * h * k2))
+            k4 = rb * (pb - (xa + h * k3))
+            xa = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not abs(xa) <= limit:
+                break
+            k1 = rb * (pb - xa)
+            if not math.isfinite(k1):
+                break
+            nodes_x.append(xa)
+            slopes.append(k1)
+    elif shape == "forced product":
+        rate, f, p = d
+        for h, ra, fa, pa, rb, fb, pb in zip(hs, rate, f, p, rate[m:], f[m:], p[m:]):
+            k2 = ra * (pa - (xa + 0.5 * h * k1)) + fa
+            k3 = ra * (pa - (xa + 0.5 * h * k2)) + fa
+            k4 = rb * (pb - (xa + h * k3)) + fb
+            xa = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not abs(xa) <= limit:
+                break
+            k1 = rb * (pb - xa) + fb
+            if not math.isfinite(k1):
+                break
+            nodes_x.append(xa)
+            slopes.append(k1)
+    else:
+        rows = list(zip(*d))
+        try:
+            for h, at_mid, at_end in zip(hs, rows, rows[m:]):
+                k2 = current(xa + 0.5 * h * k1, at_mid)
+                k3 = current(xa + 0.5 * h * k2, at_mid)
+                k4 = current(xa + h * k3, at_end)
+                xa = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not abs(xa) <= limit:
+                    break
+                k1 = current(xa, at_end)
+                if not math.isfinite(k1):
+                    break
+                nodes_x.append(xa)
+                slopes.append(k1)
+        except Exception:
+            pass  # the scalar loop meets it again at its own step
+    return nodes_x, slopes
+
+
 def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
                      divergence_threshold, on_divergence) -> None:
     """Integrate ``members``, columns sharing t0, t1, step and their sites, into ``results``."""
@@ -1117,29 +1212,6 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
             if mls is not None:
                 mls.extend(slopes)
 
-        def settle(j, ds, m):
-            """The RK4 recurrence of a pass over floats, from the delayed parts
-            ``ds`` at the m midpoints and then the m step ends."""
-            xa, k1 = xs[-1], ms[-1]
-            nodes_x, slopes = [], []
-            try:
-                for h, at_mid, at_end in zip(widths[j:j + m].tolist(), ds[:m], ds[m:]):
-                    k2 = current(xa + 0.5 * h * k1, at_mid)
-                    k3 = current(xa + 0.5 * h * k2, at_mid)
-                    k4 = current(xa + h * k3, at_end)
-                    xa = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    if not abs(xa) <= limit:
-                        break
-                    k1 = current(xa, at_end)
-                    if not math.isfinite(k1):
-                        break
-                    nodes_x.append(xa)
-                    slopes.append(k1)
-            except Exception:
-                pass  # the scalar loop meets it again at its own step
-            extend(nodes_x, slopes)
-            return len(slopes)
-
         def scalar_step(j):
             """RK4 step j on floats; False when the run ends at its node."""
             nonlocal want_left, div_time, tail
@@ -1223,7 +1295,7 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
             before=hist.const if isinstance(hist, ConstantHistory) else math.nan,
             # The pass waits for this step (a run with no plan takes none).
             resume=0 if table is not None else steps,
-            delayed=delayed, current=current, extend=extend, settle=settle,
+            delayed=delayed, current=current, shape=rhs.shape, extend=extend,
             step=scalar_step, finish=finish,
         )
 
@@ -1287,7 +1359,11 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
                 if col.current is None:
                     summed.append((r, d))
                 else:
-                    settled[r] = col.settle(j, np.transpose(d).tolist(), m)
+                    nodes_x, slopes = _settle(col.shape, col.current, col.xs[-1], col.ms[-1],
+                                              widths[j:stop].tolist(), [v.tolist() for v in d],
+                                              limit)
+                    col.extend(nodes_x, slopes)
+                    settled[r] = len(slopes)
         if summed:
             d = np.array([d for _, d in summed])
             k2, k4 = d[:, :m], d[:, m:]

@@ -1225,6 +1225,108 @@ def test_property_the_pass_is_the_scalar_loop_bit_for_bit(kind, a, lag, wobble, 
     assert run.diverged == scalar.diverged
 
 
+class _NegativeRate(tf.Coefficient):
+    """A constant rate below zero, which no library class builds: it turns the
+    production form's pull towards its production term into growth."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def value(self, t):
+        return -self.size
+
+
+_LAG, _NOW = tf.ConstantLag, tf.IdentityDelay()
+
+
+def _growing_linear(*, pos, neg):
+    return cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(v), d) for v, d in pos],
+        negative_terms=[cr.Term(tf.constant(v), d) for v, d in neg],
+    )
+
+
+def _growing_production():
+    return md.MackeyGlassProduction(s=_NegativeRate(1e4), beta=2.0, n=2.0, p=_LAG(0.5),
+                                    q=_LAG(1.0))
+
+
+# Per case: the target, its forcing, the shape its x(t) part declares, and
+# two runs (history, initial value, threshold), one crossing the threshold
+# and one ending on a slope that is not finite at a finite node, both in the
+# middle of a segment. Until the delayed read reaches t0, the linear and
+# production cases grow by e^100 a step, so the slope of a node below the
+# largest float overflows; the removal case reads x(t) in its Hill term
+# (n = 1.5), so a node below zero has a NaN slope.
+_SHAPE_CASES = {
+    "sum": (_growing_linear(pos=[(1e4, _LAG(1.0))], neg=[(1e4, _NOW)]), None, "sum",
+            [(0.8, 1.0, 1e100), (0.8, 1.0, math.inf)]),
+    "forced sum": (_growing_linear(pos=[(1e4, _LAG(1.0))], neg=[(1e4, _NOW)]),
+                   lambda t: 3.0 * t, "sum", [(0.8, 1.0, 1e100), (0.8, 1.0, math.inf)]),
+    "product": (_growing_production(), None, "product",
+                [(0.8, 1.1, 1e100), (0.8, 1.1, math.inf)]),
+    "forced product": (_growing_production(), lambda t: 3.0 * t, "forced product",
+                       [(0.8, 1.1, 1e100), (0.8, 1.1, math.inf)]),
+    "term after x(t)": (_growing_linear(pos=[(1e4 + 0.5, _LAG(1.5))],
+                                        neg=[(1e4, _NOW), (0.5, _LAG(1.0))]),
+                        None, None, [(0.8, 1.0, 1e100), (0.8, 1.0, math.inf)]),
+    "two x(t) terms": (_growing_linear(pos=[(1e4, _LAG(1.0)), (2.5e3, _NOW)], neg=[(1.25e4, _NOW)]),
+                       None, None, [(0.8, 1.0, 1e100), (0.8, 1.0, math.inf)]),
+    "removal, g = x(t)": (md.MackeyGlassRemoval(r=tf.constant(200.0), beta=1.0, gamma=1.0, n=1.5,
+                                                g=_NOW, h=_LAG(1.0)),
+                          None, None, [(-1.0, 0.5, 10.0), (1.0, 15.0, math.inf)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHAPE_CASES))
+@pytest.mark.parametrize("ends_on", ["threshold", "slope"])
+def test_the_shaped_recurrence_is_the_scalar_loop_bit_for_bit(case, ends_on):
+    target, forcing, shape, runs = _SHAPE_CASES[case]
+    history, x0, threshold = runs[ends_on == "slope"]
+
+    def run():
+        return sv.integrate(target, history, 3.0, step=0.01, initial_value=x0, forcing=forcing,
+                            divergence_threshold=threshold, on_divergence="truncate")
+
+    settled = []
+    settle = sv._settle
+
+    def recording(*args):
+        out = settle(*args)
+        settled.append((args[0], len(args[4]), len(out[1])))
+        return out
+
+    with mock.patch.object(sv, "_settle", recording):
+        got = run()
+    with mock.patch.object(sv, "_BLOCK_STEPS", 10**9):  # every step on the scalar loop
+        want = run()
+    assert _digest(got) == _digest(want)
+    # The pass ran in the declared shape and stopped in mid-segment, where the
+    # run ends: at a node past the threshold, or at a finite node whose slope
+    # is not finite.
+    assert {s for s, *_ in settled} == {shape}
+    assert any(0 < n < m for _, m, n in settled)
+    assert got.diverged and got.times[-1] == got.divergence_time
+    assert (abs(got.values[-1]) > threshold) == (ends_on == "threshold")
+
+
+@pytest.mark.parametrize("target", [md.eq3(), md.eq26(), md.ex5()], ids=["eq3", "eq26", "ex5"])
+def test_a_pass_over_the_builtins_that_read_x_now_never_calls_current(target, monkeypatch):
+    # A builtin whose shape went undeclared would fall back to the loop
+    # through ``current`` and still keep its bits; only the calls tell.
+    calls, passes = [], []
+    settle = sv._settle
+
+    def counting(shape, current, *rest):
+        passes.append(shape)
+        return settle(shape, lambda y, d: calls.append(y) or current(y, d), *rest)
+
+    monkeypatch.setattr(sv, "_settle", counting)
+    sv.integrate(target, 0.8, 60.0, step=0.05, initial_value=1.2)
+    assert passes and None not in passes
+    assert calls == []
+
+
 # Where glibc's pow(x, 2), which Python's x**2 calls, differs from x*x and
 # from numpy's square, in _pow alone and through the whole reaction.
 _POW_TRAP = 0.5500016000000001
