@@ -166,7 +166,11 @@ def find_threshold(
     *,
     tol: float = 1e-4,
 ) -> float:
-    """Bisect for the parameter where a boolean predicate flips."""
+    """Bisect for the parameter where a boolean predicate flips.
+
+    Stops once the bracket is no wider than ``tol``, or once no float lies
+    strictly inside it (a ``tol`` below the float spacing there).
+    """
     if not (hi > lo):
         raise ConfigurationError("need hi > lo")
     if not (math.isfinite(tol) and tol > 0.0):
@@ -179,6 +183,8 @@ def find_threshold(
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if bool(predicate(mid)) == p_lo:
             lo = mid
         else:

@@ -457,6 +457,20 @@ def test_sweep_bracket_failure_exit_code(tmp_path, capsys):
     assert (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_with_a_tol_below_the_float_spacing_ends(tmp_path, monkeypatch):
+    # Bisection used to go on once 0.5*(lo + hi) stopped moving, one
+    # certificate call per turn; it ends where no float lies between.
+    calls = []
+    certify = dg.certify
+    monkeypatch.setattr(dg, "certify", lambda *a, **k: calls.append(a) or certify(*a, **k))
+    assert cli.main(["sweep", "--target", "eq3", "--param", "b", "--lo", "0.3", "--hi", "0.6",
+                     "--tol", "1e-20", "--predicate", "certificate", "--out", str(tmp_path)]) == 0
+    # The table's 9 points, then some 50 halvings down to the spacing near 0.34.
+    assert 50 < len(calls) < 100
+    thr = json.loads((tmp_path / "threshold.json").read_text())["threshold"]
+    assert thr == pytest.approx(0.34035, abs=2e-3)
+
+
 def test_sweep_rejects_nonpositive_tol(tmp_path, capsys):
     assert cli.main(["sweep", "--target", "eq3", "--param", "b", "--lo", "0.2",
                      "--hi", "0.45", "--points", "2", "--step", "0.05", "--tol", "0",

@@ -182,6 +182,21 @@ def test_threshold_rejects_nonpositive_tol(tol):
         dg.find_threshold(pred, 0.0, 1.0, tol=tol)
 
 
+def test_threshold_stops_where_the_bracket_holds_no_float_inside():
+    # Floats near 1e16 are 2 apart, so [1e16, 1e16 + 8] holds three between
+    # its ends and no bracket narrower than 2: with tol 1e-3 the bisection
+    # used to call the predicate forever.
+    calls = []
+
+    def pred(p):
+        calls.append(p)
+        return p < 1e16 + 3.0
+
+    thr = dg.find_threshold(pred, 1e16, 1e16 + 8.0, tol=1e-3)
+    assert len(calls) <= 2 + 3
+    assert thr in (1e16 + 2.0, 1e16 + 4.0) and pred(thr - 2.0) != pred(thr + 2.0)
+
+
 def test_certificate_threshold_for_removal_model():
     pred = dg.certificate_predicate(lambda r: md.ex51(sigma=1.1, r=r))
     thr = dg.find_threshold(pred, 3.0, 5.0, tol=1e-3)
