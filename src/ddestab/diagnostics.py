@@ -112,24 +112,32 @@ def fit_decay(trajectory: sv.Trajectory, equilibrium: float = 0.0) -> DecayFit:
     """Fit an exponential envelope to the deviation from equilibrium.
 
     Uses local maxima of the deviation when the signal oscillates (five or
-    more peaks); otherwise falls back to all samples. The first quarter of
-    the run is skipped as transient, and values below a relative floor are
-    discarded so roundoff tails cannot drag the fit.
+    more peaks); otherwise falls back to all samples. A run of equal
+    samples that rises from the one before it and falls to the one after is
+    one peak, at its first sample. The first quarter of the run is skipped
+    as transient, and values are discarded below a floor so that roundoff
+    tails cannot drag the fit: 1e-8 of the largest deviation, or the
+    roundoff the run's steps can accumulate at the state's scale (one unit
+    roundoff of the largest |x| or |x_eq| per step), whichever is larger.
     """
     ts = trajectory.times
     dev = np.abs(trajectory.values - equilibrium)
+    scale = max(float(np.max(np.abs(trajectory.values))), abs(equilibrium))
+    roundoff = (ts.size - 1) * np.finfo(float).eps * scale
     start = trajectory.t0 + 0.25 * (trajectory.t1 - trajectory.t0)
     keep = ts >= start
     ts = ts[keep]
     dev = dev[keep]
     if dev.size < 4:
         raise ConfigurationError("too few samples after the transient to fit")
-    floor = _FIT_FLOOR_REL * float(np.max(dev)) if np.max(dev) > 0.0 else 0.0
-    if floor == 0.0:
+    if not np.max(dev) > 0.0:
         raise ConfigurationError("deviation is identically zero; nothing to fit")
+    floor = max(_FIT_FLOOR_REL * float(np.max(dev)), roundoff)
 
-    interior = (dev[1:-1] >= dev[:-2]) & (dev[1:-1] >= dev[2:])
-    peak_idx = np.flatnonzero(interior) + 1
+    # Strict peaks of the deviation with each run of equal samples taken once.
+    starts = np.flatnonzero(np.diff(dev, prepend=math.nan))
+    runs = dev[starts]
+    peak_idx = starts[1:-1][(runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])]
     peak_idx = peak_idx[dev[peak_idx] > floor]
     used_peaks = peak_idx.size >= 5
     if used_peaks:

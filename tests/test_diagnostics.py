@@ -144,6 +144,33 @@ def test_fit_recovers_synthetic_envelope_through_peaks(gamma, m):
     assert fit.fit_quality > 0.999
 
 
+def test_fit_takes_a_plateau_as_one_peak():
+    # Three oscillation peaks after the transient quarter, each held for two
+    # samples: counted sample by sample they were six, enough for a fit
+    # through peaks.
+    values = [1.0] * 4 + [0.01, 0.8, 0.8, 0.01, 0.4, 0.4, 0.01, 0.2, 0.2, 0.01, 0.005, 0.001]
+    times = np.arange(len(values), dtype=float)
+    tr = sv.Trajectory(times, np.array(values), np.zeros(len(values)), sv.ConstantHistory(1.0))
+    assert not dg.fit_decay(tr).used_peaks
+
+
+def test_fit_of_ex51_does_not_move_with_the_trajectory_by_one_ulp():
+    # The run that ``ddestab simulate --target ex51`` fits. Its deviation
+    # decays to roundoff of the state (ulps of 0.5) long before the end;
+    # with its floor at 1e-8 of the deviation the fit took 147 "peaks" of
+    # that roundoff, and moving each value by one ulp moved gamma_hat by
+    # 0.16%. Above the roundoff the run's steps can accumulate, one ulp
+    # moves only the logs of the genuine peaks, by at most 5e-4.
+    traj, _, setup = dg.perturbed_run(md.ex51())
+    x_eq = setup["equilibrium"]
+    fit = dg.fit_decay(traj, x_eq)
+    assert fit.used_peaks and fit.fit_quality > 0.99
+    for direction in (math.inf, -math.inf):
+        moved = sv.Trajectory(traj.times, np.nextafter(traj.values, direction),
+                              traj.derivatives, traj.history)
+        assert dg.fit_decay(moved, x_eq).gamma_hat == pytest.approx(fit.gamma_hat, rel=1e-4)
+
+
 def test_fit_rejects_flat_zero():
     tr = _synthetic(lambda t: 0.0, lambda t: 0.0)
     with pytest.raises(tf.ConfigurationError):
