@@ -1226,14 +1226,14 @@ def test_property_the_pass_is_the_scalar_loop_bit_for_bit(kind, a, lag, wobble, 
 
 
 class _NegativeRate(tf.Coefficient):
-    """A constant rate below zero, which no library class builds: it turns the
+    """A rate below zero, which no library class builds: it turns the
     production form's pull towards its production term into growth."""
 
     def __init__(self, size):
         self.size = size
 
     def value(self, t):
-        return -self.size
+        return -self.size * (1.0 + 0.5 * math.cos(t))
 
 
 _LAG, _NOW = tf.ConstantLag, tf.IdentityDelay()
@@ -1241,8 +1241,8 @@ _LAG, _NOW = tf.ConstantLag, tf.IdentityDelay()
 
 def _growing_linear(*, pos, neg):
     return cr.LinearDelayEquation(
-        positive_terms=[cr.Term(tf.constant(v), d) for v, d in pos],
-        negative_terms=[cr.Term(tf.constant(v), d) for v, d in neg],
+        positive_terms=[cr.Term(tf.sinsq(v, 1.0, 1.0), d) for v, d in pos],
+        negative_terms=[cr.Term(tf.sinsq(v, 1.0, 1.0), d) for v, d in neg],
     )
 
 
@@ -1255,23 +1255,25 @@ def _growing_production():
 # two runs (history, initial value, threshold), one crossing the threshold
 # and one ending on a slope that is not finite at a finite node, both in the
 # middle of a segment. Until the delayed read reaches t0, the linear and
-# production cases grow by e^100 a step, so the slope of a node below the
-# largest float overflows; the removal case reads x(t) in its Hill term
-# (n = 1.5), so a node below zero has a NaN slope.
+# production cases grow by a factor of some 1e6 to 1e7 a step, so the slope
+# of a node just below the largest float overflows, from the initial values
+# chosen here; the removal case reads x(t) in its Hill term (n = 1.5), so a
+# node below zero has a NaN slope. The rates vary, so the midpoint and the
+# step end read different values.
 _SHAPE_CASES = {
     "sum": (_growing_linear(pos=[(1e4, _LAG(1.0))], neg=[(1e4, _NOW)]), None, "sum",
-            [(0.8, 1.0, 1e100), (0.8, 1.0, math.inf)]),
+            [(0.8, 1.0, 1e100), (0.8, 0.802, math.inf)]),
     "forced sum": (_growing_linear(pos=[(1e4, _LAG(1.0))], neg=[(1e4, _NOW)]),
-                   lambda t: 3.0 * t, "sum", [(0.8, 1.0, 1e100), (0.8, 1.0, math.inf)]),
+                   lambda t: 3.0 * t, "sum", [(0.8, 1.0, 1e100), (0.8, 0.802, math.inf)]),
     "product": (_growing_production(), None, "product",
-                [(0.8, 1.1, 1e100), (0.8, 1.1, math.inf)]),
+                [(0.8, 1.1, 1e100), (0.8, 0.98, math.inf)]),
     "forced product": (_growing_production(), lambda t: 3.0 * t, "forced product",
-                       [(0.8, 1.1, 1e100), (0.8, 1.1, math.inf)]),
+                       [(0.8, 1.1, 1e100), (0.8, 0.98, math.inf)]),
     "term after x(t)": (_growing_linear(pos=[(1e4 + 0.5, _LAG(1.5))],
                                         neg=[(1e4, _NOW), (0.5, _LAG(1.0))]),
-                        None, None, [(0.8, 1.0, 1e100), (0.8, 1.0, math.inf)]),
+                        None, None, [(0.8, 1.0, 1e100), (0.8, 0.802, math.inf)]),
     "two x(t) terms": (_growing_linear(pos=[(1e4, _LAG(1.0)), (2.5e3, _NOW)], neg=[(1.25e4, _NOW)]),
-                       None, None, [(0.8, 1.0, 1e100), (0.8, 1.0, math.inf)]),
+                       None, None, [(0.8, 1.0, 1e100), (0.8, 0.802, math.inf)]),
     "removal, g = x(t)": (md.MackeyGlassRemoval(r=tf.constant(200.0), beta=1.0, gamma=1.0, n=1.5,
                                                 g=_NOW, h=_LAG(1.0)),
                           None, None, [(-1.0, 0.5, 10.0), (1.0, 15.0, math.inf)]),
