@@ -1338,8 +1338,8 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
         The time part is a slice of the plan and ``delayed`` goes over
         arrays. When the state part ignores y, k3 = k2, each step's k1 is the
         previous k4, and the nodes are a running sum, for all such columns
-        at once; otherwise the recurrence runs step by step on ``current``.
-        Either way they are the scalar loop's operations in its order. A
+        at once; otherwise ``_settle`` runs the recurrence step by step,
+        column by column, in the loop of the column's shape. Either way they are the scalar loop's operations in its order. A
         column settles fewer steps when its next node or node slope is not
         finite or passes the threshold, and none when ``delayed`` raises on
         its arrays (an overflowing x^n, a floating-point exception); the
