@@ -125,8 +125,9 @@ _LEVELS = 5
 # A segment of steps is settled in one pass only when it holds at least this
 # many steps: the pass pays some fifteen numpy calls for the segment's reads
 # and some thirty more to settle its steps. Per column (one run alone) it
-# breaks even with the scalar loop at about 5 steps on eq26, eq3 and ex51
-# runs and 4-5 on ex5 runs, and gains 1.2-1.9x at 8; 10 leaves a margin.
+# breaks even with the scalar loop at about 5 steps on eq26 and eq3 runs,
+# 4-5 on ex5 runs and 5-6 on ex51 runs, and gains 1.1-2.3x at 8; 10 leaves
+# a margin.
 # Columns of one integration share the reads' calls and the running sum,
 # so they break even sooner.
 _BLOCK_STEPS = 10
