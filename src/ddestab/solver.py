@@ -56,11 +56,11 @@ running sum ``np.cumsum`` of the increments. When it reads x(t), the RK4
 recurrence runs over floats, fed one list per entry of the delayed part.
 The right-hand side declares the affine shape of its current part where it
 has one: a linear equation whose one x(t) term closes the sum (``eq3``,
-``eq26``) is d0 + d1 x(t), and the production form with both Hill reads
-delayed (``ex5``) is d0 (dp - x(t)), plus d1 under forcing. Each shape has
-its own loop with the stage arithmetic written out; any other (a term
-after the x(t) term, x(t) inside the Hill term) calls the current part at
-each stage. Either way these are the scalar loop's own IEEE operations in
+``eq26``) is d0 + d1 x(t), forcing included, and the unforced production
+form with both Hill reads delayed (``ex5``) is d0 (dp - x(t)). Each shape
+has its own loop with the stage arithmetic written out; any other (a term
+after the x(t) term, x(t) inside the Hill term, a forced production form)
+calls the current part at each stage. Either way these are the scalar loop's own IEEE operations in
 its order, and its rules for ending a run. The pass hands a step back to
 the scalar loop when its node or node slope leaves the finite range or
 the divergence threshold, and the rest of its segment when its array
@@ -467,8 +467,7 @@ class _Rhs:
     "sum" when ``current(y, d)`` is ``d[0] + d[1] * y`` (a linear equation
     whose one x(t) term closes the sum), "product" when it is
     ``d[0] * (d[1] - y)`` (the production form with both Hill reads
-    delayed), "forced product" when it is ``d[0] * (d[2] - y) + d[1]`` (the
-    same under forcing). None leaves the recurrence to call ``current``.
+    delayed and no forcing). None leaves the recurrence to call ``current``.
     """
 
     coeffs: tuple
@@ -654,9 +653,7 @@ def _make_model_rhs(model, rate, gamma, slots, forcing):
         x_a, x_b, x_c = (y if k < 0 else d[nc + k] for k in (a, b, c))
         return finish(d, md._production_term(model, x_a, x_b), x_c)
 
-    shape = None
-    if split and c < 0 and gamma is None:
-        shape = "product" if forcing is None else "forced product"
+    shape = "product" if split and c < 0 and gamma is None and forcing is None else None
     return _Rhs(coeffs, tuple(sites), delayed, None if min(a, b, c) >= 0 else current, shape)
 
 
@@ -972,20 +969,6 @@ def _settle(shape, current, xa, k1, hs, d, limit) -> tuple:
             if not abs(xa) <= limit:
                 break
             k1 = rb * (pb - xa)
-            if not math.isfinite(k1):
-                break
-            nodes_x.append(xa)
-            slopes.append(k1)
-    elif shape == "forced product":
-        rate, f, p = d
-        for h, ra, fa, pa, rb, fb, pb in zip(hs, rate, f, p, rate[m:], f[m:], p[m:]):
-            k2 = ra * (pa - (xa + 0.5 * h * k1)) + fa
-            k3 = ra * (pa - (xa + 0.5 * h * k2)) + fa
-            k4 = rb * (pb - (xa + h * k3)) + fb
-            xa = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not abs(xa) <= limit:
-                break
-            k1 = rb * (pb - xa) + fb
             if not math.isfinite(k1):
                 break
             nodes_x.append(xa)

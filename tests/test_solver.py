@@ -1251,8 +1251,9 @@ def _growing_production():
                                     q=_LAG(1.0))
 
 
-# Per case: the target, its forcing, the shape its x(t) part declares, and
-# two runs (history, initial value, threshold), one crossing the threshold
+# Per case: the target, its forcing, the shape its x(t) part declares (None
+# where the pass falls back to calling current, the forced production form
+# among them), and two runs (history, initial value, threshold), one crossing the threshold
 # and one ending on a slope that is not finite at a finite node, both in the
 # middle of a segment. Until the delayed read reaches t0, the linear and
 # production cases grow by a factor of some 1e6 to 1e7 a step, so the slope
@@ -1267,7 +1268,7 @@ _SHAPE_CASES = {
                    lambda t: 3.0 * t, "sum", [(0.8, 1.0, 1e100), (0.8, 0.802, math.inf)]),
     "product": (_growing_production(), None, "product",
                 [(0.8, 1.1, 1e100), (0.8, 0.98, math.inf)]),
-    "forced product": (_growing_production(), lambda t: 3.0 * t, "forced product",
+    "forced product": (_growing_production(), lambda t: 3.0 * t, None,
                        [(0.8, 1.1, 1e100), (0.8, 0.98, math.inf)]),
     "term after x(t)": (_growing_linear(pos=[(1e4 + 0.5, _LAG(1.5))],
                                         neg=[(1e4, _NOW), (0.5, _LAG(1.0))]),
