@@ -108,37 +108,77 @@ class DecayFit:
     used_peaks: bool
 
 
+def _bases(heights, gaps) -> list:
+    """Per peak, the lowest sample between it and the nearest strictly
+    higher peak before it, or the start of the signal.
+
+    ``gaps[j]`` is the lowest sample from peak j - 1 (the start for j = 0)
+    up to peak j. A stack holds the peaks not yet passed by a higher one,
+    each with the lowest sample since it.
+    """
+    stack = [[math.inf, math.inf]]  # the start of the signal, higher than any peak
+    out = []
+    for height, gap in zip(heights, gaps):
+        stack[-1][1] = min(stack[-1][1], gap)
+        while stack[-1][0] <= height:
+            low = stack.pop()[1]
+            stack[-1][1] = min(stack[-1][1], low)
+        out.append(stack[-1][1])
+        stack.append([height, height])
+    return out
+
+
+def _prominences(dev, peaks) -> np.ndarray:
+    """How far each of the peaks (ascending indices into ``dev``) rises above
+    the higher of its two bases: the lowest sample between it and the
+    nearest strictly higher peak on each side, or that end of the signal.
+
+    ``peaks`` must hold every peak of ``dev`` (a run of equal samples as
+    its first) higher than the lowest of them; a lower one ends no base.
+    """
+    heights = dev[peaks].tolist()
+    gaps = np.minimum.reduceat(dev, np.concatenate(([0], peaks))).tolist()
+    left = _bases(heights, gaps)
+    right = _bases(heights[::-1], gaps[::-1])[::-1]
+    return np.asarray(heights) - np.maximum(left, right)
+
+
 def fit_decay(trajectory: sv.Trajectory, equilibrium: float = 0.0) -> DecayFit:
     """Fit an exponential envelope to the deviation from equilibrium.
 
     Uses local maxima of the deviation when the signal oscillates (five or
-    more peaks); otherwise falls back to all samples. A run of equal
-    samples that rises from the one before it and falls to the one after is
-    one peak, at its first sample. The first quarter of the run is skipped
-    as transient, and values are discarded below a floor so that roundoff
-    tails cannot drag the fit: 1e-8 of the largest deviation, or the
-    roundoff the run's steps can accumulate at the state's scale (one unit
-    roundoff of the largest |x| or |x_eq| per step), whichever is larger.
+    more peaks); otherwise falls back to all samples. The first quarter of
+    the run is skipped as transient, and a floor keeps roundoff out of the
+    fit: 1e-8 of the largest deviation, or the roundoff the run's steps can
+    accumulate at the state's scale (one unit roundoff of the largest
+    retained |x| or of |x_eq| per step), whichever is larger. A peak must
+    rise above it, and by at least it above the lowest sample between the
+    peak and the nearest higher one on each side (its prominence), so that
+    roundoff on a flat shoulder makes no peak. A run of equal samples that
+    rises from the one before it and falls to the one after is one peak, at
+    its first sample.
     """
     ts = trajectory.times
-    dev = np.abs(trajectory.values - equilibrium)
-    scale = max(float(np.max(np.abs(trajectory.values))), abs(equilibrium))
-    roundoff = (ts.size - 1) * np.finfo(float).eps * scale
+    steps = ts.size - 1
     start = trajectory.t0 + 0.25 * (trajectory.t1 - trajectory.t0)
     keep = ts >= start
     ts = ts[keep]
-    dev = dev[keep]
+    values = trajectory.values[keep]
+    dev = np.abs(values - equilibrium)
     if dev.size < 4:
         raise ConfigurationError("too few samples after the transient to fit")
     if not np.max(dev) > 0.0:
         raise ConfigurationError("deviation is identically zero; nothing to fit")
-    floor = max(_FIT_FLOOR_REL * float(np.max(dev)), roundoff)
+    scale = max(float(np.max(np.abs(values))), abs(equilibrium))
+    floor = max(_FIT_FLOOR_REL * float(np.max(dev)), steps * np.finfo(float).eps * scale)
 
     # Strict peaks of the deviation with each run of equal samples taken once.
     starts = np.flatnonzero(np.diff(dev, prepend=math.nan))
     runs = dev[starts]
     peak_idx = starts[1:-1][(runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])]
     peak_idx = peak_idx[dev[peak_idx] > floor]
+    if peak_idx.size:
+        peak_idx = peak_idx[_prominences(dev, peak_idx) >= floor]
     used_peaks = peak_idx.size >= 5
     if used_peaks:
         fit_t = ts[peak_idx]

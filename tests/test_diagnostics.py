@@ -2,7 +2,9 @@
 
 Oracles: hand-built trajectories with known envelopes, the real
 characteristic root of the pure delay equation (via scipy brentq on
-gamma = exp(lag * gamma)), and exact synthetic step predicates.
+gamma = exp(lag * gamma)) and the real part of its leading complex root
+(scipy lambertw), scipy's peak prominences, and exact synthetic step
+predicates.
 """
 
 import math
@@ -10,6 +12,8 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.signal import peak_prominences
+from scipy.special import lambertw
 
 from ddestab import criteria as cr
 from ddestab import diagnostics as dg
@@ -156,19 +160,75 @@ def test_fit_takes_a_plateau_as_one_peak():
 
 def test_fit_of_ex51_does_not_move_with_the_trajectory_by_one_ulp():
     # The run that ``ddestab simulate --target ex51`` fits. Its deviation
-    # decays to roundoff of the state (ulps of 0.5) long before the end;
-    # with its floor at 1e-8 of the deviation the fit took 147 "peaks" of
-    # that roundoff, and moving each value by one ulp moved gamma_hat by
-    # 0.16%. Above the roundoff the run's steps can accumulate, one ulp
-    # moves only the logs of the genuine peaks, by at most 5e-4.
+    # decays to roundoff of the state (ulps of 0.5) long before the end,
+    # and its pulsed rate holds x nearly flat between pulses. With its floor
+    # at 1e-8 of the deviation the fit took 147 "peaks" of that roundoff,
+    # and moving each value by one ulp moved gamma_hat by 0.16%; with the
+    # roundoff floor but no prominence, moving each value one ulp in a
+    # random direction made peaks on the flat shoulders just above the
+    # floor and moved gamma_hat by 2-4%. Now one ulp, either way or mixed,
+    # moves only the logs of the genuine peaks, by some 5e-6.
     traj, _, setup = dg.perturbed_run(md.ex51())
     x_eq = setup["equilibrium"]
     fit = dg.fit_decay(traj, x_eq)
     assert fit.used_peaks and fit.fit_quality > 0.99
-    for direction in (math.inf, -math.inf):
+    rng = np.random.default_rng(5151)
+    directions = [math.inf, -math.inf] + [
+        np.where(rng.random(traj.values.size) < 0.5, math.inf, -math.inf) for _ in range(12)
+    ]
+    for direction in directions:
         moved = sv.Trajectory(traj.times, np.nextafter(traj.values, direction),
                               traj.derivatives, traj.history)
         assert dg.fit_decay(moved, x_eq).gamma_hat == pytest.approx(fit.gamma_hat, rel=1e-4)
+
+
+def test_fit_of_a_run_decaying_to_zero_keeps_the_relative_floor():
+    # x' = -x(t - 1) from 1.2 over 4 000 steps: after the transient quarter
+    # the deviation is at most 1.2e-14, and the fit goes through peaks down
+    # to 1e-8 of that. Roundoff at the scale of the whole run (1.2, some
+    # 1e-12 over 4 000 steps) would drop them all; at the scale of the
+    # retained samples it stays below the relative floor, so the fit is the
+    # one taken before the roundoff floor existed, bit for bit, and near the
+    # dominant root's rate -Re W(-1).
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(1.0), tf.ConstantLag(1.0))])
+    tr = sv.integrate(eq, 1.0, 400.0, step=0.1, initial_value=1.2)
+    fit = dg.fit_decay(tr)
+    assert fit.used_peaks
+    assert fit.gamma_hat == 0.3182578982997112 and fit.m_hat == 1.0461666017990026
+    assert fit.gamma_hat == pytest.approx(-lambertw(-1.0).real, rel=1e-3)
+
+
+def test_a_shoulder_bump_below_the_floor_is_no_peak():
+    # Six peaks 2^(-t/2) after the transient quarter, and on the falling
+    # shoulder of the one at t = 10 a bump rising 1e-9 at t = 12: higher than
+    # the floor (1e-8 of the largest retained deviation, 0.125) but less
+    # prominent than it, so the fit goes through the six alone.
+    values = np.zeros(20)
+    values[:5] = 1.0
+    for t in (6, 8, 10, 14, 16, 18):
+        values[t] = 2.0 ** (-t / 2)
+    values[11] = 0.9 * values[10]
+    values[12] = values[11] + 1e-9
+    times = np.arange(values.size, dtype=float)
+    tr = sv.Trajectory(times, values, np.zeros(values.size), sv.ConstantHistory(1.0))
+    fit = dg.fit_decay(tr)
+    assert fit.used_peaks
+    assert fit.gamma_hat == pytest.approx(math.log(2.0) / 2.0, rel=1e-12)
+    assert fit.fit_quality == pytest.approx(1.0, abs=1e-12)
+
+
+def test_prominences_are_scipys():
+    # Every peak higher than the lowest one given must be given, a plateau
+    # as its first sample, as fit_decay finds them.
+    rng = np.random.default_rng(23)
+    for size in range(5, 400):
+        dev = rng.integers(0, 4 if size % 2 else 1000, size).astype(float)
+        starts = np.flatnonzero(np.diff(dev, prepend=math.nan))
+        runs = dev[starts]
+        peaks = starts[1:-1][(runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])]
+        if peaks.size:
+            peaks = peaks[dev[peaks] >= np.median(dev[peaks])]
+            assert dg._prominences(dev, peaks).tolist() == peak_prominences(dev, peaks)[0].tolist()
 
 
 def test_fit_rejects_flat_zero():
