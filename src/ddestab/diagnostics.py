@@ -114,17 +114,23 @@ def _bases(heights, gaps) -> list:
 
     ``gaps[j]`` is the lowest sample from peak j - 1 (the start for j = 0)
     up to peak j. A stack holds the peaks not yet passed by a higher one,
-    each with the lowest sample since it.
+    each with the lowest sample between it and the one below it.
     """
-    stack = [[math.inf, math.inf]]  # the start of the signal, higher than any peak
+    tops, lows = [math.inf], [math.inf]  # the start of the signal, higher than any peak
+    low = math.inf  # the lowest sample since the top of the stack
     out = []
     for height, gap in zip(heights, gaps):
-        stack[-1][1] = min(stack[-1][1], gap)
-        while stack[-1][0] <= height:
-            low = stack.pop()[1]
-            stack[-1][1] = min(stack[-1][1], low)
-        out.append(stack[-1][1])
-        stack.append([height, height])
+        if gap < low:
+            low = gap
+        while tops[-1] <= height:
+            tops.pop()
+            below = lows.pop()
+            if below < low:
+                low = below
+        out.append(low)
+        tops.append(height)
+        lows.append(low)
+        low = height
     return out
 
 
@@ -135,12 +141,14 @@ def _prominences(dev, peaks) -> np.ndarray:
 
     ``peaks`` must hold every peak of ``dev`` (a run of equal samples as
     its first) higher than the lowest of them; a lower one ends no base.
+    Samples among them that are no peaks change nothing: from such a
+    sample to the peak it rises to, every sample is at least as high.
     """
     heights = dev[peaks].tolist()
     gaps = np.minimum.reduceat(dev, np.concatenate(([0], peaks))).tolist()
     left = _bases(heights, gaps)
     right = _bases(heights[::-1], gaps[::-1])[::-1]
-    return np.asarray(heights) - np.maximum(left, right)
+    return np.array([h - (a if a > b else b) for h, a, b in zip(heights, left, right)])
 
 
 def fit_decay(trajectory: sv.Trajectory, equilibrium: float = 0.0) -> DecayFit:
@@ -172,13 +180,12 @@ def fit_decay(trajectory: sv.Trajectory, equilibrium: float = 0.0) -> DecayFit:
     scale = max(float(np.max(np.abs(values))), abs(equilibrium))
     floor = max(_FIT_FLOOR_REL * float(np.max(dev)), steps * np.finfo(float).eps * scale)
 
-    # Strict peaks of the deviation with each run of equal samples taken once.
-    starts = np.flatnonzero(np.diff(dev, prepend=math.nan))
-    runs = dev[starts]
-    peak_idx = starts[1:-1][(runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])]
+    # A sample above the one before it and no lower than the one after: a
+    # plateau is one candidate, at its first sample, and a step on a rise is
+    # one with no prominence.
+    peak_idx = np.flatnonzero((dev[1:-1] > dev[:-2]) & (dev[1:-1] >= dev[2:])) + 1
     peak_idx = peak_idx[dev[peak_idx] > floor]
-    if peak_idx.size:
-        peak_idx = peak_idx[_prominences(dev, peak_idx) >= floor]
+    peak_idx = peak_idx[_prominences(dev, peak_idx) >= floor]
     used_peaks = peak_idx.size >= 5
     if used_peaks:
         fit_t = ts[peak_idx]

@@ -156,18 +156,26 @@ def test_fit_takes_a_plateau_as_one_peak():
     times = np.arange(len(values), dtype=float)
     tr = sv.Trajectory(times, np.array(values), np.zeros(len(values)), sv.ConstantHistory(1.0))
     assert not dg.fit_decay(tr).used_peaks
+    # Five such peaks, halving every three samples, are five peaks, each at
+    # its first sample.
+    values = [1.0] * 6 + [0.01, 0.8, 0.8, 0.01, 0.4, 0.4, 0.01, 0.2, 0.2, 0.01, 0.1, 0.1, 0.01,
+                          0.05, 0.05, 0.01, 0.005]
+    times = np.arange(len(values), dtype=float)
+    tr = sv.Trajectory(times, np.array(values), np.zeros(len(values)), sv.ConstantHistory(1.0))
+    fit = dg.fit_decay(tr)
+    assert fit.used_peaks
+    assert fit.gamma_hat == pytest.approx(math.log(2.0) / 3.0, rel=1e-12)
+    assert fit.m_hat == pytest.approx(0.8 * 2.0 ** (7 / 3), rel=1e-12)
 
 
 def test_fit_of_ex51_does_not_move_with_the_trajectory_by_one_ulp():
     # The run that ``ddestab simulate --target ex51`` fits. Its deviation
     # decays to roundoff of the state (ulps of 0.5) long before the end,
-    # and its pulsed rate holds x nearly flat between pulses. With its floor
-    # at 1e-8 of the deviation the fit took 147 "peaks" of that roundoff,
-    # and moving each value by one ulp moved gamma_hat by 0.16%; with the
-    # roundoff floor but no prominence, moving each value one ulp in a
-    # random direction made peaks on the flat shoulders just above the
-    # floor and moved gamma_hat by 2-4%. Now one ulp, either way or mixed,
-    # moves only the logs of the genuine peaks, by some 5e-6.
+    # and its pulsed rate holds x nearly flat between pulses, so roundoff
+    # makes bumps on flat shoulders: taken as peaks, they moved gamma_hat by
+    # 0.16% (a shift of every value) to 2-4% (each value one ulp in a random
+    # direction). One ulp, either way or mixed, may move only the logs of
+    # the genuine peaks, by some 5e-6.
     traj, _, setup = dg.perturbed_run(md.ex51())
     x_eq = setup["equilibrium"]
     fit = dg.fit_decay(traj, x_eq)
@@ -187,8 +195,8 @@ def test_fit_of_a_run_decaying_to_zero_keeps_the_relative_floor():
     # the deviation is at most 1.2e-14, and the fit goes through peaks down
     # to 1e-8 of that. Roundoff at the scale of the whole run (1.2, some
     # 1e-12 over 4 000 steps) would drop them all; at the scale of the
-    # retained samples it stays below the relative floor, so the fit is the
-    # one taken before the roundoff floor existed, bit for bit, and near the
+    # retained samples it stays below the relative floor, so the fit is that
+    # of the relative floor alone, pinned here bit for bit, and near the
     # dominant root's rate -Re W(-1).
     eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(1.0), tf.ConstantLag(1.0))])
     tr = sv.integrate(eq, 1.0, 400.0, step=0.1, initial_value=1.2)
@@ -217,15 +225,15 @@ def test_a_shoulder_bump_below_the_floor_is_no_peak():
     assert fit.fit_quality == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:some peaks have a prominence of 0")
 def test_prominences_are_scipys():
-    # Every peak higher than the lowest one given must be given, a plateau
-    # as its first sample, as fit_decay finds them.
+    # The candidates as fit_decay takes them: every sample above the one
+    # before it and no lower than the one after (a plateau's first sample,
+    # and steps on a rise, whose prominence is 0), above a level.
     rng = np.random.default_rng(23)
     for size in range(5, 400):
         dev = rng.integers(0, 4 if size % 2 else 1000, size).astype(float)
-        starts = np.flatnonzero(np.diff(dev, prepend=math.nan))
-        runs = dev[starts]
-        peaks = starts[1:-1][(runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])]
+        peaks = np.flatnonzero((dev[1:-1] > dev[:-2]) & (dev[1:-1] >= dev[2:])) + 1
         if peaks.size:
             peaks = peaks[dev[peaks] >= np.median(dev[peaks])]
             assert dg._prominences(dev, peaks).tolist() == peak_prominences(dev, peaks)[0].tolist()
