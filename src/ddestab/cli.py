@@ -295,7 +295,7 @@ def parse_config(text: str) -> ParsedConfig:
     doc = _as_dict(doc, "")
     _check_keys(doc, ("schema", "target", "options"), "")
     schema = _get(doc, "schema", "")
-    if schema != SCHEMA_VERSION:
+    if isinstance(schema, bool) or schema != SCHEMA_VERSION:  # True == 1
         _fail("schema", "unsupported schema version %r (expected %d)" % (schema, SCHEMA_VERSION))
     target = target_from_config(_get(doc, "target", ""), "target")
     options = _as_dict(doc.get("options", {}), "options")

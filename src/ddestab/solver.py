@@ -11,12 +11,14 @@ of at most five constant lags. A jump at t0 reaches the k-th derivative at
 the sums of k lags; past RK4's order it no longer costs accuracy, so deeper
 sums are not tracked.
 
-The step size must not exceed the smallest positive lag, so every delayed
-read lands in an already-completed segment. The only exception is the
-leading sliver of a window that extends up to the current time: those
-reads use a within-step linear predictor, which keeps the overall scheme
-explicit. ``allow_extrapolation=True`` extends the same predictor to
-concentrated reads, for equations whose lag genuinely dips below the step.
+Every delayed read lands in a finished step: no step may exceed the lag
+of the near end of any read, a point lag or the upper end of a
+fixed-width window, at any stage time. The one exception is the leading
+sliver of a window that reaches the current time (or whose start moves):
+those reads use a within-step linear predictor, which keeps the scheme
+explicit. ``allow_extrapolation=True`` lifts the rule and extends the same
+predictor to every read, for equations whose lag genuinely dips below the
+step.
 
 Each right-hand side is split into a time part (coefficients, forcing),
 its delayed reads, and a state part (the arithmetic on x). The time part is
@@ -33,9 +35,10 @@ Terms that read one site (a positive and a negative term at one lag, two
 distributed terms over one window) share it, so each distinct delay and
 each distinct window (start and kernel) is read once per stage time.
 Where every delayed read lands, at both stage times of every step, is
-found once per run: t - lag at a constant lag, one call per stage time at
-a general delay. Its smallest lag bounds the step, checked before the
-first step. Each window is placed once per run as well, at the midpoint
+found once per run, in time order: t - lag at a constant lag, one call per
+stage time at a general delay or window start, up to the first call that
+raises. The rule above is checked on those landings before the first
+step. Each window is placed once per run as well, at the midpoint
 and at the step end before and after the push: its ends, the steps that
 hold them, its history span, the coefficients of the predictor sliver and
 the Hermite-integral weights of its head and tail. A window read is then a
@@ -82,8 +85,8 @@ ahead of time: windows, reads near t0 (two-sided under a start jump) or at
 the last finished node, histories other than a constant one, extrapolated
 reads, divergence, and all steps when the lag is short. The site read, in
 turn, is the reference for every window read placement cannot know: a
-window shorter than 1e-14, a start that raises, a window that reaches past
-the last node where that raises.
+window shorter than 1e-14, a start from the first stage time where it
+raises, a window that reaches past the last node where that raises.
 """
 
 from __future__ import annotations
@@ -546,12 +549,38 @@ class _Window:
     kernel: cr.UniformKernel
 
 
-def _window_reaches_now(term: _Window) -> bool:
-    if term.kernel.width is None:
-        return True
-    if isinstance(term.window_start, tf.ConstantLag):
-        return term.kernel.width >= term.window_start.lag - 1e-12
-    return True  # variable window start: assume the worst
+def _ends(site) -> tuple:
+    """The constant lags of the far and the near end of what ``site`` reads,
+    None where an end is not constant. A point lag is both ends; the near
+    end of a window that reaches t, or whose start moves, is 0."""
+    if not isinstance(site, _Window):
+        lag = site.lag if isinstance(site, tf.ConstantLag) else None
+        return lag, lag
+    start, width = site.window_start, site.kernel.width
+    if not isinstance(start, tf.ConstantLag):
+        return None, 0.0
+    if width is None or width >= start.lag - 1e-12:
+        return start.lag, 0.0
+    return start.lag, start.lag - width
+
+
+def _landings(delay, stage_times: np.ndarray) -> np.ndarray:
+    """Where ``delay`` lands at each of ``stage_times`` (a row of midpoints
+    and a row of step ends): t - lag at a constant lag, else one call per
+    stage time in time order, NaN from the first call that raises on (the
+    site read meets the error again at its own step)."""
+    if isinstance(delay, tf.ConstantLag):
+        return stage_times - delay.lag
+    times = stage_times.T.ravel().tolist()
+    lands = []
+    try:
+        for t in times:
+            lands.append(delay(t))
+    except Exception:
+        pass
+    out = np.full(len(times), math.nan)
+    out[:len(lands)] = lands
+    return out.reshape(-1, 2).T
 
 
 def _window_average(term: _Window, t: float, read, integral) -> float:
@@ -657,34 +686,15 @@ def _make_model_rhs(model, rate, gamma, slots, forcing):
     return _Rhs(coeffs, tuple(sites), delayed, None if min(a, b, c) >= 0 else current, shape)
 
 
-def _make_removal_rhs(model: md.MackeyGlassRemoval, forcing):
-    (g, h), sites = _slots((model.g, model.h))
-    return _make_model_rhs(model, model.r, model.gamma, ((g, g, h), sites), forcing)
-
-
-def _make_production_rhs(model: md.MackeyGlassProduction, forcing):
-    (p, q), sites = _slots((model.p, model.q))
-    return _make_model_rhs(model, model.s, None, ((p, q, -1), sites), forcing)
-
-
-def _mesh_lags(sites) -> list:
-    """The lags that seed the breaking-point mesh: constant read lags and constant window ends."""
-    lags = [d.lag for d in sites if isinstance(d, tf.ConstantLag)]
-    for term in sites:
-        if isinstance(term, _Window) and isinstance(term.window_start, tf.ConstantLag):
-            lags.append(term.window_start.lag)
-            if term.kernel.width is not None and term.window_start.lag > term.kernel.width:
-                lags.append(term.window_start.lag - term.kernel.width)
-    return lags
-
-
 def _make_rhs(target, forcing):
     if isinstance(target, cr.LinearDelayEquation):
         return _make_linear_rhs(target, forcing)
     if isinstance(target, md.MackeyGlassRemoval):
-        return _make_removal_rhs(target, forcing)
+        (g, h), sites = _slots((target.g, target.h))
+        return _make_model_rhs(target, target.r, target.gamma, ((g, g, h), sites), forcing)
     if isinstance(target, md.MackeyGlassProduction):
-        return _make_production_rhs(target, forcing)
+        (p, q), sites = _slots((target.p, target.q))
+        return _make_model_rhs(target, target.s, None, ((p, q, -1), sites), forcing)
     raise ConfigurationError(
         "target must be a LinearDelayEquation or a Mackey-Glass model"
     )
@@ -845,29 +855,14 @@ def _place_windows(windows, mesh, stage_times, t0, extrapolate) -> list:
     """Every window read of a run, placed once: per step, the records of its
     midpoint, of its end before the push and of its end after it, one per
     window in order (see ``_placed_window``).
-
-    A window start that raises at any stage time leaves that window to the
-    site read throughout, which meets the error again at its own step.
     """
-    steps = mesh.size - 1
     if not windows:
-        return [((), (), ())] * steps
+        return [((), (), ())] * (mesh.size - 1)
     # The three uses as rows: the stage time and the last finished node.
     times = stage_times[[0, 1, 1]]
     last = np.stack((mesh[:-1], mesh[:-1], mesh[1:]))
-    uses = []
-    for w in windows:
-        start = w.window_start
-        try:
-            if isinstance(start, tf.ConstantLag):
-                lo = times - start.lag
-            else:
-                lo = np.array(list(map(start, stage_times.ravel().tolist())), float)
-                lo = lo.reshape(stage_times.shape)[[0, 1, 1]]
-        except Exception:
-            uses.append([[None] * steps] * 3)
-            continue
-        uses.append(_placed_window(lo, times, last, w.kernel.width, mesh, t0, extrapolate))
+    uses = [_placed_window(_landings(w.window_start, stage_times)[[0, 1, 1]], times, last,
+                           w.kernel.width, mesh, t0, extrapolate) for w in windows]
     return list(zip(*(zip(*(use[row] for use in uses)) for row in range(3))))
 
 
@@ -997,32 +992,26 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
                      divergence_threshold, on_divergence) -> None:
     """Integrate ``members``, columns sharing t0, t1, step and their sites, into ``results``."""
     windows = [s for s in sites if isinstance(s, _Window)]
-    mesh = _build_mesh(t0, t1, step, _mesh_lags(sites))
+    ends = [_ends(site) for site in sites]
+    mesh = _build_mesh(t0, t1, step, [lag for end in ends for lag in end if lag is not None])
     nodes = mesh.tolist()
     steps = mesh.size - 1
     widths = np.diff(mesh)
     stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
 
-    # Where each delayed read lands at the midpoint ([0]) and the end ([1]) of
-    # every step: the floats the site returns there. NaN leaves a slot to be
-    # read at the site: general delays under ``allow_extrapolation`` and those
-    # that raise (again at their own step); windows, placed below, keep their
-    # slots NaN so that no segment takes them. The smallest lag bounds
-    # the step: constant lags as given, general ones at their least over the
-    # stage times.
+    # Where each point read lands at the midpoint ([0]) and the end ([1]) of
+    # every step; NaN from where its delay raises leaves the slot to the site
+    # read. Windows, placed below, keep their slots NaN so that no segment
+    # takes them. No step may exceed a positive near end (a window's near end
+    # is 0 where the predictor serves it) or a general delay's least lag over
+    # the stage times it lands at.
     tau = np.full(stage_times.shape + (len(sites),), math.nan)
-    lags = []
-    for k, site in enumerate(sites):
-        if isinstance(site, tf.ConstantLag):
-            tau[..., k] = stage_times - site.lag
-            lags.append(site.lag)
-        elif isinstance(site, tf.GeneralDelay) and not allow_extrapolation:
-            try:
-                reads = list(map(site, stage_times.ravel().tolist()))
-            except Exception:
-                continue
-            tau[..., k] = np.reshape(reads, stage_times.shape)
-            lags.append(float(np.min(stage_times - tau[..., k])))
+    points = len(sites) - len(windows)
+    for k, site in enumerate(sites[:points]):
+        tau[..., k] = _landings(site, stage_times)
+    lags = [near for _, near in ends if near]
+    lags += [float(np.fmin.reduce(stage_times - tau[..., k], axis=None, initial=math.inf))
+             for k, (_, near) in enumerate(ends) if near is None]
     min_lag = min(lags, default=math.inf)
     if min_lag < step - 1e-12 and not allow_extrapolation:
         raise ConfigurationError(
@@ -1032,10 +1021,10 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
 
     hist_pad = 1e-9 * max(1.0, abs(t0))
     hist_lo, hist_hi = t0 - hist_pad, t0 + hist_pad
-    extrapolate = allow_extrapolation or any(map(_window_reaches_now, windows))
+    extrapolate = allow_extrapolation or any(near == 0.0 for _, near in ends)
     # The point reads' places in the scalar loop, step by step, and the
     # window reads of each step, placed once for every column.
-    point = np.ascontiguousarray(tau[..., :len(sites) - len(windows)].transpose(1, 0, 2))
+    point = np.ascontiguousarray(tau[..., :points].transpose(1, 0, 2))
     placed = _place_windows(windows, mesh, stage_times, t0, extrapolate)
     # The weights of each step's integral whole: the tail a window read shares
     # when its window reaches the last finished node.
@@ -1493,7 +1482,8 @@ def verify_lemma3(
     spacing = min(10.0 * step, lag / 2.0)
     # The integrand is minus the equation's right-hand side read along X.
     rhs = _make_rhs(eq, None)
-    segments = breaking_points(s, t1, _mesh_lags(rhs.sites))
+    ends = [_ends(site) for site in rhs.sites]
+    segments = breaking_points(s, t1, [lag for end in ends for lag in end if lag is not None])
     prefix = [(s, 0.0)]
     acc = 0.0
     for a, b in zip(segments[:-1], segments[1:]):

@@ -111,6 +111,7 @@ def test_config_schema_errors_carry_field_paths():
     cases = [
         ("not json at all", "<document>"),
         ('{"schema": 2, "target": {"type": "linear"}}', "schema"),
+        ('{"schema": true, "target": {"type": "linear"}}', "schema: unsupported schema version True"),
         ('{"schema": 1}', "missing required field 'target'"),
         ('{"schema": 1, "target": {"type": "nope"}}', "target.type"),
         (

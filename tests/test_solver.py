@@ -508,6 +508,16 @@ def test_incommensurate_lags_cost_few_extra_steps():
     assert len(tr.times) - 1 <= 2070
 
 
+def test_breaking_points_closer_than_a_sliver_of_the_step_are_merged():
+    # Lags 1 and 1 + 5e-9 give breaking points 5e-9 apart, below 1e-6 of the
+    # step: each pair is one node, and the mesh is that of the lag of 1 alone.
+    eq = _linear([(0.5, 1.0), (0.3, 1.000000005)])
+    tr = sv.integrate(eq, 1.0, 5.0, step=0.01)
+    assert tr.times.size == 501
+    assert np.diff(tr.times).min() >= 0.01 * 1e-6
+    assert tr.times[-1] == 5.0
+
+
 def test_mesh_nodes_include_breaking_points():
     eq = _linear([(0.8, 1.0)], neg=[(0.3, 0.5)])
     tr = sv.integrate(eq, 1.0, 4.0, step=0.03)
@@ -926,9 +936,13 @@ def test_general_delay_is_called_once_per_stage_time():
                         cr.Term(tf.constant(0.3), tf.ConstantLag(1.5))],
         negative_terms=[cr.Term(tf.constant(0.1), tf.ConstantLag(0.8))],
     )
-    steps = sv.integrate(eq, 0.8, 12.0, step=0.02, initial_value=1.2).times.size - 1
-    # Each midpoint and step end, and t0 for the start slope.
-    assert len(calls) <= 2 * steps + 1
+    # Each midpoint and step end, and t0 for the start slope, whether or not
+    # reads may pass the last node.
+    for allow_extrapolation in (False, True):
+        calls.clear()
+        steps = sv.integrate(eq, 0.8, 12.0, step=0.02, initial_value=1.2,
+                             allow_extrapolation=allow_extrapolation).times.size - 1
+        assert len(calls) <= 2 * steps + 1
 
 
 @pytest.mark.parametrize("dip", [(10.015, 10.025), (10.005, 10.015)])
@@ -941,6 +955,78 @@ def test_general_lag_below_the_step_at_any_stage_time_is_rejected_up_front(dip):
     eq = cr.LinearDelayEquation(positive_terms=[cr.Term(coeff, dipping)])
     with pytest.raises(tf.ConfigurationError, match="smallest positive lag 0.015"):
         sv.integrate(eq, 1.0, 20.0, step=0.02)
+    assert coeff.calls == 0
+
+
+@pytest.mark.parametrize("t1", [9.0, 20.0])
+def test_general_lag_below_the_step_is_rejected_up_front_though_the_delay_raises_later(t1):
+    # The lag dips to 0.005 on (2, 3) and breaks its bound of 1 past t = 10.
+    # The stage times it lands at before it raises show the dip either way;
+    # giving up on the whole delay, the run to 20 raised mid-run instead.
+    coeff = _CountingConstant(0.3)
+    dipping = tf.GeneralDelay(
+        lambda t: t - (0.005 if 2.0 < t < 3.0 else 2.0 if t > 10.0 else 0.5), 1.0)
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(coeff, dipping)])
+    with pytest.raises(tf.ConfigurationError, match="smallest positive lag 0.005"):
+        sv.integrate(eq, 1.0, t1, step=0.02)
+    assert coeff.calls == 0
+
+
+def test_a_window_ending_less_than_a_step_before_t_is_rejected_up_front():
+    # The window's upper end lags t by 0.005 < 0.01, as a point lag below the
+    # step would. Alone it raised mid-run; beside a window that reaches t,
+    # whose predictor then served it too, the run completed.
+    coeff = _CountingConstant(0.5)
+    narrow = cr.DistributedTerm(1, coeff, tf.ConstantLag(0.5), cr.UniformKernel(0.495))
+    whole = cr.DistributedTerm(1, tf.constant(0.2), tf.ConstantLag(0.5))
+    for windows in ([narrow], [narrow, whole]):
+        eq = cr.LinearDelayEquation(distributed_terms=windows)
+        with pytest.raises(tf.ConfigurationError, match="smallest positive lag 0.005"):
+            sv.integrate(eq, 1.0, 5.0, step=0.01)
+    assert coeff.calls == 0
+
+
+def test_a_general_delay_that_raises_later_is_settled_in_passes_up_to_there(monkeypatch):
+    # Landed in time order, the delay is NaN from its first raise, at 10.005,
+    # on: the 1 000 steps up to t = 10 are settled in passes, and the scalar
+    # read meets the error at its own step. Giving up on the whole delay took
+    # every step on the scalar loop and 3 003 calls.
+    calls = []
+
+    def wobble(t):
+        calls.append(t)
+        return t - (0.5 * (1.0 + 0.3 * math.sin(t)) if t <= 10.0 else 2.0)
+
+    eq = cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(0.4), tf.GeneralDelay(wobble, 0.65))])
+    array_stages = _count_array_stages(monkeypatch)
+    with pytest.raises(tf.DomainError) as info:
+        sv.integrate(eq, 1.0, 20.0, step=0.01)
+    assert str(info.value) == (
+        "delayed argument 8.005 lags current time 10.005 by more than lag_bound 0.65")
+    assert sum(array_stages) == 2 * 1000
+    # Each stage time up to 10.005, t0 for the start slope, and 10.005 again.
+    assert len(calls) == 2 * 1000 + 3
+    # A run that stops short of the raise keeps its bits.
+    assert _digest(sv.integrate(eq, 1.0, 9.9, step=0.01)) == (
+        "99dad0ccb437eea30eafe6101fe8ea4f2e3c556c11d84fa38679762d2f53372b")
+
+
+@pytest.mark.parametrize("run", [
+    lambda eq: sv.integrate_columns([eq, eq], [1.0], 5.0, step=0.05),
+    lambda eq: sv.integrate(eq, 1.0, 5.0, step=0.05, on_divergence="ignore"),
+    lambda eq: sv.integrate(eq, 1.0, 5.0, step=0.0),
+    lambda eq: sv.integrate(eq, 1.0, 5.0, step=-0.01),
+    lambda eq: sv.integrate(eq, 1.0, 5.0, step=math.nan),
+    lambda eq: sv.integrate(eq, 1.0, 0.0, step=0.05),
+    lambda eq: sv.integrate(eq, 1.0, -1.0, step=0.05),
+], ids=["targets_without_histories", "on_divergence", "step_zero", "step_negative", "step_nan",
+        "t1_at_t0", "t1_before_t0"])
+def test_invalid_run_arguments_are_rejected_up_front(run):
+    coeff = _CountingConstant(0.4)
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(coeff, tf.ConstantLag(1.0))])
+    with pytest.raises(tf.ConfigurationError):
+        run(eq)
     assert coeff.calls == 0
 
 
@@ -1158,8 +1244,8 @@ def _outcome(run):
     a=st.floats(0.1, 2.0),
     step=st.sampled_from([0.01, 0.02, 0.05]),
 )
-# A window of 0.3 ending 0.02 before t reaches past the last node at a step
-# of 0.05, and raises there.
+# A window of 0.3 ending 0.02 before t, at a step of 0.05: its reads would
+# reach past the last node, so the run is rejected up front either way.
 @example(start="constant", width=0.3, history="function", jump=True, unstable=False, mix=True,
          lag=0.32, a=1.0, step=0.05)
 def test_property_placed_windows_are_the_site_read_bit_for_bit(start, width, history, jump,
