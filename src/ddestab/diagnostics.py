@@ -288,43 +288,21 @@ def certify(
     return cert.verdict, (cert,)
 
 
-def _standard_setup(target, history, x0, horizon, step):
-    """The standard perturbed run's setup, and the target's largest lag."""
-    x_eq, max_lag, t0 = target_structure(target)
-    base = x_eq if x_eq > 0.0 else 1.0
-    setup = {
-        "equilibrium": x_eq,
-        "history": history if history is not None else 0.8 * base,
-        "initial_value": x0 if x0 is not None else 1.2 * base,
-        "horizon": horizon if horizon is not None else 60.0 * max(max_lag, 1.0),
-        "step": step if step is not None else 0.01,
-        "t0": t0,
-    }
-    return setup, max_lag
-
-
 def perturbed_run(target, *, history=None, x0=None, horizon=None, step=None):
     """Standard perturbed simulation: (trajectory, behavior report, setup).
 
     The run starts from a constant history at 0.8 of the reference state
     with an initial value at 1.2 of it (reference 1.0 when the equilibrium
     is zero), over sixty lags at step 0.01 unless overridden. ``setup``
-    records the values used.
+    records the values used. This is the one-target case of ``perturbed_runs``.
     """
-    setup, max_lag = _standard_setup(target, history, x0, horizon, step)
-    traj = sv.integrate(
-        target,
-        sv.ConstantHistory(setup["history"]),
-        setup["t0"] + setup["horizon"],
-        step=setup["step"],
-        initial_value=setup["initial_value"],
-        on_divergence="truncate",
-    )
-    report = classify(traj, equilibrium=setup["equilibrium"], max_lag=max_lag)
-    return traj, report, setup
+    (out,) = perturbed_runs([target], history=history, x0=x0, horizon=horizon, step=step)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
-def perturbed_runs(targets, *, horizon=None, step=None) -> list:
+def perturbed_runs(targets, *, history=None, x0=None, horizon=None, step=None) -> list:
     """``perturbed_run`` of each target: its triple, or the exception it raises.
 
     Runs that end at the same time are columns of one ``integrate_columns``
@@ -334,10 +312,19 @@ def perturbed_runs(targets, *, horizon=None, step=None) -> list:
     groups: dict = {}  # end time -> [(index, target, setup, max lag)]
     for i, target in enumerate(targets):
         try:
-            setup, max_lag = _standard_setup(target, None, None, horizon, step)
+            x_eq, max_lag, t0 = target_structure(target)
         except Exception as exc:
             out[i] = exc
             continue
+        base = x_eq if x_eq > 0.0 else 1.0
+        setup = {
+            "equilibrium": x_eq,
+            "history": history if history is not None else 0.8 * base,
+            "initial_value": x0 if x0 is not None else 1.2 * base,
+            "horizon": horizon if horizon is not None else 60.0 * max(max_lag, 1.0),
+            "step": step if step is not None else 0.01,
+            "t0": t0,
+        }
         groups.setdefault(setup["t0"] + setup["horizon"], []).append((i, target, setup, max_lag))
     for t1, members in groups.items():
         indices, group, setups, lags = zip(*members)

@@ -33,50 +33,53 @@ share one delayed part as well.
 
 Terms that read one site (a positive and a negative term at one lag, two
 distributed terms over one window) share it, so each distinct delay and
-each distinct window (start and kernel) is read once per stage time.
-Where every delayed read lands, at both stage times of every step, is
-found once per run, in time order: t - lag at a constant lag, one call per
-stage time at a general delay or window start, up to the first call that
-raises. The rule above is checked on those landings before the first
-step. Each window is placed once per run as well, at the midpoint
-and at the step end before and after the push: its ends, the steps that
-hold them, its history span, the coefficients of the predictor sliver and
-the Hermite-integral weights of its head and tail. A window read is then a
-few products and the sum of the whole steps between, in the operations and
-order of the closed-form integral, hence bit for bit; the tail of the last
-finished step is formed once per state and shared by every window read at
-it. From any step j, the method of steps (Bellen and Zennaro 2003,
-ch. 3) settles a segment of steps at once: the steps up to the first one
-that reads step j or later or has a slot only the scalar read can read. Its
-reads land in finished steps or before t0 in a constant history, so the
+each distinct window (start and kernel) is read once per stage time. Where
+each distinct delay, a point read's or a window's start, lands at t0 and at
+both stage times of every step is found once per run, in time order: t -
+lag at a constant lag, one call per time at a general delay, up to the
+first call that raises. The rule above is checked on those landings before
+the first step. Each window is placed once per run as well, at t0, at the
+midpoint and at the step end before and after the push: its ends, the steps
+that hold them, its history span, the coefficients of the predictor sliver
+and the Hermite-integral weights of its head and tail. A window read is
+then a few products and the sum of the whole steps between, in the
+operations and order of the closed-form integral, hence bit for bit; the
+tail of the last finished step is formed once per state and shared by every
+window read at it. From any step j, the method of steps (Bellen and Zennaro
+2003, ch. 3) settles a segment of steps at once: the steps up to the first
+one that reads step j or later or has a slot only the scalar read can read.
+Its reads land in finished steps or before t0 in a constant history, so the
 segment interpolates them elementwise, with Hermite weights found once per
 run, in the same operations and order as one scalar read, hence bit for
 bit. The time part is then a slice of the plan and the delayed part is
-formed on arrays. When the state part ignores the current state
-(every term delayed, as in the removal form of ``ex51``), that gives
-k2 = k3 and k4, each step's k1 is the previous k4, and the nodes are the
-running sum ``np.cumsum`` of the increments. When it reads x(t), the RK4
-recurrence runs over floats, fed one list per entry of the delayed part.
-The right-hand side declares the affine shape of its current part where it
-has one: a linear equation whose one x(t) term closes the sum (``eq3``,
+formed on arrays. When the state part ignores the current state (every term
+delayed, as in the removal form of ``ex51``), that gives k2 = k3 and k4,
+each step's k1 is the previous k4, and the nodes are the running sum
+``np.cumsum`` of the increments. When it reads x(t), the RK4 recurrence
+runs over floats, fed one list per entry of the delayed part. The
+right-hand side declares the affine shape of its current part where it has
+one: a linear equation whose one x(t) term closes the sum (``eq3``,
 ``eq26``) is d0 + d1 x(t), forcing included, and the unforced production
 form with both Hill reads delayed (``ex5``) is d0 (dp - x(t)). Each shape
 has its own loop with the stage arithmetic written out; any other (a term
 after the x(t) term, x(t) inside the Hill term, a forced production form)
-calls the current part at each stage. Either way these are the scalar loop's own IEEE operations in
-its order, and its rules for ending a run. The pass hands a step back to
-the scalar loop when its node or node slope leaves the finite range or
-the divergence threshold, and the rest of its segment when its array
-part raises (an overflowing x^n, a floating-point exception).
+calls the current part at each stage. Either way these are the scalar
+loop's own IEEE operations in its order, and its rules for ending a run.
+The pass hands a step back to the scalar loop when its node or node slope
+leaves the finite range or the divergence threshold, and the rest of its
+segment when its array part raises (an overflowing x^n, a floating-point
+exception).
 
 Runs that share their start time, end, step and delayed reads are columns
 of one integration (``integrate_columns``): one mesh, one placement of the
-reads and one sequence of segments, each gathering the reads of every
-column at once and summing the increments of every column that ignores
+reads and one loop over segments. A pass gathers the reads of every column
+with a plan at once and sums the increments of every column that ignores
 x(t) in one ``np.cumsum``; the time plans share their sin calls. Each
-column keeps its own delayed part, float recurrence and scalar steps, so
-its bits are those of its run alone, and a column that settles fewer steps
-of a segment than the others finishes alone. ``integrate`` is one column.
+column keeps its own delayed part, float recurrence and scalar steps, and
+after each segment takes scalar steps up to its end: every step when it
+has no plan or its pass raised, and the next one, which ends its run, when
+its pass stopped short. So a column does the work and gets the bits of its
+run alone. ``integrate`` is one column.
 
 Segments are settled in one pass when they hold at least ``_BLOCK_STEPS``
 steps; shorter ones cost more than they save. The scalar read and the
@@ -85,8 +88,8 @@ ahead of time: windows, reads near t0 (two-sided under a start jump) or at
 the last finished node, histories other than a constant one, extrapolated
 reads, divergence, and all steps when the lag is short. The site read, in
 turn, is the reference for every window read placement cannot know: a
-window shorter than 1e-14, a start from the first stage time where it
-raises, a window that reaches past the last node where that raises.
+window shorter than 1e-14, a start from the first time where it raises,
+a window that reaches past the last node where that raises.
 """
 
 from __future__ import annotations
@@ -564,23 +567,21 @@ def _ends(site) -> tuple:
     return start.lag, start.lag - width
 
 
-def _landings(delay, stage_times: np.ndarray) -> np.ndarray:
-    """Where ``delay`` lands at each of ``stage_times`` (a row of midpoints
-    and a row of step ends): t - lag at a constant lag, else one call per
-    stage time in time order, NaN from the first call that raises on (the
-    site read meets the error again at its own step)."""
+def _landings(delay, times: np.ndarray) -> np.ndarray:
+    """Where ``delay`` lands at each of ``times``, given in time order: t - lag
+    at a constant lag, else one call per time, NaN from the first call that
+    raises on (the site read meets the error again at its own step)."""
     if isinstance(delay, tf.ConstantLag):
-        return stage_times - delay.lag
-    times = stage_times.T.ravel().tolist()
+        return times - delay.lag
     lands = []
     try:
-        for t in times:
+        for t in times.tolist():
             lands.append(delay(t))
     except Exception:
         pass
-    out = np.full(len(times), math.nan)
+    out = np.full(times.size, math.nan)
     out[:len(lands)] = lands
-    return out.reshape(-1, 2).T
+    return out
 
 
 def _window_average(term: _Window, t: float, read, integral) -> float:
@@ -796,11 +797,12 @@ def integrate_columns(
     Returns, per target, its Trajectory or the exception ``integrate``
     raises for it, a DivergenceError included. Targets whose start time and
     sites agree share one mesh, one placement of their reads, the sin calls
-    of their time plans and one sequence of passes: each pass gathers every
-    column's reads at once and settles, in one running sum, the steps of
-    every column whose state part ignores x(t). Each column keeps its own
-    ``delayed``, its own float recurrence and its own scalar steps, so it
-    gets the bits ``integrate`` gives it alone.
+    of their time plans and one loop over segments: each pass gathers the
+    reads of every column with a plan at once and settles, in one running
+    sum, the steps of every column whose state part ignores x(t); each
+    column then takes scalar steps up to the segment's end. Each column
+    keeps its own ``delayed``, its own float recurrence and its own scalar
+    steps, so it gets the bits ``integrate`` gives it alone.
     """
     if initial_values is None:
         initial_values = [None] * len(targets)
@@ -851,27 +853,29 @@ def _start_time(target, t1, step, t0, divergence_threshold, on_divergence) -> fl
     return t0
 
 
-def _place_windows(windows, mesh, stage_times, t0, extrapolate) -> list:
-    """Every window read of a run, placed once: per step, the records of its
-    midpoint, of its end before the push and of its end after it, one per
-    window in order (see ``_placed_window``).
+def _place_windows(windows, starts, mesh, stage_times, t0, extrapolate) -> tuple:
+    """Every window read of a run, placed once from the landings of its
+    start (``starts``, see ``_integrate_group``): the records at t0, and per
+    step those of its midpoint, of its end before the push and of its end
+    after it, one per window in order (see ``_placed_window``).
     """
+    steps = mesh.size - 1
     if not windows:
-        return [((), (), ())] * (mesh.size - 1)
-    # The three uses as rows: the stage time and the last finished node.
-    times = stage_times[[0, 1, 1]]
-    last = np.stack((mesh[:-1], mesh[:-1], mesh[1:]))
-    uses = [_placed_window(_landings(w.window_start, stage_times)[[0, 1, 1]], times, last,
-                           w.kernel.width, mesh, t0, extrapolate) for w in windows]
-    return list(zip(*(zip(*(use[row] for use in uses)) for row in range(3))))
+        return (), [((), (), ())] * steps
+    # The four uses end to end, each with its stage times and last finished nodes.
+    times = np.concatenate(([t0], stage_times[0], stage_times[1], stage_times[1]))
+    last = np.concatenate((mesh[:1], mesh[:-1], mesh[:-1], mesh[1:]))
+    uses = [_placed_window(np.concatenate((lo[:1], lo[1::2], lo[2::2], lo[2::2])), times, last,
+                           w.kernel.width, mesh, t0, extrapolate) for w, lo in zip(windows, starts)]
+    rows = [zip(*(use[1 + u * steps:1 + (u + 1) * steps] for use in uses)) for u in range(3)]
+    return tuple(use[0] for use in uses), list(zip(*rows))
 
 
 def _placed_window(lo, t, last, width, mesh, t0, extrapolate) -> list:
-    """One window's reads at the stage times ``t`` from its lower ends ``lo``,
-    with the last finished node at ``last`` (one row per use): per use and
-    step a record, or None where only the site read can read it (a window
-    shorter than 1e-14, a lower end that is not finite, a window reaching
-    past ``last`` where that raises).
+    """One window's reads at the times ``t`` from its lower ends ``lo``, with
+    the last finished node at ``last``: per read a record, or None where only
+    the site read can read it (a window shorter than 1e-14, a lower end that
+    is not finite, a window reaching past ``last`` where that raises).
 
     A record follows ``_window_average`` and ``integral`` branch for branch,
     with their numbers worked out ahead: the length; the history span where
@@ -904,17 +908,12 @@ def _placed_window(lo, t, last, width, mesh, t0, extrapolate) -> list:
         tail = _hermite_integral_weights(mesh[jj], mesh[jj + 1], mesh[jj], hi_in)
         own = dense & ~single & (hi_in != last)
         spans = (lo, np.where(t0 < hi, t0, hi))
-        rows = [f.tolist() for f in (length, over, hi - a, 0.5 * (a + hi) - last,
-                                     np.where(dense, i, -1), *head, jj)]
-    out = []
-    for use, row_known in enumerate(known):
-        length, *rest = (f[use] for f in rows)
-        records = list(zip(length, _sparse(early[use], [p[use] for p in spans]), *rest,
-                           _sparse(own[use], [w[use] for w in tail])))
-        for j in np.flatnonzero(~row_known).tolist():
-            records[j] = None
-        out.append(records)
-    return out
+        length, *rest = (f.tolist() for f in (length, over, hi - a, 0.5 * (a + hi) - last,
+                                              np.where(dense, i, -1), *head, jj))
+    records = list(zip(length, _sparse(early, spans), *rest, _sparse(own, tail)))
+    for j in np.flatnonzero(~known).tolist():
+        records[j] = None
+    return records
 
 
 def _sparse(mask, parts) -> list:
@@ -999,16 +998,22 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
     widths = np.diff(mesh)
     stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
 
-    # Where each point read lands at the midpoint ([0]) and the end ([1]) of
-    # every step; NaN from where its delay raises leaves the slot to the site
-    # read. Windows, placed below, keep their slots NaN so that no segment
-    # takes them. No step may exceed a positive near end (a window's near end
-    # is 0 where the predictor serves it) or a general delay's least lag over
-    # the stage times it lands at.
+    # Where each distinct delay, a point read's or a window's start, lands:
+    # at t0, then at the midpoint and the end of every step in time order.
+    delays = [site.window_start if isinstance(site, _Window) else site for site in sites]
+    order = np.concatenate(([t0], stage_times.T.ravel()))
+    distinct = {k: _landings(d, order) for k, d in enumerate(delays) if delays.index(d) == k}
+    lands = [distinct[delays.index(d)] for d in delays]
+    # The point reads at the midpoint ([0]) and the end ([1]) of every step;
+    # NaN from where a delay raises leaves the slot to the site read. Windows,
+    # placed below, keep their slots NaN so that no segment takes them. No
+    # step may exceed a positive near end (a window's near end is 0 where the
+    # predictor serves it) or a general delay's least lag over the stage
+    # times it lands at.
     tau = np.full(stage_times.shape + (len(sites),), math.nan)
     points = len(sites) - len(windows)
-    for k, site in enumerate(sites[:points]):
-        tau[..., k] = _landings(site, stage_times)
+    for k in range(points):
+        tau[..., k] = lands[k][1:].reshape(-1, 2).T
     lags = [near for _, near in ends if near]
     lags += [float(np.fmin.reduce(stage_times - tau[..., k], axis=None, initial=math.inf))
              for k, (_, near) in enumerate(ends) if near is None]
@@ -1025,7 +1030,8 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
     # The point reads' places in the scalar loop, step by step, and the
     # window reads of each step, placed once for every column.
     point = np.ascontiguousarray(tau[..., :points].transpose(1, 0, 2))
-    placed = _place_windows(windows, mesh, stage_times, t0, extrapolate)
+    start_win, placed = _place_windows(windows, lands[points:], mesh, stage_times, t0,
+                                       extrapolate)
     # The weights of each step's integral whole: the tail a window read shares
     # when its window reaches the last finished node.
     whole = list(zip(*(w.tolist() for w in _hermite_integral_weights(
@@ -1185,9 +1191,11 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
             if mls is not None:
                 mls.extend(slopes)
 
-        def scalar_step(j):
-            """RK4 step j on floats; False when the run ends at its node."""
+        def scalar_step():
+            """RK4 step from the last finished node on floats; False when the
+            run ends at its new node."""
             nonlocal want_left, div_time, tail
+            j = len(xs) - 1
             mid_tau, end_tau = point[j].tolist()
             mid_win, end_win, post_win = placed[j]
             tail = None
@@ -1254,7 +1262,7 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
                 )
             return traj
 
-        ms[0] = stage(x0, prepare(t0, [math.nan] * point.shape[-1], [None] * len(windows), cv0))
+        ms[0] = stage(x0, prepare(t0, [float(lo[0]) for lo in lands[:points]], start_win, cv0))
         if mls is not None:
             mls[0] = ms[0]
         if not (abs(x0) <= limit and math.isfinite(ms[0])):
@@ -1266,8 +1274,6 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
         return SimpleNamespace(
             index=index, xs=xs, ms=ms, mls=mls, mends=mends, table=table,
             before=hist.const if isinstance(hist, ConstantHistory) else math.nan,
-            # The pass waits for this step (a run with no plan takes none).
-            resume=0 if table is not None else steps,
             delayed=delayed, current=current, shape=rhs.shape, extend=extend,
             step=scalar_step, finish=finish,
         )
@@ -1275,12 +1281,10 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
     columns = []
     for c, rhs, hist, x0 in members:
         try:
-            col = column(c, rhs, hist, x0)
+            columns.append(column(c, rhs, hist, x0))
         except Exception as exc:
             results[c] = exc
-            continue
-        if col is not None:
-            columns.append(col)
+    columns = [col for col in columns if col is not None]
 
     # Method of steps: a segment of steps whose reads all land in finished
     # steps, or before t0 in a constant history, gets them in one numpy pass,
@@ -1306,20 +1310,20 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
 
     def settle_pass(cols, j, stop, reads):
         """Settle steps j to stop - 1 of each column from its segment reads
-        (rows in ``cols``' order); how many steps each settled.
+        (rows in ``cols``' order).
 
         The time part is a slice of the plan and ``delayed`` goes over
         arrays. When the state part ignores y, k3 = k2, each step's k1 is the
         previous k4, and the nodes are a running sum, for all such columns
         at once; otherwise ``_settle`` runs the recurrence step by step,
-        column by column, in the loop of the column's shape. Either way they are the scalar loop's operations in its order. A
-        column settles fewer steps when its next node or node slope is not
-        finite or passes the threshold, and none when ``delayed`` raises on
-        its arrays (an overflowing x^n, a floating-point exception); the
-        scalar loop takes its next step, or the rest of the segment.
+        column by column, in the loop of the column's shape. Either way they
+        are the scalar loop's operations in its order. A column settles fewer
+        steps when its next node or node slope is not finite or passes the
+        threshold, and none when ``delayed`` raises on its arrays (an
+        overflowing x^n, a floating-point exception); the scalar loop takes
+        the rest of its segment.
         """
         m = stop - j
-        settled = [0] * len(cols)
         summed = []  # (row, delayed part) of the columns summed at once
         with np.errstate(all="raise", under="ignore"):
             for r, col in enumerate(cols):
@@ -1327,16 +1331,12 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
                     d = col.delayed(col.table[:, j:stop].reshape(2 * m, -1).T,
                                     reads[r].reshape(2 * m, -1).T)
                 except Exception:
-                    col.resume = stop  # the scalar loop meets it again at its own step
-                    continue
+                    continue  # the scalar loop meets it again at its own step
                 if col.current is None:
                     summed.append((r, d))
                 else:
-                    nodes_x, slopes = _settle(col.shape, col.current, col.xs[-1], col.ms[-1],
-                                              widths[j:stop].tolist(), [v.tolist() for v in d],
-                                              limit)
-                    col.extend(nodes_x, slopes)
-                    settled[r] = len(slopes)
+                    col.extend(*_settle(col.shape, col.current, col.xs[-1], col.ms[-1],
+                                        widths[j:stop].tolist(), [v.tolist() for v in d], limit))
         if summed:
             d = np.array([d for _, d in summed])
             k2, k4 = d[:, :m], d[:, m:]
@@ -1350,82 +1350,60 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
             for (r, _), fine, xr, kr in zip(summed, ok, xb, k4):
                 n = m if fine.all() else int(np.argmin(fine))
                 cols[r].extend(xr[:n].tolist(), kr[:n].tolist())
-                settled[r] = n
-        return settled
 
-    def advance(cols, j):
-        """Take ``cols``, all at step j, to the end of the run together.
-
-        From a step j the pass settles the segment up to the next unclean
-        step (j itself for a window), then the first step that reads step j
-        or later, when it holds at least ``_BLOCK_STEPS`` steps; otherwise
-        each column takes its scalar step. A column that settles fewer steps
-        of a segment than the others leaves; returns those, each with the
-        step it goes on from alone.
-        """
-        strays = []
-        rows = 0  # the columns the node arrays below hold, in order
-        while cols and j < steps:
-            if j >= cols[0].resume:
-                stop = unclean[bisect.bisect_left(unclean, j)]
-                if stop - j >= _BLOCK_STEPS:
-                    stop = bisect.bisect_left(reach, j, j, stop)
-                if stop - j >= _BLOCK_STEPS:
-                    if rows != len(cols):  # columns only ever leave
-                        rows, synced = len(cols), 0
-                        xs_done = np.zeros((rows, mesh.size))
-                        ms_done = np.zeros((rows, mesh.size))
-                        me_done = ms_done
-                        if any(col.mls is not None for col in cols):
-                            me_done = np.zeros((rows, mesh.size))
-                        before = np.array([col.before for col in cols], float)[:, None, None, None]
-                        # Where each read's step starts in the flat node arrays,
-                        # row r of which starts at r * mesh.size.
-                        flat_of = step_of + np.arange(rows)[:, None, None, None] * mesh.size
-                        flat_next = flat_of + 1
-                    n = j + 1  # finished nodes
-                    for r, col in enumerate(cols):
-                        xs_done[r, synced:n] = col.xs[synced:n]
-                        ms_done[r, synced:n] = col.ms[synced:n]
-                        if me_done is not ms_done:
-                            me_done[r, synced:n] = col.mends[synced:n]
-                    synced = n
-                    # Read values per column and site at the midpoints ([0]) and
-                    # the ends ([1]) of the segment's steps.
-                    at, nxt = flat_of[:, :, j:stop], flat_next[:, :, j:stop]
-                    w0, w1, w2, w3 = (w[:, j:stop] for w in weights)
-                    xf, mf, ef = xs_done.ravel(), ms_done.ravel(), me_done.ravel()
-                    with np.errstate(all="ignore"):
-                        vals = w0 * xf[at] + w1 * mf[at] + w2 * xf[nxt] + w3 * ef[nxt]
-                        reads = vals if j >= late else np.where(early[:, j:stop], before, vals)
-                        settled = settle_pass(cols, j, stop, reads)
-                    for col, m in zip(cols, settled):
-                        if m < stop - j:
-                            col.resume = max(col.resume, j + m + 1)
-                            strays.append(([col], j + m))
-                    cols = [col for col, m in zip(cols, settled) if m == stop - j]
-                    j = stop
-                    continue
-            going = []
-            for col in cols:
-                try:
-                    if col.step(j):
-                        going.append(col)
-                    else:
+    # One loop over segments. From step j the pass settles the segment up to
+    # the next unclean step (j itself for a window), then the first step that
+    # reads step j or later, when it holds at least ``_BLOCK_STEPS`` steps,
+    # for every column with a plan at once; a shorter segment is one step.
+    # Then each column takes scalar steps up to the segment's end: all of
+    # them when it has no plan or its ``delayed`` raised on its arrays, and
+    # the next one, which ends its run, when the pass stopped short.
+    rows = 0  # the columns the node arrays below hold, in order
+    j = 0
+    while columns and j < steps:
+        stop = unclean[bisect.bisect_left(unclean, j)]
+        if stop - j >= _BLOCK_STEPS:
+            stop = bisect.bisect_left(reach, j, j, stop)
+        if stop - j < _BLOCK_STEPS:
+            stop = j + 1
+        elif passing := [col for col in columns if col.table is not None]:
+            if rows != len(passing):  # columns only ever leave
+                rows, synced = len(passing), 0
+                # Each column's finished nodes, node slopes and closing slopes.
+                done = np.zeros((3, rows, mesh.size))
+                before = np.array([col.before for col in passing], float)[:, None, None, None]
+                # Where each read's step starts in the flat node arrays,
+                # row r of which starts at r * mesh.size.
+                flat_of = step_of + np.arange(rows)[:, None, None, None] * mesh.size
+                flat_next = flat_of + 1
+            n = j + 1  # finished nodes
+            for r, col in enumerate(passing):
+                done[:, r, synced:n] = col.xs[synced:n], col.ms[synced:n], col.mends[synced:n]
+            synced = n
+            # Read values per column and site at the midpoints ([0]) and
+            # the ends ([1]) of the segment's steps.
+            at, nxt = flat_of[:, :, j:stop], flat_next[:, :, j:stop]
+            w0, w1, w2, w3 = (w[:, j:stop] for w in weights)
+            xf, mf, ef = done.reshape(3, -1)
+            with np.errstate(all="ignore"):
+                vals = w0 * xf[at] + w1 * mf[at] + w2 * xf[nxt] + w3 * ef[nxt]
+                reads = vals if j >= late else np.where(early[:, j:stop], before, vals)
+                settle_pass(passing, j, stop, reads)
+        going = []
+        for col in columns:
+            try:
+                while len(col.xs) <= stop:  # the column's next step is before ``stop``
+                    if not col.step():
                         results[col.index] = col.finish()
-                except Exception as exc:
-                    results[col.index] = exc
-            cols = going
-            j += 1
-        for col in cols:
-            results[col.index] = col.finish()
-        return strays
-
-    # The columns with a plan go together; each one without goes alone.
-    runs = [([col for col in columns if col.table is not None], 0)]
-    runs += [([col], 0) for col in columns if col.table is None]
-    while runs:
-        runs += advance(*runs.pop())
+                        break
+                else:
+                    going.append(col)
+            except Exception as exc:
+                results[col.index] = exc
+        columns = going
+        j = stop
+    for col in columns:
+        results[col.index] = col.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -1184,9 +1184,31 @@ def test_each_distinct_site_is_read_once_per_stage_time(monkeypatch):
             steps = sv.integrate(eq, 0.8, 12.0, step=0.02, initial_value=1.2).times.size - 1
             counts.append(len(calls))
         assert counts == [2 * steps + 1] * 2
-    # Every window read but the start slope's is placed: the site read serves
+    # Every window read is placed, the start slope's too: the site read serves
     # only the slots placement cannot know.
-    assert averages == [0.0, 0.0]
+    assert averages == []
+
+
+@pytest.mark.parametrize("kernels", [[None], [None, 0.4]], ids=["point_and_window", "two_windows"])
+def test_a_delay_shared_by_sites_of_two_kinds_lands_once(kernels):
+    # One general delay read by a point term and starting a window, or
+    # starting two windows of different kernels (so two sites), lands once per
+    # run: at t0 and at each of the 1 200 stage times. Landed once per site,
+    # it was called 2 402 times.
+    calls = []
+
+    def wobble(t):
+        calls.append(t)
+        return t - (1.0 + 0.3 * math.sin(0.7 * t))
+
+    delay = tf.GeneralDelay(wobble, 1.3)
+    windows = [cr.DistributedTerm(1, tf.constant(0.3), delay, cr.UniformKernel(width))
+               for width in kernels]
+    points = [cr.Term(tf.constant(0.4), delay)] if len(kernels) == 1 else []
+    eq = cr.LinearDelayEquation(positive_terms=points, distributed_terms=windows)
+    assert len(sv._make_rhs(eq, None).sites) == 2
+    steps = sv.integrate(eq, 0.8, 12.0, step=0.02, initial_value=1.2).times.size - 1
+    assert steps == 600 and len(calls) == 2 * steps + 1
 
 
 def _window_property_run(start, width, history, jump, unstable, mix, lag, a, step):
@@ -1253,7 +1275,7 @@ def test_property_placed_windows_are_the_site_read_bit_for_bit(start, width, his
     args = (start, width, history, jump, unstable, mix, lag, a, step)
     placed = _outcome(lambda: _window_property_run(*args))
     # Placement off: every window slot is read at the site.
-    with mock.patch.object(sv, "_placed_window", lambda lo, *rest: [[None] * row.size for row in lo]):
+    with mock.patch.object(sv, "_placed_window", lambda lo, *rest: [None] * lo.size):
         site = _outcome(lambda: _window_property_run(*args))
     assert placed == site
 
@@ -1650,6 +1672,74 @@ def test_property_columns_are_separate_runs_bit_for_bit(kind, params, on_diverge
             a, b = getattr(got, name), getattr(want, name)
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
         assert (got.diverged, got.divergence_time) == (want.diverged, want.divergence_time)
+
+
+def test_a_column_without_a_plan_leaves_the_others_their_passes(monkeypatch):
+    # The own coefficient raises past t = 28, beyond where its run ends: it
+    # diverges at t = 25.25. The plan covers every stage time up to t = 30,
+    # so it raises, and the column takes every step on the scalar loop while
+    # it stays in the group. The planned columns settle the same passes as
+    # in the group without it, and every column keeps its bits.
+    lag = tf.ConstantLag(2.0)
+    planned = [md.eq3abc(0.4, 0.2), cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(0.5), lag)])]
+    own = cr.LinearDelayEquation(positive_terms=[cr.Term(_OwnCoefficient(3.0, raise_after=28.0), lag)])
+    options = dict(step=0.05, divergence_threshold=1e3, on_divergence="truncate")
+    with pytest.raises(ValueError):
+        sv._plan(sv._make_rhs(own, None).coeffs, np.array([29.0]))
+    array_stages = _count_array_stages(monkeypatch)
+    sizes, runs = [], []
+    for targets in (planned, planned + [own]):
+        array_stages.clear()
+        runs.append(sv.integrate_columns(targets, [0.8] * len(targets), 30.0,
+                                         initial_values=[1.2] * len(targets), **options))
+        sizes.append(list(array_stages))
+    assert sizes[0] == sizes[1] and sum(sizes[0]) >= 2 * 2 * 500
+    alone = sv.integrate(own, 0.8, 30.0, initial_value=1.2, **options)
+    assert alone.divergence_time == 25.25
+    for got, want in zip(runs[1], runs[0] + [alone]):
+        assert _digest(got) == _digest(want)
+
+
+def _record_array_stage_times(monkeypatch):
+    """Per right-hand side made, in order, the stage times its ``delayed`` is
+    called at on arrays. They come from one more time-part entry, t itself,
+    which ``delayed`` takes off before it goes on."""
+    seen = []
+    make_rhs = sv._make_rhs
+
+    def recording_rhs(target, forcing):
+        rhs = make_rhs(target, forcing)
+        times = []
+        seen.append(times)
+
+        def delayed(cv, xv):
+            if isinstance(cv, np.ndarray):
+                times.extend(cv[-1].tolist())
+            return rhs.delayed(cv[:-1], xv)
+
+        return dataclasses.replace(rhs, coeffs=rhs.coeffs + ((lambda t: t),), delayed=delayed)
+
+    monkeypatch.setattr(sv, "_make_rhs", recording_rhs)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["linear", "ex51", "ex5"])
+def test_each_column_passes_at_the_stage_times_of_its_run_alone(kind, monkeypatch):
+    # Same work as alone: in the group, every column's ``delayed`` goes over
+    # the arrays of the same stage times as in its lone run, in the same
+    # passes, those that diverge mid-segment or raise on their arrays (the
+    # linear and ex51 families) included.
+    targets, histories, starts, options = _column_family(kind, [(0.3, 0.2), (1.2, 0.7)])
+    t1 = options.pop("t1")
+    seen = _record_array_stage_times(monkeypatch)
+    sv.integrate_columns(targets, histories, t1, initial_values=starts, on_divergence="truncate",
+                         **options)
+    grouped = list(seen)
+    seen.clear()
+    for target, history, x0 in zip(targets, histories, starts):
+        sv.integrate(target, history, t1, initial_value=x0, on_divergence="truncate", **options)
+    assert len(grouped) == len(targets) and all(grouped)
+    assert grouped == seen
 
 
 def test_node_slope_rereads_keep_the_time_part():
