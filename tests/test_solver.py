@@ -923,6 +923,13 @@ def test_general_delay_breaking_its_bound_between_lag_samples_raises_at_its_step
     assert str(info.value) == "delayed argument 5.01 lags current time 10.01 by more than lag_bound 1"
 
 
+def test_general_delay_whose_argument_is_not_a_number_raises_at_its_step():
+    bad = tf.GeneralDelay(lambda t: math.nan if t >= 20.0 else t - 1.0 - 0.4 * math.sin(0.9 * t), 1.4)
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(0.4, 1.2), bad)])
+    with pytest.raises(tf.DomainError, match="at current time 20 is not a number"):
+        sv.integrate(eq, 1.0, 30.0, step=0.02)
+
+
 def test_general_delay_is_called_once_per_stage_time():
     calls = []
 

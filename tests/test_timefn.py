@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -942,6 +943,11 @@ def test_general_delay_searches_share_one_read_of_the_grid(monkeypatch):
     # its value: the first point and each refined local maximum.
     assert len(calls) >= 2
     assert len(on_grid) <= len(grid) + len(calls) + 2
+    # Refining every local maximum took 34 golden runs and 2 927 reads of the
+    # delay; the brackets that the lag envelope bounds below the best read
+    # are skipped.
+    assert len(calls) <= 14
+    assert len(reads) <= 1_850
 
 
 def test_general_delay_search_raises_at_the_first_invalid_grid_point():
@@ -1011,3 +1017,135 @@ def test_general_delay_searches_report_the_coefficients_own_integral(pulse):
             assert max(fn(t) for t in np.linspace(lo, hi, 4097)) - 1e-12 <= info.value
             # The grid evaluated point by point, fn alone, is the reference.
             assert info == tf._maximize(fn, 0.0, tf.GeneralClass(30.0), lower.lag_bound)
+
+
+def _wobble(lag, wobble, freq):
+    return tf.GeneralDelay(lambda t: t - lag * (1.0 + wobble * math.sin(freq * t)),
+                           lag * (1.0 + wobble))
+
+
+@st.composite
+def _nonnegative_coefficients(draw):
+    """A sinsq, a scaled sum of two, or a sinsq plus a pulse narrower than a grid cell."""
+    freq = draw(st.floats(0.3, 3.0))
+    wave = tf.sinsq(draw(st.floats(0.1, 2.0)), freq, draw(st.floats(0.0, 3.0)))
+    shape = draw(st.sampled_from(["sinsq", "scaled", "pulse"]))
+    if shape == "sinsq":
+        return wave
+    if shape == "scaled":
+        other = tf.sinsq(draw(st.floats(0.1, 1.0)), freq * draw(st.integers(2, 3)))
+        return tf.scaled(draw(st.floats(0.1, 3.0)), tf.coeff_sum([wave, other]))
+    start = draw(st.floats(1.0, 25.0))
+    pulse = tf.piecewise_constant([start, start + draw(st.floats(0.005, 0.03))],
+                                  [0.0, draw(st.floats(0.5, 5.0)), 0.0])
+    return tf.coeff_sum([wave, pulse])
+
+
+@st.composite
+def _general_delays(draw):
+    """A wobble delay, or its pointwise min or max with a constant lag."""
+    delay = _wobble(draw(st.floats(0.3, 2.0)), draw(st.floats(0.05, 0.5)),
+                    draw(st.floats(0.3, 2.0)))
+    envelope = draw(st.sampled_from([None, tf.delay_min, tf.delay_max]))
+    return delay if envelope is None else envelope(delay, tf.ConstantLag(draw(st.floats(0.1, 2.0))))
+
+
+def _general_searches(c, lower, other, horizon):
+    """(search, fn, pad) for the window over lower and the gaps between two general delays."""
+    return [
+        (lambda: tf.sup_window_integral_info.__wrapped__(c, lower, 0.0, horizon=horizon),
+         lambda t: tf.window_integral(c, lower, t), lower.lag_bound),
+        (lambda: tf.sup_between_delays_info.__wrapped__(c, lower, other, 0.0, horizon=horizon),
+         lambda t: abs(c.integral(lower(t), other(t))), max(lower.lag_bound, other.lag_bound)),
+    ]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(c=_nonnegative_coefficients(), lower=_general_delays(), other=_general_delays(),
+       horizon=st.floats(10.0, 40.0))
+def test_property_pruned_general_delay_search_is_the_full_refinement_bit_for_bit(
+        c, lower, other, horizon):
+    for search, fn, pad in _general_searches(c, lower, other, horizon):
+        # Point by point and with no bound, every local maximum is refined.
+        assert search() == tf._maximize(fn, 0.0, tf.GeneralClass(horizon), pad)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(c=_nonnegative_coefficients(), lower=_general_delays(), other=_general_delays())
+def test_property_envelope_bounds_hold_over_every_skipped_bracket(c, lower, other):
+    searches, maximize = [], tf._maximize
+
+    def spy(fn, t0, cls, pad, points=(), values=None, bounds=None):
+        seen = []
+
+        def recorded(lows, highs):
+            tops = bounds(lows, highs)
+            seen.extend(zip(lows.tolist(), highs.tolist(), tops.tolist()))
+            return tops
+
+        info = maximize(fn, t0, cls, pad, points, values, recorded)
+        searches.append((fn, info.value, seen))
+        return info
+
+    with mock.patch.object(tf, "_maximize", spy):
+        for search, _, _ in _general_searches(c, lower, other, 20.0):
+            search()
+    assert len(searches) == 2 and all(seen for _, _, seen in searches)
+    # A skipped bracket's bound lies below the value found; check every such one.
+    for fn, best, seen in searches:
+        for lo, hi, top in seen:
+            if top < best:
+                assert max(fn(t) for t in np.linspace(lo, hi, 129).tolist()) <= top
+
+
+def test_signed_combinations_and_own_classes_refine_every_local_maximum(monkeypatch):
+    calls = []
+    golden = tf._golden_max
+    monkeypatch.setattr(tf, "_golden_max", lambda *args: calls.append(args) or golden(*args))
+
+    class OwnWave(tf.Coefficient):
+        def value(self, t):
+            return 0.8 * math.sin(1.3 * t) ** 2
+
+        def antiderivative(self, t):
+            return 0.8 * (t / 2.0 - math.sin(2.6 * t) / 5.2)
+
+        @property
+        def asymptotic_class(self):
+            return tf.PeriodicClass(math.pi / 1.3)
+
+    signed = tf.difference(tf.coeff_sum([tf.sinsq(0.5, 1.0), tf.constant(0.6)]),
+                           tf.sinsq(0.4, 2.0))
+    assert tf._normal_form((1.0, signed)).signed
+    lower, other = _wobble(1.0, 0.4, 0.9), _wobble(0.5, 0.3, 1.7)
+    for c in (signed, OwnWave()):
+        for search, fn, pad in _general_searches(c, lower, other, 30.0):
+            calls.clear()
+            info = search()
+            lo, hi = 0.0, 30.0 + pad
+            vals = np.array([fn(lo + (hi - lo) * k / tf._GRID) for k in range(tf._GRID + 1)])
+            sides = np.concatenate(([-math.inf], vals, [-math.inf]))
+            peaks = np.count_nonzero((vals >= sides[:-2]) & (vals >= sides[2:]))
+            assert len(calls) == peaks
+            assert info == tf._maximize(fn, 0.0, tf.GeneralClass(30.0), pad)
+
+
+def test_general_delay_rejects_a_delayed_argument_that_is_not_a_number():
+    from ddestab import criteria as cr
+
+    delay = tf.GeneralDelay(
+        lambda t: math.nan if t >= 20.0 else t - 1.0 - 0.4 * math.sin(0.9 * t), 1.4)
+    with pytest.raises(tf.DomainError, match="at current time 20 is not a number"):
+        delay(20.0)
+    # The search raises at the first grid point from 20, as for a bound violation.
+    c = tf.sinsq(0.8, 1.3, 0.4)
+    lo, hi = _scan_range(c, 0.0, 40.0, 1.4)
+    first = next(lo + (hi - lo) * k / tf._GRID for k in range(tf._GRID + 1)
+                 if lo + (hi - lo) * k / tf._GRID >= 20.0)
+    message = "at current time %s is not a number" % re.escape("%g" % first)
+    with pytest.raises(tf.DomainError, match=message):
+        tf.sup_window_integral_info(c, delay, horizon=40.0)
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(0.4, 1.2), delay)],
+                                negative_terms=[cr.Term(tf.sinsq(0.1, 1.2), tf.IdentityDelay())])
+    with pytest.raises(tf.DomainError, match=message):
+        cr.evaluate_all(eq, horizon=40.0)
