@@ -1005,8 +1005,7 @@ def _gap_bounds(c: Coefficient, d1: Delay, d2: Delay):
     read cannot break unnoticed.
     """
     nf = _normal_form((1.0, c))
-    if nf is None or nf.signed or not all(
-            isinstance(d, (ConstantLag, IdentityDelay, GeneralDelay)) for d in (d1, d2)):
+    if nf is None or nf.signed or not (isinstance(d1, Delay) and isinstance(d2, Delay)):
         return None
     reach = max(d1.lag_bound, d2.lag_bound) + 1e-9
     knots = max(map(abs, nf.breakpoints), default=0.0)
