@@ -908,9 +908,9 @@ def _maximize(fn, t0: float, cls, span_pad: float, points=(), values=None, bound
     arrays, their lower and upper ends) to upper bounds of fn over each.
     fn reads the local maximum with the highest grid value first; a local
     maximum whose bound lies below that read and the first grid point's is
-    not refined nor read. Every value it could give lies below a value the
-    search reads anyway, and the best is kept on a strict rise, so the value
-    and argmax reported are those of refining every local maximum.
+    neither refined nor read. Every value it could give lies below a value
+    the search reads anyway, and the best is kept on a strict rise, so the
+    value and argmax reported are those of refining every local maximum.
     """
     if isinstance(cls, ConstantClass):
         return SupInfo(fn(t0), t0, False)
