@@ -71,15 +71,17 @@ segment when its array part raises (an overflowing x^n, a floating-point
 exception).
 
 Runs that share their start time, end, step and delayed reads are columns
-of one integration (``integrate_columns``): one mesh, one placement of the
-reads and one loop over segments. A pass gathers the reads of every column
-with a plan at once and sums the increments of every column that ignores
-x(t) in one ``np.cumsum``; the time plans share their sin calls. Each
-column keeps its own delayed part, float recurrence and scalar steps, and
-after each segment takes scalar steps up to its end: every step when it
-has no plan or its pass raised, and the next one, which ends its run, when
-its pass stopped short. So a column does the work and gets the bits of its
-run alone. ``integrate`` is one column.
+of one integration (``integrate_columns``) and share its geometry
+(``_Geometry``): the mesh, plan times, landings, step check, window
+placements and the segments a pass may settle. A column (``_Column``) owns
+its nodes, plan, delayed part, float recurrence and scalar step. The loop
+over segments (``_integrate_group``) gathers the reads of every column with
+a plan at once, and its pass (``_settle_pass``) sums the increments of
+every column that ignores x(t) in one ``np.cumsum``. Then each column takes
+scalar steps up to the segment's end: all of them when it has no plan or
+its pass raised, and the next one, which ends its run, when its pass
+stopped short. So a column does the work and gets the bits of its run
+alone. ``integrate`` is one column.
 
 Segments are settled in one pass when they hold at least ``_BLOCK_STEPS``
 steps; shorter ones cost more than they save. The scalar read and the
@@ -100,7 +102,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -827,12 +828,13 @@ def integrate_columns(
             groups.append((key, [column]))
     for (start, sites), members in groups:
         try:
-            _integrate_group(start, t1, step, sites, members, results, allow_extrapolation,
-                             divergence_threshold, on_divergence)
+            geo = _Geometry(start, t1, step, sites, allow_extrapolation,
+                            all(isinstance(hist, ConstantHistory) for _, _, hist, _ in members))
         except Exception as exc:  # the step check, shared by the group
             for c, *_ in members:
-                if results[c] is None:
-                    results[c] = exc
+                results[c] = exc
+            continue
+        _integrate_group(geo, members, results, divergence_threshold, on_divergence)
     return results
 
 
@@ -851,24 +853,6 @@ def _start_time(target, t1, step, t0, divergence_threshold, on_divergence) -> fl
     if math.isnan(divergence_threshold):
         raise ConfigurationError("divergence_threshold must not be NaN")
     return t0
-
-
-def _place_windows(windows, starts, mesh, stage_times, t0, extrapolate) -> tuple:
-    """Every window read of a run, placed once from the landings of its
-    start (``starts``, see ``_integrate_group``): the records at t0, and per
-    step those of its midpoint, of its end before the push and of its end
-    after it, one per window in order (see ``_placed_window``).
-    """
-    steps = mesh.size - 1
-    if not windows:
-        return (), [((), (), ())] * steps
-    # The four uses end to end, each with its stage times and last finished nodes.
-    times = np.concatenate(([t0], stage_times[0], stage_times[1], stage_times[1]))
-    last = np.concatenate((mesh[:1], mesh[:-1], mesh[:-1], mesh[1:]))
-    uses = [_placed_window(np.concatenate((lo[:1], lo[1::2], lo[2::2], lo[2::2])), times, last,
-                           w.kernel.width, mesh, t0, extrapolate) for w, lo in zip(windows, starts)]
-    rows = [zip(*(use[1 + u * steps:1 + (u + 1) * steps] for use in uses)) for u in range(3)]
-    return tuple(use[0] for use in uses), list(zip(*rows))
 
 
 def _placed_window(lo, t, last, width, mesh, t0, extrapolate) -> list:
@@ -987,369 +971,385 @@ def _settle(shape, current, xa, k1, hs, d, limit) -> tuple:
     return nodes_x, slopes
 
 
-def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
-                     divergence_threshold, on_divergence) -> None:
-    """Integrate ``members``, columns sharing t0, t1, step and their sites, into ``results``."""
-    windows = [s for s in sites if isinstance(s, _Window)]
-    ends = [_ends(site) for site in sites]
-    mesh = _build_mesh(t0, t1, step, [lag for end in ends for lag in end if lag is not None])
-    nodes = mesh.tolist()
-    steps = mesh.size - 1
-    widths = np.diff(mesh)
-    stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
+class _Geometry:
+    """What the columns of one integration share: the mesh and where every
+    read lands, fixed before the first step from t0, t1, the step, the
+    sites, ``allow_extrapolation`` and ``constant`` (whether every column's
+    history is a constant one). ``waves`` holds the sin^2 of each
+    (frequency, phase) at ``times``, shared by the columns' time plans.
+    """
 
-    # Where each distinct delay, a point read's or a window's start, lands:
-    # at t0, then at the midpoint and the end of every step in time order.
-    delays = [site.window_start if isinstance(site, _Window) else site for site in sites]
-    order = np.concatenate(([t0], stage_times.T.ravel()))
-    distinct = {k: _landings(d, order) for k, d in enumerate(delays) if delays.index(d) == k}
-    lands = [distinct[delays.index(d)] for d in delays]
-    # The point reads at the midpoint ([0]) and the end ([1]) of every step;
-    # NaN from where a delay raises leaves the slot to the site read. Windows,
-    # placed below, keep their slots NaN so that no segment takes them. No
-    # step may exceed a positive near end (a window's near end is 0 where the
-    # predictor serves it) or a general delay's least lag over the stage
-    # times it lands at.
-    tau = np.full(stage_times.shape + (len(sites),), math.nan)
-    points = len(sites) - len(windows)
-    for k in range(points):
-        tau[..., k] = lands[k][1:].reshape(-1, 2).T
-    lags = [near for _, near in ends if near]
-    lags += [float(np.fmin.reduce(stage_times - tau[..., k], axis=None, initial=math.inf))
-             for k, (_, near) in enumerate(ends) if near is None]
-    min_lag = min(lags, default=math.inf)
-    if min_lag < step - 1e-12 and not allow_extrapolation:
-        raise ConfigurationError(
-            "step %g exceeds the smallest positive lag %g; shrink the step "
-            "or pass allow_extrapolation=True" % (step, min_lag)
-        )
+    def __init__(self, t0, t1, step, sites, allow_extrapolation, constant):
+        self.t0, self.step = t0, step
+        self.windows = windows = [s for s in sites if isinstance(s, _Window)]
+        ends = [_ends(site) for site in sites]
+        self.mesh = mesh = _build_mesh(t0, t1, step,
+                                       [lag for end in ends for lag in end if lag is not None])
+        self.nodes = mesh.tolist()
+        self.steps = steps = mesh.size - 1
+        self.widths = widths = np.diff(mesh)
+        stage_times = np.stack((mesh[:-1] + 0.5 * widths, mesh[1:]))
+        # Where the time parts are planned and where each distinct delay, a point
+        # read's or a window's start, lands: at t0, then at the midpoint and the
+        # end of every step in time order.
+        self.times = times = np.concatenate(([t0], stage_times.T.ravel()))
+        self.waves = {}
+        delays = [site.window_start if isinstance(site, _Window) else site for site in sites]
+        distinct = {k: _landings(d, times) for k, d in enumerate(delays) if delays.index(d) == k}
+        lands = [distinct[delays.index(d)] for d in delays]
+        # The point reads at the midpoint ([0]) and the end ([1]) of every step;
+        # NaN from where a delay raises leaves the slot to the site read. Windows,
+        # placed below, keep their slots NaN so that no segment takes them. No
+        # step may exceed a positive near end (a window's near end is 0 where the
+        # predictor serves it) or a general delay's least lag over the stage
+        # times it lands at.
+        tau = np.full(stage_times.shape + (len(sites),), math.nan)
+        points = len(sites) - len(windows)
+        for k in range(points):
+            tau[..., k] = lands[k][1:].reshape(-1, 2).T
+        lags = [near for _, near in ends if near]
+        lags += [float(np.fmin.reduce(stage_times - tau[..., k], axis=None, initial=math.inf))
+                 for k, (_, near) in enumerate(ends) if near is None]
+        min_lag = min(lags, default=math.inf)
+        if min_lag < step - 1e-12 and not allow_extrapolation:
+            raise ConfigurationError(
+                "step %g exceeds the smallest positive lag %g; shrink the step "
+                "or pass allow_extrapolation=True" % (step, min_lag)
+            )
 
-    hist_pad = 1e-9 * max(1.0, abs(t0))
-    hist_lo, hist_hi = t0 - hist_pad, t0 + hist_pad
-    extrapolate = allow_extrapolation or any(near == 0.0 for _, near in ends)
-    # The point reads' places in the scalar loop, step by step, and the
-    # window reads of each step, placed once for every column.
-    point = np.ascontiguousarray(tau[..., :points].transpose(1, 0, 2))
-    start_win, placed = _place_windows(windows, lands[points:], mesh, stage_times, t0,
-                                       extrapolate)
-    # The weights of each step's integral whole: the tail a window read shares
-    # when its window reaches the last finished node.
-    whole = list(zip(*(w.tolist() for w in _hermite_integral_weights(
-        mesh[:-1], mesh[1:], mesh[:-1], mesh[1:])))) if windows else None
-    # A node diverges unless |x| <= limit: past the threshold or not finite.
-    limit = min(divergence_threshold, sys.float_info.max)
-    # Each column's time part is planned at t0 (its start slope) and at every
-    # stage time at once; the scalar loop reads one row at its step, a pass a
-    # slice. The sin^2 of each (frequency, phase) is shared by the columns.
-    plan_times = np.concatenate(([t0], stage_times.ravel()))
-    waves: dict = {}
+        hist_pad = 1e-9 * max(1.0, abs(t0))
+        self.hist_lo, self.hist_hi = hist_lo, hist_hi = t0 - hist_pad, t0 + hist_pad
+        self.extrapolate = allow_extrapolation or any(near == 0.0 for _, near in ends)
+        # The point reads' places in the scalar loop, at t0 and step by step.
+        self.start_point = [float(lo[0]) for lo in lands[:points]]
+        self.point = np.ascontiguousarray(tau[..., :points].transpose(1, 0, 2))
+        # Every window read, placed once from the landings of its start (see
+        # ``_placed_window``): the records at t0, and per step those of its
+        # midpoint, of its end before the push and of its end after it, one
+        # per window in order.
+        self.start_win, self.placed, self.whole = (), [((), (), ())] * steps, None
+        if windows:
+            # The four uses end to end, each with its stage times and last finished nodes.
+            at = np.concatenate(([t0], stage_times[0], stage_times[1], stage_times[1]))
+            last = np.concatenate((mesh[:1], mesh[:-1], mesh[:-1], mesh[1:]))
+            uses = [_placed_window(np.concatenate((lo[:1], lo[1::2], lo[2::2], lo[2::2])), at,
+                                   last, w.kernel.width, mesh, t0, self.extrapolate)
+                    for w, lo in zip(windows, lands[points:])]
+            self.start_win = tuple(use[0] for use in uses)
+            self.placed = list(zip(*(zip(*(use[1 + u * steps:1 + (u + 1) * steps] for use in uses))
+                                     for u in range(3))))
+            # The weights of each step's integral whole: the tail a window read
+            # shares when its window reaches the last finished node.
+            self.whole = list(zip(*(w.tolist() for w in _hermite_integral_weights(
+                mesh[:-1], mesh[1:], mesh[:-1], mesh[1:]))))
 
-    def column(index, rhs, hist, x0):
-        """One run's state and scalar step; None (with its result set) if it ends at t0."""
-        h0 = float(hist.value(t0))
+        # Method of steps: a segment of steps whose reads all land in finished
+        # steps, or before t0 in a constant history, gets them in one numpy pass,
+        # bit for bit what ``read`` returns. ``reach`` is the running maximum of
+        # the step that a read of each step, or of an earlier one, lands in: the
+        # steps from j on read only finished steps up to the first whose reach is
+        # j or more. ``unclean`` lists the steps with a slot only ``read`` can
+        # read (NaN in ``tau``, a read near t0, or one before t0 in a history
+        # other than a constant one), then the number of steps.
+        self.step_of = step_of = np.searchsorted(mesh, tau, "right") - 1  # the step of each read
+        later = tau > hist_hi
+        clean = later | ((tau < hist_lo) & constant)
+        self.unclean = np.flatnonzero(~clean.all(axis=(0, 2))).tolist() + [steps]
+        landed = np.where(later, step_of, -1).max(axis=(0, 2), initial=-1)
+        self.reach = np.maximum.accumulate(landed).tolist()
+        # The steps from ``late`` on read nothing before t0.
+        self.early = early = tau < hist_lo
+        self.late = int(np.flatnonzero(early.any(axis=(0, 2)))[-1]) + 1 if early.any() else 0
+        np.clip(step_of, 0, steps - 1, out=step_of)
+        with np.errstate(all="ignore"):
+            self.weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
+
+
+class _Column:
+    """One run over a geometry: its nodes, its time plan and its scalar step.
+
+    ``div_time`` is t0 when the run ends at its start slope, and the time
+    it diverged at once a step ends it."""
+
+    __slots__ = ("geo", "index", "hist", "before", "jump0", "want_left", "touched_end",
+                 "touched_left", "tail", "xs", "ms", "mls", "pieces", "rhs", "table", "delayed",
+                 "current", "limit", "div_time")
+
+    def __init__(self, geo, index, rhs, hist, x0, limit):
+        self.geo, self.index, self.hist, self.limit = geo, index, hist, limit
+        self.before = hist.const if isinstance(hist, ConstantHistory) else math.nan
+        h0 = float(hist.value(geo.t0))
         x0 = h0 if x0 is None else float(x0)
         # A start-time jump (initial value differing from the history's end)
         # makes delayed reads at exactly t0 two-sided: by default they resolve
         # to x0, except while evaluating quantities tied to the left limit.
-        jump0 = abs(x0 - h0) > 1e-15 * max(1.0, abs(x0))
-        want_left = False
-        xs: list = [x0]
-        ms: list = [0.0]  # right-limit node derivatives
-        mls = [0.0] if jump0 else None  # left-limit node derivatives
-        mends = ms if mls is None else mls  # derivatives closing each step
-        pieces: list = []  # whole-step integrals, for distributed windows
+        self.jump0 = abs(x0 - h0) > 1e-15 * max(1.0, abs(x0))
+        self.want_left = False
         # Whether the reads since the last ``prepare`` used the last node or the
         # predictor (they change once the step is pushed), or the left limit of
         # the start-time jump (they change with ``want_left``).
-        touched_end = touched_left = False
+        self.touched_end = self.touched_left = False
         # The integral over the last finished step whole, once a window read at
         # the current state has formed it; each step and each push clear it.
-        tail = None
+        self.tail = None
         # The finished nodes are nodes[:len(xs)]. The predictor past the last one
         # serves only a step not yet pushed: the node-slope reads after a push land
         # at or before the new node (a GeneralDelay returns min(v, t), windows end at t).
-        own_sites, delayed, current = rhs.sites, rhs.delayed, rhs.current
-        y_dependent = current is not None
-        fns = _time_fns(rhs.coeffs)
+        self.xs, self.ms, self.mls = [x0], [0.0], [0.0]
+        self.pieces = []  # whole-step integrals, for distributed windows
+        self.rhs, self.delayed, self.current = rhs, rhs.delayed, rhs.current
+        # The time part is planned at t0 (the start slope) and at every stage
+        # time at once; the scalar loop reads one row at its step, a pass a
+        # slice (midpoints [0], step ends [1]).
         try:
-            table = _plan(rhs.coeffs, plan_times, waves)
-            cv0, table = table[0].tolist(), table[1:].reshape(2, steps, -1)
+            table = _plan(rhs.coeffs, geo.times, geo.waves)
+            cv0 = table[0].tolist()
+            self.table = np.ascontiguousarray(table[1:].reshape(geo.steps, 2, -1).transpose(1, 0, 2))
         except Exception:
-            # No plan: the scalar loop evaluates each stage time through
-            # ``fns``, and meets the error, if any, at its own step.
-            cv0 = table = None
-        div_time = None
+            # No plan: the scalar loop evaluates each stage time through the
+            # scalar functions, and meets the error, if any, at its own step.
+            cv0 = self.table = None
+        self.div_time = None
+        self.ms[0] = self.mls[0] = self.stage(x0, self.prepare(geo.t0, geo.start_point,
+                                                               geo.start_win, cv0))
+        if not (abs(x0) <= limit and math.isfinite(self.ms[0])):
+            # The run ends at t0, with the slope 0 on record.
+            self.div_time, self.ms[0] = geo.t0, 0.0
 
-        def read(tau: float) -> float:
-            nonlocal touched_end, touched_left
-            if tau < hist_lo:
-                return float(hist.value(tau))
-            if jump0 and want_left and tau <= hist_hi:
-                touched_left = True
-                return float(hist.value(min(tau, t0)))
-            n = len(xs)
-            last = nodes[n - 1]
-            if tau <= last + 1e-12 * max(1.0, abs(last)):
-                i = bisect.bisect_right(nodes, tau, 0, n) - 1
-                if i >= n - 1:
-                    touched_end = True
-                    return xs[-1]
-                if i < 0:
-                    return xs[0]
-                return _hermite(nodes[i], xs[i], ms[i], nodes[i + 1], xs[i + 1], mends[i + 1], tau)
-            if extrapolate:
-                touched_end = True
-                return xs[-1] + (tau - last) * ms[-1]
-            raise DomainError(
-                "delayed read at %g ahead of completed segment end %g" % (tau, last)
-            )
-
-        def integral(lo: float, hi: float) -> float:
-            nonlocal touched_end
-            total = 0.0
-            if lo < t0:
-                total = _history_integral(hist, lo, min(hi, t0), step)
-                lo = t0
-            last = nodes[len(xs) - 1]
-            if hi > last:
-                if not extrapolate and hi > last + 1e-12 * max(1.0, abs(last)):
-                    raise DomainError(
-                        "window reaches %g ahead of completed segment end %g" % (hi, last)
-                    )
-                # The predictor, integrated exactly over the sliver past the end.
-                touched_end = True
-                a = max(lo, last)
-                total += (hi - a) * (xs[-1] + (0.5 * (a + hi) - last) * ms[-1])
-                hi = last
-            if hi > lo:
-                # The last step is always an end step here, read from its nodes,
-                # so only steps sealed below are summed.
-                total += _dense_integral(nodes, xs, ms, mends, pieces, lo, hi)
-            return total
-
-        def window(p):
-            """A placed window read: ``_window_average`` through ``integral``,
-            in their operations and order, from the record ``p``."""
-            nonlocal touched_end, tail
-            length, span, over, c1, c2, i, h, w0, w1, w2, w3, jj, own = p
-            total = 0.0
-            if span is not None:
-                total = _history_integral(hist, span[0], span[1], step)
-            if over:
-                touched_end = True
-                total += c1 * (xs[-1] + c2 * ms[-1])
-            if i >= 0:
-                part = h * (w0 * xs[i] + w1 * ms[i] + w2 * xs[i + 1] + w3 * mends[i + 1])
-                if jj != i:
-                    if own is None and tail is not None:
-                        end = tail
-                    else:
-                        h, w0, w1, w2, w3 = whole[jj] if own is None else own
-                        end = h * (w0 * xs[jj] + w1 * ms[jj] + w2 * xs[jj + 1] + w3 * mends[jj + 1])
-                        if own is None:
-                            tail = end
-                    part = part + sum(pieces[i + 1:jj]) + end
-                total += part
-            return total / length
-
-        def prepare(t, at, win, cv):
-            """Time part and delayed part at stage time t; None if one overflows.
-
-            The time part is ``cv``, a row of the plan, or evaluated here when
-            the run has none. Each point slot is read at its place in ``at``,
-            each window slot from its record in ``win``; either at the site
-            where that is NaN or None.
-            """
-            nonlocal touched_end, touched_left
-            touched_end = touched_left = False
-            try:
-                if cv is None:
-                    cv = [f(t) for f in fns]
-                xv = list(at)
-                for k, a in enumerate(at):
-                    xv[k] = read(a) if a == a else _site_value(own_sites[k], t, read, integral)
-                for k, p in enumerate(win, len(at)):
-                    xv.append(window(p) if p is not None else
-                              _site_value(own_sites[k], t, read, integral))
-                return cv, delayed(cv, xv)
-            except OverflowError:
-                return None
-
-        def stage(y, prep):
-            if prep is None:
-                return math.nan
-            if current is None:
-                return prep[1]
-            try:
-                return current(y, prep[1])
-            except OverflowError:
-                return math.nan
-
-        def extend(nodes_x, slopes):
-            xs.extend(nodes_x)
-            ms.extend(slopes)
-            if mls is not None:
-                mls.extend(slopes)
-
-        def scalar_step():
-            """RK4 step from the last finished node on floats; False when the
-            run ends at its new node."""
-            nonlocal want_left, div_time, tail
-            j = len(xs) - 1
-            mid_tau, end_tau = point[j].tolist()
-            mid_win, end_win, post_win = placed[j]
-            tail = None
-            ta = nodes[j]
-            tb = nodes[j + 1]
-            h = tb - ta
-            xa = xs[-1]
-            k1 = ms[-1]
-            # k2 and k3 share the stage time ta + h/2, so its time part and reads.
-            at_mid = prepare(ta + 0.5 * h, mid_tau, mid_win,
-                             None if table is None else table[0, j].tolist())
-            k2 = stage(xa + 0.5 * h * k1, at_mid)
-            k3 = stage(xa + 0.5 * h * k2, at_mid) if y_dependent else k2
-            # The step end can sit exactly where a delayed read crosses the
-            # start-time jump; the step itself belongs to the left limit.
-            want_left = True
-            at_end = prepare(tb, end_tau, end_win, None if table is None else table[1, j].tolist())
-            k4 = stage(xa + h * k3, at_end)
-            xb = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if math.isfinite(xb):  # and so is k4
-                xs.append(xb)
-                ms.append(k4)
-                if mls is not None:
-                    mls.append(k4)
-                tail = None
-            if not abs(xb) <= limit:
-                div_time = tb
-                return False
-            # The node slopes reuse k4's time part (a k4 that overflowed has
-            # ended the run), and its reads unless one of them saw the step end,
-            # which the push has just replaced.
-            cv_end = at_end[0]
-            if touched_end:
-                at_end = prepare(tb, end_tau, post_win, cv_end)
-                m_left = stage(xb, at_end)
-            else:
-                m_left = stage(xb, at_end) if y_dependent else k4
-            want_left = False
-            if touched_left:
-                m_right = stage(xb, prepare(tb, end_tau, post_win, cv_end))
-            else:
-                m_right = m_left
-            if not (math.isfinite(m_right) and math.isfinite(m_left)):
-                div_time = tb
-                return False
-            ms[-1] = m_right
-            if mls is not None:
-                mls[-1] = m_left
-            if windows:
-                # Sealed once its closing derivative is final.
-                pieces.append(_piece_integral(ta, xa, ms[-2], tb, xb, mends[-1]))
-            return True
-
-        def finish():
-            """The run's Trajectory, or the DivergenceError that carries it."""
-            traj = Trajectory(
-                mesh[:len(xs)], np.array(xs), np.array(ms), hist,
-                diverged=div_time is not None, divergence_time=div_time,
-                left_derivatives=None if mls is None else np.array(mls),
-            )
-            if div_time is not None and on_divergence == "raise":
-                return DivergenceError(
-                    "solution exceeded %g near t=%g" % (divergence_threshold, div_time), traj
-                )
-            return traj
-
-        ms[0] = stage(x0, prepare(t0, [float(lo[0]) for lo in lands[:points]], start_win, cv0))
-        if mls is not None:
-            mls[0] = ms[0]
-        if not (abs(x0) <= limit and math.isfinite(ms[0])):
-            traj = Trajectory(mesh[:1], np.array(xs), np.array([0.0]), hist, True, t0)
-            results[index] = traj if on_divergence == "truncate" else DivergenceError(
-                "derivative not finite at start time %g" % t0, traj
-            )
-            return None
-        return SimpleNamespace(
-            index=index, xs=xs, ms=ms, mls=mls, mends=mends, table=table,
-            before=hist.const if isinstance(hist, ConstantHistory) else math.nan,
-            delayed=delayed, current=current, shape=rhs.shape, extend=extend,
-            step=scalar_step, finish=finish,
+    def read(self, tau: float) -> float:
+        geo = self.geo
+        if tau < geo.hist_lo:
+            return float(self.hist.value(tau))
+        if self.jump0 and self.want_left and tau <= geo.hist_hi:
+            self.touched_left = True
+            return float(self.hist.value(min(tau, geo.t0)))
+        nodes, xs = geo.nodes, self.xs
+        n = len(xs)
+        last = nodes[n - 1]
+        if tau <= last + 1e-12 * max(1.0, abs(last)):
+            i = bisect.bisect_right(nodes, tau, 0, n) - 1
+            if i >= n - 1:
+                self.touched_end = True
+                return xs[-1]
+            if i < 0:
+                return xs[0]
+            return _hermite(nodes[i], xs[i], self.ms[i], nodes[i + 1], xs[i + 1], self.mls[i + 1], tau)
+        if geo.extrapolate:
+            self.touched_end = True
+            return xs[-1] + (tau - last) * self.ms[-1]
+        raise DomainError(
+            "delayed read at %g ahead of completed segment end %g" % (tau, last)
         )
 
+    def integral(self, lo: float, hi: float) -> float:
+        geo, xs, ms = self.geo, self.xs, self.ms
+        total = 0.0
+        if lo < geo.t0:
+            total = _history_integral(self.hist, lo, min(hi, geo.t0), geo.step)
+            lo = geo.t0
+        last = geo.nodes[len(xs) - 1]
+        if hi > last:
+            if not geo.extrapolate and hi > last + 1e-12 * max(1.0, abs(last)):
+                raise DomainError(
+                    "window reaches %g ahead of completed segment end %g" % (hi, last)
+                )
+            # The predictor, integrated exactly over the sliver past the end.
+            self.touched_end = True
+            a = max(lo, last)
+            total += (hi - a) * (xs[-1] + (0.5 * (a + hi) - last) * ms[-1])
+            hi = last
+        if hi > lo:
+            # The last step is always an end step here, read from its nodes,
+            # so only steps sealed below are summed.
+            total += _dense_integral(geo.nodes, xs, ms, self.mls, self.pieces, lo, hi)
+        return total
+
+    def window(self, p) -> float:
+        """A placed window read: ``_window_average`` through ``integral``,
+        in their operations and order, from the record ``p``."""
+        length, span, over, c1, c2, i, h, w0, w1, w2, w3, jj, own = p
+        xs, ms, mls = self.xs, self.ms, self.mls
+        total = 0.0
+        if span is not None:
+            total = _history_integral(self.hist, span[0], span[1], self.geo.step)
+        if over:
+            self.touched_end = True
+            total += c1 * (xs[-1] + c2 * ms[-1])
+        if i >= 0:
+            part = h * (w0 * xs[i] + w1 * ms[i] + w2 * xs[i + 1] + w3 * mls[i + 1])
+            if jj != i:
+                if own is None and self.tail is not None:
+                    end = self.tail
+                else:
+                    h, w0, w1, w2, w3 = self.geo.whole[jj] if own is None else own
+                    end = h * (w0 * xs[jj] + w1 * ms[jj] + w2 * xs[jj + 1] + w3 * mls[jj + 1])
+                    if own is None:
+                        self.tail = end
+                part = part + sum(self.pieces[i + 1:jj]) + end
+            total += part
+        return total / length
+
+    def prepare(self, t, at, win, cv):
+        """Time part and delayed part at stage time t; None if one overflows.
+
+        The time part is ``cv``, a row of the plan, or evaluated here when
+        the run has none. Each point slot is read at its place in ``at``,
+        each window slot from its record in ``win``; either at the site
+        where that is NaN or None.
+        """
+        self.touched_end = self.touched_left = False
+        try:
+            if cv is None:
+                cv = [f(t) for f in _time_fns(self.rhs.coeffs)]
+            xv = list(at)
+            for k, a in enumerate(at):
+                xv[k] = self.read(a if a == a else self.rhs.sites[k](t))
+            for k, p in enumerate(win, len(at)):
+                xv.append(self.window(p) if p is not None else
+                          _window_average(self.rhs.sites[k], t, self.read, self.integral))
+            return cv, self.delayed(cv, xv)
+        except OverflowError:
+            return None
+
+    def stage(self, y, prep):
+        if prep is None:
+            return math.nan
+        if self.current is None:
+            return prep[1]
+        try:
+            return self.current(y, prep[1])
+        except OverflowError:
+            return math.nan
+
+    def extend(self, nodes_x, slopes):
+        self.xs.extend(nodes_x)
+        self.ms.extend(slopes)
+        self.mls.extend(slopes)
+
+    def step(self) -> None:
+        """RK4 step from the last finished node on floats; ``div_time`` is
+        set when the run ends at its new node."""
+        geo, xs, ms, mls, table = self.geo, self.xs, self.ms, self.mls, self.table
+        j = len(xs) - 1
+        mid_tau, end_tau = geo.point[j].tolist()
+        mid_win, end_win, post_win = geo.placed[j]
+        self.tail = None
+        ta = geo.nodes[j]
+        tb = geo.nodes[j + 1]
+        h = tb - ta
+        xa = xs[-1]
+        k1 = ms[-1]
+        # k2 and k3 share the stage time ta + h/2, so its time part and reads.
+        at_mid = self.prepare(ta + 0.5 * h, mid_tau, mid_win,
+                              None if table is None else table[0, j].tolist())
+        k2 = self.stage(xa + 0.5 * h * k1, at_mid)
+        k3 = self.stage(xa + 0.5 * h * k2, at_mid) if self.current is not None else k2
+        # The step end can sit exactly where a delayed read crosses the
+        # start-time jump; the step itself belongs to the left limit.
+        self.want_left = True
+        at_end = self.prepare(tb, end_tau, end_win, None if table is None else table[1, j].tolist())
+        k4 = self.stage(xa + h * k3, at_end)
+        xb = xa + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if math.isfinite(xb):  # and so is k4
+            xs.append(xb)
+            ms.append(k4)
+            mls.append(k4)
+            self.tail = None
+        if not abs(xb) <= self.limit:
+            self.div_time = tb
+            return
+        # The node slopes reuse k4's time part (a k4 that overflowed has
+        # ended the run), and its reads unless one of them saw the step end,
+        # which the push has just replaced.
+        cv_end = at_end[0]
+        if self.touched_end:
+            at_end = self.prepare(tb, end_tau, post_win, cv_end)
+            m_left = self.stage(xb, at_end)
+        else:
+            m_left = self.stage(xb, at_end) if self.current is not None else k4
+        self.want_left = False
+        if self.touched_left:
+            m_right = self.stage(xb, self.prepare(tb, end_tau, post_win, cv_end))
+        else:
+            m_right = m_left
+        if not (math.isfinite(m_right) and math.isfinite(m_left)):
+            self.div_time = tb
+            return
+        ms[-1] = m_right
+        mls[-1] = m_left
+        if geo.windows:
+            # Sealed once its closing derivative is final.
+            self.pieces.append(_piece_integral(ta, xa, ms[-2], tb, xb, mls[-1]))
+
+    def finish(self, divergence_threshold, on_divergence):
+        """The run's Trajectory, or the DivergenceError that carries it."""
+        geo, stop = self.geo, self.div_time
+        traj = Trajectory(
+            geo.mesh[:len(self.xs)], np.array(self.xs), np.array(self.ms), self.hist,
+            diverged=stop is not None, divergence_time=stop,
+            left_derivatives=np.array(self.mls) if self.jump0 and stop != geo.t0 else None,
+        )
+        if stop is None or on_divergence == "truncate":
+            return traj
+        if stop == geo.t0:
+            return DivergenceError("derivative not finite at start time %g" % stop, traj)
+        return DivergenceError("solution exceeded %g near t=%g" % (divergence_threshold, stop), traj)
+
+
+def _settle_pass(geo, cols, j, stop, reads, limit) -> None:
+    """Settle steps j to stop - 1 of each column from its segment reads
+    (rows in ``cols``' order).
+
+    The time part is a slice of the plan and ``delayed`` goes over
+    arrays. When the state part ignores y, k3 = k2, each step's k1 is the
+    previous k4, and the nodes are a running sum, for all such columns
+    at once; otherwise ``_settle`` runs the recurrence step by step,
+    column by column, in the loop of the column's shape. Either way they
+    are the scalar loop's operations in its order. A column settles fewer
+    steps when its next node or node slope is not finite or passes the
+    threshold, and none when ``delayed`` raises on its arrays (an
+    overflowing x^n, a floating-point exception); the scalar loop takes
+    the rest of its segment.
+    """
+    m = stop - j
+    summed = []  # (row, delayed part) of the columns summed at once
+    with np.errstate(all="raise", under="ignore"):
+        for r, col in enumerate(cols):
+            try:
+                d = col.delayed(col.table[:, j:stop].reshape(2 * m, -1).T,
+                                reads[r].reshape(2 * m, -1).T)
+            except Exception:
+                continue  # the scalar loop meets it again at its own step
+            if col.current is None:
+                summed.append((r, d))
+            else:
+                col.extend(*_settle(col.rhs.shape, col.current, col.xs[-1], col.ms[-1],
+                                    geo.widths[j:stop].tolist(), [v.tolist() for v in d], limit))
+    if summed:
+        d = np.array([d for _, d in summed])
+        k2, k4 = d[:, :m], d[:, m:]
+        ends = np.array([(cols[r].ms[-1], cols[r].xs[-1]) for r, _ in summed])
+        k1 = np.concatenate((ends[:, :1], k4[:, :-1]), axis=1)
+        # An overflow or a non-finite k4 leaves its node non-finite.
+        incr = geo.widths[j:stop] / 6.0 * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
+        incr[:, 0] += ends[:, 1]
+        xb = np.cumsum(incr, axis=1)
+        ok = np.abs(xb) <= limit
+        for (r, _), fine, xr, kr in zip(summed, ok, xb, k4):
+            n = m if fine.all() else int(np.argmin(fine))
+            cols[r].extend(xr[:n].tolist(), kr[:n].tolist())
+
+
+def _integrate_group(geo, members, results, divergence_threshold, on_divergence) -> None:
+    """Integrate ``members``, the columns of the geometry ``geo``, into ``results``."""
+    # A node diverges unless |x| <= limit: past the threshold or not finite.
+    limit = min(divergence_threshold, sys.float_info.max)
     columns = []
     for c, rhs, hist, x0 in members:
         try:
-            columns.append(column(c, rhs, hist, x0))
+            columns.append(_Column(geo, c, rhs, hist, x0, limit))
         except Exception as exc:
             results[c] = exc
-    columns = [col for col in columns if col is not None]
-
-    # Method of steps: a segment of steps whose reads all land in finished
-    # steps, or before t0 in a constant history, gets them in one numpy pass,
-    # bit for bit what ``read`` returns. ``reach`` is the running maximum of
-    # the step that a read of each step, or of an earlier one, lands in: the
-    # steps from j on read only finished steps up to the first whose reach is
-    # j or more. ``unclean`` lists the steps with a slot only ``read`` can
-    # read (NaN in ``tau``, a read near t0, or one before t0 in a history
-    # other than a constant one), then the number of steps.
-    step_of = np.searchsorted(mesh, tau, "right") - 1  # the step holding each read
-    constant = all(col.before == col.before for col in columns)
-    later = tau > hist_hi
-    clean = later | ((tau < hist_lo) & constant)
-    unclean = np.flatnonzero(~clean.all(axis=(0, 2))).tolist() + [steps]
-    landed = np.where(later, step_of, -1).max(axis=(0, 2), initial=-1)
-    reach = np.maximum.accumulate(landed).tolist()
-    # The steps from ``late`` on read nothing before t0.
-    early = tau < hist_lo
-    late = int(np.flatnonzero(early.any(axis=(0, 2)))[-1]) + 1 if early.any() else 0
-    np.clip(step_of, 0, steps - 1, out=step_of)
-    with np.errstate(all="ignore"):
-        weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
-
-    def settle_pass(cols, j, stop, reads):
-        """Settle steps j to stop - 1 of each column from its segment reads
-        (rows in ``cols``' order).
-
-        The time part is a slice of the plan and ``delayed`` goes over
-        arrays. When the state part ignores y, k3 = k2, each step's k1 is the
-        previous k4, and the nodes are a running sum, for all such columns
-        at once; otherwise ``_settle`` runs the recurrence step by step,
-        column by column, in the loop of the column's shape. Either way they
-        are the scalar loop's operations in its order. A column settles fewer
-        steps when its next node or node slope is not finite or passes the
-        threshold, and none when ``delayed`` raises on its arrays (an
-        overflowing x^n, a floating-point exception); the scalar loop takes
-        the rest of its segment.
-        """
-        m = stop - j
-        summed = []  # (row, delayed part) of the columns summed at once
-        with np.errstate(all="raise", under="ignore"):
-            for r, col in enumerate(cols):
-                try:
-                    d = col.delayed(col.table[:, j:stop].reshape(2 * m, -1).T,
-                                    reads[r].reshape(2 * m, -1).T)
-                except Exception:
-                    continue  # the scalar loop meets it again at its own step
-                if col.current is None:
-                    summed.append((r, d))
-                else:
-                    col.extend(*_settle(col.shape, col.current, col.xs[-1], col.ms[-1],
-                                        widths[j:stop].tolist(), [v.tolist() for v in d], limit))
-        if summed:
-            d = np.array([d for _, d in summed])
-            k2, k4 = d[:, :m], d[:, m:]
-            ends = np.array([(cols[r].ms[-1], cols[r].xs[-1]) for r, _ in summed])
-            k1 = np.concatenate((ends[:, :1], k4[:, :-1]), axis=1)
-            # An overflow or a non-finite k4 leaves its node non-finite.
-            incr = widths[j:stop] / 6.0 * (k1 + 2.0 * k2 + 2.0 * k2 + k4)
-            incr[:, 0] += ends[:, 1]
-            xb = np.cumsum(incr, axis=1)
-            ok = np.abs(xb) <= limit
-            for (r, _), fine, xr, kr in zip(summed, ok, xb, k4):
-                n = m if fine.all() else int(np.argmin(fine))
-                cols[r].extend(xr[:n].tolist(), kr[:n].tolist())
 
     # One loop over segments. From step j the pass settles the segment up to
     # the next unclean step (j itself for a window), then the first step that
@@ -1358,52 +1358,50 @@ def _integrate_group(t0, t1, step, sites, members, results, allow_extrapolation,
     # Then each column takes scalar steps up to the segment's end: all of
     # them when it has no plan or its ``delayed`` raised on its arrays, and
     # the next one, which ends its run, when the pass stopped short.
+    going = [col for col in columns if col.div_time is None]
     rows = 0  # the columns the node arrays below hold, in order
     j = 0
-    while columns and j < steps:
-        stop = unclean[bisect.bisect_left(unclean, j)]
+    while going and j < geo.steps:
+        stop = geo.unclean[bisect.bisect_left(geo.unclean, j)]
         if stop - j >= _BLOCK_STEPS:
-            stop = bisect.bisect_left(reach, j, j, stop)
+            stop = bisect.bisect_left(geo.reach, j, j, stop)
         if stop - j < _BLOCK_STEPS:
             stop = j + 1
-        elif passing := [col for col in columns if col.table is not None]:
+        elif passing := [col for col in going if col.table is not None]:
             if rows != len(passing):  # columns only ever leave
                 rows, synced = len(passing), 0
                 # Each column's finished nodes, node slopes and closing slopes.
-                done = np.zeros((3, rows, mesh.size))
+                done = np.zeros((3, rows, geo.mesh.size))
                 before = np.array([col.before for col in passing], float)[:, None, None, None]
                 # Where each read's step starts in the flat node arrays,
                 # row r of which starts at r * mesh.size.
-                flat_of = step_of + np.arange(rows)[:, None, None, None] * mesh.size
+                flat_of = geo.step_of + np.arange(rows)[:, None, None, None] * geo.mesh.size
                 flat_next = flat_of + 1
             n = j + 1  # finished nodes
             for r, col in enumerate(passing):
-                done[:, r, synced:n] = col.xs[synced:n], col.ms[synced:n], col.mends[synced:n]
+                done[:, r, synced:n] = col.xs[synced:n], col.ms[synced:n], col.mls[synced:n]
             synced = n
             # Read values per column and site at the midpoints ([0]) and
             # the ends ([1]) of the segment's steps.
             at, nxt = flat_of[:, :, j:stop], flat_next[:, :, j:stop]
-            w0, w1, w2, w3 = (w[:, j:stop] for w in weights)
+            w0, w1, w2, w3 = (w[:, j:stop] for w in geo.weights)
             xf, mf, ef = done.reshape(3, -1)
             with np.errstate(all="ignore"):
                 vals = w0 * xf[at] + w1 * mf[at] + w2 * xf[nxt] + w3 * ef[nxt]
-                reads = vals if j >= late else np.where(early[:, j:stop], before, vals)
-                settle_pass(passing, j, stop, reads)
-        going = []
-        for col in columns:
+                reads = vals if j >= geo.late else np.where(geo.early[:, j:stop], before, vals)
+                _settle_pass(geo, passing, j, stop, reads, limit)
+        for col in going:
             try:
-                while len(col.xs) <= stop:  # the column's next step is before ``stop``
-                    if not col.step():
-                        results[col.index] = col.finish()
-                        break
-                else:
-                    going.append(col)
+                # While the column's next step is before ``stop``.
+                while len(col.xs) <= stop and col.div_time is None:
+                    col.step()
             except Exception as exc:
                 results[col.index] = exc
-        columns = going
+        going = [col for col in going if col.div_time is None and results[col.index] is None]
         j = stop
     for col in columns:
-        results[col.index] = col.finish()
+        if results[col.index] is None:
+            results[col.index] = col.finish(divergence_threshold, on_divergence)
 
 
 # ---------------------------------------------------------------------------

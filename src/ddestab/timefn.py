@@ -763,7 +763,17 @@ Delay = ConstantLag | IdentityDelay | GeneralDelay
 
 
 def canonical_delay(d: Delay) -> Delay:
-    """``d``, or ``IdentityDelay()`` for a zero ``ConstantLag``: both read x(t)."""
+    """``d``, or ``IdentityDelay()`` for a zero ``ConstantLag``: both read x(t).
+
+    Raises TypeError for anything but a ``Delay``: a delayed argument of
+    another class is wrapped as ``GeneralDelay(fn, lag_bound)``, which
+    checks every value it returns.
+    """
+    if not isinstance(d, Delay):
+        raise TypeError(
+            "a delay must be a ConstantLag, IdentityDelay or GeneralDelay, not %s; "
+            "wrap a delayed argument as GeneralDelay(fn, lag_bound)" % type(d).__name__
+        )
     return IdentityDelay() if isinstance(d, ConstantLag) and d.lag == 0.0 else d
 
 
@@ -792,6 +802,8 @@ def _as_lag(d: Delay) -> Optional[float]:
 
 def _pointwise(delays: tuple, pick: Callable, opposite: Callable) -> Delay:
     """pick(d(t) for d in delays); the lags and lag bounds combine by the opposite."""
+    for d in delays:
+        canonical_delay(d)  # raises TypeError for a delay of another class
     if len(delays) == 1:
         return delays[0]
     lags = [_as_lag(d) for d in delays]
@@ -838,6 +850,8 @@ def _search_class(
     horizon: Optional[float],
 ) -> AsymptoticClass:
     """The class an extremum is searched under: the merged class, or a given horizon's."""
+    for d in delays:
+        canonical_delay(d)  # raises TypeError for a delay of another class
     cls = merge_classes(classes)
     if horizon is not None:
         # GeneralClass rejects a non-finite or non-positive horizon with a
@@ -962,12 +976,11 @@ def _gap_values(c: Coefficient, d1: Delay, d2: Delay):
     """The integral of c over [d1(t), d2(t)] at each of the times xs, as an array function.
 
     From the normal form's antiderivative, with the general delays read
-    once per grid. None without a normal form or for a delay class of the
-    caller's own.
+    once per grid. None without a normal form.
     """
     nf = _normal_form((1.0, c))
     general = tuple(d for d in (d1, d2) if _as_lag(d) is None)
-    if nf is None or not all(isinstance(d, GeneralDelay) for d in general):
+    if nf is None:
         return None
 
     def values(xs: np.ndarray) -> np.ndarray:
@@ -1001,11 +1014,10 @@ def _gap_bounds(c: Coefficient, d1: Delay, d2: Delay):
     (2^20 ulps) covers both reads.
 
     None unless c is nonnegative by construction (its normal form is not
-    ``signed``) and each delay is one of the library's, whose lag bound a
-    read cannot break unnoticed.
+    ``signed``).
     """
     nf = _normal_form((1.0, c))
-    if nf is None or nf.signed or not (isinstance(d1, Delay) and isinstance(d2, Delay)):
+    if nf is None or nf.signed:
         return None
     reach = max(d1.lag_bound, d2.lag_bound) + 1e-9
     knots = max(map(abs, nf.breakpoints), default=0.0)
@@ -1139,6 +1151,9 @@ def sup_between_delays_info(
         if top.value >= -low.value:
             return top
         return SupInfo(-low.value, low.argmax, low.horizon_limited)
+    if d1 == d2:
+        # The gap is empty at every t; a search would refine every grid point.
+        return SupInfo(0.0, float(t0), True)
     gap = _gap_values(c, d1, d2)
     return _maximize(lambda t: abs(c.integral(d1(t), d2(t))), t0, cls, pad, (),
                      None if gap is None else (lambda xs: np.abs(gap(xs))), _gap_bounds(c, d1, d2))

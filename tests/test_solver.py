@@ -1652,6 +1652,13 @@ def _column_family(kind, params):
 def test_property_columns_are_separate_runs_bit_for_bit(kind, params, on_divergence):
     targets, histories, starts, options = _column_family(kind, params)
     t1 = options.pop("t1")
+    # A column whose history is not a constant one, so that the group's
+    # passes leave every read before t0 to the scalar loop, and one whose
+    # start lies past the threshold, so that it ends at t0.
+    base = histories[0]
+    targets += [targets[0], targets[0]]
+    histories += [sv.FunctionHistory(lambda t: base * (1.0 + 0.1 * math.sin(t))), base]
+    starts += [starts[0], 1e300]
     # One column whose coefficient raises part way, with the family's sites.
     bad = _OwnCoefficient(0.3, raise_after=t1 / 2.0)
     if kind == "linear":

@@ -1130,6 +1130,65 @@ def test_signed_combinations_and_own_classes_refine_every_local_maximum(monkeypa
             assert info == tf._maximize(fn, 0.0, tf.GeneralClass(30.0), pad)
 
 
+class _OwnDelay:
+    """A delayed argument of the caller's own class: lag 0.5 before t = 10, 3 after."""
+
+    lag_bound = 3.0
+
+    def __call__(self, t):
+        return t - (0.5 if t < 10.0 else 3.0)
+
+
+def test_only_the_library_delays_are_accepted():
+    from ddestab import criteria as cr
+    from ddestab import models as md
+
+    # Taken as it stood, the delay needed no horizon: the search scanned one
+    # period of c for S = 0.386, though the lag 3 from t = 10 on gives 1.41,
+    # and the diff and ratio forms certified UniformExponential.
+    own, c, b = _OwnDelay(), tf.sinsq(0.8, 1.3, 0.4), tf.sinsq(0.2, 1.3, 0.4)
+    builds = [
+        lambda: cr.Term(c, own),
+        lambda: cr.DistributedTerm(1, c, own),
+        lambda: md.MackeyGlassRemoval(r=c, beta=1.25, gamma=1.0, n=2.0, g=own,
+                                      h=tf.ConstantLag(1.0)),
+        lambda: tf.delay_min(own, tf.ConstantLag(1.0)),
+        lambda: tf.sup_window_integral_info(c, own),
+        lambda: tf.sup_between_delays_info(c, own, tf.ConstantLag(1.0)),
+    ]
+    for build in builds:
+        with pytest.raises(TypeError, match=r"as GeneralDelay\(fn, lag_bound\)"):
+            build()
+    # Wrapped, it is a general delay, which needs a horizon to certify.
+    wrapped = tf.GeneralDelay(own, own.lag_bound)
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(c, wrapped)],
+                                negative_terms=[cr.Term(b, tf.IdentityDelay())])
+    assert {cert.verdict for cert in cr.evaluate_all(eq)} == {cr.INCONCLUSIVE}
+
+
+def test_a_gap_between_a_general_delay_and_itself_is_not_searched(monkeypatch):
+    from ddestab import models as md
+
+    calls = []
+    golden = tf._golden_max
+    monkeypatch.setattr(tf, "_golden_max", lambda *args: calls.append(args) or golden(*args))
+    c, d = tf.sinsq(0.8, 1.3, 0.4), _wobble(1.0, 0.4, 0.9)
+    info = tf.sup_between_delays_info(c, d, d, horizon=40.0)
+    assert not calls
+    # What refining every point of the flat grid gives (1 025 golden runs).
+    full = tf._maximize(lambda t: abs(c.integral(d(t), d(t))), 0.0, tf.GeneralClass(40.0),
+                        d.lag_bound)
+    assert info == full == tf.SupInfo(0.0, 0.0, True)
+    # A removal model reading one general delay twice: 2 062 golden runs
+    # when the gap was searched.
+    calls.clear()
+    model = md.MackeyGlassRemoval(r=tf.sinsq(1.0, 1.0, 0.3), beta=1.25, gamma=1.0, n=2.0,
+                                  g=d, h=d)
+    cert = md.check_les_removal(model, horizon=40.0)
+    assert {q.symbol: q.value for q in cert.quantities}["V"] == 0.0
+    assert len(calls) < 100
+
+
 def test_general_delay_rejects_a_delayed_argument_that_is_not_a_number():
     from ddestab import criteria as cr
 
