@@ -73,15 +73,18 @@ exception).
 Runs that share their start time, end, step and delayed reads are columns
 of one integration (``integrate_columns``) and share its geometry
 (``_Geometry``): the mesh, plan times, landings, step check, window
-placements and the segments a pass may settle. A column (``_Column``) owns
-its nodes, plan, delayed part, float recurrence and scalar step. The loop
-over segments (``_integrate_group``) gathers the reads of every column with
-a plan at once, and its pass (``_settle_pass``) sums the increments of
-every column that ignores x(t) in one ``np.cumsum``. Then each column takes
-scalar steps up to the segment's end: all of them when it has no plan or
-its pass raised, and the next one, which ends its run, when its pass
-stopped short. So a column does the work and gets the bits of its run
-alone. ``integrate`` is one column.
+placements and the segments a pass may settle. The geometry last built is
+kept for the next call with the same arguments when every site lands
+without calling the caller's code, so the runs of a sweep share one. A
+column (``_Column``) owns its nodes, plan, delayed part, float recurrence
+and scalar step. The loop over segments (``_integrate_group``) gathers the
+reads of every column with a plan at once, and its pass (``_settle_pass``)
+sums the increments of every column that ignores x(t) in one
+``np.cumsum``. Then each column takes scalar steps up to the segment's end:
+all of them when it has no plan or its pass raised, and the next one,
+which ends its run, when its pass stopped short. A run of steps that no
+pass can settle is one segment of scalar steps. So a column does the work
+and gets the bits of its run alone. ``integrate`` is one column.
 
 Segments are settled in one pass when they hold at least ``_BLOCK_STEPS``
 steps; shorter ones cost more than they save. The scalar read and the
@@ -101,7 +104,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -527,6 +530,7 @@ def _planned(f, times: np.ndarray, waves: dict) -> np.ndarray:
         if key not in waves:
             sines = map(math.sin, (f.angular_freq * times + f.phase).tolist())
             waves[key] = np.fromiter(map(pow, sines, itertools.repeat(2)), float, times.size)
+            waves[key].setflags(write=False)  # a memoized geometry shares it across runs
         return f.amplitude * waves[key]
     if kind is tf.PiecewiseConstantCoefficient:
         return np.array(f.values)[np.searchsorted(f.breakpoints, times, "right")]
@@ -804,6 +808,14 @@ def integrate_columns(
     column then takes scalar steps up to the segment's end. Each column
     keeps its own ``delayed``, its own float recurrence and its own scalar
     steps, so it gets the bits ``integrate`` gives it alone.
+
+    The geometry (mesh, landings, placements and the sin calls of the
+    plans) is also reused across calls: the last one built is returned
+    again for the same start, end, step, sites, ``allow_extrapolation``
+    and constant-history flag, when every site is a ``ConstantLag`` point
+    read or a window starting at one. A site at a ``GeneralDelay`` builds
+    its geometry anew on every call, so its delay is called, and checked,
+    on every run.
     """
     if initial_values is None:
         initial_values = [None] * len(targets)
@@ -828,7 +840,7 @@ def integrate_columns(
             groups.append((key, [column]))
     for (start, sites), members in groups:
         try:
-            geo = _Geometry(start, t1, step, sites, allow_extrapolation,
+            geo = _geometry(start, t1, step, sites, allow_extrapolation,
                             all(isinstance(hist, ConstantHistory) for _, _, hist, _ in members))
         except Exception as exc:  # the step check, shared by the group
             for c, *_ in members:
@@ -1048,13 +1060,15 @@ class _Geometry:
         # bit for bit what ``read`` returns. ``reach`` is the running maximum of
         # the step that a read of each step, or of an earlier one, lands in: the
         # steps from j on read only finished steps up to the first whose reach is
-        # j or more. ``unclean`` lists the steps with a slot only ``read`` can
-        # read (NaN in ``tau``, a read near t0, or one before t0 in a history
-        # other than a constant one), then the number of steps.
+        # j or more. ``unclean`` lists where each run of steps with a slot only
+        # ``read`` can read (NaN in ``tau``, a read near t0, or one before t0 in
+        # a history other than a constant one) starts and ends, in turn, then
+        # the number of steps.
         self.step_of = step_of = np.searchsorted(mesh, tau, "right") - 1  # the step of each read
         later = tau > hist_hi
         clean = later | ((tau < hist_lo) & constant)
-        self.unclean = np.flatnonzero(~clean.all(axis=(0, 2))).tolist() + [steps]
+        edges = np.diff(~clean.all(axis=(0, 2)), prepend=False, append=False)
+        self.unclean = np.flatnonzero(edges).tolist() + [steps]
         landed = np.where(later, step_of, -1).max(axis=(0, 2), initial=-1)
         self.reach = np.maximum.accumulate(landed).tolist()
         # The steps from ``late`` on read nothing before t0.
@@ -1063,6 +1077,29 @@ class _Geometry:
         np.clip(step_of, 0, steps - 1, out=step_of)
         with np.errstate(all="ignore"):
             self.weights = _hermite_weights(mesh[step_of], mesh[step_of + 1], tau)
+        # Runs may share the geometry (``_geometry``), so no column may write to it.
+        for shared in (mesh, widths, times, self.point, step_of, *self.weights, early):
+            shared.setflags(write=False)
+
+
+def _geometry(t0, t1, step, sites, allow_extrapolation, constant) -> _Geometry:
+    """The ``_Geometry`` of these arguments: the one last built when every
+    site lands without calling the caller's code (point reads at a
+    ``ConstantLag`` and windows that start at one), else a new one, so that a
+    general delay is called, and checked, on every run."""
+    if all(type(s.window_start if isinstance(s, _Window) else s) is tf.ConstantLag for s in sites):
+        # 0.0 == -0.0 as a key, but a mesh from -0.0 holds other bits.
+        signs = (math.copysign(1.0, t0), math.copysign(1.0, t1))
+        return _shared_geometry(t0, t1, step, sites, allow_extrapolation, constant, signs)
+    return _Geometry(t0, t1, step, sites, allow_extrapolation, constant)
+
+
+# Size 1: the runs of a sweep's table and bisection share one geometry, and
+# simulate never repeats one. Typed, since an int t0 and a float one give
+# Trajectories other bits (the divergence time of a run that ends at t0).
+@lru_cache(maxsize=1, typed=True)
+def _shared_geometry(t0, t1, step, sites, allow_extrapolation, constant, signs) -> _Geometry:
+    return _Geometry(t0, t1, step, sites, allow_extrapolation, constant)
 
 
 class _Column:
@@ -1351,21 +1388,26 @@ def _integrate_group(geo, members, results, divergence_threshold, on_divergence)
         except Exception as exc:
             results[c] = exc
 
-    # One loop over segments. From step j the pass settles the segment up to
-    # the next unclean step (j itself for a window), then the first step that
-    # reads step j or later, when it holds at least ``_BLOCK_STEPS`` steps,
-    # for every column with a plan at once; a shorter segment is one step.
-    # Then each column takes scalar steps up to the segment's end: all of
-    # them when it has no plan or its ``delayed`` raised on its arrays, and
-    # the next one, which ends its run, when the pass stopped short.
+    # One loop over segments. A run of unclean steps (every step of a run
+    # with a window) is one segment. From a clean step j the pass settles the
+    # segment up to the next unclean step, then the first step that reads
+    # step j or later, when it holds at least ``_BLOCK_STEPS`` steps, for
+    # every column with a plan at once; a shorter segment is one step. Then
+    # each column takes scalar steps up to the segment's end: all of them
+    # when it has no plan, its ``delayed`` raised on its arrays or the
+    # segment is unclean, and the next one, which ends its run, when the
+    # pass stopped short.
     going = [col for col in columns if col.div_time is None]
     rows = 0  # the columns the node arrays below hold, in order
     j = 0
     while going and j < geo.steps:
-        stop = geo.unclean[bisect.bisect_left(geo.unclean, j)]
-        if stop - j >= _BLOCK_STEPS:
+        k = bisect.bisect_right(geo.unclean, j)
+        stop = geo.unclean[k]  # the end of j's unclean run (k odd), else the next one's start
+        if k % 2 == 0 and stop - j >= _BLOCK_STEPS:
             stop = bisect.bisect_left(geo.reach, j, j, stop)
-        if stop - j < _BLOCK_STEPS:
+        if k % 2:
+            pass  # a run of unclean steps takes scalar steps only
+        elif stop - j < _BLOCK_STEPS:
             stop = j + 1
         elif passing := [col for col in going if col.table is not None]:
             if rows != len(passing):  # columns only ever leave

@@ -675,3 +675,37 @@ def test_sweep_whose_second_point_fails_exits_with_that_points_error(tmp_path, c
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: span 25 too short to classify; need at least 20 lags (30)\n"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+# The sweep workload's empirical sweeps: its steps, horizons and tolerances.
+_SWEEPS = {
+    "eq3": ["--param", "b", "--lo", "0.35", "--hi", "0.58", "--tol", "1e-3", "--step", "0.05",
+            "--horizon", "50"],
+    "eq3abc": ["--set", "b=0.2", "--param", "a", "--lo", "0.22", "--hi", "0.8", "--tol", "1e-3",
+               "--step", "0.05", "--horizon", "50"],
+    "ex51": ["--set", "sigma=1.2", "--param", "r", "--lo", "4.0", "--hi", "9.0", "--tol", "0.05",
+             "--step", "0.05", "--horizon", "40"],
+    "ex5": ["--param", "n", "--lo", "6.0", "--hi", "12.5", "--tol", "0.05", "--step", "0.1",
+            "--horizon", "121"],
+}
+
+
+@pytest.mark.parametrize("target", sorted(_SWEEPS))
+def test_a_sweep_writes_the_same_bytes_with_a_cold_or_a_warm_geometry_memo(target, tmp_path,
+                                                                          monkeypatch):
+    argv = ["sweep", "--target", target, *_SWEEPS[target], "--points", "3",
+            "--predicate", "empirical"]
+
+    def outputs(out):
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        report = (out / "threshold.json").read_text().splitlines()
+        return (out / "sweep.csv").read_bytes(), [l for l in report if '"generated_at"' not in l]
+
+    warm = outputs(tmp_path / "warm")
+    # The table's run and every bisection run after the first share one geometry.
+    memo = sv._shared_geometry.cache_info()
+    assert memo.misses == 1 and memo.hits >= 5
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_shared_geometry", sv._shared_geometry.__wrapped__)  # a build per run
+        cold = outputs(tmp_path / "cold")
+    assert cold == warm

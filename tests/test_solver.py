@@ -1793,3 +1793,103 @@ def test_overflow_truncates_at_the_first_node_past_it(part):
     assert tr.t1 == 0.5 and tr.divergence_time == 0.51
     with pytest.raises(sv.DivergenceError):
         sv.integrate(model, history, 5.0, step=0.01, forcing=forcing)
+
+
+# ---------------------------------------------------------------------------
+# The geometry memo
+# ---------------------------------------------------------------------------
+
+
+_LAG = (tf.ConstantLag(1.0),)
+
+
+def test_repeated_arguments_share_one_geometry():
+    geo = sv._geometry(0.0, 10.0, 0.05, _LAG, False, True)
+    assert sv._geometry(0.0, 10.0, 0.05, (tf.ConstantLag(1.0),), False, True) is geo
+    window = (sv._Window(tf.ConstantLag(1.0), cr.UniformKernel(0.5)),)
+    assert sv._geometry(0.0, 10.0, 0.05, window, False, True) is sv._geometry(
+        0.0, 10.0, 0.05, window, False, True)
+
+
+def test_runs_of_one_family_share_the_geometry_and_keep_their_bits():
+    eqs = [_linear([(a, 1.0)], [(0.2, 0.5)]) for a in (0.3, 0.6)]
+    warm = [sv.integrate(eq, 0.8, 12.0, step=0.05, initial_value=1.2) for eq in eqs]
+    assert sv._shared_geometry.cache_info()[:2] == (1, 1)  # hits, misses
+    assert warm[0].times.base is warm[1].times.base  # one mesh under both
+    for eq, tr in zip(eqs, warm):
+        sv._shared_geometry.cache_clear()
+        cold = sv.integrate(eq, 0.8, 12.0, step=0.05, initial_value=1.2)
+        assert cold.values.tobytes() == tr.values.tobytes()
+        assert cold.derivatives.tobytes() == tr.derivatives.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["point", "window"])
+def test_a_general_delay_site_builds_its_geometry_anew(kind):
+    calls = []
+
+    def wobble(t):
+        calls.append(t)
+        return t - (1.0 + 0.3 * math.sin(0.7 * t))
+
+    delay = tf.GeneralDelay(wobble, 1.3)
+    site = delay if kind == "point" else sv._Window(delay, cr.UniformKernel())
+    first = sv._geometry(0.0, 12.0, 0.02, (site,), False, True)
+    assert sv._geometry(0.0, 12.0, 0.02, (site,), False, True) is not first
+    assert len(calls) == 2 * (2 * first.steps + 1)
+    assert sv._shared_geometry.cache_info().currsize == 0
+
+
+# A breaking point 2e-8 before t1 = 0 merges into it, so the mesh ends at t1 itself.
+_NEAR_END = (tf.ConstantLag(10.0 - 2e-8),)
+
+
+@pytest.mark.parametrize("first, second, bits", [
+    ((0.0, 10.0, _LAG, False, True), (-0.0, 10.0, _LAG, False, True),
+     lambda geo: math.copysign(1.0, geo.mesh[0])),
+    ((-10.0, 0.0, _NEAR_END, False, True), (-10.0, -0.0, _NEAR_END, False, True),
+     lambda geo: math.copysign(1.0, geo.mesh[-1])),
+    # A run that ends at its start time records t0 as its divergence time.
+    ((0.0, 10.0, _LAG, False, True), (0, 10.0, _LAG, False, True), lambda geo: type(geo.t0)),
+    ((0.0, 10.0, _LAG, False, True), (0.0, 10.0, _LAG, True, True), lambda geo: geo.extrapolate),
+    # Reads before t0 are clean in a constant history only, not in a tabulated one.
+    ((0.0, 10.0, _LAG, False, True), (0.0, 10.0, _LAG, False, False), lambda geo: geo.unclean),
+], ids=["t0_sign", "t1_sign", "t0_type", "extrapolation", "history"])
+def test_keys_that_differ_in_bits_build_their_own_geometry(first, second, bits):
+    geos = [sv._geometry(t0, t1, 0.05, sites, extrapolate, constant)
+            for t0, t1, sites, extrapolate, constant in (first, second)]
+    assert sv._shared_geometry.cache_info()[:2] == (0, 2)  # hits, misses
+    assert bits(geos[0]) != bits(geos[1])
+
+
+def test_the_step_check_raises_on_every_call():
+    eq = _linear([(0.5, 0.03)])
+    for _ in range(2):
+        with pytest.raises(tf.ConfigurationError, match="exceeds the smallest positive lag"):
+            sv.integrate(eq, 0.8, 5.0, step=0.05)
+    assert sv._shared_geometry.cache_info()[1:] == (2, 1, 0)  # misses, maxsize, currsize
+
+
+def test_a_shared_geometry_is_read_only():
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(0.4, 1.3, 0.2), tf.ConstantLag(1.0))],
+                                distributed_terms=[cr.DistributedTerm(1, tf.constant(0.1),
+                                                                      tf.ConstantLag(0.5))])
+    sv.integrate(eq, 0.8, 5.0, step=0.05)
+    geo = sv._geometry(0.0, 5.0, 0.05, sv._make_rhs(eq, None).sites, False, True)
+    assert sv._shared_geometry.cache_info().hits == 1
+    assert len(geo.waves) == 1
+    shared = [geo.mesh, geo.widths, geo.times, geo.point, geo.step_of, *geo.weights, geo.early,
+              *geo.waves.values()]
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+
+
+def test_a_run_of_unclean_steps_is_one_segment():
+    # A window that reaches t leaves every step to the scalar loop: one run
+    # of unclean steps, from 0 to the end. Reads of a lag of 1 in a tabulated
+    # history are unclean up to t = 1 + 1e-9, then clean.
+    window = sv._Window(tf.ConstantLag(0.5), cr.UniformKernel())
+    geo = sv._geometry(0.0, 5.0, 0.05, (window,), False, True)
+    assert geo.unclean == [0, geo.steps, geo.steps]
+    geo = sv._geometry(0.0, 5.0, 0.05, _LAG, False, False)
+    assert geo.unclean == [0, 20, geo.steps]
