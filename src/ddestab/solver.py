@@ -103,6 +103,7 @@ import bisect
 import itertools
 import math
 import sys
+from collections import ChainMap
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
@@ -988,7 +989,8 @@ class _Geometry:
     read lands, fixed before the first step from t0, t1, the step, the
     sites, ``allow_extrapolation`` and ``constant`` (whether every column's
     history is a constant one). ``waves`` holds the sin^2 of each
-    (frequency, phase) at ``times``, shared by the columns' time plans.
+    (frequency, phase) at ``times``, shared by the columns' time plans: those
+    of the first call that plans one (see ``_integrate_group``).
     """
 
     def __init__(self, t0, t1, step, sites, allow_extrapolation, constant):
@@ -1112,7 +1114,7 @@ class _Column:
                  "touched_left", "tail", "xs", "ms", "mls", "pieces", "rhs", "table", "delayed",
                  "current", "limit", "div_time")
 
-    def __init__(self, geo, index, rhs, hist, x0, limit):
+    def __init__(self, geo, index, rhs, hist, x0, limit, waves):
         self.geo, self.index, self.hist, self.limit = geo, index, hist, limit
         self.before = hist.const if isinstance(hist, ConstantHistory) else math.nan
         h0 = float(hist.value(geo.t0))
@@ -1139,7 +1141,7 @@ class _Column:
         # time at once; the scalar loop reads one row at its step, a pass a
         # slice (midpoints [0], step ends [1]).
         try:
-            table = _plan(rhs.coeffs, geo.times, geo.waves)
+            table = _plan(rhs.coeffs, geo.times, waves)
             cv0 = table[0].tolist()
             self.table = np.ascontiguousarray(table[1:].reshape(geo.steps, 2, -1).transpose(1, 0, 2))
         except Exception:
@@ -1381,10 +1383,14 @@ def _integrate_group(geo, members, results, divergence_threshold, on_divergence)
     """Integrate ``members``, the columns of the geometry ``geo``, into ``results``."""
     # A node diverges unless |x| <= limit: past the threshold or not finite.
     limit = min(divergence_threshold, sys.float_info.max)
+    # The first call that plans a sin^2 part fills the geometry's wave table;
+    # a later call keeps a (frequency, phase) the table lacks in its own, so a
+    # memoized geometry holds the waves of one call at most.
+    waves = ChainMap({}, geo.waves) if geo.waves else geo.waves
     columns = []
     for c, rhs, hist, x0 in members:
         try:
-            columns.append(_Column(geo, c, rhs, hist, x0, limit))
+            columns.append(_Column(geo, c, rhs, hist, x0, limit, waves))
         except Exception as exc:
             results[c] = exc
 
@@ -1403,35 +1409,34 @@ def _integrate_group(geo, members, results, divergence_threshold, on_divergence)
     while going and j < geo.steps:
         k = bisect.bisect_right(geo.unclean, j)
         stop = geo.unclean[k]  # the end of j's unclean run (k odd), else the next one's start
-        if k % 2 == 0 and stop - j >= _BLOCK_STEPS:
-            stop = bisect.bisect_left(geo.reach, j, j, stop)
-        if k % 2:
-            pass  # a run of unclean steps takes scalar steps only
-        elif stop - j < _BLOCK_STEPS:
-            stop = j + 1
-        elif passing := [col for col in going if col.table is not None]:
-            if rows != len(passing):  # columns only ever leave
-                rows, synced = len(passing), 0
-                # Each column's finished nodes, node slopes and closing slopes.
-                done = np.zeros((3, rows, geo.mesh.size))
-                before = np.array([col.before for col in passing], float)[:, None, None, None]
-                # Where each read's step starts in the flat node arrays,
-                # row r of which starts at r * mesh.size.
-                flat_of = geo.step_of + np.arange(rows)[:, None, None, None] * geo.mesh.size
-                flat_next = flat_of + 1
-            n = j + 1  # finished nodes
-            for r, col in enumerate(passing):
-                done[:, r, synced:n] = col.xs[synced:n], col.ms[synced:n], col.mls[synced:n]
-            synced = n
-            # Read values per column and site at the midpoints ([0]) and
-            # the ends ([1]) of the segment's steps.
-            at, nxt = flat_of[:, :, j:stop], flat_next[:, :, j:stop]
-            w0, w1, w2, w3 = (w[:, j:stop] for w in geo.weights)
-            xf, mf, ef = done.reshape(3, -1)
-            with np.errstate(all="ignore"):
-                vals = w0 * xf[at] + w1 * mf[at] + w2 * xf[nxt] + w3 * ef[nxt]
-                reads = vals if j >= geo.late else np.where(geo.early[:, j:stop], before, vals)
-                _settle_pass(geo, passing, j, stop, reads, limit)
+        if k % 2 == 0:  # a clean run; an unclean one (k odd) takes scalar steps only
+            if stop - j >= _BLOCK_STEPS:
+                stop = bisect.bisect_left(geo.reach, j, j, stop)
+            if stop - j < _BLOCK_STEPS:
+                stop = j + 1
+            elif passing := [col for col in going if col.table is not None]:
+                if rows != len(passing):  # columns only ever leave
+                    rows, synced = len(passing), 0
+                    # Each column's finished nodes, node slopes and closing slopes.
+                    done = np.zeros((3, rows, geo.mesh.size))
+                    before = np.array([col.before for col in passing], float)[:, None, None, None]
+                    # Where each read's step starts in the flat node arrays,
+                    # row r of which starts at r * mesh.size.
+                    flat_of = geo.step_of + np.arange(rows)[:, None, None, None] * geo.mesh.size
+                    flat_next = flat_of + 1
+                n = j + 1  # finished nodes
+                for r, col in enumerate(passing):
+                    done[:, r, synced:n] = col.xs[synced:n], col.ms[synced:n], col.mls[synced:n]
+                synced = n
+                # Read values per column and site at the midpoints ([0]) and
+                # the ends ([1]) of the segment's steps.
+                at, nxt = flat_of[:, :, j:stop], flat_next[:, :, j:stop]
+                w0, w1, w2, w3 = (w[:, j:stop] for w in geo.weights)
+                xf, mf, ef = done.reshape(3, -1)
+                with np.errstate(all="ignore"):
+                    vals = w0 * xf[at] + w1 * mf[at] + w2 * xf[nxt] + w3 * ef[nxt]
+                    reads = vals if j >= geo.late else np.where(geo.early[:, j:stop], before, vals)
+                    _settle_pass(geo, passing, j, stop, reads, limit)
         for col in going:
             try:
                 # While the column's next step is before ``stop``.

@@ -1281,8 +1281,11 @@ def test_property_placed_windows_are_the_site_read_bit_for_bit(start, width, his
                                                                 unstable, mix, lag, a, step):
     args = (start, width, history, jump, unstable, mix, lag, a, step)
     placed = _outcome(lambda: _window_property_run(*args))
-    # Placement off: every window slot is read at the site.
-    with mock.patch.object(sv, "_placed_window", lambda lo, *rest: [None] * lo.size):
+    # Placement off: every window slot is read at the site. The geometry memo
+    # is bypassed, or a window at a ConstantLag would get the placed geometry
+    # of the run above back.
+    with mock.patch.object(sv, "_placed_window", lambda lo, *rest: [None] * lo.size), \
+            mock.patch.object(sv, "_shared_geometry", sv._shared_geometry.__wrapped__):
         site = _outcome(lambda: _window_property_run(*args))
     assert placed == site
 
@@ -1882,6 +1885,19 @@ def test_a_shared_geometry_is_read_only():
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
+
+
+def test_a_new_wave_does_not_grow_a_shared_geometry():
+    def run(freq):
+        eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(0.4, freq), _LAG[0])])
+        return sv.integrate(eq, 0.8, 5.0, step=0.05).values.tobytes()
+
+    warm = {freq: run(freq) for freq in (1.3, 1.7, 1.3, 2.1)}
+    assert sv._shared_geometry.cache_info()[:2] == (3, 1)  # hits, misses
+    assert list(sv._geometry(0.0, 5.0, 0.05, _LAG, False, True).waves) == [(1.3, 0.0)]
+    for freq, bits in warm.items():
+        sv._shared_geometry.cache_clear()
+        assert run(freq) == bits
 
 
 def test_a_run_of_unclean_steps_is_one_segment():
