@@ -12,6 +12,7 @@ Benchmark equations (hand-derived check values, independent of the code):
 
 import json
 import math
+import os
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -264,6 +265,19 @@ def test_non_finite_check_sides_fail_closed():
     assert cr.make_check("x", 0.5, 1.0, strict=True).satisfied
 
 
+def test_a_nan_window_integral_takes_the_exceeding_branch(monkeypatch):
+    # NaN is not within 1/e, so both forms list the exceeding entry and the
+    # bound that goes with it, each failing closed.
+    monkeypatch.setattr(tf, "sup_window_integral_info",
+                        lambda *a, **k: tf.SupInfo(math.nan, 0.0, False))
+    for cert in (cr.check_diff_form(eq_e2()), cr.check_ratio_form(eq_e2())):
+        assert cert.verdict == cr.INCONCLUSIVE
+        entry, bound = cert.checks[-2:]
+        assert "exceeds the no-expansion bound" in entry.description
+        assert "1 + 1/e" in bound.description
+        assert not (entry.satisfied or entry.marginal or bound.satisfied or bound.marginal)
+
+
 def test_ratio_supremum_sees_every_step_segment_of_a_mixture():
     # Dominated by a = 2, the pulse still sets the ratio supremum; the
     # 1025-point grid over the 250-long span steps over it.
@@ -471,6 +485,68 @@ def test_certificate_serialization_shape():
 
 
 # ---------------------------------------------------------------------------
+# Certificate exits that no golden output reaches
+# ---------------------------------------------------------------------------
+
+
+# Each exit's ``to_dict()`` JSON, recorded before the checkers shared one
+# verdict rule; a difference here is a change to a certificate's bytes.
+EXIT_PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "certificate_exits.json")
+
+
+def _undelayed_against(*negative, distributed=()):
+    return cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(1.0), tf.IdentityDelay())],
+        negative_terms=negative,
+        distributed_terms=distributed,
+    )
+
+
+def _window(weight, lag):
+    return cr.DistributedTerm(-1, tf.constant(weight), tf.ConstantLag(lag))
+
+
+def _general_delay_eq():
+    wobble = tf.GeneralDelay(lambda t: t - 1.0 - 0.2 * math.sin(t), 1.2)
+    return cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(0.5), wobble)],
+        negative_terms=[cr.Term(tf.constant(0.1), tf.IdentityDelay())],
+    )
+
+
+def _removal(n):
+    # b_factor = 1 - n + n/1.25: -1 at n = 10 (outside the band), 0 at n = 5 (inside).
+    return md.MackeyGlassRemoval(r=tf.sinsq(4.0, math.pi), beta=1.25, gamma=1.0, n=n,
+                                 g=tf.ConstantLag(1.1), h=tf.ConstantLag(1.0))
+
+
+EXITS = {
+    "nondelay-positive-side-not-single": lambda: cr.check_nondelay_dominant(
+        cr.LinearDelayEquation(
+            positive_terms=[cr.Term(tf.constant(0.5), tf.IdentityDelay()),
+                            cr.Term(tf.constant(0.3), tf.ConstantLag(1.0))],
+            negative_terms=[cr.Term(tf.constant(0.2), tf.IdentityDelay())])),
+    "nondelay-negative-side-mixed": lambda: cr.check_nondelay_dominant(_undelayed_against(
+        cr.Term(tf.constant(0.2), tf.ConstantLag(1.0)), distributed=[_window(0.2, 0.5)])),
+    "nondelay-several-distributed-negative": lambda: cr.check_nondelay_dominant(
+        _undelayed_against(distributed=[_window(0.2, 0.5), _window(0.1, 1.0)])),
+    "nondelay-distributed-upgrade": lambda: cr.check_nondelay_dominant(
+        _undelayed_against(distributed=[_window(0.3, 0.5)])),
+    "diff-general-delay-no-horizon": lambda: cr.check_diff_form(_general_delay_eq()),
+    "ratio-general-delay-no-horizon": lambda: cr.check_ratio_form(_general_delay_eq()),
+    "les-removal-precondition-outside-band": lambda: md.check_les_removal(_removal(10.0)),
+    "les-removal-precondition-inside-band": lambda: md.check_les_removal(_removal(5.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXITS))
+def test_certificate_exit_is_pinned(case):
+    with open(EXIT_PINS) as fh:
+        expected = json.load(fh)[case]
+    assert json.dumps(EXITS[case]().to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
 
@@ -488,17 +564,22 @@ def const_eq(a, b, lag_h, lag_g):
     bfrac=st.floats(0.0, 1.0),
     lag_h=st.floats(0.0, 3.0),
     lag_g=st.floats(0.0, 3.0),
+    # b_factor = 1 - n + n/1.25 changes sign at n = 5.
+    n=st.one_of(st.just(5.0), st.floats(0.5, 10.0)),
 )
-def test_property_certificate_soundness(a, bfrac, lag_h, lag_g):
-    eq = const_eq(a, bfrac * a, lag_h, lag_g)
-    for cert in cr.evaluate_all(eq):
-        recomputed = [
-            (c.rhs - c.lhs) if c.direction == "<" else (c.lhs - c.rhs)
-            for c in cert.checks
-        ]
-        for c, m in zip(cert.checks, recomputed):
+def test_property_certificate_soundness(a, bfrac, lag_h, lag_g, n):
+    removal = md.MackeyGlassRemoval(r=tf.constant(a), beta=1.25, gamma=1.0, n=n,
+                                    g=tf.ConstantLag(lag_g), h=tf.ConstantLag(lag_h))
+    certs = cr.evaluate_all(const_eq(a, bfrac * a, lag_h, lag_g)) + (
+        md.check_les_removal(removal), md.check_les_production(md.ex5(n)))
+    for cert in certs:
+        for c in cert.checks:
+            m = (c.rhs - c.lhs) if c.direction == "<" else (c.lhs - c.rhs)
             assert (m == c.margin) or (m != m and c.margin != c.margin)
-        if cert.verdict != cr.INCONCLUSIVE and cert.verdict != cr.MARGINAL:
+        if cert.verdict == cr.MARGINAL:
+            assert all(c.satisfied or c.marginal for c in cert.checks)
+            assert not all(c.satisfied for c in cert.checks)
+        elif cert.verdict != cr.INCONCLUSIVE:
             for c in cert.checks:
                 assert c.satisfied
                 if c.strict:
