@@ -17,8 +17,10 @@ Three checkers produce machine-checkable certificates:
 
 Every certificate records the computed quantities, the individual
 inequality checks with margins, and a verdict that is sound with respect
-to the listed checks: a non-Inconclusive verdict implies every listed
-check is satisfied.
+to the listed checks: UniformExponential or Asymptotic means every check
+holds; Marginal means each check holds or fails within ``MARGINAL_BAND``.
+One rule, ``_conclude``, turns the checks into the verdict, for the
+model certificates too.
 """
 
 from __future__ import annotations
@@ -333,13 +335,7 @@ def _inapplicable(name: str, reason: str) -> Certificate:
         strict=False,
         direction=">",
     )
-    return Certificate(
-        name=name,
-        verdict=INCONCLUSIVE,
-        quantities=(),
-        checks=(check,),
-        notes=("checker not applicable: " + reason,),
-    )
+    return _conclude(name, INCONCLUSIVE, (), (check,), ("checker not applicable: " + reason,))
 
 
 def _default_T(c: Coefficient) -> float:
@@ -375,17 +371,38 @@ def _persistence_checks(c: Coefficient, label: str, t0: float):
             "long-run mean of %s is positive" % label, mean, 0.0, strict=True, direction=">"
         )
     )
-    frac = tf.vanishing_fraction(c, t0)
-    checks.append(
-        make_check(
-            "%s vanishes only on a negligible fraction of times" % label,
-            frac,
-            _VANISH_LIMIT,
-            strict=True,
+    checks.append(_vanishing_check(c, label, t0))
+    return checks, notes, mean
+
+
+def _vanishing_check(c: Coefficient, label: str, t0: float) -> Check:
+    return make_check(
+        "%s vanishes only on a negligible fraction of times" % label,
+        tf.vanishing_fraction(c, t0),
+        _VANISH_LIMIT,
+        strict=True,
+        direction="<",
+    )
+
+
+def _no_expansion(subject: str, S: float) -> Check:
+    """The window integral S of the ``subject`` side against the
+    no-expansion bound 1/e: within it (non-strict), else exceeding it."""
+    if S <= _INV_E:
+        return make_check(
+            "%s window integral within the no-expansion bound 1/e" % subject,
+            S,
+            _INV_E,
+            strict=False,
             direction="<",
         )
+    return make_check(
+        "%s window integral exceeds the no-expansion bound 1/e" % subject,
+        S,
+        _INV_E,
+        strict=True,
+        direction=">",
     )
-    return checks, notes, mean
 
 
 def _persistence_upgrade(
@@ -400,11 +417,13 @@ def _persistence_upgrade(
     t0: float,
     horizon: Optional[float],
 ) -> Certificate:
-    """Conclude a certificate whose other checks all hold.
+    """Conclude a certificate from its checks and, when they all hold, the upgrade.
 
     The verdict is uniform exponential when the forward integral of ``c``
     over windows of length T stays positive, and asymptotic otherwise.
     """
+    if not all(c_.satisfied for c_ in checks):
+        return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
     T_used = T if T is not None else _default_T(c)
     lim_info = tf.liminf_forward_integral_info(c, T_used, t0, horizon=horizon)
     quantities.append(
@@ -481,7 +500,6 @@ def check_diff_form(
         return _inapplicable(name, "difference of the two sides is not nonnegative")
     t0 = eq.t0
     checks, notes, mean = _persistence_checks(c, "the coefficient difference", t0)
-    notes = list(notes)
     quantities = [Quantity("mean_diff", mean, "long-run mean value of a-b")]
 
     d1, d2, gap_label = _gap_pair(eq, red)
@@ -505,16 +523,8 @@ def check_diff_form(
     ]
     notes.extend(_limited_note(s_info, v_info, q_hi))
 
+    checks.append(_no_expansion("difference", S))
     if S <= _INV_E:
-        checks.append(
-            make_check(
-                "difference window integral within the no-expansion bound 1/e",
-                S,
-                _INV_E,
-                strict=False,
-                direction="<",
-            )
-        )
         checks.append(
             make_check(
                 "product of the side ratio and the gap integral below one half",
@@ -527,15 +537,6 @@ def check_diff_form(
     else:
         checks.append(
             make_check(
-                "difference window integral exceeds the no-expansion bound 1/e",
-                S,
-                _INV_E,
-                strict=True,
-                direction=">",
-            )
-        )
-        checks.append(
-            make_check(
                 "combined window and gap bound below 1 + 1/e",
                 S + 2.0 * Q * V,
                 1.0 + _INV_E,
@@ -543,10 +544,6 @@ def check_diff_form(
                 direction="<",
             )
         )
-
-    if not all(c_.satisfied for c_ in checks):
-        return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
-
     return _persistence_upgrade(
         name, c, "a-b", "difference", quantities, checks, notes, T, t0, horizon
     )
@@ -578,7 +575,6 @@ def check_ratio_form(
     red = reduce(eq)
     t0 = eq.t0
     checks, notes, mean = _persistence_checks(red.a, "the positive-side coefficient", t0)
-    notes = list(notes)
     quantities = [Quantity("mean_a", mean, "long-run mean value of a")]
 
     d1, d2, gap_label = _gap_pair(eq, red)
@@ -621,26 +617,9 @@ def check_ratio_form(
     g_identity = not eq.distributed_terms and all(
         isinstance(t.delay, IdentityDelay) for t in eq.negative_terms
     )
-    if S <= _INV_E:
-        checks.append(
-            make_check(
-                "positive-side window integral within the no-expansion bound 1/e",
-                S,
-                _INV_E,
-                strict=False,
-                direction="<",
-            )
-        )
-    else:
-        checks.append(
-            make_check(
-                "positive-side window integral exceeds the no-expansion bound 1/e",
-                S,
-                _INV_E,
-                strict=True,
-                direction=">",
-            )
-        )
+    checks.append(_no_expansion("positive-side", S))
+    # The exact complement of the entry test: a NaN S takes these checks too.
+    if not S <= _INV_E:
         if proportional and g_identity:
             checks.append(
                 make_check(
@@ -684,10 +663,6 @@ def check_ratio_form(
                     direction="<",
                 )
             )
-
-    if not all(c_.satisfied for c_ in checks):
-        return _conclude(name, ASYMPTOTIC, quantities, checks, notes)
-
     return _persistence_upgrade(
         name, red.a, "a", "positive side", quantities, checks, notes, T, t0, horizon
     )
@@ -742,13 +717,7 @@ def check_nondelay_dominant(
     ]
     notes = list(_limited_note(a_lo, r_hi))
     checks = [
-        make_check(
-            "undelayed coefficient vanishes only on a negligible fraction of times",
-            tf.vanishing_fraction(a, t0),
-            _VANISH_LIMIT,
-            strict=True,
-            direction="<",
-        ),
+        _vanishing_check(a, "undelayed coefficient", t0),
         make_check(
             "undelayed coefficient bounded away from zero",
             a_lo.value,
@@ -803,8 +772,4 @@ def evaluate_all(
 
 
 def best_verdict(certs) -> str:
-    best = INCONCLUSIVE
-    for c in certs:
-        if _VERDICT_RANK[c.verdict] > _VERDICT_RANK[best]:
-            best = c.verdict
-    return best
+    return max((c.verdict for c in certs), key=_VERDICT_RANK.__getitem__, default=INCONCLUSIVE)

@@ -222,16 +222,11 @@ def check_les_removal(
         direction=">",
     )
     if not precondition.satisfied:
-        return cr.Certificate(
-            name=name,
-            verdict=cr.MARGINAL if precondition.marginal else cr.INCONCLUSIVE,
-            quantities=tuple(quantities),
-            checks=(precondition,),
-            notes=(
-                "linearization has two nonnegative delayed removal terms; "
-                "the two-sided stability tests do not apply",
-            ),
-        )
+        # The failed precondition leaves the rule Marginal or Inconclusive.
+        return cr._conclude(name, cr.INCONCLUSIVE, quantities, [precondition], [
+            "linearization has two nonnegative delayed removal terms; "
+            "the two-sided stability tests do not apply"
+        ])
     lin = linearize(model)
     routes = [cr.check_diff_form(lin, T, horizon=horizon)]
     routes.append(cr.check_ratio_form(lin, T, horizon=horizon))
@@ -241,13 +236,10 @@ def check_les_removal(
     notes.append(
         "verdict certifies local exponential stability of the positive equilibrium"
     )
-    return cr.Certificate(
-        name=name,
-        verdict=best.verdict,
-        quantities=tuple(quantities) + best.quantities,
-        checks=(precondition,) + best.checks,
-        notes=tuple(notes),
-    )
+    # A UniformExponential or Asymptotic route has every check satisfied, so
+    # the rule gives its verdict back.
+    return cr._conclude(name, best.verdict, quantities + list(best.quantities),
+                        [precondition, *best.checks], notes)
 
 
 def production_stability_checks(
@@ -328,7 +320,6 @@ def check_les_production(
     x_star = equilibrium(model)
     t0 = 0.0
     pre, notes, mean = cr._persistence_checks(model.s, "the rate coefficient", t0)
-    notes = list(notes)
     cond, (quantities, limited) = production_stability_checks(model, horizon=horizon)
     notes.extend(limited)
     quantities = (
