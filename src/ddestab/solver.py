@@ -810,13 +810,13 @@ def integrate_columns(
     keeps its own ``delayed``, its own float recurrence and its own scalar
     steps, so it gets the bits ``integrate`` gives it alone.
 
-    The geometry (mesh, landings, placements and the sin calls of the
-    plans) is also reused across calls: the last one built is returned
-    again for the same start, end, step, sites, ``allow_extrapolation``
-    and constant-history flag, when every site is a ``ConstantLag`` point
-    read or a window starting at one. A site at a ``GeneralDelay`` builds
-    its geometry anew on every call, so its delay is called, and checked,
-    on every run.
+    The geometry (mesh, landings and the sin calls of the plans) is also
+    reused across calls: the last one built is returned again for the same
+    start, end, step, sites, ``allow_extrapolation`` and constant-history
+    flag, when every site is a point read at a ``ConstantLag``. A window
+    builds its geometry anew on every call, and so does a site at a
+    ``GeneralDelay``, so that its delay is called, and checked, on every
+    run.
     """
     if initial_values is None:
         initial_values = [None] * len(targets)
@@ -1086,10 +1086,10 @@ class _Geometry:
 
 def _geometry(t0, t1, step, sites, allow_extrapolation, constant) -> _Geometry:
     """The ``_Geometry`` of these arguments: the one last built when every
-    site lands without calling the caller's code (point reads at a
-    ``ConstantLag`` and windows that start at one), else a new one, so that a
-    general delay is called, and checked, on every run."""
-    if all(type(s.window_start if isinstance(s, _Window) else s) is tf.ConstantLag for s in sites):
+    site is a point read at a ``ConstantLag``, else a new one. A general
+    delay is so called, and checked, on every run, and the placed records of
+    a window, which no two calls share, are not kept past their run."""
+    if all(type(s) is tf.ConstantLag for s in sites):
         # 0.0 == -0.0 as a key, but a mesh from -0.0 holds other bits.
         signs = (math.copysign(1.0, t0), math.copysign(1.0, t1))
         return _shared_geometry(t0, t1, step, sites, allow_extrapolation, constant, signs)
@@ -1110,9 +1110,9 @@ class _Column:
     ``div_time`` is t0 when the run ends at its start slope, and the time
     it diverged at once a step ends it."""
 
-    __slots__ = ("geo", "index", "hist", "before", "jump0", "want_left", "touched_end",
-                 "touched_left", "tail", "xs", "ms", "mls", "pieces", "rhs", "table", "delayed",
-                 "current", "limit", "div_time")
+    __slots__ = ("geo", "index", "hist", "before", "jump0", "want_left", "touched_left", "tail",
+                 "xs", "ms", "mls", "pieces", "rhs", "table", "delayed", "current", "limit",
+                 "div_time")
 
     def __init__(self, geo, index, rhs, hist, x0, limit, waves):
         self.geo, self.index, self.hist, self.limit = geo, index, hist, limit
@@ -1124,10 +1124,9 @@ class _Column:
         # to x0, except while evaluating quantities tied to the left limit.
         self.jump0 = abs(x0 - h0) > 1e-15 * max(1.0, abs(x0))
         self.want_left = False
-        # Whether the reads since the last ``prepare`` used the last node or the
-        # predictor (they change once the step is pushed), or the left limit of
-        # the start-time jump (they change with ``want_left``).
-        self.touched_end = self.touched_left = False
+        # Whether the reads since the last ``prepare`` used the left limit of the
+        # start-time jump (they change with ``want_left``).
+        self.touched_left = False
         # The integral over the last finished step whole, once a window read at
         # the current state has formed it; each step and each push clear it.
         self.tail = None
@@ -1168,13 +1167,11 @@ class _Column:
         if tau <= last + 1e-12 * max(1.0, abs(last)):
             i = bisect.bisect_right(nodes, tau, 0, n) - 1
             if i >= n - 1:
-                self.touched_end = True
                 return xs[-1]
             if i < 0:
                 return xs[0]
             return _hermite(nodes[i], xs[i], self.ms[i], nodes[i + 1], xs[i + 1], self.mls[i + 1], tau)
         if geo.extrapolate:
-            self.touched_end = True
             return xs[-1] + (tau - last) * self.ms[-1]
         raise DomainError(
             "delayed read at %g ahead of completed segment end %g" % (tau, last)
@@ -1193,7 +1190,6 @@ class _Column:
                     "window reaches %g ahead of completed segment end %g" % (hi, last)
                 )
             # The predictor, integrated exactly over the sliver past the end.
-            self.touched_end = True
             a = max(lo, last)
             total += (hi - a) * (xs[-1] + (0.5 * (a + hi) - last) * ms[-1])
             hi = last
@@ -1212,7 +1208,6 @@ class _Column:
         if span is not None:
             total = _history_integral(self.hist, span[0], span[1], self.geo.step)
         if over:
-            self.touched_end = True
             total += c1 * (xs[-1] + c2 * ms[-1])
         if i >= 0:
             part = h * (w0 * xs[i] + w1 * ms[i] + w2 * xs[i + 1] + w3 * mls[i + 1])
@@ -1236,7 +1231,7 @@ class _Column:
         each window slot from its record in ``win``; either at the site
         where that is NaN or None.
         """
-        self.touched_end = self.touched_left = False
+        self.touched_left = False
         try:
             if cv is None:
                 cv = [f(t) for f in _time_fns(self.rhs.coeffs)]
@@ -1298,14 +1293,10 @@ class _Column:
             self.div_time = tb
             return
         # The node slopes reuse k4's time part (a k4 that overflowed has
-        # ended the run), and its reads unless one of them saw the step end,
-        # which the push has just replaced.
+        # ended the run) and read again, since the push has replaced the step
+        # end; a read that did not reach it lands in the same finished step.
         cv_end = at_end[0]
-        if self.touched_end:
-            at_end = self.prepare(tb, end_tau, post_win, cv_end)
-            m_left = self.stage(xb, at_end)
-        else:
-            m_left = self.stage(xb, at_end) if self.current is not None else k4
+        m_left = self.stage(xb, self.prepare(tb, end_tau, post_win, cv_end))
         self.want_left = False
         if self.touched_left:
             m_right = self.stage(xb, self.prepare(tb, end_tau, post_win, cv_end))

@@ -1281,11 +1281,9 @@ def test_property_placed_windows_are_the_site_read_bit_for_bit(start, width, his
                                                                 unstable, mix, lag, a, step):
     args = (start, width, history, jump, unstable, mix, lag, a, step)
     placed = _outcome(lambda: _window_property_run(*args))
-    # Placement off: every window slot is read at the site. The geometry memo
-    # is bypassed, or a window at a ConstantLag would get the placed geometry
-    # of the run above back.
-    with mock.patch.object(sv, "_placed_window", lambda lo, *rest: [None] * lo.size), \
-            mock.patch.object(sv, "_shared_geometry", sv._shared_geometry.__wrapped__):
+    # Placement off: every window slot is read at the site. A run with a
+    # window builds its geometry anew, so it cannot get the placed one back.
+    with mock.patch.object(sv, "_placed_window", lambda lo, *rest: [None] * lo.size):
         site = _outcome(lambda: _window_property_run(*args))
     assert placed == site
 
@@ -1809,9 +1807,11 @@ _LAG = (tf.ConstantLag(1.0),)
 def test_repeated_arguments_share_one_geometry():
     geo = sv._geometry(0.0, 10.0, 0.05, _LAG, False, True)
     assert sv._geometry(0.0, 10.0, 0.05, (tf.ConstantLag(1.0),), False, True) is geo
+    # A window builds anew, and leaves the kept geometry as it is.
     window = (sv._Window(tf.ConstantLag(1.0), cr.UniformKernel(0.5)),)
-    assert sv._geometry(0.0, 10.0, 0.05, window, False, True) is sv._geometry(
+    assert sv._geometry(0.0, 10.0, 0.05, window, False, True) is not sv._geometry(
         0.0, 10.0, 0.05, window, False, True)
+    assert sv._geometry(0.0, 10.0, 0.05, _LAG, False, True) is geo
 
 
 def test_runs_of_one_family_share_the_geometry_and_keep_their_bits():
@@ -1873,9 +1873,8 @@ def test_the_step_check_raises_on_every_call():
 
 
 def test_a_shared_geometry_is_read_only():
-    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(0.4, 1.3, 0.2), tf.ConstantLag(1.0))],
-                                distributed_terms=[cr.DistributedTerm(1, tf.constant(0.1),
-                                                                      tf.ConstantLag(0.5))])
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(0.4, 1.3, 0.2), tf.ConstantLag(1.0)),
+                                                cr.Term(tf.constant(0.1), tf.ConstantLag(0.5))])
     sv.integrate(eq, 0.8, 5.0, step=0.05)
     geo = sv._geometry(0.0, 5.0, 0.05, sv._make_rhs(eq, None).sites, False, True)
     assert sv._shared_geometry.cache_info().hits == 1
