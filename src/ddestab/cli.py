@@ -151,7 +151,7 @@ def _dump(rule, value):
         return rule.dump(value)
     if isinstance(rule, _Family):
         for name, shape in rule.shapes.items():
-            if isinstance(value, shape.cls):
+            if type(value) is shape.cls:  # a subclass may redefine what the fields describe
                 return {rule.tag: name, **_dump(shape, value)}
         raise ConfigError("%s %r is not serializable" % (rule.noun, type(value).__name__))
     return {f.key: _dump(f.rule, getattr(value, f.attr or f.key)) for f in rule.fields}

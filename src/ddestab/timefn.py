@@ -6,20 +6,21 @@ so window integrals are closed-form differences rather than quadratures.
 Each coefficient derives its asymptotic class (constant, periodic, or
 general with an analysis horizon) from its structure. The class, or a
 given horizon's, is the time range of an essential extremum: one point,
-one period, or the horizon. Every coefficient the constructors build is a
-step part plus a trigonometric polynomial in one base frequency (its
-normal form), which decides pointwise questions exactly:
+one period, or the horizon. The coefficients are closed: each is exactly
+of a class the constructors make, and is a step part plus a trigonometric
+polynomial (its normal form); any other class, a library class's subclass
+too, raises TypeError. The normal form decides pointwise questions exactly:
 proportionality, vanishing, domination and nonnegativity, and the extrema
 of a coefficient or of a ratio with a positive denominator. It also gives
 every window extremum at constant lags: between two kinks a window
 integral is a trigonometric polynomial plus a linear term, read at its
 kinks and stationary points. A step-only ratio whose denominator reaches
 zero is read once per piece. The rest (general delays, other ratios whose
-denominator reaches zero, waves with no common base frequency, coefficient
-classes of the caller's own) is searched on a grid with a golden-section
-refinement of each local maximum. With a normal form the grid takes one
-numpy pass (a general delay is read once per grid and the reads are shared
-between searches), but every value reported is the coefficient's own.
+denominator reaches zero, waves with no common base frequency) is
+searched on a grid with a golden-section refinement of each local
+maximum. The grid takes one numpy pass from the normal form (a general
+delay is read once per grid and the reads are shared between searches),
+but every value reported is the coefficient's own.
 Over a general delay, a coefficient nonnegative by construction is at most
 its integral over [t - lag_bound, t], the lag envelope; a local maximum
 whose bracket that bounds below the best value read is not refined, with
@@ -196,7 +197,11 @@ def representative_span(cls: AsymptoticClass) -> float:
 
 
 class Coefficient:
-    """A nonnegative function of time with an exact antiderivative."""
+    """A nonnegative function of time with an exact antiderivative.
+
+    The solver integrates any subclass by its ``value``; searches and
+    certificates take only the constructors' own classes (see ``_normal_form``).
+    """
 
     def value(self, t: float) -> float:
         raise NotImplementedError
@@ -398,9 +403,9 @@ def piecewise_constant(
 
 
 def scaled(factor: float, inner: Coefficient) -> Coefficient:
-    if isinstance(inner, ConstantCoefficient):
+    if type(inner) is ConstantCoefficient:
         return ConstantCoefficient(factor * inner.v)
-    if isinstance(inner, SinSqCoefficient):
+    if type(inner) is SinSqCoefficient:
         return SinSqCoefficient(factor * inner.amplitude, inner.angular_freq, inner.phase)
     return ScaledCoefficient(float(factor), inner)
 
@@ -409,7 +414,7 @@ def coeff_sum(terms: Sequence[Coefficient]) -> Coefficient:
     terms = tuple(terms)
     if len(terms) == 1:
         return terms[0]
-    if terms and all(isinstance(c, ConstantCoefficient) for c in terms):
+    if terms and all(type(c) is ConstantCoefficient for c in terms):
         return ConstantCoefficient(sum(c.v for c in terms))
     return SumCoefficient(terms)
 
@@ -420,14 +425,14 @@ def difference(a: Coefficient, b: Coefficient) -> Coefficient:
     Structural simplifications keep the result exact for the common shapes
     (constants, equal-frequency oscillations, shared scaled bases).
     """
-    if isinstance(a, ConstantCoefficient) and isinstance(b, ConstantCoefficient):
+    if type(a) is ConstantCoefficient and type(b) is ConstantCoefficient:
         d = a.v - b.v
         if d < -1e-9 * max(1.0, a.v):
             raise ValueError("difference is negative")
         return ConstantCoefficient(max(d, 0.0))
     if (
-        isinstance(a, SinSqCoefficient)
-        and isinstance(b, SinSqCoefficient)
+        type(a) is SinSqCoefficient
+        and type(b) is SinSqCoefficient
         and abs(a.angular_freq - b.angular_freq) < 1e-12
         and abs(a.phase - b.phase) < 1e-12
     ):
@@ -435,7 +440,7 @@ def difference(a: Coefficient, b: Coefficient) -> Coefficient:
         if d < -1e-9 * max(1.0, a.amplitude):
             raise ValueError("difference is negative")
         return SinSqCoefficient(max(d, 0.0), a.angular_freq, a.phase)
-    if isinstance(b, ConstantCoefficient) and b.v == 0.0:
+    if type(b) is ConstantCoefficient and b.v == 0.0:
         return a
     t = domination_violation([a], [b])
     if t is not None:
@@ -500,41 +505,43 @@ class _NormalForm:
         return (np.exp(1j * np.multiply.outer(ts, f)) @ (w / (1j * f) if integrated else w)).real
 
 
-def _normal_form(*parts) -> Optional[_NormalForm]:
+def _normal_form(*parts) -> _NormalForm:
     """The normal form of the sum of weight * c over the (weight, c) parts.
 
-    None when a part is not built from the constant, sinsq and piecewise
-    constant constructors by scaling, summing and signed combination.
+    Raises TypeError unless each part is exactly of a class the constructors
+    make (a subclass may redefine its values).
     """
     try:
         return _normal_form_memo(*parts)
-    except TypeError:  # only hashing raises it: a caller's own unhashable class has none
-        return None
+    except TypeError as exc:  # a part of another class, or an unhashable one
+        raise TypeError("a coefficient must be built by constant, sinsq, piecewise_constant, "
+                        "scaled, coeff_sum or difference (%s)" % exc) from None
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _normal_form_memo(*parts) -> Optional[_NormalForm]:
+def _normal_form_memo(*parts) -> _NormalForm:
     waves, steps, todo, signed = {}, [], list(parts), False
     while todo:
         w, c = todo.pop()
         signed = signed or w < 0.0
-        if isinstance(c, ConstantCoefficient):
+        kind = type(c)
+        if kind is ConstantCoefficient:
             steps.append(((), (w * c.v,)))
-        elif isinstance(c, SinSqCoefficient):
+        elif kind is SinSqCoefficient:
             half = w * c.amplitude / 2.0
             steps.append(((), (half,)))
             f = 2.0 * c.angular_freq
             waves[f] = waves.get(f, 0.0) - half * cmath.exp(2j * c.phase)
-        elif isinstance(c, PiecewiseConstantCoefficient):
+        elif kind is PiecewiseConstantCoefficient:
             steps.append((c.breakpoints, tuple(w * v for v in c.values)))
-        elif isinstance(c, ScaledCoefficient):
+        elif kind is ScaledCoefficient:
             todo.append((w * c.factor, c.inner))
-        elif isinstance(c, SumCoefficient):
+        elif kind is SumCoefficient:
             todo.extend((w, term) for term in c.terms)
-        elif isinstance(c, _LinearCombination):
+        elif kind is _LinearCombination:
             todo.extend((w * weight, part) for weight, part in c.parts)
         else:
-            return None
+            raise TypeError("%s has no normal form" % kind.__name__)
     bps = tuple(sorted(set().union(*(b for b, _ in steps))))
     levels = tuple(sum(v[bisect_right(b, t)] for b, v in steps) for t in (-math.inf,) + bps)
     waves = tuple((f, w) for f, w in sorted(waves.items()) if w != 0)
@@ -647,14 +654,15 @@ def domination_violation(
 
     None when sum(pos) - sum(neg) stays above -1e-9 times the larger
     side's magnitude (at least -1e-9). Exact from the normal form; searched
-    over the representative span when there is none or its waves have no
-    common frequency.
+    over the representative span when its waves have no common frequency.
+    Raises TypeError when neg is not empty and a coefficient has no normal
+    form: then domination cannot be decided.
     """
     if not neg:
         return None
     parts = [(1.0, c) for c in pos] + [(-1.0, c) for c in neg]
     nf = _normal_form(*parts)
-    least = None if nf is None else _least(nf, t0, math.inf)
+    least = _least(nf, t0, math.inf)
     if least is not None:
         t, value = least
         scale = max(_normal_form(*((1.0, c) for c in side)).bound for side in (pos, neg))
@@ -664,8 +672,8 @@ def domination_violation(
             t0 if t0 > -math.inf else 0.0,
             merge_classes([c.asymptotic_class for _, c in parts]),
             0.0,
-            () if nf is None else nf.breakpoints,
-            None if nf is None else (lambda xs: -nf.values(xs)),
+            nf.breakpoints,
+            lambda xs: -nf.values(xs),
         )
         t, value = info.argmax, -info.value
         scale = max(abs(c.value(t)) for _, c in parts)
@@ -678,14 +686,12 @@ def proportional_ratio(num: Coefficient, den: Coefficient) -> Optional[float]:
     Decided from the normal forms: num - k * den must vanish, every level
     and wave of it within 1e-9 of the magnitudes. A scaling of den gives
     its factor; otherwise k is the ratio of the largest levels, or of the
-    magnitudes when den has no level. None also without a normal form.
+    magnitudes when den has no level. TypeError without a normal form.
     """
     n, d = _normal_form((1.0, num)), _normal_form((1.0, den))
-    if n is None or d is None:
-        return None
     if d.bound == 0.0:
         return 0.0 if n.bound == 0.0 else None
-    if isinstance(num, ScaledCoefficient) and num.inner == den:
+    if type(num) is ScaledCoefficient and num.inner == den:
         k = num.factor
     else:
         d_top = max(map(abs, d.levels))
@@ -765,11 +771,12 @@ Delay = ConstantLag | IdentityDelay | GeneralDelay
 def canonical_delay(d: Delay) -> Delay:
     """``d``, or ``IdentityDelay()`` for a zero ``ConstantLag``: both read x(t).
 
-    Raises TypeError for anything but a ``Delay``: a delayed argument of
-    another class is wrapped as ``GeneralDelay(fn, lag_bound)``, which
-    checks every value it returns.
+    Raises TypeError for anything but exactly a ``Delay`` class (a subclass
+    may read other times than its lag says): a delayed argument of another
+    class is wrapped as ``GeneralDelay(fn, lag_bound)``, which checks every
+    value it returns.
     """
-    if not isinstance(d, Delay):
+    if type(d) not in (ConstantLag, IdentityDelay, GeneralDelay):
         raise TypeError(
             "a delay must be a ConstantLag, IdentityDelay or GeneralDelay, not %s; "
             "wrap a delayed argument as GeneralDelay(fn, lag_bound)" % type(d).__name__
@@ -793,11 +800,8 @@ class _Envelope:
 
 
 def _as_lag(d: Delay) -> Optional[float]:
-    if isinstance(d, ConstantLag):
-        return d.lag
-    if isinstance(d, IdentityDelay):
-        return 0.0
-    return None
+    """The lag of a constant lag or the identity; None for a general delay."""
+    return None if type(d) is GeneralDelay else d.lag_bound
 
 
 def _pointwise(delays: tuple, pick: Callable, opposite: Callable) -> Delay:
@@ -976,12 +980,10 @@ def _gap_values(c: Coefficient, d1: Delay, d2: Delay):
     """The integral of c over [d1(t), d2(t)] at each of the times xs, as an array function.
 
     From the normal form's antiderivative, with the general delays read
-    once per grid. None without a normal form.
+    once per grid.
     """
     nf = _normal_form((1.0, c))
     general = tuple(d for d in (d1, d2) if _as_lag(d) is None)
-    if nf is None:
-        return None
 
     def values(xs: np.ndarray) -> np.ndarray:
         reads = iter(_delay_samples(general, xs.tobytes()).T)
@@ -1017,7 +1019,7 @@ def _gap_bounds(c: Coefficient, d1: Delay, d2: Delay):
     ``signed``).
     """
     nf = _normal_form((1.0, c))
-    if nf is None or nf.signed:
+    if nf.signed:
         return None
     reach = max(d1.lag_bound, d2.lag_bound) + 1e-9
     knots = max(map(abs, nf.breakpoints), default=0.0)
@@ -1046,12 +1048,12 @@ def _window_extrema(c: Coefficient, near: float, far: float, t0: float, cls, pad
     range's ends, every kink and every zero of W', moved outward by a few
     ulps when c has waves. A single wave (f, w) over at least its period has
     the closed form level L +- |w| |sin(f L/2)| / (f/2), L = far - near, the
-    infimum floored at 0 unless c is signed. Without a normal form on one
-    base frequency, the grid searches, holding every kink.
+    infimum floored at 0 unless c is signed. Waves with no common base
+    frequency are searched on the grid, which holds every kink.
     """
     lo, hi, limited = _scan_range(t0, cls, pad)
     nf = _normal_form((1.0, c))
-    if nf is not None and len(nf.waves) == 1 and not nf.breakpoints and (
+    if len(nf.waves) == 1 and not nf.breakpoints and (
         isinstance(cls, PeriodicClass)
         or (isinstance(cls, GeneralClass) and cls.analysis_horizon >= _TAU / nf.waves[0][0])
     ):
@@ -1064,18 +1066,18 @@ def _window_extrema(c: Coefficient, near: float, far: float, t0: float, cls, pad
         t_top, t_low = (lo + (x - cmath.phase(hat) - lo * f) % _TAU / f for x in (0.0, math.pi))
         return (SupInfo(half + swing + ulps, t_top, limited),
                 SupInfo(low if nf.signed else max(low, 0.0), t_low, limited))
-    harm = _harmonics(nf) if nf is not None and nf.waves else None
-    kinks = sorted({b + s for b in (() if nf is None else nf.breakpoints) for s in (near, far)})
+    harm = _harmonics(nf) if nf.waves else None
+    kinks = sorted({b + s for b in nf.breakpoints for s in (near, far)})
 
     def window(t: float) -> float:
         return c.integral(t - far, t - near)
 
-    if nf is None or (nf.waves and harm is None):
-        values = None if nf is None else (
-            lambda xs: nf.antiderivatives(xs - near) - nf.antiderivatives(xs - far))
+    def values(xs: np.ndarray) -> np.ndarray:
+        return nf.antiderivatives(xs - near) - nf.antiderivatives(xs - far)
+
+    if nf.waves and harm is None:
         top = _maximize(window, t0, cls, pad, kinks, values)
-        low = _maximize(lambda t: -window(t), t0, cls, pad, kinks,
-                        None if nf is None else (lambda xs: -values(xs)))
+        low = _maximize(lambda t: -window(t), t0, cls, pad, kinks, lambda xs: -values(xs))
         return top, SupInfo(-low.value, low.argmax, low.horizon_limited)
     nu, angles = 1.0, None
     if harm is not None:
@@ -1141,7 +1143,7 @@ def sup_between_delays_info(
     of sup W and -inf W, W the integral from the farther to the nearer lag.
     """
     nf = _normal_form((1.0, c))
-    if isinstance(d2, IdentityDelay) and nf is not None and not nf.signed:
+    if isinstance(d2, IdentityDelay) and not nf.signed:
         return sup_window_integral_info(c, d1, t0, horizon=horizon)
     cls = _search_class([c.asymptotic_class], [d1, d2], horizon)
     pad = max(d1.lag_bound, d2.lag_bound)
@@ -1156,7 +1158,7 @@ def sup_between_delays_info(
         return SupInfo(0.0, float(t0), True)
     gap = _gap_values(c, d1, d2)
     return _maximize(lambda t: abs(c.integral(d1(t), d2(t))), t0, cls, pad, (),
-                     None if gap is None else (lambda xs: np.abs(gap(xs))), _gap_bounds(c, d1, d2))
+                     lambda xs: np.abs(gap(xs)), _gap_bounds(c, d1, d2))
 
 
 def sup_between_delays(
@@ -1224,9 +1226,9 @@ def ratio_extrema(
     cls = _search_class([num.asymptotic_class, den.asymptotic_class], [], horizon)
     lo, hi, limited = _scan_range(t0, cls, 0.0)
     forms = (_normal_form((1.0, num)), _normal_form((1.0, den)))
-    harm = None if None in forms else _harmonics(*forms)
+    harm = _harmonics(*forms)
     least = None if harm is None else _least(forms[1], lo, hi)
-    bps = () if None in forms else sorted(set(forms[0].breakpoints).union(forms[1].breakpoints))
+    bps = sorted(set(forms[0].breakpoints).union(forms[1].breakpoints))
     if least is not None and least[1] > 1e-12 * forms[1].bound:
         nu, (p, q) = harm
         K = (len(p) - 1) // 2
@@ -1257,24 +1259,21 @@ def ratio_extrema(
             return math.inf
         return nv / dv
 
-    if None in forms:
-        ratios = None
-    elif not (forms[0].waves or forms[1].waves):
+    if not (forms[0].waves or forms[1].waves):
         # Without waves the ratio is constant on each piece: one read each.
         reads = [(ratio_at(t), t) for t, _ in _candidates(bps, False, lo, hi, 1.0, None)]
         (r_hi, t_hi), (r_lo, t_lo) = (
             max(reads, key=lambda r: _finite(sign * r[0])) for sign in (1.0, -1.0))
         return SupInfo(_finite(r_hi), t_hi, limited), SupInfo(-_finite(-r_lo), t_lo, limited)
-    else:
-        def ratios(xs: np.ndarray) -> np.ndarray:
-            nv, dv = forms[0].values(xs), forms[1].values(xs)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(np.abs(dv) <= floor,
-                                np.where(np.abs(nv) <= tol, math.nan, math.inf), nv / dv)
+
+    def ratios(xs: np.ndarray) -> np.ndarray:
+        nv, dv = forms[0].values(xs), forms[1].values(xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(np.abs(dv) <= floor,
+                            np.where(np.abs(nv) <= tol, math.nan, math.inf), nv / dv)
 
     r_hi = _maximize(ratio_at, t0, cls, 0.0, bps, ratios)
-    r_lo = _maximize(lambda t: -ratio_at(t), t0, cls, 0.0, bps,
-                     None if ratios is None else (lambda xs: -ratios(xs)))
+    r_lo = _maximize(lambda t: -ratio_at(t), t0, cls, 0.0, bps, lambda xs: -ratios(xs))
     return r_hi, SupInfo(-r_lo.value, r_lo.argmax, r_lo.horizon_limited)
 
 
@@ -1312,12 +1311,10 @@ def vanishing_fraction(c: Coefficient, t0: float = 0.0) -> float:
     The tail starts at t0, or past a step part's last breakpoint, since a
     transient is a null fraction of all t >= t0. Waves vanish only on a null
     set, and from the tail start a coefficient without waves has one level,
-    so c vanishes on all of the tail or on none of it. NaN when c has no
+    so c vanishes on all of the tail or on none of it. TypeError without a
     normal form.
     """
     nf = _normal_form((1.0, c))
-    if nf is None:
-        return math.nan
     if nf.waves:
         return 0.0
     return 1.0 if nf.level(_tail_start(c.asymptotic_class, t0)) == 0.0 else 0.0

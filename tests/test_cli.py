@@ -158,6 +158,18 @@ def test_general_delay_is_not_serializable():
         cli.target_to_config(eq)
 
 
+def test_a_subclass_of_a_serializable_class_is_not_serializable():
+    class Surge(tf.ConstantCoefficient):
+        """0.2 by its field, but 3.2 on [0, 0.5): written as its field, it read back as 0.2."""
+
+        def value(self, t):
+            return self.v + (3.0 if 0.0 <= t < 0.5 else 0.0)
+
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(Surge(0.2), tf.ConstantLag(1.0))])
+    with pytest.raises(cli.ConfigError, match="coefficient 'Surge' is not serializable"):
+        cli.serialize_config(eq)
+
+
 def test_parse_overrides():
     assert cli.parse_overrides(["r=4", "sigma=1.1"]) == {"r": 4.0, "sigma": 1.1}
     assert cli.parse_overrides([]) == {}

@@ -256,6 +256,73 @@ def test_domination_sees_a_sinsq_peak_between_samples():
         )
 
 
+class _Surge(tf.ConstantCoefficient):
+    """A constant by its class, not by its values: v, plus 3 on [0, 0.5) mod 2 pi."""
+
+    def value(self, t):
+        return self.v + (3.0 if t % (2.0 * math.pi) < 0.5 else 0.0)
+
+    def antiderivative(self, t):
+        k, r = divmod(t, 2.0 * math.pi)
+        return self.v * t + 3.0 * (0.5 * k + min(r, 0.5))
+
+    @property
+    def asymptotic_class(self):
+        return tf.PeriodicClass(2.0 * math.pi)
+
+
+class _Spike(tf.Coefficient):
+    """0.2, plus 3 on |t mod 2 pi - 1.0047| < 1e-4: narrower than any search grid."""
+
+    def value(self, t):
+        return 0.2 + (3.0 if abs(t % (2.0 * math.pi) - 1.0047) < 1e-4 else 0.0)
+
+    def antiderivative(self, t):
+        k, r = divmod(t, 2.0 * math.pi)
+        return 0.2 * t + 3.0 * (2e-4 * k + min(max(r - 1.0046, 0.0), 2e-4))
+
+    @property
+    def asymptotic_class(self):
+        return tf.PeriodicClass(2.0 * math.pi)
+
+
+class _Drift(tf.ConstantLag):
+    """A constant lag by its class that reads x(t - 4) whatever its lag."""
+
+    def __call__(self, t):
+        return t - 4.0
+
+
+def _against_half_at_lag_one(b):
+    """x' + 0.5 x(t - 1) - b x(t) = 0, certified by every checker."""
+    return cr.evaluate_all(cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(0.5), tf.ConstantLag(1.0))],
+        negative_terms=[cr.Term(b, tf.IdentityDelay())]))
+
+
+_CONSTRUCTORS = r"constant, sinsq, piecewise_constant, scaled, coeff_sum or difference"
+
+
+# Each once certified UniformExponential on a quantity that was not the true one.
+@pytest.mark.parametrize("probe, match", [
+    # b > a on 8% of every period; diff and ratio forms read b as the constant 0.2.
+    (lambda: _against_half_at_lag_one(_Surge(0.2)), _CONSTRUCTORS),
+    # The linearization's scaling rebuilt the rate as a plain constant.
+    (lambda: md.check_les_removal(md.MackeyGlassRemoval(
+        r=_Surge(0.2), beta=2.0, gamma=1.0, n=1.5, g=tf.ConstantLag(1.0), h=tf.ConstantLag(0.5))),
+     _CONSTRUCTORS),
+    # S = 0.45 was read at lag 1; at the true lag 4, 0.45 * 4 > pi / 2 is unstable.
+    (lambda: cr.evaluate_all(cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(0.45), _Drift(1.0))])),
+     r"as GeneralDelay\(fn, lag_bound\)"),
+    # The ratio form read R_sup = 0.4 off a grid; the true esssup b / a is 6.4.
+    (lambda: _against_half_at_lag_one(_Spike()), _CONSTRUCTORS),
+], ids=["surge", "surge_removal", "drift", "spike"])
+def test_a_class_outside_the_library_is_refused_before_any_certificate(probe, match):
+    with pytest.raises(TypeError, match=match):
+        probe()
+
+
 def test_non_finite_check_sides_fail_closed():
     for lhs, rhs in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (math.inf, math.inf)):
         for strict in (True, False):

@@ -1564,6 +1564,14 @@ _TREES = st.recursive(_LEAVES, lambda parts: st.one_of(
 ), max_leaves=6)
 
 
+def _leaves(f) -> list:
+    """The leaves of a drawn tree."""
+    if type(f) is tf.ScaledCoefficient:
+        return _leaves(f.inner)
+    parts = f.terms if type(f) is tf.SumCoefficient else [c for _, c in getattr(f, "parts", ())]
+    return [leaf for c in parts for leaf in _leaves(c)] or [f]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(trees=st.lists(_TREES, min_size=1, max_size=3),
        times=st.lists(st.floats(-5.0, 20.0), max_size=8))
@@ -1578,6 +1586,14 @@ def test_property_the_plan_is_the_scalar_time_part_bit_for_bit(trees, times):
     for column, f in zip(table.T, sv._time_fns(coeffs)):
         want = [f(t) for t in times]
         assert column.tobytes() == np.array(want, dtype=float).tobytes()
+    # The plan reads a leaf through its scalar value exactly where timefn has
+    # no normal form: both walks know the same classes.
+    for tree in trees:
+        if any(type(leaf) is _OwnCoefficient for leaf in _leaves(tree)):
+            with pytest.raises(TypeError, match="_OwnCoefficient has no normal form"):
+                tf._normal_form((1.0, tree))
+        else:
+            tf._normal_form((1.0, tree))
 
 
 def test_the_plan_takes_a_difference_in_its_own_order():

@@ -32,6 +32,8 @@ SUP_SINSQ_PI_HALFLAG = 0.25 + 1.0 / (2.0 * math.pi)
 SUP_GAP_110_100 = 0.05 + math.sin(0.1 * math.pi) / (2.0 * math.pi)
 # min_t int_t^{t+2} sin^2(s) ds = 1 - sin(2)/2.
 INF_SINSQ_LEN2 = 1.0 - math.sin(2.0) / 2.0
+# What a coefficient outside the library is told to be built with.
+_CONSTRUCTORS = r"constant, sinsq, piecewise_constant, scaled, coeff_sum or difference"
 
 
 def dense_sup(fn, lo, hi, n=1_000_000):
@@ -285,31 +287,18 @@ def test_ratio_extrema_unbounded():
     assert hi.value == math.inf
 
 
-class _OwnPeriodic(tf.Coefficient):
-    """A periodic coefficient of the caller's own: no normal form, so it is searched."""
-
-    def __init__(self, fn, period):
-        self.fn, self.period = fn, period
-
-    def value(self, t):
-        return self.fn(t)
-
-    @property
-    def asymptotic_class(self):
-        return tf.PeriodicClass(self.period)
-
-
-def test_ratio_of_own_classes_whose_denominator_vanishes_is_pinned():
-    den = _OwnPeriodic(lambda t: math.sin(t) ** 2, math.pi)
-    # A numerator that stays positive makes the supremum infinite at t = 0.
-    hi, lo = tf.ratio_extrema(_OwnPeriodic(lambda t: 1.0 + math.cos(t) ** 2, math.pi), den)
+def test_ratio_whose_wave_denominator_vanishes_is_pinned():
+    den = tf.sinsq(1.0, 1.0)
+    # A numerator that stays positive, 1 + cos^2(t), makes the supremum infinite at t = 0.
+    hi, lo = tf.ratio_extrema(tf.coeff_sum([tf.constant(1.0), tf.sinsq(1.0, 1.0, math.pi / 2.0)]),
+                              den)
     assert hi == tf.SupInfo(math.inf, 0.0, False)
     assert lo == tf.SupInfo(1.0, 1.5707963198096195, False)
-    # One that vanishes with it leaves 1 + cos(t)/2 with t = 0 excluded.
-    num = _OwnPeriodic(lambda t: math.sin(t) ** 2 * (1.0 + 0.5 * math.cos(t)), 2.0 * math.pi)
-    hi, lo = tf.ratio_extrema(num, den)
-    assert hi == tf.SupInfo(1.49999999999975, 1.0002462229565892e-06, False)
-    assert lo == tf.SupInfo(0.50000000000025, 3.1415916535707487, False)
+    # One that vanishes with it, sin^2(t) (1 + 2 cos^2(t)), leaves 1 + 2 cos^2(t)
+    # with the zeros of sin(t) excluded.
+    hi, lo = tf.ratio_extrema(tf.coeff_sum([tf.sinsq(1.0, 1.0), tf.sinsq(0.5, 2.0)]), den)
+    assert hi == tf.SupInfo(2.9999999999980003, 3.1415916533411528, False)
+    assert lo == tf.SupInfo(1.0, 1.5707963198096195, False)
 
 
 def test_step_only_ratio_whose_denominator_vanishes_is_read_once_per_piece(monkeypatch):
@@ -653,7 +642,7 @@ def test_gap_ending_at_t_is_the_window_for_a_nonnegative_coefficient():
         gap = tf.sup_between_delays_info(c, lag, tf.IdentityDelay(), 0.5, horizon=12.0)
         assert gap == tf.sup_window_integral_info(c, lag, 0.5, horizon=12.0)
 
-    # A coefficient that goes negative keeps the search for sup |F|.
+    # A class of the caller's own has no normal form to vouch for its sign: refused.
     @dataclass(frozen=True)
     class MinusOne(tf.Coefficient):
         def value(self, t):
@@ -666,10 +655,10 @@ def test_gap_ending_at_t_is_the_window_for_a_nonnegative_coefficient():
         def asymptotic_class(self):
             return tf.ConstantClass()
 
-    window = tf.sup_window_integral_info(MinusOne(), lag, horizon=12.0)
-    gap = tf.sup_between_delays_info(MinusOne(), lag, tf.IdentityDelay(), horizon=12.0)
-    assert window.value == pytest.approx(-1.0, abs=1e-9)
-    assert gap.value == pytest.approx(1.5, abs=1e-9)
+    with pytest.raises(TypeError, match=_CONSTRUCTORS):
+        tf.sup_window_integral_info(MinusOne(), lag, horizon=12.0)
+    with pytest.raises(TypeError, match=_CONSTRUCTORS):
+        tf.sup_between_delays_info(MinusOne(), lag, tf.IdentityDelay(), horizon=12.0)
     # A signed combination is nonnegative only within a tolerance: it is searched too.
     signed = tf.difference(tf.constant(1.0), tf.sinsq(0.5, 1.0))
     misses = tf.sup_window_integral_info.cache_info().misses
@@ -871,29 +860,75 @@ def test_grid_fallback_holds_every_kink():
         tf.difference(tf.constant(3.0), c)
 
 
+class _OwnHalf(tf.Coefficient):
+    """The constant 0.5 as a class of the caller's own, hashed by identity."""
+
+    def value(self, t):
+        return 0.5
+
+    def antiderivative(self, t):
+        return 0.5 * t
+
+    @property
+    def asymptotic_class(self):
+        return tf.ConstantClass()
+
+
+@dataclass  # compares by value, so it has no hash
+class _UnhashableHalf(_OwnHalf):
+    pass
+
+
+class _SubSinSq(tf.SinSqCoefficient):
+    """A subclass of a library class, which may redefine anything."""
+
+
+# Memoized searches hash their arguments first, so an unhashable class meets
+# the memo's own TypeError before any normal form is taken.
+_MEMOIZED = {"sup_window_integral", "sup_window_integral_general", "sup_between_delays",
+             "liminf_forward_integral", "ratio_extrema", "coefficient_extrema"}
+_SEARCHES = {
+    "sup_window_integral": lambda c: tf.sup_window_integral(c, tf.ConstantLag(1.0)),
+    "sup_window_integral_general": lambda c: tf.sup_window_integral(
+        c, tf.GeneralDelay(lambda t: t - 1.0, 1.0), horizon=10.0),
+    "sup_between_delays": lambda c: tf.sup_between_delays(c, tf.ConstantLag(1.5),
+                                                          tf.ConstantLag(0.5)),
+    "liminf_forward_integral": lambda c: tf.liminf_forward_integral(c, 1.0),
+    "ratio_extrema": lambda c: tf.ratio_extrema(tf.constant(1.0), c),
+    "coefficient_extrema": lambda c: tf.coefficient_extrema(c),
+    "domination_violation": lambda c: tf.domination_violation([tf.constant(1.0)], [c]),
+    "proportional_ratio": lambda c: tf.proportional_ratio(c, tf.constant(1.0)),
+    "vanishing_fraction": lambda c: tf.vanishing_fraction(c),
+}
+
+
 def test_coefficient_class_of_its_own_may_be_unhashable():
     from ddestab import criteria as cr
 
-    @dataclass  # compares by value, so it has no hash
-    class Half(tf.Coefficient):
-        def value(self, t):
-            return 0.5
+    assert _UnhashableHalf.__hash__ is None
+    with pytest.raises(TypeError, match=_CONSTRUCTORS + r" \(unhashable type: '_UnhashableHalf'\)"):
+        tf._normal_form((1.0, _UnhashableHalf()))
+    # With no negative side there is no domination to decide, and the solver
+    # integrates the class through its value.
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(_UnhashableHalf(), tf.ConstantLag(1.0))])
+    assert eq.positive_terms[0].coeff == _UnhashableHalf()
+    with pytest.raises(TypeError, match=_CONSTRUCTORS):
+        cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(1.0), tf.IdentityDelay())],
+                               negative_terms=[cr.Term(_UnhashableHalf(), tf.ConstantLag(1.0))])
 
-        def antiderivative(self, t):
-            return 0.5 * t
 
-        @property
-        def asymptotic_class(self):
-            return tf.ConstantClass()
-
-    assert Half.__hash__ is None
-    assert tf._normal_form((1.0, Half())) is None
-    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(1.0), tf.IdentityDelay())],
-                                negative_terms=[cr.Term(Half(), tf.ConstantLag(1.0))])
-    assert eq.negative_terms[0].coeff == Half()
-    with pytest.raises(ValueError, match="domination"):
-        cr.LinearDelayEquation(positive_terms=[cr.Term(tf.constant(0.4), tf.IdentityDelay())],
-                               negative_terms=[cr.Term(Half(), tf.ConstantLag(1.0))])
+@pytest.mark.parametrize("wrap", [lambda c: c, lambda c: tf.scaled(2.0, c)], ids=["bare", "scaled"])
+@pytest.mark.parametrize("own", [_OwnHalf(), _UnhashableHalf(), _SubSinSq(0.5, 1.0)],
+                         ids=["own", "unhashable", "subclass"])
+@pytest.mark.parametrize("search", sorted(_SEARCHES))
+def test_a_coefficient_outside_the_library_has_no_normal_form_and_is_refused(search, own, wrap):
+    c = wrap(own)
+    assert type(c) is not tf.SinSqCoefficient  # the scaling keeps the subclass
+    match = _CONSTRUCTORS
+    if type(own) is _UnhashableHalf and search in _MEMOIZED:
+        match = "unhashable type: '_UnhashableHalf'"
+    with pytest.raises(TypeError, match=match):
+        _SEARCHES[search](c)
 
 
 # ---------------------------------------------------------------------------
@@ -1098,36 +1133,23 @@ def test_property_envelope_bounds_hold_over_every_skipped_bracket(c, lower, othe
                 assert max(fn(t) for t in np.linspace(lo, hi, 129).tolist()) <= top
 
 
-def test_signed_combinations_and_own_classes_refine_every_local_maximum(monkeypatch):
+def test_signed_combinations_refine_every_local_maximum(monkeypatch):
     calls = []
     golden = tf._golden_max
     monkeypatch.setattr(tf, "_golden_max", lambda *args: calls.append(args) or golden(*args))
-
-    class OwnWave(tf.Coefficient):
-        def value(self, t):
-            return 0.8 * math.sin(1.3 * t) ** 2
-
-        def antiderivative(self, t):
-            return 0.8 * (t / 2.0 - math.sin(2.6 * t) / 5.2)
-
-        @property
-        def asymptotic_class(self):
-            return tf.PeriodicClass(math.pi / 1.3)
-
     signed = tf.difference(tf.coeff_sum([tf.sinsq(0.5, 1.0), tf.constant(0.6)]),
                            tf.sinsq(0.4, 2.0))
     assert tf._normal_form((1.0, signed)).signed
     lower, other = _wobble(1.0, 0.4, 0.9), _wobble(0.5, 0.3, 1.7)
-    for c in (signed, OwnWave()):
-        for search, fn, pad in _general_searches(c, lower, other, 30.0):
-            calls.clear()
-            info = search()
-            lo, hi = 0.0, 30.0 + pad
-            vals = np.array([fn(lo + (hi - lo) * k / tf._GRID) for k in range(tf._GRID + 1)])
-            sides = np.concatenate(([-math.inf], vals, [-math.inf]))
-            peaks = np.count_nonzero((vals >= sides[:-2]) & (vals >= sides[2:]))
-            assert len(calls) == peaks
-            assert info == tf._maximize(fn, 0.0, tf.GeneralClass(30.0), pad)
+    for search, fn, pad in _general_searches(signed, lower, other, 30.0):
+        calls.clear()
+        info = search()
+        lo, hi = 0.0, 30.0 + pad
+        vals = np.array([fn(lo + (hi - lo) * k / tf._GRID) for k in range(tf._GRID + 1)])
+        sides = np.concatenate(([-math.inf], vals, [-math.inf]))
+        peaks = np.count_nonzero((vals >= sides[:-2]) & (vals >= sides[2:]))
+        assert len(calls) == peaks
+        assert info == tf._maximize(fn, 0.0, tf.GeneralClass(30.0), pad)
 
 
 class _OwnDelay:
