@@ -3,15 +3,17 @@ and essential extrema consumed by the stability criteria.
 
 Coefficients are nonnegative functions of time with exact antiderivatives,
 so window integrals are closed-form differences rather than quadratures.
-Each coefficient derives its asymptotic class (constant, periodic, or
-general with an analysis horizon) from its structure. The class, or a
-given horizon's, is the time range of an essential extremum: one point,
-one period, or the horizon. The coefficients are closed: each is exactly
-of a class the constructors make, and is a step part plus a trigonometric
-polynomial (its normal form); any other class, a library class's subclass
-too, raises TypeError. The normal form decides pointwise questions exactly:
-proportionality, vanishing, domination and nonnegativity, and the extrema
-of a coefficient or of a ratio with a positive denominator. It also gives
+The coefficients are closed: each is exactly of a class the constructors
+make, and is a step part plus a trigonometric polynomial (its normal
+form); any other class, a library class's subclass too, raises TypeError.
+Each coefficient's asymptotic class is read off its normal form: general
+with an analysis horizon when it has steps, periodic when it has waves
+only (their common period, or a ConfigurationError when they have none),
+constant otherwise. The class, or a given horizon's, is the time range of
+an essential extremum: one point, one period, or the horizon. The normal
+form also decides pointwise questions exactly: proportionality,
+vanishing, domination and nonnegativity, and the extrema of a
+coefficient or of a ratio with a positive denominator. It gives
 every window extremum at constant lags: between two kinks a window
 integral is a trigonometric polynomial plus a linear term, read at its
 kinks and stationary points. A step-only ratio whose denominator reaches
@@ -81,8 +83,6 @@ __all__ = [
     "coefficient_extrema",
     "persistent_mean",
     "vanishing_fraction",
-    "merge_classes",
-    "representative_span",
 ]
 
 _GRID = 1024
@@ -150,47 +150,6 @@ class GeneralClass:
 AsymptoticClass = ConstantClass | PeriodicClass | GeneralClass
 
 
-def merge_classes(classes: Sequence[AsymptoticClass]) -> AsymptoticClass:
-    """Combine the asymptotic classes of several coefficients.
-
-    Any general class dominates (horizons are maxed); periodic classes must
-    share a common period reachable as a small integer multiple of the
-    largest one, otherwise a ConfigurationError names the periods.
-    """
-    generals = [c for c in classes if isinstance(c, GeneralClass)]
-    if generals:
-        return GeneralClass(
-            max(c.analysis_horizon for c in generals), max(c.transient_end for c in generals)
-        )
-    periods = [c.period for c in classes if isinstance(c, PeriodicClass)]
-    if not periods:
-        return ConstantClass()
-    base = max(periods)
-    mult = _common_multiple([base / p for p in periods])
-    if mult is not None:
-        return PeriodicClass(mult * base)
-    raise ConfigurationError(
-        "periodic components (periods %s) have no common period within 64 "
-        "multiples of the longest" % ", ".join("%.6g" % p for p in periods)
-    )
-
-
-def _common_multiple(ratios: Sequence[float]) -> Optional[int]:
-    """The least m <= 64 that makes every m * ratio an integer (to 1e-9), or None."""
-    return next(
-        (m for m in range(1, 65) if all(abs(m * r - round(m * r)) < 1e-9 for r in ratios)), None
-    )
-
-
-def representative_span(cls: AsymptoticClass) -> float:
-    """A time span over which the class's behavior is fully represented."""
-    if isinstance(cls, PeriodicClass):
-        return cls.period
-    if isinstance(cls, GeneralClass):
-        return cls.analysis_horizon
-    return 1.0
-
-
 # ---------------------------------------------------------------------------
 # Coefficients
 # ---------------------------------------------------------------------------
@@ -200,7 +159,8 @@ class Coefficient:
     """A nonnegative function of time with an exact antiderivative.
 
     The solver integrates any subclass by its ``value``; searches and
-    certificates take only the constructors' own classes (see ``_normal_form``).
+    certificates take only the constructors' own classes (see ``_normal_form``),
+    and so does the asymptotic class, which is read off the normal form.
     """
 
     def value(self, t: float) -> float:
@@ -211,7 +171,8 @@ class Coefficient:
 
     @property
     def asymptotic_class(self) -> AsymptoticClass:
-        raise NotImplementedError
+        """Constant, periodic or general (see ``_class_of``); TypeError without a normal form."""
+        return _normal_form((1.0, self)).asymptotic_class
 
     def integral(self, t1: float, t2: float) -> float:
         """Exact integral of the coefficient over [t1, t2]."""
@@ -231,10 +192,6 @@ class ConstantCoefficient(Coefficient):
 
     def antiderivative(self, t: float) -> float:
         return self.v * t
-
-    @property
-    def asymptotic_class(self) -> AsymptoticClass:
-        return ConstantClass()
 
 
 @dataclass(frozen=True)
@@ -259,12 +216,6 @@ class SinSqCoefficient(Coefficient):
     def antiderivative(self, t: float) -> float:
         w = self.angular_freq
         return self.amplitude * (t / 2.0 - math.sin(2.0 * (w * t + self.phase)) / (4.0 * w))
-
-    @property
-    def asymptotic_class(self) -> AsymptoticClass:
-        if self.amplitude == 0.0:
-            return ConstantClass()
-        return PeriodicClass(math.pi / self.angular_freq)
 
 
 @dataclass(frozen=True)
@@ -310,12 +261,6 @@ class PiecewiseConstantCoefficient(Coefficient):
         i = bisect_right(bp, t) - 1
         return self._cum[i] + self.values[i + 1] * (t - bp[i])
 
-    @property
-    def asymptotic_class(self) -> AsymptoticClass:
-        if all(v == self.values[0] for v in self.values):
-            return ConstantClass()
-        return GeneralClass(max(abs(self.breakpoints[-1]), 1.0), self.breakpoints[-1])
-
 
 @dataclass(frozen=True)
 class ScaledCoefficient(Coefficient):
@@ -332,12 +277,6 @@ class ScaledCoefficient(Coefficient):
     def antiderivative(self, t: float) -> float:
         return self.factor * self.inner.antiderivative(t)
 
-    @property
-    def asymptotic_class(self) -> AsymptoticClass:
-        if self.factor == 0.0:
-            return ConstantClass()
-        return self.inner.asymptotic_class
-
 
 @dataclass(frozen=True)
 class SumCoefficient(Coefficient):
@@ -353,10 +292,6 @@ class SumCoefficient(Coefficient):
 
     def antiderivative(self, t: float) -> float:
         return sum(c.antiderivative(t) for c in self.terms)
-
-    @property
-    def asymptotic_class(self) -> AsymptoticClass:
-        return merge_classes([c.asymptotic_class for c in self.terms])
 
 
 @dataclass(frozen=True)
@@ -379,10 +314,6 @@ class _LinearCombination(Coefficient):
 
     def antiderivative(self, t: float) -> float:
         return sum(w * c.antiderivative(t) for w, c in self.parts)
-
-    @property
-    def asymptotic_class(self) -> AsymptoticClass:
-        return merge_classes([c.asymptotic_class for _, c in self.parts])
 
 
 def constant(v: float) -> ConstantCoefficient:
@@ -475,6 +406,10 @@ class _NormalForm:
     def trig(self, t: float) -> float:
         return sum(w.real * math.cos(f * t) - w.imag * math.sin(f * t) for f, w in self.waves)
 
+    @functools.cached_property
+    def asymptotic_class(self) -> AsymptoticClass:
+        return _class_of(self)
+
     @property
     def bound(self) -> float:
         """An upper bound of the coefficient's magnitude."""
@@ -548,6 +483,47 @@ def _normal_form_memo(*parts) -> _NormalForm:
     return _NormalForm(waves, bps, levels, signed)
 
 
+def _class_of(*forms: _NormalForm) -> AsymptoticClass:
+    """The asymptotic class of the forms taken together: the range an extremum is read over.
+
+    Steps make it general: a form whose levels are not all equal is scanned
+    up to max(|b|, 1) from the start and at least to b, b its last
+    breakpoint (the largest over such forms). Otherwise waves make it
+    periodic, with the period of the base frequency that ``_base_multiple``
+    finds, and ConfigurationError names the periods when there is none: the
+    sum is almost periodic, and no one period represents it. Without waves
+    it is constant.
+    """
+    ends = [nf.breakpoints[-1] for nf in forms if any(v != nf.levels[0] for v in nf.levels)]
+    if ends:
+        return GeneralClass(max(max(abs(b), 1.0) for b in ends), max(ends))
+    fs = sorted({f for nf in forms for f, _ in nf.waves})
+    if not fs:
+        return ConstantClass()
+    m = _base_multiple(fs)
+    if m is None:
+        raise ConfigurationError(
+            "periodic components (periods %s) have no common period within 64 "
+            "multiples of the longest" % ", ".join(repr(_TAU / f) for f in fs)
+        )
+    return PeriodicClass(m * (_TAU / fs[0]))
+
+
+def _base_multiple(fs: Sequence[float]) -> Optional[int]:
+    """The least m <= 64 that makes each of the sorted frequencies fs a multiple of fs[0] / m.
+
+    Each k = m f / fs[0] must be within 1e-9 of an integer, and each f within
+    1e-12 f of k fs[0] / m. None when no m passes.
+    """
+    ratios = [f / fs[0] for f in fs]
+    for m in range(1, 65):
+        nu = fs[0] / m
+        if all(abs(m * r - round(m * r)) < 1e-9 and abs(round(f / nu) * nu - f) <= 1e-12 * f
+               for f, r in zip(fs, ratios)):
+            return m
+    return None
+
+
 def _pieces(breakpoints: Sequence[float], lo: float, hi: float) -> list:
     """lo, the breakpoints strictly between lo and hi, and hi."""
     return [lo] + [b for b in breakpoints if lo < b < hi] + [hi]
@@ -556,15 +532,15 @@ def _pieces(breakpoints: Sequence[float], lo: float, hi: float) -> list:
 def _harmonics(*forms: _NormalForm):
     """(nu, arrays): each form's waves as two-sided coefficients c[K + m] of e^{i m nu t}.
 
-    None unless every frequency is a multiple of nu to 1e-12, nu being the
-    lowest frequency over at most 64 (as ``merge_classes`` asks of periods).
+    nu is the lowest frequency over the multiple that ``_base_multiple``
+    finds, the test that ``_class_of`` makes too; None when there is none.
     """
     fs = sorted({f for nf in forms for f, _ in nf.waves}) or [1.0]
-    mult = _common_multiple([f / fs[0] for f in fs])
-    nu = fs[0] / (mult or 1)
-    order = {f: round(f / nu) for f in fs}
-    if mult is None or any(abs(k * nu - f) > 1e-12 * f for f, k in order.items()):
+    mult = _base_multiple(fs)
+    if mult is None:
         return None
+    nu = fs[0] / mult
+    order = {f: round(f / nu) for f in fs}
     K = max(order.values())
     arrays = [np.zeros(2 * K + 1, complex) for _ in forms]
     for nf, c in zip(forms, arrays):
@@ -654,7 +630,7 @@ def domination_violation(
 
     None when sum(pos) - sum(neg) stays above -1e-9 times the larger
     side's magnitude (at least -1e-9). Exact from the normal form; searched
-    over the representative span when its waves have no common frequency.
+    over its class's scan range when its waves have no common frequency.
     Raises TypeError when neg is not empty and a coefficient has no normal
     form: then domination cannot be decided.
     """
@@ -670,7 +646,7 @@ def domination_violation(
         info = _maximize(
             lambda t: -sum(w * c.value(t) for w, c in parts),
             t0 if t0 > -math.inf else 0.0,
-            merge_classes([c.asymptotic_class for _, c in parts]),
+            nf.asymptotic_class,
             0.0,
             nf.breakpoints,
             lambda xs: -nf.values(xs),
@@ -849,14 +825,13 @@ def window_integral(c: Coefficient, lower: Delay, t: float) -> float:
 
 
 def _search_class(
-    classes: Sequence[AsymptoticClass],
+    cls: AsymptoticClass,
     delays: Sequence[Delay],
     horizon: Optional[float],
 ) -> AsymptoticClass:
-    """The class an extremum is searched under: the merged class, or a given horizon's."""
+    """The class an extremum is searched under: the coefficients', or a given horizon's."""
     for d in delays:
         canonical_delay(d)  # raises TypeError for a delay of another class
-    cls = merge_classes(classes)
     if horizon is not None:
         # GeneralClass rejects a non-finite or non-positive horizon with a
         # plain ValueError; criteria would turn a ConfigurationError into
@@ -1108,7 +1083,7 @@ def sup_window_integral_info(
     horizon: Optional[float] = None,
 ) -> SupInfo:
     """Essential supremum over t >= t0 of the integral of c over [lower(t), t]."""
-    cls = _search_class([c.asymptotic_class], [lower], horizon)
+    cls = _search_class(c.asymptotic_class, [lower], horizon)
     lag = _as_lag(lower)
     if lag is not None:
         return _window_extrema(c, 0.0, lag, t0, cls, lag)[0]
@@ -1145,7 +1120,7 @@ def sup_between_delays_info(
     nf = _normal_form((1.0, c))
     if isinstance(d2, IdentityDelay) and not nf.signed:
         return sup_window_integral_info(c, d1, t0, horizon=horizon)
-    cls = _search_class([c.asymptotic_class], [d1, d2], horizon)
+    cls = _search_class(nf.asymptotic_class, [d1, d2], horizon)
     pad = max(d1.lag_bound, d2.lag_bound)
     lags = (_as_lag(d1), _as_lag(d2))
     if None not in lags:
@@ -1188,7 +1163,7 @@ def liminf_forward_integral_info(
     """
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError("length must be finite and positive")
-    cls = _search_class([c.asymptotic_class], [], horizon)
+    cls = _search_class(c.asymptotic_class, [], horizon)
     return _window_extrema(c, -length, 0.0, t0, cls, length)[1]
 
 
@@ -1223,9 +1198,9 @@ def ratio_extrema(
     k = proportional_ratio(num, den)
     if k is not None:
         return SupInfo(k, t0, False), SupInfo(k, t0, False)
-    cls = _search_class([num.asymptotic_class, den.asymptotic_class], [], horizon)
-    lo, hi, limited = _scan_range(t0, cls, 0.0)
     forms = (_normal_form((1.0, num)), _normal_form((1.0, den)))
+    cls = _search_class(_class_of(*forms), [], horizon)
+    lo, hi, limited = _scan_range(t0, cls, 0.0)
     harm = _harmonics(*forms)
     least = None if harm is None else _least(forms[1], lo, hi)
     bps = sorted(set(forms[0].breakpoints).union(forms[1].breakpoints))
@@ -1301,8 +1276,9 @@ def persistent_mean(c: Coefficient, t0: float = 0.0):
     cls = c.asymptotic_class
     if isinstance(cls, ConstantClass):
         return c.value(t0), False
-    span, lo = representative_span(cls), _tail_start(cls, t0)
-    return c.integral(lo, lo + span) / span, isinstance(cls, GeneralClass)
+    general = isinstance(cls, GeneralClass)
+    span, lo = cls.analysis_horizon if general else cls.period, _tail_start(cls, t0)
+    return c.integral(lo, lo + span) / span, general
 
 
 def vanishing_fraction(c: Coefficient, t0: float = 0.0) -> float:

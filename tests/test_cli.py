@@ -630,11 +630,15 @@ def test_readme_python_quick_start_prints_its_comments(capsys):
     assert expected and capsys.readouterr().out.splitlines() == expected
 
 
-def test_check_incommensurate_periods_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("amplitudes, freqs", [
+    ((1.0, 1.0), (1.0, math.sqrt(2.0))),
+    # Commensurate to 1e-11: the window integral passes 1/e near t = 7.9e10,
+    # though a search over one period once certified on S = 0.339.
+    ((0.3, 0.2), (1.0, 2.00000000002)),
+], ids=["sqrt2", "nearly_commensurate"])
+def test_check_incommensurate_periods_exits_2(tmp_path, capsys, amplitudes, freqs):
     rate = {"kind": "sum", "terms": [
-        {"kind": "sinsq", "amplitude": 1.0, "angular_freq": 1.0},
-        {"kind": "sinsq", "amplitude": 1.0, "angular_freq": math.sqrt(2.0)},
-    ]}
+        {"kind": "sinsq", "amplitude": a, "angular_freq": w} for a, w in zip(amplitudes, freqs)]}
     config = tmp_path / "incommensurate.json"
     config.write_text(json.dumps({"schema": 1, "target": {
         "type": "linear", "positive": [{"coeff": rate, "delay": {"lag": 1.0}}]}}))

@@ -293,6 +293,21 @@ class _Drift(tf.ConstantLag):
         return t - 4.0
 
 
+class _Flat(tf.Coefficient):
+    """The constant 0.5 by its values alone, with no asymptotic class of its own."""
+
+    def value(self, t):
+        return 0.5
+
+    def antiderivative(self, t):
+        return 0.5 * t
+
+
+def _flat_at_lag_one():
+    """x' + c x(t - 1) = 0 with c a caller's class, which builds as it has no negative side."""
+    return cr.LinearDelayEquation(positive_terms=[cr.Term(_Flat(), tf.ConstantLag(1.0))])
+
+
 def _against_half_at_lag_one(b):
     """x' + 0.5 x(t - 1) - b x(t) = 0, certified by every checker."""
     return cr.evaluate_all(cr.LinearDelayEquation(
@@ -317,7 +332,14 @@ _CONSTRUCTORS = r"constant, sinsq, piecewise_constant, scaled, coeff_sum or diff
      r"as GeneralDelay\(fn, lag_bound\)"),
     # The ratio form read R_sup = 0.4 off a grid; the true esssup b / a is 6.4.
     (lambda: _against_half_at_lag_one(_Spike()), _CONSTRUCTORS),
-], ids=["surge", "surge_removal", "drift", "spike"])
+    # A class with values only raised a bare NotImplementedError for its asymptotic class.
+    (lambda: cr.check_diff_form(_flat_at_lag_one()), _CONSTRUCTORS),
+    (lambda: cr.check_ratio_form(_flat_at_lag_one()), _CONSTRUCTORS),
+    (lambda: md.check_les_production(md.MackeyGlassProduction(
+        s=_Flat(), beta=2.0, n=4.0, p=tf.ConstantLag(1.0), q=tf.ConstantLag(0.5))),
+     _CONSTRUCTORS),
+], ids=["surge", "surge_removal", "drift", "spike", "flat_diff", "flat_ratio",
+        "flat_production"])
 def test_a_class_outside_the_library_is_refused_before_any_certificate(probe, match):
     with pytest.raises(TypeError, match=match):
         probe()

@@ -380,14 +380,42 @@ def test_equal_delay_envelopes_share_one_search():
     assert (info.hits, info.misses) == (1, 1) and again == first
 
 
-def test_merge_classes():
-    assert tf.merge_classes([tf.ConstantClass(), tf.ConstantClass()]) == tf.ConstantClass()
-    merged = tf.merge_classes([tf.PeriodicClass(1.0), tf.PeriodicClass(0.5)])
-    assert merged == tf.PeriodicClass(1.0)
-    merged = tf.merge_classes([tf.PeriodicClass(math.pi), tf.GeneralClass(9.0)])
-    assert merged == tf.GeneralClass(9.0)
-    with pytest.raises(tf.ConfigurationError):
-        tf.merge_classes([tf.PeriodicClass(math.pi), tf.PeriodicClass(1.0)])
+_PULSE = tf.piecewise_constant([2.0, 5.0], [0.5, 1.5, 0.25])
+_BEAT = [tf.sinsq(1.0, 1.0), tf.sinsq(1.0, math.sqrt(2.0))]
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: tf.constant(2.0), tf.ConstantClass()),
+    # 2 pi / (2 w) keeps the bits of pi / w.
+    (lambda: tf.sinsq(1.3, 0.7, 0.2), tf.PeriodicClass(math.pi / 0.7)),
+    (lambda: tf.sinsq(0.0, 0.7), tf.ConstantClass()),
+    (lambda: tf.piecewise_constant([1.0, 2.0], [0.5, 0.5, 0.5]), tf.ConstantClass()),
+    (lambda: _PULSE, tf.GeneralClass(5.0, 5.0)),
+    (lambda: tf.piecewise_constant([-9.0, -0.5], [1.0, 0.0, 1.0]), tf.GeneralClass(1.0, -0.5)),
+    (lambda: tf.scaled(0.0, _PULSE), tf.ConstantClass()),
+    # Periods 1 and 0.5 share the period 1.
+    (lambda: tf.coeff_sum([tf.sinsq(1.0, math.pi), tf.sinsq(2.0, 2.0 * math.pi)]),
+     tf.PeriodicClass(1.0)),
+    (lambda: tf.coeff_sum([tf.sinsq(1.0, 1.0), _PULSE]), tf.GeneralClass(5.0, 5.0)),
+    (lambda: tf.coeff_sum(_BEAT), tf.ConfigurationError),
+    # Steps beside incommensurate waves: one class however the sum is bracketed.
+    (lambda: tf.coeff_sum(_BEAT + [_PULSE]), tf.GeneralClass(5.0, 5.0)),
+    (lambda: tf.coeff_sum([tf.coeff_sum(_BEAT), _PULSE]), tf.GeneralClass(5.0, 5.0)),
+    # Parts that cancel exactly leave a constant.
+    (lambda: tf.difference(tf.coeff_sum([_PULSE, tf.constant(1.0)]), _PULSE), tf.ConstantClass()),
+    (lambda: tf.difference(tf.coeff_sum([tf.sinsq(0.5, 1.0), tf.constant(1.0)]),
+                           tf.sinsq(0.5, 1.0)), tf.ConstantClass()),
+], ids=["constant", "sinsq", "sinsq_amplitude_0", "equal_steps", "steps", "negative_steps",
+        "scaled_by_0", "periods_1_and_half", "steps_and_waves", "incommensurate",
+        "flat_bracketing", "nested_bracketing", "cancelling_steps", "cancelling_waves"])
+def test_asymptotic_class_is_read_off_the_normal_form(build, expected):
+    if expected is tf.ConfigurationError:
+        # The periods are named at full precision.
+        with pytest.raises(expected, match=re.escape("periods %r, %r" % (
+                math.pi, math.pi / math.sqrt(2.0)))):
+            build().asymptotic_class
+    else:
+        assert build().asymptotic_class == expected
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +746,9 @@ def _scan_range(c, t0=0.0, horizon=None, pad=0.0):
     cls = c.asymptotic_class
     if horizon is None and isinstance(cls, tf.PeriodicClass):
         return t0, t0 + cls.period
-    span = horizon if horizon is not None else tf.representative_span(cls)
-    return t0, t0 + span + pad
+    if horizon is None:
+        horizon = cls.analysis_horizon if isinstance(cls, tf.GeneralClass) else 1.0
+    return t0, t0 + horizon + pad
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
