@@ -938,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="evaluate the analytic certificates")
     add_target(p_check)
     p_check.add_argument("--T", type=float, default=None, help="persistence window length")
-    p_check.add_argument("--horizon", type=float, default=None, help="sup-search horizon for aperiodic rates")
+    p_check.add_argument("--horizon", type=float, default=None, help="sup-search horizon (needed for general delays)")
 
     p_sim = sub.add_parser("simulate", help="integrate a perturbed run and classify it")
     add_target(p_sim)

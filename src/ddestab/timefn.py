@@ -6,23 +6,24 @@ so window integrals are closed-form differences rather than quadratures.
 The coefficients are closed: each is exactly of a class the constructors
 make, and is a step part plus a trigonometric polynomial (its normal
 form); any other class, a library class's subclass too, raises TypeError.
-Each coefficient's asymptotic class is read off its normal form: general
-with an analysis horizon when it has steps, periodic when it has waves
-only (their common period, or a ConfigurationError when they have none),
-constant otherwise. The class, or a given horizon's, is the time range of
-an essential extremum: one point, one period, or the horizon. The normal
-form also decides pointwise questions exactly: proportionality,
-vanishing, domination and nonnegativity, and the extrema of a
-coefficient or of a ratio with a positive denominator. It gives
+Each coefficient's asymptotic class is read off its normal form: a
+transient, up to the last breakpoint where its level changes, then a tail
+that is periodic when it has waves (their common period, or a
+ConfigurationError when they have none) and constant otherwise. An
+essential extremum is read over the transient and one tail period, which
+is all of t >= t0; only an explicit horizon makes the range finite, and
+flags it. The normal form also decides pointwise questions exactly:
+proportionality, vanishing, domination and nonnegativity, and the extrema
+of a coefficient or of a ratio with a positive denominator. It gives
 every window extremum at constant lags: between two kinks a window
 integral is a trigonometric polynomial plus a linear term, read at its
 kinks and stationary points. A step-only ratio whose denominator reaches
-zero is read once per piece. The rest (general delays, other ratios whose
-denominator reaches zero, waves with no common base frequency) is
-searched on a grid with a golden-section refinement of each local
-maximum. The grid takes one numpy pass from the normal form (a general
-delay is read once per grid and the reads are shared between searches),
-but every value reported is the coefficient's own.
+zero is read once per piece. The rest (general delays under a horizon,
+other ratios whose denominator reaches zero) is searched on a grid with a
+golden-section refinement of each local maximum. The grid takes one numpy
+pass from the normal form (a general delay is read once per grid and the
+reads are shared between searches), but every value reported is the
+coefficient's own.
 Over a general delay, a coefficient nonnegative by construction is at most
 its integral over [t - lag_bound, t], the lag envelope; a local maximum
 whose bracket that bounds below the best value read is not refined, with
@@ -116,14 +117,17 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class ConstantClass:
-    """The coefficient is constant in time."""
+    """The coefficient is constant from ``transient_end`` on (-inf: everywhere)."""
+
+    transient_end: float = -math.inf
 
 
 @dataclass(frozen=True)
 class PeriodicClass:
-    """The coefficient is periodic with the given period."""
+    """The coefficient is periodic with the given period from ``transient_end`` on."""
 
     period: float
+    transient_end: float = -math.inf
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.period) and self.period > 0.0):
@@ -132,15 +136,12 @@ class PeriodicClass:
 
 @dataclass(frozen=True)
 class GeneralClass:
-    """No exploitable structure; extrema are scanned up to analysis_horizon.
+    """An explicit analysis horizon: extrema are scanned that far from the start.
 
-    The horizon is counted from the start of the scan. ``transient_end`` is
-    a time the scan reaches whatever its start: a step part's last
-    breakpoint, so a start before the steps still sees them all.
+    No coefficient has this class; a search takes it from its ``horizon``.
     """
 
     analysis_horizon: float
-    transient_end: float = -math.inf
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.analysis_horizon) and self.analysis_horizon > 0.0):
@@ -171,7 +172,10 @@ class Coefficient:
 
     @property
     def asymptotic_class(self) -> AsymptoticClass:
-        """Constant, periodic or general (see ``_class_of``); TypeError without a normal form."""
+        """Constant or periodic past a transient (see ``_class_of``).
+
+        TypeError without a normal form.
+        """
         return _normal_form((1.0, self)).asymptotic_class
 
     def integral(self, t1: float, t2: float) -> float:
@@ -486,34 +490,26 @@ def _normal_form_memo(*parts) -> _NormalForm:
 def _class_of(*forms: _NormalForm) -> AsymptoticClass:
     """The asymptotic class of the forms taken together: the range an extremum is read over.
 
-    Steps make it general: a form whose levels are not all equal is scanned
-    up to max(|b|, 1) from the start and at least to b, b its last
-    breakpoint (the largest over such forms). Otherwise waves make it
-    periodic, with the period of the base frequency that ``_base_multiple``
-    finds, and ConfigurationError names the periods when there is none: the
-    sum is almost periodic, and no one period represents it. Without waves
-    it is constant.
+    The transient ends at the last breakpoint where a form's level changes
+    (the latest over the forms; -inf when none does). From there on each
+    form is its last level plus its waves. So waves make the class periodic,
+    with the period of the base frequency that ``_base_multiple`` finds, and
+    without waves it is constant.
     """
-    ends = [nf.breakpoints[-1] for nf in forms if any(v != nf.levels[0] for v in nf.levels)]
-    if ends:
-        return GeneralClass(max(max(abs(b), 1.0) for b in ends), max(ends))
+    end = max((b for nf in forms for b, v, w in zip(nf.breakpoints, nf.levels, nf.levels[1:])
+               if v != w), default=-math.inf)
     fs = sorted({f for nf in forms for f, _ in nf.waves})
     if not fs:
-        return ConstantClass()
-    m = _base_multiple(fs)
-    if m is None:
-        raise ConfigurationError(
-            "periodic components (periods %s) have no common period within 64 "
-            "multiples of the longest" % ", ".join(repr(_TAU / f) for f in fs)
-        )
-    return PeriodicClass(m * (_TAU / fs[0]))
+        return ConstantClass(end)
+    return PeriodicClass(_base_multiple(fs) * (_TAU / fs[0]), end)
 
 
-def _base_multiple(fs: Sequence[float]) -> Optional[int]:
+def _base_multiple(fs: Sequence[float]) -> int:
     """The least m <= 64 that makes each of the sorted frequencies fs a multiple of fs[0] / m.
 
     Each k = m f / fs[0] must be within 1e-9 of an integer, and each f within
-    1e-12 f of k fs[0] / m. None when no m passes.
+    1e-12 f of k fs[0] / m. ConfigurationError names the periods when no m
+    passes: the sum is almost periodic, and no one period represents it.
     """
     ratios = [f / fs[0] for f in fs]
     for m in range(1, 65):
@@ -521,7 +517,10 @@ def _base_multiple(fs: Sequence[float]) -> Optional[int]:
         if all(abs(m * r - round(m * r)) < 1e-9 and abs(round(f / nu) * nu - f) <= 1e-12 * f
                for f, r in zip(fs, ratios)):
             return m
-    return None
+    raise ConfigurationError(
+        "periodic components (periods %s) have no common period within 64 "
+        "multiples of the longest" % ", ".join(repr(_TAU / f) for f in fs)
+    )
 
 
 def _pieces(breakpoints: Sequence[float], lo: float, hi: float) -> list:
@@ -533,13 +532,10 @@ def _harmonics(*forms: _NormalForm):
     """(nu, arrays): each form's waves as two-sided coefficients c[K + m] of e^{i m nu t}.
 
     nu is the lowest frequency over the multiple that ``_base_multiple``
-    finds, the test that ``_class_of`` makes too; None when there is none.
+    finds, the test that ``_class_of`` makes too.
     """
     fs = sorted({f for nf in forms for f, _ in nf.waves}) or [1.0]
-    mult = _base_multiple(fs)
-    if mult is None:
-        return None
-    nu = fs[0] / mult
+    nu = fs[0] / _base_multiple(fs)
     order = {f: round(f / nu) for f in fs}
     K = max(order.values())
     arrays = [np.zeros(2 * K + 1, complex) for _ in forms]
@@ -609,12 +605,9 @@ def _least(nf: _NormalForm, lo: float, hi: float):
     """(t, value) where the normal form is least on [lo, hi], by its own arithmetic.
 
     An infinite end is cut a period (a unit, without waves) past the outer
-    breakpoints. None when the waves have no common frequency.
+    breakpoints.
     """
-    harm = _harmonics(nf)
-    if harm is None:
-        return None
-    nu, (c,) = harm
+    nu, (c,) = _harmonics(nf)
     period, bps = (_TAU / nu if nf.waves else 1.0), nf.breakpoints or (0.0,)
     lo = bps[0] - period if lo == -math.inf else lo
     hi = max(bps[-1], lo) + period if hi == math.inf else hi
@@ -629,30 +622,16 @@ def domination_violation(
     """The time t >= t0 where sum(neg) most exceeds sum(pos), if beyond tolerance.
 
     None when sum(pos) - sum(neg) stays above -1e-9 times the larger
-    side's magnitude (at least -1e-9). Exact from the normal form; searched
-    over its class's scan range when its waves have no common frequency.
-    Raises TypeError when neg is not empty and a coefficient has no normal
-    form: then domination cannot be decided.
+    side's magnitude (at least -1e-9). Exact from the normal form. Raises
+    TypeError when neg is not empty and a coefficient has no normal form,
+    and ConfigurationError when the waves have no common period: then
+    domination cannot be decided.
     """
     if not neg:
         return None
-    parts = [(1.0, c) for c in pos] + [(-1.0, c) for c in neg]
-    nf = _normal_form(*parts)
-    least = _least(nf, t0, math.inf)
-    if least is not None:
-        t, value = least
-        scale = max(_normal_form(*((1.0, c) for c in side)).bound for side in (pos, neg))
-    else:
-        info = _maximize(
-            lambda t: -sum(w * c.value(t) for w, c in parts),
-            t0 if t0 > -math.inf else 0.0,
-            nf.asymptotic_class,
-            0.0,
-            nf.breakpoints,
-            lambda xs: -nf.values(xs),
-        )
-        t, value = info.argmax, -info.value
-        scale = max(abs(c.value(t)) for _, c in parts)
+    t, value = _least(_normal_form(*((1.0, c) for c in pos), *((-1.0, c) for c in neg)),
+                      t0, math.inf)
+    scale = max(_normal_form(*((1.0, c) for c in side)).bound for side in (pos, neg))
     return t if value < -1e-9 * max(scale, 1.0) else None
 
 
@@ -837,7 +816,7 @@ def _search_class(
         # plain ValueError; criteria would turn a ConfigurationError into
         # an Inconclusive certificate.
         return GeneralClass(float(horizon))
-    if not isinstance(cls, GeneralClass) and any(isinstance(d, GeneralDelay) for d in delays):
+    if any(isinstance(d, GeneralDelay) for d in delays):
         raise ConfigurationError(
             "a general delayed argument needs an explicit analysis horizon"
         )
@@ -877,13 +856,17 @@ def _golden_max(fn, lo: float, hi: float, xtol: float):
 
 
 def _scan_range(t0: float, cls: AsymptoticClass, pad: float):
-    """(lo, hi, horizon_limited): t0 alone, one period from t0, or the
-    horizon, reaching at least the end of the transient, plus pad."""
-    if isinstance(cls, ConstantClass):
-        return t0, t0, False
-    if isinstance(cls, PeriodicClass):
-        return t0, t0 + cls.period, False
-    return t0, max(t0 + cls.analysis_horizon, cls.transient_end) + pad, True
+    """(lo, hi, horizon_limited): the range from t0 that an extremum is read over.
+
+    An explicit horizon gives [t0, t0 + horizon + pad], flagged. Otherwise
+    the range runs through the transient plus pad, past which a window of
+    reach pad sees only the tail, and one tail period more (none for a
+    constant tail): the whole of t >= t0, exactly.
+    """
+    if isinstance(cls, GeneralClass):
+        return t0, t0 + cls.analysis_horizon + pad, True
+    period = cls.period if isinstance(cls, PeriodicClass) else 0.0
+    return t0, max(t0, cls.transient_end + pad) + period, False
 
 
 def _maximize(fn, t0: float, cls, span_pad: float, points=(), values=None, bounds=None) -> SupInfo:
@@ -905,8 +888,6 @@ def _maximize(fn, t0: float, cls, span_pad: float, points=(), values=None, bound
     the search reads anyway, and the best is kept on a strict rise, so the
     value and argmax reported are those of refining every local maximum.
     """
-    if isinstance(cls, ConstantClass):
-        return SupInfo(fn(t0), t0, False)
     lo, hi, limited = _scan_range(t0, cls, span_pad)
     grid = lo + (hi - lo) * np.arange(_GRID + 1) / _GRID
     inside = [x for x in points if lo < x < hi]
@@ -1023,8 +1004,7 @@ def _window_extrema(c: Coefficient, near: float, far: float, t0: float, cls, pad
     range's ends, every kink and every zero of W', moved outward by a few
     ulps when c has waves. A single wave (f, w) over at least its period has
     the closed form level L +- |w| |sin(f L/2)| / (f/2), L = far - near, the
-    infimum floored at 0 unless c is signed. Waves with no common base
-    frequency are searched on the grid, which holds every kink.
+    infimum floored at 0 unless c is signed.
     """
     lo, hi, limited = _scan_range(t0, cls, pad)
     nf = _normal_form((1.0, c))
@@ -1041,22 +1021,10 @@ def _window_extrema(c: Coefficient, near: float, far: float, t0: float, cls, pad
         t_top, t_low = (lo + (x - cmath.phase(hat) - lo * f) % _TAU / f for x in (0.0, math.pi))
         return (SupInfo(half + swing + ulps, t_top, limited),
                 SupInfo(low if nf.signed else max(low, 0.0), t_low, limited))
-    harm = _harmonics(nf) if nf.waves else None
     kinks = sorted({b + s for b in nf.breakpoints for s in (near, far)})
-
-    def window(t: float) -> float:
-        return c.integral(t - far, t - near)
-
-    def values(xs: np.ndarray) -> np.ndarray:
-        return nf.antiderivatives(xs - near) - nf.antiderivatives(xs - far)
-
-    if nf.waves and harm is None:
-        top = _maximize(window, t0, cls, pad, kinks, values)
-        low = _maximize(lambda t: -window(t), t0, cls, pad, kinks, lambda xs: -values(xs))
-        return top, SupInfo(-low.value, low.argmax, low.horizon_limited)
     nu, angles = 1.0, None
-    if harm is not None:
-        nu, (g,) = harm
+    if nf.waves:
+        nu, (g,) = _harmonics(nf)
         K = (len(g) - 1) // 2
         m = np.arange(-K, K + 1)
         slope = g * (np.exp(-1j * nu * near * m) - np.exp(-1j * nu * far * m))
@@ -1066,7 +1034,8 @@ def _window_extrema(c: Coefficient, near: float, far: float, t0: float, cls, pad
             h[K] += nf.level(mid - near) - nf.level(mid - far)
             return _trig_zeros(h)
 
-    values = [(window(t), t) for t, _ in _candidates(kinks, bool(nf.waves), lo, hi, nu, angles)]
+    values = [(c.integral(t - far, t - near), t)
+              for t, _ in _candidates(kinks, bool(nf.waves), lo, hi, nu, angles)]
     (top, t_top), (low, t_low) = (pick(values, key=lambda v: v[0]) for pick in (max, min))
     if nf.waves:
         top += _PAD_ULPS * sum(math.ulp(c.antiderivative(t_top - s)) for s in (near, far))
@@ -1157,8 +1126,8 @@ def liminf_forward_integral_info(
 ) -> SupInfo:
     """Essential infimum over t >= t0 of the integral of c over [t, t+length].
 
-    For constant and periodic coefficients the infimum over one period equals
-    the limit inferior; for general coefficients the scan value is a
+    The scan covers the transient and one tail period, so the value is the
+    infimum over all t >= t0; under an explicit horizon it is a
     horizon-limited stand-in.
     """
     if not (math.isfinite(length) and length > 0.0):
@@ -1201,11 +1170,10 @@ def ratio_extrema(
     forms = (_normal_form((1.0, num)), _normal_form((1.0, den)))
     cls = _search_class(_class_of(*forms), [], horizon)
     lo, hi, limited = _scan_range(t0, cls, 0.0)
-    harm = _harmonics(*forms)
-    least = None if harm is None else _least(forms[1], lo, hi)
+    least = _least(forms[1], lo, hi)
     bps = sorted(set(forms[0].breakpoints).union(forms[1].breakpoints))
-    if least is not None and least[1] > 1e-12 * forms[1].bound:
-        nu, (p, q) = harm
+    if least[1] > 1e-12 * forms[1].bound:
+        nu, (p, q) = _harmonics(*forms)
         K = (len(p) - 1) // 2
 
         def angles(mid: float) -> list:
@@ -1262,35 +1230,28 @@ def coefficient_extrema(
     return ratio_extrema(c, _ONE, t0, horizon=horizon)
 
 
-def _tail_start(cls: AsymptoticClass, t0: float) -> float:
-    """Where the long run is read from: t0, or past a step part's last breakpoint."""
-    return max(t0, cls.transient_end) if isinstance(cls, GeneralClass) else t0
+def persistent_mean(c: Coefficient, t0: float = 0.0) -> float:
+    """The long-run mean value of c, exactly: that of its tail.
 
-
-def persistent_mean(c: Coefficient, t0: float = 0.0):
-    """(long-run mean value, horizon_limited flag).
-
-    Exact for constant and periodic coefficients; for general ones the mean
-    over the analysis horizon from the tail start is reported and flagged.
+    The tail is read from max(t0, transient_end): its one value, or its
+    mean over one period.
     """
     cls = c.asymptotic_class
+    lo = max(t0, cls.transient_end)
     if isinstance(cls, ConstantClass):
-        return c.value(t0), False
-    general = isinstance(cls, GeneralClass)
-    span, lo = cls.analysis_horizon if general else cls.period, _tail_start(cls, t0)
-    return c.integral(lo, lo + span) / span, general
+        return c.value(lo)
+    return c.integral(lo, lo + cls.period) / cls.period
 
 
 def vanishing_fraction(c: Coefficient, t0: float = 0.0) -> float:
     """Fraction of all t >= t0 where c vanishes: 1.0 or 0.0.
 
-    The tail starts at t0, or past a step part's last breakpoint, since a
-    transient is a null fraction of all t >= t0. Waves vanish only on a null
-    set, and from the tail start a coefficient without waves has one level,
-    so c vanishes on all of the tail or on none of it. TypeError without a
-    normal form.
+    The tail is read from max(t0, transient_end), since a transient is a
+    null fraction of all t >= t0. Waves vanish only on a null set, and a
+    tail without waves has one level, so c vanishes on all of the tail or on
+    none of it. TypeError without a normal form.
     """
     nf = _normal_form((1.0, c))
     if nf.waves:
         return 0.0
-    return 1.0 if nf.level(_tail_start(c.asymptotic_class, t0)) == 0.0 else 0.0
+    return 1.0 if nf.level(max(t0, nf.asymptotic_class.transient_end)) == 0.0 else 0.0

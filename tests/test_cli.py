@@ -630,15 +630,19 @@ def test_readme_python_quick_start_prints_its_comments(capsys):
     assert expected and capsys.readouterr().out.splitlines() == expected
 
 
-@pytest.mark.parametrize("amplitudes, freqs", [
-    ((1.0, 1.0), (1.0, math.sqrt(2.0))),
+@pytest.mark.parametrize("amplitudes, freqs, steps", [
+    ((1.0, 1.0), (1.0, math.sqrt(2.0)), []),
     # Commensurate to 1e-11: the window integral passes 1/e near t = 7.9e10,
     # though a search over one period once certified on S = 0.339.
-    ((0.3, 0.2), (1.0, 2.00000000002)),
-], ids=["sqrt2", "nearly_commensurate"])
-def test_check_incommensurate_periods_exits_2(tmp_path, capsys, amplitudes, freqs):
+    ((0.3, 0.2), (1.0, 2.00000000002), []),
+    # A step summand leaves the same waves in the tail.
+    ((1.0, 1.0), (1.0, math.sqrt(2.0)),
+     [{"kind": "piecewise", "breakpoints": [5.0], "values": [0.0, 0.5]}]),
+], ids=["sqrt2", "nearly_commensurate", "sqrt2_with_steps"])
+def test_check_incommensurate_periods_exits_2(tmp_path, capsys, amplitudes, freqs, steps):
     rate = {"kind": "sum", "terms": [
-        {"kind": "sinsq", "amplitude": a, "angular_freq": w} for a, w in zip(amplitudes, freqs)]}
+        {"kind": "sinsq", "amplitude": a, "angular_freq": w} for a, w in zip(amplitudes, freqs)
+    ] + steps}
     config = tmp_path / "incommensurate.json"
     config.write_text(json.dumps({"schema": 1, "target": {
         "type": "linear", "positive": [{"coeff": rate, "delay": {"lag": 1.0}}]}}))

@@ -432,15 +432,19 @@ def test_step_rate_mean_and_vanishing_fraction_read_its_tail():
     # b is zero for all t >= 5; reading [t0, t0 + 5] gave a mean of 0.6 from
     # t0 = 0 and 0.5 from t0 = -10, and a vanishing fraction of 0.
     b = tf.piecewise_constant([4.0, 5.0], [0.5, 1.0, 0.0])
-    for t0 in (0.0, -10.0):
-        assert tf.persistent_mean(b, t0) == (0.0, True)
+    for t0 in (0.0, -10.0, 7.0):
+        assert tf.persistent_mean(b, t0) == 0.0
         assert tf.vanishing_fraction(b, t0) == 1.0
     eq = cr.LinearDelayEquation(positive_terms=[cr.Term(b, tf.ConstantLag(1.0))])
     certs = {c.name: c for c in cr.evaluate_all(eq)}
     assert {q.symbol: q.value for q in certs["diff-form"].quantities}["mean_diff"] == 0.0
     assert {q.symbol: q.value for q in certs["ratio-form"].quantities}["mean_a"] == 0.0
-    # The class stays general, so the structural persistence check still fails.
+    # The structure is known, but the rate is not persistent.
     assert all(c.verdict == cr.INCONCLUSIVE for c in certs.values())
+    for name in ("diff-form", "ratio-form"):
+        failed = [c.description for c in certs[name].checks if not c.satisfied]
+        assert not any("from structure" in d for d in failed)
+        assert any("long-run mean" in d for d in failed)
 
 
 def test_nondelay_dominant_inapplicable_when_positive_delayed():
@@ -541,16 +545,54 @@ def test_default_persistence_window_is_one_period():
     assert any(c.description.endswith("T=3.14159") for c in cert.checks)
 
 
-def test_general_class_persistence_note_names_the_coefficient_once():
+def test_step_rate_certifies_from_its_constant_tail():
+    # The step part is a transient before a constant tail, so persistence is
+    # known from structure and the upgrade holds over all t >= t0.
     rate = tf.piecewise_constant([0.0, 6.0], [1.0, 0.5, 1.0])
     eq = cr.LinearDelayEquation(
         positive_terms=[cr.Term(rate, tf.ConstantLag(0.5))],
         negative_terms=[cr.Term(tf.scaled(0.3, rate), tf.IdentityDelay())],
     )
-    notes = cr.check_diff_form(eq).notes + cr.check_ratio_form(eq).notes
-    for label in ("the coefficient difference", "the positive-side coefficient"):
-        assert label + " has general asymptotic class, so divergence" in " ".join(notes)
-    assert not any("the the" in n for n in notes)
+    for check in (cr.check_diff_form, cr.check_ratio_form):
+        cert = check(eq)
+        assert cert.verdict == cr.UNIFORM_EXPONENTIAL and cert.notes == ()
+    quantities = {q.symbol: q.value for q in cr.check_diff_form(eq).quantities}
+    # a - b = 0.7 rate: the lag-0.5 window inside the level-1 tail, and the
+    # forward unit window inside the level-0.5 band.
+    assert quantities["mean_diff"] == pytest.approx(0.7, abs=1e-15)
+    assert quantities["S"] == pytest.approx(0.35, abs=1e-15)
+    assert quantities["liminf_T"] == pytest.approx(0.35, abs=1e-15)
+
+
+def test_a_wave_rate_is_read_past_its_steps():
+    # Past t = 12 the rate is 2 sin^2 t, which reaches 0; a scan that stopped
+    # at the last breakpoint read a_inf = 0.5758 there and certified.
+    a = tf.coeff_sum([tf.scaled(2.0, tf.sinsq(1.0, 1.0)),
+                      tf.piecewise_constant([0.0, 1.0, 12.0], [0.0, 1.0, 1.0, 0.0])])
+    eq = cr.LinearDelayEquation(
+        positive_terms=[cr.Term(a, tf.IdentityDelay())],
+        negative_terms=[cr.Term(tf.scaled(0.5, a), tf.ConstantLag(1.0))],
+    )
+    cert = cr.check_nondelay_dominant(eq)
+    assert cert.verdict != cr.UNIFORM_EXPONENTIAL
+    assert {q.symbol: q.value for q in cert.quantities}["a_inf"] <= 1e-12
+
+
+def test_a_window_is_read_one_tail_period_past_the_steps():
+    # Past t = 5 the rate is 0.3 sin^2 t + 0.15: its lag-1 window reaches
+    # 0.4262 and its mean is 0.30. A scan over [0, 5 + 1] read S = 0.3311,
+    # "within 1/e", and a mean of 0.2781 over [5, 10].
+    a = tf.coeff_sum([tf.sinsq(0.3, 1.0), tf.piecewise_constant([0.0, 5.0], [0.0, 0.0, 0.15])])
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(a, tf.ConstantLag(1.0))])
+    for check, mean, window in ((cr.check_diff_form, "mean_diff", "S"),
+                                (cr.check_ratio_form, "mean_a", "S_a")):
+        cert = check(eq)
+        quantities = {q.symbol: q.value for q in cert.quantities}
+        assert quantities[window] >= 0.4262
+        assert quantities[mean] == pytest.approx(0.30, abs=1e-12)
+        descriptions = [c.description for c in cert.checks]
+        assert any("exceeds the no-expansion bound" in d for d in descriptions)
+        assert not any("within the no-expansion bound" in d for d in descriptions)
 
 
 def test_certificate_serialization_shape():

@@ -229,12 +229,13 @@ def test_liminf_forward_integral():
         tf.liminf_forward_integral(c, 0.0)
 
 
-def test_general_class_scan_is_flagged():
+def test_step_rate_scan_is_flagged_only_under_a_horizon():
     c = tf.piecewise_constant([0.0, 5.0], [0.2, 1.0, 0.4])
     info = tf.sup_window_integral_info(c, tf.ConstantLag(2.0))
-    assert info.horizon_limited
+    assert not info.horizon_limited
     # The largest lag-2 window sits entirely inside the value-1.0 band.
     assert info.value == pytest.approx(2.0, abs=1e-9)
+    assert tf.sup_window_integral_info(c, tf.ConstantLag(2.0), horizon=10.0).horizon_limited
 
 
 def test_general_delay_requires_horizon():
@@ -325,12 +326,13 @@ def test_coefficient_extrema():
 
 
 def test_persistent_mean():
-    mean, limited = tf.persistent_mean(tf.sinsq(0.8, 1.0))
-    assert mean == pytest.approx(0.4, abs=1e-12) and not limited
-    mean, limited = tf.persistent_mean(tf.constant(0.4))
-    assert mean == 0.4 and not limited
-    mean, limited = tf.persistent_mean(tf.piecewise_constant([0.0, 2.0], [0.0, 1.0, 0.5]))
-    assert limited
+    assert tf.persistent_mean(tf.sinsq(0.8, 1.0)) == pytest.approx(0.4, abs=1e-12)
+    assert tf.persistent_mean(tf.constant(0.4)) == 0.4
+    # The tail past the last breakpoint: its one level, or its mean over a period.
+    assert tf.persistent_mean(tf.piecewise_constant([0.0, 2.0], [0.0, 1.0, 0.5])) == 0.5
+    c = tf.coeff_sum([tf.sinsq(0.8, 1.0), tf.piecewise_constant([0.0, 2.0], [0.0, 1.0, 0.5])])
+    assert tf.persistent_mean(c) == pytest.approx(0.9, abs=1e-12)
+    assert tf.persistent_mean(c, 7.0) == pytest.approx(0.9, abs=1e-12)
 
 
 def test_vanishing_fraction():
@@ -390,24 +392,27 @@ _BEAT = [tf.sinsq(1.0, 1.0), tf.sinsq(1.0, math.sqrt(2.0))]
     (lambda: tf.sinsq(1.3, 0.7, 0.2), tf.PeriodicClass(math.pi / 0.7)),
     (lambda: tf.sinsq(0.0, 0.7), tf.ConstantClass()),
     (lambda: tf.piecewise_constant([1.0, 2.0], [0.5, 0.5, 0.5]), tf.ConstantClass()),
-    (lambda: _PULSE, tf.GeneralClass(5.0, 5.0)),
-    (lambda: tf.piecewise_constant([-9.0, -0.5], [1.0, 0.0, 1.0]), tf.GeneralClass(1.0, -0.5)),
+    # The transient ends at the last breakpoint where the level changes.
+    (lambda: _PULSE, tf.ConstantClass(5.0)),
+    (lambda: tf.piecewise_constant([-9.0, -0.5], [1.0, 0.0, 1.0]), tf.ConstantClass(-0.5)),
+    (lambda: tf.piecewise_constant([1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 1.0]), tf.ConstantClass(1.0)),
     (lambda: tf.scaled(0.0, _PULSE), tf.ConstantClass()),
     # Periods 1 and 0.5 share the period 1.
     (lambda: tf.coeff_sum([tf.sinsq(1.0, math.pi), tf.sinsq(2.0, 2.0 * math.pi)]),
      tf.PeriodicClass(1.0)),
-    (lambda: tf.coeff_sum([tf.sinsq(1.0, 1.0), _PULSE]), tf.GeneralClass(5.0, 5.0)),
+    (lambda: tf.coeff_sum([tf.sinsq(1.0, 1.0), _PULSE]), tf.PeriodicClass(math.pi, 5.0)),
     (lambda: tf.coeff_sum(_BEAT), tf.ConfigurationError),
-    # Steps beside incommensurate waves: one class however the sum is bracketed.
-    (lambda: tf.coeff_sum(_BEAT + [_PULSE]), tf.GeneralClass(5.0, 5.0)),
-    (lambda: tf.coeff_sum([tf.coeff_sum(_BEAT), _PULSE]), tf.GeneralClass(5.0, 5.0)),
+    # Steps beside incommensurate waves are refused as the waves alone are,
+    # however the sum is bracketed.
+    (lambda: tf.coeff_sum(_BEAT + [_PULSE]), tf.ConfigurationError),
+    (lambda: tf.coeff_sum([tf.coeff_sum(_BEAT), _PULSE]), tf.ConfigurationError),
     # Parts that cancel exactly leave a constant.
     (lambda: tf.difference(tf.coeff_sum([_PULSE, tf.constant(1.0)]), _PULSE), tf.ConstantClass()),
     (lambda: tf.difference(tf.coeff_sum([tf.sinsq(0.5, 1.0), tf.constant(1.0)]),
                            tf.sinsq(0.5, 1.0)), tf.ConstantClass()),
 ], ids=["constant", "sinsq", "sinsq_amplitude_0", "equal_steps", "steps", "negative_steps",
-        "scaled_by_0", "periods_1_and_half", "steps_and_waves", "incommensurate",
-        "flat_bracketing", "nested_bracketing", "cancelling_steps", "cancelling_waves"])
+        "equal_tail_steps", "scaled_by_0", "periods_1_and_half", "steps_and_waves",
+        "incommensurate", "flat_bracketing", "nested_bracketing", "cancelling_steps", "cancelling_waves"])
 def test_asymptotic_class_is_read_off_the_normal_form(build, expected):
     if expected is tf.ConfigurationError:
         # The periods are named at full precision.
@@ -742,13 +747,13 @@ def commensurate_sums(draw, base):
 
 
 def _scan_range(c, t0=0.0, horizon=None, pad=0.0):
-    """The range an extremum covers: one period, or the span plus pad."""
+    """A range an extremum must cover: the horizon plus pad, or else the
+    transient plus pad and one tail period past it (a unit for a constant tail)."""
+    if horizon is not None:
+        return t0, t0 + horizon + pad
     cls = c.asymptotic_class
-    if horizon is None and isinstance(cls, tf.PeriodicClass):
-        return t0, t0 + cls.period
-    if horizon is None:
-        horizon = cls.analysis_horizon if isinstance(cls, tf.GeneralClass) else 1.0
-    return t0, t0 + horizon + pad
+    period = cls.period if isinstance(cls, tf.PeriodicClass) else 1.0
+    return t0, max(t0, cls.transient_end + pad) + period
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -806,18 +811,17 @@ def test_extrema_of_several_frequencies_come_from_the_companion_matrix():
     assert hi.value > c.value(hi.argmax) and lo.value < c.value(lo.argmax)
 
 
-def test_incommensurate_waves_keep_the_search():
-    # A step summand makes the class general, so sqrt(2) and 1 may mix;
-    # proportionality and vanishing are still exact.
+def test_steps_beside_incommensurate_waves_are_refused():
+    # Past the step, sqrt(2) and 1 mix as they do alone: no one period shows
+    # every value. Proportionality and vanishing are still exact.
     c = tf.coeff_sum([tf.sinsq(1.0, 1.0), tf.sinsq(1.0, math.sqrt(2.0)),
                       tf.piecewise_constant([5.0], [0.0, 0.5])])
-    assert tf._harmonics(tf._normal_form((1.0, c))) is None
     assert tf.proportional_ratio(tf.scaled(2.0, c), c) == 2.0
     assert tf.vanishing_fraction(c) == 0.0
-    hi, lo = tf.coefficient_extrema(c)
-    lo_t, hi_t = _scan_range(c)
-    values = [c.value(lo_t + (hi_t - lo_t) * j / 4096) for j in range(4097)]
-    assert lo.value <= min(values) + 1e-9 and max(values) <= hi.value + 1e-9
+    for read in (lambda: c.asymptotic_class, lambda: tf._harmonics(tf._normal_form((1.0, c))),
+                 lambda: tf.coefficient_extrema(c), lambda: tf.persistent_mean(c)):
+        with pytest.raises(tf.ConfigurationError, match="no common period"):
+            read()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -872,20 +876,21 @@ def test_window_extrema_at_constant_lags_are_never_searched(monkeypatch):
     assert top <= gap.value <= top + 1e-6
 
 
-def test_grid_fallback_holds_every_kink():
-    # sqrt(2) and 1 have no common base frequency, so the window is searched
-    # on the grid; the 0.02-wide pulse is narrower than its 0.245 cells.
+def test_windows_and_domination_beside_incommensurate_waves_are_refused():
+    # No grid search stands in for the missing period, with or without a
+    # horizon, and domination is not decided on one either.
     pulse = tf.piecewise_constant([250.37, 250.39], [0.0, 10.0, 0.0])
     c = tf.coeff_sum([tf.sinsq(1.0, 1.0), tf.sinsq(1.0, math.sqrt(2.0)), pulse])
-    assert tf._harmonics(tf._normal_form((1.0, c))) is None
-    info = tf.sup_window_integral_info(c, tf.ConstantLag(0.02))
-    scan = max(antiderivative_scan(c, lambda F, t: F(t) - F(t - 0.02), 250.3, 250.5))
-    assert scan > 0.2
-    assert scan <= info.value + 1e-12
-    gap = tf.sup_between_delays_info(c, tf.ConstantLag(1.02), tf.ConstantLag(1.0))
-    assert scan <= gap.value + 1e-12
-    # The domination check's grid holds the breakpoints too.
-    with pytest.raises(ValueError, match="negative at t=250.37"):
+    for horizon in (None, 300.0):
+        for search in (
+            lambda: tf.sup_window_integral_info(c, tf.ConstantLag(0.02), horizon=horizon),
+            lambda: tf.sup_between_delays_info(c, tf.ConstantLag(1.02), tf.ConstantLag(1.0),
+                                               horizon=horizon),
+            lambda: tf.liminf_forward_integral_info(c, 0.02, horizon=horizon),
+        ):
+            with pytest.raises(tf.ConfigurationError, match="no common period"):
+                search()
+    with pytest.raises(tf.ConfigurationError, match="no common period"):
         tf.difference(tf.constant(3.0), c)
 
 
