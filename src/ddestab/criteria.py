@@ -457,13 +457,26 @@ def _gap_pair(eq: LinearDelayEquation, red: ReducedPair):
     return red.r, red.R, "across the full spread of delayed arguments"
 
 
-def _limited_note(*infos: tf.SupInfo):
+def _read_notes(infos: Sequence[tf.SupInfo], delays: Sequence[Delay] = ()) -> list:
+    """The notes on how the window quantities were read through ``delays``.
+
+    A quantity read through a general delay is an upper bound from its
+    declared lag_bound; every check that reads one only gets harder as the
+    quantity grows, so the verdict stays sound.
+    """
+    notes = []
     if any(info.horizon_limited for info in infos):
-        return (
+        notes.append(
             "one or more suprema were scanned up to a finite horizon; the "
-            "certificate is conditional on the scan capturing the essential extrema",
+            "certificate is conditional on the scan capturing the essential extrema"
         )
-    return ()
+    if any(isinstance(d, tf.GeneralDelay) for d in delays):
+        notes.append(
+            "window integrals read through a general delayed argument are upper "
+            "bounds from its declared lag_bound, a premise of the certificate: "
+            "the delay itself is never called"
+        )
+    return notes
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +531,7 @@ def check_diff_form(
             "positive excess of S over 1/e plus twice the product Q*V",
         ),
     ]
-    notes = list(_limited_note(s_info, v_info, q_hi))
+    notes = _read_notes((s_info, v_info, q_hi), (red.h, d1, d2))
 
     checks.append(_no_expansion("difference", S))
     if S <= _INV_E:
@@ -589,7 +602,7 @@ def check_ratio_form(
         Quantity("R_inf", R_inf, "essinf over t of b(t)/a(t)"),
         Quantity("V_a", V, "esssup over t of |int a(s) ds| " + gap_label),
     ]
-    notes = list(_limited_note(s_info, v_info, r_hi, r_lo))
+    notes = _read_notes((s_info, v_info, r_hi, r_lo), (red.h, d1, d2))
 
     checks.append(
         make_check(
@@ -712,7 +725,7 @@ def check_nondelay_dominant(
         Quantity("a_inf", a_lo.value, "essinf over t of the undelayed coefficient a"),
         Quantity("R_sup", r_hi.value, "esssup over t of the summed ratio b/a"),
     ]
-    notes = list(_limited_note(a_lo, r_hi))
+    notes = _read_notes((a_lo, r_hi))
     checks = [
         _vanishing_check(a, "undelayed coefficient", t0),
         make_check(

@@ -258,7 +258,8 @@ def production_stability_checks(
       route; both must hold together.
 
     Returns the checks and ``(quantities, notes)``; the notes say when a
-    supremum was scanned only to a finite horizon.
+    supremum was scanned only to a finite horizon, and when one was read
+    through a general delay's lag envelope.
     """
     alpha = _production_alpha(model)
     s = model.s
@@ -302,7 +303,7 @@ def production_stability_checks(
             "gap", gap, "esssup over t of |int s| between the two delayed arguments"
         ),
     )
-    return checks, (quantities, cr._limited_note(iq_info, gap_info))
+    return checks, (quantities, cr._read_notes((iq_info, gap_info), (model.q, inner, outer)))
 
 
 def check_les_production(
@@ -320,12 +321,12 @@ def check_les_production(
     x_star = equilibrium(model)
     t0 = 0.0
     pre, mean = cr._persistence_checks(model.s, "the rate coefficient", t0)
-    cond, (quantities, limited) = production_stability_checks(model, horizon=horizon)
-    notes = list(limited)
-    quantities = (
+    cond, (quantities, notes) = production_stability_checks(model, horizon=horizon)
+    quantities = [
         cr.Quantity("x_star", x_star, "positive equilibrium state"),
         cr.Quantity("mean_s", mean, "long-run mean value of the rate"),
-    ) + quantities
+        *quantities,
+    ]
 
     pre_ok = all(c.satisfied for c in pre)
     if pre_ok and cond["combined_bound"].satisfied:
@@ -335,33 +336,17 @@ def check_les_production(
         route = [cond["gap_bound"], cond["window_vs_gap_bound"]]
         notes.append("certified by the paired-condition route")
     else:
-        checks = tuple(pre) + tuple(cond.values())
         notes.append(
             "a passing verdict would certify local exponential stability of "
             "the positive equilibrium"
         )
-        return cr._conclude(name, cr.ASYMPTOTIC, quantities, checks, notes)
-
-    T_used = T if T is not None else cr._default_T(model.s)
-    lim_info = tf.liminf_forward_integral_info(model.s, T_used, t0, horizon=horizon)
-    upgrade = cr.make_check(
-        "rate persistently positive over windows of length T=%g" % T_used,
-        lim_info.value,
-        0.0,
-        strict=True,
-        direction=">",
-    )
-    checks = tuple(pre) + tuple(route)
+        return cr._conclude(name, cr.ASYMPTOTIC, quantities, [*pre, *cond.values()], notes)
     notes.append(
         "verdict certifies local exponential stability of the positive equilibrium"
     )
-    if upgrade.satisfied and not lim_info.horizon_limited:
-        checks = checks + (upgrade,)
-        return cr._conclude(name, cr.UNIFORM_EXPONENTIAL, quantities, checks, notes)
-    notes.append(
-        "persistent-positivity upgrade unavailable over windows of length T=%g" % T_used
+    return cr._persistence_upgrade(
+        name, model.s, "s", "rate", quantities, [*pre, *route], notes, T, t0, horizon
     )
-    return cr._conclude(name, cr.ASYMPTOTIC, quantities, checks, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,14 @@ proportionality, vanishing, domination and nonnegativity, and the extrema
 of a coefficient or of a ratio with a positive denominator. It gives
 every window extremum at constant lags: between two kinks a window
 integral is a trigonometric polynomial plus a linear term, read at its
-kinks and stationary points. A step-only ratio whose denominator reaches
-zero is read once per piece. The rest (general delays under a horizon,
-other ratios whose denominator reaches zero) is searched on a grid with a
-golden-section refinement of each local maximum. The grid takes one numpy
-pass from the normal form (a general delay is read once per grid and the
-reads are shared between searches), but every value reported is the
-coefficient's own.
-Over a general delay, a coefficient nonnegative by construction is at most
-its integral over [t - lag_bound, t], the lag envelope; a local maximum
-whose bracket that bounds below the best value read is not refined, with
-the same result. The premise is the declared lag_bound, which the delay's
-own check enforces at every read: every grid point is still read, but a
-violation strictly between grid points of a skipped bracket is no longer
-met by chance.
+kinks and stationary points. A general delay is read through its lag
+envelope: both ends of a window lie in [t - lag_bound, t], so the window
+over those constant lags bounds it, and the delay itself is never called
+(its declared lag_bound is the premise). A step-only ratio whose
+denominator reaches zero is read once per piece. Other ratios whose
+denominator reaches zero are searched on a grid with a golden-section
+refinement of each local maximum. The grid takes one numpy pass from the
+normal form, but every value reported is the coefficient's own.
 """
 
 from __future__ import annotations
@@ -97,9 +91,6 @@ _TAU = 2.0 * math.pi
 # returns exactly what recomputing would. A key is the arguments as passed, so
 # every caller passes t0 by position and horizon by keyword.
 _MEMO_SIZE = 256
-# Entries kept by the memo of a general delay's reads on the grid. The diff and
-# ratio forms of one certificate ask for the same reads back to back.
-_SAMPLE_MEMO_SIZE = 4
 
 
 class ConfigurationError(ValueError):
@@ -696,7 +687,9 @@ class GeneralDelay:
 
     The callable must satisfy t - lag_bound <= fn(t) <= t; violations,
     and a delayed argument that is NaN, are reported lazily, at evaluation
-    time.
+    time, so the solver meets them at the step that reads them. The window
+    extrema never call it: they read it through its lag envelope, which
+    rests on the declared lag_bound alone.
     """
 
     fn: Callable[[float], float]
@@ -754,9 +747,8 @@ class _Envelope:
         return self.pick(d(t) for d in self.delays)
 
 
-def _as_lag(d: Delay) -> Optional[float]:
-    """The lag of a constant lag or the identity; None for a general delay."""
-    return None if type(d) is GeneralDelay else d.lag_bound
+def _is_general(*delays: Delay) -> bool:
+    return any(type(d) is GeneralDelay for d in delays)
 
 
 def _pointwise(delays: tuple, pick: Callable, opposite: Callable) -> Delay:
@@ -765,10 +757,10 @@ def _pointwise(delays: tuple, pick: Callable, opposite: Callable) -> Delay:
         canonical_delay(d)  # raises TypeError for a delay of another class
     if len(delays) == 1:
         return delays[0]
-    lags = [_as_lag(d) for d in delays]
-    if all(l is not None for l in lags):
-        return canonical_delay(ConstantLag(opposite(lags)))
-    return GeneralDelay(_Envelope(delays, pick), opposite(d.lag_bound for d in delays))
+    bound = opposite(d.lag_bound for d in delays)
+    if _is_general(*delays):
+        return GeneralDelay(_Envelope(delays, pick), bound)
+    return canonical_delay(ConstantLag(bound))
 
 
 def delay_min(*delays: Delay) -> Delay:
@@ -808,19 +800,13 @@ def _search_class(
     delays: Sequence[Delay],
     horizon: Optional[float],
 ) -> AsymptoticClass:
-    """The class an extremum is searched under: the coefficients', or a given horizon's."""
+    """The class an extremum is read under: the coefficients', or a given horizon's."""
     for d in delays:
         canonical_delay(d)  # raises TypeError for a delay of another class
-    if horizon is not None:
-        # GeneralClass rejects a non-finite or non-positive horizon with a
-        # plain ValueError; criteria would turn a ConfigurationError into
-        # an Inconclusive certificate.
-        return GeneralClass(float(horizon))
-    if any(isinstance(d, GeneralDelay) for d in delays):
-        raise ConfigurationError(
-            "a general delayed argument needs an explicit analysis horizon"
-        )
-    return cls
+    # GeneralClass rejects a non-finite or non-positive horizon with a plain
+    # ValueError; criteria would turn a ConfigurationError into an
+    # Inconclusive certificate.
+    return cls if horizon is None else GeneralClass(float(horizon))
 
 
 def _finite(v: float) -> float:
@@ -869,7 +855,7 @@ def _scan_range(t0: float, cls: AsymptoticClass, pad: float):
     return t0, max(t0, cls.transient_end + pad) + period, False
 
 
-def _maximize(fn, t0: float, cls, span_pad: float, points=(), values=None, bounds=None) -> SupInfo:
+def _maximize(fn, t0: float, cls, span_pad: float, points=(), values=None) -> SupInfo:
     """Supremum of fn over the class's scan range from t0.
 
     A grid locates the local maxima and a golden-section search refines
@@ -879,14 +865,6 @@ def _maximize(fn, t0: float, cls, span_pad: float, points=(), values=None, bound
     point's too, is fn's own, and fn reads again each grid point whose
     array value is not finite (NaN, where fn may be finite, or infinite).
     Without ``values`` every grid point is NaN, so fn reads them all.
-
-    ``bounds``, when given, maps the brackets of the local maxima (two
-    arrays, their lower and upper ends) to upper bounds of fn over each.
-    fn reads the local maximum with the highest grid value first; a local
-    maximum whose bound lies below that read and the first grid point's is
-    neither refined nor read. Every value it could give lies below a value
-    the search reads anyway, and the best is kept on a strict rise, so the
-    value and argmax reported are those of refining every local maximum.
     """
     lo, hi, limited = _scan_range(t0, cls, span_pad)
     grid = lo + (hi - lo) * np.arange(_GRID + 1) / _GRID
@@ -904,95 +882,14 @@ def _maximize(fn, t0: float, cls, span_pad: float, points=(), values=None, bound
     n = len(xs) - 1
     neighbours = np.concatenate(([-math.inf], vals, [-math.inf]))
     peaks = np.flatnonzero((vals >= neighbours[:-2]) & (vals >= neighbours[2:]) & (vals > -math.inf))
-    top, v_top = -1, -math.inf
-    if bounds is not None and peaks.size:
-        top = int(peaks[np.argmax(vals[peaks])])
-        v_top = _finite(fn(xs[top]))
-        tops = bounds(grid[np.maximum(peaks - 1, 0)], grid[np.minimum(peaks + 1, n)])
-        peaks = peaks[~(tops < max(best_v, v_top))]
     for i in peaks.tolist():
         x, v = _golden_max(fn, xs[max(i - 1, 0)], xs[min(i + 1, n)], xtol)
-        v_i = v_top if i == top else _finite(fn(xs[i]))
+        v_i = _finite(fn(xs[i]))
         if v_i > v:
             x, v = xs[i], v_i
         if v > best_v:
             best_x, best_v = x, v
     return SupInfo(best_v, best_x, limited)
-
-
-@functools.lru_cache(maxsize=_SAMPLE_MEMO_SIZE)
-def _delay_samples(delays: tuple, grid: bytes) -> np.ndarray:
-    """Each delay read at every point of the grid (float64 bytes): one column per delay.
-
-    Reads go through the delays' own calls, point by point in grid order, so
-    the first invalid delayed argument raises as a point-by-point search
-    would. Memoized, so that searches over one delay and grid share them.
-    """
-    reads = [d(t) for t in np.frombuffer(grid).tolist() for d in delays]
-    return np.array(reads).reshape(-1, len(delays))
-
-
-def _gap_values(c: Coefficient, d1: Delay, d2: Delay):
-    """The integral of c over [d1(t), d2(t)] at each of the times xs, as an array function.
-
-    From the normal form's antiderivative, with the general delays read
-    once per grid.
-    """
-    nf = _normal_form((1.0, c))
-    general = tuple(d for d in (d1, d2) if _as_lag(d) is None)
-
-    def values(xs: np.ndarray) -> np.ndarray:
-        reads = iter(_delay_samples(general, xs.tobytes()).T)
-        ends = [next(reads) if lag is None else xs - lag for lag in map(_as_lag, (d1, d2))]
-        return nf.antiderivatives(ends[1]) - nf.antiderivatives(ends[0])
-
-    return values
-
-
-def _gap_bounds(c: Coefficient, d1: Delay, d2: Delay):
-    """Upper bounds of |integral of c over [d1(t), d2(t)]| for t in brackets, as an array function.
-
-    The function maps the brackets' lower and upper ends (two arrays) to
-    one bound each. Both delayed arguments lie in [t - reach, t], reach
-    being the larger lag bound plus the 1e-9 that ``GeneralDelay`` allows.
-    With c >= 0, the integral is then at most the window integral over
-    [t - reach, t] (the lag envelope), and for t in a cell [u, u'] that is
-    at most F(u') - F(u - reach), F the normal form's antiderivative. A
-    bracket's bound is the largest over its cells, plus a pad for rounding.
-
-    The pad. fn's scalar read and the array read are each a difference of
-    two antiderivatives at times of magnitude at most R (the brackets'
-    reach), with knots at most K. Every term of either antiderivative is at
-    most S = M (1 + R + K) + sum |w|/f over the waves, M bounding c, and is
-    rounded within a few ulps of S; a sinsq's own formula also rounds its
-    phase, which adds ulps of S times |phase| / (angular_freq (1 + R)), a
-    few for a phase of a few turns. A delay's own check lets a lag pass its
-    bound by a few ulps of R, which adds M times that. So each read lies
-    within a few hundred ulps of S of the exact value, and a pad of 2^-32 S
-    (2^20 ulps) covers both reads.
-
-    None unless c is nonnegative by construction (its normal form is not
-    ``signed``).
-    """
-    nf = _normal_form((1.0, c))
-    if nf.signed:
-        return None
-    reach = max(d1.lag_bound, d2.lag_bound) + 1e-9
-    knots = max(map(abs, nf.breakpoints), default=0.0)
-    waves = sum(abs(w) / f for f, w in nf.waves)
-    # 16 cells a bracket: on 40 general-delay benchmark draws they skip 686
-    # of 1 284 local maxima, and 64 cells only 738 for four times the array.
-    cells = np.arange(17) / 16
-
-    def bounds(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        edges = lows[:, None] + (highs - lows)[:, None] * cells
-        edges[:, -1] = highs
-        ends = nf.antiderivatives(np.stack((edges[:, 1:], edges[:, :-1] - reach)))
-        span = max(abs(float(lows.min())) + reach, abs(float(highs.max())))
-        pad = 2.0**-32 * (nf.bound * (1.0 + span + knots) + waves)
-        return (ends[0] - ends[1]).max(axis=1) + pad
-
-    return bounds
 
 
 def _window_extrema(c: Coefficient, near: float, far: float, t0: float, cls, pad: float):
@@ -1043,6 +940,23 @@ def _window_extrema(c: Coefficient, near: float, far: float, t0: float, cls, pad
     return SupInfo(top, t_top, limited), SupInfo(low, t_low, limited)
 
 
+def _envelope_sup(c: Coefficient, far: float, t0: float, cls) -> SupInfo:
+    """An upper bound over the range from t0 of |integral of c over [u, v]|, u, v in [t - far, t].
+
+    That is where the ends of a window or gap lie when far is the larger lag
+    bound, give or take the 1e-9 by which a general delay's own check lets
+    a read pass its bound. With W the integral of c over [t - far, t],
+    eps = max(0, -min c) for a signed form and 0 otherwise, and |c| <= B,
+    the bound is max(sup W, 0) + far eps + 1e-9 B. No delay is called: the
+    bound rests on the declared lag_bound.
+    """
+    nf = _normal_form((1.0, c))
+    top = _window_extrema(c, 0.0, far, t0, cls, far)[0]
+    eps = max(0.0, -_least(nf, -math.inf, math.inf)[1]) if nf.signed else 0.0
+    return SupInfo(max(top.value, 0.0) + far * eps + 1e-9 * nf.bound, top.argmax,
+                   top.horizon_limited)
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def sup_window_integral_info(
     c: Coefficient,
@@ -1051,13 +965,15 @@ def sup_window_integral_info(
     *,
     horizon: Optional[float] = None,
 ) -> SupInfo:
-    """Essential supremum over t >= t0 of the integral of c over [lower(t), t]."""
+    """Essential supremum over t >= t0 of the integral of c over [lower(t), t].
+
+    Exact at a constant lag; through a general delay, its lag envelope
+    bounds it (see ``_envelope_sup``).
+    """
     cls = _search_class(c.asymptotic_class, [lower], horizon)
-    lag = _as_lag(lower)
-    if lag is not None:
-        return _window_extrema(c, 0.0, lag, t0, cls, lag)[0]
-    return _maximize(lambda t: window_integral(c, lower, t), t0, cls, lower.lag_bound, (),
-                     _gap_values(c, lower, IdentityDelay()), _gap_bounds(c, lower, IdentityDelay()))
+    if _is_general(lower):
+        return _envelope_sup(c, lower.lag_bound, t0, cls)
+    return _window_extrema(c, 0.0, lower.lag_bound, t0, cls, lower.lag_bound)[0]
 
 
 def sup_window_integral(
@@ -1085,24 +1001,22 @@ def sup_between_delays_info(
     without a signed combination), the integral is the window integral over
     [d1(t), t] and that search answers. At constant lags it is the larger
     of sup W and -inf W, W the integral from the farther to the nearer lag.
+    With a general delay the lag envelope bounds it (see ``_envelope_sup``),
+    but a general delay and itself leave an empty gap: exactly 0.
     """
     nf = _normal_form((1.0, c))
     if isinstance(d2, IdentityDelay) and not nf.signed:
         return sup_window_integral_info(c, d1, t0, horizon=horizon)
     cls = _search_class(nf.asymptotic_class, [d1, d2], horizon)
-    pad = max(d1.lag_bound, d2.lag_bound)
-    lags = (_as_lag(d1), _as_lag(d2))
-    if None not in lags:
-        top, low = _window_extrema(c, min(lags), max(lags), t0, cls, pad)
-        if top.value >= -low.value:
-            return top
-        return SupInfo(-low.value, low.argmax, low.horizon_limited)
-    if d1 == d2:
-        # The gap is empty at every t; a search would refine every grid point.
-        return SupInfo(0.0, float(t0), True)
-    gap = _gap_values(c, d1, d2)
-    return _maximize(lambda t: abs(c.integral(d1(t), d2(t))), t0, cls, pad, (),
-                     lambda xs: np.abs(gap(xs)), _gap_bounds(c, d1, d2))
+    if d1 == d2 and _is_general(d1):
+        return SupInfo(0.0, float(t0), horizon is not None)
+    if _is_general(d1, d2):
+        return _envelope_sup(c, max(d1.lag_bound, d2.lag_bound), t0, cls)
+    near, far = sorted((d1.lag_bound, d2.lag_bound))
+    top, low = _window_extrema(c, near, far, t0, cls, far)
+    if top.value >= -low.value:
+        return top
+    return SupInfo(-low.value, low.argmax, low.horizon_limited)
 
 
 def sup_between_delays(

@@ -1,8 +1,7 @@
 """Every test starts and ends with every memo of the package empty.
 
-``timefn`` memoizes its extremum searches, its normal forms and a general
-delay's reads on the search grid per process, and ``solver`` the run
-geometry last built.
+``timefn`` memoizes its extremum searches and its normal forms per
+process, and ``solver`` the run geometry last built.
 Emptying the memos around each test keeps a test that counts the work of a
 search (the benchmark's tracer test counts coefficient integrals) or of a
 run independent of which tests ran before it. Every memo of every

@@ -312,3 +312,44 @@ def test_acceptance_8_certificate_simulation_consistency():
     ok = not contradictions
     _criterion(8, ok, "100 certified equations, %d contradictions" % len(contradictions))
     assert contradictions == []
+
+
+def test_acceptance_8_general_delay_certificates_against_simulation():
+    # The benchmark's general-delay shape: an oscillating pair whose positive
+    # side is read through a wobbling lag. Its certificates read the delay
+    # only through its declared lag_bound, never calling it.
+    rng = np.random.default_rng(34)
+    contradictions = []
+    accepted = 0
+    while accepted < 20:
+        a = float(rng.uniform(0.3, 0.5))
+        b = a * float(rng.uniform(0.1, 0.6))
+        freq = float(rng.uniform(0.6, 1.6))
+        lag, wobble, wobble_freq = (float(rng.uniform(lo, hi))
+                                    for lo, hi in ((0.5, 1.5), (0.1, 0.5), (0.3, 2.0)))
+        delay = tf.GeneralDelay(
+            lambda t, lag=lag, wobble=wobble, w=wobble_freq: t - lag * (1.0 + wobble * math.sin(w * t)),
+            lag * (1.0 + wobble),
+        )
+        eq = cr.LinearDelayEquation(
+            positive_terms=[cr.Term(tf.sinsq(a, freq), delay)],
+            negative_terms=[cr.Term(tf.sinsq(b, freq), tf.IdentityDelay())],
+        )
+        if cr.best_verdict(cr.evaluate_all(eq)) != cr.UNIFORM_EXPONENTIAL:
+            continue
+        accepted += 1
+        max_lag = eq.max_lag
+        # Slow transients near the certificate boundary get one longer look.
+        for lags in (60.0, 400.0):
+            traj = sv.integrate(
+                eq, sv.ConstantHistory(0.8), lags * max_lag, step=0.02,
+                initial_value=1.2, on_divergence="truncate",
+            )
+            rep = dg.classify(traj, max_lag=max_lag)
+            if rep.classification == dg.DECAYING:
+                break
+        else:
+            contradictions.append((a, b, freq, lag, wobble, wobble_freq, rep.classification))
+    ok = not contradictions
+    _criterion(8, ok, "20 certified general-delay equations, %d contradictions" % len(contradictions))
+    assert contradictions == []

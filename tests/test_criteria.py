@@ -677,6 +677,34 @@ def test_certificate_exit_is_pinned(case):
     assert json.dumps(EXITS[case]().to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+def test_lag_bound_note_is_written_only_where_a_general_delay_is_read():
+    def lag_bound_notes(cert):
+        return [note for note in cert.notes if "declared lag_bound" in note]
+
+    general = tf.GeneralDelay(lambda t: t - 1.0 - 0.2 * math.sin(t), 1.2)
+    for delay, count in ((general, 1), (tf.ConstantLag(1.2), 0)):
+        eq = cr.LinearDelayEquation(
+            positive_terms=[cr.Term(tf.constant(0.5), delay)],
+            negative_terms=[cr.Term(tf.constant(0.1), tf.IdentityDelay())],
+        )
+        certs = {cert.name: cert for cert in cr.evaluate_all(eq)}
+        assert [len(lag_bound_notes(certs[name])) for name in sorted(certs)] == [count, 0, count]
+        rate = tf.sinsq(0.5, math.pi)
+        models = [
+            md.check_les_removal(md.MackeyGlassRemoval(r=rate, beta=1.25, gamma=1.0, n=2.0,
+                                                       g=delay, h=tf.ConstantLag(1.0))),
+            md.check_les_production(md.MackeyGlassProduction(s=rate, beta=2.0, n=4.0,
+                                                             p=tf.ConstantLag(3.0), q=delay)),
+        ]
+        assert [len(lag_bound_notes(cert)) for cert in models] == [count, count]
+    # An undelayed positive side reads no window: no note, whatever the negative side reads.
+    eq = cr.LinearDelayEquation(
+        positive_terms=[cr.Term(tf.constant(0.5), tf.IdentityDelay())],
+        negative_terms=[cr.Term(tf.constant(0.1), general)],
+    )
+    assert lag_bound_notes(cr.check_nondelay_dominant(eq)) == []
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,14 +237,36 @@ def test_step_rate_scan_is_flagged_only_under_a_horizon():
     assert tf.sup_window_integral_info(c, tf.ConstantLag(2.0), horizon=10.0).horizon_limited
 
 
-def test_general_delay_requires_horizon():
-    c = tf.sinsq(1.0, 1.0)
+def test_general_delay_window_is_read_through_its_lag_envelope():
+    c = tf.sinsq(1.0, 1.0)  # its normal form bounds it by 1
     d = tf.GeneralDelay(lambda t: t - 1.0 - 0.5 * math.sin(t) ** 2, 1.5)
-    with pytest.raises(tf.ConfigurationError):
-        tf.sup_window_integral(c, d)
-    got = tf.sup_window_integral(c, d, horizon=4.0 * math.pi)
+    for horizon, limited in ((None, False), (4.0 * math.pi, True)):
+        # The window at the declared lag_bound, plus the 1e-9 of the bound by
+        # which a read may pass it.
+        envelope = tf.sup_window_integral_info(c, tf.ConstantLag(1.5), horizon=horizon)
+        info = tf.sup_window_integral_info(c, d, horizon=horizon)
+        assert info == tf.SupInfo(envelope.value + 1e-9, envelope.argmax, limited)
     oracle = dense_sup(lambda t: c.integral(d(t), t), 0.0, 4.0 * math.pi, n=200_000)
-    assert got == pytest.approx(oracle, abs=1e-6)
+    assert oracle <= info.value <= oracle + 0.1
+
+
+@pytest.mark.parametrize("horizon", [None, 40.0])
+def test_general_delay_gap_is_read_through_its_lag_envelope(horizon):
+    # A signed difference touches 0; its dip below 0 (rounding's alone, if
+    # any), times the lag, joins the bound.
+    signed = tf.difference(tf.constant(0.4), tf.sinsq(0.4, 2.0))
+    eps = max(0.0, -tf._least(tf._normal_form((1.0, signed)), -math.inf, math.inf)[1])
+    d = tf.GeneralDelay(lambda t: t - 1.0 - 0.5 * math.sin(t) ** 2, 1.5)
+    # Both ends lie in [t - far, t], far the larger lag bound.
+    for c, other, far, dip in ((tf.sinsq(1.0, 1.0), tf.ConstantLag(2.5), 2.5, 0.0),
+                               (signed, tf.ConstantLag(0.4), 1.5, eps)):
+        top = tf.sup_window_integral_info(c, tf.ConstantLag(far), horizon=horizon)
+        bound = tf._normal_form((1.0, c)).bound
+        info = tf.sup_between_delays_info(c, d, other, horizon=horizon)
+        expected = max(top.value, 0.0) + far * dip + 1e-9 * bound
+        assert info == tf.SupInfo(expected, top.argmax, horizon is not None)
+        scan = dense_sup(lambda t: abs(c.integral(d(t), other(t))), 0.0, 40.0, n=20_000)
+        assert scan <= info.value
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -5.0])
@@ -508,7 +529,7 @@ def test_reimported_modules_are_freed():
 
 def test_memo_never_shares_general_delays_of_equal_code():
     def lagged(lag):
-        return tf.GeneralDelay(lambda t: t - lag, 2.0)
+        return tf.GeneralDelay(lambda t: t - lag, lag)
 
     c = tf.sinsq(1.0, 1.0)
     near, far = lagged(0.5), lagged(2.0)
@@ -692,7 +713,7 @@ def test_gap_ending_at_t_is_the_window_for_a_nonnegative_coefficient():
         tf.sup_window_integral_info(MinusOne(), lag, horizon=12.0)
     with pytest.raises(TypeError, match=_CONSTRUCTORS):
         tf.sup_between_delays_info(MinusOne(), lag, tf.IdentityDelay(), horizon=12.0)
-    # A signed combination is nonnegative only within a tolerance: it is searched too.
+    # A signed combination is nonnegative only within a tolerance: its gap is read apart.
     signed = tf.difference(tf.constant(1.0), tf.sinsq(0.5, 1.0))
     misses = tf.sup_window_integral_info.cache_info().misses
     tf.sup_between_delays_info(signed, lag, tf.IdentityDelay(), horizon=12.0)
@@ -966,7 +987,7 @@ def test_a_coefficient_outside_the_library_has_no_normal_form_and_is_refused(sea
 
 
 # ---------------------------------------------------------------------------
-# Grid searches: one array pass from the normal form, general delays read once
+# Grid searches: one array pass from the normal form
 # ---------------------------------------------------------------------------
 
 
@@ -987,52 +1008,6 @@ def test_property_array_antiderivative_matches_the_coefficients_own(data, base, 
     assert np.abs(nf.values(ts) - [c.value(t) for t in ts]).max() <= 1e-12 * nf.bound
 
 
-def test_general_delay_searches_share_one_read_of_the_grid(monkeypatch):
-    from ddestab import criteria as cr
-
-    reads, calls = [], []
-
-    def delayed(t):
-        reads.append(t)
-        return t - 1.0 - 0.3 * math.sin(1.1 * t)
-
-    golden = tf._golden_max
-    monkeypatch.setattr(tf, "_golden_max", lambda *args: calls.append(args) or golden(*args))
-    delay = tf.GeneralDelay(delayed, 1.3)
-    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(0.4, 1.2), delay)],
-                                negative_terms=[cr.Term(tf.sinsq(0.1, 1.2), tf.IdentityDelay())])
-    certs = cr.evaluate_all(eq, horizon=40.0)
-    assert {cert.name for cert in certs} >= {"diff-form", "ratio-form"}
-    lo, hi = _scan_range(eq.positive_terms[0].coeff, 0.0, 40.0, 1.3)
-    grid = {lo + (hi - lo) * k / tf._GRID for k in range(tf._GRID + 1)}
-    on_grid = [t for t in reads if t in grid]
-    assert set(on_grid) == grid
-    # The diff form (on a - b) and the ratio form (on a) each search the
-    # grid; past one shared read, a grid point is read again only to report
-    # its value: the first point and each refined local maximum.
-    assert len(calls) >= 2
-    assert len(on_grid) <= len(grid) + len(calls) + 2
-    # Refining every local maximum took 34 golden runs and 2 927 reads of the
-    # delay; the brackets that the lag envelope bounds below the best read
-    # are skipped.
-    assert len(calls) <= 14
-    assert len(reads) <= 1_850
-
-
-def test_general_delay_search_raises_at_the_first_invalid_grid_point():
-    c = tf.sinsq(1.0, 1.0)
-    far = tf.GeneralDelay(lambda t: t - (0.5 if t < 5.0 else 3.0), 1.0)
-    near = tf.GeneralDelay(lambda t: t - (0.2 if t < 3.0 else 2.0), 1.0)
-    lo, hi = _scan_range(c, 0.0, 10.0, 1.0)
-    grid = [lo + (hi - lo) * k / tf._GRID for k in range(tf._GRID + 1)]
-    for search, first in ((lambda: tf.sup_window_integral_info(c, far, horizon=10.0), 5.0),
-                          # d1 is read before d2 at each point, as the integral's bounds are.
-                          (lambda: tf.sup_between_delays_info(c, far, near, horizon=10.0), 3.0)):
-        t = next(x for x in grid if x >= first)
-        with pytest.raises(tf.DomainError, match="lags current time %s by" % re.escape("%g" % t)):
-            search()
-
-
 def test_maximize_reads_again_every_grid_point_whose_array_value_is_not_finite():
     def fn(t):
         return math.sin(t) + 0.1 * t
@@ -1050,42 +1025,6 @@ def test_maximize_reads_again_every_grid_point_whose_array_value_is_not_finite()
     reference = tf._maximize(fn, 0.0, cls, 0.0)
     assert 7.0 < reference.argmax < 8.5
     assert tf._maximize(fn, 0.0, cls, 0.0, values=values) == reference
-
-
-def test_general_delay_gap_values_read_the_delays_at_the_times_given():
-    wobble = tf.GeneralDelay(lambda t: t - 1.0 - 0.4 * math.sin(0.9 * t), 1.4)
-    c = tf.sinsq(0.8, 1.3, 0.4)
-    values = tf._gap_values(c, wobble, tf.IdentityDelay())
-    xs = np.array([0.5, 2.0, 3.25, 7.0])
-    own = [c.integral(wobble(t), t) for t in xs.tolist()]
-    assert np.abs(values(xs) - own).max() <= 1e-12
-    # Points joining the grid are read too, so the search equals the point-by-point one.
-    fn, cls, points = (lambda t: tf.window_integral(c, wobble, t)), tf.GeneralClass(30.0), (3.3, 7.77)
-    assert (tf._maximize(fn, 0.0, cls, 1.4, points, values)
-            == tf._maximize(fn, 0.0, cls, 1.4, points))
-
-
-@pytest.mark.parametrize("pulse", [False, True])
-def test_general_delay_searches_report_the_coefficients_own_integral(pulse):
-    wobble = tf.GeneralDelay(lambda t: t - 1.0 - 0.4 * math.sin(0.9 * t), 1.4)
-    c = tf.sinsq(0.8, 1.3, 0.4)
-    if pulse:
-        c = tf.coeff_sum([c, tf.piecewise_constant([12.3, 12.35], [0.0, 3.0, 0.0])])
-    near = tf.ConstantLag(0.3)
-    for lower in (wobble, tf.delay_min(wobble, tf.ConstantLag(1.2)),
-                  tf.delay_max(wobble, tf.ConstantLag(1.2))):
-        searches = [
-            (tf.sup_window_integral_info(c, lower, horizon=30.0),
-             lambda t: c.integral(lower(t), t)),
-            (tf.sup_between_delays_info(c, lower, near, horizon=30.0),
-             lambda t: abs(c.integral(lower(t), near(t)))),
-        ]
-        lo, hi = _scan_range(c, 0.0, 30.0, lower.lag_bound)
-        for info, fn in searches:
-            assert info.value == fn(info.argmax)
-            assert max(fn(t) for t in np.linspace(lo, hi, 4097)) - 1e-12 <= info.value
-            # The grid evaluated point by point, fn alone, is the reference.
-            assert info == tf._maximize(fn, 0.0, tf.GeneralClass(30.0), lower.lag_bound)
 
 
 def _wobble(lag, wobble, freq):
@@ -1119,8 +1058,18 @@ def _general_delays(draw):
     return delay if envelope is None else envelope(delay, tf.ConstantLag(draw(st.floats(0.1, 2.0))))
 
 
+@st.composite
+def _signed_differences(draw):
+    """a - b, validated nonnegative but signed by construction: a level and a
+    wave above a wave at a multiple of its frequency."""
+    freq, amp = draw(st.floats(0.3, 3.0)), draw(st.floats(0.1, 2.0))
+    a = tf.coeff_sum([tf.sinsq(draw(st.floats(0.1, 1.0)), freq, draw(st.floats(0.0, 3.0))),
+                      tf.constant(amp + draw(st.floats(0.0, 0.5)))])
+    return tf.difference(a, tf.sinsq(amp, freq * draw(st.integers(1, 3))))
+
+
 def _general_searches(c, lower, other, horizon):
-    """(search, fn, pad) for the window over lower and the gaps between two general delays."""
+    """(search, fn, pad) for the window over lower and the gap between lower and other."""
     return [
         (lambda: tf.sup_window_integral_info.__wrapped__(c, lower, 0.0, horizon=horizon),
          lambda t: tf.window_integral(c, lower, t), lower.lag_bound),
@@ -1129,61 +1078,36 @@ def _general_searches(c, lower, other, horizon):
     ]
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(c=_nonnegative_coefficients(), lower=_general_delays(), other=_general_delays(),
-       horizon=st.floats(10.0, 40.0))
-def test_property_pruned_general_delay_search_is_the_full_refinement_bit_for_bit(
-        c, lower, other, horizon):
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(c=st.one_of(_nonnegative_coefficients(), _signed_differences()), lower=_general_delays(),
+       other=st.one_of(_general_delays(), st.floats(0.0, 2.5).map(tf.ConstantLag)),
+       horizon=st.one_of(st.none(), st.floats(10.0, 40.0)))
+def test_property_lag_envelope_bounds_a_dense_scan(c, lower, other, horizon):
     for search, fn, pad in _general_searches(c, lower, other, horizon):
-        # Point by point and with no bound, every local maximum is refined.
-        assert search() == tf._maximize(fn, 0.0, tf.GeneralClass(horizon), pad)
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(c=_nonnegative_coefficients(), lower=_general_delays(), other=_general_delays())
-def test_property_envelope_bounds_hold_over_every_skipped_bracket(c, lower, other):
-    searches, maximize = [], tf._maximize
-
-    def spy(fn, t0, cls, pad, points=(), values=None, bounds=None):
-        seen = []
-
-        def recorded(lows, highs):
-            tops = bounds(lows, highs)
-            seen.extend(zip(lows.tolist(), highs.tolist(), tops.tolist()))
-            return tops
-
-        info = maximize(fn, t0, cls, pad, points, values, recorded)
-        searches.append((fn, info.value, seen))
-        return info
-
-    with mock.patch.object(tf, "_maximize", spy):
-        for search, _, _ in _general_searches(c, lower, other, 20.0):
-            search()
-    assert len(searches) == 2 and all(seen for _, _, seen in searches)
-    # A skipped bracket's bound lies below the value found; check every such one.
-    for fn, best, seen in searches:
-        for lo, hi, top in seen:
-            if top < best:
-                assert max(fn(t) for t in np.linspace(lo, hi, 129).tolist()) <= top
-
-
-def test_signed_combinations_refine_every_local_maximum(monkeypatch):
-    calls = []
-    golden = tf._golden_max
-    monkeypatch.setattr(tf, "_golden_max", lambda *args: calls.append(args) or golden(*args))
-    signed = tf.difference(tf.coeff_sum([tf.sinsq(0.5, 1.0), tf.constant(0.6)]),
-                           tf.sinsq(0.4, 2.0))
-    assert tf._normal_form((1.0, signed)).signed
-    lower, other = _wobble(1.0, 0.4, 0.9), _wobble(0.5, 0.3, 1.7)
-    for search, fn, pad in _general_searches(signed, lower, other, 30.0):
-        calls.clear()
         info = search()
-        lo, hi = 0.0, 30.0 + pad
-        vals = np.array([fn(lo + (hi - lo) * k / tf._GRID) for k in range(tf._GRID + 1)])
-        sides = np.concatenate(([-math.inf], vals, [-math.inf]))
-        peaks = np.count_nonzero((vals >= sides[:-2]) & (vals >= sides[2:]))
-        assert len(calls) == peaks
-        assert info == tf._maximize(fn, 0.0, tf.GeneralClass(30.0), pad)
+        assert info.horizon_limited == (horizon is not None)
+        # Without a horizon the bound holds for all t >= 0; 60 is a stand-in.
+        lo, hi = _scan_range(c, 0.0, 60.0 if horizon is None else horizon, pad)
+        assert max(fn(t) for t in np.linspace(lo, hi, 4097).tolist()) <= info.value
+
+
+@pytest.mark.parametrize("horizon, verdict", [(None, "UniformExponential"), (40.0, "Asymptotic")])
+def test_certification_never_calls_a_general_delay(horizon, verdict):
+    from ddestab import criteria as cr
+    from ddestab import models as md
+
+    def delayed(t):
+        raise AssertionError("the delay was called at t=%g" % t)
+
+    delay = tf.GeneralDelay(delayed, 1.3)
+    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(0.4, 1.2), delay)],
+                                negative_terms=[cr.Term(tf.sinsq(0.1, 1.2), tf.IdentityDelay())])
+    assert cr.best_verdict(cr.evaluate_all(eq, horizon=horizon)) == verdict
+    rate = tf.sinsq(0.5, math.pi)
+    md.check_les_removal(md.MackeyGlassRemoval(r=rate, beta=1.25, gamma=1.0, n=2.0, g=delay,
+                                               h=tf.ConstantLag(1.0)), horizon=horizon)
+    md.check_les_production(md.MackeyGlassProduction(s=rate, beta=2.0, n=4.0, p=delay,
+                                                     q=tf.ConstantLag(2.0)), horizon=horizon)
 
 
 class _OwnDelay:
@@ -1215,7 +1139,8 @@ def test_only_the_library_delays_are_accepted():
     for build in builds:
         with pytest.raises(TypeError, match=r"as GeneralDelay\(fn, lag_bound\)"):
             build()
-    # Wrapped, it is a general delay, which needs a horizon to certify.
+    # Wrapped, it is a general delay, read through its lag envelope: at the
+    # declared lag 3, S = 1.06 and V_a = 1.41, and no route certifies.
     wrapped = tf.GeneralDelay(own, own.lag_bound)
     eq = cr.LinearDelayEquation(positive_terms=[cr.Term(c, wrapped)],
                                 negative_terms=[cr.Term(b, tf.IdentityDelay())])
@@ -1235,6 +1160,7 @@ def test_a_gap_between_a_general_delay_and_itself_is_not_searched(monkeypatch):
     full = tf._maximize(lambda t: abs(c.integral(d(t), d(t))), 0.0, tf.GeneralClass(40.0),
                         d.lag_bound)
     assert info == full == tf.SupInfo(0.0, 0.0, True)
+    assert tf.sup_between_delays_info(c, d, d) == tf.SupInfo(0.0, 0.0, False)
     # A removal model reading one general delay twice: 2 062 golden runs
     # when the gap was searched.
     calls.clear()
@@ -1246,21 +1172,33 @@ def test_a_gap_between_a_general_delay_and_itself_is_not_searched(monkeypatch):
 
 
 def test_general_delay_rejects_a_delayed_argument_that_is_not_a_number():
-    from ddestab import criteria as cr
-
     delay = tf.GeneralDelay(
         lambda t: math.nan if t >= 20.0 else t - 1.0 - 0.4 * math.sin(0.9 * t), 1.4)
     with pytest.raises(tf.DomainError, match="at current time 20 is not a number"):
         delay(20.0)
-    # The search raises at the first grid point from 20, as for a bound violation.
-    c = tf.sinsq(0.8, 1.3, 0.4)
-    lo, hi = _scan_range(c, 0.0, 40.0, 1.4)
-    first = next(lo + (hi - lo) * k / tf._GRID for k in range(tf._GRID + 1)
-                 if lo + (hi - lo) * k / tf._GRID >= 20.0)
-    message = "at current time %s is not a number" % re.escape("%g" % first)
+    with pytest.raises(tf.DomainError, match="at current time 20 is not a number"):
+        tf.window_integral(tf.constant(1.0), delay, 20.0)
+
+
+@pytest.mark.parametrize("fn, message", [
+    (lambda t: math.nan if t >= 20.0 else t - 1.0 - 0.4 * math.sin(0.9 * t), "is not a number"),
+    (lambda t: t - (5.0 if t >= 20.0 else 1.0), "by more than lag_bound 1.4"),
+], ids=["nan", "breaks_bound"])
+def test_certification_takes_the_declared_lag_bound_and_the_solver_checks_it(fn, message):
+    from ddestab import criteria as cr
+    from ddestab import solver as sv
+
+    def equation(d):
+        return cr.LinearDelayEquation(
+            positive_terms=[cr.Term(tf.sinsq(0.4, 1.2), d)],
+            negative_terms=[cr.Term(tf.sinsq(0.1, 1.2), tf.IdentityDelay())])
+
+    # Certification reads the declared lag_bound alone, so it neither calls
+    # nor checks the delay: its certificates are those of any delay with that
+    # bound. The solver checks every read, and raises at the first bad one.
+    bad, plain = tf.GeneralDelay(fn, 1.4), tf.GeneralDelay(lambda t: t - 1.0, 1.4)
+    for horizon in (None, 40.0):
+        assert ([cert.to_dict() for cert in cr.evaluate_all(equation(bad), horizon=horizon)]
+                == [cert.to_dict() for cert in cr.evaluate_all(equation(plain), horizon=horizon)])
     with pytest.raises(tf.DomainError, match=message):
-        tf.sup_window_integral_info(c, delay, horizon=40.0)
-    eq = cr.LinearDelayEquation(positive_terms=[cr.Term(tf.sinsq(0.4, 1.2), delay)],
-                                negative_terms=[cr.Term(tf.sinsq(0.1, 1.2), tf.IdentityDelay())])
-    with pytest.raises(tf.DomainError, match=message):
-        cr.evaluate_all(eq, horizon=40.0)
+        sv.integrate(equation(bad), sv.ConstantHistory(0.8), 30.0, step=0.05, initial_value=1.2)
